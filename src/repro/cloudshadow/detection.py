@@ -26,17 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imops import (
-    absdiff,
-    gaussian_blur,
-    median_blur,
-    morph_close,
-    otsu_threshold,
-    remove_small_objects,
-    rgb_to_hsv,
-    scale_to_uint8,
-)
-from .removal import ThinCloudShadowRemover
+from ..imops import gaussian_blur, median_blur, morph_close, otsu_threshold, remove_small_objects, scale_to_uint8
+from .removal import ThinCloudShadowRemover, VeilEstimate
 
 __all__ = ["CloudShadowMasks", "detect_cloud_shadow", "estimate_coverage"]
 
@@ -60,12 +51,9 @@ class CloudShadowMasks:
 
 def _brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarray:
     """Low-frequency brightness deviation from the scene's median level (uint8)."""
-    hsv = rgb_to_hsv(rgb)
-    value = hsv[..., 2].astype(np.float64)
-    smoothed = gaussian_blur(value, ksize=blur_ksize).astype(np.float64)
-    reference = float(np.median(smoothed))
-    deviation = np.abs(smoothed - reference)
-    return scale_to_uint8(absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
+    value = np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2]).astype(np.float64)  # V of HSV, for uint8 input
+    smoothed = gaussian_blur(value, ksize=blur_ksize)
+    return scale_to_uint8(np.abs(smoothed - float(np.median(smoothed))))
 
 
 def _clean(mask: np.ndarray, min_object_size: int) -> np.ndarray:
@@ -80,6 +68,7 @@ def detect_cloud_shadow(
     alpha_threshold: float = 0.10,
     min_object_size: int = 64,
     remover: ThinCloudShadowRemover | None = None,
+    estimate: VeilEstimate | None = None,
 ) -> CloudShadowMasks:
     """Detect thin-cloud and shadow masks from a single RGB tile or scene.
 
@@ -95,6 +84,8 @@ def detect_cloud_shadow(
         Smallest connected component (pixels) kept after clean-up.
     remover:
         Optionally reuse an existing remover (and its calibration).
+    estimate:
+        The veil estimate of ``rgb`` if the caller already has it; the remover is then not run.
     """
     img = np.asarray(rgb)
     if img.ndim != 3 or img.shape[-1] != 3:
@@ -102,8 +93,8 @@ def detect_cloud_shadow(
     if blur_ksize % 2 == 0:
         blur_ksize += 1
 
-    remover = remover or ThinCloudShadowRemover()
-    estimate = remover.estimate(img)
+    if estimate is None:
+        estimate = (remover or ThinCloudShadowRemover()).estimate(img)
 
     cloud = estimate.cloud_alpha > alpha_threshold
     shadow = estimate.shadow_alpha > alpha_threshold

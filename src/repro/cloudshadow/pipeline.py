@@ -47,8 +47,8 @@ class CloudShadowFilter:
     def apply(self, rgb: np.ndarray) -> FilterResult:
         """Filter a single ``(H, W, 3)`` uint8 image."""
         img = np.asarray(rgb)
-        masks = detect_cloud_shadow(img, blur_ksize=self.detection_blur_ksize)
         veil = self.remover.estimate(img)
+        masks = detect_cloud_shadow(img, blur_ksize=self.detection_blur_ksize, estimate=veil)
         filtered = self.remover.remove(img, veil)
         return FilterResult(filtered=filtered, masks=masks, veil=veil)
 
@@ -65,7 +65,7 @@ class CloudShadowFilter:
 
     def coverage(self, rgb: np.ndarray) -> float:
         """Detected cloud+shadow coverage fraction of one image."""
-        return detect_cloud_shadow(np.asarray(rgb), blur_ksize=self.detection_blur_ksize).coverage
+        return detect_cloud_shadow(np.asarray(rgb), blur_ksize=self.detection_blur_ksize, remover=self.remover).coverage
 
 
 def filter_tiles(tiles: np.ndarray, **kwargs) -> np.ndarray:

@@ -23,6 +23,7 @@ from .arithmetic import (
     scale_to_uint8,
 )
 from .color import (
+    channel_planes,
     gray_to_rgb,
     hsv_to_rgb,
     merge_channels,
@@ -71,6 +72,7 @@ __all__ = [
     "saturating_add",
     "saturating_subtract",
     "scale_to_uint8",
+    "channel_planes",
     "gray_to_rgb",
     "hsv_to_rgb",
     "merge_channels",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "channel_planes",
     "rgb_to_hsv",
     "hsv_to_rgb",
     "rgb_to_gray",
@@ -26,15 +27,23 @@ __all__ = [
 _HUE_SCALE = 2.0
 
 
-def _as_float(image: np.ndarray) -> np.ndarray:
-    """Return a float64 copy of ``image`` scaled to [0, 1]."""
+def channel_planes(image: np.ndarray) -> np.ndarray:
+    """The channels of an ``(H, W, C)`` image as contiguous float64 ``(C, H, W)`` planes.
+
+    The planar kernels (:func:`rgb_to_hsv`, the cloud/shadow remover) run
+    whole-plane ufuncs with ``out=``; on the interleaved layout the same
+    arithmetic walks a length-``C`` strided last axis.
+    """
     img = np.asarray(image)
-    if img.dtype == np.uint8:
-        return img.astype(np.float64) / 255.0
-    img = img.astype(np.float64)
-    if img.size and img.max() > 1.0 + 1e-9:
-        img = img / 255.0
-    return img
+    planes = np.empty(img.shape[-1:] + img.shape[:-1])
+    planes[...] = np.moveaxis(img, -1, 0)
+    return planes
+
+
+def _sector(x: np.ndarray, y: np.ndarray, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``60 * (x - y) / delta`` written into ``out``."""
+    np.multiply(np.subtract(x, y, out=out), 60.0, out=out)
+    return np.divide(out, delta, out=out)
 
 
 def rgb_to_hsv(image: np.ndarray) -> np.ndarray:
@@ -54,29 +63,37 @@ def rgb_to_hsv(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[-1] != 3:
         raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
-    rgb = _as_float(img)
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    planes = channel_planes(img)
+    if img.dtype == np.uint8 or (img.size and planes.max() > 1.0 + 1e-9):
+        np.divide(planes, 255.0, out=planes)
+    r, g, b = planes
 
-    maxc = np.max(rgb, axis=-1)
-    minc = np.min(rgb, axis=-1)
-    delta = maxc - minc
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
+    delta = np.subtract(maxc, minc, out=minc)
+    gray = ~(delta > 0)
 
-    value = maxc
-    saturation = np.where(maxc > 0, delta / np.maximum(maxc, 1e-12), 0.0)
+    saturation = np.maximum(maxc, 1e-12)
+    np.divide(delta, saturation, out=saturation)
+    np.putmask(saturation, ~(maxc > 0), 0.0)
 
-    # Hue in degrees [0, 360)
+    # Hue in degrees [0, 360) from the sector of the largest channel; red wins ties, then green.
+    np.putmask(delta, gray, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        safe_delta = np.where(delta > 0, delta, 1.0)
-        hr = (60.0 * (g - b) / safe_delta) % 360.0
-        hg = 60.0 * (b - r) / safe_delta + 120.0
-        hb = 60.0 * (r - g) / safe_delta + 240.0
-    hue = np.where(maxc == r, hr, np.where(maxc == g, hg, hb))
-    hue = np.where(delta > 0, hue, 0.0)
+        hue = np.add(_sector(r, g, delta, np.empty_like(delta)), 240.0)
+        lead = np.add(_sector(b, r, delta, np.empty_like(delta)), 120.0)
+        np.copyto(hue, lead, where=maxc == g)
+        np.remainder(_sector(g, b, delta, lead), 360.0, out=lead)
+        np.copyto(hue, lead, where=maxc == r)
+    np.putmask(hue, gray, 0.0)
 
-    out = np.empty(img.shape[:2] + (3,), dtype=np.uint8)
-    out[..., 0] = np.clip(np.round(hue / _HUE_SCALE), 0, 179).astype(np.uint8)
-    out[..., 1] = np.clip(np.round(saturation * 255.0), 0, 255).astype(np.uint8)
-    out[..., 2] = np.clip(np.round(value * 255.0), 0, 255).astype(np.uint8)
+    out = np.empty(img.shape, dtype=np.uint8)
+    np.divide(hue, _HUE_SCALE, out=hue)
+    np.multiply(saturation, 255.0, out=saturation)
+    np.multiply(maxc, 255.0, out=maxc)
+    for c, (plane, top) in enumerate(((hue, 179), (saturation, 255), (maxc, 255))):
+        np.clip(np.rint(plane, out=plane), 0, top, out=plane)
+        out[..., c] = plane
     return out
 
 

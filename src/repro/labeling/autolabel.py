@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..classes import HSV_RANGES, NUM_CLASSES, SeaIceClass, class_map_to_color
+from ..classes import HSV_RANGES, SeaIceClass, class_map_to_color
 from ..cloudshadow import CloudShadowFilter
 from ..imops import rgb_to_hsv
 
@@ -59,37 +59,38 @@ class ColorSegmentationLabeler:
     def __post_init__(self) -> None:
         if set(self.hsv_ranges.keys()) != set(SeaIceClass):
             raise ValueError("hsv_ranges must define a range for every SeaIceClass")
+        # Centre of each class's value band: where leftover pixels are sent (depends only on the ranges).
+        self._value_centers = np.array(
+            [(self.hsv_ranges[cls].lower[2] + self.hsv_ranges[cls].upper[2]) // 2 for cls in SeaIceClass], dtype=np.int32
+        )
 
     # ------------------------------------------------------------------ #
     def class_masks(self, hsv: np.ndarray) -> dict:
         """Per-class boolean masks from an HSV image (may leave pixels unassigned)."""
-        return {cls: rng.contains(hsv) for cls, rng in self.hsv_ranges.items()}
+        # The same image over contiguous channel planes: every range compare then runs on a dense uint8 plane.
+        planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(np.asarray(hsv), -1, 0)), 0, -1)
+        return {cls: rng.contains(planar) for cls, rng in self.hsv_ranges.items()}
 
-    def segment(self, rgb: np.ndarray) -> AutoLabelResult:
-        """Auto-label one ``(H, W, 3)`` uint8 RGB tile."""
+    def _label(self, rgb: np.ndarray) -> tuple:
+        """``(class_map, masks, filtered_rgb)`` of one tile: what :meth:`segment` and ``__call__`` share."""
         img = np.asarray(rgb)
         if img.ndim != 3 or img.shape[-1] != 3:
             raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
-
-        filtered = None
-        if self.apply_cloud_filter:
-            filtered = self.cloud_filter.filter_image(img)
-            working = filtered
-        else:
-            working = img
-
-        hsv = rgb_to_hsv(working)
+        filtered = self.cloud_filter.filter_image(img) if self.apply_cloud_filter else None
+        hsv = rgb_to_hsv(img if filtered is None else filtered)
         masks = self.class_masks(hsv)
 
         class_map = np.full(hsv.shape[:2], 255, dtype=np.uint8)
-        for cls in SeaIceClass:
-            mask = masks[cls]
-            class_map[mask & (class_map == 255)] = int(cls)
-
+        for cls in reversed(SeaIceClass):  # written last wins: the first class whose range matches
+            np.putmask(class_map, masks[cls], int(cls))
         unassigned = class_map == 255
         if unassigned.any():
             class_map[unassigned] = self._nearest_class(hsv[unassigned])
+        return class_map, masks, filtered
 
+    def segment(self, rgb: np.ndarray) -> AutoLabelResult:
+        """Auto-label one ``(H, W, 3)`` uint8 RGB tile."""
+        class_map, masks, filtered = self._label(rgb)
         return AutoLabelResult(
             class_map=class_map,
             label_image=class_map_to_color(class_map),
@@ -100,16 +101,13 @@ class ColorSegmentationLabeler:
     def _nearest_class(self, hsv_pixels: np.ndarray) -> np.ndarray:
         """Assign leftover pixels to the class whose value band is closest."""
         values = hsv_pixels[..., 2].astype(np.int32)
-        centers = np.zeros(NUM_CLASSES, dtype=np.int32)
-        for cls, rng in self.hsv_ranges.items():
-            centers[int(cls)] = (rng.lower[2] + rng.upper[2]) // 2
-        dist = np.abs(values[:, None] - centers[None, :])
+        dist = np.abs(values[:, None] - self._value_centers[None, :])
         return np.argmin(dist, axis=1).astype(np.uint8)
 
     # ------------------------------------------------------------------ #
     def __call__(self, rgb: np.ndarray) -> np.ndarray:
         """Return only the class map (the form used by the parallel pipelines)."""
-        return self.segment(rgb).class_map
+        return self._label(rgb)[0]
 
     def label_batch(self, tiles: np.ndarray) -> np.ndarray:
         """Auto-label a ``(N, H, W, 3)`` stack of tiles into ``(N, H, W)`` class maps."""
@@ -119,14 +117,17 @@ class ColorSegmentationLabeler:
         return np.stack([self(stack[i]) for i in range(stack.shape[0])])
 
 
+#: The default labelers, with and without the cloud/shadow filter: built once per process and
+#: inherited by forked workers.  Labeling keeps no state on them, so threads may share one.
+_DEFAULT_LABELERS = {flag: ColorSegmentationLabeler(apply_cloud_filter=flag) for flag in (False, True)}
+
+
 def autolabel_tile(rgb: np.ndarray, apply_cloud_filter: bool = True) -> np.ndarray:
     """Label one tile with default settings; module-level function so it pickles cleanly
     for the multiprocessing and map-reduce backends."""
-    labeler = ColorSegmentationLabeler(apply_cloud_filter=apply_cloud_filter)
-    return labeler(rgb)
+    return _DEFAULT_LABELERS[bool(apply_cloud_filter)](rgb)
 
 
 def autolabel_batch(tiles: np.ndarray, apply_cloud_filter: bool = True) -> np.ndarray:
     """Label a stack of tiles with default settings (serial reference implementation)."""
-    labeler = ColorSegmentationLabeler(apply_cloud_filter=apply_cloud_filter)
-    return labeler.label_batch(tiles)
+    return _DEFAULT_LABELERS[bool(apply_cloud_filter)].label_batch(tiles)

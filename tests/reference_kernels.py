@@ -1,0 +1,167 @@
+"""Oracles for the planar auto-label kernel: the broadcast formulations it replaced.
+
+These are the bodies ``ThinCloudShadowRemover.estimate``/``remove``,
+``rgb_to_hsv``, ``HSVRange.contains``, ``ColorSegmentationLabeler.segment``
+and ``_brightness_deviation`` had before the per-tile path went planar, kept
+verbatim (hypothesis tensors, ``einsum``, fancy indexing and all) so the
+differential tests can demand ``array_equal`` rather than a tolerance, plus the
+input strategy those tests share.  Not a test module; nothing under ``src/``
+imports it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
+from repro.cloudshadow import VeilEstimate
+from repro.imops import absdiff, gaussian_blur, scale_to_uint8
+
+
+@st.composite
+def rgb_views(draw, max_side=24):
+    """uint8 ``(H, W, 3)`` images in the memory layouts a caller can hand over: C-contiguous,
+    a transposed view, every other pixel of a larger image, the RGB of an RGBA image, BGR reversed."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided", "channel_sliced", "reversed"]))
+    shape = {"transposed": (w, h, 3), "strided": (2 * h, 2 * w, 3), "channel_sliced": (h, w, 4)}.get(layout, (h, w, 3))
+    base = draw(hnp.arrays(np.uint8, shape))
+    if layout == "transposed":
+        return base.transpose(1, 0, 2)
+    if layout == "strided":
+        return base[::2, ::2]
+    if layout == "channel_sliced":
+        return base[..., :3]
+    return base[..., ::-1] if layout == "reversed" else base
+
+
+def reference_estimate(remover, rgb: np.ndarray) -> VeilEstimate:
+    """``ThinCloudShadowRemover.estimate`` over the (H, W, K, M, 3) hypothesis tensor."""
+    data = np.asarray(rgb).astype(np.float64)
+    h, w, _ = data.shape
+
+    prototypes = remover.surface_prototypes  # (K, 3)
+    contaminants = np.array([remover.cloud_color, remover.shadow_color], dtype=np.float64)  # (2, 3)
+    num_m = contaminants.shape[0]
+
+    diff = data[:, :, None, :] - prototypes[None, None, :, :]  # (H, W, K, 3)
+    direction = contaminants[None, :, :] - prototypes[:, None, :]  # (K, M, 3)
+    dir_norm_sq = np.maximum(np.sum(direction * direction, axis=-1), 1e-9)  # (K, M)
+
+    alpha = np.einsum("hwkc,kmc->hwkm", diff, direction) / dir_norm_sq[None, None, :, :]
+    alpha = np.clip(alpha, 0.0, remover.max_alpha)
+
+    recon = alpha[..., None] * direction[None, None, :, :, :]  # (H, W, K, M, 3)
+    resid = diff[:, :, :, None, :] - recon
+    residual = np.sqrt(np.sum(resid * resid, axis=-1))  # (H, W, K, M)
+    score = residual + remover.alpha_penalty * alpha
+
+    contaminant_score = score.min(axis=2)  # (H, W, M)
+    if remover.score_smooth_ksize and remover.score_smooth_ksize >= 3:
+        pooled = np.empty_like(contaminant_score)
+        for m in range(num_m):
+            pooled[:, :, m] = gaussian_blur(contaminant_score[:, :, m], ksize=remover.score_smooth_ksize)
+        contaminant_score = pooled
+    best_m = np.argmin(contaminant_score, axis=-1)  # (H, W)
+
+    rows = np.arange(h)[:, None]
+    cols = np.arange(w)[None, :]
+    score_for_m = score[rows, cols, :, best_m]  # (H, W, K)
+    best_k = np.argmin(score_for_m, axis=-1)
+    best_alpha = alpha[rows, cols, best_k, best_m]
+
+    cloud_alpha = np.where(best_m == 0, best_alpha, 0.0)
+    shadow_alpha = np.where(best_m == 1, best_alpha, 0.0)
+    if remover.smooth_ksize and remover.smooth_ksize >= 3:
+        cloud_alpha = gaussian_blur(cloud_alpha, ksize=remover.smooth_ksize)
+        shadow_alpha = gaussian_blur(shadow_alpha, ksize=remover.smooth_ksize)
+        cloud_alpha = np.clip(cloud_alpha, 0.0, remover.max_alpha)
+        shadow_alpha = np.clip(shadow_alpha, 0.0, remover.max_alpha)
+    cloud_alpha = np.where(cloud_alpha >= remover.min_alpha, cloud_alpha, 0.0)
+    shadow_alpha = np.where(shadow_alpha >= remover.min_alpha, shadow_alpha, 0.0)
+    return VeilEstimate(cloud_alpha=cloud_alpha, shadow_alpha=shadow_alpha, surface_class=best_k.astype(np.uint8))
+
+
+def reference_remove(remover, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
+    """``ThinCloudShadowRemover.remove`` on the interleaved (H, W, 3) float image."""
+    img = np.asarray(rgb)
+    est = estimate or reference_estimate(remover, img)
+    data = img.astype(np.float64)
+
+    shadow = np.asarray(remover.shadow_color, dtype=np.float64).reshape(1, 1, 3)
+    a_s = np.clip(est.shadow_alpha, 0.0, remover.max_alpha)[..., None]
+    data = (data - a_s * shadow) / np.maximum(1.0 - a_s, 1.0 - remover.max_alpha)
+
+    cloud = np.asarray(remover.cloud_color, dtype=np.float64).reshape(1, 1, 3)
+    a_c = np.clip(est.cloud_alpha, 0.0, remover.max_alpha)[..., None]
+    data = (data - a_c * cloud) / np.maximum(1.0 - a_c, 1.0 - remover.max_alpha)
+    return np.clip(np.round(data), 0, 255).astype(np.uint8)
+
+
+def reference_rgb_to_hsv(image: np.ndarray) -> np.ndarray:
+    """``rgb_to_hsv`` with last-axis reductions and nested ``np.where``."""
+    img = np.asarray(image)
+    if img.dtype == np.uint8:
+        rgb = img.astype(np.float64) / 255.0
+    else:
+        rgb = img.astype(np.float64)
+        if rgb.size and rgb.max() > 1.0 + 1e-9:
+            rgb = rgb / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+
+    maxc = np.max(rgb, axis=-1)
+    minc = np.min(rgb, axis=-1)
+    delta = maxc - minc
+    saturation = np.where(maxc > 0, delta / np.maximum(maxc, 1e-12), 0.0)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe_delta = np.where(delta > 0, delta, 1.0)
+        hr = (60.0 * (g - b) / safe_delta) % 360.0
+        hg = 60.0 * (b - r) / safe_delta + 120.0
+        hb = 60.0 * (r - g) / safe_delta + 240.0
+    hue = np.where(maxc == r, hr, np.where(maxc == g, hg, hb))
+    hue = np.where(delta > 0, hue, 0.0)
+
+    out = np.empty(img.shape[:2] + (3,), dtype=np.uint8)
+    out[..., 0] = np.clip(np.round(hue / 2.0), 0, 179).astype(np.uint8)
+    out[..., 1] = np.clip(np.round(saturation * 255.0), 0, 255).astype(np.uint8)
+    out[..., 2] = np.clip(np.round(maxc * 255.0), 0, 255).astype(np.uint8)
+    return out
+
+
+def reference_contains(hsv_range, hsv: np.ndarray) -> np.ndarray:
+    """``HSVRange.contains`` through an int32 copy and ``np.all(axis=-1)``."""
+    lo = np.array(hsv_range.lower, dtype=np.int32)
+    hi = np.array(hsv_range.upper, dtype=np.int32)
+    data = np.asarray(hsv).astype(np.int32)
+    return np.all((data >= lo) & (data <= hi), axis=-1)
+
+
+def reference_segment(labeler, rgb: np.ndarray):
+    """``ColorSegmentationLabeler.segment``: (class_map, label_image, masks, filtered_rgb)."""
+    img = np.asarray(rgb)
+    filtered = reference_remove(labeler.cloud_filter.remover, img) if labeler.apply_cloud_filter else None
+    hsv = reference_rgb_to_hsv(img if filtered is None else filtered)
+    masks = {cls: reference_contains(rng, hsv) for cls, rng in labeler.hsv_ranges.items()}
+
+    class_map = np.full(hsv.shape[:2], 255, dtype=np.uint8)
+    for cls in SeaIceClass:
+        class_map[masks[cls] & (class_map == 255)] = int(cls)
+    unassigned = class_map == 255
+    if unassigned.any():
+        values = hsv[unassigned][..., 2].astype(np.int32)
+        centers = np.zeros(NUM_CLASSES, dtype=np.int32)
+        for cls, rng in labeler.hsv_ranges.items():
+            centers[int(cls)] = (rng.lower[2] + rng.upper[2]) // 2
+        class_map[unassigned] = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1).astype(np.uint8)
+    return class_map, class_map_to_color(class_map), masks, filtered
+
+
+def reference_brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarray:
+    """``_brightness_deviation`` with the HSV round trip and the double rescale."""
+    value = reference_rgb_to_hsv(rgb)[..., 2].astype(np.float64)
+    smoothed = gaussian_blur(value, ksize=blur_ksize).astype(np.float64)
+    deviation = np.abs(smoothed - float(np.median(smoothed)))
+    return scale_to_uint8(absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference_kernels import reference_rgb_to_hsv, rgb_views
 
 from repro.imops import (
+    channel_planes,
     gray_to_rgb,
     hsv_to_rgb,
     merge_channels,
@@ -64,6 +66,40 @@ class TestRgbToHsv:
         img = np.array([[[1.0, 0.0, 0.0]]])
         hsv = rgb_to_hsv(img)
         assert hsv[0, 0, 2] == 255
+
+
+class TestPlanarRgbToHsvMatchesOracle:
+    """The planar conversion against the last-axis / nested-``where`` body it replaced: equal, not close."""
+
+    def test_every_8_bit_colour(self):
+        """All 2**24 inputs a uint8 pixel can be, one 256x256 green-blue sheet per red level."""
+        green, blue = np.meshgrid(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8), indexing="ij")
+        sheet = np.stack([np.zeros_like(green), green, blue], axis=-1)
+        for red in range(256):
+            sheet[..., 0] = red
+            np.testing.assert_array_equal(rgb_to_hsv(sheet), reference_rgb_to_hsv(sheet), err_msg=f"red={red}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rgb_views())
+    def test_any_shape_and_layout(self, img):
+        hsv = rgb_to_hsv(img)
+        assert hsv.dtype == np.uint8 and hsv.flags.c_contiguous
+        np.testing.assert_array_equal(hsv, reference_rgb_to_hsv(img))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)), elements=st.floats(0, 1)),
+        st.sampled_from([1.0, 255.0]),  # unit range, or the 0..255 range the conversion rescales itself
+        st.sampled_from([np.float64, np.float32]),
+    )
+    def test_float_input(self, unit, scale, dtype):
+        img = (unit * scale).astype(dtype)
+        np.testing.assert_array_equal(rgb_to_hsv(img), reference_rgb_to_hsv(img))
+
+    def test_channel_planes(self, rgb_image):
+        planes = channel_planes(rgb_image[:, ::2])
+        assert planes.dtype == np.float64 and planes.shape == (3, 40, 28) and planes.flags.c_contiguous
+        np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), rgb_image[:, ::2])
 
 
 class TestHsvRoundTrip:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernels import reference_contains, reference_segment, rgb_views
 
-from repro.classes import HSV_RANGES, NUM_CLASSES, SeaIceClass
+from repro.classes import HSV_RANGES, NUM_CLASSES, HSVRange, SeaIceClass
+from repro.data import build_dataset
 from repro.imops import rgb_to_hsv
 from repro.labeling import (
     ColorSegmentationLabeler,
@@ -16,6 +18,7 @@ from repro.labeling import (
     autolabel_tile,
     simulate_manual_labels,
 )
+from repro.mapreduce.autolabel_job import run_mapreduce_autolabel
 from repro.metrics import accuracy_score
 
 
@@ -96,6 +99,62 @@ class TestColorSegmentationLabeler:
         else:
             expected = int(SeaIceClass.OPEN_WATER)
         assert np.all(labels == expected)
+
+
+@st.composite
+def value_bands(draw):
+    """Three HSV ranges that may leave gaps (pixels for ``_nearest_class``) and may overlap (first class wins)."""
+    ranges = {}
+    for cls in SeaIceClass:
+        lower = [draw(st.sampled_from([0, 0, 20, 90])), draw(st.sampled_from([0, 0, 40])), draw(st.integers(0, 255))]
+        upper = [draw(st.sampled_from([185, 185, 100])), draw(st.sampled_from([255, 255, 200])), draw(st.integers(lower[2], 255))]
+        ranges[cls] = HSVRange(lower=tuple(lower), upper=tuple(upper))
+    return ranges
+
+
+class TestPlanarLabelerMatchesOracle:
+    """Class map, label image, masks and filtered tile against the bodies they replaced: equal, not close."""
+
+    @staticmethod
+    def assert_same_segmentation(labeler, rgb):
+        result = labeler.segment(rgb)
+        class_map, label_image, masks, filtered = reference_segment(labeler, rgb)
+        np.testing.assert_array_equal(result.class_map, class_map)
+        np.testing.assert_array_equal(result.label_image, label_image)
+        assert set(result.masks) == set(masks)
+        for cls in masks:
+            assert result.masks[cls].dtype == bool
+            np.testing.assert_array_equal(result.masks[cls], masks[cls], err_msg=str(cls))
+        if filtered is None:
+            assert result.filtered_rgb is None
+        else:
+            np.testing.assert_array_equal(result.filtered_rgb, filtered)
+        np.testing.assert_array_equal(labeler(rgb), class_map)
+
+    @pytest.mark.parametrize("scene", ["clear_scene", "cloudy_scene"])
+    @pytest.mark.parametrize("apply_cloud_filter", [False, True])
+    def test_scenes(self, scene, apply_cloud_filter, request):
+        self.assert_same_segmentation(ColorSegmentationLabeler(apply_cloud_filter=apply_cloud_filter), request.getfixturevalue(scene).rgb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rgb=rgb_views(), ranges=value_bands(), apply_cloud_filter=st.booleans())
+    def test_any_shape_layout_and_ranges(self, rgb, ranges, apply_cloud_filter):
+        self.assert_same_segmentation(ColorSegmentationLabeler(hsv_ranges=ranges, apply_cloud_filter=apply_cloud_filter), rgb)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hsv=rgb_views(), ranges=value_bands())
+    def test_range_masks(self, hsv, ranges):
+        for rng in ranges.values():
+            np.testing.assert_array_equal(rng.contains(hsv), reference_contains(rng, hsv))
+
+    def test_executors_agree_on_a_cloudy_stack(self):
+        tiles = build_dataset(num_scenes=2, scene_size=64, tile_size=32, base_seed=5, cloudy_fraction=1.0).images
+        expected = np.stack([reference_segment(ColorSegmentationLabeler(apply_cloud_filter=True), tile)[0] for tile in tiles])
+        assert len(np.unique(expected)) > 1
+        for executor in ("serial", "threads", "processes"):
+            labels = run_mapreduce_autolabel(tiles, executor=executor, parallelism=2).labels
+            np.testing.assert_array_equal(labels, expected, err_msg=executor)
+        np.testing.assert_array_equal(autolabel_batch(tiles), expected)
 
 
 class TestManualLabelSimulator:
