@@ -268,7 +268,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            batch_window_s=args.batch_window_ms / 1e3,
             request_timeout_s=args.request_timeout_ms / 1e3,
             max_queue=args.max_queue if args.max_queue > 0 else None,
             max_concurrent=args.max_concurrent if args.max_concurrent > 0 else None,
@@ -491,15 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("serve", help="serve registry models over JSON HTTP endpoints")
+    p = sub.add_parser(
+        "serve", help="serve registry models over JSON HTTP endpoints",
+        description="Serve registry models over JSON HTTP endpoints.  Micro-batching has no "
+                    "window to tune (the batch-window flag is gone): an idle batcher flushes "
+                    "what is queued at once, so a lone request never waits; while a flush is "
+                    "in flight the queue fills and the next flush takes up to --max-batch "
+                    "tiles.  Every response is written as one TCP segment, so keep-alive "
+                    "clients never sit out a delayed ACK between head and body.")
     p.add_argument("--registry", default=None, help="registry directory (<name>/<version>.npz)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 binds an ephemeral port")
-    p.add_argument("--max-batch", type=int, default=16, help="micro-batch flush size")
+    p.add_argument("--max-batch", type=int, default=16, help="most tiles one flush takes")
     p.add_argument("--max-warm", type=int, default=None,
                    help="LRU cap on warm models kept resident (default: unbounded)")
-    p.add_argument("--batch-window-ms", type=float, default=5.0,
-                   help="micro-batch flush deadline in milliseconds")
     p.add_argument("--request-timeout-ms", type=float, default=60000.0,
                    help="per-request deadline; expired work is dropped and answered 504")
     p.add_argument("--max-queue", type=int, default=128,

@@ -6,25 +6,25 @@ than ``N`` separate ``(1, H, W, 3)`` calls — the offset-GEMM forward
 amortises its per-call setup (tensor conversion, layer dispatch, softmax)
 across the whole batch and runs bigger, better-shaped GEMMs.
 
-The :class:`MicroBatcher` owns a single worker thread and a
-``queue.Queue``.  Callers :meth:`submit` a tile and get a
-:class:`PendingPrediction` future; the worker drains the queue until either
-``max_batch`` requests are waiting or ``max_delay_s`` has passed since the
-first one (the classic size-or-deadline trigger), groups the drained tiles
-by shape, and runs one batched call per group through the shared prediction
-seam (:func:`repro.unet.predict_batch_probabilities`).  Under load the
-batches fill up and throughput rises; a lone request only ever waits
-``max_delay_s``.
+The :class:`MicroBatcher` owns a single worker thread and a deque under one
+condition.  Callers :meth:`submit` a tile (or :meth:`submit_many` a request's
+tiles, atomically) and get :class:`PendingPrediction` futures.  The flush rule
+is work-conserving, the one Nagle's algorithm uses: an idle worker flushes
+what is queued *now* — a lone request never waits for company — and while a
+flush is in flight the queue accumulates, so under load the next flush takes
+up to ``max_batch`` tiles by itself.  Each flush groups its tiles by shape
+and runs one batched call per group through the shared prediction seam
+(:func:`repro.unet.predict_batch_probabilities`).
 """
 
 from __future__ import annotations
 
 import inspect
-import queue
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -141,10 +141,9 @@ class MicroBatcher:
         warm model with e.g.
         ``lambda stack: predict_batch_probabilities(stack, model, filt)``.
     max_batch:
-        Flush as soon as this many requests are waiting.
-    max_delay_s:
-        Flush at this age of the oldest waiting request even if the batch is
-        not full (the tail-latency bound a lone caller pays).
+        Most tiles one flush takes.  Requests are taken whole, in arrival
+        order, while they fit; only a request larger than ``max_batch`` is
+        split (into ``max_batch``-tile flushes).
     bucket_batches:
         Pad every flushed shape group up to the next power of two (capped at
         ``max_batch``) by repeating its last tile, and crop the padded
@@ -154,19 +153,17 @@ class MicroBatcher:
         of warm plans instead of recompiling (or thrashing its LRU cache)
         for every distinct queue depth.
     max_queue:
-        Bound the request queue: past this many waiting tiles, ``submit``
-        sheds immediately with :class:`~repro.reliability.OverloadedError`
-        instead of queueing work that cannot finish in time.  ``None``
-        keeps the queue unbounded.
+        Bound the request queue: a request whose tiles would take it past
+        this many waiting tiles is shed whole, immediately, with
+        :class:`~repro.reliability.OverloadedError` instead of queueing work
+        that cannot finish in time.  ``None`` keeps the queue unbounded.
     """
 
-    def __init__(self, predict_fn: PredictFn, max_batch: int = 8, max_delay_s: float = 0.005,
+    def __init__(self, predict_fn: PredictFn, max_batch: int = 8,
                  bucket_batches: bool = False, max_queue: int | None = None,
                  name: str = "default") -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_s < 0:
-            raise ValueError("max_delay_s must be >= 0")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None for unbounded)")
         self._predict_fn = predict_fn
@@ -199,53 +196,62 @@ class MicroBatcher:
         except (TypeError, ValueError):  # pragma: no cover - builtins etc.
             self._fn_takes_deadline = False
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_s)
         self.bucket_batches = bool(bucket_batches)
         self.max_queue = None if max_queue is None else int(max_queue)
-        # +1 slot keeps the close() sentinel enqueueable at high water.
-        self._queue: queue.Queue[PendingPrediction | None] = queue.Queue(
-            maxsize=0 if self.max_queue is None else self.max_queue + 1
-        )
+        # One condition guards the queue, its tile count, the closed flag and
+        # the counters.  Entries are whole requests (tuples of tiles).
+        self._cond = threading.Condition()
+        self._queue: deque[tuple[PendingPrediction, ...]] = deque()
+        self._depth = 0
+        self._closed = False
         self._stats = BatcherStats()
-        self._stats_lock = threading.Lock()
-        self._closed = threading.Event()
-        self._close_lock = threading.Lock()
         self._worker = threading.Thread(target=self._run, name="micro-batcher", daemon=True)
         self._worker.start()
 
     # ------------------------------------------------------------------ #
     # Client side
     # ------------------------------------------------------------------ #
+    def submit_many(self, tiles: Iterable[np.ndarray], deadline: Deadline | None = None,
+                    trace_id: str | None = None) -> list[PendingPrediction]:
+        """Enqueue one request's ``(H, W, 3)`` tiles atomically; one future per tile.
+
+        All tiles enter the queue in one step (or none do), so the worker
+        sees the request whole and flushes it as one batch per ``max_batch``
+        tiles.  ``deadline`` rides along with every tile: entries that expire
+        while queued are dropped at flush time (the caller's ``result()``
+        raises :class:`~repro.reliability.DeadlineExceeded`) instead of
+        computed.  ``trace_id`` (if any) rides along too and is forwarded to
+        the backend dispatch for its served group.  Raises
+        :class:`~repro.reliability.OverloadedError` when the tiles do not fit
+        under ``max_queue``.
+        """
+        request = []
+        for tile in tiles:
+            arr = np.asarray(tile)
+            if arr.ndim != 3 or arr.shape[-1] != 3:
+                raise ValueError(f"expected one (H, W, 3) tile, got shape {arr.shape}")
+            request.append(PendingPrediction(arr, deadline=deadline, trace_id=trace_id))
+        if not request:
+            return request
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("MicroBatcher is closed")
+            if self.max_queue is not None and self._depth + len(request) > self.max_queue:
+                self._stats.shed += len(request)
+                self._m_requests.inc(len(request), batcher=self.name, outcome="shed")
+                raise OverloadedError(
+                    f"batcher queue full ({self.max_queue} tiles max, {len(request)} more "
+                    "do not fit); request shed"
+                )
+            self._queue.append(tuple(request))
+            self._depth += len(request)
+            self._cond.notify()
+        return request
+
     def submit(self, tile: np.ndarray, deadline: Deadline | None = None,
                trace_id: str | None = None) -> PendingPrediction:
-        """Enqueue one ``(H, W, 3)`` tile; returns a future for its probabilities.
-
-        ``deadline`` rides along with the tile: entries that expire while
-        queued are dropped at flush time (the caller's ``result()`` raises
-        :class:`~repro.reliability.DeadlineExceeded`) instead of computed.
-        ``trace_id`` (if any) rides along too and is forwarded to the
-        backend dispatch for its served group.  Raises
-        :class:`~repro.reliability.OverloadedError` when the queue is at
-        ``max_queue``.
-        """
-        if self._closed.is_set():
-            raise RuntimeError("MicroBatcher is closed")
-        arr = np.asarray(tile)
-        if arr.ndim != 3 or arr.shape[-1] != 3:
-            raise ValueError(f"expected one (H, W, 3) tile, got shape {arr.shape}")
-        pending = PendingPrediction(arr, deadline=deadline, trace_id=trace_id)
-        try:
-            if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
-                raise queue.Full
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            with self._stats_lock:
-                self._stats.shed += 1
-            self._m_requests.inc(batcher=self.name, outcome="shed")
-            raise OverloadedError(
-                f"batcher queue full ({self.max_queue} tiles waiting); request shed"
-            ) from None
-        return pending
+        """Enqueue one ``(H, W, 3)`` tile: the one-tile case of :meth:`submit_many`."""
+        return self.submit_many([tile], deadline=deadline, trace_id=trace_id)[0]
 
     def predict(self, tile: np.ndarray, timeout: float | None = 60.0) -> np.ndarray:
         """Synchronous convenience: submit one tile and wait for its ``(K, H, W)`` map."""
@@ -253,17 +259,8 @@ class MicroBatcher:
         return self.submit(tile, deadline=deadline).result(timeout)
 
     def stats(self) -> BatcherStats:
-        with self._stats_lock:
-            return BatcherStats(
-                requests=self._stats.requests,
-                batches=self._stats.batches,
-                max_batch_size=self._stats.max_batch_size,
-                cancelled=self._stats.cancelled,
-                expired=self._stats.expired,
-                shed=self._stats.shed,
-                queue_depth=self._queue.qsize(),
-                max_queue=self.max_queue,
-            )
+        with self._cond:
+            return replace(self._stats, queue_depth=self._depth, max_queue=self.max_queue)
 
     def flush_size_histogram(self) -> dict:
         """Bucketed snapshot of live-requests-per-flush for this batcher (``/stats``)."""
@@ -273,31 +270,14 @@ class MicroBatcher:
         """Stop accepting work, drain what is queued, and join the worker.
 
         Idempotent and thread-safe: concurrent retirement paths (a registry
-        hot-swap racing an LRU eviction) may both close the same batcher, and
-        exactly one of them enqueues the shutdown sentinel.
+        hot-swap racing an LRU eviction) may both close the same batcher.
+        Everything admitted before the flag was set is served — ``submit``
+        checks the flag under the same condition — so no caller is stranded.
         """
-        with self._close_lock:
-            if not self._closed.is_set():
-                self._closed.set()
-                try:
-                    self._queue.put_nowait(None)
-                except queue.Full:  # pragma: no cover - bounded queue at limit
-                    pass  # the worker's closed-flag poll path still exits
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
         self._worker.join(timeout)
-        # A submit() that raced past the closed-check may have enqueued behind
-        # the shutdown sentinel; fail those immediately instead of letting the
-        # callers sit in result() until their timeout.  Only drain once the
-        # worker has really exited — while it is still flushing a backlog the
-        # queued items ahead of the sentinel are its to serve, not ours.
-        if self._worker.is_alive():
-            return
-        while True:
-            try:
-                leftover = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if leftover is not None:
-                leftover._resolve(None, RuntimeError("MicroBatcher closed before prediction"))
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -310,32 +290,21 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed.is_set():
-                    return
-                continue
-            if first is None:
-                return
-            batch = [first]
-            deadline = time.monotonic() + self.max_delay_s
-            stop = False
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is None:
-                    stop = True
-                    break
-                batch.append(item)
+            with self._cond:
+                while not self._queue:
+                    if self._closed:
+                        return
+                    self._cond.wait()
+                # Whole requests while they fit; a head request larger than
+                # max_batch is served in max_batch-tile slices.
+                batch: list[PendingPrediction] = []
+                while self._queue and len(batch) + len(self._queue[0]) <= self.max_batch:
+                    batch += self._queue.popleft()
+                if not batch:
+                    head = self._queue[0]
+                    batch, self._queue[0] = list(head[:self.max_batch]), head[self.max_batch:]
+                self._depth -= len(batch)
             self._flush(batch)
-            if stop:
-                return
 
     def _flush(self, batch: list[PendingPrediction]) -> None:
         flush_start = time.perf_counter()
@@ -357,7 +326,7 @@ class MicroBatcher:
                     pending._resolve(None, exc)
             else:
                 live.append(pending)
-        with self._stats_lock:
+        with self._cond:
             self._stats.cancelled += cancelled
             self._stats.expired += expired
             if live:

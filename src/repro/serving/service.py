@@ -66,7 +66,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     max_batch: int = 16
-    batch_window_s: float = 0.005
     request_timeout_s: float = 60.0
     bucket_batches: bool = True
     max_queue: int | None = 128
@@ -76,8 +75,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
         if self.max_queue is not None and self.max_queue < 1:
@@ -189,7 +186,6 @@ class InferenceService:
         batcher = MicroBatcher(
             classifier.predict_batch,
             max_batch=self.config.max_batch,
-            max_delay_s=self.config.batch_window_s,
             bucket_batches=self.config.bucket_batches,
             max_queue=self.config.max_queue,
             name=f"{record.name}/{record.version}",
@@ -269,8 +265,7 @@ class InferenceService:
             pending = []
             queued_ms: float | None = None
             try:
-                pending = [batcher.submit(tile, deadline=deadline, trace_id=trace_id)
-                           for tile in stack]
+                pending = batcher.submit_many(stack, deadline=deadline, trace_id=trace_id)
                 queued_ms = deadline.elapsed_s() * 1e3 - resolve_ms
                 probs = np.stack([p.result(deadline.remaining()) for p in pending])
             except (DeadlineExceeded, TimeoutError) as exc:
@@ -306,7 +301,7 @@ class InferenceService:
             self._requests += 1
             self._tiles += len(pending)
 
-        # Stage breakdown.  Tiles of one request flush (near-)together, so
+        # Stage breakdown.  Tiles of one request flush together, so
         # concurrent stages aggregate with max, not sum: two tiles waiting in
         # the same queue wait once, wall-clock-wise.  Stitch is everything the
         # service does after compute (result stitching, argmax, counts) —
@@ -437,6 +432,9 @@ class InferenceService:
 def _make_handler(service: InferenceService, quiet: bool) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Bodies larger than one MSS (256x256 class maps, /stats) span several
+        # segments; without TCP_NODELAY the tail one waits for an ACK too.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt: str, *args) -> None:  # pragma: no cover - console noise
             if not quiet:
@@ -444,22 +442,22 @@ def _make_handler(service: InferenceService, quiet: bool) -> type[BaseHTTPReques
 
         def _send_json(self, status: int, payload: dict,
                        headers: dict[str, str] | None = None) -> None:
-            data = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(data)
+            self._send(status, json.dumps(payload), "application/json", headers)
 
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
+        def _send(self, status: int, text: str, content_type: str,
+                  headers: dict[str, str] | None = None) -> None:
+            # One write, one segment.  send_response()/end_headers() send the
+            # head by itself (http.server's wfile is unbuffered) and Nagle then
+            # holds the body until the client's delayed ACK of the head, ~40 ms
+            # on every keep-alive request.
             data = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            head = {"Server": self.version_string(), "Date": self.date_time_string(),
+                    "Content-Type": content_type, "Content-Length": len(data),
+                    **(headers or {})}
+            lines = [f"{self.protocol_version} {status} {self.responses[status][0]}"]
+            lines += [f"{key}: {value}" for key, value in head.items()]
+            self.log_request(status)
+            self.wfile.write("\r\n".join([*lines, "", ""]).encode("latin-1") + data)
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             try:
@@ -470,11 +468,8 @@ def _make_handler(service: InferenceService, quiet: bool) -> type[BaseHTTPReques
                 elif self.path == "/stats":
                     self._send_json(200, service.stats_payload())
                 elif self.path == "/metrics":
-                    self._send_text(
-                        200,
-                        get_registry().render_prometheus(),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    )
+                    self._send(200, get_registry().render_prometheus(),
+                               "text/plain; version=0.0.4; charset=utf-8")
                 else:
                     self._send_json(404, {"error": f"unknown path {self.path!r}"})
             except Exception as exc:  # noqa: BLE001 - must answer the socket

@@ -168,7 +168,7 @@ def chaos_served(tmp_path):
     registry.publish("seaice", 1, model,
                      inference=InferenceConfig(tile_size=16, apply_cloud_filter=False))
     service = InferenceService(registry, ServiceConfig(
-        port=0, batch_window_s=0.0, max_batch=1,
+        port=0, max_batch=1,
         request_timeout_s=0.05, max_queue=2, max_concurrent=1,
         retry_after_s=0.25,
     ))

@@ -58,7 +58,12 @@ class TestCommands:
         args = build_parser().parse_args(["serve", "--registry", "models/"])
         assert args.registry == "models/"
         assert args.port == 8080 and args.max_batch == 16
-        assert args.batch_window_ms == 5.0 and not args.demo
+        assert not args.demo
+
+    def test_serve_batch_window_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--registry", "models/", "--batch-window-ms", "5"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_demo_flags(self):
         args = build_parser().parse_args(["serve", "--demo", "--demo-epochs", "0", "--port", "0"])

@@ -289,7 +289,7 @@ def traced_service(tmp_path_factory):
     registry = ModelRegistry(str(root))
     registry.publish("seaice", 1, model,
                      inference=InferenceConfig(tile_size=32, apply_cloud_filter=False))
-    service = InferenceService(registry, ServiceConfig(port=0, batch_window_s=0.002))
+    service = InferenceService(registry, ServiceConfig(port=0))
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -394,7 +394,7 @@ class TestServiceTelemetry:
                                    backend="fork", num_workers=2)
         registry = ModelRegistry(str(root), inference=fork_cfg)
         registry.publish("seaice", 1, model, inference=fork_cfg)
-        service = InferenceService(registry, ServiceConfig(port=0, batch_window_s=0.002))
+        service = InferenceService(registry, ServiceConfig(port=0))
         try:
             tile = rng.integers(0, 255, size=(32, 32, 3), dtype=np.uint8)
             payload = service.predict_payload({"model": "seaice", "tile": tile.tolist()})

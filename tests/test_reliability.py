@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import glob
 import os
-import threading
 import time
 
 import numpy as np
 import pytest
+from batcher_gate import GatedPredict, tagged_tile
 
 from repro.nn.optimizers import SGD
 from repro.nn.serialization import (
@@ -226,72 +226,42 @@ class TestFaultInjection:
 
 class TestBatcherReliability:
     def test_timed_out_caller_cancels_and_flush_skips_it(self):
-        release = threading.Event()
-        computed = []
-
-        def predict_fn(stack):
-            release.wait(5.0)
-            computed.append(stack.shape[0])
-            return np.zeros((stack.shape[0], 3, *stack.shape[1:3]), dtype=np.float32)
-
-        tile = np.zeros((8, 8, 3), dtype=np.uint8)
-        with MicroBatcher(predict_fn, max_batch=4, max_delay_s=0.01) as batcher:
-            blocker = batcher.submit(tile)  # occupies the worker once flushed
-            time.sleep(0.05)
+        predict = GatedPredict()
+        with MicroBatcher(predict, max_batch=4) as batcher:
+            blocker = predict.hold_worker(batcher, tagged_tile(0))
             with pytest.raises(TimeoutError):
-                batcher.predict(tile, timeout=0.05)  # cancels on the way out
-            release.set()
+                batcher.predict(tagged_tile(1), timeout=0.05)  # cancels on the way out
+            predict.release()
             blocker.result(5.0)
-            deadline = time.monotonic() + 5.0
-            while batcher.stats().cancelled == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        stats = batcher.stats()
-        assert stats.cancelled == 1
-        # Only the blocker was computed; the abandoned tile never was.
-        assert computed and sum(computed) == 1
+        # close() drained the queue: the abandoned tile was dropped, never computed.
+        assert batcher.stats().cancelled == 1
+        assert predict.batches == [[0]]
 
     def test_expired_deadline_dropped_at_flush(self):
-        release = threading.Event()
-
-        def predict_fn(stack):
-            release.wait(5.0)
-            return np.zeros((stack.shape[0], 3, *stack.shape[1:3]), dtype=np.float32)
-
-        tile = np.zeros((8, 8, 3), dtype=np.uint8)
-        with MicroBatcher(predict_fn, max_batch=1, max_delay_s=0.0) as batcher:
-            blocker = batcher.submit(tile)
-            time.sleep(0.05)
-            doomed = batcher.submit(tile, deadline=Deadline(0.0))  # expired on arrival
-            release.set()
+        predict = GatedPredict()
+        with MicroBatcher(predict, max_batch=1) as batcher:
+            blocker = predict.hold_worker(batcher, tagged_tile(0))
+            doomed = batcher.submit(tagged_tile(1), deadline=Deadline(0.0))  # expired on arrival
+            predict.release()
             blocker.result(5.0)
             with pytest.raises(DeadlineExceeded):
                 doomed.result(5.0)
         assert batcher.stats().expired == 1
+        assert predict.batches == [[0]]
 
     def test_bounded_queue_sheds_with_overloaded_error(self):
-        release = threading.Event()
-
-        def predict_fn(stack):
-            release.wait(5.0)
-            return np.zeros((stack.shape[0], 3, *stack.shape[1:3]), dtype=np.float32)
-
-        tile = np.zeros((8, 8, 3), dtype=np.uint8)
-        batcher = MicroBatcher(predict_fn, max_batch=1, max_delay_s=0.0, max_queue=2)
-        try:
-            pending = [batcher.submit(tile)]
-            time.sleep(0.05)  # let the worker pick up the blocker
-            pending += [batcher.submit(tile) for _ in range(2)]
+        predict = GatedPredict()
+        with MicroBatcher(predict, max_batch=1, max_queue=2) as batcher:
+            pending = [predict.hold_worker(batcher, tagged_tile(0))]
+            pending += [batcher.submit(tagged_tile(t)) for t in (1, 2)]
             with pytest.raises(OverloadedError, match="queue full"):
-                batcher.submit(tile)
+                batcher.submit(tagged_tile(3))
             stats = batcher.stats()
             assert stats.shed == 1
-            assert stats.queue_depth <= stats.max_queue == 2
-            release.set()
+            assert stats.queue_depth == stats.max_queue == 2
+            predict.release()
             for p in pending:
                 p.result(5.0)
-        finally:
-            release.set()
-            batcher.close()
 
     def test_deadline_forwarded_to_deadline_aware_predict_fn(self):
         seen = []
@@ -301,7 +271,7 @@ class TestBatcherReliability:
             return np.zeros((stack.shape[0], 3, *stack.shape[1:3]), dtype=np.float32)
 
         tile = np.zeros((8, 8, 3), dtype=np.uint8)
-        with MicroBatcher(predict_fn, max_batch=1, max_delay_s=0.0) as batcher:
+        with MicroBatcher(predict_fn, max_batch=1) as batcher:
             batcher.submit(tile, deadline=Deadline(30.0)).result(5.0)
             batcher.submit(tile).result(5.0)  # unbounded entry → None
         assert len(seen) == 2

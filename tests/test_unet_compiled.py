@@ -195,7 +195,7 @@ class TestMicroBatcherConcurrency:
             for i in range(24)
         ]
         results: list = [None] * len(tiles)
-        with MicroBatcher(predict_fn, max_batch=6, max_delay_s=0.002) as batcher:
+        with MicroBatcher(predict_fn, max_batch=6) as batcher:
             def worker(index: int) -> None:
                 results[index] = batcher.predict(tiles[index], timeout=30.0)
 
