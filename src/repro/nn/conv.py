@@ -133,16 +133,14 @@ class Conv2D(Module):
         grad = np.asarray(grad_output, dtype=np.float32)
 
         if kind == "offset":
-            dxp, dw, db = conv_backward_offset(
+            dx, dw, db = conv_backward_offset(
                 cached, self.weight.value, grad, s,
-                need_input_grad=need_input_grad, need_bias_grad=self.use_bias,
+                need_input_grad=need_input_grad, need_bias_grad=self.use_bias, pad=p,
             )
             self.weight.grad += dw
             if self.use_bias:
                 self.bias.grad += db
-            if dxp is None:
-                return None
-            return dxp[:, :, p:-p, p:-p] if p > 0 else dxp
+            return dx
 
         # (N, F, out_h, out_w) -> (N*out_h*out_w, F)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)

@@ -7,14 +7,16 @@ filter bank, and re-folds columns back into images on the gradient path
 it pins an ``O(k²)``-inflated matrix per layer when used for training.
 
 The fast engine (``conv_forward_offset`` / ``conv_backward_offset``) works
-per kernel offset instead: the forward assembles the unrolled matrix into a
-shared scratch workspace with one contiguous slice copy per offset (memcpy
-speed) and releases it after a single batched GEMM; ``dW`` (plus the fused
-bias gradient) is one offset-ordered GEMM against the *padded input* — the
-only tensor a training step retains — and ``dX`` is a stride-1 transposed
-convolution, or a per-offset scatter-add into the padded gradient buffer for
-strided convolutions.  Nothing ``k²``-sized survives the step, so per-layer
-cached bytes shrink by ~``k²``.
+per kernel offset instead: the forward assembles the unrolled matrix one
+cache-sized row band at a time into a shared scratch (one strided copy of
+the k² offset slices) and runs one GEMM per band straight into the output
+rows — the same bands compiled plans pre-bind (:func:`conv_bands`); ``dW``
+(plus the fused bias gradient) is one offset-ordered GEMM against the *padded
+input* — the only tensor a training step retains — and ``dX`` is a stride-1
+transposed convolution over the pixels that are not padding, or a per-offset
+scatter-add into the padded gradient buffer for strided convolutions.
+Nothing ``k²``-sized survives the step, so per-layer cached bytes shrink by
+~``k²``.
 """
 
 from __future__ import annotations
@@ -162,6 +164,68 @@ def pad_input(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
 
 
+#: Byte budget of one conv band — its cols rows plus its output rows.  Small
+#: enough that a band is still in L2 when the bias add and ReLU revisit it.
+BAND_BYTES = 256 * 1024
+
+
+def conv_band_rows(kc: int, f: int, out_h: int, out_w: int) -> int:
+    """Output rows per band of a ``(k²C → F)`` convolution: as many as fit ``BAND_BYTES``.
+
+    The one partition every conv GEMM goes through.  BLAS results depend on a
+    GEMM's column count in the last bit, so compiled plans and layer forwards
+    agree bit for bit only because both split an image into these bands.
+    """
+    return max(1, min(out_h, BAND_BYTES // (4 * (kc + f) * out_w)))
+
+
+def conv_bands(
+    xp: np.ndarray, out: np.ndarray, cols: np.ndarray | None, kernel: int, stride: int
+) -> list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]]:
+    """Per image and row band: ``(cols fill dst, its src, (k²C, rows·W) cols, (F, rows·W) output view)``.
+
+    ``cols`` is a flat scratch of at least one band; every band's fill — the
+    k² offset slices in one strided copy — lands at the front of it, so bands
+    must run one at a time.  ``None`` means a pointwise convolution, whose
+    cols are rows of ``xp`` itself (nothing to fill).
+    """
+    n, c = xp.shape[:2]
+    f, out_h, out_w = out.shape[1:]
+    kc = kernel * kernel * c
+    rows = conv_band_rows(kc, f, out_h, out_w)
+    if cols is not None:
+        # windows[img, i, j, ch, r, q] = xp[img, ch, i + stride*r, j + stride*q]
+        sn, sc, sh, sw = xp.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xp, (n, kernel, kernel, c, out_h, out_w), (sn, sh, sw, sc, stride * sh, stride * sw), writeable=False
+        )
+    bands = []
+    for r0 in range(0, out_h, rows):
+        r1 = min(r0 + rows, out_h)
+        if cols is not None:
+            band = cols[: kc * (r1 - r0) * out_w]
+            dst, cols2 = band.reshape(kernel, kernel, c, r1 - r0, out_w), band.reshape(kc, -1)
+        for img in range(n):
+            out2 = out[img, :, r0:r1].reshape(f, -1)
+            if cols is None:
+                bands.append((None, None, xp[img, :, r0:r1].reshape(c, -1), out2))
+            else:
+                bands.append((dst, windows[img, :, :, :, r0:r1], cols2, out2))
+    return bands
+
+
+def run_conv_bands(bands, w_mat: np.ndarray, bias: np.ndarray | None, relu: bool) -> None:
+    """Assemble, multiply, add the ``(F, 1)`` bias and rectify one band at a time."""
+    for dst, src, cols2, out2 in bands:
+        if dst is not None:
+            dst[...] = src
+        np.matmul(w_mat, cols2, out=out2)
+        if bias is not None:
+            out2 += bias
+        if relu:
+            np.maximum(out2, np.float32(0.0), out=out2)
+
+
 def conv_forward_offset(
     xp: np.ndarray,
     weight: np.ndarray,
@@ -170,30 +234,26 @@ def conv_forward_offset(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Convolve a pre-padded ``(N, C, Hp, Wp)`` batch with one GEMM.
+    """Convolve a pre-padded ``(N, C, Hp, Wp)`` batch, one row band at a time.
 
-    The unrolled-input matrix is assembled in ``(N, k*k*C, out_h, out_w)``
-    layout with one contiguous slice copy per kernel offset (no transposes),
-    contracted against the ``(offset, channel)``-ordered filter bank by a
-    batched GEMM whose ``(N, F, out_h*out_w)`` result *is* the output layout
-    — and released; unlike :func:`im2col` output it is never cached.
+    Each band's unrolled input is assembled in ``(k*k*C, rows, out_w)`` layout
+    with one slice copy per kernel offset (no transposes) and contracted
+    against the ``(offset, channel)``-ordered filter bank by a GEMM that writes
+    straight into the band's rows of the ``(N, F, out_h, out_w)`` output;
+    unlike :func:`im2col` output it is never cached.
     """
     n, c = xp.shape[0], xp.shape[1]
     f, _, kh, kw = weight.shape
+    out = np.empty((n, f, out_h, out_w), dtype=np.float32)
     if kh == 1 and kw == 1 and stride == 1:
         # Pointwise convolution: the input already is the unrolled matrix.
-        cols = xp if xp.flags.c_contiguous else np.ascontiguousarray(xp)
+        xp, cols = np.ascontiguousarray(xp), None
     else:
-        cols = scratch_buffer((n, kh * kw * c, out_h, out_w))
-        for i in range(kh):
-            for j in range(kw):
-                base = (i * kw + j) * c
-                cols[:, base : base + c] = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        cols = scratch_buffer((kh * kw * c * conv_band_rows(kh * kw * c, f, out_h, out_w) * out_w,))
     w_mat = weight.transpose(0, 2, 3, 1).reshape(f, -1)
-    out = np.matmul(w_mat, cols.reshape(n, kh * kw * c, out_h * out_w))
-    if bias is not None:
-        out += bias[:, None]
-    return out.reshape(n, f, out_h, out_w)
+    run_conv_bands(conv_bands(xp, out, cols, kh, stride), w_mat,
+                   None if bias is None else bias[:, None], relu=False)
+    return out
 
 
 def conv_backward_offset(
@@ -203,10 +263,13 @@ def conv_backward_offset(
     stride: int,
     need_input_grad: bool = True,
     need_bias_grad: bool = False,
+    pad: int = 0,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Backward pass of :func:`conv_forward_offset` from the padded input alone.
 
-    Returns ``(grad_padded_input, grad_weight, grad_bias)``.  ``dW`` is one
+    Returns ``(grad_input, grad_weight, grad_bias)``, the first for the input
+    without the ``pad`` zero pixels ``xp`` carries on each side — gradients of
+    padding nobody reads are not computed.  ``dW`` is one
     offset-ordered GEMM against the re-assembled unrolled input; with
     ``need_bias_grad=True`` a ones-channel is appended to that matrix so the
     same GEMM also reduces ``dB`` (no separate pass over the gradient).
@@ -248,16 +311,18 @@ def conv_backward_offset(
         # One slice-copy batched GEMM, no scatter-add — the layout every
         # U-Net conv uses.
         w_flip = np.ascontiguousarray(weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-        hp, wp = xp.shape[2], xp.shape[3]
-        if kh == 1 and kw == 1:
+        skip = min(pad, kh - 1, kw - 1)  # border of xp left out of the contraction; the rest is cropped
+        qh, qw = kh - 1 - skip, kw - 1 - skip
+        if qh == 0 and qw == 0:
             gp = grad_output
         else:
             # Padded gradient lives in its own workspace slot: it must survive
             # the "cols" assembly inside the transposed convolution below.
-            gp = scratch_buffer((n, f, oh + 2 * (kh - 1), ow + 2 * (kw - 1)), slot="pad")
+            gp = scratch_buffer((n, f, oh + 2 * qh, ow + 2 * qw), slot="pad")
             gp.fill(0.0)
-            gp[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = grad_output
-        return conv_forward_offset(gp, w_flip, None, 1, hp, wp), dw, db
+            gp[:, :, qh : qh + oh, qw : qw + ow] = grad_output
+        dx = conv_forward_offset(gp, w_flip, None, 1, xp.shape[2] - 2 * skip, xp.shape[3] - 2 * skip)
+        return _crop(dx, pad - skip), dw, db
 
     # General stride: scatter-add each offset's contraction back into the
     # padded gradient buffer (the adjoint of the forward slice copies).
@@ -269,4 +334,8 @@ def conv_backward_offset(
             base = (i * kw + j) * c
             dst = dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
             dst += grad_cols[:, base : base + c].reshape(n, c, oh, ow)
-    return dxp, dw, db
+    return _crop(dxp, pad), dw, db
+
+
+def _crop(x: np.ndarray, border: int) -> np.ndarray:
+    return x[:, :, border:-border, border:-border] if border > 0 else x

@@ -39,6 +39,22 @@ class ReLU(Module):
         return np.where(self._mask, grad, np.float32(0.0))
 
 
+def pool_views(x: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k² strided views of ``(N, C, H, W)`` that each hold one window position."""
+    return [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+
+def max_of_views(views: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Elementwise maximum of ``views`` into ``out`` (exact: no reshape, no reduce axis)."""
+    if len(views) == 1:
+        out[...] = views[0]
+        return out
+    np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
 class MaxPool2D(Module):
     """2×2 (or k×k) max pooling with stride equal to the pool size.
 
@@ -81,17 +97,15 @@ class MaxPool2D(Module):
         k = self.pool_size
         if h % k or w % k:
             raise ValueError(f"spatial size ({h}, {w}) not divisible by pool size {k}")
-        reshaped = x.reshape(n, c, h // k, k, w // k, k)
-        if not self.training:
+        if not self.training or self.engine == "mask":
+            out = max_of_views(pool_views(x, k), np.empty((n, c, h // k, w // k), dtype=np.float32))
             self._cache = None
-            return reshaped.max(axis=(3, 5))
-        if self.engine == "mask":
-            out = reshaped.max(axis=(3, 5))
-            # Mask of the argmax positions, used to route gradients back.
-            mask = reshaped == out[:, :, :, None, :, None]
-            # Break ties (equal maxima in one window) so gradient mass is not duplicated.
-            counts = mask.sum(axis=(3, 5), keepdims=True)
-            self._cache = ("mask", x.shape, mask, counts)
+            if self.training:
+                # Mask of the argmax positions, used to route gradients back.
+                mask = x.reshape(n, c, h // k, k, w // k, k) == out[:, :, :, None, :, None]
+                # Break ties (equal maxima in one window) so gradient mass is not duplicated.
+                counts = mask.sum(axis=(3, 5), keepdims=True)
+                self._cache = ("mask", x.shape, mask, counts)
             return out
         windows = self._windows(x)
         idx = windows.argmax(axis=-1)
@@ -144,10 +158,12 @@ class UpSample2D(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._input_shape
-        f = self.factor
-        grad = np.asarray(grad_output, dtype=np.float32)
-        return grad.reshape(n, c, h, f, w, f).sum(axis=(3, 5))
+        # The adjoint of the copy: add up the f² views, as pooling takes their maximum.
+        views = pool_views(np.asarray(grad_output, dtype=np.float32), self.factor)
+        out = views[0].copy()
+        for view in views[1:]:
+            out += view
+        return out
 
 
 class UpConv2D(Module):

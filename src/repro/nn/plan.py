@@ -13,7 +13,7 @@ input shape instead:
   intermediate shape, pre-packing convolution weights into their GEMM layout
   (one transpose/reshape at compile time instead of per call) and reserving
   every buffer — activations, padded inputs and a single shared offset-GEMM
-  scratch — inside one flat float32 **workspace arena**;
+  scratch one row band large — inside one flat float32 **workspace arena**;
 * :meth:`PlanBuilder.finalize` materialises the arena with a single
   allocation and *binds* every execution step to concrete views into it, so
   :meth:`CompiledPlan.run` executes fused conv+bias(+ReLU) steps with
@@ -38,7 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .im2col import conv_output_size
+from .im2col import conv_band_rows, conv_bands, conv_output_size, run_conv_bands
+from .layers import max_of_views, pool_views
 
 __all__ = [
     "Slot",
@@ -147,12 +148,14 @@ class _PadCopyStep(_Step):
 
 
 class _ConvStep(_Step):
-    """Fused convolution + bias (+ ReLU) through one batched GEMM.
+    """Fused convolution + bias (+ ReLU), one cache-resident row band at a time.
 
     The weight matrix is pre-packed in ``(offset, channel)`` order at compile
-    time.  At bind time the per-offset source/destination views of the cols
-    assembly are precomputed, so each call is: k² strided slice copies, one
-    ``np.matmul(..., out=...)``, an in-place bias add and an in-place ReLU.
+    time.  At bind time every band's source/destination views are precomputed
+    (:func:`~repro.nn.im2col.conv_bands`, the partition the layer forward
+    shares), so each call is, per band: one strided copy of the k² offset
+    slices, one ``np.matmul(..., out=...)`` into the output rows, an in-place
+    bias add and an in-place ReLU while those rows are still in cache.
     """
 
     def __init__(self, src: Slot, cols: Slot | None, out: Slot,
@@ -163,50 +166,26 @@ class _ConvStep(_Step):
         self.kernel, self.stride, self.relu = kernel, stride, relu
 
     def bind(self, resolve):
-        n, c = self.src.view_shape[:2]
-        f = self.out.view_shape[1]
-        oh, ow = self.out.view_shape[2:]
-        k, s = self.kernel, self.stride
-        src = resolve(self.src)
-        self._copies: list[tuple[np.ndarray, np.ndarray]] = []
-        if self.cols is None:  # pointwise 1x1/stride-1: the input is the cols matrix
-            cols = src
-        else:
-            cols = resolve(self.cols)
-            for i in range(k):
-                for j in range(k):
-                    base = (i * k + j) * c
-                    self._copies.append((
-                        cols[:, base : base + c],
-                        src[:, :, i : i + s * oh : s, j : j + s * ow : s],
-                    ))
-        self._cols2 = cols.reshape(n, k * k * c, oh * ow)
-        self._out2 = resolve(self.out).reshape(n, f, oh * ow)
+        # cols None = pointwise 1x1/stride-1: the input rows are the cols matrix
+        cols = None if self.cols is None else resolve(self.cols)
+        self._bands = conv_bands(resolve(self.src), resolve(self.out), cols, self.kernel, self.stride)
 
     def run(self, x):
-        for dst, src in self._copies:
-            dst[...] = src
-        np.matmul(self.w_mat, self._cols2, out=self._out2)
-        if self.bias is not None:
-            self._out2 += self.bias
-        if self.relu:
-            np.maximum(self._out2, np.float32(0.0), out=self._out2)
+        run_conv_bands(self._bands, self.w_mat, self.bias, self.relu)
 
 
 class _MaxPoolStep(_Step):
-    """k×k max pooling reduced straight into the output view."""
+    """k×k max pooling: pairwise maxima of the k² strided views into the output."""
 
     def __init__(self, src: Slot, out: Slot, pool: int):
         self.src, self.out, self.pool = src, out, pool
 
     def bind(self, resolve):
-        n, c, h, w = self.src.view_shape
-        k = self.pool
-        self._windows = resolve(self.src).reshape(n, c, h // k, k, w // k, k)
+        self._views = pool_views(resolve(self.src), self.pool)
         self._out = resolve(self.out)
 
     def run(self, x):
-        self._windows.max(axis=(3, 5), out=self._out)
+        max_of_views(self._views, self._out)
 
 
 class _UpsamplePadStep(_Step):
@@ -236,13 +215,8 @@ class _UpsamplePadStep(_Step):
 
 
 class _SoftmaxStep(_Step):
-    """Channel softmax of the logits — the plan's one fresh allocation.
-
-    With ``run_into`` the fresh allocation disappears too: the softmax is
-    computed straight into a caller-provided buffer (e.g. a shared-memory
-    output arena) with the exact operation sequence of
-    :func:`repro.nn.losses.softmax`, so the results stay bit-identical.
-    """
+    """Channel softmax of the logits — the plan's one fresh allocation, unless
+    the caller provides the buffer (e.g. a shared-memory output arena)."""
 
     def __init__(self, src: Slot):
         self.src = src
@@ -251,13 +225,11 @@ class _SoftmaxStep(_Step):
         self._logits = resolve(self.src)
 
     def run(self, x):
-        from .losses import softmax
-
-        return softmax(self._logits, axis=1)
+        return self.run_into(x, np.empty(self._logits.shape, dtype=np.float32))
 
     def run_into(self, x, out: np.ndarray) -> np.ndarray:
         # Mirrors losses.softmax op for op (max-subtract, exp, normalise) so
-        # every float matches the allocating path bit for bit.
+        # every float matches ``UNet.predict_proba`` bit for bit.
         np.subtract(self._logits, self._logits.max(axis=1, keepdims=True), out=out)
         np.exp(out, out=out)
         out /= out.sum(axis=1, keepdims=True)
@@ -370,7 +342,7 @@ class PlanBuilder:
             raise ValueError(f"expected a concrete (N, C, H, W) input shape, got {input_shape}")
         self.input_shape = tuple(int(d) for d in input_shape)
         self._total = 0
-        self._scratch_size = 0  # shared offset-GEMM cols region, sized to the largest conv
+        self._scratch_size = 0  # shared offset-GEMM cols region, sized to the largest conv band
         self._scratch_slots: list[Slot] = []
         self._steps: list[_Step] = []
         #: ``{layer name: (w_mat, bias)}`` of externally pre-packed GEMM
@@ -391,7 +363,7 @@ class PlanBuilder:
         return slot
 
     def _reserve_scratch(self, shape: tuple[int, ...]) -> Slot:
-        """Reserve a view of the *shared* cols scratch (transient per step)."""
+        """Reserve a view of the *shared* cols scratch (transient per conv band)."""
         size = 1
         for dim in shape:
             size *= int(dim)
@@ -449,7 +421,8 @@ class PlanBuilder:
         else:
             w_mat, bias = pack_conv_weights(conv)
 
-        cols = None if (k == 1 and s == 1) else self._reserve_scratch((n, k * k * c, oh, ow))
+        kc = k * k * c
+        cols = None if (k == 1 and s == 1) else self._reserve_scratch((kc * conv_band_rows(kc, f, oh, ow) * ow,))
         if out is None:
             out = self.reserve((n, f, oh, ow))
         if out.view_shape != (n, f, oh, ow):

@@ -128,9 +128,28 @@ def _named_top_blocks(model) -> list[tuple[str, object]]:
     return blocks
 
 
+#: plan step class -> the budget line it belongs to
+_STEP_KINDS = {"PadCopyStep": "pad", "ConvStep": "conv", "MaxPoolStep": "pool",
+               "UpsamplePadStep": "upsample", "SoftmaxStep": "softmax"}
+
+
+def _by_kind(steps: list[dict]) -> dict:
+    """Fold per-step timings into ``{kind: {"calls", "total_ms", "share"}}`` budget lines."""
+    kinds: dict[str, dict] = {}
+    for step in steps:
+        cell = kinds.setdefault(_STEP_KINDS[step["step"]], {"calls": 0, "total_ms": 0.0})
+        cell["calls"] += step["calls"]
+        cell["total_ms"] += step["total_ms"]
+    total = sum(cell["total_ms"] for cell in kinds.values())
+    for cell in kinds.values():
+        cell["share"] = round(cell["total_ms"] / total, 4) if total else 0.0
+        cell["total_ms"] = round(cell["total_ms"], 3)
+    return kinds
+
+
 def profile_inference(model, batch_shape: tuple[int, int, int] = (1, 32, 32),
                       iterations: int = 50, warmup: int = 5, seed: int = 0) -> dict:
-    """Per-step compiled-plan timings + end-to-end latency percentiles.
+    """Per-step compiled-plan timings, their per-kind budget + end-to-end latency percentiles.
 
     ``batch_shape`` is ``(N, H, W)``; the input channel count comes from the
     model.  The plan is compiled and first-touched during warmup, so the
@@ -160,6 +179,7 @@ def profile_inference(model, batch_shape: tuple[int, int, int] = (1, 32, 32),
         "latency": latency_percentiles(samples),
         "mean_ms": round(float(np.mean(samples)), 3),
         "steps": steps,
+        "by_kind": _by_kind(steps),
         "plan_arena_bytes": plan.arena_nbytes,
     }
 

@@ -203,10 +203,6 @@ def predict_batch_probabilities(
     return result
 
 
-#: Backwards-compatible alias (the pre-serving private name).
-_predict_probs_batch = predict_batch_probabilities
-
-
 def predict_tile_probabilities(
     model: UNet,
     tiles: np.ndarray,

@@ -1,12 +1,17 @@
-"""Oracles for the planar auto-label kernel: the broadcast formulations it replaced.
+"""Oracles: the formulations the planar auto-label kernel and the row-banded ``nn`` kernels replaced.
 
-These are the bodies ``ThinCloudShadowRemover.estimate``/``remove``,
+The auto-label half is the bodies ``ThinCloudShadowRemover.estimate``/``remove``,
 ``rgb_to_hsv``, ``HSVRange.contains``, ``ColorSegmentationLabeler.segment``
 and ``_brightness_deviation`` had before the per-tile path went planar, kept
 verbatim (hypothesis tensors, ``einsum``, fancy indexing and all) so the
 differential tests can demand ``array_equal`` rather than a tolerance, plus the
-input strategy those tests share.  Not a test module; nothing under ``src/``
-imports it.
+input strategy those tests share.  The ``nn`` half holds the whole-image
+offset-GEMM and the 6-D pooling reduce that ``conv_forward_offset``,
+``_ConvStep``, ``_MaxPoolStep`` and ``MaxPool2D`` ran before they went
+row-banded / four-view.  Pooling is exact against its oracle; the conv is not
+(OpenBLAS ``sgemm`` results depend on the GEMM's column count in the last bit),
+so it is compared under a tolerance.  Not a test module; nothing under
+``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -165,3 +170,28 @@ def reference_brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarr
     smoothed = gaussian_blur(value, ksize=blur_ksize).astype(np.float64)
     deviation = np.abs(smoothed - float(np.median(smoothed)))
     return scale_to_uint8(absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
+
+
+def reference_conv_forward(xp, weight, bias, stride, out_h, out_w) -> np.ndarray:
+    """``conv_forward_offset`` as one whole-image ``(N, k*k*C, out_h, out_w)`` cols tensor and one batched GEMM."""
+    n, c = xp.shape[0], xp.shape[1]
+    f, _, kh, kw = weight.shape
+    if kh == 1 and kw == 1 and stride == 1:
+        cols = xp if xp.flags.c_contiguous else np.ascontiguousarray(xp)
+    else:
+        cols = np.empty((n, kh * kw * c, out_h, out_w), dtype=np.float32)
+        for i in range(kh):
+            for j in range(kw):
+                base = (i * kw + j) * c
+                cols[:, base : base + c] = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+    w_mat = weight.transpose(0, 2, 3, 1).reshape(f, -1)
+    out = np.matmul(w_mat, cols.reshape(n, kh * kw * c, out_h * out_w))
+    if bias is not None:
+        out += bias[:, None]
+    return out.reshape(n, f, out_h, out_w)
+
+
+def reference_max_pool(x: np.ndarray, k: int) -> np.ndarray:
+    """k×k max pooling as a reshape to 6-D windows and one two-axis reduce."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))

@@ -1,0 +1,154 @@
+"""Properties of the row-banded conv kernel and the four-view pooling the plans and layers share.
+
+Plans and layer forwards split every convolution into the same row bands
+(``conv_band_rows``), so their floats agree bit for bit *by construction*; the
+tests shrink the band budget until small tensors run the multi-band and
+ragged-last-band paths, and hold the whole-image GEMM the kernel replaced
+(``reference_kernels``) as a tolerance oracle — last-bit equality to it is not
+a property BLAS gives.
+"""
+
+from __future__ import annotations
+
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_kernels import reference_conv_forward, reference_max_pool
+
+import repro.nn  # noqa: F401  (binds the submodule looked up below: ``repro.nn.im2col`` the attribute is a function)
+from repro.nn import Conv2D, MaxPool2D, UpSample2D
+from repro.nn.layers import max_of_views, pool_views
+from repro.nn.plan import INPUT, PlanBuilder
+from repro.unet import UNet, UNetConfig, compile_unet_plan
+
+kernels = sys.modules["repro.nn.im2col"]
+SMALL_BUDGETS = [2 * 1024, 16 * 1024]  # every conv multi-band; a mix of whole-image, multi-band and ragged bands
+
+
+def band_budget(nbytes: int):
+    return mock.patch.object(kernels, "BAND_BYTES", nbytes)
+
+
+def laid_out(rng: np.random.Generator, shape: tuple[int, ...], layout: str) -> np.ndarray:
+    """A float32 ``(N, C, H, W)`` batch: C-contiguous, an NHWC transpose, or every other pixel of a larger one."""
+    n, c, h, w = shape
+    if layout == "transposed":
+        return rng.random((n, h, w, c), dtype=np.float32).transpose(0, 3, 1, 2)
+    if layout == "strided":
+        return rng.random((n, c, 2 * h, 2 * w), dtype=np.float32)[:, :, ::2, ::2]
+    return rng.random(shape, dtype=np.float32)
+
+
+@st.composite
+def unet_cases(draw):
+    """(model, input batch) over depth 1-3, base width 4/6/8, N 1-3, non-square sizes, three memory layouts."""
+    depth = draw(st.integers(1, 3))
+    step = 2**depth
+    shape = (draw(st.integers(1, 3)), 3, step * draw(st.integers(1, 40 // step)), step * draw(st.integers(1, 40 // step)))
+    seed = draw(st.integers(0, 2**16))
+    model = UNet(UNetConfig(depth=depth, base_channels=draw(st.sampled_from([4, 6, 8])), dropout=0.0, seed=seed))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    return model, laid_out(np.random.default_rng(seed), shape, layout)
+
+
+class TestCompiledPlanEqualsLayerWalk:
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    @settings(max_examples=25, deadline=None)
+    @given(case=unet_cases())
+    def test_bit_identity_properties(self, budget, case):
+        model, x = case
+        with band_budget(budget):
+            plan = compile_unet_plan(model, x.shape)
+            probs = plan.run(x)
+            np.testing.assert_array_equal(probs, model.predict_proba(x))
+            into = np.full(plan.output_shape, np.nan, dtype=np.float32)
+            assert plan.run(x, out=into) is into
+            np.testing.assert_array_equal(into, probs)
+            alone = compile_unet_plan(model, (1,) + x.shape[1:])
+            for i in range(x.shape[0]):
+                np.testing.assert_array_equal(alone.run(x[i : i + 1]), probs[i : i + 1])
+
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS + [kernels.BAND_BYTES])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(case=unet_cases())
+    def test_whole_image_gemm_oracle(self, budget, case):
+        model, x = case
+        with band_budget(budget):
+            probs = compile_unet_plan(model, x.shape).run(x)
+        with mock.patch("repro.nn.conv.conv_forward_offset", reference_conv_forward):
+            oracle = model.predict_proba(x)
+        # 150 random cases of this strategy differed by up to 2.8e-6 in probability (138 of them by something),
+        # so the issue's 1e-6 is not attainable; 4e-6 is that maximum plus headroom
+        np.testing.assert_allclose(probs, oracle, rtol=0, atol=4e-6)
+        top_two = np.sort(oracle, axis=1)[:, -2:]
+        decided = top_two[:, 1] - top_two[:, 0] > 8e-6  # a tie within the tolerance may break either way
+        np.testing.assert_array_equal(probs.argmax(axis=1)[decided], oracle.argmax(axis=1)[decided])
+
+
+class TestConvKernel:
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(c=st.integers(1, 5), f=st.integers(1, 5), k=st.integers(1, 3), stride=st.integers(1, 2),
+           pad=st.integers(0, 1), n=st.integers(1, 3), h=st.integers(3, 17), w=st.integers(3, 17),
+           layout=st.sampled_from(["contiguous", "transposed", "strided"]), seed=st.integers(0, 2**16))
+    def test_layer_forward_matches_whole_image_oracle(self, budget, c, f, k, stride, pad, n, h, w, layout, seed):
+        conv = Conv2D(c, f, kernel_size=k, stride=stride, padding=pad, seed=seed)
+        conv.bias.value[...] = np.linspace(-1.0, 1.0, f, dtype=np.float32)
+        conv.eval()
+        x = laid_out(np.random.default_rng(seed), (n, c, h, w), layout)
+        with band_budget(budget):
+            out = conv.forward(x)
+        with mock.patch("repro.nn.conv.conv_forward_offset", reference_conv_forward):
+            oracle = conv.forward(x)
+        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-5)
+
+    def test_partition_is_at_least_one_row_and_within_budget(self):
+        for kc, f, out_h, out_w in [(27, 8, 256, 256), (144, 8, 256, 256), (288, 16, 16, 16), (4096, 64, 8, 4096)]:
+            rows = kernels.conv_band_rows(kc, f, out_h, out_w)
+            assert 1 <= rows <= out_h
+            assert rows == 1 or 4 * (kc + f) * rows * out_w <= kernels.BAND_BYTES
+
+
+class TestArena:
+    def test_benchmark_plan_arena_holds_one_band_of_scratch(self):
+        """The scene benchmark's plan: 154,957,056 bytes with a whole-image cols scratch, now under 85 MB."""
+        model = UNet(UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=0))
+        assert compile_unet_plan(model, (2, 3, 256, 256)).arena_nbytes < 85_000_000
+
+    def test_shared_scratch_is_at_most_one_band(self):
+        builder = PlanBuilder((2, 16, 256, 256))
+        for width in (8, 16):
+            builder.conv2d(INPUT, Conv2D(16, width))
+        assert 0 < 4 * builder._scratch_size <= kernels.BAND_BYTES
+
+
+class TestPooling:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), n=st.integers(1, 3), c=st.integers(1, 4), oh=st.integers(1, 6), ow=st.integers(1, 6),
+           layout=st.sampled_from(["contiguous", "transposed", "strided"]), seed=st.integers(0, 2**16))
+    def test_four_view_maximum_equals_the_6d_reduce(self, k, n, c, oh, ow, layout, seed):
+        x = laid_out(np.random.default_rng(seed), (n, c, k * oh, k * ow), layout)
+        x[x < 0.3] = 0.0  # post-ReLU activations: many exact ties
+        expected = reference_max_pool(x, k)
+        out = np.empty((n, c, oh, ow), dtype=np.float32)
+        assert max_of_views(pool_views(x, k), out) is out
+        np.testing.assert_array_equal(out, expected)
+        for engine in ("index", "mask"):
+            np.testing.assert_array_equal(MaxPool2D(k, engine=engine).eval().forward(x), expected)
+        np.testing.assert_array_equal(MaxPool2D(k, engine="mask").forward(x), expected)  # training forward
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 3), n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 6), w=st.integers(1, 6),
+           layout=st.sampled_from(["contiguous", "transposed", "strided"]), seed=st.integers(0, 2**16))
+    def test_upsample_backward_adds_the_same_views(self, k, n, c, h, w, layout, seed):
+        """The adjoint of nearest up-sampling: the k² views summed, not a 6-D reduce (last-bit order may differ)."""
+        up = UpSample2D(k)
+        assert up.forward(np.zeros((n, c, h, w), dtype=np.float32)).shape == (n, c, k * h, k * w)
+        grad = laid_out(np.random.default_rng(seed), (n, c, k * h, k * w), layout)
+        expected = grad.reshape(n, c, h, k, w, k).sum(axis=(3, 5))
+        np.testing.assert_allclose(up.backward(grad), expected, rtol=1e-6, atol=0)
+

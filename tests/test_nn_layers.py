@@ -63,6 +63,12 @@ class TestEngineParity:
         (3, 1, "same", (2, 3, 6, 6)),
         (3, 2, 1, (1, 3, 9, 9)),
         (3, 2, "same", (2, 2, 8, 8)),
+        # dX leaves the padding out: padding == k-1 (no gradient border), and
+        # padding beyond the kernel's reach (cropped after the contraction)
+        (2, 1, 1, (1, 2, 6, 6)),
+        (1, 1, 1, (2, 2, 5, 5)),
+        (3, 1, 3, (1, 2, 5, 5)),
+        (3, 2, 2, (1, 2, 7, 7)),
     ]
 
     @pytest.mark.parametrize("kernel,stride,padding,shape", CONFIGS)

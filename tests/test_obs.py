@@ -262,6 +262,13 @@ class TestProfilingHooks:
         for step in report["steps"]:
             assert step["calls"] == 3
             assert step["total_ms"] >= 0.0
+        kinds = report["by_kind"]
+        assert set(kinds) == {"pad", "conv", "pool", "upsample", "softmax"}
+        assert sum(cell["calls"] for cell in kinds.values()) == 3 * len(report["steps"])
+        assert kinds["pool"]["calls"] == 3 * 2 and kinds["softmax"]["calls"] == 3  # depth 2: two pools
+        assert sum(cell["share"] for cell in kinds.values()) == pytest.approx(1.0, abs=1e-3)
+        assert sum(cell["total_ms"] for cell in kinds.values()) == pytest.approx(
+            sum(step["total_ms"] for step in report["steps"]), abs=0.01)
 
     def test_trainer_epoch_profile(self):
         from repro.obs import profile_training
