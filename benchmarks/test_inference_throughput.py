@@ -24,7 +24,7 @@ from repro.data import SceneSpec, synthesize_scene
 from repro.data.loader import image_to_tensor
 from repro.imops.resize import assemble_from_tiles, split_into_tiles
 from repro.nn.losses import softmax
-from repro.parallel import available_cpu_count
+from repro.backend import available_cpu_count
 from repro.unet import CompiledUNet, InferenceConfig, SceneClassifier, UNet, UNetConfig
 from repro.unet.inference import predict_batch_probabilities
 

@@ -16,7 +16,8 @@ from repro.data import build_dataset
 from repro.labeling.autolabel import autolabel_tile
 from repro.metrics import fit_amdahl_serial_fraction
 from repro.metrics.scaling import ScalingTable
-from repro.parallel import autolabel_scaling_table, available_cpu_count
+from repro.backend import available_cpu_count
+from repro.parallel import autolabel_scaling_table
 
 from conftest import print_paper_vs_measured
 

@@ -1,10 +1,11 @@
-"""Distributed (Horovod-style) U-Net training with ring all-reduce.
+"""Distributed (Horovod-style) synchronous data-parallel U-Net training.
 
-Mirrors the paper's §III-C.1 workflow: initialise a worker group, broadcast
-the initial weights, shard every global batch across workers, average the
-per-worker gradients with a bandwidth-optimal ring all-reduce, and apply the
-identical update everywhere.  The example verifies that 2-worker training
-reproduces single-worker training step for step, then prints the DGX A100
+Mirrors the paper's §III-C.1 workflow: fork a group of workers that share
+the initial weights, shard every global batch across them, average the
+per-shard gradients and apply the identical update everywhere.  The example
+shows the bandwidth-optimal ring all-reduce Horovod averages with, verifies
+that 2-worker training with :class:`~repro.distributed.ElasticTrainer`
+reproduces single-process training step for step, then prints the DGX A100
 performance-model sweep that regenerates the paper's Table III.
 
 Run with:  python examples/distributed_training.py
@@ -15,13 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data import BatchLoader, build_dataset, train_test_split
-from repro.distributed import (
-    DataParallelTrainer,
-    DGXTrainingModel,
-    DistributedOptimizer,
-    paper_table3,
-    ring_allreduce,
-)
+from repro.distributed import DGXTrainingModel, ElasticTrainer, paper_table3, ring_allreduce
 from repro.nn import SGD
 from repro.unet import UNet, UNetConfig, UNetTrainer
 
@@ -50,14 +45,13 @@ def main() -> None:
     serial.optimizer = SGD(serial.model.parameters(), lr=1e-2)
     serial.fit(BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True), epochs=1)
 
-    parallel = DataParallelTrainer(num_workers=2, config=config, learning_rate=1e-2)
-    parallel.optimizer = DistributedOptimizer(SGD(parallel.master.parameters(), lr=1e-2), parallel.group)
-    parallel.fit(BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True), epochs=1)
-
-    max_diff = max(
-        float(np.abs(a.value - b.value).max())
-        for a, b in zip(serial.model.parameters(), parallel.master.parameters())
-    )
+    with ElasticTrainer(num_workers=2, config=config) as parallel:
+        parallel.optimizer = SGD(parallel.master.parameters(), lr=1e-2)
+        parallel.fit(BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True), epochs=1)
+        max_diff = max(
+            float(np.abs(a.value - b.value).max())
+            for a, b in zip(serial.model.parameters(), parallel.master.parameters())
+        )
     print(f"   max weight difference after one epoch: {max_diff:.2e} (identical trajectories)")
 
     # ------------------------------------------------------------------ #

@@ -1,12 +1,14 @@
 """Unified execution-backend seam (serial / thread / fork).
 
 Every fan-out layer in the repo — scene inference, the serving tier, the
-auto-label pool and the map-reduce executors — dispatches through one
+auto-label runner and the sparklite engine — dispatches through one
 :class:`~repro.backend.base.Backend`, selected by name (or ``"auto"``,
 which honours the ``REPRO_BACKEND`` environment variable).  The fork
 backend keeps persistent workers attached to a shared-memory model store
 (:mod:`repro.backend.store`): weights and pre-packed compiled-plan GEMM
-operands are published once and mapped read-only by every worker.
+operands are published once and mapped read-only by every worker.  Its
+workers — like the elastic trainer's ranks and the pipe ring's members —
+run on the one worker-process runtime in :mod:`repro.backend.worker`.
 """
 
 from .base import (
@@ -15,6 +17,7 @@ from .base import (
     BackendError,
     ModelHandle,
     available_backends,
+    available_cpu_count,
     make_backend,
     resolve_backend_name,
 )
@@ -22,6 +25,7 @@ from .process import ProcessBackend
 from .serial import SerialBackend
 from .store import SEGMENT_PREFIX, SharedModelSpec, SharedModelStore, attach_model
 from .thread import ThreadBackend
+from .worker import WorkerLost, WorkerProcess
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -34,8 +38,11 @@ __all__ = [
     "SharedModelSpec",
     "SharedModelStore",
     "ThreadBackend",
+    "WorkerLost",
+    "WorkerProcess",
     "attach_model",
     "available_backends",
+    "available_cpu_count",
     "make_backend",
     "resolve_backend_name",
 ]

@@ -1,18 +1,20 @@
 """The execution-backend seam: one abstraction every fan-out layer dispatches through.
 
-Four subsystems used to hand-roll their own parallelism — the auto-label
-fork pool (``parallel/pool.py``), the map-reduce executors
-(``mapreduce/executors.py``), the scene-inference fan-out
+The auto-label runner (``parallel/autolabel_runner.py``), the sparklite
+engine (``mapreduce/dataset.py``), the scene-inference fan-out
 (``unet/inference.py``) and the serving micro-batchers
-(``serving/batching.py`` / ``serving/service.py``).  Each re-pickled model
-weights and re-compiled inference plans per task, which made multi-process
-inference *slower* than a single process.
+(``serving/batching.py`` / ``serving/service.py``) hold no parallelism of
+their own: each asks :func:`make_backend` for a backend by name and calls
+it.  Model weights are published once per backend and plans compiled once
+per worker, never per task.
 
 A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
 
-* **worker lifecycle** — ``start`` / ``close``, crash detection and respawn;
+* **worker lifecycle** — ``start`` / ``close``, crash detection and respawn
+  (the fork backend's workers are :class:`repro.backend.worker.WorkerProcess`
+  children, the same runtime the elastic trainer's ranks run on);
 * **generic task dispatch** — :meth:`Backend.map`, the ordered chunked map
-  that the auto-label pool and map-reduce executors adapt onto;
+  the auto-label runner and the sparklite engine call directly;
 * **a model store** — :meth:`Backend.publish_model` installs a model (and
   its compiled-plan engine) once per backend, after which
   :meth:`Backend.predict` / :meth:`Backend.predict_stack` run batches
@@ -46,6 +48,7 @@ __all__ = [
     "BackendError",
     "ModelHandle",
     "available_backends",
+    "available_cpu_count",
     "record_compute",
     "resolve_backend_name",
     "make_backend",
@@ -100,7 +103,8 @@ def _default_chunk_size(num_items: int, num_workers: int, chunks_per_worker: int
     return max(1, -(-num_items // (num_workers * chunks_per_worker)))
 
 
-def _available_cpu_count() -> int:
+def available_cpu_count() -> int:
+    """Number of usable CPUs (respects CPU affinity when available)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -179,13 +183,27 @@ class Backend(ABC):
     # ------------------------------------------------------------------ #
     # Generic dispatch
     # ------------------------------------------------------------------ #
-    @abstractmethod
     def map(self, fn: Callable, items: Sequence, chunk_size: int | None = None) -> list:
         """Apply ``fn`` to every item, preserving order.
 
         ``chunk_size`` groups items per task message (default: a few chunks
         per worker).  ``fn`` must be picklable for process backends.
         """
+        self._ensure_open()
+        items = list(items)
+        if not items:
+            return []
+        if chunk_size is None:
+            chunk_size = _default_chunk_size(len(items), self.num_workers)
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+        self._count_task(len(chunks))
+        return [result for chunk in self._run_chunks(fn, chunks) for result in chunk]
+
+    @abstractmethod
+    def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
+        """``[[fn(item) for item in chunk] for chunk in chunks]``, run this backend's way."""
 
     # ------------------------------------------------------------------ #
     # Model store
@@ -326,9 +344,7 @@ class LocalModelEntry:
 # Registry / resolution
 # ---------------------------------------------------------------------- #
 def _fork_available() -> bool:
-    import multiprocessing as mp
-
-    return "fork" in mp.get_all_start_methods()
+    return hasattr(os, "fork")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -360,7 +376,7 @@ def resolve_backend_name(name: str | None, num_workers: int = 1) -> str:
         raise ValueError(f"unknown backend {name!r}; expected one of {valid} or 'auto'")
     if name == "fork" and not _fork_available():
         raise ValueError("backend 'fork' is not available on this platform "
-                         "(no fork start method); use 'serial' or 'thread'")
+                         "(no os.fork); use 'serial' or 'thread'")
     return name
 
 
@@ -371,7 +387,7 @@ def make_backend(name: str | None = "auto", num_workers: int | None = None, **kw
     from .thread import ThreadBackend
 
     if num_workers is None:
-        num_workers = _available_cpu_count()
+        num_workers = available_cpu_count()
     resolved = resolve_backend_name(name, num_workers)
     if resolved == "serial":
         return SerialBackend()

@@ -34,7 +34,6 @@ see a :class:`BackendError`.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import queue
 import threading
@@ -45,9 +44,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..obs.metrics import get_registry
-from ..obs.trace import current_trace_id, record as _trace_record
+from ..obs.trace import current_trace_id
 from ..reliability import Deadline, RetryPolicy, fault_point
-from .base import Backend, BackendError, ModelHandle, _default_chunk_size
+from .base import Backend, BackendError, ModelHandle, available_cpu_count
 from .store import (
     SharedModelStore,
     attach_model,
@@ -56,8 +55,9 @@ from .store import (
     create_segment,
     ndarray_view,
 )
+from .worker import Reply, WorkerLost, WorkerProcess, serve
 
-__all__ = ["ProcessBackend", "WorkerLost"]
+__all__ = ["ProcessBackend"]
 
 #: Environment overrides for the reliability knobs (CI's chaos arm tightens
 #: them; ``<= 0`` disables the mechanism).
@@ -67,10 +67,6 @@ HEARTBEAT_ENV_VAR = "REPRO_HEARTBEAT_S"
 _DEFAULT_DISPATCH_TIMEOUT_S = 30.0
 _DEFAULT_HEARTBEAT_S = 2.0
 _PING_TIMEOUT_S = 5.0
-
-
-class WorkerLost(BackendError):
-    """A worker crashed or hung mid-dispatch (retryable for predict ops)."""
 
 
 def _env_float(var: str, default: float) -> float:
@@ -83,54 +79,11 @@ def _env_float(var: str, default: float) -> float:
         return default
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------- #
 # Worker process
 # ---------------------------------------------------------------------- #
-def _worker_get_view(segments: dict, name: str, shape, dtype, writeable: bool):
-    cached = segments.get(name)
-    if cached is None:
-        shm = attach_segment(name)
-        cached = (shm, ndarray_view(shm, tuple(shape), dtype=dtype, writeable=writeable))
-        segments[name] = cached
-    return cached[1]
-
-
-def _worker_reply_meta(compute_ms: float, trace_id=None) -> dict:
-    """Reply metadata for one timed predict op: compute time, trace echo,
-    and whatever metric deltas accumulated in this worker since its last
-    reply — the piggyback channel that keeps the metrics hot path free of
-    cross-process locks."""
-    meta = {"compute_ms": compute_ms, "pid": os.getpid()}
-    if trace_id is not None:
-        meta["trace_id"] = trace_id
-    drained = get_registry().drain()
-    if drained:
-        meta["metrics"] = drained
-    return meta
-
-
-def _worker_main(conn, siblings=()) -> None:
-    """Blocking request loop of one backend worker (runs in the child)."""
-    # Forked children inherit the parent's end of every *earlier* worker's
-    # pipe.  Close them, or a sibling holding the fd open keeps recv() from
-    # ever seeing EOF after the parent dies — orphan workers that pin the
-    # shared-memory segments (and the resource tracker) forever.
-    for sibling in siblings:
-        try:
-            sibling.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    # The fork cloned the parent's metrics registry cells (copy-on-write);
-    # zero them or every parent count accumulated before the fork would be
-    # double-reported by this worker's first drained delta.
-    get_registry().reset()
+def _worker_main(conn, inherited) -> None:
+    """One backend worker: its attached models, its arena views, its op handlers."""
     models: dict = {}  # key -> AttachedModel
     segments: dict = {}  # segment name -> (SharedMemory, ndarray view)
     hist_compute = get_registry().histogram(
@@ -138,174 +91,67 @@ def _worker_main(conn, siblings=()) -> None:
         "Model compute time per predict dispatch",
         ("backend",),
     )
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            op = msg[0]
-            try:
-                if op == "stop":
-                    conn.send(("ok", None))
-                    break
-                if op == "publish":
-                    spec = msg[1]
-                    old = models.pop(spec.key, None)
-                    if old is not None:
-                        old.close()
-                    models[spec.key] = attach_model(spec)
-                    conn.send(("ok", None))
-                elif op == "release":
-                    old = models.pop(msg[1], None)
-                    if old is not None:
-                        old.close()
-                    conn.send(("ok", None))
-                elif op == "predict_span":
-                    (key, in_name, in_shape, in_dtype, out_name, out_shape,
-                     start, stop, trace_id) = msg[1:]
-                    entry = models[key]
-                    fault_point("worker_crash")
-                    fault_point("worker_hang")
-                    src = _worker_get_view(segments, in_name, in_shape,
-                                           np.dtype(in_dtype), writeable=False)
-                    dst = _worker_get_view(segments, out_name, out_shape,
-                                           np.float32, writeable=True)
-                    t0 = time.perf_counter()
-                    entry.predict(src[start:stop], out=dst[start:stop])
-                    compute_ms = (time.perf_counter() - t0) * 1e3
-                    hist_compute.observe(compute_ms, backend="fork")
-                    conn.send(("ok", None, _worker_reply_meta(compute_ms, trace_id)))
-                elif op == "predict_batch":
-                    key, batch, trace_id = msg[1:]
-                    fault_point("worker_crash")
-                    fault_point("worker_hang")
-                    t0 = time.perf_counter()
-                    result = models[key].predict(batch)
-                    compute_ms = (time.perf_counter() - t0) * 1e3
-                    hist_compute.observe(compute_ms, backend="fork")
-                    conn.send(("ok", result, _worker_reply_meta(compute_ms, trace_id)))
-                elif op == "ping":
-                    conn.send(("ok", os.getpid()))
-                elif op == "warm":
-                    key, shape = msg[1:]
-                    models[key].warm(shape)
-                    conn.send(("ok", None))
-                elif op == "map_chunk":
-                    fn, chunk = msg[1:]
-                    conn.send(("ok", [fn(item) for item in chunk]))
-                elif op == "drop_segments":
-                    for name in msg[1]:
-                        cached = segments.pop(name, None)
-                        if cached is not None:
-                            close_segment(cached[0])
-                    conn.send(("ok", None))
-                else:
-                    conn.send(("err", f"unknown backend op {op!r}"))
-            except Exception as exc:  # report, keep serving
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
-    finally:
+
+    def view(name, shape, dtype, writeable):
+        cached = segments.get(name)
+        if cached is None:
+            shm = attach_segment(name)
+            cached = (shm, ndarray_view(shm, tuple(shape), dtype=dtype, writeable=writeable))
+            segments[name] = cached
+        return cached[1]
+
+    def release(key):
+        old = models.pop(key, None)
+        if old is not None:
+            old.close()
+
+    def publish(spec):
+        release(spec.key)
+        models[spec.key] = attach_model(spec)
+
+    def timed_predict(key, src, out, trace_id):
+        # The trace id crossed the pipe with the request and goes back in the
+        # reply meta, next to the compute time measured where the model ran.
+        entry = models[key]
+        fault_point("worker_crash")
+        fault_point("worker_hang")
+        t0 = time.perf_counter()
+        result = entry.predict(src, out=out)
+        compute_ms = (time.perf_counter() - t0) * 1e3
+        hist_compute.observe(compute_ms, backend="fork")
+        return Reply(None if out is not None else result,
+                     compute_ms=compute_ms, trace_id=trace_id)
+
+    def predict_span(key, in_name, in_shape, in_dtype, out_name, out_shape,
+                     start, stop, trace_id):
+        src = view(in_name, in_shape, np.dtype(in_dtype), writeable=False)
+        dst = view(out_name, out_shape, np.float32, writeable=True)
+        return timed_predict(key, src[start:stop], dst[start:stop], trace_id)
+
+    def predict_batch(key, batch, trace_id):
+        return timed_predict(key, batch, None, trace_id)
+
+    def drop_segments(names):
+        for name in names:
+            cached = segments.pop(name, None)
+            if cached is not None:
+                close_segment(cached[0])
+
+    def cleanup():
         for attached in models.values():
             attached.close()
         for shm, _view in segments.values():
             close_segment(shm)
-        conn.close()
 
-
-class _Worker:
-    """Parent-side handle of one worker process (pipe + in-use lock)."""
-
-    def __init__(self, ctx, siblings: Sequence = ()) -> None:
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        # The child closes every parent-side end it inherited at fork time —
-        # its own *and* the earlier workers' — so the pipes EOF when the
-        # parent actually dies (see _worker_main).
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, tuple(siblings) + (self.conn,)),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.dead = False
-        #: metadata of the most recent 3-tuple reply (trace-id echo, pid,
-        #: compute time) — observability peek, not part of the data path
-        self.last_meta: dict | None = None
-
-    def call(self, *msg, timeout: float | None = None):
-        """One request/response round trip; a broken pipe marks the worker dead.
-
-        ``timeout`` bounds the wait for the reply: a worker that does not
-        answer in time is presumed hung, killed on the spot (its model state
-        is all re-creatable from the shared store) and reported as
-        :class:`WorkerLost` so idempotent ops can retry elsewhere.
-
-        Timed ops reply ``("ok", payload, meta)``: the worker-measured
-        compute time lands in this thread's trace collector (if one is
-        active), and any piggybacked metric deltas merge into the parent
-        registry here — on the thread that already owns the reply, never
-        under a shared lock on the worker side.
-        """
-        try:
-            self.conn.send(msg)
-            if timeout is not None and not self.conn.poll(timeout):
-                self.kill()
-                raise WorkerLost(
-                    f"backend worker (pid {self.process.pid}) hung during {msg[0]!r} "
-                    f"(no reply within {timeout:.1f}s); killed"
-                )
-            reply = self.conn.recv()
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            self.dead = True
-            raise WorkerLost(
-                f"backend worker (pid {self.process.pid}) died during {msg[0]!r}: {exc!r}"
-            ) from exc
-        status, payload = reply[0], reply[1]
-        meta = reply[2] if len(reply) > 2 else None
-        if status != "ok":
-            raise BackendError(f"backend worker task {msg[0]!r} failed: {payload}")
-        if meta is not None:
-            self.last_meta = meta
-            drained = meta.get("metrics")
-            if drained:
-                get_registry().merge(drained)
-            compute_ms = meta.get("compute_ms")
-            if compute_ms is not None:
-                _trace_record("compute_ms", compute_ms)
-        return payload
-
-    def kill(self) -> None:
-        """Hard-kill the worker (SIGKILL); used for hung processes."""
-        self.dead = True
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(1.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def stop(self, timeout: float = 2.0) -> None:
-        if not self.dead and self.process.is_alive():
-            try:
-                self.conn.send(("stop",))
-                # A hung worker never acknowledges; poll instead of a blind
-                # recv() so shutdown cannot wedge behind it.
-                if self.conn.poll(timeout):
-                    self.conn.recv()
-            except (EOFError, OSError, BrokenPipeError):
-                pass
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.kill()
-            self.process.join(timeout)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+    serve(conn, inherited, {
+        "publish": publish,
+        "release": release,
+        "predict_span": predict_span,
+        "predict_batch": predict_batch,
+        "warm": lambda key, shape: models[key].warm(shape),
+        "map_chunk": lambda fn, chunk: [fn(item) for item in chunk],
+        "drop_segments": drop_segments,
+    }, cleanup)
 
 
 class _IOSegments:
@@ -338,28 +184,24 @@ class ProcessBackend(Backend):
 
     name = "fork"
 
-    def __init__(self, num_workers: int = 2, start_method: str = "fork", *,
+    def __init__(self, num_workers: int = 2, *,
                  dispatch_timeout_s: float | None = None,
                  heartbeat_interval_s: float | None = None,
                  retry: RetryPolicy | None = None) -> None:
         super().__init__(num_workers=num_workers)
-        if start_method not in mp.get_all_start_methods():
-            raise ValueError(f"start method {start_method!r} is not available on this platform")
-        self._ctx = mp.get_context(start_method)
-        self.start_method = start_method
         if dispatch_timeout_s is None:
             dispatch_timeout_s = _env_float(DISPATCH_TIMEOUT_ENV_VAR,
                                             _DEFAULT_DISPATCH_TIMEOUT_S)
         if heartbeat_interval_s is None:
             heartbeat_interval_s = _env_float(HEARTBEAT_ENV_VAR, _DEFAULT_HEARTBEAT_S)
-        #: per-dispatch reply deadline for predict ops; <= 0 disables
+        #: reply deadline of every predict dispatch and broadcast; <= 0 disables
         self.dispatch_timeout_s = dispatch_timeout_s if dispatch_timeout_s > 0 else None
         #: idle-worker heartbeat period; <= 0 disables the watchdog
         self.heartbeat_interval_s = heartbeat_interval_s if heartbeat_interval_s > 0 else None
         self.retry = retry if retry is not None else RetryPolicy()
         self._store = SharedModelStore()
         self._handles: dict[object, ModelHandle] = {}
-        self._workers: list[_Worker] = []
+        self._workers: list[WorkerProcess] = []
         # LIFO free-list: sequential spans stick to the most recently used
         # (cache-hot) worker instead of round-robining every span onto a
         # worker whose arena has gone cold; concurrent dispatch still fans
@@ -379,26 +221,16 @@ class ProcessBackend(Backend):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _start(self) -> None:
-        # Start the resource tracker *before* forking so every worker
-        # inherits the parent's tracker fd.  Otherwise each worker's first
-        # shared-memory attach lazily spawns a private tracker whose cache
-        # never sees the parent's unlink — leak warnings at worker exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         self._workers = []
-        for _ in range(self.num_workers):
-            self._workers.append(
-                _Worker(self._ctx, siblings=[w.conn for w in self._workers])
-            )
         for index in range(self.num_workers):
+            self._workers.append(WorkerProcess(_worker_main, siblings=self._workers))
             self._free.put(index)
         # In-flight dispatch is capped at the cores actually available:
         # running more concurrent workers than cores buys no throughput and
         # costs real time — the interleaved forwards evict each other's
         # caches (each plan's working set is tens of MB).  All workers stay
         # up and warm either way; the cap only bounds concurrency.
-        inflight = max(1, min(self.num_workers, _cpu_count()))
+        inflight = max(1, min(self.num_workers, available_cpu_count()))
         self._dispatcher = ThreadPoolExecutor(
             max_workers=inflight, thread_name_prefix="repro-backend-dispatch"
         )
@@ -434,26 +266,29 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------ #
     def _checkout(self) -> int:
         index = self._free.get()
-        worker = self._workers[index]
-        if worker.dead or not worker.process.is_alive():
-            self._respawn(index)
+        if not self._workers[index].alive:
+            try:
+                self._respawn(index)
+            except BaseException:
+                self._free.put(index)  # still dead: the next checkout tries again
+                raise
         return index
 
     def _respawn(self, index: int) -> None:
         """Replace a dead worker and republish every stored model into it."""
-        old = self._workers[index]
-        try:
-            old.stop(timeout=0.5)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        worker = _Worker(
-            self._ctx,
-            siblings=[w.conn for i, w in enumerate(self._workers) if i != index],
+        self._workers[index].stop(timeout=0.5)
+        worker = WorkerProcess(
+            _worker_main,
+            siblings=[w for i, w in enumerate(self._workers) if i != index],
         )
         self._workers[index] = worker
         self._respawns += 1
-        for spec in self._store.specs():
-            worker.call("publish", spec)
+        try:
+            for spec in self._store.specs():
+                worker.call("publish", spec, timeout=self.dispatch_timeout_s)
+        except BackendError:
+            worker.kill()  # a worker missing a stored model must not serve
+            raise
 
     def _watchdog_loop(self) -> None:
         """Heartbeat idle workers; kill and respawn any that fail to answer.
@@ -475,15 +310,12 @@ class ProcessBackend(Backend):
                     continue
                 worker = self._workers[index]
                 try:
-                    if worker.dead or not worker.process.is_alive():
-                        self._respawn(index)
-                    else:
+                    if worker.alive:
                         worker.call("ping", timeout=_PING_TIMEOUT_S)
-                except BackendError:
-                    try:
+                    else:
                         self._respawn(index)
-                    except Exception:  # pragma: no cover - defensive
-                        pass
+                except BackendError:
+                    pass  # left dead: the next checkout (or beat) respawns it
                 finally:
                     self._free.put(index)
 
@@ -526,28 +358,34 @@ class ProcessBackend(Backend):
                 attempt += 1
 
     def _broadcast(self, *msg) -> None:
-        """Send one request to every live worker (best-effort, e.g. drops).
+        """Run one request on every worker.
 
         All sends go out before any reply is collected, so broadcast work
         (attaching a published model, warming a plan) runs concurrently
-        across the worker processes instead of one worker at a time.
+        across the worker processes instead of one worker at a time.  A
+        worker that errs or misses the reply deadline is killed: it is out
+        of step with the store, and the next checkout respawns it with
+        every stored model republished.
         """
-        indices = [self._checkout() for _ in self._workers]
-        sent = []
+        indices: list[int] = []
         try:
+            for _ in self._workers:
+                indices.append(self._checkout())
+            sent = []
             for index in indices:
                 worker = self._workers[index]
                 try:
-                    worker.conn.send(msg)
-                    sent.append(index)
-                except (OSError, BrokenPipeError):
-                    worker.dead = True
-            for index in sent:
-                worker = self._workers[index]
+                    worker.send(*msg)
+                    sent.append(worker)
+                except WorkerLost:
+                    pass
+            for worker in sent:
                 try:
-                    worker.conn.recv()
-                except (EOFError, OSError):
-                    worker.dead = True
+                    worker.recv(self.dispatch_timeout_s)
+                except WorkerLost:
+                    pass
+                except BackendError:
+                    worker.kill()
         finally:
             for index in indices:
                 self._free.put(index)
@@ -555,21 +393,10 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------ #
     # Generic dispatch
     # ------------------------------------------------------------------ #
-    def map(self, fn: Callable, items: Sequence, chunk_size: int | None = None) -> list:
-        self._ensure_open()
-        items = list(items)
-        if not items:
-            return []
-        if chunk_size is None:
-            chunk_size = _default_chunk_size(len(items), self.num_workers)
-        chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-        self._count_task(len(chunks))
+    def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
         futures = [self._dispatcher.submit(self._call, "map_chunk", fn, chunk)
                    for chunk in chunks]
-        results = []
-        for future in futures:
-            results.extend(future.result())
-        return results
+        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------ #
     # Model store
@@ -710,13 +537,8 @@ class ProcessBackend(Backend):
 
     def occupancy(self) -> dict:
         info = super().occupancy()
-        info["start_method"] = self.start_method
-        info["alive_workers"] = sum(
-            1 for w in self._workers if not w.dead and w.process.is_alive()
-        )
-        info["worker_pids"] = [
-            w.process.pid for w in self._workers if not w.dead and w.process.is_alive()
-        ]
+        info["worker_pids"] = [w.process.pid for w in self._workers if w.alive]
+        info["alive_workers"] = len(info["worker_pids"])
         info["respawns"] = self._respawns
         with self._busy_lock:
             info["dispatch_retries"] = self._retries

@@ -27,11 +27,8 @@ class SerialBackend(Backend):
         super().__init__(num_workers=1)
         self._models: dict[object, LocalModelEntry] = {}
 
-    def map(self, fn: Callable, items: Sequence, chunk_size: int | None = None) -> list:
-        self._ensure_open()
-        results = [fn(item) for item in items]
-        self._count_task(len(results))
-        return results
+    def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
+        return [[fn(item) for item in chunk] for chunk in chunks]
 
     def publish_model(self, key, model, cloud_filter=None, *, engine=None,
                       compile_plans: bool = True, plan_cache_size: int = 8,

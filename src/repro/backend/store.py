@@ -44,6 +44,7 @@ __all__ = [
     "attach_model",
     "create_segment",
     "attach_segment",
+    "layout_fields",
     "ndarray_view",
 ]
 
@@ -132,6 +133,19 @@ class SharedArrayField:
         return int(np.prod(self.shape, dtype=np.int64)) * 4 if self.shape else 4
 
 
+def layout_fields(shapes, offset: int = 0) -> tuple[list[SharedArrayField], int]:
+    """Lay ``(name, shape)`` float32 arrays out cache-line aligned from ``offset``.
+
+    Returns the fields and the offset just past the last one.
+    """
+    fields = []
+    for name, shape in shapes:
+        fld = SharedArrayField(name, tuple(shape), _aligned(offset))
+        fields.append(fld)
+        offset = fld.offset + fld.nbytes
+    return fields, offset
+
+
 @dataclass(frozen=True)
 class SharedModelSpec:
     """Everything a worker needs to rebuild a published model (picklable, tiny)."""
@@ -192,12 +206,8 @@ class SharedModelStore:
         packs = {name: pack_conv_weights(conv) for name, conv in iter_plan_conv_layers(model)}
 
         # First pass: compute the aligned layout.
-        offset = 0
-        param_fields: list[SharedArrayField] = []
-        for name, value in state.items():
-            offset = _aligned(offset)
-            param_fields.append(SharedArrayField(name, tuple(value.shape), offset))
-            offset += value.size * 4
+        param_fields, offset = layout_fields(
+            (name, value.shape) for name, value in state.items())
         packed_fields: list[tuple[str, SharedArrayField, SharedArrayField | None]] = []
         for name, (w_mat, bias) in packs.items():
             offset = _aligned(offset)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..reliability import Deadline
-from .base import Backend, LocalModelEntry, ModelHandle, _default_chunk_size, record_compute
+from .base import Backend, LocalModelEntry, ModelHandle, record_compute
 
 __all__ = ["ThreadBackend"]
 
@@ -56,23 +56,11 @@ class ThreadBackend(Backend):
             with self._busy_lock:
                 self._busy -= 1
 
-    def map(self, fn: Callable, items: Sequence, chunk_size: int | None = None) -> list:
-        self._ensure_open()
-        items = list(items)
-        if not items:
-            return []
-        if chunk_size is None:
-            chunk_size = _default_chunk_size(len(items), self.num_workers)
-        chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-        self._count_task(len(chunks))
-
+    def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
         def run_chunk(chunk):
             return self._run(lambda: [fn(item) for item in chunk])
 
-        results = []
-        for chunk_result in self._pool.map(run_chunk, chunks):
-            results.extend(chunk_result)
-        return results
+        return list(self._pool.map(run_chunk, chunks))
 
     # ------------------------------------------------------------------ #
     def publish_model(self, key, model, cloud_filter=None, *, engine=None,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 
 def _cmd_autolabel(args: argparse.Namespace) -> int:
@@ -182,13 +181,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         labels = autolabel_batch(tiles, apply_cloud_filter=not args.no_filter)
         trainer.fit(BatchLoader(tiles, labels, batch_size=args.batch_size, seed=args.seed), epochs=args.epochs)
 
-    if args.workers > 1 and args.backend == "auto":
-        warnings.warn(
-            "--workers alone is a deprecated way to enable fan-out; "
-            "prefer --backend fork --workers N",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     config = InferenceConfig(
         tile_size=args.tile_size,
         overlap=args.overlap,
@@ -478,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution backend for batch fan-out (auto resolves from "
                         "REPRO_BACKEND, then --workers)")
     p.add_argument("--workers", type=int, default=1,
-                   help="backend worker count (bare --workers N is the deprecated "
-                        "pre-backend alias for --backend fork)")
+                   help="backend worker count (under --backend auto, N > 1 forks N workers)")
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--epochs", type=int, default=3,
                    help="quick auto-label training epochs before inference (0 = untrained throughput run)")

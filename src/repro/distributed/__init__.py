@@ -1,4 +1,4 @@
-"""Distributed U-Net training: ring all-reduce, Horovod-like API, data parallelism, DGX model."""
+"""Distributed U-Net training: ring all-reduce, the elastic data-parallel trainer, DGX model."""
 
 from .allreduce import (
     AllReduceStats,
@@ -7,9 +7,7 @@ from .allreduce import (
     naive_allreduce,
     ring_allreduce,
 )
-from .data_parallel import DataParallelTrainer, ShardedBatches
 from .elastic import ElasticTrainer, ElasticTrainingError, latest_checkpoints
-from .horovod import DistributedOptimizer, WorkerGroup, broadcast_parameters
 from .perfmodel import PAPER_TABLE3_ROWS, DGXTrainingModel, paper_table3
 
 __all__ = [
@@ -18,14 +16,9 @@ __all__ = [
     "RingBroken",
     "naive_allreduce",
     "ring_allreduce",
-    "DataParallelTrainer",
-    "ShardedBatches",
     "ElasticTrainer",
     "ElasticTrainingError",
     "latest_checkpoints",
-    "DistributedOptimizer",
-    "WorkerGroup",
-    "broadcast_parameters",
     "PAPER_TABLE3_ROWS",
     "DGXTrainingModel",
     "paper_table3",

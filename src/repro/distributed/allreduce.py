@@ -12,24 +12,23 @@ independent of ``p`` — the property that makes it bandwidth optimal.
 
 Two implementations are provided:
 
-* :func:`ring_allreduce` — an in-process implementation that takes the
+* :func:`ring_allreduce` — the pure in-process reference: it takes the
   per-worker buffers as a list of arrays and performs exactly the chunked
   ring schedule, additionally reporting the communication volume so the
   performance model can be fed with the real algorithmic cost;
 * :class:`PipeRingAllReducer` — a real multi-process version in which worker
-  processes connected by ``multiprocessing.Pipe`` rings exchange raw NumPy
-  buffers, demonstrating the same schedule across OS processes.
+  processes connected by a ring of ``multiprocessing.Pipe`` s exchange raw
+  NumPy buffers, demonstrating the same schedule across OS processes.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-import queue
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..backend.worker import WorkerLost, WorkerProcess, serve
 from ..reliability import fault_point
 
 __all__ = [
@@ -81,6 +80,15 @@ def _check_buffers(buffers: list[np.ndarray]) -> list[np.ndarray]:
     return arrays
 
 
+def _chunk_slices(size: int, p: int) -> list[slice]:
+    """``p`` contiguous slices covering ``range(size)`` (``np.array_split`` boundaries)."""
+    slices, start = [], 0
+    for chunk in np.array_split(np.arange(size), p):
+        slices.append(slice(start, start + len(chunk)))
+        start += len(chunk)
+    return slices
+
+
 def naive_allreduce(buffers: list[np.ndarray], average: bool = True) -> tuple[list[np.ndarray], AllReduceStats]:
     """Parameter-server-style all-reduce: gather everything to rank 0, then broadcast.
 
@@ -121,11 +129,7 @@ def ring_allreduce(buffers: list[np.ndarray], average: bool = True) -> tuple[lis
 
     # Work on flat copies; chunk boundaries follow np.array_split semantics.
     flats = [a.ravel().copy() for a in arrays]
-    chunk_slices = []
-    start = 0
-    for chunk in np.array_split(np.arange(size), p):
-        chunk_slices.append(slice(start, start + len(chunk)))
-        start += len(chunk)
+    chunk_slices = _chunk_slices(size, p)
 
     elements_sent = 0
 
@@ -170,97 +174,68 @@ def ring_allreduce(buffers: list[np.ndarray], average: bool = True) -> tuple[lis
 # --------------------------------------------------------------------------- #
 # Multi-process ring
 # --------------------------------------------------------------------------- #
-def _report_broken(result_queue, rank: int, left: int) -> None:
-    result_queue.put(("broken", rank, left))
-    # Flush before dying: Queue.put only hands the item to a feeder thread,
-    # and a bare os._exit would kill it with the report still buffered.
-    result_queue.close()
-    result_queue.join_thread()
-    os._exit(171)
-
-
-def _ring_recv(recv_conn, rank: int, size: int, timeout_s: float, result_queue):
-    """Receive from the left neighbour, or report the break and die.
-
-    A dead or hung neighbour used to park this worker on a blocking
-    ``recv`` forever; now a ``poll`` deadline (or the EOF of a closed pipe)
-    converts the silence into a ``("broken", reporter, failed)`` message the
-    parent turns into :class:`RingBroken`.
-    """
+def _ring_member(conn, inherited, rank: int, size: int, recv_conn, send_conn,
+                 data: np.ndarray, timeout_s: float) -> None:
+    """One ring member: answers ``reduce`` with its reduced buffer, or with
+    ``("broken", left)`` when its left neighbour stayed silent past ``timeout_s``."""
     left = (rank - 1) % size
-    try:
-        if not recv_conn.poll(timeout_s):
-            _report_broken(result_queue, rank, left)
-        return recv_conn.recv()
-    except (EOFError, OSError):
-        _report_broken(result_queue, rank, left)
 
+    def recv_left():
+        # A dead or hung neighbour must not park this member on a blocking
+        # recv: the poll deadline (or the EOF of a closed pipe) ends the wait.
+        try:
+            if recv_conn.poll(timeout_s):
+                return recv_conn.recv()
+        except (EOFError, OSError):
+            pass
+        raise RingBroken(left)
 
-def _ring_worker(
-    rank: int, size: int, recv_conn, send_conn, data: np.ndarray, result_queue,
-    timeout_s: float,
-) -> None:
-    """Worker process body: runs the ring schedule over pipes."""
-    fault_point("allreduce_stall")
-    flat = np.asarray(data, dtype=np.float64).ravel().copy()
-    n = flat.size
-    slices = []
-    start = 0
-    for chunk in np.array_split(np.arange(n), size):
-        slices.append(slice(start, start + len(chunk)))
-        start += len(chunk)
+    def exchange(flat, chunk):
+        # Everyone sending before receiving deadlocks as soon as a chunk
+        # exceeds the OS pipe capacity (~64 KB): the whole ring blocks in
+        # send() with nobody draining.  Rank 0 receives first, which breaks
+        # the cyclic wait — its neighbour's send completes, and the
+        # unblocking propagates around the ring.  The sent and received
+        # chunks of one step are never the same slice (indices differ by 1
+        # mod p), so the reorder is trajectory-safe.
+        if rank == 0:
+            incoming = recv_left()
+            send_conn.send(flat[chunk])
+            return incoming
+        send_conn.send(flat[chunk])
+        return recv_left()
 
-    # Everyone sending before receiving deadlocks as soon as a chunk exceeds
-    # the OS pipe capacity (~64 KB): the whole ring blocks in send() with
-    # nobody draining.  Rank 0 receives first, which breaks the cyclic wait —
-    # its neighbour's send completes, and the unblocking propagates around
-    # the ring.  The sent and received chunks of one step are never the same
-    # slice (indices differ by 1 mod p), so the reorder is trajectory-safe.
-    recv_first = rank == 0
+    def reduce():
+        fault_point("allreduce_stall")
+        flat = np.asarray(data, dtype=np.float64).ravel().copy()
+        slices = _chunk_slices(flat.size, size)
+        try:
+            for step in range(size - 1):
+                flat[slices[(rank - 1 - step) % size]] += exchange(
+                    flat, slices[(rank - step) % size])
+            for step in range(size - 1):
+                flat[slices[(rank - step) % size]] = exchange(
+                    flat, slices[(rank + 1 - step) % size])
+        except RingBroken as exc:
+            return ("broken", exc.rank)
+        return ("ok", flat / size)
 
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - 1 - step) % size
-        if recv_first:
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-            send_conn.send(flat[slices[send_idx]])
-        else:
-            send_conn.send(flat[slices[send_idx]])
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-        flat[slices[recv_idx]] += incoming
-
-    for step in range(size - 1):
-        send_idx = (rank + 1 - step) % size
-        recv_idx = (rank - step) % size
-        if recv_first:
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-            send_conn.send(flat[slices[send_idx]])
-        else:
-            send_conn.send(flat[slices[send_idx]])
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-        flat[slices[recv_idx]] = incoming
-
-    result_queue.put(("ok", rank, flat / size))
+    serve(conn, inherited, {"reduce": reduce})
 
 
 class PipeRingAllReducer:
     """Ring all-reduce across real OS processes connected by pipes.
 
-    Intended for demonstrating and testing the schedule with genuine
-    inter-process communication; the in-process :func:`ring_allreduce` is
-    what the data-parallel trainer uses in its inner loop.
+    Demonstrates and tests the schedule with genuine inter-process
+    communication; each call forks ``num_workers`` short-lived members on
+    the shared worker runtime (:mod:`repro.backend.worker`).
     """
 
-    def __init__(
-        self, num_workers: int, start_method: str | None = None, timeout_s: float = 60.0
-    ) -> None:
+    def __init__(self, num_workers: int, timeout_s: float = 60.0) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
         self.timeout_s = float(timeout_s)
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
 
     def allreduce(self, buffers: list[np.ndarray]) -> list[np.ndarray]:
         """Average the per-worker buffers; entry ``i`` is worker ``i``'s input.
@@ -276,43 +251,49 @@ class PipeRingAllReducer:
             return [arrays[0].copy()]
 
         # Pipe i connects sender i -> receiver (i+1) % p.
-        pipes = [self._ctx.Pipe(duplex=False) for _ in range(p)]
-        result_queue = self._ctx.Queue()
-        workers = []
-        for rank in range(p):
-            recv_conn = pipes[(rank - 1) % p][0]
-            send_conn = pipes[rank][1]
-            proc = self._ctx.Process(
-                target=_ring_worker,
-                args=(rank, p, recv_conn, send_conn, arrays[rank], result_queue,
-                      self.timeout_s),
-            )
-            proc.start()
-            workers.append(proc)
-
+        pipes = [mp.Pipe(duplex=False) for _ in range(p)]
+        members: list[WorkerProcess] = []
         gathered: dict[int, np.ndarray] = {}
+        silent: list[int] = []  # ranks that never answered (killed by the runtime)
+        blamed: list[int] = []  # left neighbours the answering ranks gave up on
         try:
-            for _ in range(p):
+            for rank in range(p):
+                members.append(WorkerProcess(
+                    _ring_member,
+                    (rank, p, pipes[(rank - 1) % p][0], pipes[rank][1], arrays[rank],
+                     self.timeout_s),
+                    siblings=members,
+                ))
+            for member in members:
+                member.send("reduce")
+            # A member gives up on its neighbour after timeout_s; allow the
+            # first reply twice that, and once the ring is known broken take
+            # only what has already arrived.
+            wait = 2 * self.timeout_s
+            for rank, member in enumerate(members):
                 try:
-                    status, rank, payload = result_queue.get(timeout=self.timeout_s + 10.0)
-                except queue.Empty:
-                    dead = [r for r, proc in enumerate(workers)
-                            if proc.exitcode not in (None, 0)]
-                    raise RingBroken(
-                        dead[0] if dead else 0,
-                        f"no ring progress within {self.timeout_s + 10.0:.1f}s "
-                        f"(dead ranks: {dead or 'none detected'})",
-                    ) from None
+                    status, payload = member.recv(wait)
+                except WorkerLost:
+                    silent.append(rank)
+                    wait = 0.0
+                    continue
                 if status == "broken":
-                    raise RingBroken(
-                        payload, f"rank {rank} timed out waiting for rank {payload}"
-                    )
-                gathered[rank] = payload
+                    blamed.append(payload)
+                    wait = 0.0
+                else:
+                    gathered[rank] = payload
         finally:
-            for proc in workers:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
-
+            for member in members:
+                member.stop()
+            for ends in pipes:
+                for end in ends:
+                    end.close()
+        if silent or blamed:
+            # The culprit is the rank that went silent; its neighbours only
+            # report the wait they gave up on.
+            culprit = next((r for r in blamed if r in silent), (silent + blamed)[0])
+            raise RingBroken(
+                culprit, f"ring all-reduce broken at rank {culprit} "
+                         f"(silent ranks: {silent}, reported: {blamed})")
         shape = arrays[0].shape
         return [gathered[rank].reshape(shape) for rank in range(p)]

@@ -1,11 +1,14 @@
 """Elastic fault-tolerant data-parallel training over real forked workers.
 
 :class:`ElasticTrainer` is the training-side counterpart of the fork
-serving backend: persistent forked worker processes, weights published
-through one shared-memory segment (the :mod:`repro.backend.store` idiom),
-gradients exchanged through a shared micro-shard arena, and every
+serving backend and runs on the same worker runtime
+(:mod:`repro.backend.worker`): persistent forked worker processes, weights
+published through one shared-memory segment (the :mod:`repro.backend.store`
+idiom), gradients exchanged through a shared micro-shard arena, and every
 cross-process wait bounded by a deadline so a dead or hung worker can
-never wedge a step.
+never wedge a step.  What this module adds is policy — which rank owns
+which micro-shards, what happens when one is lost — and the two op
+handlers a rank answers (``step``, ``fold``).
 
 Two properties drive the design:
 
@@ -35,8 +38,8 @@ writes, ``ckpt_corrupt_write`` injections) surface as
 the next-newest checkpoint, mirroring the serving registry's quarantine.
 
 Failure handling in a step: every reply and every fold hop has a
-``poll`` deadline; a worker that misses it (or EOFs) is killed, the ring
-is rebuilt with the survivors (``RingBroken`` carries the rank), the
+deadline; a worker that misses it (or EOFs) is killed by the runtime, the
+ring is rebuilt with the survivors (``RingBroken`` carries the rank), the
 batch is re-sharded over them and the *same* step re-runs — nothing is
 lost, and determinism makes the re-computation identical.  Below-target
 fleets are topped back up at step boundaries (elastic grow).
@@ -45,12 +48,10 @@ fleets are topped back up at step boundaries (elastic grow).
 from __future__ import annotations
 
 import hashlib
-import json
-import multiprocessing as mp
 import os
 import re
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,8 +60,10 @@ from ..backend.store import (
     attach_segment,
     close_segment,
     create_segment,
+    layout_fields,
     ndarray_view,
 )
+from ..backend.worker import WorkerLost, WorkerProcess, serve
 from ..data.loader import BatchLoader
 from ..nn import Adam, CategoricalCrossEntropy, Optimizer, save_checkpoint
 from ..nn import load_checkpoint as _load_checkpoint
@@ -73,8 +76,6 @@ from ..unet.trainer import EpochStats, TrainingHistory
 from .allreduce import RingBroken
 
 __all__ = ["ElasticTrainer", "ElasticTrainingError", "latest_checkpoints"]
-
-_ALIGN = 64
 
 #: Default per-reply / per-fold-hop deadline (seconds).
 _DEFAULT_STEP_TIMEOUT_S = 60.0
@@ -113,21 +114,9 @@ def _reseed_dropouts(dropouts: list[Dropout], seed: int, step: int, slot: int) -
         drop._rng = np.random.default_rng([seed, step, slot, index])
 
 
-def _elastic_worker_main(conn, config, seed, weight_segment, weight_fields,
-                         grad_segment, num_shards, flat_size, acc_offset,
-                         siblings=()) -> None:
-    """Blocking request loop of one elastic training worker (runs in the child)."""
-    # Same fd hygiene as the backend workers: close inherited parent-side
-    # pipe ends so every pipe EOFs when the parent actually dies.
-    for sibling in siblings:
-        try:
-            sibling.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    # Zero the forked copy of the metrics registry; deltas piggyback on
-    # replies and merge into the parent (the PR 8 protocol).
-    get_registry().reset()
-
+def _elastic_worker_main(conn, inherited, config, seed, weight_segment, weight_fields,
+                         grad_segment, num_shards, flat_size) -> None:
+    """One elastic rank: a model replica over the shared weights, answering step/fold."""
     model = UNet(config)
     loss_fn = CategoricalCrossEntropy()
     dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
@@ -139,167 +128,70 @@ def _elastic_worker_main(conn, config, seed, weight_segment, weight_fields,
         (params[fld.name], ndarray_view(weight_shm, fld.shape, fld.offset, writeable=False))
         for fld in weight_fields
     ]
-    slot_views = [
-        ndarray_view(grad_shm, (flat_size,), offset=m * flat_size * 4)
-        for m in range(num_shards)
-    ]
-    acc_view = ndarray_view(grad_shm, (flat_size,), offset=acc_offset, dtype=np.float64)
+    acc_view, slot_views = _grad_views(grad_shm, num_shards, flat_size)
 
     hist_compute = get_registry().histogram(
         "repro_train_shard_compute_ms",
         "Forward+backward time per micro-shard in an elastic worker",
     )
 
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            op = msg[0]
-            try:
-                if op == "stop":
-                    conn.send(("ok", None))
-                    break
-                if op == "step":
-                    step_idx, shards = msg[1], msg[2]
-                    fault_point("trainer_worker_crash")
-                    for param, view in weight_views:
-                        param.value[...] = view
-                    model.train()
-                    losses = {}
-                    for slot, x, y in shards:
-                        t0 = time.perf_counter()
-                        _reseed_dropouts(dropouts, seed, step_idx, slot)
-                        model.zero_grad()
-                        logits = model.forward(x)
-                        losses[slot] = float(loss_fn.forward(logits, y))
-                        model.backward(loss_fn.backward(), need_input_grad=False)
-                        flat = slot_views[slot]
-                        offset = 0
-                        for param, _view in weight_views:
-                            size = param.grad.size
-                            flat[offset:offset + size] = param.grad.ravel()
-                            offset += size
-                        hist_compute.observe((time.perf_counter() - t0) * 1e3)
-                    conn.send(("ok", losses, _reply_meta()))
-                elif op == "fold":
-                    _step_idx, slots, init = msg[1], msg[2], msg[3]
-                    fault_point("allreduce_stall")
-                    if init:
-                        acc_view[...] = 0.0
-                    for slot in slots:
-                        acc_view += slot_views[slot]
-                    conn.send(("ok", None, _reply_meta()))
-                elif op == "ping":
-                    conn.send(("ok", os.getpid()))
-                else:
-                    conn.send(("err", f"unknown elastic op {op!r}"))
-            except Exception as exc:  # report, keep serving
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
-    finally:
+    def step(step_idx, shards):
+        fault_point("trainer_worker_crash")
+        for param, view in weight_views:
+            param.value[...] = view
+        model.train()
+        losses = {}
+        for slot, x, y in shards:
+            t0 = time.perf_counter()
+            _reseed_dropouts(dropouts, seed, step_idx, slot)
+            model.zero_grad()
+            logits = model.forward(x)
+            losses[slot] = float(loss_fn.forward(logits, y))
+            model.backward(loss_fn.backward(), need_input_grad=False)
+            flat = slot_views[slot]
+            offset = 0
+            for param, _view in weight_views:
+                size = param.grad.size
+                flat[offset:offset + size] = param.grad.ravel()
+                offset += size
+            hist_compute.observe((time.perf_counter() - t0) * 1e3)
+        return losses
+
+    def fold(slots, init):
+        fault_point("allreduce_stall")
+        if init:
+            acc_view[...] = 0.0
+        for slot in slots:
+            np.add(acc_view, slot_views[slot], out=acc_view)
+
+    def cleanup():
+        # Views first: closing a segment under a live ndarray raises BufferError.
+        nonlocal acc_view
         acc_view = None
-        slot_views = None
-        weight_views = None
+        slot_views.clear()
+        weight_views.clear()
         close_segment(weight_shm)
         close_segment(grad_shm)
-        conn.close()
+
+    serve(conn, inherited, {"step": step, "fold": fold}, cleanup)
 
 
-def _reply_meta() -> dict:
-    meta = {"pid": os.getpid()}
-    drained = get_registry().drain()
-    if drained:
-        meta["metrics"] = drained
-    return meta
+def _grad_views(grad_shm, num_shards: int, flat_size: int):
+    """``(float64 accumulator, [float32 slot per micro-shard])`` over the gradient arena.
 
-
-class _ElasticWorker:
-    """Parent-side handle of one elastic worker (pipe + liveness flag)."""
-
-    def __init__(self, ctx, rank: int, spawn_args, siblings=()) -> None:
-        self.rank = rank
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_elastic_worker_main,
-            args=(child_conn,) + tuple(spawn_args) + (tuple(siblings) + (self.conn,),),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.dead = False
-
-    def send(self, *msg) -> None:
-        try:
-            self.conn.send(msg)
-        except (OSError, BrokenPipeError) as exc:
-            self.kill()
-            raise RingBroken(self.rank, f"worker rank {self.rank} pipe broken: {exc!r}") from exc
-
-    def recv(self, timeout: float):
-        """One reply with a deadline; silence or EOF evicts the worker."""
-        try:
-            if not self.conn.poll(timeout):
-                self.kill()
-                raise RingBroken(
-                    self.rank,
-                    f"worker rank {self.rank} (pid {self.process.pid}) missed its "
-                    f"{timeout:.1f}s reply deadline; killed",
-                )
-            reply = self.conn.recv()
-        except (EOFError, OSError) as exc:
-            self.kill()
-            raise RingBroken(
-                self.rank, f"worker rank {self.rank} died: {exc!r}"
-            ) from exc
-        status, payload = reply[0], reply[1]
-        meta = reply[2] if len(reply) > 2 else None
-        if meta is not None:
-            drained = meta.get("metrics")
-            if drained:
-                get_registry().merge(drained)
-        if status != "ok":
-            raise ElasticTrainingError(f"elastic worker rank {self.rank} failed: {payload}")
-        return payload
-
-    def kill(self) -> None:
-        self.dead = True
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(1.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def stop(self, timeout: float = 2.0) -> None:
-        if not self.dead and self.process.is_alive():
-            try:
-                self.conn.send(("stop",))
-                if self.conn.poll(timeout):
-                    self.conn.recv()
-            except (EOFError, OSError, BrokenPipeError):
-                pass
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+    The accumulator comes first so it is 8-byte aligned whatever ``flat_size`` is.
+    """
+    acc = ndarray_view(grad_shm, (flat_size,), dtype=np.float64)
+    slots = [
+        ndarray_view(grad_shm, (flat_size,), offset=flat_size * (8 + 4 * m))
+        for m in range(num_shards)
+    ]
+    return acc, slots
 
 
 # ---------------------------------------------------------------------- #
 # Parent-side trainer
 # ---------------------------------------------------------------------- #
-@dataclass
-class _StepOutcome:
-    loss: float
-    images: int
-    workers_used: int
-
-
 class ElasticTrainer:
     """Synchronous data-parallel training that survives worker loss.
 
@@ -337,18 +229,12 @@ class ElasticTrainer:
         checkpoint_every: int = 0,
         keep_checkpoints: int = 3,
         auto_respawn: bool = True,
-        start_method: str = "fork",
         optimizer: Optimizer | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if micro_shards is not None and micro_shards < 1:
             raise ValueError("micro_shards must be >= 1")
-        if start_method not in mp.get_all_start_methods():
-            raise ValueError(f"start method {start_method!r} is not available")
-        if start_method != "fork":
-            raise ValueError("ElasticTrainer requires the fork start method "
-                             "(workers inherit fault budgets and pipe ends)")
         self.num_workers = int(num_workers)
         self.micro_shards = int(micro_shards) if micro_shards is not None else self.num_workers
         self.config = config if config is not None else UNetConfig()
@@ -358,7 +244,6 @@ class ElasticTrainer:
         self.checkpoint_every = int(checkpoint_every)
         self.keep_checkpoints = int(keep_checkpoints)
         self.auto_respawn = bool(auto_respawn)
-        self._ctx = mp.get_context(start_method)
 
         self.master = UNet(self.config)
         self.optimizer = optimizer if optimizer is not None else Adam(
@@ -375,8 +260,7 @@ class ElasticTrainer:
         self._weight_shm = None
         self._grad_shm = None
         self._weight_fields: list[SharedArrayField] = []
-        self._acc_offset = 0
-        self._workers: dict[int, _ElasticWorker] = {}
+        self._workers: dict[int, WorkerProcess] = {}
         self._next_rank = 0
         self._started = False
 
@@ -412,19 +296,10 @@ class ElasticTrainer:
         """Lay out the shared segments and fork the worker fleet."""
         if self._started:
             return
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        offset = 0
-        fields = []
-        for name, param in self._params:
-            offset = _aligned(offset)
-            fields.append(SharedArrayField(name, tuple(param.value.shape), offset))
-            offset += param.value.size * 4
-        self._weight_fields = fields
-        self._weight_shm = create_segment(max(offset, 1))
-        self._acc_offset = _aligned(self.micro_shards * self._flat_size * 4)
-        self._grad_shm = create_segment(self._acc_offset + self._flat_size * 8)
+        self._weight_fields, nbytes = layout_fields(
+            (name, param.value.shape) for name, param in self._params)
+        self._weight_shm = create_segment(nbytes)
+        self._grad_shm = create_segment(self._flat_size * (8 + 4 * self.micro_shards))
         self._publish_weights()
         self._workers = {}
         for _ in range(self.num_workers):
@@ -446,41 +321,32 @@ class ElasticTrainer:
         self._started = False
         self._m_workers.set(0.0)
 
-    def _spawn_args(self):
-        return (
-            self.config,
-            self.seed,
-            self._weight_shm.name,
-            tuple(self._weight_fields),
-            self._grad_shm.name,
-            self.micro_shards,
-            self._flat_size,
-            self._acc_offset,
-        )
-
-    def _spawn_worker(self) -> _ElasticWorker:
-        rank = self._next_rank
+    def _spawn_worker(self) -> None:
+        args = (self.config, self.seed, self._weight_shm.name, tuple(self._weight_fields),
+                self._grad_shm.name, self.micro_shards, self._flat_size)
+        self._workers[self._next_rank] = WorkerProcess(
+            _elastic_worker_main, args, siblings=list(self._workers.values()))
         self._next_rank += 1
-        worker = _ElasticWorker(
-            self._ctx, rank, self._spawn_args(),
-            siblings=[w.conn for w in self._workers.values()],
-        )
-        self._workers[rank] = worker
-        return worker
+
+    @contextmanager
+    def _member(self, rank: int):
+        """The worker at ``rank``; losing it inside the block breaks the ring there."""
+        try:
+            yield self._workers[rank]
+        except WorkerLost as exc:
+            raise RingBroken(rank, f"worker rank {rank}: {exc}") from exc
 
     @property
     def live_workers(self) -> int:
-        return sum(1 for w in self._workers.values()
-                   if not w.dead and w.process.is_alive())
+        return sum(1 for w in self._workers.values() if w.alive)
 
     def ping(self) -> dict[int, int]:
         """Heartbeat every live worker; evict the silent (watchdog probe)."""
         pids = {}
         for rank in list(self._workers):
-            worker = self._workers[rank]
             try:
-                worker.send("ping")
-                pids[rank] = worker.recv(self.step_timeout_s)
+                with self._member(rank) as worker:
+                    pids[rank] = worker.call("ping", timeout=self.step_timeout_s)
             except RingBroken:
                 self._evict(rank)
         return pids
@@ -497,8 +363,7 @@ class ElasticTrainer:
     def _ensure_fleet(self) -> None:
         """Step-boundary grow: evict the silently dead, top back up to target."""
         for rank in list(self._workers):
-            worker = self._workers[rank]
-            if worker.dead or not worker.process.is_alive():
+            if not self._workers[rank].alive:
                 self._evict(rank)
         if not self.auto_respawn:
             return
@@ -579,9 +444,8 @@ class ElasticTrainer:
         failure: RingBroken | None = None
         for rank, slots in assignment:
             try:
-                self._workers[rank].send(
-                    "step", self.global_step, [shards[m] for m in slots]
-                )
+                with self._member(rank) as worker:
+                    worker.send("step", self.global_step, [shards[m] for m in slots])
                 sent.append(rank)
             except RingBroken as exc:
                 failure = failure or exc
@@ -590,7 +454,8 @@ class ElasticTrainer:
             if self._workers[rank].dead:
                 continue
             try:
-                losses.update(self._workers[rank].recv(self.step_timeout_s))
+                with self._member(rank) as worker:
+                    losses.update(worker.recv(self.step_timeout_s))
             except RingBroken as exc:
                 failure = failure or exc
         if failure is not None:
@@ -608,14 +473,12 @@ class ElasticTrainer:
         for rank, slots in assignment:
             if not slots:
                 continue
-            worker = self._workers[rank]
-            worker.send("fold", self.global_step, slots, first)
-            worker.recv(self.step_timeout_s)
+            with self._member(rank) as worker:
+                worker.call("fold", slots, first, timeout=self.step_timeout_s)
             first = False
 
     def _apply_update(self) -> None:
-        acc = ndarray_view(self._grad_shm, (self._flat_size,),
-                           offset=self._acc_offset, dtype=np.float64)
+        acc, _slots = _grad_views(self._grad_shm, 0, self._flat_size)
         offset = 0
         inv = 1.0 / self.micro_shards
         for _name, param in self._params:
@@ -780,6 +643,3 @@ class ElasticTrainer:
             "weights_digest": self.weights_digest(),
         }
 
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN

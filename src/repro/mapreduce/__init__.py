@@ -1,7 +1,6 @@
 """sparklite: a miniature map-reduce engine standing in for PySpark.
 
 * :mod:`repro.mapreduce.partition` — partitions and partitioning policies
-* :mod:`repro.mapreduce.executors` — serial / thread / process executor backends
 * :mod:`repro.mapreduce.dataset` — lazy transformations, eager actions, phase timings
 * :mod:`repro.mapreduce.cluster` — calibrated Dataproc cluster cost model (Table II)
 * :mod:`repro.mapreduce.autolabel_job` — the distributed auto-labeling job itself
@@ -16,12 +15,6 @@ from .autolabel_job import (
 )
 from .cluster import PAPER_TABLE2_ROWS, ClusterShape, GCDClusterModel, paper_table2
 from .dataset import Dataset, JobTimings, SparkLiteContext, udf
-from .executors import (
-    ProcessPoolExecutorBackend,
-    SerialExecutor,
-    ThreadPoolExecutorBackend,
-    make_executor,
-)
 from .partition import Partition, default_num_partitions, partition_items
 
 __all__ = [
@@ -38,10 +31,6 @@ __all__ = [
     "JobTimings",
     "SparkLiteContext",
     "udf",
-    "ProcessPoolExecutorBackend",
-    "SerialExecutor",
-    "ThreadPoolExecutorBackend",
-    "make_executor",
     "Partition",
     "default_num_partitions",
     "partition_items",

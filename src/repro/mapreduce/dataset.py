@@ -4,9 +4,10 @@ This is the PySpark substitute.  ``SparkLiteContext.parallelize`` splits a
 collection into partitions, ``Dataset.map`` / ``filter`` / ``map_partitions``
 record *lazy* transformations (nothing executes, exactly as in Spark — which
 is why the paper's "Map Time" column is ~0.3 s), and actions such as
-``collect`` / ``count`` / ``reduce`` materialise the lineage on the
-configured executor backend.  Per-phase wall times (load / map / reduce) are
-recorded on the context so the Table II harness can report them.
+``collect`` / ``count`` / ``reduce`` materialise the lineage — one task per
+partition through :meth:`repro.backend.Backend.map` — on the execution
+backend the context's executor kind names.  Per-phase wall times (load / map
+/ reduce) are recorded on the context so the Table II harness can report them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce as functools_reduce
 from typing import Callable, Iterable
 
-from .executors import ExecutorBackend, make_executor
+from ..backend import make_backend
 from .partition import Partition, default_num_partitions, partition_items
 
 __all__ = ["JobTimings", "SparkLiteContext", "Dataset", "udf"]
@@ -78,8 +79,8 @@ class _MapPartitionsOp:
 class _PipelineTask:
     """Picklable per-partition task that applies the whole lineage in one pass.
 
-    Implemented as a class (not a closure) so the process-pool executor can
-    ship it to worker processes.
+    Implemented as a class (not a closure) so the fork backend can ship it
+    to worker processes.
     """
 
     def __init__(self, ops: tuple) -> None:
@@ -99,13 +100,28 @@ def _pipeline_task(ops: tuple) -> Callable[[list], list]:
 # --------------------------------------------------------------------------- #
 # Context and dataset
 # --------------------------------------------------------------------------- #
-class SparkLiteContext:
-    """Driver-side entry point: owns the executor backend and job timings."""
+#: Executor kind -> execution backend running its partition tasks:
+#: ``serial`` is the 1-executor / 1-core baseline, ``threads`` suits UDFs
+#: that release the GIL (NumPy-heavy ones largely do), ``processes`` is the
+#: local stand-in for the paper's multi-node Dataproc executors.
+_EXECUTOR_BACKENDS = {"serial": "serial", "threads": "thread", "processes": "fork"}
 
-    def __init__(self, executor: "ExecutorBackend | str" = "serial", parallelism: int = 4) -> None:
-        if isinstance(executor, str):
-            executor = make_executor(executor, parallelism)
-        self.executor: ExecutorBackend = executor
+
+class SparkLiteContext:
+    """Driver-side entry point: owns the executor choice and job timings."""
+
+    def __init__(self, executor: str = "serial", parallelism: int = 4) -> None:
+        executor = executor.lower()
+        if executor not in _EXECUTOR_BACKENDS:
+            raise ValueError(
+                f"unknown executor kind {executor!r}; expected serial / threads / processes")
+        if executor == "serial":
+            parallelism = 1
+        elif parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        self.executor = executor
+        #: number of concurrent execution slots partition tasks run on
+        self.parallelism = int(parallelism)
         self.last_timings = JobTimings()
 
     # ------------------------------------------------------------------ #
@@ -118,7 +134,7 @@ class SparkLiteContext:
         start = time.perf_counter()
         items = list(items)
         if num_partitions is None:
-            num_partitions = default_num_partitions(len(items), self.executor.parallelism)
+            num_partitions = default_num_partitions(len(items), self.parallelism)
         partitions = partition_items(items, num_partitions)
         self.last_timings = JobTimings(load_time=time.perf_counter() - start)
         return Dataset(context=self, partitions=partitions)
@@ -161,8 +177,12 @@ class Dataset:
     def _materialize(self) -> list[list]:
         start = time.perf_counter()
         task = _pipeline_task(self.lineage)
-        per_partition = self.context.executor.run(self.partitions, task)
-        self.context.last_timings.reduce_time += time.perf_counter() - start
+        context = self.context
+        # One task message per partition, on a backend that lives for the action.
+        with make_backend(_EXECUTOR_BACKENDS[context.executor], context.parallelism) as backend:
+            per_partition = backend.map(
+                task, [list(p.items) for p in self.partitions], chunk_size=1)
+        context.last_timings.reduce_time += time.perf_counter() - start
         return per_partition
 
     def collect(self) -> list:

@@ -1,27 +1,9 @@
-"""Single-machine parallelism: process-pool map, shared-memory arrays, scaling harness."""
+"""Single-machine parallel auto-labeling: the Table I runner and its scaling harness."""
 
 from .autolabel_runner import AutoLabelRunConfig, autolabel_scaling_table, run_parallel_autolabel
-from .pool import (
-    ParallelMapResult,
-    available_cpu_count,
-    default_chunk_size,
-    measure_scaling,
-    parallel_map,
-    serial_map,
-)
-from .shared import SharedArraySpec, SharedNDArray, share_array
 
 __all__ = [
     "AutoLabelRunConfig",
     "autolabel_scaling_table",
     "run_parallel_autolabel",
-    "ParallelMapResult",
-    "available_cpu_count",
-    "default_chunk_size",
-    "measure_scaling",
-    "parallel_map",
-    "serial_map",
-    "SharedArraySpec",
-    "SharedNDArray",
-    "share_array",
 ]

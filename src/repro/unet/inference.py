@@ -46,8 +46,7 @@ class InferenceConfig:
     ``"serial"``, ``"thread"``, ``"fork"`` or ``"auto"`` (the default, which
     honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``
     and the platform supports it).  ``num_workers`` sizes the worker pool
-    and — kept as a deprecated alias of the pre-backend API — still turns
-    fan-out on by itself under ``backend="auto"``.  ``compile_plans`` (on by
+    and turns fan-out on by itself under ``backend="auto"``.  ``compile_plans`` (on by
     default — inference always runs the model in eval mode) routes forward
     passes through per-shape compiled plans executing into a preallocated
     workspace arena (:mod:`repro.nn.plan`); ``plan_cache_size`` bounds how
@@ -218,8 +217,7 @@ def predict_tile_probabilities(
     execution backend: pass a running :class:`~repro.backend.Backend` with
     the model already published (the :class:`SceneClassifier` fast path), a
     backend name, or ``None``/``"auto"`` to resolve from ``num_workers``
-    (kept as the deprecated pre-backend alias: ``num_workers > 1`` alone
-    still fans out).  Name-selected non-serial backends are ephemeral —
+    (``num_workers > 1`` alone fans out).  Name-selected non-serial backends are ephemeral —
     created, used and closed within the call; models the backend cannot
     publish (non-UNet stubs) fall back to the in-process loop.  An empty
     stack returns a correctly-shaped empty array instead of raising.

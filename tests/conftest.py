@@ -7,10 +7,26 @@ harness instead.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.data import SceneSpec, build_dataset, synthesize_scene, train_test_split
+
+from leaks import shm_segments
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_workers_or_segments():
+    """Fail the run if it ends with a worker process still alive or a
+    ``repro_ms_*`` shared-memory segment it created still in ``/dev/shm``."""
+    before = shm_segments()
+    yield
+    leaked = shm_segments() - before
+    assert not leaked, f"shared-memory segments leaked by the suite: {sorted(leaked)}"
+    children = multiprocessing.active_children()
+    assert not children, f"worker processes left alive by the suite: {children}"
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     BackendError,
@@ -24,22 +26,18 @@ from repro.backend import (
     make_backend,
     resolve_backend_name,
 )
-from repro.backend.store import SEGMENT_PREFIX, SharedModelStore, attach_model
+from repro.backend.store import SharedModelStore, attach_model
 from repro.cloudshadow import CloudShadowFilter
 from repro.unet import InferenceConfig, SceneClassifier, UNet, tiny_unet_config
 from repro.unet.inference import predict_batch_probabilities
+
+from leaks import shm_segments as _segments
 
 BACKENDS = ["serial", "thread", "fork"]
 
 pytestmark = pytest.mark.skipif(
     "fork" not in available_backends(), reason="fork start method unavailable"
 )
-
-
-def _segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)]
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +154,52 @@ class TestCrossBackendParity:
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _twice(x):
+    return x * 2
+
+
+@pytest.fixture(scope="module")
+def map_backends():
+    """Every (backend, worker count) the map property draws from, started once."""
+    backends = {("serial", 1): SerialBackend()}
+    for workers in (1, 2, 3):
+        backends["thread", workers] = ThreadBackend(num_workers=workers)
+        backends["fork", workers] = ProcessBackend(num_workers=workers)
+    try:
+        yield backends
+    finally:
+        for backend in backends.values():
+            backend.close()
+
+
+_map_items = st.lists(
+    st.one_of(
+        st.integers(-1000, 1000),
+        st.lists(st.integers(0, 255), min_size=1, max_size=6).map(
+            lambda values: np.array(values, dtype=np.uint8)),
+    ),
+    max_size=12,
+)
+
+
+class TestMapProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(items=_map_items, chunk_size=st.one_of(st.none(), st.integers(1, 16)),
+           workers=st.integers(1, 3))
+    def test_map_is_ordered_and_equal_across_backends(self, map_backends, items,
+                                                      chunk_size, workers):
+        """For any item list (empty, ints, ndarrays), any chunk size (also
+        larger than the list) and 1-3 workers, every backend returns
+        ``[fn(item) for item in items]`` in order."""
+        expected = [_twice(item) for item in items]
+        for name in ("serial", "thread", "fork"):
+            backend = map_backends[name, 1 if name == "serial" else workers]
+            got = backend.map(_twice, items, chunk_size=chunk_size)
+            assert len(got) == len(expected)
+            for out, want in zip(got, expected):
+                assert type(out) is type(want) and np.array_equal(out, want)
 
 
 def _boom(x: int) -> int:

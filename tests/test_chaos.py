@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.backend import ProcessBackend, SerialBackend, available_backends
-from repro.backend.store import SEGMENT_PREFIX
 from repro.data import BatchLoader
 from repro.distributed import ElasticTrainer, latest_checkpoints
 from repro.nn import Adam, CheckpointError, load_checkpoint
@@ -30,15 +29,11 @@ from repro.reliability import FaultSpec, configure_faults, fault_stats, reset_fa
 from repro.serving import InferenceService, ModelRegistry, ServiceConfig, make_server
 from repro.unet import InferenceConfig, UNet, UNetConfig, tiny_unet_config
 
+from leaks import shm_segments as _segments
+
 fork_only = pytest.mark.skipif(
     "fork" not in available_backends(), reason="fork start method unavailable"
 )
-
-
-def _segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)]
 
 
 def _alive(pid: int) -> bool:
@@ -134,6 +129,23 @@ class TestBackendChaos:
             pids = backend.occupancy()["worker_pids"]
         assert _segments() == before
         assert not any(_alive(pid) for pid in pids)
+
+    def test_failed_attach_on_publish_respawns_the_worker(self, model, stack, expected):
+        """A worker whose attach fails inside the publish broadcast must not
+        be left serving without the model (it used to answer every later
+        predict with ``KeyError: 'm'``): it is killed, and the next checkout
+        respawns it with the store republished."""
+        configure_faults({"shm_attach_fail": FaultSpec(times=1)})
+        before = _segments()
+        with ProcessBackend(num_workers=2, heartbeat_interval_s=0.0) as backend:
+            backend.publish_model("m", model)
+            assert fault_stats()["shm_attach_fail"]["fired"] == 1
+            probs = backend.predict_stack("m", stack, batch_size=4)
+            np.testing.assert_array_equal(probs, expected)
+            info = backend.occupancy()
+            assert info["respawns"] >= 1
+            assert info["alive_workers"] == 2
+        assert _segments() == before
 
     def test_repeated_crashes_exhaust_retries_cleanly(self, model, stack):
         # Unlimited crash budget: every attempt dies, the retry policy gives

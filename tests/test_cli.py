@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,11 +72,15 @@ class TestCommands:
         assert args.demo and args.demo_epochs == 0 and args.port == 0
 
     def test_classify_command_runs(self, capsys):
-        code = main([
-            "classify", "--scene-size", "64", "--tile-size", "32", "--overlap", "8",
-            "--workers", "2", "--epochs", "0", "--no-filter",
-        ])
+        # Bare ``--workers N`` is the documented way to fan out: no warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "classify", "--scene-size", "64", "--tile-size", "32", "--overlap", "8",
+                "--workers", "2", "--epochs", "0", "--no-filter",
+            ])
         assert code == 0
+        assert not [w for w in caught if "--workers" in str(w.message)]
         out = capsys.readouterr().out
         assert "tiles_per_s" in out and '"overlap": 8' in out
 

@@ -1,4 +1,4 @@
-"""Tests for repro.distributed (all-reduce, Horovod API, data parallelism, DGX model)."""
+"""Tests for repro.distributed (all-reduce, the elastic data-parallel trainer, DGX model)."""
 
 from __future__ import annotations
 
@@ -13,14 +13,9 @@ from hypothesis import strategies as st
 from repro.data import BatchLoader
 from repro.distributed import (
     DGXTrainingModel,
-    DataParallelTrainer,
-    DistributedOptimizer,
     ElasticTrainer,
     PipeRingAllReducer,
     RingBroken,
-    ShardedBatches,
-    WorkerGroup,
-    broadcast_parameters,
     latest_checkpoints,
     naive_allreduce,
     paper_table3,
@@ -137,151 +132,88 @@ class TestRingAllReduce:
         within the deadline — the pre-fix behaviour was an indefinite hang on
         the neighbour's blocking recv."""
         configure_faults({"allreduce_stall": FaultSpec(times=1, param=600.0)})
-        reducer = PipeRingAllReducer(3, start_method="fork", timeout_s=1.5)
+        reducer = PipeRingAllReducer(3, timeout_s=1.5)
         buffers = [np.ones(8) * r for r in range(3)]
         with pytest.raises(RingBroken) as excinfo:
             reducer.allreduce(buffers)
         assert excinfo.value.rank in range(3)
 
 
-class TestHorovodAPI:
-    def test_worker_group_init(self):
-        group = WorkerGroup.init(4)
-        assert group.size == 4
-        assert list(group.ranks()) == [0, 1, 2, 3]
-        with pytest.raises(ValueError):
-            WorkerGroup.init(0)
-
-    def test_allreduce_gradients_averages_lists(self):
-        group = WorkerGroup.init(3)
-        shapes = [(2, 3), (4,)]
-        rng = np.random.default_rng(0)
-        per_worker = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
-        averaged = group.allreduce_gradients(per_worker)
-        for i, s in enumerate(shapes):
-            expected = np.mean([per_worker[r][i] for r in range(3)], axis=0)
-            np.testing.assert_allclose(averaged[i], expected, rtol=1e-5)
-        assert group.last_stats is not None
-
-    def test_allreduce_gradients_validates(self):
-        group = WorkerGroup.init(2)
-        with pytest.raises(ValueError):
-            group.allreduce_gradients([[np.zeros(2)]])
-        with pytest.raises(ValueError):
-            group.allreduce_gradients([[np.zeros(2)], [np.zeros(2), np.zeros(3)]])
-
-    def test_distributed_optimizer_applies_average(self):
-        model = UNet(UNetConfig(depth=1, base_channels=2, dropout=0.0, seed=0))
-        group = WorkerGroup.init(2)
-        opt = DistributedOptimizer(SGD(model.parameters(), lr=1.0), group)
-        before = [p.value.copy() for p in model.parameters()]
-        grads_a = [np.ones_like(p.value) for p in model.parameters()]
-        grads_b = [3 * np.ones_like(p.value) for p in model.parameters()]
-        opt.step([grads_a, grads_b])
-        for b, p in zip(before, model.parameters()):
-            np.testing.assert_allclose(p.value, b - 2.0, rtol=1e-5)  # mean grad = 2, lr = 1
-
-    def test_broadcast_parameters(self):
-        src = UNet(UNetConfig(depth=1, base_channels=2, seed=1))
-        dst = UNet(UNetConfig(depth=1, base_channels=2, seed=9))
-        broadcast_parameters(src, [dst])
-        for a, b in zip(src.parameters(), dst.parameters()):
-            np.testing.assert_array_equal(a.value, b.value)
-
-    def test_worker_group_resize(self):
-        group = WorkerGroup.init(4)
-        group.resize(4)  # same size: no-op, not a rebuild
-        assert group.size == 4 and group.resizes == 0
-        group.resize(2)
-        assert group.size == 2 and group.resizes == 1
-        group.resize(6)
-        assert group.size == 6 and group.resizes == 2
-        with pytest.raises(ValueError):
-            group.resize(0)
-
-
+@fork_only
 class TestDataParallelTrainer:
+    """:class:`ElasticTrainer` is the data-parallel trainer: one worker or many."""
+
     def test_sharding(self):
-        sharder = ShardedBatches(2)
+        trainer = ElasticTrainer(num_workers=2, config=UNetConfig(depth=1, base_channels=2, seed=0))
         x = np.zeros((5, 3, 8, 8), dtype=np.float32)
         y = np.zeros((5, 8, 8), dtype=np.int64)
-        shards = sharder.shard(x, y)
-        assert len(shards) == 2
-        assert shards[0][0].shape[0] == 2  # 5 // 2
-        assert sharder.shard(x[:1], y[:1]) is None
+        shards = trainer._shard_batch(x, y)
+        assert [slot for slot, _x, _y in shards] == [0, 1]
+        assert shards[0][1].shape[0] == 2  # 5 // 2
+        assert trainer._shard_batch(x[:1], y[:1]) is None
 
     def test_distributed_equals_serial_training(self, tiny_split):
-        """Synchronous data parallelism with ring all-reduce must match single-worker
-        training on the same global batches (the correctness claim behind Horovod)."""
+        """Synchronous data parallelism must match single-process training on
+        the same global batches (the correctness claim behind Horovod): one
+        worker with one micro-shard reproduces ``UNetTrainer``'s losses, and
+        two workers averaging two shard gradients land on the same weights."""
         train, _ = tiny_split
         config = UNetConfig(depth=2, base_channels=4, dropout=0.0, seed=7)
 
-        serial_trainer = UNetTrainer(model=UNet(config), optimizer=None, learning_rate=1e-2)
-        serial_trainer.optimizer = SGD(serial_trainer.model.parameters(), lr=1e-2)
-        loader_a = BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True)
-        serial_trainer.fit(loader_a, epochs=1)
+        def batches():
+            loader = BatchLoader(train.images, train.labels, batch_size=4,
+                                 shuffle=False, drop_last=True)
+            return list(loader)[:3]
 
-        parallel = DataParallelTrainer(num_workers=2, config=config, learning_rate=1e-2)
-        parallel.optimizer = DistributedOptimizer(SGD(parallel.master.parameters(), lr=1e-2), parallel.group)
-        loader_b = BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True)
-        parallel.fit(loader_b, epochs=1)
+        serial = UNetTrainer(model=UNet(config), learning_rate=1e-2)
+        serial_losses = [serial.train_step(x, y) for x, y in batches()]
+        with ElasticTrainer(num_workers=1, micro_shards=1, config=config,
+                            learning_rate=1e-2) as single:
+            single_losses = [single.train_step(x, y) for x, y in batches()]
+        np.testing.assert_allclose(single_losses, serial_losses, atol=1e-5)
 
-        for (name_a, pa), (name_b, pb) in zip(
-            serial_trainer.model.named_parameters().items(), parallel.master.named_parameters().items()
-        ):
-            assert name_a == name_b
-            np.testing.assert_allclose(pa.value, pb.value, atol=2e-4)
-
-    def test_replicas_stay_synchronised(self, tiny_split):
-        train, _ = tiny_split
-        trainer = DataParallelTrainer(
-            num_workers=2,
-            config=UNetConfig(depth=2, base_channels=4, dropout=0.0, seed=3),
-            keep_replicas=True,
-        )
-        loader = BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True)
-        trainer.fit(loader, epochs=1)
-        assert trainer.replicas_synchronised()
+        serial = UNetTrainer(model=UNet(config))
+        serial.optimizer = SGD(serial.model.parameters(), lr=1e-2)
+        with ElasticTrainer(num_workers=2, config=config) as parallel:
+            parallel.optimizer = SGD(parallel.master.parameters(), lr=1e-2)
+            for x, y in batches():
+                serial.train_step(x, y)
+                parallel.train_step(x, y)
+            for (name_a, pa), (name_b, pb) in zip(
+                serial.model.named_parameters().items(),
+                parallel.master.named_parameters().items(),
+            ):
+                assert name_a == name_b
+                np.testing.assert_allclose(pa.value, pb.value, atol=2e-4)
 
     def test_skips_too_small_batches(self):
-        trainer = DataParallelTrainer(num_workers=4, config=UNetConfig(depth=1, base_channels=2, seed=0))
-        x = np.zeros((2, 3, 16, 16), dtype=np.float32)
-        y = np.zeros((2, 16, 16), dtype=np.int64)
-        assert trainer.train_step(x, y) is None
+        with ElasticTrainer(num_workers=1, micro_shards=4,
+                            config=UNetConfig(depth=1, base_channels=2, seed=0)) as trainer:
+            digest = trainer.weights_digest()
+            x = np.zeros((2, 3, 16, 16), dtype=np.float32)
+            y = np.zeros((2, 16, 16), dtype=np.int64)
+            assert trainer.train_step(x, y) is None
+            assert trainer.global_step == 0
+            assert trainer.weights_digest() == digest
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            DataParallelTrainer(num_workers=0)
-
-    def test_resize_workers_preserves_master(self):
-        trainer = DataParallelTrainer(
-            num_workers=4, config=UNetConfig(depth=1, base_channels=2, dropout=0.0, seed=5)
-        )
-        before = [p.value.copy() for p in trainer.master.parameters()]
-        trainer.resize_workers(2)
-        assert trainer.num_workers == 2
-        assert trainer.group.size == 2 and trainer.group.resizes == 1
-        for b, p in zip(before, trainer.master.parameters()):
-            np.testing.assert_array_equal(b, p.value)
-        # A batch too small for 4 workers now trains on 2.
-        x = np.zeros((2, 3, 16, 16), dtype=np.float32)
-        y = np.zeros((2, 16, 16), dtype=np.int64)
-        assert trainer.train_step(x, y) is not None
-        with pytest.raises(ValueError):
-            trainer.resize_workers(0)
+            ElasticTrainer(num_workers=0)
 
     def test_checkpoint_roundtrip_with_extra_state(self, tmp_path):
         config = UNetConfig(depth=1, base_channels=2, dropout=0.0, seed=5)
-        trainer = DataParallelTrainer(num_workers=2, config=config)
         x = np.zeros((4, 3, 16, 16), dtype=np.float32)
         y = np.zeros((4, 16, 16), dtype=np.int64)
-        trainer.train_step(x, y)
-        path = trainer.save_checkpoint(tmp_path / "ckpt", extra_state={"epoch": 3})
-        restored = DataParallelTrainer(num_workers=2, config=config, keep_replicas=True)
-        assert restored.load_checkpoint(path) == {"epoch": 3}
-        for a, b in zip(trainer.master.parameters(), restored.master.parameters()):
-            np.testing.assert_array_equal(a.value, b.value)
-        assert restored.replicas_synchronised()
+        with ElasticTrainer(num_workers=2, config=config, checkpoint_dir=tmp_path) as trainer:
+            trainer.train_step(x, y)
+            trainer._save_checkpoint(epoch=3, step_in_epoch=1, epoch_rng_state={},
+                                     epoch_losses=[0.5], epoch_images=4)
+            digest = trainer.weights_digest()
+        restored = ElasticTrainer(num_workers=2, config=config, checkpoint_dir=tmp_path)
+        assert restored.weights_digest() != digest
+        extra = restored._load_latest()
+        assert (extra["epoch"], extra["global_step"], extra["epoch_losses"]) == (3, 1, [0.5])
+        assert restored.weights_digest() == digest
 
 
 class TestDGXModel:
@@ -438,8 +370,6 @@ class TestElasticTrainer:
             ElasticTrainer(num_workers=0)
         with pytest.raises(ValueError):
             ElasticTrainer(num_workers=2, micro_shards=0)
-        with pytest.raises(ValueError):
-            ElasticTrainer(num_workers=2, start_method="spawn")
 
 
 class TestLatestCheckpoints:

@@ -1,4 +1,4 @@
-"""Tests for repro.mapreduce (sparklite engine, executors, cluster model)."""
+"""Tests for repro.mapreduce (sparklite engine, executor kinds, cluster model)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.mapreduce import (
     ClusterShape,
     GCDClusterModel,
     SparkLiteContext,
-    make_executor,
     mapreduce_scaling_sweep,
     paper_table2,
     partition_items,
@@ -71,11 +70,13 @@ class TestExecutors:
 
     def test_make_executor_rejects_unknown(self):
         with pytest.raises(ValueError):
-            make_executor("gpu")
+            SparkLiteContext(executor="gpu")
 
     def test_executor_parallelism_bounds(self):
-        with pytest.raises(ValueError):
-            make_executor("threads", 0)
+        for kind in ("threads", "processes"):
+            with pytest.raises(ValueError):
+                SparkLiteContext(executor=kind, parallelism=0)
+        assert SparkLiteContext(executor="serial", parallelism=0).parallelism == 1
 
 
 class TestDatasetSemantics:

@@ -1,22 +1,29 @@
-"""Tests for repro.parallel (process-pool map, shared memory, auto-label runner)."""
+"""Tests for repro.parallel (the auto-label runner) and the map it runs on.
+
+``parallel_map`` / ``SharedNDArray`` are gone: the runner calls
+:meth:`repro.backend.Backend.map` on a fresh fork backend, and shared arrays
+are :mod:`repro.backend.store` segments.  The map and shared-memory cases
+below are the old module's, ported to what replaced it; the cross-backend
+property test lives in ``tests/test_backend.py``.
+"""
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    AutoLabelRunConfig,
-    SharedNDArray,
-    autolabel_scaling_table,
-    available_cpu_count,
-    default_chunk_size,
-    measure_scaling,
-    parallel_map,
-    run_parallel_autolabel,
-    serial_map,
-    share_array,
+from repro.backend import SerialBackend, available_cpu_count, make_backend
+from repro.backend.base import _default_chunk_size
+from repro.backend.store import (
+    SharedArrayField,
+    attach_segment,
+    close_segment,
+    create_segment,
+    ndarray_view,
 )
+from repro.parallel import AutoLabelRunConfig, autolabel_scaling_table, run_parallel_autolabel
 
 
 def square(x):
@@ -32,106 +39,81 @@ class TestChunking:
         assert available_cpu_count() >= 1
 
     def test_default_chunk_size_bounds(self):
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(100, 4) >= 1
-        assert default_chunk_size(3, 8) == 1
-
-    def test_default_chunk_size_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            default_chunk_size(10, 0)
+        assert _default_chunk_size(0, 4) == 1
+        assert _default_chunk_size(100, 4) >= 1
+        assert _default_chunk_size(3, 8) == 1
 
 
 class TestParallelMap:
     def test_serial_map_reference(self):
-        assert serial_map(square, [1, 2, 3]) == [1, 4, 9]
+        with SerialBackend() as backend:
+            assert backend.map(square, [1, 2, 3]) == [1, 4, 9]
 
     def test_single_worker_matches_serial(self):
-        result = parallel_map(square, list(range(20)), num_workers=1)
-        assert result.results == [square(i) for i in range(20)]
-        assert result.num_workers == 1
+        with make_backend("fork", 1) as backend:
+            assert backend.map(square, list(range(20))) == [square(i) for i in range(20)]
 
     def test_multiworker_preserves_order_and_values(self):
         items = list(range(37))
-        result = parallel_map(square, items, num_workers=2, chunk_size=5)
-        assert result.results == [square(i) for i in items]
-        assert result.num_workers == 2
+        with make_backend("fork", 2) as backend:
+            assert backend.map(square, items, chunk_size=5) == [square(i) for i in items]
 
     def test_works_on_arrays(self):
         arrays = [np.full((4, 4), i) for i in range(8)]
-        result = parallel_map(double_array, arrays, num_workers=2)
-        for i, out in enumerate(result.results):
+        with make_backend("fork", 2) as backend:
+            results = backend.map(double_array, arrays)
+        for i, out in enumerate(results):
             np.testing.assert_array_equal(out, arrays[i] * 2)
 
     def test_empty_input(self):
-        result = parallel_map(square, [], num_workers=2)
-        assert result.results == []
-
-    def test_short_circuit_reports_what_ran(self):
-        """When the serial fallback kicks in, the result must report the one
-        in-process worker and single chunk that actually ran, not the
-        requested worker count / computed chunk size."""
-        result = parallel_map(square, [3], num_workers=4)
-        assert result.results == [9]
-        assert result.num_workers == 1
-        assert result.chunk_size == 1
-
-        result = parallel_map(square, [], num_workers=4, chunk_size=7)
-        assert result.num_workers == 1
-        assert result.chunk_size == 1
-
-        result = parallel_map(square, list(range(10)), num_workers=1, chunk_size=3)
-        assert result.num_workers == 1
-        assert result.chunk_size == 10  # one serial pass over all items
+        with make_backend("fork", 2) as backend:
+            assert backend.map(square, []) == []
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            parallel_map(square, [1], num_workers=0)
+            make_backend("fork", 0)
+        with pytest.raises(ValueError):
+            run_parallel_autolabel(np.zeros((1, 8, 8, 3), np.uint8), AutoLabelRunConfig(num_workers=0))
 
     def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            parallel_map(square, [1, 2], num_workers=2, chunk_size=0)
-
-    def test_measure_scaling_rows(self):
-        measurements = measure_scaling(square, list(range(50)), worker_counts=(1, 2))
-        assert [m.num_workers for m in measurements] == [1, 2]
-        for m in measurements:
-            assert m.results == [square(i) for i in range(50)]
-            assert m.elapsed > 0
+        with make_backend("fork", 2) as backend:
+            for bad in (0, -3):
+                with pytest.raises(ValueError):
+                    backend.map(square, [1, 2], chunk_size=bad)
 
 
 class TestSharedMemory:
     def test_round_trip(self):
         data = np.arange(24, dtype=np.float32).reshape(4, 6)
-        shared = share_array(data)
+        owner = create_segment(data.nbytes)
         try:
-            np.testing.assert_array_equal(shared.array, data)
-            spec = shared.spec
-            attached = SharedNDArray.attach(spec)
+            ndarray_view(owner, data.shape)[...] = data
+            attached = attach_segment(owner.name)
             try:
-                np.testing.assert_array_equal(attached.array, data)
-                attached.array[0, 0] = 99.0
-                assert shared.array[0, 0] == 99.0  # same physical memory
+                view = ndarray_view(attached, data.shape)
+                np.testing.assert_array_equal(view, data)
+                view[0, 0] = 99.0
+                assert ndarray_view(owner, data.shape)[0, 0] == 99.0  # same physical memory
+                with pytest.raises(ValueError):  # read-only views refuse writes
+                    ndarray_view(attached, data.shape, writeable=False)[0, 0] = 1.0
+                del view
             finally:
-                attached.close()
+                close_segment(attached)
         finally:
-            shared.unlink()
+            close_segment(owner, unlink=True)
 
     def test_context_manager_cleans_up(self):
-        with share_array(np.ones(5)) as shared:
-            name = shared.spec.name
-            assert shared.array.sum() == 5
+        owner = create_segment(40)
+        name = owner.name
+        close_segment(owner, unlink=True)
+        close_segment(owner, unlink=True)  # idempotent
         # After unlink the block cannot be attached any more.
-        from multiprocessing import shared_memory
-
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+            attach_segment(name)
 
     def test_spec_is_picklable(self):
-        import pickle
-
-        with share_array(np.zeros((2, 3), dtype=np.uint8)) as shared:
-            spec2 = pickle.loads(pickle.dumps(shared.spec))
-            assert spec2.shape == (2, 3)
+        field = pickle.loads(pickle.dumps(SharedArrayField("w", (2, 3), 64)))
+        assert field.shape == (2, 3) and field.offset == 64 and field.nbytes == 24
 
 
 class TestAutoLabelRunner:

@@ -17,19 +17,14 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends
-from repro.backend.store import SEGMENT_PREFIX
 from repro.serving import ModelRegistry
 from repro.unet import InferenceConfig, UNet, UNetConfig
+
+from leaks import shm_segments as _segments
 
 fork_only = pytest.mark.skipif(
     "fork" not in available_backends(), reason="fork start method unavailable"
 )
-
-
-def _segments() -> set[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return set()
-    return {name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)}
 
 
 def _alive(pid: int) -> bool:
