@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro.data import build_dataset
 from repro.workflow import AccuracyExperimentConfig, run_accuracy_experiment
+
+# The seed arms of the throughput benchmarks are the reference layers in
+# ``tests/reference_kernels.py``; a run that collects only ``benchmarks/``
+# (CI ``bench-smoke``) has no ``tests/`` rootdir on the path.
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 
 #: Scale knobs of the benchmark workloads.  Increase toward the paper's scale
 #: (66 scenes of 2048², 256-px tiles, depth-5/64-channel U-Net, 50 epochs)

@@ -29,6 +29,7 @@ from repro.unet import CompiledUNet, InferenceConfig, SceneClassifier, UNet, UNe
 from repro.unet.inference import predict_batch_probabilities
 
 from conftest import BENCH_SMOKE, print_rows, update_bench_json
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D
 
 TILE = 256
 SCENE = 512 if BENCH_SMOKE else 1024
@@ -51,18 +52,18 @@ def _seed_style_classify(model: UNet, scene_rgb: np.ndarray, batch_size: int = 8
 
     The seed's layers cached backward state on every forward regardless of
     train/eval mode; running the (dropout-free) model in training mode *on
-    the im2col/mask reference engines* reproduces that exact per-batch cost
-    (training mode alone no longer does — the offset engine made the training
-    forward fast too).  Tiles are predicted in the seed's default batches of
+    the im2col/mask reference layers* reproduces that exact per-batch cost
+    (training mode alone no longer does — the offset-GEMM layers made the
+    training forward fast too).  Tiles are predicted in the seed's default batches of
     8 and stitched as hard argmax labels.
     """
     from repro.nn import Conv2D, MaxPool2D
 
-    engines = []
+    swapped = []
     for module in model.modules():
         if isinstance(module, (Conv2D, MaxPool2D)):
-            engines.append((module, module.engine))
-            module.engine = "im2col" if isinstance(module, Conv2D) else "mask"
+            swapped.append((module, module.__class__))
+            module.__class__ = ReferenceConv2D if isinstance(module, Conv2D) else ReferenceMaxPool2D
     model.train()
     try:
         tiles, grid = split_into_tiles(scene_rgb, TILE)
@@ -74,8 +75,8 @@ def _seed_style_classify(model: UNet, scene_rgb: np.ndarray, batch_size: int = 8
         return stitched[: scene_rgb.shape[0], : scene_rgb.shape[1]]
     finally:
         model.eval()
-        for module, engine in engines:
-            module.engine = engine
+        for module, cls in swapped:
+            module.__class__ = cls
 
 
 def _timed(func, *args):

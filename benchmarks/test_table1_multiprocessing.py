@@ -17,7 +17,7 @@ from repro.labeling.autolabel import autolabel_tile
 from repro.metrics import fit_amdahl_serial_fraction
 from repro.metrics.scaling import ScalingTable
 from repro.backend import available_cpu_count
-from repro.parallel import autolabel_scaling_table
+from repro.workflow import autolabel_scaling_table
 
 from conftest import print_paper_vs_measured
 

@@ -5,7 +5,7 @@ The seed repo trained through an im2col convolution that pinned the full
 a full-resolution boolean mask plus a tie-count tensor, a loss that upcast
 every logit batch to float64, float64 dropout draws, and an Adam step that
 allocated fresh temporaries per parameter.  This benchmark reconstructs that
-exact path (im2col/mask engines plus faithful replicas of the seed loss,
+exact path (the im2col/mask reference layers plus faithful replicas of the seed loss,
 dropout, ReLU and Adam below) and races it against the current engine on a
 depth-3 U-Net train step, reporting img/s and the bytes each layer type pins
 between forward and backward.  Results land in
@@ -26,6 +26,7 @@ from repro.unet import UNet, UNetConfig
 from repro.unet.trainer import UNetTrainer
 
 from conftest import BENCH_SMOKE, print_rows, update_bench_json, write_bench_json
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D
 
 DEPTH = 3
 BASE_CHANNELS = 16
@@ -140,9 +141,9 @@ def build_trainer(seed_path: bool, dropout: float = 0.1) -> UNetTrainer:
     if seed_path:
         for module in model.modules():
             if isinstance(module, Conv2D):
-                module.engine = "im2col"
+                module.__class__ = ReferenceConv2D
             elif isinstance(module, MaxPool2D):
-                module.engine = "mask"
+                module.__class__ = ReferenceMaxPool2D
             elif isinstance(module, ReLU):
                 module.__class__ = SeedReLU
             elif isinstance(module, Dropout):
@@ -161,7 +162,7 @@ def layer_cache_bytes(model: UNet) -> dict[str, int]:
     """Bytes pinned per layer type after a forward/backward pair."""
     totals: dict[str, int] = {}
     for module in model.modules():
-        name = type(module).__name__.replace("Seed", "")
+        name = type(module).__name__.removeprefix("Seed").removeprefix("Reference")
         totals[name] = totals.get(name, 0) + module.cache_nbytes(recurse=False)
     return {name: size for name, size in totals.items() if size}
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.data import build_dataset
 from repro.mapreduce import GCDClusterModel, mapreduce_scaling_sweep, paper_table2, run_mapreduce_autolabel
 from repro.backend import available_cpu_count
-from repro.parallel import autolabel_scaling_table
+from repro.workflow import autolabel_scaling_table
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ paper's workflow layered on top; see DESIGN.md for the inventory and
 EXPERIMENTS.md for the per-table reproduction status.
 """
 
-from . import classes, cloudshadow, data, distributed, imops, labeling, mapreduce, metrics, nn, parallel, unet, workflow
+from . import classes, cloudshadow, data, distributed, imops, labeling, mapreduce, metrics, nn, unet, workflow
 from .classes import CLASS_NAMES, HSV_RANGES, LABEL_COLORS, NUM_CLASSES, SeaIceClass
 
 __version__ = "1.0.0"
@@ -24,7 +24,6 @@ __all__ = [
     "mapreduce",
     "metrics",
     "nn",
-    "parallel",
     "unet",
     "workflow",
     "CLASS_NAMES",

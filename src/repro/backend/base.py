@@ -1,7 +1,7 @@
 """The execution-backend seam: one abstraction every fan-out layer dispatches through.
 
-The auto-label runner (``parallel/autolabel_runner.py``), the sparklite
-engine (``mapreduce/dataset.py``), the scene-inference fan-out
+The auto-label workflow (``workflow/autolabel.py``), the sparklite
+engine (``mapreduce/dataset.py``), scene inference
 (``unet/inference.py``) and the serving micro-batchers
 (``serving/batching.py`` / ``serving/service.py``) hold no parallelism of
 their own: each asks :func:`make_backend` for a backend by name and calls
@@ -14,7 +14,7 @@ A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
   (the fork backend's workers are :class:`repro.backend.worker.WorkerProcess`
   children, the same runtime the elastic trainer's ranks run on);
 * **generic task dispatch** — :meth:`Backend.map`, the ordered chunked map
-  the auto-label runner and the sparklite engine call directly;
+  the Table I harness and the sparklite engine call directly;
 * **a model store** — :meth:`Backend.publish_model` installs a model (and
   its compiled-plan engine) once per backend, after which
   :meth:`Backend.predict` / :meth:`Backend.predict_stack` run batches
@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import threading
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -292,10 +293,10 @@ class Backend(ABC):
 
 
 # ---------------------------------------------------------------------- #
-# In-process model entries (shared by the serial and thread backends)
+# In-process model store (shared by the serial and thread backends)
 # ---------------------------------------------------------------------- #
 #: The generic (uncompiled) forward pass runs its conv GEMMs through the
-#: process-wide scratch workspace in ``repro.nn.im2col``, which assumes one
+#: process-wide scratch workspace in ``repro.nn.convgemm``, which assumes one
 #: engine call at a time per process.  Compiled plans carry their own
 #: in-arena scratch (and a per-plan lock), so only uncompiled predictions
 #: must be serialised when the thread backend fans them out.
@@ -330,14 +331,44 @@ class LocalModelEntry:
     def predict(self, batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         from ..unet.inference import predict_batch_probabilities
 
-        if self.engine is None:
-            with _UNCOMPILED_PREDICT_LOCK:
-                return predict_batch_probabilities(
-                    batch, self.model, self.cloud_filter, engine=None, out=out
-                )
-        return predict_batch_probabilities(
-            batch, self.model, self.cloud_filter, engine=self.engine, out=out
-        )
+        with _UNCOMPILED_PREDICT_LOCK if self.engine is None else nullcontext():
+            return predict_batch_probabilities(
+                batch, self.model, self.cloud_filter, engine=self.engine, out=out
+            )
+
+
+class InProcessBackend(Backend):
+    """A backend whose workers share the caller's address space.
+
+    Its model store is a dict of :class:`LocalModelEntry` — one model, one
+    compiled-plan cache, zero copies — whether predictions then run inline
+    (serial) or on pool threads (thread).
+    """
+
+    def __init__(self, num_workers: int = 1) -> None:
+        super().__init__(num_workers=num_workers)
+        self._models: dict[object, LocalModelEntry] = {}
+
+    def publish_model(self, key, model, cloud_filter=None, *, engine=None,
+                      compile_plans: bool = True, plan_cache_size: int = 8,
+                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
+        self._ensure_open()
+        entry = LocalModelEntry(key, model, cloud_filter, engine, compile_plans,
+                                plan_cache_size, warm_shapes)
+        self._models[key] = entry
+        return entry.handle
+
+    def release_model(self, key) -> None:
+        self._models.pop(key, None)
+
+    def has_model(self, key) -> bool:
+        return key in self._models
+
+    def _close(self) -> None:
+        self._models.clear()
+
+    def _model_keys(self) -> list:
+        return list(self._models)
 
 
 # ---------------------------------------------------------------------- #

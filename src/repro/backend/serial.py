@@ -3,47 +3,31 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..reliability import Deadline
-from .base import Backend, LocalModelEntry, ModelHandle, record_compute
+from .base import InProcessBackend, record_compute
 
 __all__ = ["SerialBackend"]
 
 
-class SerialBackend(Backend):
+class SerialBackend(InProcessBackend):
     """Runs every task inline in the calling thread.
 
-    The behavioural reference the other backends are tested bit-identical
-    against, and the fallback when fan-out is unavailable or pointless
-    (``num_workers == 1``).
+    The backend every classifier holds unless fan-out was asked for, and the
+    behavioural reference the other backends are tested bit-identical
+    against.
     """
 
     name = "serial"
 
     def __init__(self) -> None:
         super().__init__(num_workers=1)
-        self._models: dict[object, LocalModelEntry] = {}
 
     def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
         return [[fn(item) for item in chunk] for chunk in chunks]
-
-    def publish_model(self, key, model, cloud_filter=None, *, engine=None,
-                      compile_plans: bool = True, plan_cache_size: int = 8,
-                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
-        self._ensure_open()
-        entry = LocalModelEntry(key, model, cloud_filter, engine, compile_plans,
-                                plan_cache_size, warm_shapes)
-        self._models[key] = entry
-        return entry.handle
-
-    def release_model(self, key) -> None:
-        self._models.pop(key, None)
-
-    def has_model(self, key) -> bool:
-        return key in self._models
 
     def predict(self, key, batch: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         self._ensure_open()
@@ -54,9 +38,3 @@ class SerialBackend(Backend):
         result = self._models[key].predict(batch)
         record_compute(self.name, (time.perf_counter() - start) * 1e3)
         return result
-
-    def _close(self) -> None:
-        self._models.clear()
-
-    def _model_keys(self) -> list:
-        return list(self._models)

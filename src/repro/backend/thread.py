@@ -13,24 +13,23 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..reliability import Deadline
-from .base import Backend, LocalModelEntry, ModelHandle, record_compute
+from .base import InProcessBackend, record_compute
 
 __all__ = ["ThreadBackend"]
 
 
-class ThreadBackend(Backend):
+class ThreadBackend(InProcessBackend):
     """Dispatches tasks onto a persistent :class:`ThreadPoolExecutor`."""
 
     name = "thread"
 
     def __init__(self, num_workers: int = 2) -> None:
         super().__init__(num_workers=num_workers)
-        self._models: dict[object, LocalModelEntry] = {}
         self._pool: ThreadPoolExecutor | None = None
         self._busy = 0
         self._busy_lock = threading.Lock()
@@ -44,7 +43,7 @@ class ThreadBackend(Backend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._models.clear()
+        super()._close()
 
     # ------------------------------------------------------------------ #
     def _run(self, fn, *args):
@@ -63,21 +62,6 @@ class ThreadBackend(Backend):
         return list(self._pool.map(run_chunk, chunks))
 
     # ------------------------------------------------------------------ #
-    def publish_model(self, key, model, cloud_filter=None, *, engine=None,
-                      compile_plans: bool = True, plan_cache_size: int = 8,
-                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
-        self._ensure_open()
-        entry = LocalModelEntry(key, model, cloud_filter, engine, compile_plans,
-                                plan_cache_size, warm_shapes)
-        self._models[key] = entry
-        return entry.handle
-
-    def release_model(self, key) -> None:
-        self._models.pop(key, None)
-
-    def has_model(self, key) -> bool:
-        return key in self._models
-
     def predict(self, key, batch: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         self._ensure_open()
         entry = self._models[key]
@@ -118,6 +102,3 @@ class ThreadBackend(Backend):
     def _busy_workers(self) -> int:
         with self._busy_lock:
             return self._busy
-
-    def _model_keys(self) -> list:
-        return list(self._models)

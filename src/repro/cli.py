@@ -2,14 +2,14 @@
 
 Sub-commands (``repro-seaice <command> --help`` for options):
 
-* ``autolabel``  — generate a synthetic archive and auto-label it (serial,
-  multiprocessing or map-reduce backend), reporting timing and label quality.
+* ``autolabel``  — generate a synthetic archive and auto-label it (``--backend
+  auto|serial|thread|fork``, as in ``classify``), reporting timing and label quality.
 * ``scaling``    — print the Table I / Table II / Table III scaling tables.
 * ``train``      — run the U-Net-Man vs U-Net-Auto accuracy experiment
   (Tables IV/V) at a configurable scale.
 * ``prep``       — time the scene-preparation pipeline (the paper's 349 s figure).
 * ``classify``   — run the tiled scene-inference engine on a synthetic scene
-  (overlap-blended stitching, batched and optionally multi-process) and
+  (overlap-blended stitching, batched, on any execution backend) and
   report throughput plus accuracy against the synthetic ground truth.
 * ``serve``      — start the long-lived model-serving subsystem: a model
   registry of ``.npz`` checkpoints behind JSON endpoints (``/healthz``,
@@ -46,7 +46,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     from .data import build_dataset
     from .distributed import DGXTrainingModel, paper_table3
     from .mapreduce import GCDClusterModel, paper_table2
-    from .parallel import autolabel_scaling_table
+    from .workflow import autolabel_scaling_table
 
     if args.table in ("1", "all"):
         dataset = build_dataset(num_scenes=args.scenes, scene_size=args.scene_size, tile_size=args.tile_size)
@@ -189,11 +189,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         backend=args.backend,
     )
-    classifier = SceneClassifier(model=trainer.model, config=config)
-    start = time.perf_counter()
-    class_map = classifier.classify_scene(scene.rgb)
-    elapsed = time.perf_counter() - start
-    classifier.close()
+    with SceneClassifier(model=trainer.model, config=config) as classifier:
+        start = time.perf_counter()
+        class_map = classifier.classify_scene(scene.rgb)
+        elapsed = time.perf_counter() - start
     # Tile count from geometry alone — no need to cut the scene a second time.
     stride = args.tile_size - args.overlap
     per_axis = 1 if args.scene_size <= args.tile_size else -(-(args.scene_size - args.tile_size) // stride) + 1
@@ -404,26 +403,35 @@ def _publish_demo_model(registry_dir: str, args: argparse.Namespace) -> None:
     )
 
 
+_BACKENDS = ("auto", "serial", "thread", "fork")
+
+
+def _add_archive_args(p, scene_size: int, tile_size: int, scenes: int | None = None, seed: int | None = 0) -> None:
+    """The synthetic-archive options, with one sub-command's defaults (``None``: it has no such option)."""
+    if scenes is not None:
+        p.add_argument("--scenes", type=int, default=scenes)
+    p.add_argument("--scene-size", type=int, default=scene_size)
+    p.add_argument("--tile-size", type=int, default=tile_size)
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro-seaice", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("autolabel", help="auto-label a synthetic archive")
-    p.add_argument("--scenes", type=int, default=4)
-    p.add_argument("--scene-size", type=int, default=256)
-    p.add_argument("--tile-size", type=int, default=128)
-    p.add_argument("--backend", choices=("serial", "multiprocessing", "mapreduce"), default="serial")
-    p.add_argument("--workers", type=int, default=1)
+    _add_archive_args(p, scenes=4, scene_size=256, tile_size=128)
+    p.add_argument("--backend", choices=_BACKENDS, default="auto",
+                   help="execution backend (auto resolves from REPRO_BACKEND, then --workers)")
+    p.add_argument("--workers", type=int, default=1, help="backend worker count")
     p.add_argument("--no-filter", action="store_true", help="skip the thin-cloud/shadow filter")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_autolabel)
 
     p = sub.add_parser("scaling", help="print the scaling tables (Tables I-III)")
     p.add_argument("--table", choices=("1", "2", "3", "all"), default="all")
-    p.add_argument("--scenes", type=int, default=2)
-    p.add_argument("--scene-size", type=int, default=256)
-    p.add_argument("--tile-size", type=int, default=128)
+    _add_archive_args(p, scenes=2, scene_size=256, tile_size=128, seed=None)
     p.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
     p.set_defaults(func=_cmd_scaling)
 
@@ -432,11 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the U-Net-Man vs U-Net-Auto experiment (Tables IV/V), or — "
              "with --workers N — elastic multi-process distributed training",
     )
-    p.add_argument("--scenes", type=int, default=6)
-    p.add_argument("--scene-size", type=int, default=128)
-    p.add_argument("--tile-size", type=int, default=32)
+    _add_archive_args(p, scenes=6, scene_size=128, tile_size=32)
     p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0,
                    help="elastic training worker processes (0 = the serial "
                         "Tables IV/V experiment)")
@@ -455,18 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("prep", help="time the scene-preparation pipeline")
-    p.add_argument("--scenes", type=int, default=2)
-    p.add_argument("--scene-size", type=int, default=256)
-    p.add_argument("--tile-size", type=int, default=128)
+    _add_archive_args(p, scenes=2, scene_size=256, tile_size=128)
     p.add_argument("--overlap", type=int, default=0, help="pixels shared by neighbouring tiles")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_prep)
 
     p = sub.add_parser("classify", help="run the tiled scene-inference engine on a synthetic scene")
-    p.add_argument("--scene-size", type=int, default=256)
-    p.add_argument("--tile-size", type=int, default=64)
+    _add_archive_args(p, scene_size=256, tile_size=64)
     p.add_argument("--overlap", type=int, default=0, help="pixels shared by neighbouring tiles (blend-stitched)")
-    p.add_argument("--backend", choices=("auto", "serial", "thread", "fork"), default="auto",
+    p.add_argument("--backend", choices=_BACKENDS, default="auto",
                    help="execution backend for batch fan-out (auto resolves from "
                         "REPRO_BACKEND, then --workers)")
     p.add_argument("--workers", type=int, default=1,
@@ -478,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-channels", type=int, default=8)
     p.add_argument("--clouds", type=float, default=0.2, help="cloud coverage of the synthetic scene")
     p.add_argument("--no-filter", action="store_true", help="skip the thin-cloud/shadow filter")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with 503 + Retry-After (0 = unlimited)")
     p.add_argument("--inference-config", default=None,
                    help="JSON file of InferenceConfig settings overriding archive metadata")
-    p.add_argument("--backend", choices=("auto", "serial", "thread", "fork"), default="auto",
+    p.add_argument("--backend", choices=_BACKENDS, default="auto",
                    help="execution backend every served model dispatches through")
     p.add_argument("--backend-workers", type=int, default=None,
                    help="worker count for thread/fork backends")

@@ -1,19 +1,17 @@
 """A compact NumPy deep-learning framework (the TensorFlow/Keras substitute).
 
 Layer-wise reverse-mode differentiation with the building blocks the paper's
-U-Net needs: im2col convolutions, ReLU, max pooling, up-convolution, dropout,
+U-Net needs: offset-GEMM convolutions, ReLU, max pooling, up-convolution, dropout,
 batch norm, channel concatenation, softmax cross-entropy, SGD/Adam, weight
 checkpointing and numerical gradient checking.
 """
 
 from .conv import Conv2D
 from .gradcheck import check_layer_gradients, numerical_gradient, relative_error
-from .im2col import (
-    col2im,
+from .convgemm import (
     conv_backward_offset,
     conv_forward_offset,
     conv_output_size,
-    im2col,
     pad_input,
     release_workspace,
     workspace_nbytes,
@@ -39,11 +37,9 @@ __all__ = [
     "check_layer_gradients",
     "numerical_gradient",
     "relative_error",
-    "col2im",
     "conv_backward_offset",
     "conv_forward_offset",
     "conv_output_size",
-    "im2col",
     "pad_input",
     "release_workspace",
     "workspace_nbytes",

@@ -1,13 +1,7 @@
-"""Convolution engines: offset-sliced GEMM (fast) and im2col / col2im (reference).
+"""Convolution as offset-sliced GEMM: forward, backward and the shared row-band partition.
 
-Convolution is expressed as matrix multiplication.  The reference engine
-unrolls input windows into columns (``im2col``), multiplies by the flattened
-filter bank, and re-folds columns back into images on the gradient path
-(``col2im``).  It is kept as the ground truth for gradient-parity tests, but
-it pins an ``O(k²)``-inflated matrix per layer when used for training.
-
-The fast engine (``conv_forward_offset`` / ``conv_backward_offset``) works
-per kernel offset instead: the forward assembles the unrolled matrix one
+Convolution is expressed as matrix multiplication, worked per kernel offset:
+the forward (``conv_forward_offset``) assembles the unrolled input one
 cache-sized row band at a time into a shared scratch (one strided copy of
 the k² offset slices) and runs one GEMM per band straight into the output
 rows — the same bands compiled plans pre-bind (:func:`conv_bands`); ``dW``
@@ -15,8 +9,9 @@ rows — the same bands compiled plans pre-bind (:func:`conv_bands`); ``dW``
 input* — the only tensor a training step retains — and ``dX`` is a stride-1
 transposed convolution over the pixels that are not padding, or a per-offset
 scatter-add into the padded gradient buffer for strided convolutions.
-Nothing ``k²``-sized survives the step, so per-layer cached bytes shrink by
-~``k²``.
+Nothing ``k²``-sized survives the step.  The seed's whole-matrix
+im2col / col2im formulation is the gradient-parity oracle in
+``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +20,6 @@ import numpy as np
 
 __all__ = [
     "conv_output_size",
-    "im2col",
-    "col2im",
     "pad_input",
     "conv_forward_offset",
     "conv_backward_offset",
@@ -41,85 +34,6 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col(
-    x: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Unroll sliding windows of ``x`` into a 2-D matrix.
-
-    Parameters
-    ----------
-    x:
-        ``(N, C, H, W)`` input batch.
-    kernel_h, kernel_w, stride, pad:
-        Convolution geometry (symmetric zero padding).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(N * out_h * out_w, C * kernel_h * kernel_w)`` matrix whose rows are
-        the flattened receptive fields.
-    """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
-
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-
-    s_n, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
-        writeable=False,
-    )
-    # (N, out_h, out_w, C, kh, kw) -> rows ordered batch-major, then spatial.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel_h * kernel_w)
-    return np.ascontiguousarray(cols)
-
-
-def col2im(
-    cols: np.ndarray,
-    input_shape: tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Fold an im2col matrix back into an image batch, summing overlaps.
-
-    This is the adjoint of :func:`im2col` and therefore exactly the operation
-    needed to back-propagate through a convolution's input.
-    """
-    n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
-    expected_rows = n * out_h * out_w
-    expected_cols = c * kernel_h * kernel_w
-    if cols.shape != (expected_rows, expected_cols):
-        raise ValueError(f"cols has shape {cols.shape}, expected {(expected_rows, expected_cols)}")
-
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    reshaped = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
-    # reshaped: (N, C, kh, kw, out_h, out_w); scatter-add each kernel offset.
-    for i in range(kernel_h):
-        i_end = i + stride * out_h
-        for j in range(kernel_w):
-            j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += reshaped[:, :, i, j, :, :]
-
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
-
-
-# --------------------------------------------------------------------------- #
-# Offset-sliced GEMM engine
-# --------------------------------------------------------------------------- #
 #: Shared scratch for the transient unrolled-input matrices.  A fresh
 #: multi-megabyte ``np.empty`` per conv call costs more in page faults than
 #: the slice copies that fill it; one flat buffer sized to the largest layer
@@ -240,7 +154,7 @@ def conv_forward_offset(
     with one slice copy per kernel offset (no transposes) and contracted
     against the ``(offset, channel)``-ordered filter bank by a GEMM that writes
     straight into the band's rows of the ``(N, F, out_h, out_w)`` output;
-    unlike :func:`im2col` output it is never cached.
+    the unrolled matrix is never cached.
     """
     n, c = xp.shape[0], xp.shape[1]
     f, _, kh, kw = weight.shape

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conv import Conv2D
+from .convgemm import scratch_buffer
 from .module import Module
 
 __all__ = ["ReLU", "MaxPool2D", "UpSample2D", "UpConv2D", "Dropout", "Concat", "BatchNorm2D"]
@@ -58,38 +59,17 @@ def max_of_views(views: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 class MaxPool2D(Module):
     """2×2 (or k×k) max pooling with stride equal to the pool size.
 
-    The default ``"index"`` engine caches one flat argmax index per window
-    (uint8 for any realistic pool size) and routes gradients with
-    ``put_along_axis``; ties send all gradient to the first maximum in
-    row-major window order.  The seed ``"mask"`` engine — which pins a
-    full-resolution boolean mask plus a count tensor and splits tied
-    gradients evenly — is retained as the reference for parity tests.
+    Training caches one flat argmax index per window (uint8 for any realistic
+    pool size) and routes gradients with ``put_along_axis``; ties send all
+    gradient to the first maximum in row-major window order.
     """
 
-    def __init__(self, pool_size: int = 2, engine: str = "index") -> None:
+    def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if engine not in ("index", "mask"):
-            raise ValueError("engine must be 'index' or 'mask'")
         self.pool_size = pool_size
-        self.engine = engine
-        self._cache: tuple | None = None
-
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        """Copy ``(N, C, H, W)`` into ``(N, C, out_h, out_w, k*k)`` windows.
-
-        The copy lands in the shared workspace (the result is consumed within
-        the same forward call), so repeated steps reuse warm pages.
-        """
-        from .im2col import scratch_buffer
-
-        n, c, h, w = x.shape
-        k = self.pool_size
-        view = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-        windows = scratch_buffer((n, c, h // k, w // k, k, k), slot="pool")
-        windows[...] = view
-        return windows.reshape(n, c, h // k, w // k, k * k)
+        self._cache: tuple | None = None  # (input shape, per-window argmax index)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
@@ -97,43 +77,30 @@ class MaxPool2D(Module):
         k = self.pool_size
         if h % k or w % k:
             raise ValueError(f"spatial size ({h}, {w}) not divisible by pool size {k}")
-        if not self.training or self.engine == "mask":
-            out = max_of_views(pool_views(x, k), np.empty((n, c, h // k, w // k), dtype=np.float32))
+        if not self.training:
             self._cache = None
-            if self.training:
-                # Mask of the argmax positions, used to route gradients back.
-                mask = x.reshape(n, c, h // k, k, w // k, k) == out[:, :, :, None, :, None]
-                # Break ties (equal maxima in one window) so gradient mass is not duplicated.
-                counts = mask.sum(axis=(3, 5), keepdims=True)
-                self._cache = ("mask", x.shape, mask, counts)
-            return out
-        windows = self._windows(x)
+            return max_of_views(pool_views(x, k), np.empty((n, c, h // k, w // k), dtype=np.float32))
+        # Copy the windows into the shared workspace (consumed within this
+        # call), so repeated steps reuse warm pages.
+        windows = scratch_buffer((n, c, h // k, w // k, k, k), slot="pool")
+        windows[...] = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+        windows = windows.reshape(n, c, h // k, w // k, k * k)
         idx = windows.argmax(axis=-1)
         out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        dtype = np.uint8 if k * k <= 256 else np.intp
-        self._cache = ("index", x.shape, idx.astype(dtype))
+        self._cache = (x.shape, idx.astype(np.uint8 if k * k <= 256 else np.intp))
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        kind, input_shape = self._cache[0], self._cache[1]
-        n, c, h, w = input_shape
+        (n, c, h, w), idx = self._cache
         k = self.pool_size
-        if kind == "index":
-            from .im2col import scratch_buffer
-
-            idx = self._cache[2]
-            grad = np.asarray(grad_output, dtype=np.float32)
-            windows = scratch_buffer((n, c, h // k, w // k, k * k), slot="pool")
-            windows.fill(0.0)
-            np.put_along_axis(windows, idx[..., None].astype(np.intp), grad[..., None], axis=-1)
-            unrolled = windows.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-            return np.ascontiguousarray(unrolled).reshape(n, c, h, w)
-        mask, counts = self._cache[2], self._cache[3]
-        grad = np.asarray(grad_output, dtype=np.float32)[:, :, :, None, :, None]
-        spread = mask * grad / counts
-        return spread.reshape(n, c, h, w)
+        grad = np.asarray(grad_output, dtype=np.float32)
+        windows = scratch_buffer((n, c, h // k, w // k, k * k), slot="pool")
+        windows.fill(0.0)
+        np.put_along_axis(windows, idx[..., None].astype(np.intp), grad[..., None], axis=-1)
+        unrolled = windows.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
+        return np.ascontiguousarray(unrolled).reshape(n, c, h, w)
 
 
 class UpSample2D(Module):

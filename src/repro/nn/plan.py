@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .im2col import conv_band_rows, conv_bands, conv_output_size, run_conv_bands
+from .convgemm import conv_band_rows, conv_bands, conv_output_size, run_conv_bands
 from .layers import max_of_views, pool_views
 
 __all__ = [
@@ -152,7 +152,7 @@ class _ConvStep(_Step):
 
     The weight matrix is pre-packed in ``(offset, channel)`` order at compile
     time.  At bind time every band's source/destination views are precomputed
-    (:func:`~repro.nn.im2col.conv_bands`, the partition the layer forward
+    (:func:`~repro.nn.convgemm.conv_bands`, the partition the layer forward
     shares), so each call is, per band: one strided copy of the k² offset
     slices, one ``np.matmul(..., out=...)`` into the output rows, an in-place
     bias add and an in-place ReLU while those rows are still in cache.

@@ -137,9 +137,8 @@ class MicroBatcher:
     Parameters
     ----------
     predict_fn:
-        Batched prediction callable ``(N, H, W, 3) -> (N, K, H, W)``; bind a
-        warm model with e.g.
-        ``lambda stack: predict_batch_probabilities(stack, model, filt)``.
+        Batched prediction callable ``(N, H, W, 3) -> (N, K, H, W)``; the
+        service binds a warm model's ``SceneClassifier.predict_batch``.
     max_batch:
         Most tiles one flush takes.  Requests are taken whole, in arrival
         order, while they fit; only a request larger than ``max_batch`` is
@@ -383,8 +382,9 @@ class MicroBatcher:
                 for pending in group:
                     pending._resolve(None, exc)
                 continue
-            # Decompose the predict call: ``compute_ms`` is what the innermost
-            # layer measured (worker process, pool thread, or inline engine);
+            # Decompose the predict call: ``compute_ms`` is what the backend
+            # measured where the model ran (inline, pool thread or worker
+            # process) — 0 for a ``predict_fn`` that is not a backend dispatch;
             # the rest of the call is dispatch overhead (message framing,
             # pickling, pool hops).  Assembly is the pre-call flush work.
             assembly_ms = (predict_start - flush_start) * 1e3

@@ -474,8 +474,8 @@ class ModelRegistry:
         # request does not pay plan compilation (a no-op when compile_plans
         # is off).  Serving traffic at other batch shapes compiles lazily.
         classifier.warm_plans(batch_sizes=(1,))
-        # Bring the execution backend up too: a non-serial config publishes
-        # the packed weights into the backend's (shared-memory) model store
-        # here, at warm-up — retirement releases them again.
+        # Bring the execution backend up too: the model is published into its
+        # store (shared memory, under fork) here, at warm-up — retirement
+        # releases it again.
         _ = classifier.backend
         return classifier

@@ -374,22 +374,13 @@ class InferenceService:
         return stats
 
     def backend_stats(self) -> dict:
-        """Execution-backend occupancy per warm model (``/stats``).
-
-        A warm classifier with an in-process (serial) config reports just its
-        backend name; thread/fork classifiers report live worker occupancy,
-        published models and dispatch counters from :meth:`Backend.occupancy`.
-        """
+        """Execution-backend occupancy per warm model (``/stats``): workers,
+        published models and dispatch counters from :meth:`Backend.occupancy`."""
         stats: dict = {}
         for name, version in self.registry.loaded_versions():
             classifier = self.registry.warm_classifier(name, version)
-            if classifier is None:  # raced retirement between the two reads
-                continue
-            backend = classifier.backend
-            if backend is None:
-                stats[f"{name}/{version}"] = {"backend": "serial", "workers": 1}
-            else:
-                stats[f"{name}/{version}"] = backend.occupancy()
+            if classifier is not None:  # else: raced retirement between the two reads
+                stats[f"{name}/{version}"] = classifier.backend.occupancy()
         return stats
 
     def stats_payload(self) -> dict:

@@ -14,7 +14,7 @@ they are bit-identical) while holding only one tile-row band at a time:
   rows of context;
 * each band is cut into the same overlapped tiles the whole-scene
   :class:`TileGrid` would produce and predicted in ``batch_size`` chunks
-  through the shared seam (:func:`repro.unet.predict_batch_probabilities`),
+  on the classifier's execution backend (``SceneClassifier.predict_batch``),
   accumulating into a rolling ``tile_size``-row blend buffer instead of a
   scene-sized one;
 * once no later tile can touch a row it is finalised (blend-normalised,
@@ -32,10 +32,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ..cloudshadow import CloudShadowFilter
 from ..imops.resize import _pad_bottom_right, blend_window
-from ..unet import CompiledUNet, InferenceConfig, UNet
-from ..unet.inference import predict_batch_probabilities
+from ..unet import SceneClassifier
 
 __all__ = ["StreamingSceneClassifier"]
 
@@ -46,27 +44,17 @@ def _grid_axis(extent: int, tile: int, stride: int) -> int:
 
 
 @dataclass
-class StreamingSceneClassifier:
+class StreamingSceneClassifier(SceneClassifier):
     """Row-band streaming version of :class:`~repro.unet.SceneClassifier`.
 
-    ``scene`` arguments only need ``.shape`` and integer row slicing
-    (``scene[a:b]`` returning ``(b - a, W, 3)`` uint8 rows), so memory-mapped
-    arrays stream straight from disk.
+    Same model, config, backend and lifetime (``close`` / ``with``); only
+    ``classify_scene`` differs.  ``scene`` arguments only need ``.shape`` and
+    integer row slicing (``scene[a:b]`` returning ``(b - a, W, 3)`` uint8
+    rows), so memory-mapped arrays stream straight from disk.
     """
 
-    model: UNet
-    config: InferenceConfig = field(default_factory=InferenceConfig)
-    cloud_filter: CloudShadowFilter = field(default_factory=CloudShadowFilter)
     #: High-water mark of live per-band buffers during the last run (bytes).
     peak_buffer_bytes: int = field(default=0, init=False)
-    _engine: CompiledUNet | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # One compiled engine for the whole stream: every band re-runs the
-        # same (batch, tile, tile) shapes, so after the first band each
-        # forward hits a warm arena-backed plan.
-        if self.config.compile_plans and isinstance(self.model, UNet):
-            self._engine = CompiledUNet(self.model, max_plans=self.config.plan_cache_size)
 
     # ------------------------------------------------------------------ #
     def iter_row_bands(self, scene) -> Iterator[tuple[int, np.ndarray]]:
@@ -87,7 +75,6 @@ class StreamingSceneClassifier:
         cols_n = _grid_axis(w, t, stride)
         padded_w = (cols_n - 1) * stride + t
         pad_w = padded_w - w
-        filt = self.cloud_filter if cfg.apply_cloud_filter else None
         window = blend_window(t, overlap)[..., None] if overlap else None
 
         self.peak_buffer_bytes = 0
@@ -105,7 +92,7 @@ class StreamingSceneClassifier:
             for q0 in range(0, cols_n, cfg.batch_size):
                 qs = range(q0, min(q0 + cfg.batch_size, cols_n))
                 stack = np.stack([band[:, q * stride : q * stride + t] for q in qs])
-                probs = predict_batch_probabilities(stack, self.model, filt, engine=self._engine)
+                probs = self.predict_batch(stack)
                 band_peak = max(band_peak, band.nbytes + stack.nbytes + probs.nbytes)
                 k = probs.shape[1]
                 if overlap:

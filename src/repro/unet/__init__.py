@@ -7,7 +7,6 @@ from .inference import (
     SceneClassifier,
     predict_batch_probabilities,
     predict_tile_probabilities,
-    predict_tiles,
 )
 from .model import UNet, UNetConfig, build_unet, paper_unet_config, tiny_unet_config
 from .trainer import EpochStats, TrainingHistory, UNetTrainer
@@ -22,7 +21,6 @@ __all__ = [
     "SceneClassifier",
     "predict_batch_probabilities",
     "predict_tile_probabilities",
-    "predict_tiles",
     "UNet",
     "UNetConfig",
     "build_unet",

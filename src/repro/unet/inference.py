@@ -3,8 +3,8 @@
 A trained model classifies new Sentinel-2 scenes by: splitting the big scene
 into 256×256 tiles (optionally with overlapping margins), optionally running
 the thin-cloud/shadow filter on each tile, predicting per-pixel class
-probabilities in batches — optionally fanned out through an execution
-backend (:mod:`repro.backend`): ``thread`` workers share the classifier's
+probabilities in batches through an execution backend (:mod:`repro.backend`)
+— ``serial`` runs them inline, ``thread`` workers share the classifier's
 compiled plans directly, ``fork`` workers attach to a shared-memory copy of
 the weights — and stitching the per-tile probability maps back into a
 full-scene classification map.  Overlapping tiles are blend-averaged before
@@ -31,7 +31,6 @@ __all__ = [
     "InferenceConfig",
     "SceneClassifier",
     "predict_batch_probabilities",
-    "predict_tiles",
     "predict_tile_probabilities",
 ]
 
@@ -124,6 +123,12 @@ def _num_classes_of(model) -> int:
     return int(getattr(config, "num_classes", NUM_CLASSES))
 
 
+def _publishable_backend_name(model, name: str | None, num_workers: int) -> str:
+    """The backend ``name`` resolves to — ``serial`` for a model only an
+    in-process store can hold (a non-UNet stub), whatever was asked for."""
+    return resolve_backend_name(name, num_workers) if isinstance(model, UNet) else "serial"
+
+
 def _model_input_multiple(model) -> int:
     """Spatial divisor the model's forward pass requires (1 when unconstrained)."""
     config = getattr(model, "config", None)
@@ -160,11 +165,10 @@ def predict_batch_probabilities(
 ) -> np.ndarray:
     """Probability maps ``(N, K, H, W)`` for one ``(N, H, W, 3)`` tile batch.
 
-    This is the single batchable prediction seam every consumer shares: the
-    in-process loop, every execution backend's workers (serial and thread
-    entries as well as fork workers attached to the shared-memory model
-    store), and the serving micro-batcher — which is what makes the
-    backends bit-identical by construction.  Tiles whose spatial size the
+    This is the single batchable prediction seam every execution backend
+    runs (serial and thread entries as well as fork workers attached to the
+    shared-memory model store) — which is what makes the backends
+    bit-identical by construction.  Tiles whose spatial size the
     model cannot ingest (not a multiple of ``config.min_input_size()``) are
     reflect-padded bottom/right before the forward pass and the probability
     maps cropped back, so small scenes and 1-pixel remainder bands classify
@@ -208,76 +212,34 @@ def predict_tile_probabilities(
     batch_size: int = 8,
     cloud_filter: CloudShadowFilter | None = None,
     num_workers: int = 1,
-    engine: CompiledUNet | None = None,
     backend: str | Backend | None = None,
 ) -> np.ndarray:
     """Per-class probability maps ``(N, K, H, W)`` for an ``(N, H, W, 3)`` stack.
 
-    Tiles are predicted in batches of ``batch_size``, dispatched through an
-    execution backend: pass a running :class:`~repro.backend.Backend` with
-    the model already published (the :class:`SceneClassifier` fast path), a
-    backend name, or ``None``/``"auto"`` to resolve from ``num_workers``
-    (``num_workers > 1`` alone fans out).  Name-selected non-serial backends are ephemeral —
-    created, used and closed within the call; models the backend cannot
-    publish (non-UNet stubs) fall back to the in-process loop.  An empty
-    stack returns a correctly-shaped empty array instead of raising.
+    Tiles are predicted in batches of ``batch_size`` through an execution
+    backend: a running :class:`~repro.backend.Backend` with the model already
+    published (``SceneClassifier.backend``) is used as is; otherwise the
+    model is published into an ephemeral backend — created, used and closed
+    within the call — of the name ``backend`` resolves to (``None``/``"auto"``
+    resolve from ``num_workers``; models the store cannot publish, i.e.
+    non-UNet stubs, run on ``serial``).  An empty stack returns a
+    correctly-shaped empty array instead of raising.
     """
     stack = _validate_stack(tiles)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
-    n, h, w = stack.shape[:3]
-    if n == 0:
-        return np.zeros((0, _num_classes_of(model), h, w), dtype=np.float32)
-
+    if stack.shape[0] == 0:
+        return np.zeros((0, _num_classes_of(model), *stack.shape[1:3]), dtype=np.float32)
     if isinstance(backend, Backend):
         if backend.has_model(_SCENE_MODEL_KEY):
             return backend.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
-        backend = None  # not published (e.g. non-UNet fallback): run in-process
-
-    name = backend if isinstance(backend, str) or backend is None else "auto"
-    resolved = resolve_backend_name(name, num_workers)
-    if resolved != "serial" and n > batch_size and isinstance(model, UNet):
-        with make_backend(resolved, num_workers=num_workers) as ephemeral:
-            ephemeral.publish_model(
-                _SCENE_MODEL_KEY, model, cloud_filter,
-                compile_plans=engine is not None,
-                plan_cache_size=engine.max_plans if engine is not None else 8,
-            )
-            return ephemeral.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
-
-    outputs = [
-        predict_batch_probabilities(stack[start : start + batch_size], model, cloud_filter, engine)
-        for start in range(0, n, batch_size)
-    ]
-    return np.concatenate(outputs, axis=0)
-
-
-def predict_tiles(
-    model: UNet,
-    tiles: np.ndarray,
-    batch_size: int = 8,
-    cloud_filter: CloudShadowFilter | None = None,
-) -> np.ndarray:
-    """Predict class maps for a ``(N, H, W, 3)`` uint8 tile stack.
-
-    When ``cloud_filter`` is given each tile is filtered before prediction,
-    which is the paper's recommended inference configuration.  An empty tile
-    stack returns an empty ``(0, H, W)`` map instead of raising.
-    """
-    stack = _validate_stack(tiles)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    n, h, w = stack.shape[:3]
-    if n == 0:
-        return np.zeros((0, h, w), dtype=np.uint8)
-
-    outputs = []
-    for start in range(0, n, batch_size):
-        probs = predict_batch_probabilities(stack[start : start + batch_size], model, cloud_filter)
-        outputs.append(probs.argmax(axis=1).astype(np.uint8))
-    return np.concatenate(outputs, axis=0)
+        backend = backend.name
+    workers = min(num_workers, -(-stack.shape[0] // batch_size))  # never more workers than batches
+    with make_backend(_publishable_backend_name(model, backend, workers), num_workers=workers) as ephemeral:
+        ephemeral.publish_model(_SCENE_MODEL_KEY, model, cloud_filter)
+        return ephemeral.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
 
 
 @dataclass
@@ -294,57 +256,50 @@ class SceneClassifier:
     model: UNet
     config: InferenceConfig = field(default_factory=InferenceConfig)
     cloud_filter: CloudShadowFilter = field(default_factory=CloudShadowFilter)
-    _engine: CompiledUNet | None = field(default=None, init=False, repr=False, compare=False)
+    #: The compiled-plan engine (``None`` when ``compile_plans`` is off).
+    engine: CompiledUNet | None = field(default=None, init=False, repr=False, compare=False)
     _backend: Backend | None = field(default=None, init=False, repr=False, compare=False)
-    _backend_ready: bool = field(default=False, init=False, repr=False, compare=False)
     _finalizer: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.config.compile_plans and isinstance(self.model, UNet):
-            self._engine = CompiledUNet(self.model, max_plans=self.config.plan_cache_size)
+            self.engine = CompiledUNet(self.model, max_plans=self.config.plan_cache_size)
 
     # ------------------------------------------------------------------ #
     @property
-    def engine(self) -> CompiledUNet | None:
-        """The compiled-plan engine (``None`` when ``compile_plans`` is off)."""
-        return self._engine
+    def backend(self) -> Backend:
+        """The running execution backend every prediction dispatches through.
 
-    @property
-    def backend(self) -> Backend | None:
-        """The classifier's persistent execution backend (lazily created).
-
-        ``None`` when the config resolves to in-process execution (the
-        ``serial`` backend, or a model the backend store cannot publish).
+        Started on first use — ``serial`` unless the config (or
+        ``REPRO_BACKEND``) asks for fan-out — with the model, filter and
+        compiled engine published into it once.
         """
-        if not self._backend_ready:
-            self._backend_ready = True
-            resolved = self.config.resolved_backend()
-            if resolved != "serial" and isinstance(self.model, UNet):
-                backend = make_backend(resolved, num_workers=self.config.num_workers)
-                backend.start()
-                self._publish(backend)
-                self._backend = backend
-                self._finalizer = weakref.finalize(self, backend.close)
-        return self._backend
+        return self._backend or self._start_backend()
+
+    def _start_backend(self) -> Backend:
+        cfg = self.config
+        name = _publishable_backend_name(self.model, cfg.backend, cfg.num_workers)
+        backend = make_backend(name, num_workers=cfg.num_workers).start()
+        self._finalizer = weakref.finalize(self, backend.close)
+        self._publish(backend)
+        self._backend = backend
+        return backend
 
     def _publish(self, backend: Backend) -> None:
         filt = self.cloud_filter if self.config.apply_cloud_filter else None
         backend.publish_model(
             _SCENE_MODEL_KEY, self.model, filt,
-            engine=self._engine,
+            engine=self.engine,
             compile_plans=self.config.compile_plans,
             plan_cache_size=self.config.plan_cache_size,
         )
 
     def close(self) -> None:
-        """Shut the persistent backend down (safe to call repeatedly)."""
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
+        """Shut the backend down (safe to call repeatedly; the next prediction starts a new one)."""
         if self._finalizer is not None:
-            self._finalizer.detach()
+            self._finalizer()  # runs backend.close at most once, then is dead
             self._finalizer = None
-        self._backend_ready = False
+        self._backend = None
 
     def __enter__(self) -> "SceneClassifier":
         return self
@@ -358,12 +313,12 @@ class SceneClassifier:
         Uses the shape the prediction seam would actually run: the tile size
         rounded up to the model's input multiple.
         """
-        if self._engine is None:
+        if self.engine is None:
             return
         multiple = _model_input_multiple(self.model)
         t = -(-self.config.tile_size // multiple) * multiple
         for n in batch_sizes:
-            self._engine.warm((int(n), self.model.config.in_channels, t, t))
+            self.engine.warm((int(n), self.model.config.in_channels, t, t))
 
     def invalidate_plans(self) -> None:
         """Drop compiled plans (call after mutating the model's weights).
@@ -372,13 +327,13 @@ class SceneClassifier:
         read-only views of the *published* copy, so a republish (not just a
         cache clear) is what propagates trained weights to them.
         """
-        if self._engine is not None:
-            self._engine.clear()
-        if self._backend is not None:
+        if self.engine is not None:
+            self.engine.clear()
+        if self._backend:
             self._publish(self._backend)
 
     def plan_cache_info(self) -> dict | None:
-        return None if self._engine is None else self._engine.cache_info()
+        return None if self.engine is None else self.engine.cache_info()
 
     # ------------------------------------------------------------------ #
     def classify_scene_proba(self, scene_rgb: np.ndarray) -> np.ndarray:
@@ -398,21 +353,13 @@ class SceneClassifier:
         return np.asarray(assemble_from_tiles(prob_tiles, grid))
 
     def _predict_stack(self, tiles: np.ndarray) -> np.ndarray:
-        """Dispatch a tile stack through the persistent backend (or in-process)."""
-        cfg = self.config
-        backend = self.backend
-        if backend is not None:
-            stack = _validate_stack(tiles)
-            if stack.shape[0] > 0:
-                # copy=False: the stack result is consumed (stitched or
-                # argmax-reduced) before the next dispatch, so the fork
-                # backend may hand back its shared output arena directly.
-                return backend.predict_stack(_SCENE_MODEL_KEY, stack, cfg.batch_size, copy=False)
-        filt = self.cloud_filter if cfg.apply_cloud_filter else None
-        return predict_tile_probabilities(
-            self.model, tiles, batch_size=cfg.batch_size, cloud_filter=filt,
-            num_workers=1, engine=self._engine, backend="serial",
-        )
+        stack = _validate_stack(tiles)
+        if stack.shape[0] == 0:
+            return np.zeros((0, _num_classes_of(self.model), *stack.shape[1:3]), dtype=np.float32)
+        # copy=False: the stack result is consumed (stitched or argmax-reduced)
+        # before the next dispatch, so the fork backend may hand back its
+        # shared output arena directly.
+        return self.backend.predict_stack(_SCENE_MODEL_KEY, stack, self.config.batch_size, copy=False)
 
     def classify_scene(self, scene_rgb: np.ndarray) -> np.ndarray:
         """Return the per-pixel class map of a full ``(H, W, 3)`` scene."""
@@ -423,16 +370,8 @@ class SceneClassifier:
         return self._predict_stack(tiles).argmax(axis=1).astype(np.uint8)
 
     def predict_batch(self, batch: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        """One batched prediction ``(N, H, W, 3) → (N, K, H, W)`` through the
-        classifier's filter and compiled-plan engine — the seam the serving
-        micro-batcher binds to.  With a non-serial config the batch is routed
-        to the classifier's backend workers (same seam, bit-identical).
+        """One batched prediction ``(N, H, W, 3) → (N, K, H, W)`` on the
+        classifier's backend — the seam the serving micro-batcher binds to.
         ``deadline`` propagates into the backend dispatch, which drops
         expired work before computing."""
-        backend = self.backend
-        if backend is not None:
-            return backend.predict(_SCENE_MODEL_KEY, np.asarray(batch), deadline=deadline)
-        if deadline is not None:
-            deadline.check("predict_batch")
-        filt = self.cloud_filter if self.config.apply_cloud_filter else None
-        return predict_batch_probabilities(batch, self.model, filt, engine=self._engine)
+        return self.backend.predict(_SCENE_MODEL_KEY, np.asarray(batch), deadline=deadline)

@@ -1,10 +1,12 @@
 """End-to-end auto-labeling workflow (paper Figures 1, 2 and 6).
 
 Collects the pieces — synthetic scene archive, thin-cloud/shadow filter,
-colour-segmentation labeler, and one of the parallel backends — into the
-single pipeline the paper calls "training data preparation": from raw scenes
-to an auto-labelled tile dataset, with per-phase timing and label-quality
-metrics (SSIM against manual labels).
+colour-segmentation labeler, and the map-reduce job on an execution backend
+— into the single pipeline the paper calls "training data preparation": from
+raw scenes to an auto-labelled tile dataset, with per-phase timing and
+label-quality metrics (SSIM against manual labels).  The Table I harness
+(:func:`autolabel_scaling_table`, the paper's §III-B(a) multiprocessing arm)
+times the same per-tile labeler at several process counts.
 """
 
 from __future__ import annotations
@@ -14,40 +16,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend import make_backend, resolve_backend_name
 from ..classes import class_map_to_color
 from ..data.catalog import TileDataset
-from ..labeling.autolabel import autolabel_batch
 from ..labeling.manual import simulate_manual_labels
-from ..mapreduce.autolabel_job import run_mapreduce_autolabel
+from ..mapreduce.autolabel_job import autolabel_udf, autolabel_udf_unfiltered, run_mapreduce_autolabel
+from ..mapreduce.dataset import _EXECUTOR_BACKENDS
+from ..metrics.scaling import ScalingPoint, ScalingTable
 from ..metrics.ssim import mean_ssim_over_pairs
-from ..parallel.autolabel_runner import AutoLabelRunConfig, run_parallel_autolabel
 
-__all__ = ["AutoLabelWorkflowConfig", "AutoLabelWorkflowResult", "AutoLabelWorkflow"]
+__all__ = [
+    "AutoLabelWorkflowConfig",
+    "AutoLabelWorkflowResult",
+    "AutoLabelWorkflow",
+    "autolabel_scaling_table",
+]
 
 
 @dataclass(frozen=True)
 class AutoLabelWorkflowConfig:
     """Configuration of the training-data-preparation pipeline.
 
-    ``backend`` selects how the per-tile work is parallelised:
-    ``"serial"`` (reference), ``"multiprocessing"`` (paper §III-B(a)) or
-    ``"mapreduce"`` (paper §III-B(b), the sparklite engine).  ``chunk_size``
-    overrides the multiprocessing backend's items-per-task-message heuristic
-    (ignored by the other backends).
+    ``backend`` names the execution backend the map-reduce job's partition
+    tasks run on, in the vocabulary ``classify`` and ``serve`` speak:
+    ``"serial"``, ``"thread"``, ``"fork"`` or ``"auto"`` (the default, which
+    honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``).
     """
 
-    backend: str = "serial"
+    backend: str = "auto"
     num_workers: int = 1
     apply_cloud_filter: bool = True
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "multiprocessing", "mapreduce"):
-            raise ValueError("backend must be 'serial', 'multiprocessing' or 'mapreduce'")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
+        self.resolved_backend()  # rejects unknown names (and fork on fork-less platforms)
+
+    def resolved_backend(self) -> str:
+        """The concrete backend name this config runs on."""
+        return resolve_backend_name(self.backend, self.num_workers)
 
 
 @dataclass
@@ -83,9 +90,14 @@ class AutoLabelWorkflow:
         ``manual_labels`` defaults to simulated manual annotation of the
         dataset's ground truth (what the paper's Earth scientists produced).
         """
-        tiles = dataset.images
+        cfg = self.config
+        backend = cfg.resolved_backend()
+        executor = next(kind for kind, name in _EXECUTOR_BACKENDS.items() if name == backend)
         start = time.perf_counter()
-        labels = self._label(tiles)
+        labels = run_mapreduce_autolabel(
+            dataset.images, executor=executor, parallelism=cfg.num_workers,
+            apply_cloud_filter=cfg.apply_cloud_filter,
+        ).labels
         elapsed = time.perf_counter() - start
 
         if manual_labels is None:
@@ -103,30 +115,33 @@ class AutoLabelWorkflow:
             auto_labels=labels,
             manual_labels=manual_labels,
             elapsed_s=elapsed,
-            backend=self.config.backend,
+            backend=backend,
             ssim_vs_manual=ssim_value,
             pixel_agreement=agreement,
         )
 
-    # ------------------------------------------------------------------ #
-    def _label(self, tiles: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.backend == "serial":
-            return autolabel_batch(tiles, apply_cloud_filter=cfg.apply_cloud_filter)
-        if cfg.backend == "multiprocessing":
-            labels, _ = run_parallel_autolabel(
-                tiles,
-                AutoLabelRunConfig(
-                    num_workers=cfg.num_workers,
-                    chunk_size=cfg.chunk_size,
-                    apply_cloud_filter=cfg.apply_cloud_filter,
-                ),
-            )
-            return labels
-        result = run_mapreduce_autolabel(
-            tiles,
-            executor="processes" if cfg.num_workers > 1 else "serial",
-            parallelism=cfg.num_workers,
-            apply_cloud_filter=cfg.apply_cloud_filter,
-        )
-        return result.labels
+
+def autolabel_scaling_table(
+    tiles: np.ndarray,
+    worker_counts: tuple[int, ...] = (1, 2, 4, 6, 8),
+    apply_cloud_filter: bool = True,
+) -> ScalingTable:
+    """Measure auto-labeling wall time at several process counts (Table I).
+
+    Each row is one timed :meth:`repro.backend.Backend.map` of the per-tile
+    labeler over the stack on a fresh backend: one worker runs in-process
+    (the ``Ts`` baseline row); more fork that many workers, whose start-up is
+    part of the measured time and who share the read-only tile stack
+    copy-on-write.  The returned :class:`~repro.metrics.scaling.ScalingTable`
+    exposes the speedup column exactly as the paper tabulates it
+    (``S = Ts / Tp``).
+    """
+    func = autolabel_udf if apply_cloud_filter else autolabel_udf_unfiltered
+    items = list(np.asarray(tiles))
+    points = []
+    for workers in worker_counts:
+        start = time.perf_counter()
+        with make_backend("fork" if workers > 1 else "serial", workers) as backend:
+            backend.map(func, items)
+        points.append(ScalingPoint(workers=workers, time=time.perf_counter() - start, items=len(items)))
+    return ScalingTable(points=points, label="Python multiprocessing auto-labeling")

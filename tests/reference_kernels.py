@@ -10,7 +10,12 @@ offset-GEMM and the 6-D pooling reduce that ``conv_forward_offset``,
 ``_ConvStep``, ``_MaxPoolStep`` and ``MaxPool2D`` ran before they went
 row-banded / four-view.  Pooling is exact against its oracle; the conv is not
 (OpenBLAS ``sgemm`` results depend on the GEMM's column count in the last bit),
-so it is compared under a tolerance.  Not a test module; nothing under
+so it is compared under a tolerance.  Last come the seed's training kernels —
+``im2col`` / ``col2im`` and the :class:`ReferenceConv2D` /
+:class:`ReferenceMaxPool2D` layers built on them — the gradient-parity
+reference of the offset-GEMM and argmax-index layers in ``repro.nn``, and the
+seed arm the throughput benchmarks race (swapped in per module with
+``module.__class__ = Reference…``).  Not a test module; nothing under
 ``src/`` imports it.
 """
 
@@ -23,6 +28,8 @@ from hypothesis.extra import numpy as hnp
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
 from repro.cloudshadow import VeilEstimate
 from repro.imops import absdiff, gaussian_blur, scale_to_uint8
+from repro.nn import Conv2D, MaxPool2D, conv_output_size
+from repro.nn.layers import max_of_views, pool_views
 
 
 @st.composite
@@ -195,3 +202,96 @@ def reference_max_pool(x: np.ndarray, k: int) -> np.ndarray:
     """k×k max pooling as a reshape to 6-D windows and one two-axis reduce."""
     n, c, h, w = x.shape
     return x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))
+
+
+def im2col(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Unroll the sliding windows of an ``(N, C, H, W)`` batch into the ``(N·out_h·out_w, C·kernel_h·kernel_w)``
+    matrix whose rows are the flattened receptive fields (batch-major, then spatial)."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel_h, stride, pad)
+    out_w = conv_output_size(w, kernel_w, stride, pad)
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+    s_n, s_c, s_h, s_w = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
+        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
+        writeable=False,
+    )
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel_h * kernel_w)
+    return np.ascontiguousarray(cols)
+
+
+def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int], kernel_h: int, kernel_w: int,
+           stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Fold an im2col matrix back into an image batch, summing overlaps: the adjoint of :func:`im2col`,
+    hence the back-propagation through a convolution's input."""
+    n, c, h, w = input_shape
+    out_h = conv_output_size(h, kernel_h, stride, pad)
+    out_w = conv_output_size(w, kernel_w, stride, pad)
+    expected = (n * out_h * out_w, c * kernel_h * kernel_w)
+    if cols.shape != expected:
+        raise ValueError(f"cols has shape {cols.shape}, expected {expected}")
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    reshaped = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
+    # reshaped: (N, C, kh, kw, out_h, out_w); scatter-add each kernel offset.
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += reshaped[:, :, i, j]
+    return padded[:, :, pad:-pad, pad:-pad] if pad > 0 else padded
+
+
+class ReferenceConv2D(Conv2D):
+    """The seed's training path: one whole-batch im2col GEMM forward (the ``(N·oh·ow, C·k²)``
+    matrix stays pinned for backward), col2im re-fold for ``dX``.  Eval mode is the parent's."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return super().forward(x)
+        x = np.asarray(x, dtype=np.float32)
+        n, _, h, w = x.shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        cols = im2col(x, k, k, s, p)  # (N*out_h*out_w, C*k*k)
+        out = cols @ self.weight.value.reshape(self.out_channels, -1).T  # (N*out_h*out_w, F)
+        if self.use_bias:
+            out += self.bias.value
+        out = out.reshape(n, conv_output_size(h, k, s, p), conv_output_size(w, k, s, p), self.out_channels)
+        self._cache = (x.shape, cols)
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+    def backward(self, grad_output: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        input_shape, cols = self._cache
+        k = self.kernel_size
+        # (N, F, out_h, out_w) -> (N*out_h*out_w, F)
+        grad_mat = np.asarray(grad_output, dtype=np.float32).transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        self.weight.grad += (grad_mat.T @ cols).reshape(self.weight.value.shape)
+        if self.use_bias:
+            self.bias.grad += grad_mat.sum(axis=0)
+        if not need_input_grad:
+            return None
+        grad_cols = grad_mat @ self.weight.value.reshape(self.out_channels, -1)  # (N*out_h*out_w, C*k*k)
+        return col2im(grad_cols, input_shape, k, k, self.stride, self.padding)
+
+
+class ReferenceMaxPool2D(MaxPool2D):
+    """The seed's training path: pins a full-resolution boolean argmax mask plus a tie-count
+    tensor and splits tied gradients evenly.  Eval mode is the parent's."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return super().forward(x)
+        x = np.asarray(x, dtype=np.float32)
+        n, c, h, w = x.shape
+        k = self.pool_size
+        out = max_of_views(pool_views(x, k), np.empty((n, c, h // k, w // k), dtype=np.float32))
+        # Mask of the argmax positions, used to route gradients back.
+        mask = x.reshape(n, c, h // k, k, w // k, k) == out[:, :, :, None, :, None]
+        # Break ties (equal maxima in one window) so gradient mass is not duplicated.
+        self._cache = (x.shape, mask, mask.sum(axis=(3, 5), keepdims=True))
+        return out
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        input_shape, mask, counts = self._cache
+        grad = np.asarray(grad_output, dtype=np.float32)[:, :, :, None, :, None]
+        return (mask * grad / counts).reshape(input_shape)

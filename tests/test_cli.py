@@ -16,8 +16,10 @@ class TestParser:
 
     def test_autolabel_defaults(self):
         args = build_parser().parse_args(["autolabel"])
-        assert args.backend == "serial"
+        assert args.backend == "auto"
         assert args.scenes == 4
+        with pytest.raises(SystemExit):  # one vocabulary: no job-shape names beside the backend names
+            build_parser().parse_args(["autolabel", "--backend", "mapreduce"])
 
     def test_scaling_table_choices(self):
         args = build_parser().parse_args(["scaling", "--table", "2"])
@@ -32,10 +34,11 @@ class TestParser:
 
 class TestCommands:
     def test_autolabel_command_runs(self, capsys):
-        code = main(["autolabel", "--scenes", "1", "--scene-size", "64", "--tile-size", "32"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ssim_vs_manual" in out
+        archive = ["autolabel", "--scenes", "1", "--scene-size", "64", "--tile-size", "32"]
+        assert main(archive) == 0
+        assert "ssim_vs_manual" in capsys.readouterr().out
+        assert main(archive + ["--workers", "2"]) == 0  # fans out like `classify --workers 2`
+        assert "ssim_vs_manual" in capsys.readouterr().out
 
     def test_scaling_tables_2_and_3(self, capsys):
         assert main(["scaling", "--table", "2"]) == 0

@@ -10,22 +10,20 @@ a property BLAS gives.
 
 from __future__ import annotations
 
-import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_kernels import reference_conv_forward, reference_max_pool
+from reference_kernels import ReferenceMaxPool2D, reference_conv_forward, reference_max_pool
 
-import repro.nn  # noqa: F401  (binds the submodule looked up below: ``repro.nn.im2col`` the attribute is a function)
 from repro.nn import Conv2D, MaxPool2D, UpSample2D
+from repro.nn import convgemm as kernels
 from repro.nn.layers import max_of_views, pool_views
 from repro.nn.plan import INPUT, PlanBuilder
 from repro.unet import UNet, UNetConfig, compile_unet_plan
 
-kernels = sys.modules["repro.nn.im2col"]
 SMALL_BUDGETS = [2 * 1024, 16 * 1024]  # every conv multi-band; a mix of whole-image, multi-band and ragged bands
 
 
@@ -137,9 +135,9 @@ class TestPooling:
         out = np.empty((n, c, oh, ow), dtype=np.float32)
         assert max_of_views(pool_views(x, k), out) is out
         np.testing.assert_array_equal(out, expected)
-        for engine in ("index", "mask"):
-            np.testing.assert_array_equal(MaxPool2D(k, engine=engine).eval().forward(x), expected)
-        np.testing.assert_array_equal(MaxPool2D(k, engine="mask").forward(x), expected)  # training forward
+        for pool in (MaxPool2D, ReferenceMaxPool2D):
+            np.testing.assert_array_equal(pool(k).eval().forward(x), expected)
+        np.testing.assert_array_equal(ReferenceMaxPool2D(k).forward(x), expected)  # training forward
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 3), n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 6), w=st.integers(1, 6),

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.losses import softmax
 from repro.unet import (
@@ -11,7 +15,6 @@ from repro.unet import (
     SceneClassifier,
     UNet,
     predict_tile_probabilities,
-    predict_tiles,
     tiny_unet_config,
 )
 
@@ -19,6 +22,13 @@ from repro.unet import (
 @pytest.fixture(scope="module")
 def engine_model():
     return UNet(tiny_unet_config(seed=9))
+
+
+def predict_tiles(model, tiles, batch_size=8):
+    """Class maps of an already-tiled stack (unfiltered), through ``SceneClassifier.classify_tiles``."""
+    config = InferenceConfig(batch_size=batch_size, apply_cloud_filter=False)
+    with SceneClassifier(model=model, config=config) as classifier:
+        return classifier.classify_tiles(tiles)
 
 
 class _PixelwiseModel:
@@ -133,6 +143,55 @@ class TestPredictTiles:
             predict_tile_probabilities(engine_model, tiny_dataset.images, batch_size=0)
         with pytest.raises(ValueError):
             predict_tile_probabilities(engine_model, tiny_dataset.images, num_workers=0)
+
+
+class TestOnePredictionPath:
+    """Every classifier dispatches through a backend; which one never changes the bits."""
+
+    @pytest.fixture(scope="class")
+    def classifiers(self, engine_model):
+        """One classifier (hence one started backend) per backend name, plus a serial streamer."""
+        from repro.backend import available_backends
+        from repro.serving import StreamingSceneClassifier
+
+        built = {name: SceneClassifier(engine_model, InferenceConfig(backend=name, num_workers=2,
+                                                                     apply_cloud_filter=False))
+                 for name in available_backends()}
+        built["streaming"] = StreamingSceneClassifier(engine_model, InferenceConfig(backend="serial",
+                                                                                    apply_cloud_filter=False))
+        yield built
+        for classifier in built.values():
+            classifier.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.integers(1, 96), w=st.integers(1, 96), tile=st.sampled_from([16, 32]), data=st.data(),
+           batch_size=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_classify_scene_is_backend_and_streaming_invariant(self, classifiers, h, w, tile, data,
+                                                               batch_size, seed):
+        overlap = data.draw(st.integers(0, tile - 1), label="overlap")
+        scene = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        maps = {}
+        for name, classifier in classifiers.items():
+            # Tile geometry and batch size are read per call; the backend
+            # (started once, above) outlives the config swap.
+            classifier.config = replace(classifier.config, tile_size=tile, overlap=overlap,
+                                        batch_size=batch_size)
+            assert classifier.backend.name == classifier.config.backend
+            maps[name] = classifier.classify_scene(scene)
+        for name, class_map in maps.items():
+            np.testing.assert_array_equal(class_map, maps["serial"], err_msg=name)
+
+    def test_unpublishable_stub_classifies_through_serial(self, monkeypatch):
+        """A non-UNet model cannot be laid out in the fork store: it runs on
+        ``serial`` whatever ``REPRO_BACKEND`` says, instead of raising."""
+        monkeypatch.setenv("REPRO_BACKEND", "fork")
+        scene = np.random.default_rng(5).integers(0, 256, size=(40, 24, 3), dtype=np.uint8)
+        config = InferenceConfig(tile_size=16, overlap=4, apply_cloud_filter=False, num_workers=2)
+        with SceneClassifier(model=_PixelwiseModel(), config=config) as classifier:
+            assert classifier.backend.name == "serial"
+            assert classifier.classify_scene(scene).shape == (40, 24)
+        probs = predict_tile_probabilities(_PixelwiseModel(), scene[None, :16, :16], num_workers=2)
+        assert probs.shape == (1, 3, 16, 16)
 
 
 class TestOverlapBlending:

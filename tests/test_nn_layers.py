@@ -15,10 +15,10 @@ from repro.nn import (
     UpConv2D,
     UpSample2D,
     check_layer_gradients,
-    im2col,
-    col2im,
     conv_output_size,
 )
+
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, col2im, im2col
 
 
 class TestGradientChecks:
@@ -50,8 +50,8 @@ class TestGradientChecks:
 
 
 class TestEngineParity:
-    """The offset-GEMM training engine must reproduce the im2col/col2im
-    reference — outputs and every gradient — across conv geometries."""
+    """The offset-GEMM training layers must reproduce the im2col/col2im
+    reference layers — outputs and every gradient — across conv geometries."""
 
     CONFIGS = [
         # (kernel, stride, padding, input_shape)
@@ -74,10 +74,8 @@ class TestEngineParity:
     @pytest.mark.parametrize("kernel,stride,padding,shape", CONFIGS)
     def test_offset_matches_im2col_reference(self, kernel, stride, padding, shape):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + shape[1])
-        fast = Conv2D(shape[1], 4, kernel_size=kernel, stride=stride, padding=padding,
-                      seed=11, engine="offset")
-        ref = Conv2D(shape[1], 4, kernel_size=kernel, stride=stride, padding=padding,
-                     seed=11, engine="im2col")
+        fast = Conv2D(shape[1], 4, kernel_size=kernel, stride=stride, padding=padding, seed=11)
+        ref = ReferenceConv2D(shape[1], 4, kernel_size=kernel, stride=stride, padding=padding, seed=11)
         x = rng.normal(size=shape).astype(np.float32)
         out_fast, out_ref = fast(x), ref(x)
         np.testing.assert_allclose(out_fast, out_ref, atol=1e-5)
@@ -99,12 +97,6 @@ class TestEngineParity:
         # noise across every geometry (the engines themselves agree to 1e-6).
         check_layer_gradients(layer, shape, seed=1, h=1e-2)
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            Conv2D(1, 1, engine="winograd")
-        with pytest.raises(ValueError):
-            MaxPool2D(2, engine="bitmask")
-
     def test_skip_input_grad_still_accumulates_parameter_grads(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 2, 6, 6)).astype(np.float32)
@@ -121,14 +113,14 @@ class TestEngineParity:
     def test_maxpool_engines_agree_without_ties(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        fast, ref = MaxPool2D(2), MaxPool2D(2, engine="mask")
+        fast, ref = MaxPool2D(2), ReferenceMaxPool2D(2)
         np.testing.assert_array_equal(fast(x), ref(x))
         upstream = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         np.testing.assert_allclose(fast.backward(upstream), ref.backward(upstream), atol=1e-6)
 
     def test_maxpool_tie_breaking_routes_to_first_maximum(self):
         """Ties send the whole gradient to the first maximum in row-major
-        window order (the index engine's contract); the seed mask engine
+        window order (the layer's contract); the seed's mask reference
         split it evenly instead."""
         x = np.array([[[[1.0, 1.0], [0.0, 1.0]]]], dtype=np.float32)
         upstream = np.array([[[[3.0]]]], dtype=np.float32)
@@ -138,7 +130,7 @@ class TestEngineParity:
         grad = pool.backward(upstream)
         np.testing.assert_array_equal(grad[0, 0], [[3.0, 0.0], [0.0, 0.0]])
 
-        legacy = MaxPool2D(2, engine="mask")
+        legacy = ReferenceMaxPool2D(2)
         legacy(x)
         np.testing.assert_allclose(legacy.backward(upstream)[0, 0],
                                    [[1.0, 1.0], [0.0, 1.0]])

@@ -393,21 +393,36 @@ class TestServiceTelemetry:
         batcher = payload["batchers"]["seaice/1"]
         assert batcher["flush_size_histogram"]["count"] >= 1
 
-    @needs_fork
-    def test_fork_backend_spans_include_worker_compute(self, tmp_path, rng):
+    @pytest.mark.parametrize("backend", ["serial", "thread", pytest.param("fork", marks=needs_fork)])
+    def test_backend_spans_include_compute(self, tmp_path, rng, backend):
+        """Every backend measures compute where the model runs — inline,
+        pool thread or worker process — so ``dispatch_ms`` is dispatch only."""
+        from repro.obs import get_registry
+
+        def compute_count() -> int:
+            found = re.search(rf'repro_backend_compute_ms_count{{backend="{backend}"}} (\d+)',
+                              get_registry().render_prometheus())
+            return int(found.group(1)) if found else 0
+
         root = tmp_path / "registry"
         model = UNet(UNetConfig(depth=2, base_channels=4, dropout=0.0, seed=17))
-        fork_cfg = InferenceConfig(tile_size=32, apply_cloud_filter=False,
-                                   backend="fork", num_workers=2)
-        registry = ModelRegistry(str(root), inference=fork_cfg)
-        registry.publish("seaice", 1, model, inference=fork_cfg)
+        config = InferenceConfig(tile_size=32, apply_cloud_filter=False,
+                                 backend=backend, num_workers=2)
+        registry = ModelRegistry(str(root), inference=config)
+        registry.publish("seaice", 1, model, inference=config)
         service = InferenceService(registry, ServiceConfig(port=0))
+        observed = compute_count()
         try:
             tile = rng.integers(0, 255, size=(32, 32, 3), dtype=np.uint8)
             payload = service.predict_payload({"model": "seaice", "tile": tile.tolist()})
             spans = payload["stage_timings"]
-            assert spans["compute_ms"] > 0.0, "fork worker compute time did not propagate"
+            assert spans["compute_ms"] > 0.0, f"{backend} compute time did not reach the request's spans"
             assert sum(spans.values()) == pytest.approx(payload["elapsed_ms"], abs=0.05)
+            assert compute_count() >= observed + 1
+            occupancy = service.stats_payload()["backends"]["seaice/1"]
+            assert occupancy["backend"] == backend
+            assert occupancy["tasks_dispatched"] >= 1
+            assert occupancy["models"] == ["scene-model"]
         finally:
             service.close()
 

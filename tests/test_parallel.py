@@ -1,10 +1,10 @@
-"""Tests for repro.parallel (the auto-label runner) and the map it runs on.
+"""Tests for the single-machine auto-label path and the map it runs on.
 
-``parallel_map`` / ``SharedNDArray`` are gone: the runner calls
-:meth:`repro.backend.Backend.map` on a fresh fork backend, and shared arrays
-are :mod:`repro.backend.store` segments.  The map and shared-memory cases
-below are the old module's, ported to what replaced it; the cross-backend
-property test lives in ``tests/test_backend.py``.
+``repro.parallel`` is gone: the workflow runs the map-reduce job on an
+execution backend, the Table I harness times :meth:`repro.backend.Backend.map`
+on a fresh one, and shared arrays are :mod:`repro.backend.store` segments.
+The map and shared-memory cases below are the old module's, ported to what
+replaced it; the cross-backend property test lives in ``tests/test_backend.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.backend.store import (
     create_segment,
     ndarray_view,
 )
-from repro.parallel import AutoLabelRunConfig, autolabel_scaling_table, run_parallel_autolabel
+from repro.workflow import AutoLabelWorkflow, AutoLabelWorkflowConfig, autolabel_scaling_table
 
 
 def square(x):
@@ -72,8 +72,6 @@ class TestParallelMap:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             make_backend("fork", 0)
-        with pytest.raises(ValueError):
-            run_parallel_autolabel(np.zeros((1, 8, 8, 3), np.uint8), AutoLabelRunConfig(num_workers=0))
 
     def test_rejects_bad_chunk_size(self):
         with make_backend("fork", 2) as backend:
@@ -117,20 +115,20 @@ class TestSharedMemory:
 
 
 class TestAutoLabelRunner:
-    def test_parallel_matches_serial_labels(self, tiny_dataset):
-        tiles = tiny_dataset.images[:4]
-        serial_labels, _ = run_parallel_autolabel(tiles, AutoLabelRunConfig(num_workers=1))
-        parallel_labels, _ = run_parallel_autolabel(tiles, AutoLabelRunConfig(num_workers=2))
-        np.testing.assert_array_equal(serial_labels, parallel_labels)
+    def test_parallel_matches_serial_labels(self, tiny_dataset, monkeypatch):
+        """``auto`` resolves the way ``classify`` does: ``REPRO_BACKEND`` first, then the worker count."""
+        serial = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend="serial")).run(tiny_dataset)
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        threaded = AutoLabelWorkflow(AutoLabelWorkflowConfig(num_workers=2)).run(tiny_dataset)
+        assert (serial.backend, threaded.backend) == ("serial", "thread")
+        np.testing.assert_array_equal(serial.auto_labels, threaded.auto_labels)
 
-    def test_output_shape(self, tiny_dataset):
-        labels, elapsed = run_parallel_autolabel(tiny_dataset.images[:2], AutoLabelRunConfig(num_workers=1))
-        assert labels.shape == (2, 32, 32)
-        assert elapsed > 0
-
-    def test_rejects_bad_stack(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            run_parallel_autolabel(tiny_dataset.labels, AutoLabelRunConfig())
+    def test_output_shape(self, tiny_dataset, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        result = AutoLabelWorkflow().run(tiny_dataset)
+        assert result.auto_labels.shape == (len(tiny_dataset), 32, 32)
+        assert result.summary()["backend"] == "serial"  # the resolved name, not "auto"
+        assert result.elapsed_s > 0
 
     def test_scaling_table_structure(self, tiny_dataset):
         table = autolabel_scaling_table(tiny_dataset.images[:4], worker_counts=(1, 2))

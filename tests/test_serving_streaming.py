@@ -85,6 +85,23 @@ class TestStreamingMechanics:
         tall_peak = streamer.peak_buffer_bytes
         assert tall_peak == short_peak
 
+    def test_streams_on_the_configured_backend_and_releases_it(self, model):
+        """``config.backend`` / ``num_workers`` pick the streamer's backend too: same bits, same buffers."""
+        scene = _scene((100, 140), seed=4)
+        options = dict(tile_size=32, overlap=16, apply_cloud_filter=False, batch_size=3)
+        serial = StreamingSceneClassifier(model=model, config=InferenceConfig(backend="serial", **options))
+        fanned_out = InferenceConfig(backend="thread", num_workers=2, **options)
+        with StreamingSceneClassifier(model=model, config=fanned_out) as threaded:
+            backend = threaded.backend
+            assert (backend.name, backend.num_workers, backend.running) == ("thread", 2, True)
+            streamed = threaded.classify_scene(scene)
+            assert backend.occupancy()["tasks_dispatched"] > 0
+        assert not backend.running
+        np.testing.assert_array_equal(streamed, serial.classify_scene(scene))
+        np.testing.assert_array_equal(
+            streamed, SceneClassifier(model=model, config=serial.config).classify_scene(scene))
+        assert threaded.peak_buffer_bytes == serial.peak_buffer_bytes
+
     def test_scene_larger_than_band_buffer(self, model):
         """The acceptance-criteria shape: scene ≥ 4x the streaming buffer."""
         config = InferenceConfig(tile_size=16, overlap=4, apply_cloud_filter=False, batch_size=4)

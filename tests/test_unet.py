@@ -14,7 +14,6 @@ from repro.unet import (
     UNetTrainer,
     build_unet,
     paper_unet_config,
-    predict_tiles,
     tiny_unet_config,
 )
 
@@ -131,15 +130,20 @@ class TestTrainer:
             UNetTrainer(config=tiny_unet_config()).fit(loader, epochs=0)
 
 
+def predict_tiles(model, tiles, batch_size=8, apply_cloud_filter=False):
+    """Class maps of an already-tiled stack, the way every caller gets them: ``SceneClassifier.classify_tiles``."""
+    config = InferenceConfig(batch_size=batch_size, apply_cloud_filter=apply_cloud_filter)
+    with SceneClassifier(model=model, config=config) as classifier:
+        return classifier.classify_tiles(tiles)
+
+
 class TestInference:
     def test_predict_tiles_shape(self, tiny_model, tiny_dataset):
         preds = predict_tiles(tiny_model, tiny_dataset.images[:3], batch_size=2)
         assert preds.shape == (3, 32, 32)
 
     def test_predict_tiles_with_filter(self, tiny_model, tiny_dataset):
-        from repro.cloudshadow import CloudShadowFilter
-
-        preds = predict_tiles(tiny_model, tiny_dataset.images[:2], cloud_filter=CloudShadowFilter())
+        preds = predict_tiles(tiny_model, tiny_dataset.images[:2], apply_cloud_filter=True)
         assert preds.shape == (2, 32, 32)
 
     def test_predict_tiles_rejects_bad_input(self, tiny_model, tiny_dataset):

@@ -136,7 +136,9 @@ class TestSeamIntegration:
     def test_scene_classifier_compiled_matches_uncompiled(self, rng):
         model = _model(2, dropout=0.0)
         scene = rng.integers(0, 255, size=(48, 64, 3), dtype=np.uint8)
-        kwargs = dict(tile_size=16, overlap=4, apply_cloud_filter=False, batch_size=4)
+        # serial: the plan-cache counters read below are the classifier's own
+        # engine's, which only an in-process backend runs (fork workers compile theirs).
+        kwargs = dict(tile_size=16, overlap=4, apply_cloud_filter=False, batch_size=4, backend="serial")
         compiled = SceneClassifier(model=model, config=InferenceConfig(compile_plans=True, **kwargs))
         plain = SceneClassifier(model=model, config=InferenceConfig(compile_plans=False, **kwargs))
         assert compiled.engine is not None and plain.engine is None

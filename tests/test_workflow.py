@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend import available_backends
 from repro.workflow import (
     AccuracyExperimentConfig,
     AutoLabelWorkflow,
@@ -26,10 +27,10 @@ class TestAutoLabelWorkflow:
 
     def test_backends_agree_on_labels(self, tiny_dataset):
         serial = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend="serial")).run(tiny_dataset)
-        mp = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend="multiprocessing", num_workers=2)).run(tiny_dataset)
-        mr = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend="mapreduce", num_workers=2)).run(tiny_dataset)
-        np.testing.assert_array_equal(serial.auto_labels, mp.auto_labels)
-        np.testing.assert_array_equal(serial.auto_labels, mr.auto_labels)
+        for name in available_backends():
+            fanned = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend=name, num_workers=2)).run(tiny_dataset)
+            assert fanned.backend == name
+            np.testing.assert_array_equal(serial.auto_labels, fanned.auto_labels)
 
     def test_filter_improves_agreement(self, tiny_dataset):
         with_filter = AutoLabelWorkflow(AutoLabelWorkflowConfig(apply_cloud_filter=True)).run(tiny_dataset)
@@ -37,18 +38,11 @@ class TestAutoLabelWorkflow:
         assert with_filter.pixel_agreement >= without.pixel_agreement - 0.02
 
     def test_invalid_backend_rejected(self):
+        for gone in ("spark", "multiprocessing", "mapreduce"):
+            with pytest.raises(ValueError):
+                AutoLabelWorkflowConfig(backend=gone)
         with pytest.raises(ValueError):
-            AutoLabelWorkflowConfig(backend="spark")
-
-    def test_chunk_size_threads_through_multiprocessing(self, tiny_dataset):
-        config = AutoLabelWorkflowConfig(backend="multiprocessing", num_workers=2, chunk_size=2)
-        chunked = AutoLabelWorkflow(config).run(tiny_dataset)
-        serial = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend="serial")).run(tiny_dataset)
-        np.testing.assert_array_equal(chunked.auto_labels, serial.auto_labels)
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            AutoLabelWorkflowConfig(chunk_size=0)
+            AutoLabelWorkflowConfig(num_workers=0)
 
     def test_manual_label_shape_mismatch(self, tiny_dataset):
         workflow = AutoLabelWorkflow()
