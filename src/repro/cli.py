@@ -349,12 +349,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .unet import UNetConfig
     from .unet.model import UNet
 
+    def model(dropout: float) -> UNet:
+        return UNet(UNetConfig(depth=args.depth, base_channels=args.base_channels,
+                               dropout=dropout, seed=args.seed))
+
     report: dict = {}
     if args.what in ("inference", "all"):
-        model = UNet(UNetConfig(depth=args.depth, base_channels=args.base_channels,
-                                dropout=0.0, seed=args.seed))
         report["inference"] = profile_inference(
-            model,
+            model(0.0),
             batch_shape=(args.batch_size, args.tile_size, args.tile_size),
             iterations=args.iterations,
             warmup=args.warmup,
@@ -362,6 +364,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     if args.what in ("training", "all"):
         report["training"] = profile_training(
+            model(0.1),  # so Dropout gets its budget line
             epochs=args.epochs,
             batches=args.batches,
             batch_size=args.batch_size,

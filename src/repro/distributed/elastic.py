@@ -210,7 +210,8 @@ class ElasticTrainer:
         evicted and the step re-runs on the survivors.
     checkpoint_dir / checkpoint_every:
         When set, write an atomic ``ckpt-{step:08d}.npz`` every
-        ``checkpoint_every`` global steps (and at every epoch end).
+        ``checkpoint_every`` global steps and at every epoch end (once, in
+        the epoch-end form, when the two coincide).
     keep_checkpoints:
         Retain at most this many newest checkpoints.
     auto_respawn:
@@ -279,6 +280,8 @@ class ElasticTrainer:
             "repro_train_resumes_total", "Training runs resumed from a checkpoint")
         self._m_checkpoints = registry.counter(
             "repro_train_checkpoints_total", "Checkpoints written")
+        self._m_checkpoint_ms = registry.histogram(
+            "repro_train_checkpoint_ms", "Wall time of one checkpoint write (archive + retention sweep)")
         self._m_workers = registry.gauge(
             "repro_train_workers", "Live elastic training workers")
 
@@ -493,12 +496,10 @@ class ElasticTrainer:
     # ------------------------------------------------------------------ #
     # Checkpointing / resume
     # ------------------------------------------------------------------ #
-    def _checkpoint_path(self) -> str:
-        return os.path.join(self.checkpoint_dir, f"ckpt-{self.global_step:08d}.npz")
-
     def _save_checkpoint(self, epoch: int, step_in_epoch: int,
                          epoch_rng_state: dict, epoch_losses: list[float],
                          epoch_images: int) -> str:
+        start = time.perf_counter()
         extra = {
             "epoch": epoch,
             "step_in_epoch": step_in_epoch,
@@ -511,7 +512,7 @@ class ElasticTrainer:
             "seed": self.seed,
         }
         path = save_checkpoint(
-            self.master, self.optimizer, self._checkpoint_path(),
+            self.master, self.optimizer, os.path.join(self.checkpoint_dir, f"ckpt-{self.global_step:08d}.npz"),
             metadata={"kind": "elastic-trainer"}, extra_state=extra,
         )
         self._m_checkpoints.inc()
@@ -520,6 +521,7 @@ class ElasticTrainer:
                 os.unlink(old)
             except OSError:  # pragma: no cover - already gone
                 pass
+        self._m_checkpoint_ms.observe((time.perf_counter() - start) * 1e3)
         return path
 
     def _load_latest(self) -> dict | None:
@@ -573,6 +575,9 @@ class ElasticTrainer:
             images = initial_images if epoch == start_epoch else 0
             stats = self._run_epoch(loader, epoch, replay, losses, images)
             self.history.append(stats)
+            if self.checkpoint_dir:
+                # Epoch-boundary checkpoint: cursor at the *next* epoch's start.
+                self._save_checkpoint(epoch + 1, 0, loader.rng_state(), [], 0)
             if verbose:  # pragma: no cover - console output
                 print(f"[elastic x{self.live_workers}] epoch {epoch + 1}/{epochs} "
                       f"loss={stats.loss:.4f} time={stats.time_s:.2f}s")
@@ -590,7 +595,13 @@ class ElasticTrainer:
         self.ping()
         start = time.perf_counter()
         step_in_epoch = 0
+        # A periodic checkpoint falling due waits for the loader's next batch: if the
+        # epoch ends instead, ``fit``'s epoch-boundary write to the same path is the one.
+        due = False
         for x, y in loader:
+            if due:
+                self._save_checkpoint(epoch, step_in_epoch, epoch_rng_state, losses, images)
+                due = False
             step_in_epoch += 1
             if step_in_epoch <= replay:
                 continue
@@ -599,25 +610,15 @@ class ElasticTrainer:
                 continue
             losses.append(loss)
             images += x.shape[0]
-            if (self.checkpoint_dir and self.checkpoint_every > 0
-                    and self.global_step % self.checkpoint_every == 0):
-                self._save_checkpoint(epoch, step_in_epoch, epoch_rng_state,
-                                      losses, images)
+            due = bool(self.checkpoint_dir and self.checkpoint_every > 0
+                       and self.global_step % self.checkpoint_every == 0)
         elapsed = time.perf_counter() - start
-        stats = EpochStats(
+        return EpochStats(
             epoch=epoch,
             loss=float(np.mean(losses)) if losses else float("nan"),
             time_s=elapsed,
             images_per_s=images / elapsed if elapsed > 0 else 0.0,
         )
-        if self.checkpoint_dir:
-            # Epoch-boundary checkpoint: cursor at the *next* epoch's start.
-            self.history.append(stats)
-            try:
-                self._save_checkpoint(epoch + 1, 0, loader.rng_state(), [], 0)
-            finally:
-                self.history.epochs.pop()
-        return stats
 
     # ------------------------------------------------------------------ #
     # Introspection

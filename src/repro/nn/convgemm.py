@@ -16,6 +16,8 @@ im2col / col2im formulation is the gradient-parity oracle in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -44,20 +46,17 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 _SCRATCH: dict[str, np.ndarray] = {}
 
 
-def scratch_buffer(shape: tuple[int, ...], slot: str = "cols") -> np.ndarray:
-    """A float32 view of the named workspace slot, grown to fit ``shape``.
+def scratch_buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """A float32 view of the shared cols workspace, grown to fit ``shape``.
 
-    Callers must be done with a slot's view before anything else can request
-    the same slot — the engine guarantees this by finishing each GEMM before
-    the next layer call runs.
+    Callers must be done with the view before anything else can request
+    one — the engine guarantees this by finishing each GEMM before the next
+    layer call runs.
     """
-    size = 1
-    for dim in shape:
-        size *= dim
-    flat = _SCRATCH.get(slot)
+    size = math.prod(shape)
+    flat = _SCRATCH.get("cols")
     if flat is None or flat.size < size:
-        flat = np.empty(size, dtype=np.float32)
-        _SCRATCH[slot] = flat
+        flat = _SCRATCH["cols"] = np.empty(size, dtype=np.float32)
     return flat[:size].reshape(shape)
 
 
@@ -75,7 +74,9 @@ def pad_input(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the spatial axes of an ``(N, C, H, W)`` batch (no-op for pad 0)."""
     if pad <= 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+    xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad, x.shape[3] + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:-pad, pad:-pad] = x
+    return xp
 
 
 #: Byte budget of one conv band — its cols rows plus its output rows.  Small
@@ -212,9 +213,8 @@ def conv_backward_offset(
     if need_bias_grad:
         cols[:, -1].fill(1.0)
     dw_ext = np.matmul(cols.reshape(n, rows, ell), gb.transpose(0, 2, 1)).sum(axis=0)
-    db = dw_ext[-1].copy() if need_bias_grad else None
-    dw = dw_ext[: kh * kw * c].reshape(kh, kw, c, f)
-    dw = np.ascontiguousarray(dw.transpose(3, 2, 0, 1))
+    db = dw_ext[-1] if need_bias_grad else None
+    dw = dw_ext[: kh * kw * c].reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
 
     if not need_input_grad:
         return None, dw, db
@@ -224,17 +224,9 @@ def conv_backward_offset(
         # output gradient with the spatially-flipped, channel-swapped filters.
         # One slice-copy batched GEMM, no scatter-add — the layout every
         # U-Net conv uses.
-        w_flip = np.ascontiguousarray(weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-        skip = min(pad, kh - 1, kw - 1)  # border of xp left out of the contraction; the rest is cropped
-        qh, qw = kh - 1 - skip, kw - 1 - skip
-        if qh == 0 and qw == 0:
-            gp = grad_output
-        else:
-            # Padded gradient lives in its own workspace slot: it must survive
-            # the "cols" assembly inside the transposed convolution below.
-            gp = scratch_buffer((n, f, oh + 2 * qh, ow + 2 * qw), slot="pad")
-            gp.fill(0.0)
-            gp[:, :, qh : qh + oh, qw : qw + ow] = grad_output
+        w_flip = weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        skip = min(pad, kh - 1)  # border of xp left out of the contraction; the rest is cropped
+        gp = pad_input(grad_output, kh - 1 - skip)
         dx = conv_forward_offset(gp, w_flip, None, 1, xp.shape[2] - 2 * skip, xp.shape[3] - 2 * skip)
         return _crop(dx, pad - skip), dw, db
 

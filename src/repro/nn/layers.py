@@ -12,32 +12,32 @@ from __future__ import annotations
 import numpy as np
 
 from .conv import Conv2D
-from .convgemm import scratch_buffer
 from .module import Module
 
 __all__ = ["ReLU", "MaxPool2D", "UpSample2D", "UpConv2D", "Dropout", "Concat", "BatchNorm2D"]
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    Training forward is the eval expression plus the one-byte-per-activation
+    ``out > 0`` mask backward multiplies by, so train ≡ eval by construction
+    (NaN propagates in both).
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if not self.training:
-            self._mask = None
-            return np.maximum(x, 0.0)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.maximum(np.asarray(x, dtype=np.float32), 0.0)
+        self._mask = out > 0 if self.training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        grad = np.asarray(grad_output, dtype=np.float32)
-        return np.where(self._mask, grad, np.float32(0.0))
+        return np.multiply(np.asarray(grad_output, dtype=np.float32), self._mask)
 
 
 def pool_views(x: np.ndarray, k: int) -> list[np.ndarray]:
@@ -59,9 +59,11 @@ def max_of_views(views: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 class MaxPool2D(Module):
     """2×2 (or k×k) max pooling with stride equal to the pool size.
 
-    Training caches one flat argmax index per window (uint8 for any realistic
-    pool size) and routes gradients with ``put_along_axis``; ties send all
-    gradient to the first maximum in row-major window order.
+    Training forward is the eval path's four-view maximum plus one flat window
+    index per output (uint8 for any realistic pool size), built from
+    view-equals-max comparisons in reverse view order so that ties — the common
+    case after ReLU — send all gradient to the first maximum in row-major window
+    order.  Backward writes ``grad * (index == i)`` into the ``i``-th strided view.
     """
 
     def __init__(self, pool_size: int = 2) -> None:
@@ -69,7 +71,7 @@ class MaxPool2D(Module):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.pool_size = pool_size
-        self._cache: tuple | None = None  # (input shape, per-window argmax index)
+        self._cache: np.ndarray | None = None  # per-window index of the maximum
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
@@ -77,30 +79,26 @@ class MaxPool2D(Module):
         k = self.pool_size
         if h % k or w % k:
             raise ValueError(f"spatial size ({h}, {w}) not divisible by pool size {k}")
-        if not self.training:
-            self._cache = None
-            return max_of_views(pool_views(x, k), np.empty((n, c, h // k, w // k), dtype=np.float32))
-        # Copy the windows into the shared workspace (consumed within this
-        # call), so repeated steps reuse warm pages.
-        windows = scratch_buffer((n, c, h // k, w // k, k, k), slot="pool")
-        windows[...] = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-        windows = windows.reshape(n, c, h // k, w // k, k * k)
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx.astype(np.uint8 if k * k <= 256 else np.intp))
+        views = pool_views(x, k)
+        out = max_of_views(views, np.empty((n, c, h // k, w // k), dtype=np.float32))
+        self._cache = None
+        if self.training:
+            # Horner over "view i is not the maximum": index = ne0·(1 + ne1·(1 + ne2·(…))).
+            idx = self._cache = np.zeros(out.shape, dtype=np.uint8 if k * k <= 256 else np.intp)
+            for view in views[-2::-1]:
+                idx += 1
+                idx *= view != out
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        (n, c, h, w), idx = self._cache
-        k = self.pool_size
         grad = np.asarray(grad_output, dtype=np.float32)
-        windows = scratch_buffer((n, c, h // k, w // k, k * k), slot="pool")
-        windows.fill(0.0)
-        np.put_along_axis(windows, idx[..., None].astype(np.intp), grad[..., None], axis=-1)
-        unrolled = windows.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return np.ascontiguousarray(unrolled).reshape(n, c, h, w)
+        k = self.pool_size
+        dx = np.empty(grad.shape[:2] + (grad.shape[2] * k, grad.shape[3] * k), dtype=np.float32)
+        for i, view in enumerate(pool_views(dx, k)):
+            np.multiply(grad, self._cache == i, out=view)
+        return dx
 
 
 class UpSample2D(Module):
@@ -118,9 +116,10 @@ class UpSample2D(Module):
         self._input_shape = x.shape
         n, c, h, w = x.shape
         f = self.factor
-        # One broadcast copy instead of two chained ``repeat`` materialisations.
-        expanded = np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, f, w, f))
-        return expanded.reshape(n, c, h * f, w * f)
+        out = np.empty((n, c, h * f, w * f), dtype=np.float32)
+        for view in pool_views(out, f):  # f² strided writes beat one broadcast copy with a 2-wide inner axis
+            view[...] = x
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
@@ -150,7 +149,11 @@ class UpConv2D(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         up = self.upsample(x)
-        padded = np.pad(up, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="edge")
+        n, c, h, w = up.shape
+        padded = np.empty((n, c, h + 1, w + 1), dtype=np.float32)
+        padded[:, :, :h, :w] = up
+        padded[:, :, h, :w] = up[:, :, -1]
+        padded[:, :, :, w] = padded[:, :, :, w - 1]
         return self.conv(padded)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -18,6 +18,8 @@ they drop straight into ``BENCH_*.json`` files.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from typing import Iterable, Sequence
 
@@ -37,12 +39,15 @@ class LayerTimer:
     ``install()`` replaces each named module's ``forward`` (and ``backward``
     when present) with a timing wrapper writing into this timer;
     ``remove()`` restores the original bound methods.  Use as a context
-    manager for exception safety.
+    manager for exception safety.  Times are *self* times — a call's wall
+    time minus the timed calls nested inside it — so timing a block and its
+    children books every millisecond once; modules sharing a name share a cell.
     """
 
     def __init__(self, named_modules: Iterable[tuple[str, object]]) -> None:
         self._modules = list(named_modules)
         self._originals: list[tuple[object, str, object]] = []
+        self._nested: list[float] = []  # per open timed call: ms spent in timed calls below it
         self.stats: dict[str, dict[str, float]] = {}
 
     def _cell(self, name: str) -> dict[str, float]:
@@ -60,11 +65,15 @@ class LayerTimer:
 
         def timed(*args, **kwargs):
             start = time.perf_counter()
+            self._nested.append(0.0)
             try:
                 return original(*args, **kwargs)
             finally:
+                elapsed = (time.perf_counter() - start) * 1e3
                 cell = self._cell(name)
-                cell[key] += (time.perf_counter() - start) * 1e3
+                cell[key] += elapsed - self._nested.pop()
+                if self._nested:
+                    self._nested[-1] += elapsed
                 if key == "forward_ms":
                     cell["calls"] += 1
 
@@ -186,7 +195,7 @@ def profile_inference(model, batch_shape: tuple[int, int, int] = (1, 32, 32),
 
 def profile_training(model=None, epochs: int = 2, batches: int = 4, batch_size: int = 4,
                      tile: int = 16, seed: int = 0) -> dict:
-    """Per-epoch, per-phase and per-layer training timings on synthetic tiles."""
+    """Per-epoch per-phase / per-block timings, a per-layer-class ``by_kind`` budget and ``checkpoint_ms``."""
     from ..data.loader import BatchLoader
     from ..unet.model import UNet, UNetConfig
     from ..unet.trainer import UNetTrainer
@@ -201,7 +210,18 @@ def profile_training(model=None, epochs: int = 2, batches: int = 4, batch_size: 
 
     trainer = UNetTrainer(model=model)
     trainer.enable_profiling()
-    trainer.fit(loader, epochs=epochs)
+    with LayerTimer((type(module).__name__, module) for module in model.modules()) as timer:
+        trainer.fit(loader, epochs=epochs)
+    kinds = timer.to_dict()
+    total = sum(cell["forward_ms"] + cell["backward_ms"] for cell in kinds.values())
+    for cell in kinds.values():
+        cell["share"] = round((cell["forward_ms"] + cell["backward_ms"]) / total, 4) if total else 0.0
+    checkpoints = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(5):
+            start = time.perf_counter()
+            trainer.save_checkpoint(os.path.join(tmp, "probe.npz"))
+            checkpoints.append((time.perf_counter() - start) * 1e3)
     return {
         "epochs": epochs,
         "batches_per_epoch": batches,
@@ -217,4 +237,6 @@ def profile_training(model=None, epochs: int = 2, batches: int = 4, batch_size: 
             }
             for stats in trainer.history.epochs
         ],
+        "by_kind": kinds,
+        "checkpoint_ms": round(float(np.median(checkpoints)), 3),
     }

@@ -102,40 +102,26 @@ class UNetTrainer:
     def enable_profiling(self, enabled: bool = True) -> None:
         """Record per-phase and per-layer wall time for subsequent epochs.
 
-        Each :class:`EpochStats` produced while enabled carries a ``profile``
-        dict; the hot path pays nothing while disabled.
+        Each :class:`EpochStats` produced while enabled carries a ``profile`` dict.
         """
         self._profile_enabled = bool(enabled)
 
     def train_step(self, x: np.ndarray, y: np.ndarray) -> float:
         """One optimisation step on a single batch; returns the batch loss."""
+        clock = time.perf_counter  # four reads a step, booked per phase only while profiling
+        self.model.train()
+        t0 = clock()
+        logits = self.model.forward(x)
+        t1 = clock()
+        loss = self.loss_fn.forward(logits, y)
+        t2 = clock()
+        self.optimizer.zero_grad()
+        self.model.backward(self.loss_fn.backward(), need_input_grad=False)
+        t3 = clock()
+        self.optimizer.step()
         if self._phase_acc is not None:
-            return self._train_step_profiled(x, y)
-        self.model.train()
-        logits = self.model.forward(x)
-        loss = self.loss_fn.forward(logits, y)
-        self.optimizer.zero_grad()
-        self.model.backward(self.loss_fn.backward(), need_input_grad=False)
-        self.optimizer.step()
-        return loss
-
-    def _train_step_profiled(self, x: np.ndarray, y: np.ndarray) -> float:
-        acc = self._phase_acc
-        self.model.train()
-        t0 = time.perf_counter()
-        logits = self.model.forward(x)
-        t1 = time.perf_counter()
-        loss = self.loss_fn.forward(logits, y)
-        t2 = time.perf_counter()
-        self.optimizer.zero_grad()
-        self.model.backward(self.loss_fn.backward(), need_input_grad=False)
-        t3 = time.perf_counter()
-        self.optimizer.step()
-        t4 = time.perf_counter()
-        acc["forward_ms"] += (t1 - t0) * 1e3
-        acc["loss_ms"] += (t2 - t1) * 1e3
-        acc["backward_ms"] += (t3 - t2) * 1e3
-        acc["optimizer_ms"] += (t4 - t3) * 1e3
+            for key, seconds in zip(self._phase_acc, (t1 - t0, t2 - t1, t3 - t2, clock() - t3)):
+                self._phase_acc[key] += seconds * 1e3
         return loss
 
     def train_epoch(self, loader: BatchLoader, epoch: int = 0) -> EpochStats:

@@ -8,6 +8,7 @@ harness instead.
 from __future__ import annotations
 
 import multiprocessing
+import zipfile
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def no_leaked_workers_or_segments():
     assert not leaked, f"shared-memory segments leaked by the suite: {sorted(leaked)}"
     children = multiprocessing.active_children()
     assert not children, f"worker processes left alive by the suite: {children}"
+
+
+@pytest.fixture(params=["stored", "deflated"])
+def archive_writer(request, monkeypatch) -> int:
+    """Checkpoints as this code writes them (stored members) and as every commit before
+    PR 17 did (deflated): ``repro.nn.serialization`` writes through ``np.savez``.
+    Returns the zip ``compress_type`` the members then carry."""
+    if request.param == "stored":
+        return zipfile.ZIP_STORED
+    monkeypatch.setattr(np, "savez", np.savez_compressed)
+    return zipfile.ZIP_DEFLATED
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,13 @@ so it is compared under a tolerance.  Last come the seed's training kernels —
 :class:`ReferenceMaxPool2D` layers built on them — the gradient-parity
 reference of the offset-GEMM and argmax-index layers in ``repro.nn``, and the
 seed arm the throughput benchmarks race (swapped in per module with
-``module.__class__ = Reference…``).  Not a test module; nothing under
-``src/`` imports it.
+``module.__class__ = Reference…``) — and the training-mode bodies PR 17
+replaced with the four-view primitives: :class:`ReferenceReLU` (mask +
+``np.where``), :class:`ReferenceArgmaxPool2D` (window copy, ``argmax``,
+``take_along_axis`` / ``put_along_axis``), :class:`ReferenceUpConv2D`
+(broadcast up-sampling + ``np.pad(mode="edge")``) and
+:func:`reference_pad_input` (``np.pad``); all four are exact oracles.  Not a
+test module; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from hypothesis.extra import numpy as hnp
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
 from repro.cloudshadow import VeilEstimate
 from repro.imops import absdiff, gaussian_blur, scale_to_uint8
-from repro.nn import Conv2D, MaxPool2D, conv_output_size
+from repro.nn import Conv2D, MaxPool2D, ReLU, UpConv2D, conv_output_size
 from repro.nn.layers import max_of_views, pool_views
 
 
@@ -295,3 +300,60 @@ class ReferenceMaxPool2D(MaxPool2D):
         input_shape, mask, counts = self._cache
         grad = np.asarray(grad_output, dtype=np.float32)[:, :, :, None, :, None]
         return (mask * grad / counts).reshape(input_shape)
+
+
+class ReferenceReLU(ReLU):
+    """Training forward as it was before PR 17: a mask, then ``np.where`` through it both ways."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return super().forward(x)
+        x = np.asarray(x, dtype=np.float32)
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad = np.asarray(grad_output, dtype=np.float32)
+        return np.where(self._mask, grad, np.float32(0.0))
+
+
+class ReferenceArgmaxPool2D(MaxPool2D):
+    """Training path as it was before PR 17: every window copied out, ``argmax`` over it (first
+    maximum wins ties), ``put_along_axis`` into a zero-filled window tensor and a transposed copy back."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return super().forward(x)
+        x = np.asarray(x, dtype=np.float32)
+        n, c, h, w = x.shape
+        k = self.pool_size
+        windows = np.ascontiguousarray(x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5))
+        windows = windows.reshape(n, c, h // k, w // k, k * k)
+        idx = windows.argmax(axis=-1)
+        self._cache = idx.astype(np.uint8 if k * k <= 256 else np.intp)
+        return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        k = self.pool_size
+        grad = np.asarray(grad_output, dtype=np.float32)
+        n, c, oh, ow = grad.shape
+        windows = np.zeros((n, c, oh, ow, k * k), dtype=np.float32)
+        np.put_along_axis(windows, self._cache[..., None].astype(np.intp), grad[..., None], axis=-1)
+        unrolled = windows.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
+        return np.ascontiguousarray(unrolled).reshape(n, c, oh * k, ow * k)
+
+
+class ReferenceUpConv2D(UpConv2D):
+    """Forward as it was before PR 17: one broadcast copy up, ``np.pad(mode="edge")`` bottom/right."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float32)
+        n, c, h, w = x.shape
+        self.upsample._input_shape = x.shape
+        up = np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
+        return self.conv(np.pad(up, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="edge"))
+
+
+def reference_pad_input(x: np.ndarray, pad: int) -> np.ndarray:
+    """``pad_input`` through ``np.pad``'s generic machinery."""
+    return x if pad <= 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")

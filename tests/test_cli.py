@@ -128,3 +128,24 @@ class TestBenchCommand:
     def test_serve_max_warm_flag(self):
         args = build_parser().parse_args(["serve", "--demo", "--max-warm", "2"])
         assert args.max_warm == 2
+
+
+class TestProfileCommand:
+    def test_training_profile_honours_model_flags_and_reports_the_budget(self, tmp_path, capsys):
+        import json as json_mod
+
+        out = tmp_path / "PROFILE_training.json"
+        assert main(["profile", "training", "--depth", "3", "--base-channels", "4", "--tile-size", "16",
+                     "--batch-size", "2", "--batches", "2", "--epochs", "1", "--output", str(out)]) == 0
+        report = json_mod.loads(out.read_text())["training"]
+        # --depth 3: three encoders and decoders in the per-block table, not the fixed depth-2 model.
+        assert {"enc2", "dec2"} <= set(report["per_epoch"][0]["layers"])
+        kinds = report["by_kind"]
+        assert {"Conv2D", "ReLU", "Dropout", "MaxPool2D", "UpSample2D", "UpConv2D", "Concat",
+                "DoubleConv", "EncoderBlock", "DecoderBlock", "UNet"} == set(kinds)
+        # --base-channels/--depth reach the model: 2 steps x (3 encoders + bottleneck + 3 decoders) x 2 ReLUs.
+        assert kinds["ReLU"]["calls"] == 2 * 7 * 2 and kinds["MaxPool2D"]["calls"] == 2 * 3
+        assert kinds["UNet"]["calls"] == 2
+        assert sum(cell["share"] for cell in kinds.values()) == pytest.approx(1.0, abs=1e-2)
+        assert all(cell["forward_ms"] >= 0.0 and cell["backward_ms"] >= 0.0 for cell in kinds.values())
+        assert report["checkpoint_ms"] > 0.0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.distributed import (
     ring_allreduce,
 )
 from repro.nn import SGD
+from repro.obs.metrics import get_registry
 from repro.reliability import FaultSpec, configure_faults, reset_faults
 from repro.unet import UNet, UNetConfig, UNetTrainer
 
@@ -273,6 +276,26 @@ def _elastic_loader(split, seed: int = 5) -> BatchLoader:
                        shuffle=True, augment=True, seed=seed)
 
 
+def _eight_step_loader() -> BatchLoader:
+    rng = np.random.default_rng(11)
+    images = rng.integers(0, 256, size=(32, 16, 16, 3), dtype=np.uint8)
+    labels = rng.integers(0, 3, size=(32, 16, 16), dtype=np.uint8)
+    return BatchLoader(images, labels, batch_size=4, shuffle=True, augment=True, seed=5)
+
+
+class _IterOnlyLoader:
+    """What ``fit`` may rely on when not resuming: ``__iter__`` and ``rng_state()`` — no ``len()``."""
+
+    def __init__(self, loader: BatchLoader) -> None:
+        self._loader = loader
+
+    def __iter__(self):
+        return iter(self._loader)
+
+    def rng_state(self) -> dict:
+        return self._loader.rng_state()
+
+
 class TestLoaderRngState:
     def test_rng_state_roundtrip_replays_exact_batches(self, tiny_split):
         loader = _elastic_loader(tiny_split)
@@ -352,6 +375,56 @@ class TestElasticTrainer:
                             keep_checkpoints=2) as trainer:
             trainer.fit(loader, epochs=3)
         assert len(latest_checkpoints(tmp_path)) == 2
+
+    def test_one_checkpoint_per_step_boundary(self, tmp_path):
+        """8-step epoch, checkpoint every 4: step 4's periodic archive is on disk before step 5
+        computes, and step 8 is written once (epoch-boundary form), not twice to the same path."""
+        trainer_kwargs = dict(num_workers=1, config=ELASTIC_CONFIG, micro_shards=2, seed=0,
+                              checkpoint_dir=tmp_path, checkpoint_every=4)
+        registry = get_registry()
+        with ElasticTrainer(**trainer_kwargs) as trainer:
+            written = registry.get("repro_train_checkpoints_total").value()
+            timed = registry.get("repro_train_checkpoint_ms").snapshot()["count"]
+            on_disk_at_step = {}
+            real_step = trainer.train_step
+
+            def spying_step(x, y):
+                on_disk_at_step[trainer.global_step] = [
+                    os.path.basename(path) for path in latest_checkpoints(tmp_path)]
+                return real_step(x, y)
+
+            trainer.train_step = spying_step
+            trainer.fit(_IterOnlyLoader(_eight_step_loader()), epochs=1)
+            assert trainer.global_step == 8
+            assert registry.get("repro_train_checkpoints_total").value() - written == 2
+            assert registry.get("repro_train_checkpoint_ms").snapshot()["count"] - timed == 2
+        assert on_disk_at_step[3] == [] and on_disk_at_step[4] == ["ckpt-00000004.npz"]
+        assert [os.path.basename(path) for path in latest_checkpoints(tmp_path)] == [
+            "ckpt-00000008.npz", "ckpt-00000004.npz"]
+
+    def test_resume_from_either_kept_archive_in_either_format(self, tmp_path, archive_writer):
+        """Mid-epoch (step 4) and epoch-boundary (step 8) archives, stored or deflated as the
+        parent commit wrote them, both resume into the uninterrupted run's weights."""
+        trainer_kwargs = dict(num_workers=1, config=ELASTIC_CONFIG, micro_shards=2, seed=0)
+        with ElasticTrainer(**trainer_kwargs) as trainer:
+            reference = list(trainer.fit(_eight_step_loader(), epochs=2).losses)
+            reference_digest = trainer.weights_digest()
+        with ElasticTrainer(checkpoint_dir=tmp_path / "run", checkpoint_every=4,
+                            **trainer_kwargs) as trainer:
+            trainer.fit(_eight_step_loader(), epochs=1)
+        kept = latest_checkpoints(tmp_path / "run")
+        assert len(kept) == 2
+        for index, path in enumerate(kept):
+            with zipfile.ZipFile(path) as archive:
+                assert {info.compress_type for info in archive.infolist()} == {archive_writer}
+            only = tmp_path / f"only-{index}"
+            only.mkdir()
+            shutil.copy(path, only)
+            with ElasticTrainer(checkpoint_dir=only, **trainer_kwargs) as trainer:
+                resumed = trainer.fit(_eight_step_loader(), epochs=2, resume=True)
+                assert trainer.resumes == 1
+                assert list(resumed.losses) == reference
+                assert trainer.weights_digest() == reference_digest
 
     def test_stats_surface(self, tiny_split):
         loader = _elastic_loader(tiny_split)

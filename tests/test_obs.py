@@ -253,6 +253,28 @@ class TestProfilingHooks:
         # No lingering instance-level shadow: forward resolves to the class method.
         assert "forward" not in vars(model.bottleneck)
 
+    def test_layer_timer_books_nested_time_once(self, monkeypatch):
+        class Leaf:
+            def forward(self):
+                return 1
+
+        class Block:
+            def __init__(self):
+                self.leaf = Leaf()
+
+            def forward(self):
+                return self.leaf.forward() + self.leaf.forward()
+
+        ticks = iter(range(100))  # every clock read is one second later
+        monkeypatch.setattr("repro.obs.profile.time.perf_counter", lambda: float(next(ticks)))
+        block = Block()
+        with LayerTimer([("block", block), ("leaf", block.leaf)]) as timer:
+            block.forward()
+        monkeypatch.undo()
+        # block 0 → 5 s with the leaf inside it 1 → 2 s and 3 → 4 s: self times, summing to the wall.
+        assert timer.stats["leaf"] == {"forward_ms": 2000.0, "backward_ms": 0.0, "calls": 2}
+        assert timer.stats["block"] == {"forward_ms": 3000.0, "backward_ms": 0.0, "calls": 1}
+
     def test_compiled_plan_per_step_timings(self):
         model = UNet(UNetConfig(depth=2, base_channels=4, dropout=0.0, seed=1))
         report = profile_inference(model, batch_shape=(1, 32, 32), iterations=3, warmup=1)
@@ -280,6 +302,15 @@ class TestProfilingHooks:
         assert all(v >= 0.0 for v in phases.values())
         assert "bottleneck" in epoch["layers"]
         assert epoch["layers"]["bottleneck"]["calls"] == 2
+        kinds = report["by_kind"]  # default model: depth 2, no dropout
+        assert set(kinds) == {"Conv2D", "ReLU", "MaxPool2D", "UpSample2D", "UpConv2D", "Concat",
+                              "DoubleConv", "EncoderBlock", "DecoderBlock", "UNet"}
+        assert kinds["UNet"]["calls"] == 2 and kinds["MaxPool2D"]["calls"] == 2 * 2
+        # Self times: the per-class lines never add up to more than the phases measured around
+        # the whole model (0.1 ms covers the 3-decimal rounding of some twenty values).
+        booked = sum(cell["forward_ms"] + cell["backward_ms"] for cell in kinds.values())
+        assert booked <= phases["forward_ms"] + phases["backward_ms"] + 0.1
+        assert report["checkpoint_ms"] > 0.0
 
     def test_latency_percentiles_empty_and_ordered(self):
         assert latency_percentiles([]) == {"p50_ms": None, "p95_ms": None, "p99_ms": None}

@@ -6,16 +6,21 @@ from __future__ import annotations
 
 import glob
 import os
+import struct
 import time
+import zipfile
 
 import numpy as np
 import pytest
 from batcher_gate import GatedPredict, tagged_tile
 
-from repro.nn.optimizers import SGD
+from repro.distributed import ElasticTrainer
+from repro.nn.optimizers import SGD, Adam
 from repro.nn.serialization import (
     CheckpointError,
+    load_checkpoint,
     load_model_state,
+    read_metadata,
     save_checkpoint,
     save_weights,
 )
@@ -308,7 +313,7 @@ class TestAtomicCheckpointWrites:
             stream.write(b"partial garbage")
             raise OSError("disk full")
 
-        monkeypatch.setattr(serialization.np, "savez_compressed", explode)
+        monkeypatch.setattr(serialization.np, "savez", explode)
         with pytest.raises(OSError, match="disk full"):
             save_weights(model, path)
         monkeypatch.undo()
@@ -316,6 +321,104 @@ class TestAtomicCheckpointWrites:
         recovered = load_model_state(path)
         assert sorted(recovered) == sorted(good)
         assert glob.glob(str(tmp_path / "*.tmp-*")) == []
+
+
+def _flip_last_byte_of(path: str, member: str) -> None:
+    """Flip one payload byte of a stored zip member in place (its recorded CRC-32 goes stale)."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "r+b") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+        fh.seek(info.header_offset + 30 + name_len + extra_len + info.compress_size - 1)
+        byte = fh.read(1)
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+
+
+class TestArchiveFormats:
+    """Stored archives (written now) and deflated ones (written before PR 17) are one format to every reader."""
+
+    def _trained(self, seed: int = 4):
+        model = UNet(tiny_unet_config(seed=seed))
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        for param in model.parameters():
+            param.grad[...] = 0.01
+        optimizer.step()  # non-trivial moments and step count
+        return model, optimizer
+
+    def test_every_reader_gives_the_source_state(self, tmp_path, archive_writer):
+        model, optimizer = self._trained()
+        path = save_checkpoint(model, optimizer, str(tmp_path / "ckpt"), metadata={"kind": "test"},
+                               extra_state={"cursor": [3, 1]})
+        with zipfile.ZipFile(path) as archive:  # the fixture really wrote the format it names
+            assert {info.compress_type for info in archive.infolist()} == {archive_writer}
+
+        fresh = UNet(tiny_unet_config(seed=99))
+        fresh_optimizer = Adam(fresh.parameters(), lr=0.5)
+        assert load_checkpoint(fresh, fresh_optimizer, path) == {"cursor": [3, 1]}
+        assert read_metadata(path) == {"kind": "test"}
+        source, loaded, from_state = model.state_dict(), fresh.state_dict(), load_model_state(path)
+        assert sorted(source) == sorted(loaded) == sorted(from_state)
+        for key, value in source.items():
+            np.testing.assert_array_equal(loaded[key], value)
+            np.testing.assert_array_equal(from_state[key], value)
+        restored = fresh_optimizer.state_dict()
+        for key, value in optimizer.state_dict().items():
+            np.testing.assert_array_equal(np.asarray(restored[key]), np.asarray(value))
+
+    def test_registry_serves_both_formats_alike(self, tmp_path, archive_writer):
+        model = UNet(UNetConfig(depth=1, base_channels=2, seed=6))
+        registry = ModelRegistry(str(tmp_path))
+        registry.publish("m", 1, model)
+        try:
+            served = registry.classifier("m").model.state_dict()
+        finally:
+            registry.close()
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(served[key], value)
+
+    def test_fresh_archives_have_only_stored_members(self, tmp_path):
+        """The structural guard that deflate does not come back: a byte fact, not a timing."""
+        model, optimizer = self._trained()
+        registry = ModelRegistry(str(tmp_path / "registry"))
+        registry.publish("m", 1, model)
+        registry.close()
+        paths = [save_weights(model, str(tmp_path / "w")), save_checkpoint(model, optimizer, str(tmp_path / "c")),
+                 *glob.glob(str(tmp_path / "registry" / "**" / "*.npz"), recursive=True)]
+        assert len(paths) == 3
+        for path in paths:
+            with zipfile.ZipFile(path) as archive:
+                assert archive.infolist()
+                assert all(info.compress_type == zipfile.ZIP_STORED for info in archive.infolist()), path
+
+    def test_flipped_byte_in_a_stored_tensor_is_a_checkpoint_error(self, tmp_path):
+        model, optimizer = self._trained()
+        path = save_checkpoint(model, optimizer, str(tmp_path / "ckpt"))
+        with zipfile.ZipFile(path) as archive:
+            member = next(name for name in archive.namelist() if name.startswith("model/"))
+        _flip_last_byte_of(path, member)
+        with pytest.raises(CheckpointError, match="CRC"):
+            load_checkpoint(model, optimizer, path)
+        with pytest.raises(CheckpointError, match="CRC"):
+            load_model_state(path)
+
+    def test_resume_falls_back_past_a_flipped_and_a_torn_archive(self, tmp_path):
+        # Never started: checkpointing touches only the master model and its optimiser.
+        trainer = ElasticTrainer(num_workers=1, config=tiny_unet_config(seed=2),
+                                 checkpoint_dir=tmp_path, keep_checkpoints=10)
+        paths = {}
+        for step in (1, 2, 3):
+            trainer.global_step = step
+            if step == 2:
+                configure_faults({"ckpt_corrupt_write": FaultSpec(times=1)})
+            paths[step] = trainer._save_checkpoint(0, step, {}, [], 0)
+        assert fault_stats()["ckpt_corrupt_write"]["fired"] == 1
+        _flip_last_byte_of(paths[3], "optim/m.0.npy")
+        for step in (3, 2):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(trainer.master, trainer.optimizer, paths[step])
+        assert trainer._load_latest()["global_step"] == 1
 
 
 def _publish(registry: ModelRegistry, name: str, version: int, seed: int = 0) -> None:
