@@ -100,7 +100,12 @@ def bench_dataset():
 
 @pytest.fixture(scope="session")
 def accuracy_experiment():
-    """One shared U-Net-Man vs U-Net-Auto experiment (Tables IV, V and Figure 13)."""
+    """One shared U-Net-Man vs U-Net-Auto experiment (Tables IV, V and Figure 13).
+
+    Trained in-process: a worker count would move the wall time only, never a row
+    (``tests/test_workflow.py`` holds that), and with BLAS threads as found two workers
+    on a 2-CPU host oversubscribe it (156 s against 39 s here; 32 s with BLAS pinned to 1).
+    """
     config = AccuracyExperimentConfig(
         num_scenes=8,
         scene_size=128,

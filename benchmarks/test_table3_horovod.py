@@ -26,7 +26,7 @@ from repro.distributed import (
     paper_table3,
     ring_allreduce,
 )
-from repro.unet import UNetConfig, UNetTrainer
+from repro.unet import UNetConfig
 
 from conftest import print_paper_vs_measured, print_rows
 
@@ -51,9 +51,9 @@ def test_table3_single_worker_epoch(benchmark, bench_dataset):
     tiles = bench_dataset.images[:24]
     labels = bench_dataset.labels[:24]
     loader = BatchLoader(tiles, labels, batch_size=8, shuffle=False)
-    trainer = UNetTrainer(config=_CONFIG, learning_rate=1e-3)
+    trainer = ElasticTrainer(num_workers=0, config=_CONFIG, learning_rate=1e-3)
 
-    stats = benchmark.pedantic(lambda: trainer.train_epoch(loader), rounds=1, iterations=1)
+    stats = benchmark.pedantic(lambda: trainer.fit(loader, epochs=1).epochs[-1], rounds=1, iterations=1)
     assert stats.images_per_s > 0
     print_rows(
         "Table III baseline: single-worker epoch on this machine",
@@ -83,13 +83,13 @@ def test_table3_and_fig12_dgx_sweep(benchmark, bench_dataset):
     tiles = bench_dataset.images[:24]
     labels = bench_dataset.labels[:24]
     loader = BatchLoader(tiles, labels, batch_size=8, shuffle=False)
-    trainer = UNetTrainer(config=_CONFIG, learning_rate=1e-3)
-    epoch = trainer.train_epoch(loader)
+    trainer = ElasticTrainer(num_workers=0, config=_CONFIG, learning_rate=1e-3)
+    epoch = trainer.fit(loader, epochs=1).epochs[-1]
 
     local_model = DGXTrainingModel.calibrated_from_measurement(
         measured_epoch_time=epoch.time_s,
         images_per_epoch=tiles.shape[0],
-        model_parameters=trainer.model.num_parameters(),
+        model_parameters=trainer.master.num_parameters(),
         epochs=5,
         per_worker_batch_size=8,
     )

@@ -6,9 +6,9 @@ a full-resolution boolean mask plus a tie-count tensor, a loss that upcast
 every logit batch to float64, float64 dropout draws, and an Adam step that
 allocated fresh temporaries per parameter.  This benchmark reconstructs that
 exact path (the im2col/mask reference layers plus faithful replicas of the seed loss,
-dropout, ReLU and Adam below) and races it against the current engine on a
-depth-3 U-Net train step, reporting img/s and the bytes each layer type pins
-between forward and backward.  Results land in
+dropout, ReLU and Adam below, stepped by ``reference_train_step``) and races it
+against the trainer's in-process step on a depth-3 U-Net, reporting img/s and
+the bytes each layer type pins between forward and backward.  Results land in
 ``BENCH_training_throughput.json``.
 """
 
@@ -19,14 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.distributed import DGXTrainingModel, PipeRingAllReducer
+from repro.distributed import DGXTrainingModel, ElasticTrainer, PipeRingAllReducer
 from repro.nn import Adam, CategoricalCrossEntropy, Conv2D, MaxPool2D, workspace_nbytes
 from repro.nn.layers import Dropout, ReLU, UpSample2D
 from repro.unet import UNet, UNetConfig
-from repro.unet.trainer import UNetTrainer
 
 from conftest import BENCH_SMOKE, print_rows, update_bench_json, write_bench_json
-from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, reference_train_step
 
 DEPTH = 3
 BASE_CHANNELS = 16
@@ -122,40 +121,27 @@ class SeedAdam(Adam):
             param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class SeedTrainer(UNetTrainer):
-    """Seed train step: always back-propagates all the way to the input tensor
-    (the seed had no way to skip the unused first-layer input gradient)."""
+class SeedTrainer:
+    """The seed model, loss and Adam behind ``reference_train_step``; it always back-propagates
+    all the way to the input tensor (the seed had no way to skip the unused first-layer input gradient)."""
+
+    def __init__(self, config: UNetConfig) -> None:
+        self.master = UNet(config)
+        seed_classes = {Conv2D: ReferenceConv2D, MaxPool2D: ReferenceMaxPool2D, ReLU: SeedReLU,
+                        Dropout: SeedDropout, UpSample2D: SeedUpSample2D}
+        for module in self.master.modules():
+            module.__class__ = seed_classes.get(type(module), type(module))
+        self.loss_fn = SeedCategoricalCrossEntropy()
+        self.optimizer = SeedAdam(self.master.parameters(), lr=1e-3)
 
     def train_step(self, x: np.ndarray, y: np.ndarray) -> float:
-        self.model.train()
-        logits = self.model.forward(x)
-        loss = self.loss_fn.forward(logits, y)
-        self.optimizer.zero_grad()
-        self.model.backward(self.loss_fn.backward(), need_input_grad=True)
-        self.optimizer.step()
-        return loss
+        return reference_train_step(self.master, self.loss_fn, self.optimizer, x, y, need_input_grad=True)
 
 
-def build_trainer(seed_path: bool, dropout: float = 0.1) -> UNetTrainer:
-    model = UNet(UNetConfig(depth=DEPTH, base_channels=BASE_CHANNELS, dropout=dropout, seed=3))
-    if seed_path:
-        for module in model.modules():
-            if isinstance(module, Conv2D):
-                module.__class__ = ReferenceConv2D
-            elif isinstance(module, MaxPool2D):
-                module.__class__ = ReferenceMaxPool2D
-            elif isinstance(module, ReLU):
-                module.__class__ = SeedReLU
-            elif isinstance(module, Dropout):
-                module.__class__ = SeedDropout
-            elif isinstance(module, UpSample2D):
-                module.__class__ = SeedUpSample2D
-    optimizer_cls = SeedAdam if seed_path else Adam
-    trainer_cls = SeedTrainer if seed_path else UNetTrainer
-    trainer = trainer_cls(model=model, optimizer=optimizer_cls(model.parameters(), lr=1e-3))
-    if seed_path:
-        trainer.loss_fn = SeedCategoricalCrossEntropy()
-    return trainer
+def build_trainer(seed_path: bool, dropout: float = 0.1) -> SeedTrainer | ElasticTrainer:
+    """The seed step, or the trainer's own: its in-process rank on the whole batch as one micro-shard."""
+    config = UNetConfig(depth=DEPTH, base_channels=BASE_CHANNELS, dropout=dropout, seed=3)
+    return SeedTrainer(config) if seed_path else ElasticTrainer(num_workers=0, micro_shards=1, config=config)
 
 
 def layer_cache_bytes(model: UNet) -> dict[str, int]:
@@ -177,7 +163,7 @@ def test_training_throughput_fast_vs_seed_path():
 
     trainers = {"seed": build_trainer(seed_path=True), "fast": build_trainer(seed_path=False)}
     losses = {name: trainer.train_step(x, y) for name, trainer in trainers.items()}  # warmup
-    caches = {name: layer_cache_bytes(trainer.model) for name, trainer in trainers.items()}
+    caches = {name: layer_cache_bytes(trainer.master) for name, trainer in trainers.items()}
 
     # Interleave the timed rounds so machine noise hits both paths equally,
     # and score each path by its best round.

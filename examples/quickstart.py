@@ -12,9 +12,10 @@ import numpy as np
 from repro.classes import CLASS_NAMES, SeaIceClass
 from repro.cloudshadow import CloudShadowFilter
 from repro.data import BatchLoader, build_dataset, train_test_split
+from repro.distributed import ElasticTrainer
 from repro.labeling import ColorSegmentationLabeler
 from repro.metrics import accuracy_score, ssim
-from repro.unet import InferenceConfig, SceneClassifier, UNetConfig, UNetTrainer
+from repro.unet import InferenceConfig, SceneClassifier, UNetConfig
 
 
 def main() -> None:
@@ -41,9 +42,9 @@ def main() -> None:
     # 3. Train a small U-Net on the auto-labeled tiles.
     # ------------------------------------------------------------------ #
     print("3. training a U-Net on the auto-labeled tiles ...")
-    trainer = UNetTrainer(config=UNetConfig(depth=3, base_channels=12, dropout=0.1, seed=1), learning_rate=2e-3)
+    trainer = ElasticTrainer(config=UNetConfig(depth=3, base_channels=12, dropout=0.1, seed=1), learning_rate=2e-3)
     loader = BatchLoader(cloud_filter.apply_batch(train.images), auto_labels, batch_size=8, augment=True, seed=0)
-    history = trainer.fit(loader, epochs=20, verbose=False)
+    history = trainer.fit(loader, epochs=20)
     print(f"   final training loss: {history.losses[-1]:.3f} "
           f"({history.mean_throughput:.0f} tiles/s on this machine)")
 
@@ -64,7 +65,7 @@ def main() -> None:
     from repro.data import SceneSpec, synthesize_scene
 
     scene = synthesize_scene(SceneSpec(height=128, width=128, cloud_coverage=0.3, seed=77))
-    classifier = SceneClassifier(model=trainer.model,
+    classifier = SceneClassifier(model=trainer.master,
                                  config=InferenceConfig(tile_size=32, apply_cloud_filter=True))
     prediction = classifier.classify_scene(scene.rgb)
     print("5. whole-scene inference on a fresh cloudy scene:")

@@ -6,7 +6,8 @@ Sub-commands (``repro-seaice <command> --help`` for options):
   auto|serial|thread|fork``, as in ``classify``), reporting timing and label quality.
 * ``scaling``    — print the Table I / Table II / Table III scaling tables.
 * ``train``      — run the U-Net-Man vs U-Net-Auto accuracy experiment
-  (Tables IV/V) at a configurable scale.
+  (Tables IV/V) at a configurable scale, in-process or on ``--workers``
+  forked ranks; the tables and weights digests are the same either way.
 * ``prep``       — time the scene-preparation pipeline (the paper's 349 s figure).
 * ``classify``   — run the tiled scene-inference engine on a synthetic scene
   (overlap-blended stitching, batched, on any execution backend) and
@@ -71,79 +72,50 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train_elastic(args: argparse.Namespace) -> int:
-    """Elastic multi-process training (``train --workers N [--resume]``).
+def _cmd_train(args: argparse.Namespace) -> int:
+    """The U-Net-Man vs U-Net-Auto experiment on ``--workers`` forked ranks (0: in-process).
 
-    Trains on auto-labelled synthetic tiles with real forked workers,
-    printing a machine-readable summary (ring rebuilds, respawns, resumes,
-    per-epoch losses and a SHA-256 weights digest) that the CI
-    dist-chaos-smoke arm asserts recovery and resume parity on.
+    Prints one JSON document: the Table IV/V rows and, per model, the trainer's
+    counters, per-epoch losses and weights digest — what CI's dist-chaos-smoke arm
+    asserts crash recovery, resume parity and worker-count independence on.
     """
     import time
 
-    from .data import BatchLoader, build_dataset
-    from .distributed import ElasticTrainer
-    from .labeling.autolabel import autolabel_batch
     from .reliability import fault_stats, faults_enabled
-    from .unet import UNetConfig
-
-    dataset = build_dataset(
-        num_scenes=args.scenes, scene_size=args.scene_size,
-        tile_size=args.tile_size, base_seed=args.seed,
-    )
-    labels = autolabel_batch(dataset.images, apply_cloud_filter=False)
-    loader = BatchLoader(dataset.images, labels, batch_size=args.batch_size,
-                         shuffle=True, augment=True, seed=args.seed)
-    config = UNetConfig(depth=2, base_channels=8, dropout=0.2, seed=args.seed)
-    start = time.perf_counter()
-    with ElasticTrainer(
-        num_workers=args.workers,
-        config=config,
-        micro_shards=args.micro_shards,
-        seed=args.seed,
-        step_timeout_s=args.step_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-    ) as trainer:
-        history = trainer.fit(loader, epochs=args.epochs, resume=args.resume)
-        summary = trainer.stats()
-    summary.update({
-        "elapsed_s": round(time.perf_counter() - start, 3),
-        "epochs": len(history.epochs),
-        # Full-precision losses on purpose: the resume-parity check compares
-        # them bit-for-bit across runs.
-        "losses": history.losses,
-        "tiles": int(dataset.images.shape[0]),
-        "batch_size": args.batch_size,
-        "resumed": bool(args.resume),
-    })
-    if faults_enabled():
-        summary["faults"] = fault_stats()
-    print(json.dumps(summary, indent=2))
-    return 0
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
     from .workflow import AccuracyExperimentConfig, run_accuracy_experiment
-
-    if args.workers > 0:
-        return _cmd_train_elastic(args)
 
     config = AccuracyExperimentConfig(
         num_scenes=args.scenes,
         scene_size=args.scene_size,
         tile_size=args.tile_size,
         epochs=args.epochs,
+        batch_size=args.batch_size,
         seed=args.seed,
     )
-    result = run_accuracy_experiment(config)
-    print("== Table IV: classification accuracy ==")
-    for row in result.table4_rows():
-        print(row)
-    print("== Table V: accuracy vs cloud/shadow coverage ==")
-    for row in result.table5_rows():
-        print(row)
-    print(f"auto-label SSIM vs manual: {result.autolabel_ssim:.4f}")
+    start = time.perf_counter()
+    result = run_accuracy_experiment(
+        config,
+        workers=args.workers,
+        micro_shards=args.micro_shards,
+        step_timeout_s=args.step_timeout,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
+    )
+    summary = {
+        "workers": args.workers,
+        "resumed": bool(args.resume),
+        "elapsed_s": round(time.perf_counter() - start, 3),
+        "table4": result.table4_rows(),
+        "table5": result.table5_rows(),
+        "autolabel_ssim": round(result.autolabel_ssim, 4),
+        # Full-precision losses on purpose: the parity checks compare them
+        # bit-for-bit across runs.
+        "models": result.training,
+    }
+    if faults_enabled():
+        summary["faults"] = fault_stats()
+    print(json.dumps(summary, indent=2))
     return 0
 
 
@@ -161,25 +133,36 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _quick_trainer(scene, tile_size: int, epochs: int, batch_size: int, seed: int, apply_cloud_filter: bool,
+                   depth: int = 2, base_channels: int = 8):
+    """A small dropout-free model after ``epochs`` in-process passes over one scene's auto-labelled tiles."""
+    from .data import BatchLoader
+    from .distributed import ElasticTrainer
+    from .imops.resize import split_into_tiles
+    from .labeling.autolabel import autolabel_batch
+    from .unet import UNetConfig
+
+    trainer = ElasticTrainer(num_workers=0, micro_shards=1,
+                             config=UNetConfig(depth=depth, base_channels=base_channels, dropout=0.0, seed=seed))
+    if epochs > 0:
+        tiles, _ = split_into_tiles(scene.rgb, tile_size)
+        labels = autolabel_batch(tiles, apply_cloud_filter=apply_cloud_filter)
+        trainer.fit(BatchLoader(tiles, labels, batch_size=batch_size, seed=seed), epochs=epochs)
+    return trainer
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     import time
 
-    from .data import BatchLoader, SceneSpec, synthesize_scene
-    from .imops.resize import split_into_tiles
-    from .labeling.autolabel import autolabel_batch
+    from .data import SceneSpec, synthesize_scene
     from .metrics import accuracy_score
-    from .unet import InferenceConfig, SceneClassifier, UNetConfig, UNetTrainer
+    from .unet import InferenceConfig, SceneClassifier
 
     scene = synthesize_scene(
         SceneSpec(height=args.scene_size, width=args.scene_size, cloud_coverage=args.clouds, seed=args.seed)
     )
-    trainer = UNetTrainer(
-        config=UNetConfig(depth=args.depth, base_channels=args.base_channels, dropout=0.0, seed=args.seed)
-    )
-    if args.epochs > 0:
-        tiles, _ = split_into_tiles(scene.rgb, args.tile_size)
-        labels = autolabel_batch(tiles, apply_cloud_filter=not args.no_filter)
-        trainer.fit(BatchLoader(tiles, labels, batch_size=args.batch_size, seed=args.seed), epochs=args.epochs)
+    trainer = _quick_trainer(scene, args.tile_size, args.epochs, args.batch_size, args.seed, not args.no_filter,
+                             depth=args.depth, base_channels=args.base_channels)
 
     config = InferenceConfig(
         tile_size=args.tile_size,
@@ -189,7 +172,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         backend=args.backend,
     )
-    with SceneClassifier(model=trainer.model, config=config) as classifier:
+    with SceneClassifier(model=trainer.master, config=config) as classifier:
         start = time.perf_counter()
         class_map = classifier.classify_scene(scene.rgb)
         elapsed = time.perf_counter() - start
@@ -346,17 +329,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run the opt-in profiling hooks and print (or write) the JSON report."""
     from .obs import profile_inference, profile_training
-    from .unet import UNetConfig
-    from .unet.model import UNet
+    from .unet import UNet, UNetConfig
 
-    def model(dropout: float) -> UNet:
-        return UNet(UNetConfig(depth=args.depth, base_channels=args.base_channels,
-                               dropout=dropout, seed=args.seed))
+    def config(dropout: float) -> UNetConfig:
+        return UNetConfig(depth=args.depth, base_channels=args.base_channels, dropout=dropout, seed=args.seed)
 
     report: dict = {}
     if args.what in ("inference", "all"):
         report["inference"] = profile_inference(
-            model(0.0),
+            UNet(config(0.0)),
             batch_shape=(args.batch_size, args.tile_size, args.tile_size),
             iterations=args.iterations,
             warmup=args.warmup,
@@ -364,7 +345,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     if args.what in ("training", "all"):
         report["training"] = profile_training(
-            model(0.1),  # so Dropout gets its budget line
+            config(0.1),  # so Dropout gets its budget line
             epochs=args.epochs,
             batches=args.batches,
             batch_size=args.batch_size,
@@ -383,23 +364,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _publish_demo_model(registry_dir: str, args: argparse.Namespace) -> None:
     """Train (or just initialise) a tiny model and publish it as a registry checkpoint."""
-    from .data import BatchLoader, SceneSpec, synthesize_scene
-    from .imops.resize import split_into_tiles
-    from .labeling.autolabel import autolabel_batch
+    from .data import SceneSpec, synthesize_scene
     from .serving import ModelRegistry
-    from .unet import InferenceConfig, UNetConfig, UNetTrainer
+    from .unet import InferenceConfig
 
-    trainer = UNetTrainer(config=UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=args.seed))
-    if args.demo_epochs > 0:
-        scene = synthesize_scene(SceneSpec(height=128, width=128, cloud_coverage=0.2, seed=args.seed))
-        tiles, _ = split_into_tiles(scene.rgb, 32)
-        labels = autolabel_batch(tiles, apply_cloud_filter=False)
-        trainer.fit(BatchLoader(tiles, labels, batch_size=8, seed=args.seed), epochs=args.demo_epochs)
+    scene = synthesize_scene(SceneSpec(height=128, width=128, cloud_coverage=0.2, seed=args.seed))
+    trainer = _quick_trainer(scene, 32, args.demo_epochs, 8, args.seed, apply_cloud_filter=False)
     registry = ModelRegistry(registry_dir)
     registry.publish(
         "seaice-demo",
         1,
-        trainer.model,
+        trainer.master,
         optimizer=trainer.optimizer,
         inference=InferenceConfig(tile_size=32, apply_cloud_filter=False),
         extra_metadata={"demo": True, "epochs": args.demo_epochs},
@@ -440,18 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "train",
-        help="run the U-Net-Man vs U-Net-Auto experiment (Tables IV/V), or — "
-             "with --workers N — elastic multi-process distributed training",
+        help="run the U-Net-Man vs U-Net-Auto experiment (Tables IV/V) on any number of "
+             "training workers and print one JSON document (tables, digests, losses)",
     )
     _add_archive_args(p, scenes=6, scene_size=128, tile_size=32)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--workers", type=int, default=0,
-                   help="elastic training worker processes (0 = the serial "
-                        "Tables IV/V experiment)")
+                   help="forked training workers (0 = train in-process; the output "
+                        "is the same for every count at equal --micro-shards)")
     p.add_argument("--micro-shards", type=int, default=None,
-                   help="fixed micro-shard count M (default: --workers); runs "
-                        "with equal M are bit-identical for any worker count")
-    p.add_argument("--batch-size", type=int, default=32, help="global batch size")
+                   help="fixed micro-shard count M (default: 2, or --workers above 2); runs "
+                        "with equal M are bit-identical for any worker count, 0 included")
+    p.add_argument("--batch-size", type=int, default=8, help="global batch size")
     p.add_argument("--step-timeout", type=float, default=60.0,
                    help="per-reply deadline (s) before a worker is evicted")
     p.add_argument("--checkpoint-dir", default=None,

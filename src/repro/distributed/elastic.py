@@ -1,14 +1,17 @@
-"""Elastic fault-tolerant data-parallel training over real forked workers.
+"""The trainer: synchronous data-parallel U-Net training on zero or more forked ranks.
 
-:class:`ElasticTrainer` is the training-side counterpart of the fork
-serving backend and runs on the same worker runtime
-(:mod:`repro.backend.worker`): persistent forked worker processes, weights
-published through one shared-memory segment (the :mod:`repro.backend.store`
-idiom), gradients exchanged through a shared micro-shard arena, and every
-cross-process wait bounded by a deadline so a dead or hung worker can
-never wedge a step.  What this module adds is policy — which rank owns
-which micro-shards, what happens when one is lost — and the two op
-handlers a rank answers (``step``, ``fold``).
+:class:`ElasticTrainer` is the one training loop of the repo.  A *rank*
+(:class:`_Rank`) answers two operations: ``step`` (forward / loss / backward
+of its micro-shards, each flat gradient into that shard's slot) and ``fold``
+(add slots, in index order, into a float64 accumulator).  With
+``num_workers=0`` the trainer is its own rank — both run in-process on
+:attr:`ElasticTrainer.master` over plain ndarrays.  With ``N`` workers they
+run in persistent forked processes on the fork serving backend's worker
+runtime (:mod:`repro.backend.worker`): weights published through one
+shared-memory segment (the :mod:`repro.backend.store` idiom), slots and
+accumulator in a second, every cross-process wait bounded by a deadline so a
+dead or hung worker can never wedge a step.  What this module adds is policy
+— which rank owns which micro-shards, what happens when one is lost.
 
 Two properties drive the design:
 
@@ -18,10 +21,11 @@ would fork the training trajectory.  Instead the global batch is split
 into a *fixed* number ``M`` of micro-shards (independent of the live
 worker count) and the reduction is a deterministic left-fold over slots
 ``0..M-1``: live workers own contiguous runs of slots, and the parent
-walks them in rank order, each folding its run — in slot order — into a
-shared float64 accumulator.  The fold therefore performs the exact same
-float operations for *any* worker count, which is what lets the ring
-shrink (or grow back) mid-epoch while producing bit-identical weights.
+walks them in rank order, each folding its run — in slot order — into the
+float64 accumulator.  The fold therefore performs the exact same float
+operations for *any* worker count, zero included, which is what lets the
+ring shrink (or grow back) mid-epoch while producing bit-identical weights
+— and the paper's "without affecting the accuracy" is an identity here.
 Dropout masks are reseeded per ``(seed, step, micro-shard)`` so they too
 are assignment-independent.
 
@@ -37,7 +41,7 @@ writes, ``ckpt_corrupt_write`` injections) surface as
 :class:`~repro.nn.serialization.CheckpointError` and resume falls back to
 the next-newest checkpoint, mirroring the serving registry's quarantine.
 
-Failure handling in a step: every reply and every fold hop has a
+Failure handling in a forked step: every reply and every fold hop has a
 deadline; a worker that misses it (or EOFs) is killed by the runtime, the
 ring is rebuilt with the survivors (``RingBroken`` carries the rank), the
 batch is re-sharded over them and the *same* step re-runs — nothing is
@@ -52,6 +56,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,22 +70,22 @@ from ..backend.store import (
 )
 from ..backend.worker import WorkerLost, WorkerProcess, serve
 from ..data.loader import BatchLoader
-from ..nn import Adam, CategoricalCrossEntropy, Optimizer, save_checkpoint
-from ..nn import load_checkpoint as _load_checkpoint
+from ..metrics.classification import ClassificationReport, classification_report
+from ..nn import Adam, CategoricalCrossEntropy, Optimizer, load_checkpoint, save_checkpoint
 from ..nn.layers import Dropout
 from ..nn.serialization import CheckpointError
 from ..obs.metrics import get_registry
+from ..obs.profile import LayerTimer
 from ..reliability import fault_point
 from ..unet.model import UNet, UNetConfig
-from ..unet.trainer import EpochStats, TrainingHistory
 from .allreduce import RingBroken
 
-__all__ = ["ElasticTrainer", "ElasticTrainingError", "latest_checkpoints"]
-
-#: Default per-reply / per-fold-hop deadline (seconds).
-_DEFAULT_STEP_TIMEOUT_S = 60.0
+__all__ = ["ElasticTrainer", "ElasticTrainingError", "EpochStats", "TrainingHistory", "latest_checkpoints"]
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
+
+#: The phases a profiled epoch books, in step order (``optimizer`` is the gradient fold plus the update).
+_PHASES = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
 
 
 class ElasticTrainingError(RuntimeError):
@@ -100,75 +105,155 @@ def latest_checkpoints(directory: str | os.PathLike) -> list[str]:
     return [path for _, path in sorted(found, reverse=True)]
 
 
+@dataclass
+class EpochStats:
+    """Bookkeeping of one training epoch."""
+
+    epoch: int
+    loss: float
+    #: Wall time and throughput; both 0.0 for an epoch restored from a checkpoint (not timed here).
+    time_s: float
+    images_per_s: float
+    #: Per-phase / per-block timings (only while the trainer's profiling is on):
+    #: ``{"phases_ms": {forward, loss, backward, optimizer}, "layers": {...}}``.
+    profile: dict | None = None
+
+
+@dataclass
+class TrainingHistory:
+    """Loss / timing history of a full training run."""
+
+    epochs: list[EpochStats] = field(default_factory=list)
+
+    def append(self, stats: EpochStats) -> None:
+        self.epochs.append(stats)
+
+    @property
+    def losses(self) -> list[float]:
+        return [e.loss for e in self.epochs]
+
+    @property
+    def total_time(self) -> float:
+        return float(sum(e.time_s for e in self.epochs))
+
+    def _timed(self) -> list[EpochStats]:
+        """Epochs this process ran; a resume restores the earlier ones as losses only."""
+        return [e for e in self.epochs if e.time_s > 0]
+
+    @property
+    def mean_epoch_time(self) -> float:
+        return self.total_time / max(len(self._timed()), 1)
+
+    @property
+    def mean_throughput(self) -> float:
+        """Mean images/second across timed epochs (the "Data/s" column of Table III)."""
+        timed = self._timed()
+        return float(np.mean([e.images_per_s for e in timed])) if timed else 0.0
+
+
 # ---------------------------------------------------------------------- #
-# Worker process
+# The rank: in-process on the master, or the body of a forked worker
 # ---------------------------------------------------------------------- #
 def _reseed_dropouts(dropouts: list[Dropout], seed: int, step: int, slot: int) -> None:
     """Make dropout a pure function of (seed, step, micro-shard).
 
     Reseeding per micro-shard — never per worker — keeps the masks
-    identical no matter which worker a shard lands on, which is required
+    identical no matter which rank a shard lands on, which is required
     for re-dispatching shards after an eviction to be bit-exact.
     """
     for index, drop in enumerate(dropouts):
         drop._rng = np.random.default_rng([seed, step, slot, index])
 
 
+def _top_blocks(model: UNet) -> list[tuple[str, object]]:
+    """The granularity of the trainer's per-block profile: the U-Net's top-level blocks, named."""
+    named = [(f"enc{i}", block) for i, block in enumerate(model.encoders)]
+    named.append(("bottleneck", model.bottleneck))
+    named += [(f"dec{i}", block) for i, block in enumerate(model.decoders)]
+    return named + [("head", model.head)]
+
+
+class _Rank:
+    """The two operations of a rank over a gradient arena (float64 accumulator, float32 slots).
+
+    ``model`` is the trainer's master and the arena plain ndarrays when the
+    trainer is its own rank; a replica over shared-memory views in a worker.
+    """
+
+    def __init__(self, model: UNet, seed: int, acc: np.ndarray, slots: list[np.ndarray]) -> None:
+        self.model, self.seed, self.acc, self.slots = model, seed, acc, slots
+        self.loss_fn = CategoricalCrossEntropy()
+        self.dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
+        self.params = model.parameters()
+        self._hist_compute = get_registry().histogram(
+            "repro_train_shard_compute_ms", "Forward+backward time per micro-shard in a rank")
+
+    def step(self, step_idx: int, shards, phases_ms: dict[str, float] | None = None) -> dict[int, float]:
+        """Gradient of every ``(slot, x, y)`` shard into its slot; ``{slot: loss}`` (timed into ``phases_ms``)."""
+        clock = time.perf_counter
+        self.model.train()
+        losses = {}
+        for slot, x, y in shards:
+            t0 = clock()
+            _reseed_dropouts(self.dropouts, self.seed, step_idx, slot)
+            self.model.zero_grad()
+            logits = self.model.forward(x)
+            t1 = clock()
+            losses[slot] = float(self.loss_fn.forward(logits, y))
+            t2 = clock()
+            self.model.backward(self.loss_fn.backward(), need_input_grad=False)
+            flat = self.slots[slot]
+            offset = 0
+            for param in self.params:
+                size = param.grad.size
+                flat[offset:offset + size] = param.grad.ravel()
+                offset += size
+            t3 = clock()
+            self._hist_compute.observe((t3 - t0) * 1e3)
+            if phases_ms is not None:
+                for key, seconds in zip(_PHASES, (t1 - t0, t2 - t1, t3 - t2)):
+                    phases_ms[key] += seconds * 1e3
+        return losses
+
+    def fold(self, slots, init: bool) -> None:
+        """Add ``slots``, in the order given, into the accumulator (zeroed first when ``init``)."""
+        if init:
+            self.acc[...] = 0.0
+        for slot in slots:
+            np.add(self.acc, self.slots[slot], out=self.acc)
+
+
 def _elastic_worker_main(conn, inherited, config, seed, weight_segment, weight_fields,
                          grad_segment, num_shards, flat_size) -> None:
-    """One elastic rank: a model replica over the shared weights, answering step/fold."""
-    model = UNet(config)
-    loss_fn = CategoricalCrossEntropy()
-    dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
-    params = model.named_parameters()
+    """A forked rank: a replica over the shared weights, answering step/fold.
 
+    The two process-boundary fault points live here, not in :class:`_Rank`:
+    an armed crash or stall must not take an in-process run down with it.
+    """
+    model = UNet(config)
+    params = model.named_parameters()
     weight_shm = attach_segment(weight_segment)
     grad_shm = attach_segment(grad_segment)
     weight_views = [
         (params[fld.name], ndarray_view(weight_shm, fld.shape, fld.offset, writeable=False))
         for fld in weight_fields
     ]
-    acc_view, slot_views = _grad_views(grad_shm, num_shards, flat_size)
-
-    hist_compute = get_registry().histogram(
-        "repro_train_shard_compute_ms",
-        "Forward+backward time per micro-shard in an elastic worker",
-    )
+    rank = _Rank(model, seed, *_grad_views(grad_shm, num_shards, flat_size))
 
     def step(step_idx, shards):
         fault_point("trainer_worker_crash")
         for param, view in weight_views:
             param.value[...] = view
-        model.train()
-        losses = {}
-        for slot, x, y in shards:
-            t0 = time.perf_counter()
-            _reseed_dropouts(dropouts, seed, step_idx, slot)
-            model.zero_grad()
-            logits = model.forward(x)
-            losses[slot] = float(loss_fn.forward(logits, y))
-            model.backward(loss_fn.backward(), need_input_grad=False)
-            flat = slot_views[slot]
-            offset = 0
-            for param, _view in weight_views:
-                size = param.grad.size
-                flat[offset:offset + size] = param.grad.ravel()
-                offset += size
-            hist_compute.observe((time.perf_counter() - t0) * 1e3)
-        return losses
+        return rank.step(step_idx, shards)
 
     def fold(slots, init):
         fault_point("allreduce_stall")
-        if init:
-            acc_view[...] = 0.0
-        for slot in slots:
-            np.add(acc_view, slot_views[slot], out=acc_view)
+        rank.fold(slots, init)
 
     def cleanup():
         # Views first: closing a segment under a live ndarray raises BufferError.
-        nonlocal acc_view
-        acc_view = None
-        slot_views.clear()
+        rank.acc = None
+        rank.slots.clear()
         weight_views.clear()
         close_segment(weight_shm)
         close_segment(grad_shm)
@@ -193,18 +278,22 @@ def _grad_views(grad_shm, num_shards: int, flat_size: int):
 # Parent-side trainer
 # ---------------------------------------------------------------------- #
 class ElasticTrainer:
-    """Synchronous data-parallel training that survives worker loss.
+    """Trains a U-Net on (image, label) tiles: in-process, or data-parallel over forked workers.
 
     Parameters
     ----------
     num_workers:
-        Target fleet size.  The fleet may shrink below this when workers
-        die mid-step and grows back at step boundaries (``auto_respawn``).
+        Forked ranks; ``0`` (the default) trains in-process on :attr:`master`.
+        A fleet may shrink below its target when workers die mid-step and
+        grows back at step boundaries (``auto_respawn``).
     micro_shards:
-        Fixed micro-shard count ``M`` (defaults to ``num_workers``).  The
-        update trajectory depends on ``M`` and the data — never on the
-        live worker count — so runs with different fleets but equal ``M``
-        are bit-identical.
+        Fixed micro-shard count ``M`` (defaults to ``max(num_workers, 1)``).
+        The update trajectory depends on ``M`` and the data — never on the
+        worker count — so runs with equal ``M`` are bit-identical for 0, 1
+        or any number of workers.  Each step trains ``M`` equal shards of
+        ``batch // M`` samples and drops the remainder for that step (equal
+        shards are what make the fold assignment-independent); ``M = 1`` is
+        plain full-batch training.
     step_timeout_s:
         Per-reply / per-fold-hop deadline; a worker silent past it is
         evicted and the step re-runs on the survivors.
@@ -220,24 +309,23 @@ class ElasticTrainer:
 
     def __init__(
         self,
-        num_workers: int = 2,
+        num_workers: int = 0,
         config: UNetConfig | None = None,
         learning_rate: float = 1e-3,
         micro_shards: int | None = None,
         seed: int = 0,
-        step_timeout_s: float = _DEFAULT_STEP_TIMEOUT_S,
+        step_timeout_s: float = 60.0,
         checkpoint_dir: str | os.PathLike | None = None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 3,
         auto_respawn: bool = True,
-        optimizer: Optimizer | None = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
+        if num_workers < 0:
+            raise ValueError("num_workers must be >= 0")
         if micro_shards is not None and micro_shards < 1:
             raise ValueError("micro_shards must be >= 1")
         self.num_workers = int(num_workers)
-        self.micro_shards = int(micro_shards) if micro_shards is not None else self.num_workers
+        self.micro_shards = int(micro_shards) if micro_shards is not None else max(self.num_workers, 1)
         self.config = config if config is not None else UNetConfig()
         self.seed = int(seed)
         self.step_timeout_s = float(step_timeout_s)
@@ -247,9 +335,7 @@ class ElasticTrainer:
         self.auto_respawn = bool(auto_respawn)
 
         self.master = UNet(self.config)
-        self.optimizer = optimizer if optimizer is not None else Adam(
-            self.master.parameters(), lr=learning_rate
-        )
+        self.optimizer: Optimizer = Adam(self.master.parameters(), lr=learning_rate)
         self.history = TrainingHistory()
         self.global_step = 0
         self.ring_rebuilds = 0
@@ -263,6 +349,10 @@ class ElasticTrainer:
         self._weight_fields: list[SharedArrayField] = []
         self._workers: dict[int, WorkerProcess] = {}
         self._next_rank = 0
+        self._local: _Rank | None = None  # the in-process rank (num_workers == 0)
+        self._acc: np.ndarray | None = None  # the float64 accumulator every fold ends in
+        self._profile_enabled = False
+        self._phases_ms: dict[str, float] | None = None  # set for the length of a profiled epoch
         self._started = False
 
         registry = get_registry()
@@ -296,17 +386,22 @@ class ElasticTrainer:
         self.close()
 
     def start(self) -> None:
-        """Lay out the shared segments and fork the worker fleet."""
+        """Allocate the gradient arena; with workers, in shared segments, and fork the fleet."""
         if self._started:
             return
-        self._weight_fields, nbytes = layout_fields(
-            (name, param.value.shape) for name, param in self._params)
-        self._weight_shm = create_segment(nbytes)
-        self._grad_shm = create_segment(self._flat_size * (8 + 4 * self.micro_shards))
-        self._publish_weights()
-        self._workers = {}
-        for _ in range(self.num_workers):
-            self._spawn_worker()
+        if self.num_workers == 0:
+            self._acc = np.zeros(self._flat_size, dtype=np.float64)
+            slots = [np.empty(self._flat_size, dtype=np.float32) for _ in range(self.micro_shards)]
+            self._local = _Rank(self.master, self.seed, self._acc, slots)
+        else:
+            self._weight_fields, nbytes = layout_fields(
+                (name, param.value.shape) for name, param in self._params)
+            self._weight_shm = create_segment(nbytes)
+            self._grad_shm = create_segment(self._flat_size * (8 + 4 * self.micro_shards))
+            self._acc, _slots = _grad_views(self._grad_shm, 0, self._flat_size)
+            self._publish_weights()
+            for _ in range(self.num_workers):
+                self._spawn_worker()
         self._started = True
         self._m_workers.set(float(len(self._workers)))
 
@@ -315,6 +410,7 @@ class ElasticTrainer:
         for worker in self._workers.values():
             worker.stop()
         self._workers = {}
+        self._local = self._acc = None  # the view goes before its segment
         if self._weight_shm is not None:
             close_segment(self._weight_shm, unlink=True)
             self._weight_shm = None
@@ -377,6 +473,7 @@ class ElasticTrainer:
         self._m_workers.set(float(len(self._workers)))
 
     def _publish_weights(self) -> None:
+        """Copy the master's weights to where forked ranks read them (nothing in-process)."""
         for fld, (_name, param) in zip(self._weight_fields, self._params):
             ndarray_view(self._weight_shm, fld.shape, fld.offset)[...] = param.value
 
@@ -393,19 +490,37 @@ class ElasticTrainer:
         ]
 
     def train_step(self, x: np.ndarray, y: np.ndarray) -> float | None:
-        """One synchronous step over a global batch (``None`` if too small).
+        """One synchronous step over a global batch (``None`` if too small)."""
+        if not self._started:
+            self.start()
+        shards = self._shard_batch(x, y)
+        if shards is None:
+            return None
+        clock = time.perf_counter
+        t_step = clock()
+        if self._local is not None:
+            losses = self._local.step(self.global_step, shards, self._phases_ms)
+            fold_t0 = clock()
+            self._local.fold(range(self.micro_shards), True)
+        else:
+            losses, fold_t0 = self._step_on_fleet(shards)
+        self._m_allreduce_ms.observe((clock() - fold_t0) * 1e3)
+        self._m_allreduce_bytes.inc(float(self.micro_shards * self._flat_size * 4))
+        self._apply_update()
+        self.global_step += 1
+        self._m_step_ms.observe((clock() - t_step) * 1e3)
+        if self._phases_ms is not None:
+            self._phases_ms["optimizer_ms"] += (clock() - fold_t0) * 1e3
+        return float(np.mean([losses[m] for m in range(self.micro_shards)]))
+
+    def _step_on_fleet(self, shards) -> tuple[dict[int, float], float]:
+        """Compute and fold on the forked ranks; ``(losses, when the fold began)``.
 
         Survives any number of mid-step worker deaths: each eviction
         rebuilds the ring, re-shards onto the survivors and re-runs the
         step — determinism makes the retry bit-identical, so no batch is
         ever lost or double-counted.
         """
-        if not self._started:
-            self.start()
-        shards = self._shard_batch(x, y)
-        if shards is None:
-            return None
-        t_step = time.perf_counter()
         self._ensure_fleet()
         while True:
             ranks = sorted(
@@ -420,17 +535,11 @@ class ElasticTrainer:
                 losses = self._compute_phase(shards, assignment)
                 fold_t0 = time.perf_counter()
                 self._fold_phase(assignment)
-                self._m_allreduce_ms.observe((time.perf_counter() - fold_t0) * 1e3)
-                self._m_allreduce_bytes.inc(float(self.micro_shards * self._flat_size * 4))
-                break
+                return losses, fold_t0
             except RingBroken as exc:
                 self._evict(exc.rank)
                 self.ring_rebuilds += 1
                 self._m_rebuilds.inc()
-        self._apply_update()
-        self.global_step += 1
-        self._m_step_ms.observe((time.perf_counter() - t_step) * 1e3)
-        return float(np.mean([losses[m] for m in range(self.micro_shards)]))
 
     def _assign(self, ranks: list[int]) -> list[tuple[int, list[int]]]:
         """Contiguous micro-shard runs per live rank (rank order = slot order)."""
@@ -481,7 +590,7 @@ class ElasticTrainer:
             first = False
 
     def _apply_update(self) -> None:
-        acc, _slots = _grad_views(self._grad_shm, 0, self._flat_size)
+        acc = self._acc
         offset = 0
         inv = 1.0 / self.micro_shards
         for _name, param in self._params:
@@ -528,7 +637,7 @@ class ElasticTrainer:
         """Newest loadable checkpoint's extra state; skips corrupt archives."""
         for path in latest_checkpoints(self.checkpoint_dir):
             try:
-                return _load_checkpoint(self.master, self.optimizer, path)
+                return load_checkpoint(self.master, self.optimizer, path)
             except CheckpointError:
                 continue
         return None
@@ -536,8 +645,13 @@ class ElasticTrainer:
     # ------------------------------------------------------------------ #
     # Epoch / fit loops
     # ------------------------------------------------------------------ #
-    def fit(self, loader: BatchLoader, epochs: int = 1, resume: bool = False,
-            verbose: bool = False) -> TrainingHistory:
+    def enable_profiling(self, enabled: bool = True) -> None:
+        """Time the in-process rank per phase and per block: later epochs' :attr:`EpochStats.profile`."""
+        if enabled and self.num_workers:
+            raise ValueError("profiling times the in-process rank: it needs num_workers=0")
+        self._profile_enabled = bool(enabled)
+
+    def fit(self, loader: BatchLoader, epochs: int = 1, resume: bool = False) -> TrainingHistory:
         """Train for ``epochs`` passes; the loader's batch size is the global batch.
 
         With ``resume=True`` (and a ``checkpoint_dir``), pick up from the
@@ -573,14 +687,21 @@ class ElasticTrainer:
             replay = skip_steps if epoch == start_epoch else 0
             losses = list(initial_losses) if epoch == start_epoch else []
             images = initial_images if epoch == start_epoch else 0
-            stats = self._run_epoch(loader, epoch, replay, losses, images)
+            if self._profile_enabled:
+                self._phases_ms = dict.fromkeys(_PHASES, 0.0)
+                with LayerTimer(_top_blocks(self.master)) as timer:
+                    stats = self._run_epoch(loader, epoch, replay, losses, images)
+                stats.profile = {
+                    "phases_ms": {k: round(v, 3) for k, v in self._phases_ms.items()},
+                    "layers": timer.to_dict(),
+                }
+                self._phases_ms = None
+            else:
+                stats = self._run_epoch(loader, epoch, replay, losses, images)
             self.history.append(stats)
             if self.checkpoint_dir:
                 # Epoch-boundary checkpoint: cursor at the *next* epoch's start.
                 self._save_checkpoint(epoch + 1, 0, loader.rng_state(), [], 0)
-            if verbose:  # pragma: no cover - console output
-                print(f"[elastic x{self.live_workers}] epoch {epoch + 1}/{epochs} "
-                      f"loss={stats.loss:.4f} time={stats.time_s:.2f}s")
         return self.history
 
     def _run_epoch(self, loader: BatchLoader, epoch: int, replay: int,
@@ -609,7 +730,7 @@ class ElasticTrainer:
             if loss is None:
                 continue
             losses.append(loss)
-            images += x.shape[0]
+            images += x.shape[0] // self.micro_shards * self.micro_shards  # what _shard_batch trained
             due = bool(self.checkpoint_dir and self.checkpoint_every > 0
                        and self.global_step % self.checkpoint_every == 0)
         elapsed = time.perf_counter() - start
@@ -619,6 +740,24 @@ class ElasticTrainer:
             time_s=elapsed,
             images_per_s=images / elapsed if elapsed > 0 else 0.0,
         )
+
+    def evaluate(
+        self,
+        images: np.ndarray,
+        labels: np.ndarray,
+        batch_size: int = 8,
+        class_names: list[str] | None = None,
+    ) -> ClassificationReport:
+        """Evaluate the master on a validation tile set (accuracy / P / R / F1 / confusion)."""
+        loader = BatchLoader(images, labels, batch_size=batch_size, shuffle=False, augment=False)
+        predictions, targets = [], []
+        for x, y in loader:
+            predictions.append(self.master.predict(x))
+            targets.append(y)
+        y_pred = np.concatenate(predictions, axis=0)
+        y_true = np.concatenate(targets, axis=0)
+        return classification_report(y_true, y_pred, num_classes=self.config.num_classes,
+                                     class_names=class_names)
 
     # ------------------------------------------------------------------ #
     # Introspection

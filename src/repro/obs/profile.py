@@ -4,8 +4,8 @@ Two opt-in instrumentation seams live elsewhere and report here:
 
 * :class:`~repro.nn.plan.CompiledPlan` records per-step wall time when
   ``enable_profiling()`` is on (one branch on the hot path when off);
-* :class:`~repro.unet.trainer.UNetTrainer` records per-phase
-  (forward/loss/backward/optimizer) and per-layer timings per epoch.
+* :class:`~repro.distributed.elastic.ElasticTrainer` records its in-process
+  rank's per-phase (forward/loss/backward/optimizer) and per-block timings per epoch.
 
 :class:`LayerTimer` is the shared per-layer mechanism: it patches the
 ``forward``/``backward`` of named modules with accumulating wrappers and
@@ -123,20 +123,6 @@ def latency_percentiles(samples_ms: Sequence[float],
     }
 
 
-def _named_top_blocks(model) -> list[tuple[str, object]]:
-    """The per-layer granularity the trainer and profiler time: top-level blocks."""
-    blocks: list[tuple[str, object]] = []
-    for i, encoder in enumerate(getattr(model, "encoders", [])):
-        blocks.append((f"enc{i}", encoder))
-    if hasattr(model, "bottleneck"):
-        blocks.append(("bottleneck", model.bottleneck))
-    for i, decoder in enumerate(getattr(model, "decoders", [])):
-        blocks.append((f"dec{i}", decoder))
-    if hasattr(model, "head"):
-        blocks.append(("head", model.head))
-    return blocks
-
-
 #: plan step class -> the budget line it belongs to
 _STEP_KINDS = {"PadCopyStep": "pad", "ConvStep": "conv", "MaxPoolStep": "pool",
                "UpsamplePadStep": "upsample", "SoftmaxStep": "softmax"}
@@ -193,22 +179,28 @@ def profile_inference(model, batch_shape: tuple[int, int, int] = (1, 32, 32),
     }
 
 
-def profile_training(model=None, epochs: int = 2, batches: int = 4, batch_size: int = 4,
+def profile_training(config=None, epochs: int = 2, batches: int = 4, batch_size: int = 4,
                      tile: int = 16, seed: int = 0) -> dict:
-    """Per-epoch per-phase / per-block timings, a per-layer-class ``by_kind`` budget and ``checkpoint_ms``."""
-    from ..data.loader import BatchLoader
-    from ..unet.model import UNet, UNetConfig
-    from ..unet.trainer import UNetTrainer
+    """Per-epoch per-phase / per-block timings, a per-layer-class ``by_kind`` budget and ``checkpoint_ms``.
 
-    if model is None:
-        model = UNet(UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=seed))
+    The step profiled is the trainer's in-process rank on one micro-shard — what
+    a forked rank runs per shard — for a model built from ``config`` (a ``UNetConfig``).
+    """
+    from ..data.loader import BatchLoader
+    from ..distributed.elastic import ElasticTrainer
+    from ..nn import save_checkpoint
+    from ..unet.model import UNetConfig
+
+    if config is None:
+        config = UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=seed)
+    trainer = ElasticTrainer(num_workers=0, micro_shards=1, config=config, seed=seed)
+    model = trainer.master
     rng = np.random.default_rng(seed)
     count = batches * batch_size
     images = rng.integers(0, 255, size=(count, tile, tile, 3), dtype=np.uint8)
     labels = rng.integers(0, model.config.num_classes, size=(count, tile, tile), dtype=np.uint8)
     loader = BatchLoader(images, labels, batch_size=batch_size, shuffle=False, augment=False)
 
-    trainer = UNetTrainer(model=model)
     trainer.enable_profiling()
     with LayerTimer((type(module).__name__, module) for module in model.modules()) as timer:
         trainer.fit(loader, epochs=epochs)
@@ -220,7 +212,7 @@ def profile_training(model=None, epochs: int = 2, batches: int = 4, batch_size: 
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(5):
             start = time.perf_counter()
-            trainer.save_checkpoint(os.path.join(tmp, "probe.npz"))
+            save_checkpoint(model, trainer.optimizer, os.path.join(tmp, "probe.npz"))
             checkpoints.append((time.perf_counter() - start) * 1e3)
     return {
         "epochs": epochs,

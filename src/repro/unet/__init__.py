@@ -1,4 +1,4 @@
-"""U-Net model, trainer and inference pipeline for sea-ice classification."""
+"""U-Net model and inference pipeline for sea-ice classification."""
 
 from .blocks import DecoderBlock, DoubleConv, EncoderBlock
 from .compiled import CompiledUNet, compile_unet_plan
@@ -9,7 +9,6 @@ from .inference import (
     predict_tile_probabilities,
 )
 from .model import UNet, UNetConfig, build_unet, paper_unet_config, tiny_unet_config
-from .trainer import EpochStats, TrainingHistory, UNetTrainer
 
 __all__ = [
     "CompiledUNet",
@@ -26,7 +25,4 @@ __all__ = [
     "build_unet",
     "paper_unet_config",
     "tiny_unet_config",
-    "EpochStats",
-    "TrainingHistory",
-    "UNetTrainer",
 ]

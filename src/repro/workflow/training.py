@@ -6,11 +6,14 @@ truth of a held-out test set, once on the original (possibly cloudy) images
 and once on the thin-cloud/shadow-filtered images, with an extra breakdown
 of the test set by cloud coverage.  This module runs that whole experiment
 on the synthetic archive and returns every number those tables and the
-confusion-matrix figure need.
+confusion-matrix figure need.  Both models train through the one trainer
+(:class:`~repro.distributed.ElasticTrainer`) on any worker count; the tables
+and the weights digests do not depend on it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +22,10 @@ from ..classes import CLASS_NAMES, SeaIceClass
 from ..cloudshadow import CloudShadowFilter
 from ..data.catalog import TileDataset, build_dataset, train_test_split
 from ..data.loader import BatchLoader
+from ..distributed.elastic import ElasticTrainer
 from ..labeling.manual import simulate_manual_labels
 from ..metrics.classification import ClassificationReport
 from ..unet.model import UNet, UNetConfig
-from ..unet.trainer import UNetTrainer
 from .autolabel import AutoLabelWorkflow, AutoLabelWorkflowConfig
 
 __all__ = ["AccuracyExperimentConfig", "AccuracyExperimentResult", "run_accuracy_experiment"]
@@ -76,6 +79,9 @@ class AccuracyExperimentResult:
     #: auto-label quality on the training split (the Fig 11 / SSIM result)
     autolabel_ssim: float = 0.0
     autolabel_agreement: float = 0.0
+    #: {"man" | "auto"} -> the trainer's ``stats()`` (``weights_digest``, ``ring_rebuilds``, ...)
+    #: plus full-precision per-epoch ``losses`` and the mean ``images_per_s``
+    training: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     def table4_rows(self) -> list[dict]:
@@ -120,34 +126,48 @@ class AccuracyExperimentResult:
 
 
 # --------------------------------------------------------------------------- #
-def _train_model(
-    config: AccuracyExperimentConfig,
-    images: np.ndarray,
-    labels: np.ndarray,
-    seed_offset: int,
-) -> UNetTrainer:
-    trainer = UNetTrainer(config=config.unet_config(seed_offset), learning_rate=config.learning_rate)
-    loader = BatchLoader(
-        images,
-        labels,
-        batch_size=config.batch_size,
-        shuffle=True,
-        augment=True,
-        seed=config.seed + seed_offset,
-    )
-    trainer.fit(loader, epochs=config.epochs)
-    return trainer
+def _train_model(config: AccuracyExperimentConfig, images: np.ndarray, labels: np.ndarray, seed_offset: int,
+                 resume: bool, **trainer_options) -> tuple[ElasticTrainer, dict]:
+    """Train one model; ``(the closed trainer — its master evaluates, the run's summary)``."""
+    seed = config.seed + seed_offset
+    loader = BatchLoader(images, labels, batch_size=config.batch_size, shuffle=True, augment=True, seed=seed)
+    with ElasticTrainer(config=config.unet_config(seed_offset), learning_rate=config.learning_rate,
+                        seed=seed, **trainer_options) as trainer:
+        history = trainer.fit(loader, epochs=config.epochs, resume=resume)
+        summary = {**trainer.stats(), "losses": history.losses,
+                   "images_per_s": round(history.mean_throughput, 2)}
+    return trainer, summary
 
 
-def _evaluate(trainer: UNetTrainer, images: np.ndarray, labels: np.ndarray) -> ClassificationReport:
-    return trainer.evaluate(images, labels, class_names=_CLASS_NAMES)
+def _reports(trainers: dict[str, ElasticTrainer], original: np.ndarray, filtered: np.ndarray,
+             truth: np.ndarray) -> dict[str, dict[str, ClassificationReport]]:
+    """``{"original" | "filtered"} -> {"man" | "auto"} -> report`` of both models on one tile set."""
+    return {
+        variant: {name: trainer.evaluate(images, truth, class_names=_CLASS_NAMES)
+                  for name, trainer in trainers.items()}
+        for variant, images in (("original", original), ("filtered", filtered))
+    }
 
 
 def run_accuracy_experiment(
     config: AccuracyExperimentConfig = AccuracyExperimentConfig(),
     dataset: TileDataset | None = None,
+    workers: int = 0,
+    micro_shards: int | None = None,
+    step_timeout_s: float = 60.0,
+    checkpoint_dir: str | os.PathLike | None = None,
+    checkpoint_every: int = 0,
+    resume: bool = False,
 ) -> AccuracyExperimentResult:
     """Run the full U-Net-Man vs U-Net-Auto comparison.
+
+    ``workers`` forked ranks train each model (0: in-process); the tables and
+    weights digests depend on ``micro_shards`` and never on ``workers``.  The
+    default is 2, so that 0, 1 and 2 workers share one trajectory; only a
+    larger fleet raises it (every rank needs a shard).  The remaining
+    options are the trainer's: with a ``checkpoint_dir`` each model checkpoints
+    under its own sub-directory (``man`` / ``auto``), and ``resume`` continues
+    both bit-exactly — a model that had finished is not trained again.
 
     Steps (mirroring Figure 2 of the paper):
 
@@ -183,46 +203,35 @@ def run_accuracy_experiment(
     train_filtered = cloud_filter.apply_batch(train_ds.images)
     test_filtered = cloud_filter.apply_batch(test_ds.images)
 
-    trainer_man = _train_model(config, train_filtered, manual_train, seed_offset=1)
-    trainer_auto = _train_model(config, train_filtered, auto_train, seed_offset=2)
+    options = dict(
+        num_workers=workers,
+        micro_shards=micro_shards if micro_shards is not None else max(2, workers),
+        step_timeout_s=step_timeout_s,
+        checkpoint_every=checkpoint_every,
+    )
+    trainers, training = {}, {}
+    for name, labels, seed_offset in (("man", manual_train, 1), ("auto", auto_train, 2)):
+        model_dir = None if checkpoint_dir is None else os.path.join(checkpoint_dir, name)
+        trainers[name], training[name] = _train_model(
+            config, train_filtered, labels, seed_offset, resume, checkpoint_dir=model_dir, **options)
 
     # --- evaluation -----------------------------------------------------------
     # Ground truth of the test tiles plays the role of the manual validation labels.
-    test_truth = test_ds.labels
-    table4 = {
-        "original": {
-            "man": _evaluate(trainer_man, test_ds.images, test_truth),
-            "auto": _evaluate(trainer_auto, test_ds.images, test_truth),
-        },
-        "filtered": {
-            "man": _evaluate(trainer_man, test_filtered, test_truth),
-            "auto": _evaluate(trainer_auto, test_filtered, test_truth),
-        },
-    }
-
+    table4 = _reports(trainers, test_ds.images, test_filtered, test_ds.labels)
     cloudy_ds, clear_ds = test_ds.split_by_cloud_coverage(config.cloud_split_threshold)
     table5: dict = {"cloudy": {}, "clear": {}}
     for split_name, split_ds in (("cloudy", cloudy_ds), ("clear", clear_ds)):
-        if len(split_ds) == 0:
-            continue
-        split_filtered = cloud_filter.apply_batch(split_ds.images)
-        table5[split_name] = {
-            "original": {
-                "man": _evaluate(trainer_man, split_ds.images, split_ds.labels),
-                "auto": _evaluate(trainer_auto, split_ds.images, split_ds.labels),
-            },
-            "filtered": {
-                "man": _evaluate(trainer_man, split_filtered, split_ds.labels),
-                "auto": _evaluate(trainer_auto, split_filtered, split_ds.labels),
-            },
-        }
+        if len(split_ds):
+            table5[split_name] = _reports(
+                trainers, split_ds.images, cloud_filter.apply_batch(split_ds.images), split_ds.labels)
 
     return AccuracyExperimentResult(
         config=config,
-        unet_man=trainer_man.model,
-        unet_auto=trainer_auto.model,
+        unet_man=trainers["man"].master,
+        unet_auto=trainers["auto"].master,
         table4=table4,
         table5=table5,
         autolabel_ssim=auto_result.ssim_vs_manual,
         autolabel_agreement=auto_result.pixel_agreement,
+        training=training,
     )

@@ -20,8 +20,11 @@ replaced with the four-view primitives: :class:`ReferenceReLU` (mask +
 ``np.where``), :class:`ReferenceArgmaxPool2D` (window copy, ``argmax``,
 ``take_along_axis`` / ``put_along_axis``), :class:`ReferenceUpConv2D`
 (broadcast up-sampling + ``np.pad(mode="edge")``) and
-:func:`reference_pad_input` (``np.pad``); all four are exact oracles.  Not a
-test module; nothing under ``src/`` imports it.
+:func:`reference_pad_input` (``np.pad``); all four are exact oracles.  At the
+end, :func:`reference_train_step`: the plain single-process step of the second
+training loop (``unet/trainer.py``) the one trainer replaced — at one micro-shard
+and no dropout ``ElasticTrainer``'s in-process rank is held to it bit for bit.
+Not a test module; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -357,3 +360,18 @@ class ReferenceUpConv2D(UpConv2D):
 def reference_pad_input(x: np.ndarray, pad: int) -> np.ndarray:
     """``pad_input`` through ``np.pad``'s generic machinery."""
     return x if pad <= 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+
+
+def reference_train_step(model, loss_fn, optimizer, x: np.ndarray, y: np.ndarray,
+                         need_input_grad: bool = False) -> float:
+    """One optimisation step on one batch, the gradient straight from ``backward`` to the optimiser.
+
+    The seed always back-propagated to the input tensor (``need_input_grad=True``).
+    """
+    model.train()
+    logits = model.forward(x)
+    loss = loss_fn.forward(logits, y)
+    optimizer.zero_grad()
+    model.backward(loss_fn.backward(), need_input_grad=need_input_grad)
+    optimizer.step()
+    return loss

@@ -30,6 +30,8 @@ class TestParser:
     def test_train_arguments(self):
         args = build_parser().parse_args(["train", "--scenes", "3", "--epochs", "5"])
         assert args.scenes == 3 and args.epochs == 5
+        # in-process, the experiment's batch, micro-shards left to the derived default
+        assert (args.workers, args.batch_size, args.micro_shards) == (0, 8, None)
 
 
 class TestCommands:
@@ -45,6 +47,17 @@ class TestCommands:
         assert "Table II" in capsys.readouterr().out
         assert main(["scaling", "--table", "3"]) == 0
         assert "Table III" in capsys.readouterr().out
+
+    def test_train_command_prints_one_json_document(self, capsys):
+        import json as json_mod
+
+        assert main(["train", "--scenes", "1", "--scene-size", "64", "--tile-size", "16", "--epochs", "1"]) == 0
+        document = json_mod.loads(capsys.readouterr().out)
+        assert len(document["table4"]) == 2 and document["table5"] and 0.0 < document["autolabel_ssim"] <= 1.0
+        assert set(document["models"]) == {"man", "auto"} and "faults" not in document
+        for run in document["models"].values():
+            assert len(run["weights_digest"]) == 64 and len(run["losses"]) == 1
+            assert (run["target_workers"], run["micro_shards"], run["ring_rebuilds"], run["resumes"]) == (0, 2, 0, 0)
 
     def test_prep_command_runs(self, capsys):
         assert main(["prep", "--scenes", "1", "--scene-size", "64", "--tile-size", "32"]) == 0

@@ -23,14 +23,15 @@ from repro.distributed import (
     paper_table3,
     ring_allreduce,
 )
-from repro.nn import SGD
+from repro.nn import SGD, Adam, CategoricalCrossEntropy, load_checkpoint
 from repro.obs.metrics import get_registry
-from repro.reliability import FaultSpec, configure_faults, reset_faults
-from repro.unet import UNet, UNetConfig, UNetTrainer
+from repro.reliability import FaultSpec, configure_faults, fault_stats, reset_faults
+from repro.unet import UNet, UNetConfig
 
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(), reason="fork start method unavailable"
-)
+from reference_kernels import reference_train_step
+
+HAVE_FORK = "fork" in mp.get_all_start_methods()
+fork_only = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 
 #: Tiny elastic-trainer config shared by the elastic tests below.
 ELASTIC_CONFIG = UNetConfig(depth=2, base_channels=4, dropout=0.2, seed=7)
@@ -157,33 +158,23 @@ class TestDataParallelTrainer:
 
     def test_distributed_equals_serial_training(self, tiny_split):
         """Synchronous data parallelism must match single-process training on
-        the same global batches (the correctness claim behind Horovod): one
-        worker with one micro-shard reproduces ``UNetTrainer``'s losses, and
-        two workers averaging two shard gradients land on the same weights."""
+        the same global batches (the correctness claim behind Horovod): two
+        workers averaging two shard gradients land on the weights of the plain
+        full-batch step, to the rounding of a mean taken in two halves."""
         train, _ = tiny_split
         config = UNetConfig(depth=2, base_channels=4, dropout=0.0, seed=7)
+        loader = BatchLoader(train.images, train.labels, batch_size=4, shuffle=False, drop_last=True)
+        batches = list(loader)[:3]
 
-        def batches():
-            loader = BatchLoader(train.images, train.labels, batch_size=4,
-                                 shuffle=False, drop_last=True)
-            return list(loader)[:3]
-
-        serial = UNetTrainer(model=UNet(config), learning_rate=1e-2)
-        serial_losses = [serial.train_step(x, y) for x, y in batches()]
-        with ElasticTrainer(num_workers=1, micro_shards=1, config=config,
-                            learning_rate=1e-2) as single:
-            single_losses = [single.train_step(x, y) for x, y in batches()]
-        np.testing.assert_allclose(single_losses, serial_losses, atol=1e-5)
-
-        serial = UNetTrainer(model=UNet(config))
-        serial.optimizer = SGD(serial.model.parameters(), lr=1e-2)
+        serial = UNet(config)
+        loss_fn, sgd = CategoricalCrossEntropy(), SGD(serial.parameters(), lr=1e-2)
         with ElasticTrainer(num_workers=2, config=config) as parallel:
             parallel.optimizer = SGD(parallel.master.parameters(), lr=1e-2)
-            for x, y in batches():
-                serial.train_step(x, y)
+            for x, y in batches:
+                reference_train_step(serial, loss_fn, sgd, x, y)
                 parallel.train_step(x, y)
             for (name_a, pa), (name_b, pb) in zip(
-                serial.model.named_parameters().items(),
+                serial.named_parameters().items(),
                 parallel.master.named_parameters().items(),
             ):
                 assert name_a == name_b
@@ -199,9 +190,9 @@ class TestDataParallelTrainer:
             assert trainer.global_step == 0
             assert trainer.weights_digest() == digest
 
-    def test_rejects_zero_workers(self):
+    def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
-            ElasticTrainer(num_workers=0)
+            ElasticTrainer(num_workers=-1)
 
     def test_checkpoint_roundtrip_with_extra_state(self, tmp_path):
         config = UNetConfig(depth=1, base_channels=2, dropout=0.0, seed=5)
@@ -440,9 +431,99 @@ class TestElasticTrainer:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ElasticTrainer(num_workers=0)
+            ElasticTrainer(num_workers=-1)
         with pytest.raises(ValueError):
             ElasticTrainer(num_workers=2, micro_shards=0)
+        with pytest.raises(ValueError):  # the profile is of the in-process rank
+            ElasticTrainer(num_workers=2).enable_profiling()
+
+
+class TestInProcessRank:
+    """``num_workers=0``: the trainer is its own rank.  The same step and fold, no process —
+    so the worker count, zero included, never touches the trajectory."""
+
+    def test_equals_the_reference_step_bit_for_bit(self, tiny_split):
+        """One micro-shard, no dropout: the slot → float64 fold → float32 round trip is exact,
+        so three augmented steps end on the weights of the plain forward/backward/Adam step."""
+        config = UNetConfig(depth=2, base_channels=4, dropout=0.0, seed=7)
+        loader = _elastic_loader(tiny_split)  # two batches a pass (4 + 2 tiles), shuffled and augmented
+        batches = [(x.copy(), y.copy()) for _epoch in range(2) for x, y in loader][:3]
+        reference = UNet(config)
+        loss_fn, adam = CategoricalCrossEntropy(), Adam(reference.parameters(), lr=1e-2)
+        trainer = ElasticTrainer(num_workers=0, micro_shards=1, config=config, learning_rate=1e-2)
+        for x, y in batches:
+            assert trainer.train_step(x, y) == reference_train_step(reference, loss_fn, adam, x, y)
+        for (name, ours), theirs in zip(trainer.master.named_parameters().items(), reference.parameters()):
+            np.testing.assert_array_equal(ours.value, theirs.value, err_msg=name)
+
+    @settings(max_examples=8, deadline=None)  # every example with workers forks
+    @given(workers=st.sampled_from((0, 1, 2) if HAVE_FORK else (0,)), micro_shards=st.sampled_from((1, 2, 4)),
+           batch=st.integers(1, 9), steps=st.integers(1, 3), dropout=st.sampled_from((0.0, 0.3)))
+    def test_property_worker_count_never_touches_the_trajectory(self, workers, micro_shards, batch, steps, dropout):
+        """The paper's "without affecting the accuracy", as a bit-identity: any worker count
+        reaches the weights and losses of the in-process run at equal micro-shards."""
+        config = UNetConfig(depth=1, base_channels=2, dropout=dropout, seed=3)
+        rng = np.random.default_rng(batch)
+        batches = [(rng.random((batch, 3, 8, 8), dtype=np.float32), rng.integers(0, 3, size=(batch, 8, 8)))
+                   for _ in range(steps)]
+
+        def run(num_workers):
+            with ElasticTrainer(num_workers=num_workers, micro_shards=micro_shards, config=config,
+                                seed=1, step_timeout_s=30.0) as trainer:
+                return [trainer.train_step(x, y) for x, y in batches], trainer.weights_digest()
+
+        losses, digest = run(0)
+        assert (None in losses) == (batch < micro_shards)  # too small to shard: skipped by every fleet
+        assert run(workers) == (losses, digest)
+
+    def test_armed_process_faults_do_not_reach_an_in_process_run(self, tiny_split):
+        """``trainer_worker_crash`` exits and ``allreduce_stall`` sleeps a *worker*: with no worker
+        process there is no boundary for them to fire on."""
+        configure_faults({"trainer_worker_crash": FaultSpec(times=-1),
+                          "allreduce_stall": FaultSpec(times=-1, param=600.0)})
+        with ElasticTrainer(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG) as trainer:
+            history = trainer.fit(_elastic_loader(tiny_split), epochs=1)
+        assert np.isfinite(history.losses).all() and trainer.global_step > 0
+        assert [cell["fired"] for cell in fault_stats().values()] == [0, 0]
+
+    def test_counts_the_images_that_were_trained(self, tmp_path):
+        """13 tiles in batches of 5, 5, 3 over two micro-shards train 4 + 4 + 2: the remainder a
+        step drops is not booked — in the epoch's throughput or in the checkpoint cursor, where a
+        resumed run must find what the uninterrupted one wrote."""
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, size=(13, 16, 16, 3), dtype=np.uint8)
+        labels = rng.integers(0, 3, size=(13, 16, 16), dtype=np.uint8)
+        kwargs = dict(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG, checkpoint_every=1, keep_checkpoints=10)
+
+        def run(directory, resume):
+            loader = BatchLoader(images, labels, batch_size=5, shuffle=True, augment=True, seed=5)
+            trainer = ElasticTrainer(checkpoint_dir=directory, **kwargs)
+            stats = trainer.fit(loader, epochs=1, resume=resume).epochs[-1]
+            cursors = {os.path.basename(path): load_checkpoint(trainer.master, trainer.optimizer, path)["epoch_images"]
+                       for path in latest_checkpoints(directory)}
+            return round(stats.images_per_s * stats.time_s, 6), cursors, trainer.resumes
+
+        trained, cursors, _ = run(tmp_path / "whole", resume=False)
+        assert trained == 10
+        # step 3 ends the epoch: its archive is the epoch-boundary form, cursor at the next epoch's start
+        assert cursors == {"ckpt-00000001.npz": 4, "ckpt-00000002.npz": 8, "ckpt-00000003.npz": 0}
+        (tmp_path / "killed").mkdir()
+        shutil.copy(tmp_path / "whole" / "ckpt-00000001.npz", tmp_path / "killed")
+        assert run(tmp_path / "killed", resume=True) == (trained, cursors, 1)
+
+    def test_resumed_history_does_not_dilute_throughput(self, tiny_split, tmp_path):
+        """Epochs restored from a checkpoint carry their loss but were not timed by this
+        process: the timing means are over the epochs that were."""
+        kwargs = dict(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG, checkpoint_dir=tmp_path)
+        ElasticTrainer(**kwargs).fit(_elastic_loader(tiny_split), epochs=1)
+        trainer = ElasticTrainer(**kwargs)
+        history = trainer.fit(_elastic_loader(tiny_split), epochs=3, resume=True)
+        assert trainer.resumes == 1 and len(history.losses) == 3
+        restored, *timed = history.epochs
+        assert restored.time_s == 0.0 and all(stats.time_s > 0 for stats in timed)
+        assert history.mean_throughput == pytest.approx(np.mean([stats.images_per_s for stats in timed]))
+        assert history.mean_throughput >= min(stats.images_per_s for stats in timed)
+        assert history.mean_epoch_time == pytest.approx(history.total_time / 2)
 
 
 class TestLatestCheckpoints:

@@ -1,4 +1,4 @@
-"""Tests for repro.unet (model, trainer, inference)."""
+"""Tests for repro.unet (model, inference) and the in-process face of the one trainer."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.data import BatchLoader
+from repro.distributed import ElasticTrainer
 from repro.unet import (
     SceneClassifier,
     InferenceConfig,
     UNet,
     UNetConfig,
-    UNetTrainer,
     build_unet,
     paper_unet_config,
     tiny_unet_config,
@@ -90,10 +90,12 @@ class TestUNetModel:
 
 
 class TestTrainer:
+    """:class:`ElasticTrainer` as constructed by default: no workers, one micro-shard."""
+
     def test_loss_decreases_on_tiny_problem(self, tiny_split):
         train, _ = tiny_split
         loader = BatchLoader(train.images, train.labels, batch_size=4, seed=0)
-        trainer = UNetTrainer(config=tiny_unet_config(seed=0), learning_rate=3e-3)
+        trainer = ElasticTrainer(config=tiny_unet_config(seed=0), learning_rate=3e-3)
         history = trainer.fit(loader, epochs=5)
         assert history.losses[-1] < history.losses[0]
         assert history.total_time > 0
@@ -111,14 +113,14 @@ class TestTrainer:
                 labels.append(np.full((16, 16), cls, dtype=np.uint8))
         images, labels = np.stack(images), np.stack(labels)
         loader = BatchLoader(images, labels, batch_size=6, seed=1)
-        trainer = UNetTrainer(config=UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=2), learning_rate=5e-3)
+        trainer = ElasticTrainer(config=UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=2), learning_rate=5e-3)
         trainer.fit(loader, epochs=40)
         report = trainer.evaluate(images, labels)
         assert report.accuracy > 0.9
 
     def test_evaluate_report_structure(self, tiny_split):
         train, test = tiny_split
-        trainer = UNetTrainer(config=tiny_unet_config(seed=3))
+        trainer = ElasticTrainer(config=tiny_unet_config(seed=3))
         report = trainer.evaluate(test.images, test.labels, class_names=["thick", "thin", "water"])
         assert 0.0 <= report.accuracy <= 1.0
         assert report.confusion.shape == (3, 3)
@@ -127,7 +129,7 @@ class TestTrainer:
         train, _ = tiny_split
         loader = BatchLoader(train.images, train.labels, batch_size=4)
         with pytest.raises(ValueError):
-            UNetTrainer(config=tiny_unet_config()).fit(loader, epochs=0)
+            ElasticTrainer(config=tiny_unet_config()).fit(loader, epochs=0)
 
 
 def predict_tiles(model, tiles, batch_size=8, apply_cloud_filter=False):
@@ -170,10 +172,10 @@ class TestInference:
 
         train, _ = tiny_split
         loader = BatchLoader(train.images, train.labels, batch_size=4, seed=0, augment=True)
-        trainer = UNetTrainer(config=UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=4), learning_rate=3e-3)
+        trainer = ElasticTrainer(config=UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=4), learning_rate=3e-3)
         trainer.fit(loader, epochs=12)
         classifier = SceneClassifier(
-            model=trainer.model, config=InferenceConfig(tile_size=32, apply_cloud_filter=False)
+            model=trainer.master, config=InferenceConfig(tile_size=32, apply_cloud_filter=False)
         )
         prediction = classifier.classify_scene(clear_scene.rgb)
         assert accuracy_score(clear_scene.class_map, prediction) > 0.6

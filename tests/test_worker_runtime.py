@@ -240,3 +240,19 @@ def test_there_is_one_path_per_job():
     for layers in ("nn/conv.py", "nn/layers.py"):
         assert not re.search(r"\bengine\b", (root / layers).read_text()), layers
     assert not (root / "parallel").exists()
+
+
+def test_there_is_one_training_loop():
+    """A gradient is computed and applied in one module: the second trainer is gone,
+    and what is left of it is an oracle under ``tests/``."""
+    root = SRC / "repro"
+    steppers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(r"(loss_fn|model|master)\.backward\(|optimizer\.step\(\)", path.read_text())
+    }
+    assert steppers == {"distributed/elastic.py"}
+    assert not (root / "unet" / "trainer.py").exists()
+    import repro.unet
+
+    assert not [name for name in repro.unet.__all__ if name.endswith("Trainer")]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
 from repro.backend import available_backends
+from repro.data import build_dataset
 from repro.workflow import (
     AccuracyExperimentConfig,
     AutoLabelWorkflow,
@@ -113,3 +116,25 @@ class TestAccuracyExperiment:
         assert 0 < len(rows) <= 4
         for row in rows:
             assert 0.0 <= row["unet_man_accuracy_pct"] <= 100.0
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="fork start method unavailable")
+    def test_worker_count_does_not_touch_the_tables(self, tmp_path):
+        """The abstract's "distributed training without affecting the accuracy", held as an
+        identity: Tables IV/V and both weights digests are the same in-process and on 1 or 2
+        forked workers (dropout, augmentation and mid-epoch checkpoints all on)."""
+        config = AccuracyExperimentConfig(num_scenes=2, scene_size=64, tile_size=16, epochs=2, batch_size=8,
+                                          unet_depth=2, unet_base_channels=4, unet_dropout=0.1, seed=3)
+        dataset = build_dataset(num_scenes=2, scene_size=64, tile_size=16, base_seed=3, cloudy_fraction=0.5)
+        outcomes = []
+        for workers in (0, 1, 2):
+            result = run_accuracy_experiment(config, dataset=dataset, workers=workers, step_timeout_s=30.0,
+                                             checkpoint_dir=tmp_path / str(workers), checkpoint_every=3)
+            training = result.training
+            assert set(training) == {"man", "auto"} and training["man"]["target_workers"] == workers
+            assert training["man"]["micro_shards"] == 2  # derived, the same for all three
+            assert len(training["auto"]["losses"]) == 2
+            outcomes.append((result.table4_rows(), result.table5_rows(),
+                             {name: (run["weights_digest"], run["losses"]) for name, run in training.items()}))
+            assert sorted(path.name for path in (tmp_path / str(workers)).iterdir()) == ["auto", "man"]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][2]["man"] != outcomes[0][2]["auto"]
