@@ -94,21 +94,31 @@ def conv_band_rows(kc: int, f: int, out_h: int, out_w: int) -> int:
     return max(1, min(out_h, BAND_BYTES // (4 * (kc + f) * out_w)))
 
 
-def conv_bands(
-    xp: np.ndarray, out: np.ndarray, cols: np.ndarray | None, kernel: int, stride: int
-) -> list[tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]]:
-    """Per image and row band: ``(cols fill dst, its src, (k²C, rows·W) cols, (F, rows·W) output view)``.
+def conv_bands(xp: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, kernel: int, stride: int) -> list[tuple]:
+    """Per image and row band: ``(cols fill dst, its src, (k²C, rows·W) cols, (F, rows·W) GEMM output, that as rows, destination rows)``.
 
-    ``cols`` is a flat scratch of at least one band; every band's fill — the
-    k² offset slices in one strided copy — lands at the front of it, so bands
-    must run one at a time.  ``None`` means a pointwise convolution, whose
-    cols are rows of ``xp`` itself (nothing to fill).
+    ``scratch`` is flat and holds one band: the cols — every band's fill, the
+    k² offset slices in one strided copy, lands at the front of it, so bands
+    must run one at a time — then ``F·rows·W`` floats of staging.  A pointwise
+    convolution's cols are rows of ``xp`` itself (nothing to fill, no cols in
+    the scratch).  The GEMM writes the destination rows directly when they
+    are one ``(F, rows·W)`` matrix; rows inside a bordered buffer are not
+    (``reshape`` would silently copy), so their GEMM lands in the staging and
+    the last elementwise pass of :func:`run_conv_bands` writes them.
     """
     n, c = xp.shape[:2]
     f, out_h, out_w = out.shape[1:]
     kc = kernel * kernel * c
     rows = conv_band_rows(kc, f, out_h, out_w)
-    if cols is not None:
+    pointwise = kernel == 1 and stride == 1
+    band = (0 if pointwise else kc) * rows * out_w
+    direct = out.strides[2] == out_w * out.strides[3]
+    if band + (0 if direct else f * rows * out_w) > (0 if scratch is None else scratch.size):
+        raise ValueError(f"conv scratch too small for one band of a {out.shape} output with strides {out.strides}")
+    if pointwise:
+        if xp.strides[2] != xp.shape[3] * xp.strides[3]:
+            raise ValueError(f"pointwise conv source {xp.shape} with strides {xp.strides}: its rows are not one matrix")
+    else:
         # windows[img, i, j, ch, r, q] = xp[img, ch, i + stride*r, j + stride*q]
         sn, sc, sh, sw = xp.strides
         windows = np.lib.stride_tricks.as_strided(
@@ -117,28 +127,40 @@ def conv_bands(
     bands = []
     for r0 in range(0, out_h, rows):
         r1 = min(r0 + rows, out_h)
-        if cols is not None:
-            band = cols[: kc * (r1 - r0) * out_w]
-            dst, cols2 = band.reshape(kernel, kernel, c, r1 - r0, out_w), band.reshape(kc, -1)
+        if not pointwise:
+            cols = scratch[: kc * (r1 - r0) * out_w]
+            dst, cols2 = cols.reshape(kernel, kernel, c, r1 - r0, out_w), cols.reshape(kc, -1)
+        if not direct:
+            staged = scratch[band : band + f * (r1 - r0) * out_w].reshape(f, r1 - r0, out_w)
         for img in range(n):
-            out2 = out[img, :, r0:r1].reshape(f, -1)
-            if cols is None:
-                bands.append((None, None, xp[img, :, r0:r1].reshape(c, -1), out2))
+            dest = out[img, :, r0:r1]
+            if direct:
+                staged = dest
+            if pointwise:
+                bands.append((None, None, xp[img, :, r0:r1].reshape(c, -1), staged.reshape(f, -1), staged, dest))
             else:
-                bands.append((dst, windows[img, :, :, :, r0:r1], cols2, out2))
+                bands.append((dst, windows[img, :, :, :, r0:r1], cols2, staged.reshape(f, -1), staged, dest))
     return bands
 
 
 def run_conv_bands(bands, w_mat: np.ndarray, bias: np.ndarray | None, relu: bool) -> None:
-    """Assemble, multiply, add the ``(F, 1)`` bias and rectify one band at a time."""
-    for dst, src, cols2, out2 in bands:
+    """Assemble, multiply, add the ``(F, 1)`` bias and rectify one band at a time.
+
+    The last pass writes ``dest`` — the GEMM output itself unless that was staged.
+    """
+    bias3 = None if bias is None else bias[:, :, None]
+    for dst, src, cols2, out2, staged, dest in bands:
         if dst is not None:
             dst[...] = src
         np.matmul(w_mat, cols2, out=out2)
-        if bias is not None:
-            out2 += bias
         if relu:
-            np.maximum(out2, np.float32(0.0), out=out2)
+            if bias is not None:
+                out2 += bias
+            np.maximum(staged, np.float32(0.0), out=dest)
+        elif bias is not None:
+            np.add(staged, bias3, out=dest)
+        elif staged is not dest:
+            dest[...] = staged
 
 
 def conv_forward_offset(

@@ -12,10 +12,13 @@ input shape instead:
 * :class:`PlanBuilder` walks a layer graph at compile time, computing every
   intermediate shape, pre-packing convolution weights into their GEMM layout
   (one transpose/reshape at compile time instead of per call) and reserving
-  every buffer — activations, padded inputs and a single shared offset-GEMM
-  scratch one row band large — inside one flat float32 **workspace arena**;
-* :meth:`PlanBuilder.finalize` materialises the arena with a single
-  allocation and *binds* every execution step to concrete views into it, so
+  every activation buffer; a buffer a padding convolution reads carries that
+  zero border itself, so its producers write its interior and nothing is
+  copied into a padded twin (only the external input is);
+* :meth:`PlanBuilder.finalize` packs the buffers by liveness — two that are
+  never live at the same step may share bytes — into one flat float32
+  **workspace arena** that ends in a single offset-GEMM scratch one row band
+  large, and *binds* every execution step to concrete views into it, so
   :meth:`CompiledPlan.run` executes fused conv+bias(+ReLU) steps with
   ``np.matmul(..., out=...)`` and in-place ops, allocating nothing but the
   final output tensor;
@@ -31,6 +34,7 @@ distinct plans (distinct shapes) run fully in parallel.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -75,20 +79,28 @@ def pack_conv_weights(conv) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 class Slot:
-    """Compile-time reservation of one buffer inside the workspace arena.
+    """Compile-time reservation of one buffer of the workspace arena.
 
-    ``channels`` restricts the view to ``[c0:c1)`` along axis 1 — that is how
-    concatenation is fused away: the encoder's skip convolution and the
-    decoder's up-convolution both write straight into their channel slice of
-    the merged buffer, so no ``np.concatenate`` ever runs.
+    ``shape`` is what producers and most consumers see; the storage is larger
+    by a zero border of ``pad`` pixels per side, decided by the first
+    convolution that reads the slot (``None`` until then) and read in place of
+    a padded copy.  ``offset`` is assigned when :meth:`PlanBuilder.finalize`
+    packs the arena.  ``channels`` restricts the view to ``[c0:c1)`` along axis
+    1 — that is how concatenation is fused away: the encoder's skip
+    convolution and the decoder's up-convolution both write straight into
+    their channel slice of the merged buffer, so no ``np.concatenate`` ever
+    runs.  A slice shares its ``root``'s storage, border and placement.
     """
 
-    __slots__ = ("offset", "shape", "channels")
+    __slots__ = ("offset", "shape", "channels", "pad", "root")
 
-    def __init__(self, offset: int, shape: tuple[int, ...], channels: tuple[int, int] | None = None):
+    def __init__(self, offset: int | None, shape: tuple[int, ...],
+                 channels: tuple[int, int] | None = None, root: "Slot | None" = None):
         self.offset = offset
         self.shape = shape
         self.channels = channels
+        self.pad: int | None = None
+        self.root = root or self
 
     @property
     def view_shape(self) -> tuple[int, ...]:
@@ -97,33 +109,46 @@ class Slot:
         c0, c1 = self.channels
         return self.shape[:1] + (c1 - c0,) + self.shape[2:]
 
+    @property
+    def storage_shape(self) -> tuple[int, ...]:
+        border = 2 * (self.root.pad or 0)
+        return self.shape[:2] + tuple(dim + border for dim in self.shape[2:])
+
     def slice(self, c0: int, c1: int) -> "Slot":
         """A channel-sliced alias of this slot (no new arena space)."""
         if self.channels is not None:
             raise ValueError("cannot slice an already-sliced slot")
         if not 0 <= c0 < c1 <= self.shape[1]:
             raise ValueError(f"channel slice [{c0}:{c1}) outside 0..{self.shape[1]}")
-        return Slot(self.offset, self.shape, (c0, c1))
+        return Slot(None, self.shape, (c0, c1), root=self)
 
-    def resolve(self, arena: np.ndarray) -> np.ndarray:
-        size = 1
-        for dim in self.shape:
-            size *= dim
-        view = arena[self.offset : self.offset + size].reshape(self.shape)
+    def resolve(self, arena: np.ndarray, border: int = 0) -> np.ndarray:
+        """The slot's view of ``arena``, widened by ``border`` pixels of its zero border per side."""
+        root = self.root
+        shape = root.storage_shape
+        view = arena[root.offset : root.offset + math.prod(shape)].reshape(shape)
+        inset = (root.pad or 0) - border
+        if inset:
+            view = view[:, :, inset:-inset, inset:-inset]
         if self.channels is not None:
             view = view[:, self.channels[0] : self.channels[1]]
         return view
 
 
 #: Sentinel slot: the plan's external input array, supplied at run time.
-INPUT = Slot(-1, ())
+INPUT = Slot(None, ())
 
 
 class _Step:
-    """One bound execution step.  ``bind`` resolves slots to arena views once
-    at finalize time; ``run`` only does assignments and in-place math."""
+    """One bound execution step.  ``reads`` / ``writes`` name the slots it
+    touches — what :meth:`PlanBuilder.finalize` packs the arena from; ``bind``
+    resolves slots to arena views once, after placement; ``run`` only does
+    assignments and in-place math."""
 
-    def bind(self, resolve: Callable[[Slot], np.ndarray]) -> None:  # pragma: no cover - interface
+    reads: tuple[Slot, ...] = ()
+    writes: tuple[Slot, ...] = ()
+
+    def bind(self, arena: np.ndarray) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def run(self, x: np.ndarray):  # pragma: no cover - interface
@@ -131,20 +156,35 @@ class _Step:
 
 
 class _PadCopyStep(_Step):
-    """Copy an activation into the interior of its pre-zeroed padded buffer."""
+    """Copy the external input — or an activation whose own border another
+    consumer already decided differently — into the interior of a bordered buffer."""
 
-    def __init__(self, src: Slot, dst: Slot, pad: int, src_shape: tuple[int, ...]):
-        self.src, self.dst, self.pad = src, dst, pad
-        self.src_shape = src_shape
+    def __init__(self, src: Slot, dst: Slot):
+        self.reads, self.writes = (src,), (dst,)
 
-    def bind(self, resolve):
-        p = self.pad
-        h, w = self.src_shape[2:]
-        self._src = None if self.src is INPUT else resolve(self.src)
-        self._interior = resolve(self.dst)[:, :, p : p + h, p : p + w]
+    def bind(self, arena):
+        src = self.reads[0]
+        self._src = None if src is INPUT else src.resolve(arena)
+        self._interior = self.writes[0].resolve(arena)
 
     def run(self, x):
         self._interior[...] = x if self._src is None else self._src
+
+
+class _BorderStep(_Step):
+    """Re-zero the border ring of a buffer whose bytes another buffer used since the last run."""
+
+    def __init__(self, slot: Slot):
+        self.writes = (slot,)
+
+    def bind(self, arena):
+        p = self.writes[0].pad
+        whole = self.writes[0].resolve(arena, border=p)
+        self._strips = (whole[:, :, :p], whole[:, :, -p:], whole[:, :, p:-p, :p], whole[:, :, p:-p, -p:])
+
+    def run(self, x):
+        for strip in self._strips:
+            strip.fill(0.0)
 
 
 class _ConvStep(_Step):
@@ -154,21 +194,23 @@ class _ConvStep(_Step):
     time.  At bind time every band's source/destination views are precomputed
     (:func:`~repro.nn.convgemm.conv_bands`, the partition the layer forward
     shares), so each call is, per band: one strided copy of the k² offset
-    slices, one ``np.matmul(..., out=...)`` into the output rows, an in-place
-    bias add and an in-place ReLU while those rows are still in cache.
+    slices, one ``np.matmul(..., out=...)`` into the output rows — or, when
+    those rows sit inside a bordered buffer, into the scratch with the last
+    elementwise pass writing them — an in-place bias add and ReLU while the
+    band is still in cache.  The source is read with ``pad`` pixels of its
+    zero border.
     """
 
-    def __init__(self, src: Slot, cols: Slot | None, out: Slot,
+    def __init__(self, src: Slot, scratch: Slot, out: Slot,
                  w_mat: np.ndarray, bias: np.ndarray | None,
-                 kernel: int, stride: int, relu: bool):
-        self.src, self.cols, self.out = src, cols, out
+                 kernel: int, stride: int, pad: int, relu: bool):
+        self.reads, self.writes, self.scratch = (src,), (out,), scratch
         self.w_mat, self.bias = w_mat, bias
-        self.kernel, self.stride, self.relu = kernel, stride, relu
+        self.kernel, self.stride, self.pad, self.relu = kernel, stride, pad, relu
 
-    def bind(self, resolve):
-        # cols None = pointwise 1x1/stride-1: the input rows are the cols matrix
-        cols = None if self.cols is None else resolve(self.cols)
-        self._bands = conv_bands(resolve(self.src), resolve(self.out), cols, self.kernel, self.stride)
+    def bind(self, arena):
+        self._bands = conv_bands(self.reads[0].resolve(arena, border=self.pad), self.writes[0].resolve(arena),
+                                 self.scratch.resolve(arena), self.kernel, self.stride)
 
     def run(self, x):
         run_conv_bands(self._bands, self.w_mat, self.bias, self.relu)
@@ -178,11 +220,11 @@ class _MaxPoolStep(_Step):
     """k×k max pooling: pairwise maxima of the k² strided views into the output."""
 
     def __init__(self, src: Slot, out: Slot, pool: int):
-        self.src, self.out, self.pool = src, out, pool
+        self.reads, self.writes, self.pool = (src,), (out,), pool
 
-    def bind(self, resolve):
-        self._views = pool_views(resolve(self.src), self.pool)
-        self._out = resolve(self.out)
+    def bind(self, arena):
+        self._views = pool_views(self.reads[0].resolve(arena), self.pool)
+        self._out = self.writes[0].resolve(arena)
 
     def run(self, x):
         max_of_views(self._views, self._out)
@@ -193,12 +235,12 @@ class _UpsamplePadStep(_Step):
     paper's up-convolution needs (even kernels cannot pad symmetrically)."""
 
     def __init__(self, src: Slot, dst: Slot):
-        self.src, self.dst = src, dst
+        self.reads, self.writes = (src,), (dst,)
 
-    def bind(self, resolve):
-        h, w = self.src.view_shape[2:]
-        src = resolve(self.src)
-        dst = resolve(self.dst)
+    def bind(self, arena):
+        src = self.reads[0].resolve(arena)
+        dst = self.writes[0].resolve(arena)
+        h, w = src.shape[2:]
         up = dst[:, :, : 2 * h, : 2 * w]
         self._src = src
         self._quads = (up[:, :, 0::2, 0::2], up[:, :, 0::2, 1::2],
@@ -219,10 +261,10 @@ class _SoftmaxStep(_Step):
     the caller provides the buffer (e.g. a shared-memory output arena)."""
 
     def __init__(self, src: Slot):
-        self.src = src
+        self.reads = (src,)
 
-    def bind(self, resolve):
-        self._logits = resolve(self.src)
+    def bind(self, arena):
+        self._logits = self.reads[0].resolve(arena)
 
     def run(self, x):
         return self.run_into(x, np.empty(self._logits.shape, dtype=np.float32))
@@ -341,36 +383,17 @@ class PlanBuilder:
         if len(input_shape) != 4 or min(input_shape) < 1:
             raise ValueError(f"expected a concrete (N, C, H, W) input shape, got {input_shape}")
         self.input_shape = tuple(int(d) for d in input_shape)
-        self._total = 0
-        self._scratch_size = 0  # shared offset-GEMM cols region, sized to the largest conv band
-        self._scratch_slots: list[Slot] = []
+        #: the one offset-GEMM scratch (cols + staged output of a band), sized to the largest conv band
+        self._scratch = Slot(None, (0,))
         self._steps: list[_Step] = []
         #: ``{layer name: (w_mat, bias)}`` of externally pre-packed GEMM
         #: weights (see :func:`pack_conv_weights`) bound zero-copy instead of
         #: re-packing — this is how N fork workers share one physical copy.
         self._packed_weights = packed_weights or {}
 
-    # ------------------------------------------------------------------ #
-    # Arena reservation
-    # ------------------------------------------------------------------ #
     def reserve(self, shape: tuple[int, ...]) -> Slot:
-        """Reserve a dedicated float32 buffer of ``shape`` in the arena."""
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        slot = Slot(self._total, tuple(int(d) for d in shape))
-        self._total += -(-size // _ALIGN) * _ALIGN
-        return slot
-
-    def _reserve_scratch(self, shape: tuple[int, ...]) -> Slot:
-        """Reserve a view of the *shared* cols scratch (transient per conv band)."""
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        self._scratch_size = max(self._scratch_size, size)
-        slot = Slot(-2, tuple(int(d) for d in shape))  # offset patched at finalize
-        self._scratch_slots.append(slot)
-        return slot
+        """Reserve a float32 buffer of ``shape``; :meth:`finalize` decides where it lives."""
+        return Slot(None, tuple(int(d) for d in shape))
 
     # ------------------------------------------------------------------ #
     # Primitives
@@ -379,10 +402,13 @@ class PlanBuilder:
                name: str | None = None) -> Slot:
         """Append a convolution of ``src`` by a ``Conv2D`` layer.
 
-        Pads into a dedicated pre-zeroed buffer when the layer pads, packs the
-        weights into their ``(offset, channel)`` GEMM layout, and routes the
-        GEMM output into ``out`` (e.g. a channel slice of a merged buffer)
-        or a freshly reserved activation.  Returns the output slot.
+        The first convolution to read a buffer decides its zero border, so a
+        padding layer reads its source in place (steps recorded earlier bind
+        to the interior); only the external input, a buffer whose border is
+        already narrower, or a pointwise read of a bordered one is copied.
+        Packs the weights into their ``(offset, channel)`` GEMM layout, and
+        routes the GEMM output into ``out`` (e.g. a channel slice of a merged
+        buffer) or a freshly reserved activation.  Returns the output slot.
 
         ``name`` keys the layer into the builder's ``packed_weights`` map:
         when a pre-packed ``(w_mat, bias)`` pair was supplied for it (e.g.
@@ -396,15 +422,13 @@ class PlanBuilder:
         oh = conv_output_size(h, k, s, p)
         ow = conv_output_size(w, k, s, p)
 
-        if p > 0:
-            padded = self.reserve((n, c, h + 2 * p, w + 2 * p))
-            self._steps.append(_PadCopyStep(src, padded, p, (n, c, h, w)))
-            src = padded
-        elif src is INPUT:
-            # Unpadded external input still needs a stable arena copy so the
-            # cols views can be pre-bound.
+        pointwise = k == 1 and s == 1  # its cols are rows of the source itself, which a border would break up
+        if src is not INPUT and src.root.pad is None:
+            src.root.pad = p
+        if src is INPUT or src.root.pad < p or (pointwise and src.root.pad):
             copied = self.reserve((n, c, h, w))
-            self._steps.append(_PadCopyStep(INPUT, copied, 0, (n, c, h, w)))
+            copied.pad = p
+            self._steps.append(_PadCopyStep(src, copied))
             src = copied
 
         f = conv.out_channels
@@ -422,12 +446,13 @@ class PlanBuilder:
             w_mat, bias = pack_conv_weights(conv)
 
         kc = k * k * c
-        cols = None if (k == 1 and s == 1) else self._reserve_scratch((kc * conv_band_rows(kc, f, oh, ow) * ow,))
+        band = ((0 if pointwise else kc) + f) * conv_band_rows(kc, f, oh, ow) * ow
+        self._scratch.shape = (max(self._scratch.shape[0], band),)
         if out is None:
             out = self.reserve((n, f, oh, ow))
         if out.view_shape != (n, f, oh, ow):
             raise ValueError(f"conv output {(n, f, oh, ow)} does not fit slot {out.view_shape}")
-        self._steps.append(_ConvStep(src, cols, out, w_mat, bias, k, s, relu))
+        self._steps.append(_ConvStep(src, self._scratch, out, w_mat, bias, k, s, p, relu))
         return out
 
     def maxpool(self, src: Slot, pool: int) -> Slot:
@@ -452,22 +477,52 @@ class PlanBuilder:
 
     # ------------------------------------------------------------------ #
     def finalize(self) -> CompiledPlan:
-        """Allocate the arena (one ``np.zeros``) and bind every step to it.
+        """Pack the buffers by liveness, allocate the arena (one ``np.zeros``) and bind every step.
 
-        Zero-initialising the arena is what makes padding free at run time:
-        pad-buffer borders are written exactly once, here, and every other
-        byte is overwritten by the steps on each call.
+        A buffer is live from the first to the last step that touches it, both
+        included, so a step's source and destination never share bytes.
+        Largest first, each buffer takes the lowest offset free of every buffer
+        live at a common step; the scratch follows them.  No step writes a
+        border: a buffer that has its bytes to itself keeps the zeros of the
+        allocation, one that shares them has its ring re-zeroed right before
+        its first writer.  Every other byte is overwritten on each call.
         """
         if not self._steps or not isinstance(self._steps[-1], _SoftmaxStep):
             raise RuntimeError("finalize requires a terminal softmax_output step")
-        scratch_offset = self._total
-        for slot in self._scratch_slots:
-            slot.offset = scratch_offset
-        total = self._total + self._scratch_size
-        arena = np.zeros(total, dtype=np.float32)
-        for step in self._steps:
-            step.bind(lambda slot: slot.resolve(arena))
-        return CompiledPlan(self.input_shape, self._output_shape, arena, self._steps)
+        live: dict[Slot, list[int]] = {}
+        for index, step in enumerate(self._steps):
+            for slot in step.reads + step.writes:
+                if slot is not INPUT:
+                    live.setdefault(slot.root, [index, index])[1] = index
+        size = {root: -(-math.prod(root.storage_shape) // _ALIGN) * _ALIGN for root in live}
+        placed: list[Slot] = []  # by offset
+        for root in sorted(live, key=size.get, reverse=True):
+            first, last = live[root]
+            root.offset = 0
+            for other in placed:
+                if other.offset >= root.offset + size[root]:
+                    break
+                if live[other][0] <= last and first <= live[other][1]:
+                    root.offset = max(root.offset, other.offset + size[other])
+            placed.append(root)
+            placed.sort(key=lambda slot: slot.offset)
+        self._scratch.offset = max(root.offset + size[root] for root in placed)
+        arena = np.zeros(self._scratch.offset + self._scratch.shape[0], dtype=np.float32)
+
+        rings = {live[root][0]: root for root in placed if root.pad and any(
+            other is not root and other.offset < root.offset + size[root] and root.offset < other.offset + size[other]
+            for other in placed)}
+        steps: list[_Step] = []
+        for index, step in enumerate(self._steps):
+            if index in rings:
+                steps.append(_BorderStep(rings[index]))
+            steps.append(step)
+        for index, step in enumerate(steps):
+            try:
+                step.bind(arena)
+            except ValueError as exc:
+                raise ValueError(f"plan step {index} ({type(step).__name__}): {exc}") from exc
+        return CompiledPlan(self.input_shape, self._output_shape, arena, steps)
 
 
 class PlanCache:

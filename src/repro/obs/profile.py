@@ -123,8 +123,9 @@ def latency_percentiles(samples_ms: Sequence[float],
     }
 
 
-#: plan step class -> the budget line it belongs to
-_STEP_KINDS = {"PadCopyStep": "pad", "ConvStep": "conv", "MaxPoolStep": "pool",
+#: plan step class -> the budget line it belongs to; ``pad`` is the copy of the
+#: external input, ``border`` the re-zeroing of border rings that share bytes
+_STEP_KINDS = {"PadCopyStep": "pad", "BorderStep": "border", "ConvStep": "conv", "MaxPoolStep": "pool",
                "UpsamplePadStep": "upsample", "SoftmaxStep": "softmax"}
 
 

@@ -555,7 +555,7 @@ def run_service(service: InferenceService, quiet: bool = False, on_ready=None) -
     try:
         if on_ready is not None:
             on_ready(server)
-        server.serve_forever()
+        server.serve_forever(poll_interval=0.05)  # shutdown() waits out one poll: 0.5 s by default
     except KeyboardInterrupt:
         pass
     finally:

@@ -13,8 +13,12 @@ Two structural fusions fall out of planning ahead:
   skip activation directly into the upper channel slice during the
   contracting pass, and the up-convolution GEMMs into the lower slice during
   the expansive pass — no ``np.concatenate``, no skip copy.
-* **Padding is free.**  Padded-input buffers are dedicated and zeroed once at
-  compile time; each call only rewrites the interior.
+* **Padding is never copied.**  A buffer a padding convolution reads carries
+  the zero border itself: its producers (convolutions, pooling) write the
+  interior, the consumer reads the whole of it.  Only the external input is
+  copied into a bordered buffer.  Buffers never live at the same step share
+  arena bytes; a border that shares them is re-zeroed before its buffer's
+  first writer, every other border is written once, by the allocation.
 
 :class:`CompiledUNet` wraps a model with an LRU :class:`~repro.nn.plan.PlanCache`
 so consumers just call :meth:`CompiledUNet.predict_proba` and plans appear
@@ -81,8 +85,8 @@ def compile_unet_plan(
     widths = cfg.encoder_channels()
     b = PlanBuilder((n, c, h, w), packed_weights=packed_weights)
 
-    # Merged (up-convolution ‖ skip) buffers, one per encoder/decoder level.
-    # Channel layout matches Concat(upsampled, skip): [0:width) up, [width:2w) skip.
+    # Merged (up-convolution ‖ skip) buffers, one per encoder/decoder level; the decoder's first
+    # convolution gives each its border.  Channel layout matches Concat(upsampled, skip): [0:width) up, [width:2w) skip.
     merged = [b.reserve((n, 2 * widths[e], h >> e, w >> e)) for e in range(cfg.depth)]
 
     x = INPUT

@@ -185,7 +185,7 @@ def chaos_served(tmp_path):
         retry_after_s=0.25,
     ))
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield server.server_address[1], service

@@ -21,7 +21,7 @@ from reference_kernels import ReferenceMaxPool2D, reference_conv_forward, refere
 from repro.nn import Conv2D, MaxPool2D, UpSample2D
 from repro.nn import convgemm as kernels
 from repro.nn.layers import max_of_views, pool_views
-from repro.nn.plan import INPUT, PlanBuilder
+from repro.nn.plan import INPUT, PlanBuilder, _PadCopyStep
 from repro.unet import UNet, UNetConfig, compile_unet_plan
 
 SMALL_BUDGETS = [2 * 1024, 16 * 1024]  # every conv multi-band; a mix of whole-image, multi-band and ragged bands
@@ -53,6 +53,21 @@ def unet_cases(draw):
     return model, laid_out(np.random.default_rng(seed), shape, layout)
 
 
+def arena_layout(plan) -> tuple[dict, tuple[int, int]]:
+    """``{buffer: (offset, floats, first step, last step)}`` and the scratch's ``(offset, floats)``, recomputed from
+    the bound steps' read/write sets — not from anything ``finalize`` kept."""
+    buffers: dict = {}
+    scratch = None
+    for index, step in enumerate(plan._steps):
+        scratch = getattr(step, "scratch", scratch)
+        for slot in step.reads + step.writes:
+            if slot is not INPUT:
+                root = slot.root
+                first = buffers.get(root, (0, 0, index))[2]
+                buffers[root] = (root.offset, int(np.prod(root.storage_shape)), first, index)
+    return buffers, (scratch.offset, scratch.shape[0])
+
+
 class TestCompiledPlanEqualsLayerWalk:
     @pytest.mark.parametrize("budget", SMALL_BUDGETS)
     @settings(max_examples=25, deadline=None)
@@ -69,6 +84,40 @@ class TestCompiledPlanEqualsLayerWalk:
             alone = compile_unet_plan(model, (1,) + x.shape[1:])
             for i in range(x.shape[0]):
                 np.testing.assert_array_equal(alone.run(x[i : i + 1]), probs[i : i + 1])
+
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    @settings(max_examples=25, deadline=None)
+    @given(case=unet_cases())
+    def test_buffers_live_at_a_common_step_never_share_bytes(self, budget, case):
+        model, x = case
+        with band_budget(budget):
+            plan = compile_unet_plan(model, x.shape)
+        buffers, (scratch_offset, scratch_size) = arena_layout(plan)
+        placed = sorted(buffers.values())
+        assert scratch_size > 0 and scratch_offset + scratch_size == plan._arena.size
+        for i, (offset, size, first, last) in enumerate(placed):
+            assert 0 <= offset and offset + size <= scratch_offset
+            for other_offset, other_size, other_first, other_last in placed[i + 1 :]:
+                if other_first <= last and first <= other_last:
+                    assert offset + size <= other_offset, "two buffers live at one step overlap"
+        # the plan reads the input through one copy and nothing else is copied next to itself
+        assert sum(isinstance(step, _PadCopyStep) for step in plan._steps) == 1
+
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    @settings(max_examples=25, deadline=None)
+    @given(case=unet_cases())
+    def test_a_used_plan_equals_a_fresh_one(self, budget, case):
+        """A border ring dirtied by the buffer's co-tenant, or any byte carried over between runs, shows here."""
+        model, x2 = case
+        x1 = 100.0 * np.random.default_rng(1).standard_normal(x2.shape).astype(np.float32) + 50.0
+        with band_budget(budget):
+            used, fresh = compile_unet_plan(model, x2.shape), compile_unet_plan(model, x2.shape)
+            expected = fresh.run(x2)
+            used.run(x1)
+            np.testing.assert_array_equal(used.run(x2), expected)
+            used.run(x1, out=np.empty(used.output_shape, dtype=np.float32))
+            into = np.full(used.output_shape, np.nan, dtype=np.float32)
+            np.testing.assert_array_equal(used.run(x2, out=into), expected)
 
     @pytest.mark.parametrize("budget", SMALL_BUDGETS + [kernels.BAND_BYTES])
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -104,6 +153,91 @@ class TestConvKernel:
             oracle = conv.forward(x)
         np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(stride=st.integers(1, 2), wide_first=st.booleans(), n=st.integers(1, 2), h=st.integers(6, 14),
+           w=st.integers(6, 14), seed=st.integers(0, 2**16))
+    def test_plan_convs_of_any_padding_and_stride_match_the_layers(self, budget, stride, wide_first, n, h, w, seed):
+        """Padding 0, padding 2, stride 2, a pointwise read, and one buffer read by convs of different padding."""
+        def conv(c, f, k, s, p, offset):
+            layer = Conv2D(c, f, kernel_size=k, stride=s, padding=p, seed=seed + offset).eval()
+            layer.bias.value[...] = np.linspace(-0.5, 0.5, f, dtype=np.float32)
+            return layer
+
+        stem, narrow, wide = conv(3, 4, 3, 1, 1, 0), conv(4, 4, 3, stride, 1, 1), conv(4, 4, 5, stride, 2, 2)
+        valid, strided, head = conv(8, 5, 3, 1, 0, 3), conv(5, 4, 2, 2, 2, 4), conv(4, 3, 1, 1, 0, 5)
+        x = np.random.default_rng(seed).standard_normal((n, 3, h, w)).astype(np.float32)
+
+        def eager():
+            a = np.maximum(stem.forward(x), np.float32(0.0))
+            merged = np.concatenate([narrow.forward(a), wide.forward(a)], axis=1)
+            logits = head.forward(strided.forward(np.maximum(valid.forward(merged), np.float32(0.0))))
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return e / e.sum(axis=1, keepdims=True)
+
+        with band_budget(budget):
+            b = PlanBuilder(x.shape)
+            a = b.conv2d(INPUT, stem, relu=True)
+            oh, ow = (kernels.conv_output_size(size, 3, stride, 1) for size in (h, w))
+            merged = b.reserve((n, 8, oh, ow))
+            # whichever reads ``a`` first decides its border: the narrower second reader fits inside the wider
+            # border, the wider second reader is the conflicting consumer that still gets a pad copy
+            for layer, channels in ((wide, (4, 8)), (narrow, (0, 4)))[:: 1 if wide_first else -1]:
+                b.conv2d(a, layer, out=merged.slice(*channels))
+            g = b.conv2d(merged, valid, relu=True)
+            b.softmax_output(b.conv2d(b.conv2d(g, strided), head))
+            plan = b.finalize()
+            assert (a.pad, merged.pad, g.pad) == (2 if wide_first else 1, 0, 2)
+            assert sum(isinstance(step, _PadCopyStep) for step in plan._steps) == (1 if wide_first else 2)
+            probs = plan.run(x)
+            np.testing.assert_array_equal(probs, eager())
+        with mock.patch("repro.nn.conv.conv_forward_offset", reference_conv_forward):
+            np.testing.assert_allclose(probs, eager(), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_rows_inside_a_bordered_buffer_are_staged_not_reshaped(self, kernel, relu, use_bias):
+        rng = np.random.default_rng(kernel)
+        xp = rng.standard_normal((2, 4, 9 + kernel, 10 + kernel)).astype(np.float32)[:, :, : 8 + kernel, : 9 + kernel]
+        if kernel == 1:
+            xp = np.ascontiguousarray(xp)
+        w_mat = rng.standard_normal((3, kernel * kernel * 4)).astype(np.float32)
+        bias = rng.standard_normal((3, 1)).astype(np.float32) if use_bias else None
+        expected = np.empty((2, 3, 9, 10), dtype=np.float32)
+        bordered = np.full((2, 3, 11, 12), np.nan, dtype=np.float32)
+        with band_budget(SMALL_BUDGETS[0]):
+            scratch = np.empty(kernels.BAND_BYTES, dtype=np.float32)
+            direct = kernels.conv_bands(xp, expected, scratch, kernel, 1)
+            assert all(np.shares_memory(band[3], expected) and band[4] is band[5] for band in direct)
+            kernels.run_conv_bands(direct, w_mat, bias, relu)
+            bands = kernels.conv_bands(xp, bordered[:, :, 1:-1, 1:-1], scratch, kernel, 1)
+            assert len(bands) > 2
+            for _dst, _src, cols2, out2, staged, dest in bands:
+                assert np.shares_memory(out2, scratch) and np.shares_memory(staged, out2)
+                assert np.shares_memory(dest, bordered) and np.shares_memory(cols2, xp if kernel == 1 else scratch)
+            kernels.run_conv_bands(bands, w_mat, bias, relu)
+        np.testing.assert_array_equal(bordered[:, :, 1:-1, 1:-1], expected)
+        ring = np.ones(bordered.shape, dtype=bool)
+        ring[:, :, 1:-1, 1:-1] = False
+        assert np.isnan(bordered[ring]).all()
+
+    def test_bind_refuses_a_reshape_that_would_copy(self):
+        """``a[img, :, r0:r1].reshape(c, -1)`` copies once the row stride is not the width; a plan bound to that
+        copy would read a stale snapshot (pointwise source) or write into a temporary (output) forever."""
+        bordered = np.zeros((2, 4, 10, 12), dtype=np.float32)
+        with pytest.raises(ValueError, match="pointwise conv source"):
+            kernels.conv_bands(bordered[:, :, 1:-1, 1:-1], np.empty((2, 4, 8, 10), dtype=np.float32), None, 1, 1)
+        for scratch in (None, np.empty(8, dtype=np.float32)):
+            with pytest.raises(ValueError, match="scratch too small"):
+                kernels.conv_bands(np.zeros((2, 4, 8, 10), dtype=np.float32), bordered[:, :, 1:-1, 1:-1], scratch, 1, 1)
+        b = PlanBuilder((1, 4, 8, 8))
+        a = b.conv2d(INPUT, Conv2D(4, 4, kernel_size=3, padding=1))
+        b.softmax_output(b.conv2d(a, Conv2D(4, 3, kernel_size=1)))
+        a.pad = 1  # what conv2d refuses to do: border a buffer a pointwise conv already reads
+        with pytest.raises(ValueError, match=r"plan step \d+ \(_ConvStep\): pointwise conv source"):
+            b.finalize()
+
     def test_partition_is_at_least_one_row_and_within_budget(self):
         for kc, f, out_h, out_w in [(27, 8, 256, 256), (144, 8, 256, 256), (288, 16, 16, 16), (4096, 64, 8, 4096)]:
             rows = kernels.conv_band_rows(kc, f, out_h, out_w)
@@ -113,15 +247,21 @@ class TestConvKernel:
 
 class TestArena:
     def test_benchmark_plan_arena_holds_one_band_of_scratch(self):
-        """The scene benchmark's plan: 154,957,056 bytes with a whole-image cols scratch, now under 85 MB."""
+        """The scene benchmark's plan: 154,957,056 bytes with a whole-image cols scratch, 79,680,768 with one slot
+        per buffer and a padded twin per conv input, under 25 MB packed by liveness (the live set's peak plus a band)."""
         model = UNet(UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=0))
-        assert compile_unet_plan(model, (2, 3, 256, 256)).arena_nbytes < 85_000_000
+        plan = compile_unet_plan(model, (2, 3, 256, 256))
+        assert plan.arena_nbytes < 25_000_000
+        buffers, (_, scratch_size) = arena_layout(plan)
+        assert 0 < 4 * scratch_size <= kernels.BAND_BYTES
+        assert plan.arena_nbytes < 0.5 * 4 * sum(size for _, size, _, _ in buffers.values())  # bytes are shared
 
     def test_shared_scratch_is_at_most_one_band(self):
+        """cols + staged output rows of the largest band, pointwise (no cols) or not."""
         builder = PlanBuilder((2, 16, 256, 256))
-        for width in (8, 16):
-            builder.conv2d(INPUT, Conv2D(16, width))
-        assert 0 < 4 * builder._scratch_size <= kernels.BAND_BYTES
+        for width, kernel in ((8, 3), (16, 3), (16, 1)):
+            builder.conv2d(INPUT, Conv2D(16, width, kernel_size=kernel))
+        assert 0 < 4 * builder._scratch.shape[0] <= kernels.BAND_BYTES
 
 
 class TestPooling:

@@ -1,4 +1,4 @@
-"""Tests for the compiled-plan machinery: arena slots, plan cache behaviour."""
+"""Tests for the compiled-plan machinery: arena slots, liveness packing, plan cache behaviour."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn.plan import PlanCache, Slot
+from repro.nn import Conv2D
+from repro.nn.plan import INPUT, PlanBuilder, PlanCache, Slot, _BorderStep
 
 
 class _FakePlan:
@@ -40,6 +41,56 @@ class TestSlot:
             slot.slice(2, 5)
         with pytest.raises(ValueError, match="already-sliced"):
             slot.slice(0, 2).slice(0, 1)
+
+
+    def test_bordered_slot_resolves_interior_ring_and_slices(self):
+        slot = Slot(0, (1, 2, 3, 3))
+        slot.pad = 2
+        arena = np.arange(1 * 2 * 7 * 7, dtype=np.float32)
+        assert slot.storage_shape == (1, 2, 7, 7) and slot.view_shape == (1, 2, 3, 3)
+        whole = slot.resolve(arena, border=2)
+        assert whole.shape == (1, 2, 7, 7) and whole.base is arena
+        np.testing.assert_array_equal(slot.resolve(arena), whole[:, :, 2:-2, 2:-2])
+        np.testing.assert_array_equal(slot.resolve(arena, border=1), whole[:, :, 1:-1, 1:-1])
+        sliced = slot.slice(1, 2)  # shares the root's border, whenever that is decided
+        assert sliced.storage_shape == (1, 2, 7, 7)
+        np.testing.assert_array_equal(sliced.resolve(arena, border=1), whole[:, 1:2, 1:-1, 1:-1])
+
+
+class TestLivenessPacking:
+    @staticmethod
+    def _chain(convs: int):
+        """INPUT -> ``convs`` 3×3 same-padding convolutions -> pointwise head -> softmax."""
+        b = PlanBuilder((1, 4, 16, 16))
+        slots, x = [], INPUT
+        for i in range(convs):
+            x = b.conv2d(x, Conv2D(4, 4, kernel_size=3, padding=1, seed=i), relu=True)
+            slots.append(x)
+        b.softmax_output(b.conv2d(x, Conv2D(4, 2, kernel_size=1, seed=99)))
+        return b, slots
+
+    def test_a_chain_needs_two_buffers_however_long_it_is(self):
+        short, long = self._chain(3)[0].finalize(), self._chain(9)[0].finalize()
+        assert long.arena_nbytes == short.arena_nbytes
+
+    def test_source_and_destination_of_a_step_never_alias(self):
+        b, slots = self._chain(4)
+        b.finalize()
+        buffer = 4 * 18 * 18  # 4 channels of 16 + 2×1 border
+        for src, dst in zip(slots, slots[1:]):
+            assert abs(src.offset - dst.offset) >= buffer
+        assert slots[0].offset == slots[2].offset  # dead by the time the third conv writes
+
+    def test_only_borders_that_share_bytes_are_rezeroed(self):
+        b = PlanBuilder((1, 4, 16, 16))  # input copy -> conv -> softmax: both buffers live at the conv
+        b.softmax_output(b.conv2d(INPUT, Conv2D(4, 2, kernel_size=3, padding=1)))
+        plan = b.finalize()
+        assert not any(isinstance(step, _BorderStep) for step in plan._steps)
+        assert plan.arena_nbytes >= 4 * (4 * 18 * 18 + 2 * 16 * 16)
+        b, slots = self._chain(4)
+        plan = b.finalize()
+        rezeroed = [step.writes[0] for step in plan._steps if isinstance(step, _BorderStep)]
+        assert set(slots[:3]) <= set(rezeroed) and slots[3] not in rezeroed
 
 
 class TestPlanCache:

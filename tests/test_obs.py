@@ -285,12 +285,23 @@ class TestProfilingHooks:
             assert step["calls"] == 3
             assert step["total_ms"] >= 0.0
         kinds = report["by_kind"]
-        assert set(kinds) == {"pad", "conv", "pool", "upsample", "softmax"}
+        assert set(kinds) == {"pad", "border", "conv", "pool", "upsample", "softmax"}
         assert sum(cell["calls"] for cell in kinds.values()) == 3 * len(report["steps"])
         assert kinds["pool"]["calls"] == 3 * 2 and kinds["softmax"]["calls"] == 3  # depth 2: two pools
+        assert kinds["pad"]["calls"] == 3  # the external input, nothing else, is copied into a bordered buffer
         assert sum(cell["share"] for cell in kinds.values()) == pytest.approx(1.0, abs=1e-3)
         assert sum(cell["total_ms"] for cell in kinds.values()) == pytest.approx(
             sum(step["total_ms"] for step in report["steps"]), abs=0.01)
+
+    def test_every_plan_step_class_has_a_budget_line(self):
+        from repro.nn import plan
+        from repro.obs.profile import _STEP_KINDS
+
+        def subclasses(cls):
+            return {sub for direct in cls.__subclasses__() for sub in {direct} | subclasses(direct)}
+
+        steps = {cls.__name__.lstrip("_") for cls in subclasses(plan._Step) if cls.__module__ == plan.__name__}
+        assert steps and steps == set(_STEP_KINDS)
 
     def test_trainer_epoch_profile(self):
         from repro.obs import profile_training
@@ -329,7 +340,7 @@ def traced_service(tmp_path_factory):
                      inference=InferenceConfig(tile_size=32, apply_cloud_filter=False))
     service = InferenceService(registry, ServiceConfig(port=0))
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     trace_mod.configure_tracing("all", log_path=str(log_path))
     try:

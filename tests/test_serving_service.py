@@ -21,7 +21,7 @@ from repro.unet import InferenceConfig, SceneClassifier, UNet, UNetConfig
 @contextlib.contextmanager
 def _listening(server):
     """Run ``server.serve_forever`` in a thread for the duration of the block."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield server.server_address[1]
