@@ -20,8 +20,11 @@ callers rely on and never re-implement:
   them into the parent registry on the thread that owns the reply, so the
   metrics hot path never takes a cross-process lock.
 
-Children are always forked: fault budgets, the tile stacks a map runs over
-and the shared-memory tracker are all inherited, never pickled.
+Children are always forked: fault budgets, the shared-memory tracker and
+whatever the caller put in module state before the fork (the map-reduce
+engine registers an action's partitions there) are inherited, never pickled.
+What a request carries is pickled: ``Backend.map`` sends each chunk of items
+through the pipe, so a map over inherited data sends indices.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import reduce
 
 import numpy as np
 
@@ -58,13 +59,17 @@ class HSVRange:
     lower: tuple[int, int, int]
     upper: tuple[int, int, int]
 
+    def inside(self, planes: dict) -> np.ndarray:
+        """Boolean mask of pixels within the bounds of every channel given (``{channel: (H, W) plane}``)."""
+        checks = [(plane >= self.lower[c]) & (plane <= self.upper[c]) for c, plane in planes.items()]
+        return reduce(np.logical_and, checks)
+
     def contains(self, hsv: np.ndarray) -> np.ndarray:
         """Boolean mask of pixels inside the range (``hsv`` is ``(H, W, 3)`` uint8)."""
         arr = np.asarray(hsv)
         if arr.ndim != 3 or arr.shape[-1] != 3:
             raise ValueError(f"expected (H, W, 3) HSV image, got shape {arr.shape}")
-        inside = [(arr[..., c] >= self.lower[c]) & (arr[..., c] <= self.upper[c]) for c in range(3)]
-        return inside[0] & inside[1] & inside[2]
+        return self.inside({c: arr[..., c] for c in range(3)})
 
 
 #: Auto-labeling colour thresholds from paper §III-B (Ross Sea, Antarctic summer).

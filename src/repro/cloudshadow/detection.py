@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..imops import gaussian_blur, median_blur, morph_close, otsu_threshold, remove_small_objects, scale_to_uint8
+from ..imops import gaussian_blur, hsv_planes, median_blur, morph_close, otsu_threshold, remove_small_objects, scale_to_uint8
 from .removal import ThinCloudShadowRemover, VeilEstimate
 
 __all__ = ["CloudShadowMasks", "detect_cloud_shadow", "estimate_coverage"]
@@ -51,7 +51,7 @@ class CloudShadowMasks:
 
 def _brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarray:
     """Low-frequency brightness deviation from the scene's median level (uint8)."""
-    value = np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2]).astype(np.float64)  # V of HSV, for uint8 input
+    value = hsv_planes(np.moveaxis(rgb, -1, 0), (2,))[2]
     smoothed = gaussian_blur(value, ksize=blur_ksize)
     return scale_to_uint8(np.abs(smoothed - float(np.median(smoothed))))
 

@@ -56,6 +56,10 @@ class CloudShadowFilter:
         """Return only the filtered image (fast path used by the parallel workflows)."""
         return self.remover.remove(np.asarray(rgb))
 
+    def filter_planes(self, rgb: np.ndarray) -> np.ndarray:
+        """The filtered image as float64 ``(3, H, W)`` planes of exact uint8 values (what the labeler reads)."""
+        return self.remover.remove_planes(np.asarray(rgb))
+
     def apply_batch(self, tiles: np.ndarray) -> np.ndarray:
         """Filter a ``(N, H, W, 3)`` stack of tiles, returning the filtered stack."""
         stack = np.asarray(tiles)

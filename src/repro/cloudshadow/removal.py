@@ -24,9 +24,9 @@ filter therefore
 The kernel is planar.  The image is split once into three contiguous float64
 ``(H, W)`` planes and the K x 2 hypotheses are visited in a Python loop, each
 a fixed sequence of whole-plane ufuncs writing into per-call scratch
-(``out=``).  No per-pixel hypothesis array is built: one opacity plane per
-hypothesis and one running best score (and the class that attains it) per
-contaminant are all that outlive the loop.  The floating-point operations and
+(``out=``).  No per-pixel hypothesis array is built: one running best score
+per contaminant, with the class that attains it and that hypothesis's
+opacity, is all that outlives the loop.  The floating-point operations and
 their order are those of the textbook broadcast formulation, which the tests
 keep as the oracle and require ``array_equal`` against.  (That holds wherever
 the projection's products are exact -- 8-bit pixels, colours on a binary grid,
@@ -119,27 +119,32 @@ class ThinCloudShadowRemover:
     # ------------------------------------------------------------------ #
     # Veil estimation
     # ------------------------------------------------------------------ #
-    def estimate(self, rgb: np.ndarray) -> VeilEstimate:
-        """Estimate per-pixel cloud and shadow opacity for an RGB image."""
+    @staticmethod
+    def _planes(rgb: np.ndarray) -> np.ndarray:
         img = np.asarray(rgb)
         if img.ndim != 3 or img.shape[-1] != 3:
             raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
-        h, w, _ = img.shape
-        planes = channel_planes(img)
+        return channel_planes(img)
 
-        # Kept per hypothesis (k surface, m contaminant): its opacity plane.  Kept per
-        # contaminant: the best score over k and the first k that attains it.  The rest is
-        # per-call scratch (the thread executor runs one remover concurrently).
-        num_k = self.surface_prototypes.shape[0]
-        alpha = np.empty((num_k, 2, h, w))
+    def estimate(self, rgb: np.ndarray) -> VeilEstimate:
+        """Estimate per-pixel cloud and shadow opacity for an RGB image."""
+        return self._estimate(self._planes(rgb))
+
+    def _estimate(self, planes: np.ndarray) -> VeilEstimate:
+        """:meth:`estimate` of an image already split into planes (read, not written)."""
+        _, h, w = planes.shape
+        # Kept per contaminant m: the best score over the surfaces k, the first k that attains it
+        # and that hypothesis's opacity.  The rest is per-call scratch (the thread executor runs
+        # one remover concurrently).
         best = np.empty((2, h, w))
         best_k = np.zeros((2, h, w), dtype=np.uint8)
+        best_alpha = np.empty((2, h, w))
         diff = np.empty((3, h, w))
-        scratch, tmp = np.empty((2, h, w))
-        for k in range(num_k):
+        alpha, scratch, tmp = np.empty((3, h, w))
+        for k in range(self.surface_prototypes.shape[0]):
             np.subtract(planes, self.surface_prototypes[k][:, None, None], out=diff)  # I - J_k
             for m in range(2):
-                d, a, s = self._direction[k, m], alpha[k, m], scratch if k else best[m]
+                d, a, s = self._direction[k, m], alpha if k else best_alpha[m], scratch if k else best[m]
                 # alpha = <I - J_k, C_m - J_k> / ||C_m - J_k||^2, clipped.
                 np.multiply(diff[0], d[0], out=a)
                 for c in (1, 2):
@@ -156,8 +161,11 @@ class ThinCloudShadowRemover:
                 np.sqrt(s, out=s)
                 np.add(s, np.multiply(a, self.alpha_penalty, out=tmp), out=s)
                 if k:  # strict "<" keeps the first minimum, as argmin over k would
-                    np.putmask(best_k[m], s < best[m], k)
+                    better = s < best[m]
+                    np.putmask(best_k[m], better, k)
+                    np.putmask(best_alpha[m], better, a)
                     np.minimum(best[m], s, out=best[m])
+        del diff, alpha, scratch, tmp
 
         # Decide the contaminant type (cloud vs shadow) from spatially pooled
         # evidence: veils are regionally coherent, so the per-pixel best-class
@@ -170,11 +178,8 @@ class ThinCloudShadowRemover:
             shadow_score = gaussian_blur(shadow_score, ksize=self.score_smooth_ksize)
         is_shadow = shadow_score < cloud_score  # ties go to cloud, as argmin over m would
         best_k = np.where(is_shadow, best_k[1], best_k[0])
-        hypothesis = 2 * best_k.astype(np.intp) + is_shadow
-        best_alpha = np.take_along_axis(alpha.reshape(-1, h, w), hypothesis[None], axis=0)[0]
-
-        cloud_alpha = np.where(is_shadow, 0.0, best_alpha)
-        shadow_alpha = np.where(is_shadow, best_alpha, 0.0)
+        cloud_alpha = np.where(is_shadow, 0.0, best_alpha[0])
+        shadow_alpha = np.where(is_shadow, best_alpha[1], 0.0)
 
         if self.smooth_ksize and self.smooth_ksize >= 3:
             cloud_alpha = gaussian_blur(cloud_alpha, ksize=self.smooth_ksize)
@@ -196,11 +201,10 @@ class ThinCloudShadowRemover:
     # ------------------------------------------------------------------ #
     # Veil inversion
     # ------------------------------------------------------------------ #
-    def remove(self, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
-        """Return the cloud/shadow-filtered RGB image (uint8)."""
-        img = np.asarray(rgb)
-        est = estimate or self.estimate(img)
-        planes = channel_planes(img)
+    def remove_planes(self, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
+        """The filtered image as float64 ``(3, H, W)`` planes holding its exact uint8 values."""
+        planes = self._planes(rgb)
+        est = estimate or self._estimate(planes)
 
         # Invert the shadow veil first (it is composited on top of the cloud
         # veil by the atmosphere: the shadowed surface may itself be cloudy).
@@ -212,8 +216,11 @@ class ThinCloudShadowRemover:
                 np.subtract(planes[c], np.multiply(a, float(color[c]), out=tmp), out=planes[c])
                 np.divide(planes[c], keep, out=planes[c])
 
-        np.clip(np.round(planes, out=planes), 0, 255, out=planes)
-        return np.moveaxis(planes, 0, -1).astype(np.uint8, order="C")
+        return np.clip(np.round(planes, out=planes), 0, 255, out=planes)
+
+    def remove(self, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
+        """Return the cloud/shadow-filtered RGB image (uint8)."""
+        return np.moveaxis(self.remove_planes(rgb, estimate), 0, -1).astype(np.uint8, order="C")
 
     def __call__(self, rgb: np.ndarray) -> np.ndarray:
         """Alias for :meth:`remove` so the remover composes as a plain function."""

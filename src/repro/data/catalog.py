@@ -27,6 +27,25 @@ class TileRecord:
     cloud_shadow_fraction: float
 
 
+class _ArrayField:
+    """An array attribute of :class:`TileDataset`: set to an ndarray, or to a source with ``shape`` and
+    ``read()`` (an archive member, see :func:`repro.data.io.load_dataset`) that its first read replaces by the array."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None) -> np.ndarray:
+        if obj is None:
+            raise AttributeError(self.name)  # no class-level default: the dataclass field stays required
+        value = vars(obj)[self.name]
+        if not isinstance(value, np.ndarray):
+            value = vars(obj)[self.name] = value.read()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        vars(obj)[self.name] = value
+
+
 @dataclass
 class TileDataset:
     """A set of tiles with observed imagery, clean imagery and ground truth.
@@ -43,14 +62,14 @@ class TileDataset:
         Per-tile metadata aligned with the arrays.
     """
 
-    images: np.ndarray
-    clean_images: np.ndarray
-    labels: np.ndarray
+    images: np.ndarray = _ArrayField()
+    clean_images: np.ndarray = _ArrayField()
+    labels: np.ndarray = _ArrayField()
     records: list[TileRecord]
 
     def __post_init__(self) -> None:
-        n = len(self.records)
-        if not (self.images.shape[0] == self.clean_images.shape[0] == self.labels.shape[0] == n):
+        held = vars(self)  # shapes as held: checking a length must not inflate an archive member
+        if {held[name].shape[0] for name in ("images", "clean_images", "labels")} != {len(self.records)}:
             raise ValueError("images, clean_images, labels and records must have equal length")
 
     def __len__(self) -> int:
@@ -58,7 +77,7 @@ class TileDataset:
 
     @property
     def tile_size(self) -> int:
-        return int(self.images.shape[1])
+        return int(vars(self)["images"].shape[1])
 
     @property
     def cloud_shadow_fractions(self) -> np.ndarray:

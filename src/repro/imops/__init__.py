@@ -25,6 +25,7 @@ from .arithmetic import (
 from .color import (
     channel_planes,
     gray_to_rgb,
+    hsv_planes,
     hsv_to_rgb,
     merge_channels,
     rgb_to_gray,
@@ -74,6 +75,7 @@ __all__ = [
     "scale_to_uint8",
     "channel_planes",
     "gray_to_rgb",
+    "hsv_planes",
     "hsv_to_rgb",
     "merge_channels",
     "rgb_to_gray",

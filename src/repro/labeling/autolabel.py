@@ -4,7 +4,9 @@ Each Sentinel-2 RGB tile is converted to HSV; per-class masks are built from
 the fixed HSV lower/upper bounds the paper determined for the Ross Sea
 summer season, and the masks are merged into a single class map / colour
 label image.  Optionally the thin-cloud/shadow filter is applied first,
-which is the configuration that produces the paper's best results.
+which is the configuration that produces the paper's best results.  Only the
+HSV planes some range bounds are computed: the published thresholds leave hue
+and saturation at their full span, so the class is a function of V alone.
 
 The per-pixel work is completely independent across tiles, which is what
 makes the process embarrassingly parallel — the multiprocessing and
@@ -20,7 +22,7 @@ import numpy as np
 
 from ..classes import HSV_RANGES, SeaIceClass, class_map_to_color
 from ..cloudshadow import CloudShadowFilter
-from ..imops import rgb_to_hsv
+from ..imops import hsv_planes
 
 __all__ = ["AutoLabelResult", "ColorSegmentationLabeler", "autolabel_tile", "autolabel_batch"]
 
@@ -63,34 +65,33 @@ class ColorSegmentationLabeler:
         self._value_centers = np.array(
             [(self.hsv_ranges[cls].lower[2] + self.hsv_ranges[cls].upper[2]) // 2 for cls in SeaIceClass], dtype=np.int32
         )
+        # The planes a class map depends on: hue / saturation only if some range bounds them inside the
+        # channel's own span (the paper's thresholds do not), value always (leftover pixels go by it).
+        bounded = [c for c, top in ((0, 179), (1, 255)) if any(r.lower[c] > 0 or r.upper[c] < top for r in self.hsv_ranges.values())]
+        self._channels = (*bounded, 2)
 
     # ------------------------------------------------------------------ #
-    def class_masks(self, hsv: np.ndarray) -> dict:
-        """Per-class boolean masks from an HSV image (may leave pixels unassigned)."""
-        # The same image over contiguous channel planes: every range compare then runs on a dense uint8 plane.
-        planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(np.asarray(hsv), -1, 0)), 0, -1)
-        return {cls: rng.contains(planar) for cls, rng in self.hsv_ranges.items()}
+    def _label(self, planes: np.ndarray, unit: "bool | None" = None) -> tuple:
+        """``(class_map, masks)`` of ``(3, H, W)`` RGB planes: what :meth:`segment` and ``__call__`` share."""
+        if planes.ndim != 3 or planes.shape[0] != 3:
+            raise ValueError(f"expected (H, W, 3) RGB image, got shape {planes.shape[1:] + planes.shape[:1]}")
+        hsv = hsv_planes(planes, self._channels, unit)
+        masks = {cls: rng.inside(hsv) for cls, rng in self.hsv_ranges.items()}
 
-    def _label(self, rgb: np.ndarray) -> tuple:
-        """``(class_map, masks, filtered_rgb)`` of one tile: what :meth:`segment` and ``__call__`` share."""
-        img = np.asarray(rgb)
-        if img.ndim != 3 or img.shape[-1] != 3:
-            raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
-        filtered = self.cloud_filter.filter_image(img) if self.apply_cloud_filter else None
-        hsv = rgb_to_hsv(img if filtered is None else filtered)
-        masks = self.class_masks(hsv)
-
-        class_map = np.full(hsv.shape[:2], 255, dtype=np.uint8)
+        class_map = np.full(planes.shape[1:], 255, dtype=np.uint8)
         for cls in reversed(SeaIceClass):  # written last wins: the first class whose range matches
             np.putmask(class_map, masks[cls], int(cls))
         unassigned = class_map == 255
-        if unassigned.any():
-            class_map[unassigned] = self._nearest_class(hsv[unassigned])
-        return class_map, masks, filtered
+        if unassigned.any():  # leftover pixels go to the class whose value band is closest
+            dist = np.abs(hsv[2][unassigned].astype(np.int32)[:, None] - self._value_centers[None, :])
+            class_map[unassigned] = np.argmin(dist, axis=1)
+        return class_map, masks
 
     def segment(self, rgb: np.ndarray) -> AutoLabelResult:
         """Auto-label one ``(H, W, 3)`` uint8 RGB tile."""
-        class_map, masks, filtered = self._label(rgb)
+        img = np.asarray(rgb)
+        filtered = self.cloud_filter.filter_image(img) if self.apply_cloud_filter else None
+        class_map, masks = self._label(np.moveaxis(img if filtered is None else filtered, -1, 0))
         return AutoLabelResult(
             class_map=class_map,
             label_image=class_map_to_color(class_map),
@@ -98,16 +99,15 @@ class ColorSegmentationLabeler:
             filtered_rgb=filtered,
         )
 
-    def _nearest_class(self, hsv_pixels: np.ndarray) -> np.ndarray:
-        """Assign leftover pixels to the class whose value band is closest."""
-        values = hsv_pixels[..., 2].astype(np.int32)
-        dist = np.abs(values[:, None] - self._value_centers[None, :])
-        return np.argmin(dist, axis=1).astype(np.uint8)
-
     # ------------------------------------------------------------------ #
     def __call__(self, rgb: np.ndarray) -> np.ndarray:
-        """Return only the class map (the form used by the parallel pipelines)."""
-        return self._label(rgb)[0]
+        """Return only the class map (the form used by the parallel pipelines).
+
+        Nobody reads the filtered image here, so the filter's planes (exact integers 0-255) are labelled as
+        they are; :meth:`segment` labels their uint8 interleave, and the two agree bit for bit."""
+        if self.apply_cloud_filter:
+            return self._label(self.cloud_filter.filter_planes(rgb), unit=False)[0]
+        return self._label(np.moveaxis(np.asarray(rgb), -1, 0))[0]
 
     def label_batch(self, tiles: np.ndarray) -> np.ndarray:
         """Auto-label a ``(N, H, W, 3)`` stack of tiles into ``(N, H, W)`` class maps."""

@@ -12,6 +12,7 @@ backend the context's executor kind names.  Per-phase wall times (load / map
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from functools import reduce as functools_reduce
@@ -76,25 +77,29 @@ class _MapPartitionsOp:
         return list(self.func(items))
 
 
+#: Partition lists of the actions in flight, by action id.  An action registers its partitions
+#: *before* its backend forks, so worker processes inherit them copy-on-write (as does a worker
+#: respawned mid-action) and a task message carries a partition index, not the partition.
+_IN_FLIGHT: dict[int, list] = {}
+_ACTION_IDS = itertools.count()
+
+
 class _PipelineTask:
     """Picklable per-partition task that applies the whole lineage in one pass.
 
     Implemented as a class (not a closure) so the fork backend can ship it
-    to worker processes.
+    to worker processes; called with the index of a partition of its action.
     """
 
-    def __init__(self, ops: tuple) -> None:
+    def __init__(self, ops: tuple, action: int) -> None:
         self.ops = ops
+        self.action = action
 
-    def __call__(self, items: list) -> list:
+    def __call__(self, index: int) -> list:
+        items = list(_IN_FLIGHT[self.action][index].items)
         for op in self.ops:
             items = op.apply(items)
         return items
-
-
-def _pipeline_task(ops: tuple) -> Callable[[list], list]:
-    """Build the per-partition task for a lineage."""
-    return _PipelineTask(ops)
 
 
 # --------------------------------------------------------------------------- #
@@ -176,12 +181,16 @@ class Dataset:
     # ------------------------------- actions (eager) -------------------- #
     def _materialize(self) -> list[list]:
         start = time.perf_counter()
-        task = _pipeline_task(self.lineage)
         context = self.context
-        # One task message per partition, on a backend that lives for the action.
-        with make_backend(_EXECUTOR_BACKENDS[context.executor], context.parallelism) as backend:
-            per_partition = backend.map(
-                task, [list(p.items) for p in self.partitions], chunk_size=1)
+        action = next(_ACTION_IDS)
+        _IN_FLIGHT[action] = self.partitions
+        try:
+            # One task message per partition, on a backend that lives (and forks) inside the registration.
+            with make_backend(_EXECUTOR_BACKENDS[context.executor], context.parallelism) as backend:
+                per_partition = backend.map(
+                    _PipelineTask(self.lineage, action), range(len(self.partitions)), chunk_size=1)
+        finally:
+            del _IN_FLIGHT[action]
         context.last_timings.reduce_time += time.perf_counter() - start
         return per_partition
 

@@ -131,8 +131,9 @@ def autolabel_scaling_table(
     Each row is one timed :meth:`repro.backend.Backend.map` of the per-tile
     labeler over the stack on a fresh backend: one worker runs in-process
     (the ``Ts`` baseline row); more fork that many workers, whose start-up is
-    part of the measured time and who share the read-only tile stack
-    copy-on-write.  The returned :class:`~repro.metrics.scaling.ScalingTable`
+    part of the measured time, as is pickling each chunk of tiles through a
+    worker's pipe (the map-reduce job's workers inherit their partitions and
+    are sent indices).  The returned :class:`~repro.metrics.scaling.ScalingTable`
     exposes the speedup column exactly as the paper tabulates it
     (``S = Ts / Tp``).
     """

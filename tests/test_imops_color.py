@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reference_kernels import reference_rgb_to_hsv, rgb_views
 
+from repro.classes import HSV_RANGES, SeaIceClass
 from repro.imops import (
     channel_planes,
     gray_to_rgb,
+    hsv_planes,
     hsv_to_rgb,
     merge_channels,
     rgb_to_gray,
     rgb_to_hsv,
     split_channels,
 )
+from repro.labeling import autolabel_tile
 
 
 class TestRgbToHsv:
@@ -72,12 +75,24 @@ class TestPlanarRgbToHsvMatchesOracle:
     """The planar conversion against the last-axis / nested-``where`` body it replaced: equal, not close."""
 
     def test_every_8_bit_colour(self):
-        """All 2**24 inputs a uint8 pixel can be, one 256x256 green-blue sheet per red level."""
+        """All 2**24 inputs a uint8 pixel can be, one 256x256 green-blue sheet per red level.
+
+        On the same sheets: a value-only request is channel 2 of the full conversion -- from the uint8
+        planes and from float planes of the same integers, the form the cloud/shadow filter hands the
+        labeler -- and the unfiltered default label is the paper's value band of that channel.
+        """
         green, blue = np.meshgrid(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8), indexing="ij")
         sheet = np.stack([np.zeros_like(green), green, blue], axis=-1)
+        planes = np.moveaxis(sheet, -1, 0)
+        band_edges = [HSV_RANGES[SeaIceClass.THIN_ICE].lower[2], HSV_RANGES[SeaIceClass.THICK_ICE].lower[2]]
         for red in range(256):
             sheet[..., 0] = red
-            np.testing.assert_array_equal(rgb_to_hsv(sheet), reference_rgb_to_hsv(sheet), err_msg=f"red={red}")
+            hsv = rgb_to_hsv(sheet)
+            np.testing.assert_array_equal(hsv, reference_rgb_to_hsv(sheet), err_msg=f"red={red}")
+            np.testing.assert_array_equal(hsv_planes(planes, (2,))[2], hsv[..., 2], err_msg=f"red={red}")
+            np.testing.assert_array_equal(hsv_planes(planes.astype(np.float64), (2,), unit=False)[2], hsv[..., 2], err_msg=f"red={red}")
+            expected = int(SeaIceClass.OPEN_WATER) - np.digitize(hsv[..., 2], band_edges)
+            np.testing.assert_array_equal(autolabel_tile(sheet, apply_cloud_filter=False), expected, err_msg=f"red={red}")
 
     @settings(max_examples=60, deadline=None)
     @given(rgb_views())

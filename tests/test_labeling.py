@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from reference_kernels import reference_contains, reference_segment, rgb_views
 
 from repro.classes import HSV_RANGES, NUM_CLASSES, HSVRange, SeaIceClass
-from repro.data import build_dataset
-from repro.imops import rgb_to_hsv
+from repro.data import SceneSpec, build_dataset, synthesize_scene
+from repro.imops import hsv_planes
 from repro.labeling import (
     ColorSegmentationLabeler,
     ManualLabelSimulator,
@@ -33,9 +36,7 @@ class TestColorSegmentationLabeler:
         assert labels.min() >= 0 and labels.max() < NUM_CLASSES
 
     def test_masks_are_disjoint(self, clear_scene):
-        labeler = ColorSegmentationLabeler()
-        hsv = rgb_to_hsv(clear_scene.clean_rgb)
-        masks = labeler.class_masks(hsv)
+        masks = ColorSegmentationLabeler().segment(clear_scene.clean_rgb).masks
         total = sum(m.astype(int) for m in masks.values())
         assert total.max() <= 1  # the paper's HSV ranges are non-intersecting
 
@@ -141,6 +142,16 @@ class TestPlanarLabelerMatchesOracle:
     def test_any_shape_layout_and_ranges(self, rgb, ranges, apply_cloud_filter):
         self.assert_same_segmentation(ColorSegmentationLabeler(hsv_ranges=ranges, apply_cloud_filter=apply_cloud_filter), rgb)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        unit=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)), elements=st.floats(0, 1)),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        ranges=value_bands(),
+    )
+    def test_unit_float_tiles(self, unit, dtype, ranges):
+        """Float ``[0, 1]`` tiles, the other input ``rgb_to_hsv`` documents (unfiltered: the filter reads 0-255)."""
+        self.assert_same_segmentation(ColorSegmentationLabeler(hsv_ranges=ranges), unit.astype(dtype))
+
     @settings(max_examples=30, deadline=None)
     @given(hsv=rgb_views(), ranges=value_bands())
     def test_range_masks(self, hsv, ranges):
@@ -155,6 +166,54 @@ class TestPlanarLabelerMatchesOracle:
             labels = run_mapreduce_autolabel(tiles, executor=executor, parallelism=2).labels
             np.testing.assert_array_equal(labels, expected, err_msg=executor)
         np.testing.assert_array_equal(autolabel_batch(tiles), expected)
+
+
+class TestLabelPathDoesOnlyWhatLabelsDependOn:
+    """Counts, not timings: which HSV planes the label path asks for, and how many bytes one tile costs."""
+
+    @staticmethod
+    def requested(monkeypatch, labeler, rgb):
+        asked = []
+
+        def spy(planes, channels=(0, 1, 2), unit=None):
+            asked.append(tuple(channels))
+            return hsv_planes(planes, channels, unit)
+
+        monkeypatch.setattr("repro.labeling.autolabel.hsv_planes", spy)
+        labeler(rgb)
+        labeler.segment(rgb)
+        assert len(asked) == 2 and asked[0] == asked[1]
+        return asked[0]
+
+    @pytest.mark.parametrize("apply_cloud_filter", [False, True])
+    def test_paper_thresholds_never_evaluate_hue_or_saturation(self, monkeypatch, cloudy_scene, apply_cloud_filter):
+        asked = self.requested(monkeypatch, ColorSegmentationLabeler(apply_cloud_filter=apply_cloud_filter), cloudy_scene.rgb)
+        print(f"planes requested with the paper's thresholds (filter={apply_cloud_filter}): {asked}")
+        assert asked == (2,)
+
+    @pytest.mark.parametrize("bound, channel", [(("lower", 0, 1), 0), (("upper", 0, 178), 0), (("lower", 1, 1), 1), (("upper", 1, 254), 1)])
+    def test_a_range_that_bounds_a_channel_requests_it(self, monkeypatch, clear_scene, bound, channel):
+        side, index, limit = bound
+        ranges = dict(HSV_RANGES)
+        thin = ranges[SeaIceClass.THIN_ICE]
+        edited = {"lower": list(thin.lower), "upper": list(thin.upper)}
+        edited[side][index] = limit
+        ranges[SeaIceClass.THIN_ICE] = HSVRange(lower=tuple(edited["lower"]), upper=tuple(edited["upper"]))
+        assert self.requested(monkeypatch, ColorSegmentationLabeler(hsv_ranges=ranges), clear_scene.rgb) == (channel, 2)
+
+    @pytest.mark.parametrize("apply_cloud_filter, ceiling", [(True, 10_500_000), (False, 1_000_000)])
+    def test_peak_bytes_of_one_tile(self, apply_cloud_filter, ceiling):
+        """Parent commit: 12.7 MB filtered (K x 2 opacity planes, two plane splits, a full HSV conversion), 4.8 MB unfiltered."""
+        tile = synthesize_scene(SceneSpec(height=256, width=256, cloud_coverage=0.25, seed=7)).rgb
+        autolabel_tile(tile, apply_cloud_filter=apply_cloud_filter)  # imports and caches out of the measurement
+        tracemalloc.start()
+        try:
+            autolabel_tile(tile, apply_cloud_filter=apply_cloud_filter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"autolabel_tile(256x256, apply_cloud_filter={apply_cloud_filter}) peak: {peak:,} B (ceiling {ceiling:,})")
+        assert peak <= ceiling
 
 
 class TestManualLabelSimulator:

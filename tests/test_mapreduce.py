@@ -18,6 +18,7 @@ from repro.mapreduce import (
     run_mapreduce_autolabel,
     udf,
 )
+from repro.mapreduce import dataset as dataset_module
 
 
 def add_one(x):
@@ -77,6 +78,63 @@ class TestExecutors:
             with pytest.raises(ValueError):
                 SparkLiteContext(executor=kind, parallelism=0)
         assert SparkLiteContext(executor="serial", parallelism=0).parallelism == 1
+
+
+def call(thunk):
+    return thunk()
+
+
+def fail_on_seven(x):
+    if x == 7:
+        raise RuntimeError("seven")
+    return x
+
+
+class TestPartitionsAreInheritedNotSent:
+    """An action registers its partitions before its backend forks; task messages carry partition indices."""
+
+    @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+    def test_items_that_cannot_be_pickled(self, kind):
+        """Closures do not pickle: worker processes can only hold them by having forked after the registration."""
+        thunks = [(lambda i=i: 3 * i) for i in range(11)]
+        context = SparkLiteContext(executor=kind, parallelism=2)
+        assert context.parallelize(thunks, num_partitions=4).map(call).collect() == [3 * i for i in range(11)]
+        assert not dataset_module._IN_FLIGHT
+
+    def test_task_messages_are_indices(self, monkeypatch):
+        sent = []
+        make_backend = dataset_module.make_backend
+
+        def spying(kind, workers):
+            backend = make_backend(kind, workers)
+            backend_map = backend.map
+            backend.map = lambda fn, items, **options: sent.extend(items) or backend_map(fn, items, **options)
+            return backend
+
+        monkeypatch.setattr(dataset_module, "make_backend", spying)
+        data = SparkLiteContext(executor="processes", parallelism=2).parallelize(list(range(30)), num_partitions=4)
+        assert data.map(add_one).collect() == list(range(1, 31))
+        assert sent == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("kind", ["serial", "processes"])
+    def test_registration_does_not_outlive_a_failed_action(self, kind):
+        data = SparkLiteContext(executor=kind, parallelism=2).parallelize(list(range(10)), num_partitions=3)
+        with pytest.raises(Exception, match="seven"):
+            data.map(fail_on_seven).collect()
+        assert not dataset_module._IN_FLIGHT
+
+    def test_concurrent_actions_keep_their_own_partitions(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        def action(offset):
+            kind = "processes" if offset % 2 else "threads"
+            items = list(range(offset, offset + 40))
+            return SparkLiteContext(executor=kind, parallelism=2).parallelize(items, num_partitions=5).map(add_one).collect()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for offset, got in zip(range(0, 800, 100), pool.map(action, range(0, 800, 100))):
+                assert got == list(range(offset + 1, offset + 41))
+        assert not dataset_module._IN_FLIGHT
 
 
 class TestDatasetSemantics:
