@@ -55,6 +55,7 @@ import hashlib
 import os
 import re
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -71,7 +72,8 @@ from ..backend.store import (
 from ..backend.worker import WorkerLost, WorkerProcess, serve
 from ..data.loader import BatchLoader
 from ..metrics.classification import ClassificationReport, classification_report
-from ..nn import Adam, CategoricalCrossEntropy, Optimizer, load_checkpoint, save_checkpoint
+from ..nn import Adam, CategoricalCrossEntropy, Optimizer, load_checkpoint, read_metadata, save_checkpoint
+from ..nn.convgemm import NUMERICS
 from ..nn.layers import Dropout
 from ..nn.serialization import CheckpointError
 from ..obs.metrics import get_registry
@@ -489,11 +491,20 @@ class ElasticTrainer:
             for m in range(self.micro_shards)
         ]
 
-    def train_step(self, x: np.ndarray, y: np.ndarray) -> float | None:
-        """One synchronous step over a global batch (``None`` if too small)."""
+    def train_step(self, x: np.ndarray, y: np.ndarray, meanwhile=None) -> float | None:
+        """One synchronous step over a global batch (``None`` if too small).
+
+        ``meanwhile`` is called exactly once, where a master with forked ranks
+        is idle: after the shards are sent, before the replies are awaited
+        (re-sends after an eviction do not repeat it).  It must leave the
+        weights alone — they change only in the update, after the replies.
+        The in-process rank calls it at the same point of the step.
+        """
         if not self._started:
             self.start()
         shards = self._shard_batch(x, y)
+        if meanwhile is not None and (shards is None or self._local is not None):
+            meanwhile()  # nobody to wait for: first thing in the step, as on a fleet
         if shards is None:
             return None
         clock = time.perf_counter
@@ -503,7 +514,7 @@ class ElasticTrainer:
             fold_t0 = clock()
             self._local.fold(range(self.micro_shards), True)
         else:
-            losses, fold_t0 = self._step_on_fleet(shards)
+            losses, fold_t0 = self._step_on_fleet(shards, meanwhile)
         self._m_allreduce_ms.observe((clock() - fold_t0) * 1e3)
         self._m_allreduce_bytes.inc(float(self.micro_shards * self._flat_size * 4))
         self._apply_update()
@@ -513,7 +524,7 @@ class ElasticTrainer:
             self._phases_ms["optimizer_ms"] += (clock() - fold_t0) * 1e3
         return float(np.mean([losses[m] for m in range(self.micro_shards)]))
 
-    def _step_on_fleet(self, shards) -> tuple[dict[int, float], float]:
+    def _step_on_fleet(self, shards, meanwhile) -> tuple[dict[int, float], float]:
         """Compute and fold on the forked ranks; ``(losses, when the fold began)``.
 
         Survives any number of mid-step worker deaths: each eviction
@@ -532,7 +543,7 @@ class ElasticTrainer:
                 )
             assignment = self._assign(ranks)
             try:
-                losses = self._compute_phase(shards, assignment)
+                losses = self._compute_phase(shards, assignment, meanwhile)
                 fold_t0 = time.perf_counter()
                 self._fold_phase(assignment)
                 return losses, fold_t0
@@ -540,6 +551,7 @@ class ElasticTrainer:
                 self._evict(exc.rank)
                 self.ring_rebuilds += 1
                 self._m_rebuilds.inc()
+                meanwhile = None  # it ran: _compute_phase calls it before the first reply can fail
 
     def _assign(self, ranks: list[int]) -> list[tuple[int, list[int]]]:
         """Contiguous micro-shard runs per live rank (rank order = slot order)."""
@@ -547,11 +559,12 @@ class ElasticTrainer:
         return [(rank, [int(s) for s in split])
                 for rank, split in zip(ranks, splits)]
 
-    def _compute_phase(self, shards, assignment) -> dict[int, float]:
-        # Send everything first so the shard computations overlap, then
-        # collect with per-reply deadlines.  A failure still drains every
-        # reply that was solicited before raising, so a retry never reads
-        # a stale reply from the previous attempt.
+    def _compute_phase(self, shards, assignment, meanwhile) -> dict[int, float]:
+        # Send everything first so the shard computations overlap, do the
+        # master's own work while they run, then collect with per-reply
+        # deadlines.  A failure still drains every reply that was solicited
+        # before raising, so a retry never reads a stale reply from the
+        # previous attempt.
         sent: list[int] = []
         failure: RingBroken | None = None
         for rank, slots in assignment:
@@ -561,6 +574,8 @@ class ElasticTrainer:
                 sent.append(rank)
             except RingBroken as exc:
                 failure = failure or exc
+        if meanwhile is not None:
+            meanwhile()
         losses: dict[int, float] = {}
         for rank in sent:
             if self._workers[rank].dead:
@@ -622,7 +637,7 @@ class ElasticTrainer:
         }
         path = save_checkpoint(
             self.master, self.optimizer, os.path.join(self.checkpoint_dir, f"ckpt-{self.global_step:08d}.npz"),
-            metadata={"kind": "elastic-trainer"}, extra_state=extra,
+            metadata={"kind": "elastic-trainer", "numerics": NUMERICS}, extra_state=extra,
         )
         self._m_checkpoints.inc()
         for old in latest_checkpoints(self.checkpoint_dir)[self.keep_checkpoints:]:
@@ -634,12 +649,23 @@ class ElasticTrainer:
         return path
 
     def _load_latest(self) -> dict | None:
-        """Newest loadable checkpoint's extra state; skips corrupt archives."""
+        """Newest loadable checkpoint's extra state; skips corrupt archives.
+
+        An archive another numerics generation wrote loads like any other, with a warning: bit-exact
+        resume holds within a generation, across one the run continues from slightly different arithmetic.
+        """
         for path in latest_checkpoints(self.checkpoint_dir):
             try:
-                return load_checkpoint(self.master, self.optimizer, path)
+                extra = load_checkpoint(self.master, self.optimizer, path)
+                written_by = read_metadata(path).get("numerics", 1)
             except CheckpointError:
                 continue
+            if written_by != NUMERICS:
+                warnings.warn(
+                    f"resuming from {path!r}, written by numerics generation {written_by}, under generation "
+                    f"{NUMERICS}: the weights will differ in their last bits from a run trained under either alone",
+                    stacklevel=3)
+            return extra
         return None
 
     # ------------------------------------------------------------------ #
@@ -716,17 +742,29 @@ class ElasticTrainer:
         self.ping()
         start = time.perf_counter()
         step_in_epoch = 0
-        # A periodic checkpoint falling due waits for the loader's next batch: if the
-        # epoch ends instead, ``fit``'s epoch-boundary write to the same path is the one.
+        batches = iter(loader)
+        batch = next(batches, None)
         due = False
-        for x, y in loader:
+
+        def meanwhile():
+            # What the master does while the ranks compute: the periodic checkpoint
+            # that fell due with the last step (the weights move only after the
+            # replies), then the loader's next batch.  A checkpoint due when the
+            # epoch ends is not written here: ``fit``'s epoch-boundary write to the
+            # same path is the one.
+            nonlocal batch
             if due:
-                self._save_checkpoint(epoch, step_in_epoch, epoch_rng_state, losses, images)
-                due = False
+                self._save_checkpoint(epoch, step_in_epoch - 1, epoch_rng_state, losses, images)
+            batch = next(batches, None)
+
+        while batch is not None:
+            x, y = batch
             step_in_epoch += 1
             if step_in_epoch <= replay:
+                batch = next(batches, None)
                 continue
-            loss = self.train_step(x, y)
+            loss = self.train_step(x, y, meanwhile)
+            due = False
             if loss is None:
                 continue
             losses.append(loss)

@@ -20,20 +20,18 @@ class Conv2D(Module):
         Channel counts of the input and output feature maps.
     kernel_size:
         Square kernel side (the paper's U-Net uses 3×3, 2×2 and 1×1 kernels).
-    stride:
-        Spatial stride.
     padding:
         Symmetric zero padding; ``"same"`` picks ``kernel_size // 2`` so the
-        spatial size is preserved for odd kernels at stride 1 (the paper's
-        U-Net keeps tile size constant through each stage).
+        spatial size is preserved for odd kernels (the paper's U-Net keeps
+        tile size constant through each stage; pooling does the down-sampling).
     use_bias:
         Add a per-output-channel bias.
     seed:
         Seed of the weight initialisation.
 
-    Training caches only the padded input: ``dW`` and ``dX`` are recomputed
-    from it per kernel offset during backward, so the ``k²``-inflated unrolled
-    matrix is never pinned across the step.
+    Training caches only the padded input: backward contracts ``dW`` against
+    strided views of it, so no ``k²``-inflated unrolled matrix is pinned
+    across the step — or built at all.
     """
 
     def __init__(
@@ -41,7 +39,6 @@ class Conv2D(Module):
         in_channels: int,
         out_channels: int,
         kernel_size: int = 3,
-        stride: int = 1,
         padding: "int | str" = "same",
         use_bias: bool = True,
         seed: int = 0,
@@ -49,8 +46,8 @@ class Conv2D(Module):
         super().__init__()
         if in_channels < 1 or out_channels < 1:
             raise ValueError("channel counts must be >= 1")
-        if kernel_size < 1 or stride < 1:
-            raise ValueError("kernel_size and stride must be >= 1")
+        if kernel_size < 1:
+            raise ValueError("kernel_size must be >= 1")
         if isinstance(padding, str):
             if padding != "same":
                 raise ValueError("string padding must be 'same'")
@@ -61,7 +58,6 @@ class Conv2D(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.padding = int(padding)
         self.use_bias = use_bias
 
@@ -80,15 +76,11 @@ class Conv2D(Module):
             raise ValueError(
                 f"expected (N, {self.in_channels}, H, W) input, got shape {x.shape}"
             )
-        n, _, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out_h = conv_output_size(h, k, s, p)
-        out_w = conv_output_size(w, k, s, p)
-        bias = self.bias.value if self.use_bias else None
-
-        xp = pad_input(x, p)
+        for size in x.shape[2:]:
+            conv_output_size(size, self.kernel_size, self.padding)  # raises on an input smaller than the kernel
+        xp = pad_input(x, self.padding)
         self._cache = xp if self.training else None
-        return conv_forward_offset(xp, self.weight.value, bias, s, out_h, out_w)
+        return conv_forward_offset(xp, self.weight.value, self.bias.value if self.use_bias else None)
 
     def backward(self, grad_output: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients and return ``dL/dinput``.
@@ -100,7 +92,7 @@ class Conv2D(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         dx, dw, db = conv_backward_offset(
-            self._cache, self.weight.value, np.asarray(grad_output, dtype=np.float32), self.stride,
+            self._cache, self.weight.value, np.asarray(grad_output, dtype=np.float32),
             need_input_grad=need_input_grad, need_bias_grad=self.use_bias, pad=self.padding,
         )
         self.weight.grad += dw

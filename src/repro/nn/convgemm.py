@@ -1,17 +1,18 @@
-"""Convolution as offset-sliced GEMM: forward, backward and the shared row-band partition.
+"""Convolution as GEMM over the padded input: banded forward, gather-free ``dW``, one row-band partition.
 
-Convolution is expressed as matrix multiplication, worked per kernel offset:
-the forward (``conv_forward_offset``) assembles the unrolled input one
-cache-sized row band at a time into a shared scratch (one strided copy of
-the k² offset slices) and runs one GEMM per band straight into the output
-rows — the same bands compiled plans pre-bind (:func:`conv_bands`); ``dW``
-(plus the fused bias gradient) is one offset-ordered GEMM against the *padded
-input* — the only tensor a training step retains — and ``dX`` is a stride-1
-transposed convolution over the pixels that are not padding, or a per-offset
-scatter-add into the padded gradient buffer for strided convolutions.
-Nothing ``k²``-sized survives the step.  The seed's whole-matrix
-im2col / col2im formulation is the gradient-parity oracle in
-``tests/reference_kernels.py``.
+Convolution is expressed as matrix multiplication.  The forward
+(``conv_forward_offset``) assembles the unrolled input one cache-sized row
+band at a time into a shared scratch (one strided copy of the k² offset
+slices) and runs one GEMM per band straight into the output rows — the same
+bands compiled plans pre-bind (:func:`conv_bands`).  ``dW`` unrolls nothing:
+over full padded rows the input of kernel offset ``(i, j)`` is, per channel,
+one contiguous run of the *padded input* — the only tensor a training step
+retains — so the output gradient is laid out at that row pitch and k²
+strided-view GEMMs contract it against the runs in place.  ``dX`` is the
+banded forward again, over the output gradient with flipped filters and the
+pixels that are padding left out.  Nothing ``k²``-sized is ever written.  The
+seed's whole-matrix im2col / col2im formulation is the gradient-parity oracle
+in ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
@@ -28,26 +29,27 @@ __all__ = [
 ]
 
 
-def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
+def conv_output_size(size: int, kernel: int, pad: int) -> int:
     """Output spatial size of a convolution along one dimension."""
-    out = (size + 2 * pad - kernel) // stride + 1
+    out = size + 2 * pad - kernel + 1
     if out < 1:
-        raise ValueError(f"non-positive conv output size for size={size}, kernel={kernel}, stride={stride}, pad={pad}")
+        raise ValueError(f"non-positive conv output size for size={size}, kernel={kernel}, pad={pad}")
     return out
 
 
-#: Shared scratch for the transient unrolled-input matrices.  A fresh
-#: multi-megabyte ``np.empty`` per conv call costs more in page faults than
-#: the slice copies that fill it; one flat buffer sized to the largest layer
-#: amortises that across the whole network.  Each engine call carves a view,
-#: uses it for exactly one GEMM, and is done with it before any other call
-#: can run (the engine is single-threaded per process; forked workers get
-#: their own copy), so no two live tensors ever alias the scratch.
+#: Shared scratch for the transient matrices: a forward band's unrolled input
+#: and staging, or ``dW``'s pitched output gradient.  A fresh ``np.empty`` per
+#: conv call costs more in page faults than the copies that fill it; one flat
+#: buffer sized to the largest request amortises that across the whole
+#: network.  Each engine call carves a view, uses it for exactly one GEMM, and
+#: is done with it before any other call can run (the engine is
+#: single-threaded per process; forked workers get their own copy), so no two
+#: live tensors ever alias the scratch.
 _SCRATCH: dict[str, np.ndarray] = {}
 
 
 def scratch_buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """A float32 view of the shared cols workspace, grown to fit ``shape``.
+    """A float32 view of the shared workspace, grown to fit ``shape``.
 
     Callers must be done with the view before anything else can request
     one — the engine guarantees this by finishing each GEMM before the next
@@ -79,6 +81,12 @@ def pad_input(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
+#: Generation of this package's float arithmetic, written into checkpoint and
+#: registry metadata: bumped when a kernel changes its summation order, so
+#: weights trained on either side of the change differ in their last bits
+#: (2: ``dW`` as k² strided-view GEMMs; archives without the key are 1).
+NUMERICS = 2
+
 #: Byte budget of one conv band — its cols rows plus its output rows.  Small
 #: enough that a band is still in L2 when the bias add and ReLU revisit it.
 BAND_BYTES = 256 * 1024
@@ -94,7 +102,7 @@ def conv_band_rows(kc: int, f: int, out_h: int, out_w: int) -> int:
     return max(1, min(out_h, BAND_BYTES // (4 * (kc + f) * out_w)))
 
 
-def conv_bands(xp: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, kernel: int, stride: int) -> list[tuple]:
+def conv_bands(xp: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, kernel: int) -> list[tuple]:
     """Per image and row band: ``(cols fill dst, its src, (k²C, rows·W) cols, (F, rows·W) GEMM output, that as rows, destination rows)``.
 
     ``scratch`` is flat and holds one band: the cols — every band's fill, the
@@ -110,7 +118,7 @@ def conv_bands(xp: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, kern
     f, out_h, out_w = out.shape[1:]
     kc = kernel * kernel * c
     rows = conv_band_rows(kc, f, out_h, out_w)
-    pointwise = kernel == 1 and stride == 1
+    pointwise = kernel == 1
     band = (0 if pointwise else kc) * rows * out_w
     direct = out.strides[2] == out_w * out.strides[3]
     if band + (0 if direct else f * rows * out_w) > (0 if scratch is None else scratch.size):
@@ -119,10 +127,10 @@ def conv_bands(xp: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, kern
         if xp.strides[2] != xp.shape[3] * xp.strides[3]:
             raise ValueError(f"pointwise conv source {xp.shape} with strides {xp.strides}: its rows are not one matrix")
     else:
-        # windows[img, i, j, ch, r, q] = xp[img, ch, i + stride*r, j + stride*q]
+        # windows[img, i, j, ch, r, q] = xp[img, ch, i + r, j + q]
         sn, sc, sh, sw = xp.strides
         windows = np.lib.stride_tricks.as_strided(
-            xp, (n, kernel, kernel, c, out_h, out_w), (sn, sh, sw, sc, stride * sh, stride * sw), writeable=False
+            xp, (n, kernel, kernel, c, out_h, out_w), (sn, sh, sw, sc, sh, sw), writeable=False
         )
     bands = []
     for r0 in range(0, out_h, rows):
@@ -163,33 +171,25 @@ def run_conv_bands(bands, w_mat: np.ndarray, bias: np.ndarray | None, relu: bool
             dest[...] = staged
 
 
-def conv_forward_offset(
-    xp: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    stride: int,
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
+def conv_forward_offset(xp: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """Convolve a pre-padded ``(N, C, Hp, Wp)`` batch, one row band at a time.
 
     Each band's unrolled input is assembled in ``(k*k*C, rows, out_w)`` layout
     with one slice copy per kernel offset (no transposes) and contracted
     against the ``(offset, channel)``-ordered filter bank by a GEMM that writes
-    straight into the band's rows of the ``(N, F, out_h, out_w)`` output;
+    straight into the band's rows of the ``(N, F, Hp-k+1, Wp-k+1)`` output;
     the unrolled matrix is never cached.
     """
-    n, c = xp.shape[0], xp.shape[1]
-    f, _, kh, kw = weight.shape
-    out = np.empty((n, f, out_h, out_w), dtype=np.float32)
-    if kh == 1 and kw == 1 and stride == 1:
+    n, c, hp, wp = xp.shape
+    f, _, k, _ = weight.shape
+    out = np.empty((n, f, hp - k + 1, wp - k + 1), dtype=np.float32)
+    if k == 1:
         # Pointwise convolution: the input already is the unrolled matrix.
         xp, cols = np.ascontiguousarray(xp), None
     else:
-        cols = scratch_buffer((kh * kw * c * conv_band_rows(kh * kw * c, f, out_h, out_w) * out_w,))
+        cols = scratch_buffer((k * k * c * conv_band_rows(k * k * c, f, *out.shape[2:]) * out.shape[3],))
     w_mat = weight.transpose(0, 2, 3, 1).reshape(f, -1)
-    run_conv_bands(conv_bands(xp, out, cols, kh, stride), w_mat,
-                   None if bias is None else bias[:, None], relu=False)
+    run_conv_bands(conv_bands(xp, out, cols, k), w_mat, None if bias is None else bias[:, None], relu=False)
     return out
 
 
@@ -197,7 +197,6 @@ def conv_backward_offset(
     xp: np.ndarray,
     weight: np.ndarray,
     grad_output: np.ndarray,
-    stride: int,
     need_input_grad: bool = True,
     need_bias_grad: bool = False,
     pad: int = 0,
@@ -206,64 +205,48 @@ def conv_backward_offset(
 
     Returns ``(grad_input, grad_weight, grad_bias)``, the first for the input
     without the ``pad`` zero pixels ``xp`` carries on each side — gradients of
-    padding nobody reads are not computed.  ``dW`` is one
-    offset-ordered GEMM against the re-assembled unrolled input; with
-    ``need_bias_grad=True`` a ones-channel is appended to that matrix so the
-    same GEMM also reduces ``dB`` (no separate pass over the gradient).
-    ``dX`` is a stride-1 transposed convolution (flipped filters over the
-    padded output gradient) or, for strided convolutions, a per-offset
-    scatter-add into the padded gradient buffer — the adjoint of the forward
-    slice copies.  There is no ``col2im`` re-fold and nothing ``k²``-sized
-    outlives the call.  With ``need_input_grad=False`` the ``dX`` contraction
-    is skipped entirely and ``None`` is returned in its place (first-layer
-    optimisation).
+    padding nobody reads are not computed.
+
+    ``dW`` gathers nothing.  Read over full padded rows, the input that kernel
+    offset ``(i, j)`` multiplies is, in every channel, one contiguous run of
+    ``xp``'s plane starting ``i·Wp + j`` elements in; the output gradient is
+    copied once into the shared scratch at the same row pitch (``(N, F, oh,
+    Wp)``, zeros in the ``k−1`` trailing columns, where a run crosses the
+    border), and one batched ``matmul`` of its ``(F, run)`` matrices against
+    the ``(N, k, k, run, C)`` strided view of ``xp`` yields the k² ``F×C``
+    products per image — every slice a BLAS matrix with leading dimension
+    ``Hp·Wp``, nothing unrolled, no output passes.  ``dB`` is a plain sum of
+    the pitched gradient.
+
+    ``dX`` is a transposed convolution — :func:`conv_forward_offset` of the
+    ``(k−1)``-padded output gradient with flipped, channel-swapped filters.
+    With ``need_input_grad=False`` it is skipped entirely and ``None`` is
+    returned in its place (first-layer optimisation).
     """
-    f, c, kh, kw = weight.shape
-    n, oh, ow = grad_output.shape[0], grad_output.shape[2], grad_output.shape[3]
-    ell = oh * ow
-    gb = grad_output.reshape(n, f, ell)
+    f, c, k, _ = weight.shape
+    n, _, oh, ow = grad_output.shape
+    wp, item = xp.shape[3], xp.itemsize
+    if xp.strides[2:] != (wp * item, item):
+        xp = np.ascontiguousarray(xp)  # runs need whole planes; batch and channel strides are free
 
-    # dW (and optionally dB): re-assemble the offset-ordered unrolled input
-    # (slice copies, released on return) and contract it against the gradient
-    # with one batched GEMM reduced over the batch axis.
-    rows = kh * kw * c + (1 if need_bias_grad else 0)
-    cols = scratch_buffer((n, rows, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            base = (i * kw + j) * c
-            cols[:, base : base + c] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    if need_bias_grad:
-        cols[:, -1].fill(1.0)
-    dw_ext = np.matmul(cols.reshape(n, rows, ell), gb.transpose(0, 2, 1)).sum(axis=0)
-    db = dw_ext[-1] if need_bias_grad else None
-    dw = dw_ext[: kh * kw * c].reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
-
+    g = scratch_buffer((n, f, oh, wp))
+    g[..., :ow] = grad_output
+    g[..., ow:] = 0.0
+    run = (oh - 1) * wp + ow
+    # runs[img, i, j, t, ch] = xp[img, ch].ravel()[i*Wp + j + t]
+    runs = np.lib.stride_tricks.as_strided(
+        xp, (n, k, k, run, c), (xp.strides[0], wp * item, item, item, xp.strides[1]), writeable=False
+    )
+    dw = np.matmul(g.reshape(n, 1, 1, f, oh * wp)[..., :run], runs).sum(axis=0).transpose(2, 3, 0, 1)
+    db = g.sum(axis=(0, 2, 3)) if need_bias_grad else None
     if not need_input_grad:
         return None, dw, db
 
-    if stride == 1:
-        # dX is itself a stride-1 convolution: correlate the (k-1)-padded
-        # output gradient with the spatially-flipped, channel-swapped filters.
-        # One slice-copy batched GEMM, no scatter-add — the layout every
-        # U-Net conv uses.
-        w_flip = weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        skip = min(pad, kh - 1)  # border of xp left out of the contraction; the rest is cropped
-        gp = pad_input(grad_output, kh - 1 - skip)
-        dx = conv_forward_offset(gp, w_flip, None, 1, xp.shape[2] - 2 * skip, xp.shape[3] - 2 * skip)
-        return _crop(dx, pad - skip), dw, db
-
-    # General stride: scatter-add each offset's contraction back into the
-    # padded gradient buffer (the adjoint of the forward slice copies).
-    w_mat = weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
-    grad_cols = np.matmul(w_mat, gb)  # (N, k*k*C, out_h*out_w)
-    dxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            base = (i * kw + j) * c
-            dst = dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            dst += grad_cols[:, base : base + c].reshape(n, c, oh, ow)
-    return _crop(dxp, pad), dw, db
-
-
-def _crop(x: np.ndarray, border: int) -> np.ndarray:
-    return x[:, :, border:-border, border:-border] if border > 0 else x
+    # dX correlates the (k-1)-padded output gradient with the spatially
+    # flipped, channel-swapped filters; the border of xp that is padding is
+    # left out of the contraction where the kernel reaches it, cropped beyond.
+    w_flip = weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    skip = min(pad, k - 1)
+    dx = conv_forward_offset(pad_input(grad_output, k - 1 - skip), w_flip, None)
+    border = pad - skip
+    return (dx[:, :, border:-border, border:-border] if border else dx), dw, db

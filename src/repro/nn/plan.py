@@ -203,14 +203,14 @@ class _ConvStep(_Step):
 
     def __init__(self, src: Slot, scratch: Slot, out: Slot,
                  w_mat: np.ndarray, bias: np.ndarray | None,
-                 kernel: int, stride: int, pad: int, relu: bool):
+                 kernel: int, pad: int, relu: bool):
         self.reads, self.writes, self.scratch = (src,), (out,), scratch
         self.w_mat, self.bias = w_mat, bias
-        self.kernel, self.stride, self.pad, self.relu = kernel, stride, pad, relu
+        self.kernel, self.pad, self.relu = kernel, pad, relu
 
     def bind(self, arena):
         self._bands = conv_bands(self.reads[0].resolve(arena, border=self.pad), self.writes[0].resolve(arena),
-                                 self.scratch.resolve(arena), self.kernel, self.stride)
+                                 self.scratch.resolve(arena), self.kernel)
 
     def run(self, x):
         run_conv_bands(self._bands, self.w_mat, self.bias, self.relu)
@@ -418,11 +418,11 @@ class PlanBuilder:
         n, c, h, w = (self.input_shape if src is INPUT else src.view_shape)
         if c != conv.in_channels:
             raise ValueError(f"conv expects {conv.in_channels} channels, got {c}")
-        k, s, p = conv.kernel_size, conv.stride, conv.padding
-        oh = conv_output_size(h, k, s, p)
-        ow = conv_output_size(w, k, s, p)
+        k, p = conv.kernel_size, conv.padding
+        oh = conv_output_size(h, k, p)
+        ow = conv_output_size(w, k, p)
 
-        pointwise = k == 1 and s == 1  # its cols are rows of the source itself, which a border would break up
+        pointwise = k == 1  # its cols are rows of the source itself, which a border would break up
         if src is not INPUT and src.root.pad is None:
             src.root.pad = p
         if src is INPUT or src.root.pad < p or (pointwise and src.root.pad):
@@ -452,7 +452,7 @@ class PlanBuilder:
             out = self.reserve((n, f, oh, ow))
         if out.view_shape != (n, f, oh, ow):
             raise ValueError(f"conv output {(n, f, oh, ow)} does not fit slot {out.view_shape}")
-        self._steps.append(_ConvStep(src, self._scratch, out, w_mat, bias, k, s, p, relu))
+        self._steps.append(_ConvStep(src, self._scratch, out, w_mat, bias, k, p, relu))
         return out
 
     def maxpool(self, src: Slot, pool: int) -> Slot:

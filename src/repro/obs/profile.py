@@ -182,14 +182,16 @@ def profile_inference(model, batch_shape: tuple[int, int, int] = (1, 32, 32),
 
 def profile_training(config=None, epochs: int = 2, batches: int = 4, batch_size: int = 4,
                      tile: int = 16, seed: int = 0) -> dict:
-    """Per-epoch per-phase / per-block timings, a per-layer-class ``by_kind`` budget and ``checkpoint_ms``.
+    """Per-epoch per-phase / per-block timings, a per-layer-class ``by_kind`` budget, ``checkpoint_ms``, ``scratch_bytes``.
 
     The step profiled is the trainer's in-process rank on one micro-shard — what
     a forked rank runs per shard — for a model built from ``config`` (a ``UNetConfig``).
+    ``scratch_bytes`` is the conv kernels' shared workspace as the profiled epochs
+    left it: one forward band or one pitched output gradient, whichever is larger.
     """
     from ..data.loader import BatchLoader
     from ..distributed.elastic import ElasticTrainer
-    from ..nn import save_checkpoint
+    from ..nn import release_workspace, save_checkpoint, workspace_nbytes
     from ..unet.model import UNetConfig
 
     if config is None:
@@ -203,8 +205,10 @@ def profile_training(config=None, epochs: int = 2, batches: int = 4, batch_size:
     loader = BatchLoader(images, labels, batch_size=batch_size, shuffle=False, augment=False)
 
     trainer.enable_profiling()
+    release_workspace()
     with LayerTimer((type(module).__name__, module) for module in model.modules()) as timer:
         trainer.fit(loader, epochs=epochs)
+    scratch_bytes = workspace_nbytes()
     kinds = timer.to_dict()
     total = sum(cell["forward_ms"] + cell["backward_ms"] for cell in kinds.values())
     for cell in kinds.values():
@@ -232,4 +236,5 @@ def profile_training(config=None, epochs: int = 2, batches: int = 4, batch_size:
         ],
         "by_kind": kinds,
         "checkpoint_ms": round(float(np.median(checkpoints)), 3),
+        "scratch_bytes": scratch_bytes,
     }

@@ -31,6 +31,7 @@ import re
 import threading
 from dataclasses import asdict, dataclass, field
 
+from ..nn.convgemm import NUMERICS
 from ..nn.optimizers import Optimizer
 from ..obs.metrics import get_registry
 from ..reliability import CircuitBreaker
@@ -194,6 +195,7 @@ class ModelRegistry:
             raise ValueError("model version must be >= 1")
         metadata = dict(extra_metadata or {})
         metadata["unet_config"] = asdict(model.config)
+        metadata["numerics"] = NUMERICS
         if inference is not None:
             metadata["inference"] = inference.to_dict()
         path = os.path.join(self.root, name, f"{version}.npz")
@@ -211,6 +213,13 @@ class ModelRegistry:
         self.scan()
         with self._lock:
             return {name: sorted(versions) for name, versions in sorted(self._records.items())}
+
+    def numerics(self, name: str, version: int) -> int | None:
+        """Numerics generation that wrote the archive (1 before archives said; ``None`` when unreadable)."""
+        try:
+            return int(self.record(name, version).metadata().get("numerics", 1))
+        except (CheckpointError, FileNotFoundError):
+            return None
 
     def latest_version(self, name: str) -> int:
         return max(self._versions_of(name))

@@ -10,7 +10,7 @@ coalesce into single batched forward passes.
 Endpoints::
 
     GET  /healthz   → {"status": "ok", "uptime_s": ..., "models": [...]}
-    GET  /models    → registry listing (versions, latest, what is warm)
+    GET  /models    → registry listing (versions, latest, what is warm, each archive's numerics generation)
     POST /predict   → {"model": "name", "version": 2, "tile": [[[r,g,b]...]]}
                     → {"class_map": [[...]], "counts": {...}, ...}
 
@@ -154,6 +154,7 @@ class InferenceService:
                     "versions": versions,
                     "latest": versions[-1],
                     "warm": [v for v in versions if (name, v) in warm],
+                    "numerics": [self.registry.numerics(name, v) for v in versions],
                 }
                 for name, versions in models.items()
             ]

@@ -36,7 +36,7 @@ from hypothesis.extra import numpy as hnp
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
 from repro.cloudshadow import VeilEstimate
 from repro.imops import absdiff, gaussian_blur, scale_to_uint8
-from repro.nn import Conv2D, MaxPool2D, ReLU, UpConv2D, conv_output_size
+from repro.nn import Conv2D, MaxPool2D, Module, ReLU, UpConv2D
 from repro.nn.layers import max_of_views, pool_views
 
 
@@ -187,18 +187,19 @@ def reference_brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarr
     return scale_to_uint8(absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
 
 
-def reference_conv_forward(xp, weight, bias, stride, out_h, out_w) -> np.ndarray:
+def reference_conv_forward(xp, weight, bias) -> np.ndarray:
     """``conv_forward_offset`` as one whole-image ``(N, k*k*C, out_h, out_w)`` cols tensor and one batched GEMM."""
-    n, c = xp.shape[0], xp.shape[1]
+    n, c, hp, wp = xp.shape
     f, _, kh, kw = weight.shape
-    if kh == 1 and kw == 1 and stride == 1:
+    out_h, out_w = hp - kh + 1, wp - kw + 1
+    if kh == 1 and kw == 1:
         cols = xp if xp.flags.c_contiguous else np.ascontiguousarray(xp)
     else:
         cols = np.empty((n, kh * kw * c, out_h, out_w), dtype=np.float32)
         for i in range(kh):
             for j in range(kw):
                 base = (i * kw + j) * c
-                cols[:, base : base + c] = xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+                cols[:, base : base + c] = xp[:, :, i : i + out_h, j : j + out_w]
     w_mat = weight.transpose(0, 2, 3, 1).reshape(f, -1)
     out = np.matmul(w_mat, cols.reshape(n, kh * kw * c, out_h * out_w))
     if bias is not None:
@@ -212,12 +213,17 @@ def reference_max_pool(x: np.ndarray, k: int) -> np.ndarray:
     return x.reshape(n, c, h // k, k, w // k, k).max(axis=(3, 5))
 
 
+def strided_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
+    """Output size of the oracle's convolution, which — unlike the layers under test — may stride."""
+    return (size + 2 * pad - kernel) // stride + 1
+
+
 def im2col(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Unroll the sliding windows of an ``(N, C, H, W)`` batch into the ``(N·out_h·out_w, C·kernel_h·kernel_w)``
     matrix whose rows are the flattened receptive fields (batch-major, then spatial)."""
     n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
+    out_h = strided_output_size(h, kernel_h, stride, pad)
+    out_w = strided_output_size(w, kernel_w, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
     s_n, s_c, s_h, s_w = x.strides
@@ -236,8 +242,8 @@ def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int], kernel_h: i
     """Fold an im2col matrix back into an image batch, summing overlaps: the adjoint of :func:`im2col`,
     hence the back-propagation through a convolution's input."""
     n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
+    out_h = strided_output_size(h, kernel_h, stride, pad)
+    out_w = strided_output_size(w, kernel_w, stride, pad)
     expected = (n * out_h * out_w, c * kernel_h * kernel_w)
     if cols.shape != expected:
         raise ValueError(f"cols has shape {cols.shape}, expected {expected}")
@@ -252,7 +258,14 @@ def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int], kernel_h: i
 
 class ReferenceConv2D(Conv2D):
     """The seed's training path: one whole-batch im2col GEMM forward (the ``(N·oh·ow, C·k²)``
-    matrix stays pinned for backward), col2im re-fold for ``dX``.  Eval mode is the parent's."""
+    matrix stays pinned for backward), col2im re-fold for ``dX``.  Eval mode is the parent's.
+    It alone can stride — an oracle detail the layer under test dropped (a class swap leaves 1)."""
+
+    stride = 1
+
+    def __init__(self, *args, stride: int = 1, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.stride = stride
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training:
@@ -264,7 +277,7 @@ class ReferenceConv2D(Conv2D):
         out = cols @ self.weight.value.reshape(self.out_channels, -1).T  # (N*out_h*out_w, F)
         if self.use_bias:
             out += self.bias.value
-        out = out.reshape(n, conv_output_size(h, k, s, p), conv_output_size(w, k, s, p), self.out_channels)
+        out = out.reshape(n, strided_output_size(h, k, s, p), strided_output_size(w, k, s, p), self.out_channels)
         self._cache = (x.shape, cols)
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
@@ -280,6 +293,25 @@ class ReferenceConv2D(Conv2D):
             return None
         grad_cols = grad_mat @ self.weight.value.reshape(self.out_channels, -1)  # (N*out_h*out_w, C*k*k)
         return col2im(grad_cols, input_shape, k, k, self.stride, self.padding)
+
+
+class Subsampled(Module):
+    """``conv`` read at every ``stride``-th pixel: what a strided convolution is, for a layer that has no stride.
+    Backward hands the dense layer a gradient that is zero between the sampled pixels."""
+
+    def __init__(self, conv: Conv2D, stride: int) -> None:
+        super().__init__()
+        self.conv, self.stride = conv, stride
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        dense = self.conv(x)
+        self._dense_shape = dense.shape
+        return dense[:, :, :: self.stride, :: self.stride]
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
+        dense = np.zeros(self._dense_shape, dtype=np.float32)
+        dense[:, :, :: self.stride, :: self.stride] = grad_output
+        return self.conv.backward(dense)
 
 
 class ReferenceMaxPool2D(MaxPool2D):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_kernels import ReferenceMaxPool2D, reference_conv_forward, reference_max_pool
+from reference_kernels import ReferenceMaxPool2D, col2im, im2col, reference_conv_forward, reference_max_pool
 
 from repro.nn import Conv2D, MaxPool2D, UpSample2D
 from repro.nn import convgemm as kernels
@@ -139,11 +139,11 @@ class TestCompiledPlanEqualsLayerWalk:
 class TestConvKernel:
     @pytest.mark.parametrize("budget", SMALL_BUDGETS)
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(c=st.integers(1, 5), f=st.integers(1, 5), k=st.integers(1, 3), stride=st.integers(1, 2),
+    @given(c=st.integers(1, 5), f=st.integers(1, 5), k=st.integers(1, 3),
            pad=st.integers(0, 1), n=st.integers(1, 3), h=st.integers(3, 17), w=st.integers(3, 17),
            layout=st.sampled_from(["contiguous", "transposed", "strided"]), seed=st.integers(0, 2**16))
-    def test_layer_forward_matches_whole_image_oracle(self, budget, c, f, k, stride, pad, n, h, w, layout, seed):
-        conv = Conv2D(c, f, kernel_size=k, stride=stride, padding=pad, seed=seed)
+    def test_layer_forward_matches_whole_image_oracle(self, budget, c, f, k, pad, n, h, w, layout, seed):
+        conv = Conv2D(c, f, kernel_size=k, padding=pad, seed=seed)
         conv.bias.value[...] = np.linspace(-1.0, 1.0, f, dtype=np.float32)
         conv.eval()
         x = laid_out(np.random.default_rng(seed), (n, c, h, w), layout)
@@ -155,37 +155,36 @@ class TestConvKernel:
 
     @pytest.mark.parametrize("budget", SMALL_BUDGETS)
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(stride=st.integers(1, 2), wide_first=st.booleans(), n=st.integers(1, 2), h=st.integers(6, 14),
+    @given(wide_first=st.booleans(), n=st.integers(1, 2), h=st.integers(6, 14),
            w=st.integers(6, 14), seed=st.integers(0, 2**16))
-    def test_plan_convs_of_any_padding_and_stride_match_the_layers(self, budget, stride, wide_first, n, h, w, seed):
-        """Padding 0, padding 2, stride 2, a pointwise read, and one buffer read by convs of different padding."""
-        def conv(c, f, k, s, p, offset):
-            layer = Conv2D(c, f, kernel_size=k, stride=s, padding=p, seed=seed + offset).eval()
+    def test_plan_convs_of_any_padding_match_the_layers(self, budget, wide_first, n, h, w, seed):
+        """Padding 0, padding 2, an even kernel, a pointwise read, and one buffer read by convs of different padding."""
+        def conv(c, f, k, p, offset):
+            layer = Conv2D(c, f, kernel_size=k, padding=p, seed=seed + offset).eval()
             layer.bias.value[...] = np.linspace(-0.5, 0.5, f, dtype=np.float32)
             return layer
 
-        stem, narrow, wide = conv(3, 4, 3, 1, 1, 0), conv(4, 4, 3, stride, 1, 1), conv(4, 4, 5, stride, 2, 2)
-        valid, strided, head = conv(8, 5, 3, 1, 0, 3), conv(5, 4, 2, 2, 2, 4), conv(4, 3, 1, 1, 0, 5)
+        stem, narrow, wide = conv(3, 4, 3, 1, 0), conv(4, 4, 3, 1, 1), conv(4, 4, 5, 2, 2)
+        valid, even, head = conv(8, 5, 3, 0, 3), conv(5, 4, 2, 2, 4), conv(4, 3, 1, 0, 5)
         x = np.random.default_rng(seed).standard_normal((n, 3, h, w)).astype(np.float32)
 
         def eager():
             a = np.maximum(stem.forward(x), np.float32(0.0))
             merged = np.concatenate([narrow.forward(a), wide.forward(a)], axis=1)
-            logits = head.forward(strided.forward(np.maximum(valid.forward(merged), np.float32(0.0))))
+            logits = head.forward(even.forward(np.maximum(valid.forward(merged), np.float32(0.0))))
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             return e / e.sum(axis=1, keepdims=True)
 
         with band_budget(budget):
             b = PlanBuilder(x.shape)
             a = b.conv2d(INPUT, stem, relu=True)
-            oh, ow = (kernels.conv_output_size(size, 3, stride, 1) for size in (h, w))
-            merged = b.reserve((n, 8, oh, ow))
+            merged = b.reserve((n, 8, h, w))
             # whichever reads ``a`` first decides its border: the narrower second reader fits inside the wider
             # border, the wider second reader is the conflicting consumer that still gets a pad copy
             for layer, channels in ((wide, (4, 8)), (narrow, (0, 4)))[:: 1 if wide_first else -1]:
                 b.conv2d(a, layer, out=merged.slice(*channels))
             g = b.conv2d(merged, valid, relu=True)
-            b.softmax_output(b.conv2d(b.conv2d(g, strided), head))
+            b.softmax_output(b.conv2d(b.conv2d(g, even), head))
             plan = b.finalize()
             assert (a.pad, merged.pad, g.pad) == (2 if wide_first else 1, 0, 2)
             assert sum(isinstance(step, _PadCopyStep) for step in plan._steps) == (1 if wide_first else 2)
@@ -193,6 +192,40 @@ class TestConvKernel:
             np.testing.assert_array_equal(probs, eager())
         with mock.patch("repro.nn.conv.conv_forward_offset", reference_conv_forward):
             np.testing.assert_allclose(probs, eager(), rtol=0, atol=1e-5)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 6), f=st.integers(1, 6), k=st.integers(1, 3), pad=st.integers(0, 1),
+           h=st.integers(3, 12), w=st.integers(3, 12), need_input_grad=st.booleans(),
+           input_layout=st.sampled_from(["contiguous", "channel_slice", "strided"]),
+           grad_layout=st.sampled_from(["contiguous", "transposed", "strided"]), seed=st.integers(0, 2**16))
+    def test_backward_matches_the_im2col_oracle(self, n, c, f, k, pad, h, w, need_input_grad, input_layout,
+                                                grad_layout, seed):
+        """``dW`` from strided views of the padded input, ``dB`` and ``dX`` against the seed's whole-matrix formulas
+        in float64 — over batch, channel and kernel sizes, non-square images, a padded input whose planes sit inside
+        a wider batch (or are not whole rows at all) and an output gradient that is a view."""
+        rng = np.random.default_rng(seed)
+        if input_layout == "channel_slice":
+            xp = kernels.pad_input(rng.standard_normal((n, c + 2, h, w)).astype(np.float32), pad)[:, 1:-1]
+        else:
+            xp = kernels.pad_input(laid_out(rng, (n, c, h, w), input_layout), pad)
+            if input_layout == "strided":  # a pad of 0 hands the layer's input through as it came
+                xp = laid_out(rng, xp.shape, "strided")
+        weight = rng.standard_normal((f, c, k, k)).astype(np.float32)
+        grad = laid_out(rng, (n, f, xp.shape[2] - k + 1, xp.shape[3] - k + 1), grad_layout) - np.float32(0.5)
+        dx, dw, db = kernels.conv_backward_offset(xp, weight, grad, need_input_grad=need_input_grad,
+                                                  need_bias_grad=True, pad=pad)
+
+        cols = im2col(xp.astype(np.float64), k, k)
+        grad_mat = grad.astype(np.float64).transpose(0, 2, 3, 1).reshape(-1, f)
+        expected = [(dw, (grad_mat.T @ cols).reshape(weight.shape)), (db, grad_mat.sum(axis=0))]
+        if need_input_grad:
+            padded = col2im(grad_mat @ weight.reshape(f, -1).astype(np.float64), xp.shape, k, k)
+            expected.append((dx, padded[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad]))
+        else:
+            assert dx is None
+        for ours, oracle in expected:
+            assert ours.dtype == np.float32 and ours.shape == oracle.shape
+            assert float(np.abs(ours - oracle).max()) <= 1e-4 * max(float(np.abs(oracle).max()), 1e-8)
 
     @pytest.mark.parametrize("kernel", [1, 3])
     @pytest.mark.parametrize("relu", [False, True])
@@ -208,10 +241,10 @@ class TestConvKernel:
         bordered = np.full((2, 3, 11, 12), np.nan, dtype=np.float32)
         with band_budget(SMALL_BUDGETS[0]):
             scratch = np.empty(kernels.BAND_BYTES, dtype=np.float32)
-            direct = kernels.conv_bands(xp, expected, scratch, kernel, 1)
+            direct = kernels.conv_bands(xp, expected, scratch, kernel)
             assert all(np.shares_memory(band[3], expected) and band[4] is band[5] for band in direct)
             kernels.run_conv_bands(direct, w_mat, bias, relu)
-            bands = kernels.conv_bands(xp, bordered[:, :, 1:-1, 1:-1], scratch, kernel, 1)
+            bands = kernels.conv_bands(xp, bordered[:, :, 1:-1, 1:-1], scratch, kernel)
             assert len(bands) > 2
             for _dst, _src, cols2, out2, staged, dest in bands:
                 assert np.shares_memory(out2, scratch) and np.shares_memory(staged, out2)
@@ -227,10 +260,10 @@ class TestConvKernel:
         copy would read a stale snapshot (pointwise source) or write into a temporary (output) forever."""
         bordered = np.zeros((2, 4, 10, 12), dtype=np.float32)
         with pytest.raises(ValueError, match="pointwise conv source"):
-            kernels.conv_bands(bordered[:, :, 1:-1, 1:-1], np.empty((2, 4, 8, 10), dtype=np.float32), None, 1, 1)
+            kernels.conv_bands(bordered[:, :, 1:-1, 1:-1], np.empty((2, 4, 8, 10), dtype=np.float32), None, 1)
         for scratch in (None, np.empty(8, dtype=np.float32)):
             with pytest.raises(ValueError, match="scratch too small"):
-                kernels.conv_bands(np.zeros((2, 4, 8, 10), dtype=np.float32), bordered[:, :, 1:-1, 1:-1], scratch, 1, 1)
+                kernels.conv_bands(np.zeros((2, 4, 8, 10), dtype=np.float32), bordered[:, :, 1:-1, 1:-1], scratch, 1)
         b = PlanBuilder((1, 4, 8, 8))
         a = b.conv2d(INPUT, Conv2D(4, 4, kernel_size=3, padding=1))
         b.softmax_output(b.conv2d(a, Conv2D(4, 3, kernel_size=1)))

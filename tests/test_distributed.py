@@ -5,13 +5,16 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import shutil
+import warnings
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.worker import WorkerProcess
 from repro.data import BatchLoader
 from repro.distributed import (
     DGXTrainingModel,
@@ -23,7 +26,8 @@ from repro.distributed import (
     paper_table3,
     ring_allreduce,
 )
-from repro.nn import SGD, Adam, CategoricalCrossEntropy, load_checkpoint
+from repro.nn import SGD, Adam, CategoricalCrossEntropy, load_checkpoint, read_metadata, save_checkpoint
+from repro.nn.convgemm import NUMERICS
 from repro.obs.metrics import get_registry
 from repro.reliability import FaultSpec, configure_faults, fault_stats, reset_faults
 from repro.unet import UNet, UNetConfig
@@ -368,30 +372,68 @@ class TestElasticTrainer:
         assert len(latest_checkpoints(tmp_path)) == 2
 
     def test_one_checkpoint_per_step_boundary(self, tmp_path):
-        """8-step epoch, checkpoint every 4: step 4's periodic archive is on disk before step 5
-        computes, and step 8 is written once (epoch-boundary form), not twice to the same path."""
+        """8-step epoch, checkpoint every 4: step 4's periodic archive is written while the ranks compute
+        step 5 — on disk when that step returns, not when it starts — and step 8 is written once
+        (epoch-boundary form), not twice to the same path."""
         trainer_kwargs = dict(num_workers=1, config=ELASTIC_CONFIG, micro_shards=2, seed=0,
                               checkpoint_dir=tmp_path, checkpoint_every=4)
         registry = get_registry()
         with ElasticTrainer(**trainer_kwargs) as trainer:
             written = registry.get("repro_train_checkpoints_total").value()
             timed = registry.get("repro_train_checkpoint_ms").snapshot()["count"]
-            on_disk_at_step = {}
+            on_disk = {}
             real_step = trainer.train_step
 
-            def spying_step(x, y):
-                on_disk_at_step[trainer.global_step] = [
-                    os.path.basename(path) for path in latest_checkpoints(tmp_path)]
-                return real_step(x, y)
+            def spying_step(x, y, meanwhile):
+                before = [os.path.basename(path) for path in latest_checkpoints(tmp_path)]
+                loss = real_step(x, y, meanwhile)
+                on_disk[trainer.global_step] = (before, [os.path.basename(path) for path in latest_checkpoints(tmp_path)])
+                return loss
 
             trainer.train_step = spying_step
             trainer.fit(_IterOnlyLoader(_eight_step_loader()), epochs=1)
             assert trainer.global_step == 8
             assert registry.get("repro_train_checkpoints_total").value() - written == 2
             assert registry.get("repro_train_checkpoint_ms").snapshot()["count"] - timed == 2
-        assert on_disk_at_step[3] == [] and on_disk_at_step[4] == ["ckpt-00000004.npz"]
+        assert on_disk[4] == ([], []) and on_disk[5] == ([], ["ckpt-00000004.npz"])
         assert [os.path.basename(path) for path in latest_checkpoints(tmp_path)] == [
             "ckpt-00000008.npz", "ckpt-00000004.npz"]
+
+    def test_the_master_works_once_per_step_while_the_ranks_compute(self, tmp_path):
+        """The due checkpoint and the loader's next batch happen between the last send and the first receive:
+        once a step, also when a crashed worker makes the step re-send — and the run still equals the
+        undisturbed in-process one, archive for archive."""
+        kwargs = dict(config=ELASTIC_CONFIG, micro_shards=2, seed=0, checkpoint_every=1, keep_checkpoints=20)
+        with ElasticTrainer(num_workers=0, checkpoint_dir=tmp_path / "calm", **kwargs) as trainer:
+            calm = list(trainer.fit(_eight_step_loader(), epochs=1).losses), trainer.weights_digest()
+        events = []
+        real_send, real_recv, real_save = WorkerProcess.send, WorkerProcess.recv, ElasticTrainer._save_checkpoint
+
+        def send(worker, *msg):
+            events.append(msg[0])
+            real_send(worker, *msg)
+
+        def recv(worker, timeout=None):
+            events.append("recv")
+            return real_recv(worker, timeout)
+
+        def save(trainer, epoch, *cursor):
+            events.append(f"save-{trainer.global_step}")
+            return real_save(trainer, epoch, *cursor)
+
+        configure_faults({"trainer_worker_crash": FaultSpec(times=1)})
+        with mock.patch.object(WorkerProcess, "send", send), mock.patch.object(WorkerProcess, "recv", recv), \
+                mock.patch.object(ElasticTrainer, "_save_checkpoint", save):
+            with ElasticTrainer(num_workers=2, checkpoint_dir=tmp_path / "crash", step_timeout_s=30.0, **kwargs) as trainer:
+                crashed = list(trainer.fit(_eight_step_loader(), epochs=1).losses), trainer.weights_digest()
+                assert trainer.ring_rebuilds >= 1
+        assert crashed == calm
+        assert sorted(os.listdir(tmp_path / "crash")) == sorted(os.listdir(tmp_path / "calm"))
+        saves = [index for index, event in enumerate(events) if event.startswith("save")]
+        assert [events[index] for index in saves] == [f"save-{step}" for step in range(1, 9)]
+        for index in saves[:-1]:  # the last is the epoch-boundary write, after the fold
+            assert events[index - 1] == "step" and events[index + 1] == "recv"
+        assert events.count("step") > 2 * 8  # the crashed step re-sent its shards
 
     def test_resume_from_either_kept_archive_in_either_format(self, tmp_path, archive_writer):
         """Mid-epoch (step 4) and epoch-boundary (step 8) archives, stored or deflated as the
@@ -524,6 +566,38 @@ class TestInProcessRank:
         assert history.mean_throughput == pytest.approx(np.mean([stats.images_per_s for stats in timed]))
         assert history.mean_throughput >= min(stats.images_per_s for stats in timed)
         assert history.mean_epoch_time == pytest.approx(history.total_time / 2)
+
+
+class TestNumericsGeneration:
+    """Checkpoints say which generation of the float arithmetic wrote them; resuming across one is loud."""
+
+    KWARGS = dict(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG)
+
+    def _trained_epoch(self, directory) -> str:
+        ElasticTrainer(checkpoint_dir=directory, **self.KWARGS).fit(_eight_step_loader(), epochs=1)
+        (path,) = latest_checkpoints(directory)
+        assert read_metadata(path)["numerics"] == NUMERICS
+        return path
+
+    def test_same_generation_resume_is_silent(self, tmp_path):
+        self._trained_epoch(tmp_path)
+        trainer = ElasticTrainer(checkpoint_dir=tmp_path, **self.KWARGS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trainer.fit(_eight_step_loader(), epochs=2, resume=True)
+        assert trainer.resumes == 1
+
+    @pytest.mark.parametrize("written_by", [1, NUMERICS + 1])
+    def test_cross_generation_resume_warns_once_and_resumes(self, tmp_path, written_by):
+        path = self._trained_epoch(tmp_path)
+        trainer = ElasticTrainer(checkpoint_dir=tmp_path, **self.KWARGS)
+        extra = load_checkpoint(trainer.master, trainer.optimizer, path)
+        # generation 1 never wrote the key
+        metadata = {"kind": "elastic-trainer", **({} if written_by == 1 else {"numerics": written_by})}
+        save_checkpoint(trainer.master, trainer.optimizer, path, metadata=metadata, extra_state=extra)
+        with pytest.warns(UserWarning, match=f"generation {written_by}, under generation {NUMERICS}") as caught:
+            history = trainer.fit(_eight_step_loader(), epochs=2, resume=True)
+        assert len(caught) == 1 and trainer.resumes == 1 and len(history.losses) == 2
 
 
 class TestLatestCheckpoints:

@@ -18,7 +18,7 @@ from repro.nn import (
     conv_output_size,
 )
 
-from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, col2im, im2col
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, Subsampled, col2im, im2col
 
 
 class TestGradientChecks:
@@ -28,7 +28,7 @@ class TestGradientChecks:
         check_layer_gradients(Conv2D(2, 3, kernel_size=3, seed=1), (2, 2, 6, 6))
 
     def test_conv2d_stride_and_no_bias(self):
-        check_layer_gradients(Conv2D(1, 2, kernel_size=3, stride=2, padding=1, use_bias=False, seed=2), (1, 1, 7, 7))
+        check_layer_gradients(Subsampled(Conv2D(1, 2, kernel_size=3, padding=1, use_bias=False, seed=2), 2), (1, 1, 7, 7))
 
     def test_conv2d_1x1(self):
         check_layer_gradients(Conv2D(3, 2, kernel_size=1, padding=0, seed=3), (2, 3, 4, 4))
@@ -51,7 +51,13 @@ class TestGradientChecks:
 
 class TestEngineParity:
     """The offset-GEMM training layers must reproduce the im2col/col2im
-    reference layers — outputs and every gradient — across conv geometries."""
+    reference layers — outputs and every gradient — across conv geometries.
+
+    The layers do not stride (pooling down-samples the U-Net); the oracle still
+    can.  A strided convolution is the dense one read at every ``stride``-th
+    pixel, and its backward the dense backward of a gradient that is zero in
+    between, so the stride-2 geometries hold the dense layer — ``Subsampled`` —
+    to the striding oracle and to finite differences under such sparse gradients."""
 
     CONFIGS = [
         # (kernel, stride, padding, input_shape)
@@ -74,7 +80,8 @@ class TestEngineParity:
     @pytest.mark.parametrize("kernel,stride,padding,shape", CONFIGS)
     def test_offset_matches_im2col_reference(self, kernel, stride, padding, shape):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + shape[1])
-        fast = Conv2D(shape[1], 4, kernel_size=kernel, stride=stride, padding=padding, seed=11)
+        conv = Conv2D(shape[1], 4, kernel_size=kernel, padding=padding, seed=11)
+        fast = Subsampled(conv, stride)
         ref = ReferenceConv2D(shape[1], 4, kernel_size=kernel, stride=stride, padding=padding, seed=11)
         x = rng.normal(size=shape).astype(np.float32)
         out_fast, out_ref = fast(x), ref(x)
@@ -85,14 +92,14 @@ class TestEngineParity:
         # Tensor-scale relative error: float32 GEMM-order noise on individual
         # near-zero entries must not mask a genuine mismatch elsewhere.
         for a, b in ((grad_fast, grad_ref),
-                     (fast.weight.grad, ref.weight.grad),
-                     (fast.bias.grad, ref.bias.grad)):
+                     (conv.weight.grad, ref.weight.grad),
+                     (conv.bias.grad, ref.bias.grad)):
             scale = max(float(np.abs(b).max()), 1e-8)
             assert float(np.abs(a - b).max()) / scale <= 1e-4
 
     @pytest.mark.parametrize("kernel,stride,padding,shape", CONFIGS)
     def test_offset_gradcheck(self, kernel, stride, padding, shape):
-        layer = Conv2D(shape[1], 3, kernel_size=kernel, stride=stride, padding=padding, seed=2)
+        layer = Subsampled(Conv2D(shape[1], 3, kernel_size=kernel, padding=padding, seed=2), stride)
         # h=1e-2 keeps the float32 central differences out of cancellation
         # noise across every geometry (the engines themselves agree to 1e-6).
         check_layer_gradients(layer, shape, seed=1, h=1e-2)
@@ -138,10 +145,10 @@ class TestEngineParity:
 
 class TestIm2Col:
     def test_output_size(self):
-        assert conv_output_size(8, 3, 1, 1) == 8
-        assert conv_output_size(8, 2, 2, 0) == 4
+        assert conv_output_size(8, 3, 1) == 8
+        assert conv_output_size(8, 2, 0) == 7
         with pytest.raises(ValueError):
-            conv_output_size(2, 5, 1, 0)
+            conv_output_size(2, 5, 0)
 
     def test_im2col_shape(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 6, 6)).astype(np.float32)

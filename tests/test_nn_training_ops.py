@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reference_kernels import ReferenceArgmaxPool2D, ReferenceReLU, ReferenceUpConv2D, reference_pad_input
 
-from repro.nn import CategoricalCrossEntropy, MaxPool2D, ReLU, UpConv2D, convgemm
+from repro.nn import CategoricalCrossEntropy, Conv2D, MaxPool2D, ReLU, UpConv2D, convgemm
 from repro.nn.layers import Dropout
 from repro.unet import UNet, UNetConfig
 
@@ -117,3 +117,18 @@ def test_whole_model_gradient_equals_the_oracle_layers():
         expected = _flat_gradient(oracle, x, y)
     assert np.any(expected != 0.0)
     assert np.array_equal(gradient, expected)
+
+
+def test_training_scratch_holds_a_band_or_a_pitched_gradient_never_an_unrolled_input():
+    """After one step of the bench model on 4×64², the shared scratch is smaller than the largest conv band plus the
+    largest output gradient at its input's row pitch: ``dW`` reads the padded activations in place, so nothing with
+    k²·C planes (9.5 MB for the widest 64² layer) was ever allocated."""
+    rng = np.random.default_rng(0)
+    model = UNet(UNetConfig(depth=3, base_channels=8, dropout=0.1, seed=7))
+    convgemm.release_workspace()
+    _flat_gradient(model, rng.random((4, 3, 64, 64), dtype=np.float32), rng.integers(0, 3, size=(4, 64, 64)).astype(np.uint8))
+    convs = [module for module in model.modules() if isinstance(module, Conv2D)]
+    pitched = max(4 * xp.shape[0] * conv.out_channels * (xp.shape[2] - conv.kernel_size + 1) * xp.shape[3]
+                  for conv in convs for xp in [conv._cache])
+    unrolled = max(4 * xp.shape[0] * conv.kernel_size**2 * xp.shape[1] * 64 * 64 for conv in convs for xp in [conv._cache])
+    assert 0 < convgemm.workspace_nbytes() < convgemm.BAND_BYTES + pitched < unrolled / 10

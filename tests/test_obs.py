@@ -322,6 +322,7 @@ class TestProfilingHooks:
         booked = sum(cell["forward_ms"] + cell["backward_ms"] for cell in kinds.values())
         assert booked <= phases["forward_ms"] + phases["backward_ms"] + 0.1
         assert report["checkpoint_ms"] > 0.0
+        assert 0 < report["scratch_bytes"] <= 256 * 1024  # 2x16² tiles: no more than one conv band
 
     def test_latency_percentiles_empty_and_ordered(self):
         assert latency_percentiles([]) == {"p50_ms": None, "p95_ms": None, "p99_ms": None}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, CheckpointError, read_metadata, save_checkpoint, save_weights
+from repro.nn.convgemm import NUMERICS
 from repro.serving import ModelRegistry
 from repro.unet import InferenceConfig, SceneClassifier, UNet, UNetConfig
 
@@ -36,6 +37,17 @@ class TestRegistryBasics:
         assert registry.latest_version("seaice") == 1
         record = registry.record("seaice")
         assert record.version == 1 and record.path.endswith("1.npz")
+
+    def test_archives_report_their_numerics_generation(self, tmp_path, small_model):
+        """``publish`` stamps the generation; an archive from before the key is generation 1, a torn one unknown."""
+        registry = _publish(tmp_path, small_model)
+        assert registry.numerics("seaice", 1) == NUMERICS
+        old = save_weights(small_model, str(tmp_path / "registry" / "seaice" / "2.npz"),
+                           metadata={"unet_config": small_model.config.__dict__})
+        assert registry.numerics("seaice", 2) == 1
+        with open(old, "r+b") as stream:
+            stream.truncate(100)
+        assert registry.numerics("seaice", 2) is None
 
     def test_unknown_model_and_version_are_informative(self, tmp_path, small_model):
         registry = _publish(tmp_path, small_model)

@@ -12,6 +12,7 @@ from http.server import ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from repro.nn.convgemm import NUMERICS
 from repro.reliability import DeadlineExceeded, OverloadedError
 from repro.serving import InferenceService, ModelRegistry, ServiceConfig, make_server
 from repro.serving.service import _make_handler
@@ -73,6 +74,7 @@ class TestEndpoints:
         assert status == 200
         assert payload["models"][0]["name"] == "seaice"
         assert payload["models"][0]["latest"] == 1
+        assert payload["models"][0]["numerics"] == [NUMERICS]
 
     def test_predict_single_tile_matches_engine(self, served, rng):
         port, _, model = served
