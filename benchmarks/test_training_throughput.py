@@ -21,11 +21,11 @@ import pytest
 
 from repro.distributed import DGXTrainingModel, ElasticTrainer, PipeRingAllReducer
 from repro.nn import Adam, CategoricalCrossEntropy, Conv2D, MaxPool2D, workspace_nbytes
-from repro.nn.layers import Dropout, ReLU, UpSample2D
+from repro.nn.layers import Dropout, ReLU, UpConv2D
 from repro.unet import UNet, UNetConfig
 
 from conftest import BENCH_SMOKE, print_rows, update_bench_json, write_bench_json
-from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, reference_train_step
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, ReferenceUpConv2D, reference_train_step
 
 DEPTH = 3
 BASE_CHANNELS = 16
@@ -94,13 +94,12 @@ class SeedDropout(Dropout):
         return x * self._mask
 
 
-class SeedUpSample2D(UpSample2D):
-    """Seed up-sampling: two chained ``repeat`` materialisations."""
+class SeedUpConv2D(ReferenceUpConv2D):
+    """Seed up-convolution: two chained ``repeat`` materialisations, the edge pad, the 2×2 conv over the 4× map."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        self._input_shape = x.shape
-        return x.repeat(self.factor, axis=2).repeat(self.factor, axis=3)
+        up = np.asarray(x, dtype=np.float32).repeat(2, axis=2).repeat(2, axis=3)
+        return self.conv(np.pad(up, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="edge"))
 
 
 class SeedAdam(Adam):
@@ -128,7 +127,7 @@ class SeedTrainer:
     def __init__(self, config: UNetConfig) -> None:
         self.master = UNet(config)
         seed_classes = {Conv2D: ReferenceConv2D, MaxPool2D: ReferenceMaxPool2D, ReLU: SeedReLU,
-                        Dropout: SeedDropout, UpSample2D: SeedUpSample2D}
+                        Dropout: SeedDropout, UpConv2D: SeedUpConv2D}
         for module in self.master.modules():
             module.__class__ = seed_classes.get(type(module), type(module))
         self.loss_fn = SeedCategoricalCrossEntropy()

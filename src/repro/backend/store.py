@@ -4,8 +4,9 @@ Publishing a model serialises it **once** into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment holding
 
 * every ``state_dict`` parameter array, and
-* the pre-packed ``(F, k·k·C)`` GEMM weight matrix + bias column of every
-  convolution a compiled plan binds (see
+* the pre-packed GEMM weight matrix + bias column of every convolution a
+  compiled plan binds — ``(F, k·k·C)``, or an up-convolution's ``(F, 9C)``
+  matrix of its four phase blocks (see
   :func:`repro.unet.compiled.iter_plan_conv_layers` /
   :func:`repro.nn.plan.pack_conv_weights`).
 
@@ -203,7 +204,7 @@ class SharedModelStore:
             )
 
         state = {name: p.value for name, p in model.named_parameters().items()}
-        packs = {name: pack_conv_weights(conv) for name, conv in iter_plan_conv_layers(model)}
+        packs = {name: pack_conv_weights(layer) for name, layer in iter_plan_conv_layers(model)}
 
         # First pass: compute the aligned layout.
         param_fields, offset = layout_fields(

@@ -17,7 +17,7 @@ from .convgemm import (
     workspace_nbytes,
 )
 from .initializers import get_initializer, glorot_uniform, he_normal, zeros
-from .layers import BatchNorm2D, Concat, Dropout, MaxPool2D, ReLU, UpConv2D, UpSample2D
+from .layers import BatchNorm2D, Concat, Dropout, MaxPool2D, ReLU, UpConv2D
 from .losses import CategoricalCrossEntropy, softmax
 from .module import Module, Parameter, Sequential
 from .optimizers import SGD, Adam, Optimizer
@@ -53,7 +53,6 @@ __all__ = [
     "MaxPool2D",
     "ReLU",
     "UpConv2D",
-    "UpSample2D",
     "CategoricalCrossEntropy",
     "softmax",
     "Module",

@@ -13,6 +13,12 @@ banded forward again, over the output gradient with flipped filters and the
 pixels that are padding left out.  Nothing ``k²``-sized is ever written.  The
 seed's whole-matrix im2col / col2im formulation is the gradient-parity oracle
 in ``tests/reference_kernels.py``.
+
+The paper's up-convolution — a 2×2 convolution over the 2× nearest up-sampled
+input, edge-padded bottom/right — runs on the same band partition at the
+input's resolution (:func:`upconv_bands`): its four output phases are
+convolutions of the input itself with folded weights, one GEMM each against a
+row range of one gathered band, so the 4× map is never built.
 """
 
 from __future__ import annotations
@@ -84,8 +90,9 @@ def pad_input(x: np.ndarray, pad: int) -> np.ndarray:
 #: Generation of this package's float arithmetic, written into checkpoint and
 #: registry metadata: bumped when a kernel changes its summation order, so
 #: weights trained on either side of the change differ in their last bits
-#: (2: ``dW`` as k² strided-view GEMMs; archives without the key are 1).
-NUMERICS = 2
+#: (2: ``dW`` as k² strided-view GEMMs; 3: the up-convolution as four phase
+#: GEMMs at its input's resolution; archives without the key are 1).
+NUMERICS = 3
 
 #: Byte budget of one conv band — its cols rows plus its output rows.  Small
 #: enough that a band is still in L2 when the bias add and ReLU revisit it.
@@ -169,6 +176,98 @@ def run_conv_bands(bands, w_mat: np.ndarray, bias: np.ndarray | None, relu: bool
             np.add(staged, bias3, out=dest)
         elif staged is not dest:
             dest[...] = staged
+
+
+#: The taps ``(u, v)`` of a 2× up-convolution — tap ``(u, v)`` of output pixel ``(2i+a, 2j+b)`` reads
+#: ``x[i+u, j+v]``, clamped at the bottom/right edge — in the order a band gathers them.
+UPCONV_TAPS = ((1, 0), (0, 0), (0, 1), (1, 1))
+
+#: The four output phases ``(a, b)`` in pack order, each with the contiguous range ``[t0, t1)`` of
+#: :data:`UPCONV_TAPS` it reads: 1 + 2 + 2 + 4 = 9 taps where the up-sampled map's 2×2 conv has 16.
+UPCONV_PHASES = (((0, 0), 1, 2), ((0, 1), 1, 3), ((1, 0), 0, 2), ((1, 1), 0, 4))
+
+
+def upconv_phase_kernels(weight: np.ndarray) -> np.ndarray:
+    """The ``(4, F, C, 2, 2)`` kernels of a 2×2 convolution over the edge-padded 2× nearest up-sample, per phase.
+
+    Up-sampled pixel ``2i+a+di`` is input pixel ``min(i + (a+di)//2, h−1)``, so kernel tap ``(di, dj)`` of
+    phase ``(a, b)`` lands on input tap ``((a+di)//2, (b+dj)//2)``: phase ``(0, 0)`` is a 1×1 kernel ``ΣW``,
+    ``(0, 1)`` and ``(1, 0)`` are 1×2 and 2×1, ``(1, 1)`` is ``W`` itself; taps a phase never reads are zero.
+    """
+    phases = np.zeros((4,) + weight.shape, dtype=np.float32)
+    for p, ((a, b), _, _) in enumerate(UPCONV_PHASES):
+        for di in (0, 1):
+            for dj in (0, 1):
+                phases[p, :, :, (a + di) // 2, (b + dj) // 2] += weight[:, :, di, dj]
+    return phases
+
+
+def upconv_weights(weight: np.ndarray) -> np.ndarray:
+    """A ``(F, C, 2, 2)`` up-convolution weight as one ``(F, 9C)`` matrix: the four phase blocks side by side.
+
+    Phase ``(a, b)``'s block holds its kernel at the taps ``UPCONV_TAPS[t0:t1]``, so it multiplies one
+    contiguous row range of a band's ``(4C, rows·w)`` cols.
+    """
+    phases = upconv_phase_kernels(weight)
+    return np.concatenate([phases[p, :, :, u, v] for p, (_, t0, t1) in enumerate(UPCONV_PHASES)
+                           for u, v in UPCONV_TAPS[t0:t1]], axis=1)
+
+
+def _clamped(lo: int, hi: int, shift: int, size: int) -> list[tuple[slice, slice]]:
+    """``(dst, src)`` slice pairs that read indices ``lo+shift … hi−1+shift`` of an axis clamped to ``size−1``."""
+    real = min(hi + shift, size) - lo - shift
+    pairs = [(slice(0, real), slice(lo + shift, lo + shift + real))] if real else []
+    if real < hi - lo:  # at most one index past the edge: it repeats the last one
+        pairs.append((slice(real, hi - lo), slice(size - 1, size)))
+    return pairs
+
+
+def upconv_bands(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+    """Per image and row band of a 2× up-convolution of ``x``: ``(gather copies, per-phase cols, staging, per-phase destinations)``.
+
+    ``x`` is the ``(N, C, h, w)`` low-resolution input, ``out`` the ``(N, F, 2h, 2w)`` destination (any
+    strides, e.g. a channel slice inside a bordered buffer).  Bands are ``conv_band_rows(4C, F, h, w)`` input
+    rows.  ``scratch`` holds one band: the ``(4C, rows·w)`` cols — tap ``t`` of :data:`UPCONV_TAPS` in rows
+    ``[tC, (t+1)C)``, the last row and column copied twice where a tap reaches past the edge — then ``F·rows·w``
+    floats of staging.  Phase ``(a, b)`` multiplies cols rows ``[t0·C, t1·C)`` and its bias pass writes the
+    strided view ``out[img, :, 2r0+a:2r1:2, b::2]``.
+    """
+    n, c, h, w = x.shape
+    f = out.shape[1]
+    rows = conv_band_rows(4 * c, f, h, w)
+    if (4 * c + f) * rows * w > scratch.size:
+        raise ValueError(f"up-conv scratch too small for one band of a {out.shape} output")
+    bands = []
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        cols = scratch[: 4 * c * (r1 - r0) * w]
+        taps, cols2 = cols.reshape(4, c, r1 - r0, w), cols.reshape(4 * c, -1)
+        operands = [cols2[t0 * c : t1 * c] for _, t0, t1 in UPCONV_PHASES]
+        staged = scratch[4 * c * rows * w : (4 * c * rows + f * (r1 - r0)) * w].reshape(f, r1 - r0, w)
+        for img in range(n):
+            copies = [(taps[t, :, dr, dc], x[img, :, sr, sc]) for t, (u, v) in enumerate(UPCONV_TAPS)
+                      for dr, sr in _clamped(r0, r1, u, h) for dc, sc in _clamped(0, w, v, w)]
+            dests = [out[img, :, 2 * r0 + a : 2 * r1 : 2, b::2] for (a, b), _, _ in UPCONV_PHASES]
+            bands.append((copies, operands, staged.reshape(f, -1), staged, dests))
+    return bands
+
+
+def run_upconv_bands(bands, w_pack: np.ndarray, bias: np.ndarray | None) -> None:
+    """Gather, then per phase one GEMM against its block of the ``(F, 9C)`` pack and one bias pass into its pixels."""
+    c, k0, weights = w_pack.shape[1] // 9, 0, []
+    for _, t0, t1 in UPCONV_PHASES:
+        weights.append(w_pack[:, k0 : k0 + (t1 - t0) * c])
+        k0 += (t1 - t0) * c
+    bias3 = None if bias is None else bias[:, :, None]
+    for copies, operands, staged2, staged, dests in bands:
+        for dst, src in copies:
+            dst[...] = src
+        for w_phase, cols, dest in zip(weights, operands, dests):
+            np.matmul(w_phase, cols, out=staged2)
+            if bias3 is None:
+                dest[...] = staged
+            else:
+                np.add(staged, bias3, out=dest)
 
 
 def conv_forward_offset(xp: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Non-convolutional layers: activations, pooling, up-sampling, dropout, concat.
+"""The U-Net's other layers: activations, pooling, the up-convolution, dropout, concat.
 
 Together with :class:`~repro.nn.conv.Conv2D` these are all the building
 blocks of the paper's U-Net: ReLU after every convolution, 2×2 max-pooling
-with stride 2 on the contracting path, 2× up-sampling followed by a 2×2
-convolution on the expansive path, dropout between convolutions for
-regularisation, and channel concatenation for the skip connections.
+with stride 2 on the contracting path, the up-convolution (2× nearest
+up-sampling followed by a 2×2 convolution) on the expansive path, dropout
+between convolutions for regularisation, and channel concatenation for the
+skip connections.  The up-convolution never up-samples: nearest up-sampling
+repeats every input pixel 2×2 times, so each of the four output phases is a
+convolution of the input itself with folded weights (:class:`UpConv2D`).
 """
 
 from __future__ import annotations
@@ -12,9 +15,19 @@ from __future__ import annotations
 import numpy as np
 
 from .conv import Conv2D
+from .convgemm import (
+    UPCONV_PHASES,
+    conv_backward_offset,
+    conv_band_rows,
+    run_upconv_bands,
+    scratch_buffer,
+    upconv_bands,
+    upconv_phase_kernels,
+    upconv_weights,
+)
 from .module import Module
 
-__all__ = ["ReLU", "MaxPool2D", "UpSample2D", "UpConv2D", "Dropout", "Concat", "BatchNorm2D"]
+__all__ = ["ReLU", "MaxPool2D", "UpConv2D", "Dropout", "Concat", "BatchNorm2D"]
 
 
 class ReLU(Module):
@@ -101,69 +114,77 @@ class MaxPool2D(Module):
         return dx
 
 
-class UpSample2D(Module):
-    """Nearest-neighbour spatial up-sampling by an integer factor."""
-
-    def __init__(self, factor: int = 2) -> None:
-        super().__init__()
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        self.factor = factor
-        self._input_shape: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        self._input_shape = x.shape
-        n, c, h, w = x.shape
-        f = self.factor
-        out = np.empty((n, c, h * f, w * f), dtype=np.float32)
-        for view in pool_views(out, f):  # f² strided writes beat one broadcast copy with a 2-wide inner axis
-            view[...] = x
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
-        # The adjoint of the copy: add up the f² views, as pooling takes their maximum.
-        views = pool_views(np.asarray(grad_output, dtype=np.float32), self.factor)
-        out = views[0].copy()
-        for view in views[1:]:
-            out += view
-        return out
-
-
 class UpConv2D(Module):
-    """The paper's "up-convolution": 2× up-sampling followed by a 2×2 convolution
-    that halves the number of feature channels.
+    """The paper's "up-convolution": 2× nearest up-sampling, then a 2×2 convolution
+    that halves the number of feature channels — computed at the input's resolution.
 
     A 2×2 kernel cannot be padded symmetrically while preserving spatial size,
-    so the up-sampled map is padded by one row/column on the bottom/right
-    before the unpadded convolution — the same convention Keras uses for
-    ``padding="same"`` with even kernels.
+    so the up-sampled map is edge-padded by one row/column on the bottom/right
+    (the convention Keras uses for ``padding="same"`` with even kernels).  Three
+    of every four rows of that map are copies, so it is never built: output pixel
+    ``(2i+a, 2j+b)`` reads input pixel ``(i + (a+di)//2, j + (b+dj)//2)``, clamped
+    at the edge, for kernel tap ``(di, dj)``.  Each phase ``(a, b)`` is therefore a
+    convolution of the input itself with folded weights — 1×1 ``ΣW`` for
+    ``(0, 0)``, 1×2 / 2×1 for ``(0, 1)`` / ``(1, 0)``, ``W`` for ``(1, 1)``: 9 taps
+    instead of 16 (:func:`~repro.nn.convgemm.upconv_bands`).  Training and eval run
+    that one forward, and training caches the input alone.
+
+    ``conv`` holds the 2×2 weight and bias (and names them in ``state_dict``); its
+    own forward is not called.  Backward is the 2×2 convolution's backward over the
+    edge-padded input with the four phase kernels stacked as ``4F`` output channels
+    and the output gradient split into its phases; ``dW`` folds the phase kernels'
+    gradients back onto the taps they sum, ``dX`` folds the edge row/column back.
     """
 
     def __init__(self, in_channels: int, out_channels: int, seed: int = 0) -> None:
         super().__init__()
-        self.upsample = UpSample2D(2)
         self.conv = Conv2D(in_channels, out_channels, kernel_size=2, padding=0, seed=seed)
+        self._cache: np.ndarray | None = None  # the input of the last training forward
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        up = self.upsample(x)
-        n, c, h, w = up.shape
-        padded = np.empty((n, c, h + 1, w + 1), dtype=np.float32)
-        padded[:, :, :h, :w] = up
-        padded[:, :, h, :w] = up[:, :, -1]
-        padded[:, :, :, w] = padded[:, :, :, w - 1]
-        return self.conv(padded)
+        x = np.asarray(x, dtype=np.float32)
+        conv = self.conv
+        if x.ndim != 4 or x.shape[1] != conv.in_channels:
+            raise ValueError(f"expected (N, {conv.in_channels}, H, W) input, got shape {x.shape}")
+        n, c, h, w = x.shape
+        f = conv.out_channels
+        out = np.empty((n, f, 2 * h, 2 * w), dtype=np.float32)
+        scratch = scratch_buffer(((4 * c + f) * conv_band_rows(4 * c, f, h, w) * w,))
+        bias = conv.bias.value[:, None] if conv.use_bias else None
+        run_upconv_bands(upconv_bands(x, out, scratch), upconv_weights(conv.weight.value), bias)
+        self._cache = x if self.training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_padded = self.conv.backward(grad_output)
-        # Fold the edge-padding gradient back onto the last real row/column.
-        grad_up = grad_padded[:, :, :-1, :-1].copy()
-        grad_up[:, :, -1, :] += grad_padded[:, :, -1, :-1]
-        grad_up[:, :, :, -1] += grad_padded[:, :, :-1, -1]
-        grad_up[:, :, -1, -1] += grad_padded[:, :, -1, -1]
-        return self.upsample.backward(grad_up)
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        x, conv = self._cache, self.conv
+        n, c, h, w = x.shape
+        f = conv.out_channels
+        xe = np.empty((n, c, h + 1, w + 1), dtype=np.float32)
+        xe[:, :, :h, :w] = x
+        xe[:, :, h, :w] = x[:, :, -1]
+        xe[:, :, :, w] = xe[:, :, :, w - 1]
+        grad = np.asarray(grad_output, dtype=np.float32)
+        phase_grad = np.empty((n, 4, f, h, w), dtype=np.float32)
+        for p, ((a, b), _, _) in enumerate(UPCONV_PHASES):
+            phase_grad[:, p] = grad[:, :, a::2, b::2]
+        kernels = upconv_phase_kernels(conv.weight.value)
+        dxe, dk, db = conv_backward_offset(xe, kernels.reshape(4 * f, c, 2, 2), phase_grad.reshape(n, 4 * f, h, w),
+                                           need_bias_grad=conv.use_bias)
+        dk = dk.reshape(kernels.shape)
+        for p, ((a, b), _, _) in enumerate(UPCONV_PHASES):
+            for di in (0, 1):
+                for dj in (0, 1):
+                    conv.weight.grad[:, :, di, dj] += dk[p, :, :, (a + di) // 2, (b + dj) // 2]
+        if conv.use_bias:
+            conv.bias.grad += db.reshape(4, f).sum(axis=0)
+        # Fold the clamped edge's gradient back onto the last real row/column.
+        dx = dxe[:, :, :h, :w].copy()
+        dx[:, :, -1, :] += dxe[:, :, h, :w]
+        dx[:, :, :, -1] += dxe[:, :, :h, w]
+        dx[:, :, -1, -1] += dxe[:, :, h, w]
+        return dx
 
 
 class Dropout(Module):

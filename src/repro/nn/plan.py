@@ -4,7 +4,7 @@ Serving traffic drives the same forward pass thousands of times per second at
 a handful of fixed tile shapes, yet the generic ``Module.forward`` path pays
 allocator and page-fault cost on every call: a fresh offset-GEMM scratch, a
 fresh padded-input buffer and a fresh output tensor per convolution, plus
-intermediate activations for every pool/upsample/concat.
+intermediate activations for every pool/up-convolution/concat.
 
 This module provides the machinery to *compile* a model once per concrete
 input shape instead:
@@ -15,6 +15,12 @@ input shape instead:
   every activation buffer; a buffer a padding convolution reads carries that
   zero border itself, so its producers write its interior and nothing is
   copied into a padded twin (only the external input is);
+* an up-convolution (2× nearest up-sample, edge pad, 2×2 conv) runs at its
+  input's resolution: output pixel ``(2i+a, 2j+b)`` reads input pixel
+  ``(i + (a+di)//2, j + (b+dj)//2)`` (clamped) for kernel tap ``(di, dj)``,
+  so each of the four phases ``(a, b)`` is one GEMM of a folded-weight block
+  of the ``(F, 9C)`` phase pack against a row range of one gathered band,
+  written straight into that phase's strided pixels — no up-sampled map;
 * :meth:`PlanBuilder.finalize` packs the buffers by liveness — two that are
   never live at the same step may share bytes — into one flat float32
   **workspace arena** that ends in a single offset-GEMM scratch one row band
@@ -42,8 +48,16 @@ from typing import Callable
 
 import numpy as np
 
-from .convgemm import conv_band_rows, conv_bands, conv_output_size, run_conv_bands
-from .layers import max_of_views, pool_views
+from .convgemm import (
+    conv_band_rows,
+    conv_bands,
+    conv_output_size,
+    run_conv_bands,
+    run_upconv_bands,
+    upconv_bands,
+    upconv_weights,
+)
+from .layers import UpConv2D, max_of_views, pool_views
 
 __all__ = [
     "Slot",
@@ -56,22 +70,33 @@ __all__ = [
 _ALIGN = 16  # float32 elements (64 bytes) — keeps every buffer cache-line aligned.
 
 
-def pack_conv_weights(conv) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pack a ``Conv2D`` layer's weights into their ``(offset, channel)`` GEMM layout.
+def _conv_of(layer):
+    """The ``Conv2D`` holding a layer's weights: the layer itself, or an ``UpConv2D``'s 2×2 ``conv``."""
+    return layer.conv if isinstance(layer, UpConv2D) else layer
 
-    This is the exact packing :meth:`PlanBuilder.conv2d` performs at compile
-    time — one transpose+reshape copy of the weight into the contiguous
-    ``(F, k*k*C)`` GEMM operand plus a ``(F, 1)`` bias column.  It is exposed
-    so a shared-memory model store can pack once in the parent process and
-    have every worker's plan bind the *same* physical copy (the layout is
-    input-shape independent, so one pack serves every compiled shape).
+
+def pack_conv_weights(layer) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pack a ``Conv2D``'s or an ``UpConv2D``'s weights into their GEMM layout.
+
+    This is the exact packing :meth:`PlanBuilder.conv2d` / :meth:`PlanBuilder.upconv`
+    perform at compile time: a convolution's weight as the contiguous
+    ``(F, k*k*C)`` operand in ``(offset, channel)`` order, an up-convolution's as
+    its ``(F, 9C)`` phase pack (:func:`~repro.nn.convgemm.upconv_weights`), plus
+    a ``(F, 1)`` bias column.  It is exposed so a shared-memory model store can
+    pack once in the parent process and have every worker's plan bind the
+    *same* physical copy (the layout is input-shape independent, so one pack
+    serves every compiled shape).
     """
+    conv = _conv_of(layer)
     f = conv.out_channels
-    # One transpose+reshape per *compile* instead of per call.  The explicit
-    # copy matters twice over: it keeps the GEMM operand contiguous, and it
-    # snapshots the weights (for 1×1 kernels the transpose+reshape would
-    # otherwise be a live view of the parameter).
-    w_mat = np.array(conv.weight.value.transpose(0, 2, 3, 1).reshape(f, -1), dtype=np.float32)
+    if isinstance(layer, UpConv2D):
+        w_mat = upconv_weights(conv.weight.value)
+    else:
+        # One transpose+reshape per *compile* instead of per call.  The explicit
+        # copy matters twice over: it keeps the GEMM operand contiguous, and it
+        # snapshots the weights (for 1×1 kernels the transpose+reshape would
+        # otherwise be a live view of the parameter).
+        w_mat = np.array(conv.weight.value.transpose(0, 2, 3, 1).reshape(f, -1), dtype=np.float32)
     # np.array (not ascontiguousarray): the bias is already contiguous, so
     # only an explicit copy snapshots it alongside the packed weights.
     bias = np.array(conv.bias.value, dtype=np.float32).reshape(f, 1) if conv.use_bias else None
@@ -230,30 +255,22 @@ class _MaxPoolStep(_Step):
         max_of_views(self._views, self._out)
 
 
-class _UpsamplePadStep(_Step):
-    """2× nearest-neighbour upsampling fused with the (0, 1) edge padding the
-    paper's up-convolution needs (even kernels cannot pad symmetrically)."""
+class _UpConvStep(_Step):
+    """2× up-convolution at the input's resolution: per row band, one gather of the
+    four clamped taps, then per output phase one GEMM against its block of the
+    ``(F, 9C)`` phase pack and a bias pass into that phase's strided pixels
+    (:func:`~repro.nn.convgemm.upconv_bands`, the partition the layer shares)."""
 
-    def __init__(self, src: Slot, dst: Slot):
-        self.reads, self.writes = (src,), (dst,)
+    def __init__(self, src: Slot, scratch: Slot, out: Slot, w_pack: np.ndarray, bias: np.ndarray | None):
+        self.reads, self.writes, self.scratch = (src,), (out,), scratch
+        self.w_mat, self.bias = w_pack, bias
 
     def bind(self, arena):
-        src = self.reads[0].resolve(arena)
-        dst = self.writes[0].resolve(arena)
-        h, w = src.shape[2:]
-        up = dst[:, :, : 2 * h, : 2 * w]
-        self._src = src
-        self._quads = (up[:, :, 0::2, 0::2], up[:, :, 0::2, 1::2],
-                       up[:, :, 1::2, 0::2], up[:, :, 1::2, 1::2])
-        self._edge_row, self._edge_row_src = dst[:, :, 2 * h, : 2 * w], dst[:, :, 2 * h - 1, : 2 * w]
-        self._edge_col, self._edge_col_src = dst[:, :, :, 2 * w], dst[:, :, :, 2 * w - 1]
+        self._bands = upconv_bands(self.reads[0].resolve(arena), self.writes[0].resolve(arena),
+                                   self.scratch.resolve(arena))
 
     def run(self, x):
-        for quad in self._quads:
-            quad[...] = self._src
-        self._edge_row[...] = self._edge_row_src
-        # Column after row so the bottom-right corner replicates correctly.
-        self._edge_col[...] = self._edge_col_src
+        run_upconv_bands(self._bands, self.w_mat, self.bias)
 
 
 class _SoftmaxStep(_Step):
@@ -374,7 +391,7 @@ class PlanBuilder:
     """Reserve buffers and record steps, then :meth:`finalize` into a plan.
 
     The builder is model-agnostic: it knows how to pad, convolve, pool and
-    upsample between arena slots.  Model-specific compilers (e.g.
+    up-convolve between arena slots.  Model-specific compilers (e.g.
     :func:`repro.unet.compiled.compile_unet_plan`) walk their layer graph and
     drive these primitives.
     """
@@ -432,27 +449,52 @@ class PlanBuilder:
             src = copied
 
         f = conv.out_channels
-        packed = self._packed_weights.get(name) if name is not None else None
-        if packed is not None:
-            w_mat, bias = packed
-            if w_mat.shape != (f, k * k * c):
-                raise ValueError(
-                    f"pre-packed weights for {name!r} have shape {w_mat.shape}, "
-                    f"expected {(f, k * k * c)}"
-                )
-            if (bias is None) != (not conv.use_bias):
-                raise ValueError(f"pre-packed bias for {name!r} does not match use_bias")
-        else:
-            w_mat, bias = pack_conv_weights(conv)
-
+        w_mat, bias = self._weights(conv, name, (f, k * k * c))
         kc = k * k * c
-        band = ((0 if pointwise else kc) + f) * conv_band_rows(kc, f, oh, ow) * ow
-        self._scratch.shape = (max(self._scratch.shape[0], band),)
-        if out is None:
-            out = self.reserve((n, f, oh, ow))
-        if out.view_shape != (n, f, oh, ow):
-            raise ValueError(f"conv output {(n, f, oh, ow)} does not fit slot {out.view_shape}")
+        self._grow_scratch(((0 if pointwise else kc) + f) * conv_band_rows(kc, f, oh, ow) * ow)
+        out = self._output(out, (n, f, oh, ow))
         self._steps.append(_ConvStep(src, self._scratch, out, w_mat, bias, k, p, relu))
+        return out
+
+    def upconv(self, src: Slot, upconv, out: Slot | None = None, name: str | None = None) -> Slot:
+        """Append an ``UpConv2D`` of ``src`` into ``out`` (or a fresh activation) at ``src``'s resolution.
+
+        No up-sampled or edge-padded buffer exists: the step gathers the four
+        clamped taps of one band of ``src`` into the scratch and writes each
+        output phase's pixels from one GEMM against its block of the ``(F, 9C)``
+        phase pack (:func:`pack_conv_weights`; ``name`` as for :meth:`conv2d`).
+        """
+        n, c, h, w = src.view_shape
+        conv = upconv.conv
+        if c != conv.in_channels:
+            raise ValueError(f"up-conv expects {conv.in_channels} channels, got {c}")
+        f = conv.out_channels
+        w_pack, bias = self._weights(upconv, name, (f, 9 * c))
+        self._grow_scratch((4 * c + f) * conv_band_rows(4 * c, f, h, w) * w)
+        out = self._output(out, (n, f, 2 * h, 2 * w))
+        self._steps.append(_UpConvStep(src, self._scratch, out, w_pack, bias))
+        return out
+
+    def _weights(self, layer, name: str | None, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """``layer``'s pre-packed ``(w_mat, bias)`` under ``name`` (checked against ``shape``), else a fresh pack."""
+        packed = self._packed_weights.get(name) if name is not None else None
+        if packed is None:
+            return pack_conv_weights(layer)
+        w_mat, bias = packed
+        if w_mat.shape != shape:
+            raise ValueError(f"pre-packed weights for {name!r} have shape {w_mat.shape}, expected {shape}")
+        if (bias is None) != (not _conv_of(layer).use_bias):
+            raise ValueError(f"pre-packed bias for {name!r} does not match use_bias")
+        return w_mat, bias
+
+    def _grow_scratch(self, floats: int) -> None:
+        self._scratch.shape = (max(self._scratch.shape[0], floats),)
+
+    def _output(self, out: Slot | None, shape: tuple[int, ...]) -> Slot:
+        if out is None:
+            return self.reserve(shape)
+        if out.view_shape != shape:
+            raise ValueError(f"conv output {shape} does not fit slot {out.view_shape}")
         return out
 
     def maxpool(self, src: Slot, pool: int) -> Slot:
@@ -461,13 +503,6 @@ class PlanBuilder:
             raise ValueError(f"spatial size ({h}, {w}) not divisible by pool size {pool}")
         out = self.reserve((n, c, h // pool, w // pool))
         self._steps.append(_MaxPoolStep(src, out, pool))
-        return out
-
-    def upsample_pad(self, src: Slot) -> Slot:
-        """2× upsample plus bottom/right edge padding (up-convolution input)."""
-        n, c, h, w = src.view_shape
-        out = self.reserve((n, c, 2 * h + 1, 2 * w + 1))
-        self._steps.append(_UpsamplePadStep(src, out))
         return out
 
     def softmax_output(self, src: Slot) -> None:

@@ -124,9 +124,10 @@ def latency_percentiles(samples_ms: Sequence[float],
 
 
 #: plan step class -> the budget line it belongs to; ``pad`` is the copy of the
-#: external input, ``border`` the re-zeroing of border rings that share bytes
+#: external input, ``border`` the re-zeroing of border rings that share bytes,
+#: ``upconv`` the up-convolutions (gather + phase GEMMs), kept apart from ``conv``
 _STEP_KINDS = {"PadCopyStep": "pad", "BorderStep": "border", "ConvStep": "conv", "MaxPoolStep": "pool",
-               "UpsamplePadStep": "upsample", "SoftmaxStep": "softmax"}
+               "UpConvStep": "upconv", "SoftmaxStep": "softmax"}
 
 
 def _by_kind(steps: list[dict]) -> dict:

@@ -4,9 +4,10 @@
 a concrete ``(N, C, H, W)`` input shape and emits a
 :class:`~repro.nn.plan.CompiledPlan` whose steps run the *exact* eval-mode
 forward (offset-GEMM convolutions, fused bias+ReLU, window max pooling,
-fused 2× upsample + edge pad) into a single preallocated workspace arena.
+up-convolutions at their input's resolution) into a single preallocated
+workspace arena.
 
-Two structural fusions fall out of planning ahead:
+Three structural fusions fall out of planning ahead:
 
 * **Concatenation disappears.**  Each decoder level's merged feature map is
   one arena buffer; the matching encoder's second convolution writes its
@@ -19,6 +20,15 @@ Two structural fusions fall out of planning ahead:
   copied into a bordered buffer.  Buffers never live at the same step share
   arena bytes; a border that shares them is re-zeroed before its buffer's
   first writer, every other border is written once, by the allocation.
+* **Up-sampling disappears.**  The paper's up-convolution — 2× nearest
+  up-sampling, bottom/right edge padding, a 2×2 convolution — reads input
+  pixel ``(i + (a+di)//2, j + (b+dj)//2)`` (clamped at the edge) for kernel
+  tap ``(di, dj)`` of output pixel ``(2i+a, 2j+b)``.  So each output phase
+  ``(a, b)`` is a convolution of the low-resolution input with folded weights
+  (1×1 ``ΣW``, 1×2, 2×1, the 2×2 ``W``): 9 taps instead of 16, four GEMMs per
+  band of one gathered ``(4C, rows·w)`` cols, each writing its phase's strided
+  pixels of the merged buffer.  The 4× map, its edge pad and its unrolling are
+  never built.
 
 :class:`CompiledUNet` wraps a model with an LRU :class:`~repro.nn.plan.PlanCache`
 so consumers just call :meth:`CompiledUNet.predict_proba` and plans appear
@@ -37,7 +47,7 @@ __all__ = ["compile_unet_plan", "iter_plan_conv_layers", "CompiledUNet"]
 
 
 def iter_plan_conv_layers(model: UNet):
-    """Yield ``(name, Conv2D)`` for every convolution a U-Net plan packs.
+    """Yield ``(name, layer)`` for every ``Conv2D`` / ``UpConv2D`` a U-Net plan packs.
 
     The names are the layers' dotted module paths (the same paths
     ``state_dict`` uses), in plan execution order.  This is the single
@@ -53,7 +63,7 @@ def iter_plan_conv_layers(model: UNet):
     yield "bottleneck.conv1", model.bottleneck.conv1
     yield "bottleneck.conv2", model.bottleneck.conv2
     for j, decoder in enumerate(model.decoders):
-        yield f"decoders.{j}.upconv.conv", decoder.upconv.conv
+        yield f"decoders.{j}.upconv", decoder.upconv
         yield f"decoders.{j}.conv.conv1", decoder.conv.conv1
         yield f"decoders.{j}.conv.conv2", decoder.conv.conv2
     yield "head", model.head
@@ -102,9 +112,7 @@ def compile_unet_plan(
 
     for j, decoder in enumerate(model.decoders):
         e = cfg.depth - 1 - j
-        up = b.upsample_pad(x)
-        b.conv2d(up, decoder.upconv.conv, relu=False, out=merged[e].slice(0, widths[e]),
-                 name=f"decoders.{j}.upconv.conv")
+        b.upconv(x, decoder.upconv, out=merged[e].slice(0, widths[e]), name=f"decoders.{j}.upconv")
         x = b.conv2d(merged[e], decoder.conv.conv1, relu=True, name=f"decoders.{j}.conv.conv1")
         x = b.conv2d(x, decoder.conv.conv2, relu=True, name=f"decoders.{j}.conv.conv2")
 

@@ -18,9 +18,11 @@ seed arm the throughput benchmarks race (swapped in per module with
 ``module.__class__ = Reference…``) — and the training-mode bodies PR 17
 replaced with the four-view primitives: :class:`ReferenceReLU` (mask +
 ``np.where``), :class:`ReferenceArgmaxPool2D` (window copy, ``argmax``,
-``take_along_axis`` / ``put_along_axis``), :class:`ReferenceUpConv2D`
-(broadcast up-sampling + ``np.pad(mode="edge")``) and
-:func:`reference_pad_input` (``np.pad``); all four are exact oracles.  At the
+``take_along_axis`` / ``put_along_axis``) and :func:`reference_pad_input`
+(``np.pad``), all three exact oracles — and :class:`ReferenceUpConv2D`, the
+up-convolution over the up-sampled, edge-padded map (broadcast up-sampling,
+``np.pad(mode="edge")``, a 2×2 conv and the backward that went with them),
+which the phase-wise layer matches only to a tolerance.  At the
 end, :func:`reference_train_step`: the plain single-process step of the second
 training loop (``unet/trainer.py``) the one trainer replaced — at one micro-shard
 and no dropout ``ElasticTrainer``'s in-process rank is held to it bit for bit.
@@ -378,15 +380,36 @@ class ReferenceArgmaxPool2D(MaxPool2D):
         return np.ascontiguousarray(unrolled).reshape(n, c, oh * k, ow * k)
 
 
+def reference_upsample_pad(x: np.ndarray) -> np.ndarray:
+    """The 2× nearest up-sampled map (one broadcast copy), ``np.pad(mode="edge")`` by one row/column bottom/right."""
+    n, c, h, w = x.shape
+    up = np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
+    return np.pad(up, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="edge")
+
+
+def reference_upsample_adjoint(grad_padded: np.ndarray) -> np.ndarray:
+    """The adjoint of :func:`reference_upsample_pad`: the edge row/column's gradient folded back onto the last real
+    one, then the four up-sampling views added up (as pooling takes their maximum)."""
+    grad_up = grad_padded[:, :, :-1, :-1].copy()
+    grad_up[:, :, -1, :] += grad_padded[:, :, -1, :-1]
+    grad_up[:, :, :, -1] += grad_padded[:, :, :-1, -1]
+    grad_up[:, :, -1, -1] += grad_padded[:, :, -1, -1]
+    views = pool_views(grad_up, 2)
+    out = views[0].copy()
+    for view in views[1:]:
+        out += view
+    return out
+
+
 class ReferenceUpConv2D(UpConv2D):
-    """Forward as it was before PR 17: one broadcast copy up, ``np.pad(mode="edge")`` bottom/right."""
+    """The up-convolution as it was before it went phase-wise: the 2×2 ``conv`` over the up-sampled, edge-padded
+    ``(N, C, 2h+1, 2w+1)`` map, which training pins in ``conv``, and that map's adjoint after ``conv``'s backward."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        n, c, h, w = x.shape
-        self.upsample._input_shape = x.shape
-        up = np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
-        return self.conv(np.pad(up, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="edge"))
+        return self.conv(reference_upsample_pad(np.asarray(x, dtype=np.float32)))
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return reference_upsample_adjoint(self.conv.backward(grad_output))
 
 
 def reference_pad_input(x: np.ndarray, pad: int) -> np.ndarray:

@@ -235,6 +235,30 @@ class TestSharedModelStore:
         expected = predict_batch_probabilities(stack[:4], model, CloudShadowFilter())
         assert np.array_equal(got, expected)
 
+    def test_worker_plans_bind_the_shared_phase_pack(self, model):
+        """Every GEMM operand of an attached model's plan — each conv's ``(F, k²C)`` matrix and each up-conv's
+        ``(F, 9C)`` phase pack — is a view of the published segment, not a per-worker copy."""
+        store = SharedModelStore()
+        try:
+            spec = store.publish("m", model)
+            attached = attach_model(spec)
+            try:
+                plan = attached.engine.warm((2, 3, 32, 32))
+                segment = np.ndarray((attached.shm.size,), dtype=np.uint8, buffer=attached.shm.buf)
+                upconvs = [step for step in plan._steps if type(step).__name__ == "_UpConvStep"]
+                assert len(upconvs) == model.config.depth
+                for step in upconvs:
+                    assert step.w_mat.shape[1] == 9 * step.reads[0].view_shape[1]
+                for step in plan._steps:
+                    if hasattr(step, "w_mat"):
+                        assert np.shares_memory(step.w_mat, segment) and np.shares_memory(step.bias, segment)
+                del segment
+            finally:
+                attached.close()
+        finally:
+            store.close()
+        assert not _segments()
+
     def test_predict_into_out_buffer_identical(self, model, stack):
         store = SharedModelStore()
         try:

@@ -1,4 +1,4 @@
-"""Properties of the row-banded conv kernel and the four-view pooling the plans and layers share.
+"""Properties of the row-banded conv and up-conv kernels and the four-view pooling the plans and layers share.
 
 Plans and layer forwards split every convolution into the same row bands
 (``conv_band_rows``), so their floats agree bit for bit *by construction*; the
@@ -16,9 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_kernels import ReferenceMaxPool2D, col2im, im2col, reference_conv_forward, reference_max_pool
+from reference_kernels import (
+    ReferenceMaxPool2D,
+    ReferenceUpConv2D,
+    col2im,
+    im2col,
+    reference_conv_forward,
+    reference_max_pool,
+    reference_upsample_adjoint,
+    reference_upsample_pad,
+)
 
-from repro.nn import Conv2D, MaxPool2D, UpSample2D
+from repro.nn import Conv2D, MaxPool2D, UpConv2D
 from repro.nn import convgemm as kernels
 from repro.nn.layers import max_of_views, pool_views
 from repro.nn.plan import INPUT, PlanBuilder, _PadCopyStep
@@ -278,16 +287,82 @@ class TestConvKernel:
             assert rows == 1 or 4 * (kc + f) * rows * out_w <= kernels.BAND_BYTES
 
 
+class TestUpConvKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 6), f=st.integers(1, 6), h=st.integers(1, 9), w=st.integers(1, 9),
+           budget=st.sampled_from(SMALL_BUDGETS), layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+           seed=st.integers(0, 2**16))
+    def test_layer_matches_the_edge_pad_oracle(self, n, c, f, h, w, budget, layout, seed):
+        """The phase-wise layer and the up-sample + edge pad + 2×2 conv it replaced, each in eval and in training,
+        against that formulation in float64 (im2col over the up-sampled map): forward, ``dW``, ``dB`` and ``dX``.
+        A side of 1 puts the clamp in every phase; the small budgets run multi-band and ragged last bands.  The
+        layer's training forward is its eval forward and pins no more than the edge-padded input's bytes."""
+        rng = np.random.default_rng(seed)
+        x = laid_out(rng, (n, c, h, w), layout) - np.float32(0.5)
+        grad = rng.standard_normal((n, f, 2 * h, 2 * w)).astype(np.float32)
+        bias = rng.standard_normal(f).astype(np.float32)
+        layer, oracle = UpConv2D(c, f, seed=seed), ReferenceUpConv2D(c, f, seed=seed)
+        weight = layer.conv.weight.value.astype(np.float64)
+
+        padded = reference_upsample_pad(x.astype(np.float64))
+        cols = im2col(padded, 2, 2)
+        grad_mat = grad.astype(np.float64).transpose(0, 2, 3, 1).reshape(-1, f)
+        expected = {
+            "out": (cols @ weight.reshape(f, -1).T + bias).reshape(n, 2 * h, 2 * w, f).transpose(0, 3, 1, 2),
+            "dW": (grad_mat.T @ cols).reshape(weight.shape),
+            "dB": grad_mat.sum(axis=0),
+            "dX": reference_upsample_adjoint(col2im(grad_mat @ weight.reshape(f, -1), padded.shape, 2, 2)),
+        }
+        bound = x.nbytes * (h + 1) * (w + 1) / (h * w)
+        for module in (layer, oracle):
+            module.conv.bias.value[...] = bias
+            with band_budget(budget):
+                evaluated = module.eval().forward(x)
+                got = {"out": module.train().forward(x)}
+                np.testing.assert_array_equal(evaluated, got["out"])
+                assert (module.cache_nbytes() <= bound) == (module is layer)
+                got["dX"] = module.backward(grad)
+            got["dW"], got["dB"] = module.conv.weight.grad, module.conv.bias.grad
+            for key, oracle_value in expected.items():
+                assert got[key].dtype == np.float32 and got[key].shape == oracle_value.shape, key
+                scale = max(float(np.abs(oracle_value).max()), 1e-8)
+                assert float(np.abs(got[key] - oracle_value).max()) <= 1e-4 * scale, key
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_phases_write_their_pixels_and_nothing_else(self, use_bias):
+        """Into a channel slice of a bordered buffer, as a plan binds it: every band's four phases fill the
+        interior exactly as the layer does, the ring and the other channels stay untouched."""
+        rng = np.random.default_rng(int(use_bias))
+        layer = UpConv2D(8, 4, seed=5).eval()
+        layer.conv.use_bias = use_bias
+        x = rng.standard_normal((2, 8, 7, 5)).astype(np.float32)
+        bordered = np.full((2, 6, 16, 12), np.nan, dtype=np.float32)
+        with band_budget(SMALL_BUDGETS[0]):
+            expected = layer.forward(x)
+            scratch = np.empty(kernels.BAND_BYTES, dtype=np.float32)
+            bands = kernels.upconv_bands(x, bordered[:, :4, 1:-1, 1:-1], scratch)
+            assert len(bands) == 2 * 4  # rows 2, 2, 2 and a ragged 1
+            kernels.run_upconv_bands(bands, kernels.upconv_weights(layer.conv.weight.value),
+                                     layer.conv.bias.value[:, None] if use_bias else None)
+        np.testing.assert_array_equal(bordered[:, :4, 1:-1, 1:-1], expected)
+        untouched = np.ones(bordered.shape, dtype=bool)
+        untouched[:, :4, 1:-1, 1:-1] = False
+        assert np.isnan(bordered[untouched]).all()
+
+
 class TestArena:
     def test_benchmark_plan_arena_holds_one_band_of_scratch(self):
         """The scene benchmark's plan: 154,957,056 bytes with a whole-image cols scratch, 79,680,768 with one slot
-        per buffer and a padded twin per conv input, under 25 MB packed by liveness (the live set's peak plus a band)."""
+        per buffer and a padded twin per conv input, 19,322,496 packed by liveness with an up-sampled, edge-padded
+        ``(N, C, 2h+1, 2w+1)`` map per up-convolution, under 16.5 MB without them (the live set's peak plus a band).
+        Every buffer is at one of the U-Net's level resolutions."""
         model = UNet(UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=0))
         plan = compile_unet_plan(model, (2, 3, 256, 256))
-        assert plan.arena_nbytes < 25_000_000
+        assert plan.arena_nbytes <= 16_500_000
         buffers, (_, scratch_size) = arena_layout(plan)
         assert 0 < 4 * scratch_size <= kernels.BAND_BYTES
         assert plan.arena_nbytes < 0.5 * 4 * sum(size for _, size, _, _ in buffers.values())  # bytes are shared
+        assert {root.shape[2:] for root in buffers} <= {(256 >> e, 256 >> e) for e in range(3)}
 
     def test_shared_scratch_is_at_most_one_band(self):
         """cols + staged output rows of the largest band, pointwise (no cols) or not."""
@@ -311,15 +386,3 @@ class TestPooling:
         for pool in (MaxPool2D, ReferenceMaxPool2D):
             np.testing.assert_array_equal(pool(k).eval().forward(x), expected)
         np.testing.assert_array_equal(ReferenceMaxPool2D(k).forward(x), expected)  # training forward
-
-    @settings(max_examples=40, deadline=None)
-    @given(k=st.integers(1, 3), n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 6), w=st.integers(1, 6),
-           layout=st.sampled_from(["contiguous", "transposed", "strided"]), seed=st.integers(0, 2**16))
-    def test_upsample_backward_adds_the_same_views(self, k, n, c, h, w, layout, seed):
-        """The adjoint of nearest up-sampling: the k² views summed, not a 6-D reduce (last-bit order may differ)."""
-        up = UpSample2D(k)
-        assert up.forward(np.zeros((n, c, h, w), dtype=np.float32)).shape == (n, c, k * h, k * w)
-        grad = laid_out(np.random.default_rng(seed), (n, c, k * h, k * w), layout)
-        expected = grad.reshape(n, c, h, k, w, k).sum(axis=(3, 5))
-        np.testing.assert_allclose(up.backward(grad), expected, rtol=1e-6, atol=0)
-

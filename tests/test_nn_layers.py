@@ -13,7 +13,6 @@ from repro.nn import (
     MaxPool2D,
     ReLU,
     UpConv2D,
-    UpSample2D,
     check_layer_gradients,
     conv_output_size,
 )
@@ -38,9 +37,6 @@ class TestGradientChecks:
 
     def test_maxpool(self):
         check_layer_gradients(MaxPool2D(2), (2, 2, 6, 6))
-
-    def test_upsample(self):
-        check_layer_gradients(UpSample2D(2), (1, 2, 4, 4))
 
     def test_upconv(self):
         check_layer_gradients(UpConv2D(2, 1, seed=4), (1, 2, 4, 4))
@@ -216,12 +212,6 @@ class TestSimpleLayers:
     def test_maxpool_rejects_indivisible(self):
         with pytest.raises(ValueError):
             MaxPool2D(2)(np.zeros((1, 1, 5, 5), dtype=np.float32))
-
-    def test_upsample_repeats(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        out = UpSample2D(2)(x)
-        assert out.shape == (1, 1, 4, 4)
-        assert out[0, 0, 0, 0] == 1.0 and out[0, 0, 0, 1] == 1.0
 
     def test_upconv_doubles_spatial_size(self):
         out = UpConv2D(4, 2)(np.zeros((1, 4, 8, 8), dtype=np.float32))

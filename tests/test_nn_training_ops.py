@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference_kernels import ReferenceArgmaxPool2D, ReferenceReLU, ReferenceUpConv2D, reference_pad_input
+from reference_kernels import ReferenceArgmaxPool2D, ReferenceReLU, reference_pad_input
 
 from repro.nn import CategoricalCrossEntropy, Conv2D, MaxPool2D, ReLU, UpConv2D, convgemm
 from repro.nn.layers import Dropout
@@ -73,17 +73,6 @@ def test_pad_input_equals_np_pad(case, pad):
     assert (padded is x) == (pad == 0)
 
 
-@settings(max_examples=50, deadline=None)
-@given(pooled_case())
-def test_up_convolution_equals_broadcast_and_edge_pad(case):
-    _k, x, _grad = case
-    layer, oracle = UpConv2D(x.shape[1], 2, seed=3), ReferenceUpConv2D(x.shape[1], 2, seed=3)
-    out, expected = layer.forward(x), oracle.forward(x)
-    np.testing.assert_array_equal(out, expected)
-    np.testing.assert_array_equal(layer.conv._cache, oracle.conv._cache)  # the padded up-sampled maps
-    np.testing.assert_array_equal(layer.backward(out), oracle.backward(expected))
-
-
 def _flat_gradient(model: UNet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for index, drop in enumerate(m for m in model.modules() if isinstance(m, Dropout)):
         drop._rng = np.random.default_rng([7, 0, 0, index])
@@ -97,7 +86,9 @@ def _flat_gradient(model: UNet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def test_whole_model_gradient_equals_the_oracle_layers():
     """One depth-3 train step: not one gradient value moves when every rewritten op is swapped
-    for the body it replaced, and the pooling scratch slot is gone from the shared workspace."""
+    for the body it replaced, and the pooling scratch slot is gone from the shared workspace.
+    (The up-convolution's oracle is not exact — it sums 16 taps where the layer sums 9 — and is
+    held to the layer by ``test_conv_bands.TestUpConvKernel`` instead.)"""
     rng = np.random.default_rng(0)
     x = rng.random((4, 3, 64, 64), dtype=np.float32)
     y = rng.integers(0, 3, size=(4, 64, 64)).astype(np.uint8)
@@ -108,7 +99,7 @@ def test_whole_model_gradient_equals_the_oracle_layers():
     assert "pool" not in convgemm._SCRATCH and set(convgemm._SCRATCH) == {"cols"}
 
     oracle = UNet(config)
-    swaps = {ReLU: ReferenceReLU, MaxPool2D: ReferenceArgmaxPool2D, UpConv2D: ReferenceUpConv2D}
+    swaps = {ReLU: ReferenceReLU, MaxPool2D: ReferenceArgmaxPool2D}
     for module in oracle.modules():
         if type(module) in swaps:
             module.__class__ = swaps[type(module)]
@@ -127,8 +118,11 @@ def test_training_scratch_holds_a_band_or_a_pitched_gradient_never_an_unrolled_i
     model = UNet(UNetConfig(depth=3, base_channels=8, dropout=0.1, seed=7))
     convgemm.release_workspace()
     _flat_gradient(model, rng.random((4, 3, 64, 64), dtype=np.float32), rng.integers(0, 3, size=(4, 64, 64)).astype(np.uint8))
-    convs = [module for module in model.modules() if isinstance(module, Conv2D)]
+    convs = [module for module in model.modules() if isinstance(module, Conv2D) and module._cache is not None]
     pitched = max(4 * xp.shape[0] * conv.out_channels * (xp.shape[2] - conv.kernel_size + 1) * xp.shape[3]
                   for conv in convs for xp in [conv._cache])
+    # an up-convolution's backward pitches its four stacked phase gradients to its edge-padded input's rows
+    pitched = max([pitched] + [4 * x.shape[0] * 4 * up.conv.out_channels * x.shape[2] * (x.shape[3] + 1)
+                               for up in model.modules() if isinstance(up, UpConv2D) for x in [up._cache]])
     unrolled = max(4 * xp.shape[0] * conv.kernel_size**2 * xp.shape[1] * 64 * 64 for conv in convs for xp in [conv._cache])
     assert 0 < convgemm.workspace_nbytes() < convgemm.BAND_BYTES + pitched < unrolled / 10

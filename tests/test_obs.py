@@ -285,9 +285,9 @@ class TestProfilingHooks:
             assert step["calls"] == 3
             assert step["total_ms"] >= 0.0
         kinds = report["by_kind"]
-        assert set(kinds) == {"pad", "border", "conv", "pool", "upsample", "softmax"}
+        assert set(kinds) == {"pad", "border", "conv", "pool", "upconv", "softmax"}
         assert sum(cell["calls"] for cell in kinds.values()) == 3 * len(report["steps"])
-        assert kinds["pool"]["calls"] == 3 * 2 and kinds["softmax"]["calls"] == 3  # depth 2: two pools
+        assert kinds["pool"]["calls"] == kinds["upconv"]["calls"] == 3 * 2 and kinds["softmax"]["calls"] == 3  # depth 2
         assert kinds["pad"]["calls"] == 3  # the external input, nothing else, is copied into a bordered buffer
         assert sum(cell["share"] for cell in kinds.values()) == pytest.approx(1.0, abs=1e-3)
         assert sum(cell["total_ms"] for cell in kinds.values()) == pytest.approx(
@@ -314,7 +314,7 @@ class TestProfilingHooks:
         assert "bottleneck" in epoch["layers"]
         assert epoch["layers"]["bottleneck"]["calls"] == 2
         kinds = report["by_kind"]  # default model: depth 2, no dropout
-        assert set(kinds) == {"Conv2D", "ReLU", "MaxPool2D", "UpSample2D", "UpConv2D", "Concat",
+        assert set(kinds) == {"Conv2D", "ReLU", "MaxPool2D", "UpConv2D", "Concat",
                               "DoubleConv", "EncoderBlock", "DecoderBlock", "UNet"}
         assert kinds["UNet"]["calls"] == 2 and kinds["MaxPool2D"]["calls"] == 2 * 2
         # Self times: the per-class lines never add up to more than the phases measured around
