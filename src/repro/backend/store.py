@@ -5,8 +5,8 @@ Publishing a model serialises it **once** into a single
 
 * every ``state_dict`` parameter array, and
 * the pre-packed GEMM weight matrix + bias column of every convolution a
-  compiled plan binds — ``(F, k·k·C)``, or an up-convolution's ``(F, 9C)``
-  matrix of its four phase blocks (see
+  compiled plan binds, under its ``state_dict`` path — ``(F, k·k·C)``, or an
+  up-convolution's ``(F, 9C)`` matrix of its four phase blocks (see
   :func:`repro.unet.compiled.iter_plan_conv_layers` /
   :func:`repro.nn.plan.pack_conv_weights`).
 

@@ -117,7 +117,9 @@ class EpochStats:
     time_s: float
     images_per_s: float
     #: Per-phase / per-block timings (only while the trainer's profiling is on):
-    #: ``{"phases_ms": {forward, loss, backward, optimizer}, "layers": {...}}``.
+    #: ``{"phases_ms": {forward, loss, backward, optimizer}, "layers": {...}}``.  ``layers`` has one
+    #: cell per top-level block (``enc{i}``, ``bottleneck``, ``dec{i}``, ``head``) summing its ops' layers,
+    #: so ``calls`` counts layer calls (a ``bottleneck`` without dropout makes 4 per step).
     profile: dict | None = None
 
 
@@ -165,14 +167,6 @@ def _reseed_dropouts(dropouts: list[Dropout], seed: int, step: int, slot: int) -
     """
     for index, drop in enumerate(dropouts):
         drop._rng = np.random.default_rng([seed, step, slot, index])
-
-
-def _top_blocks(model: UNet) -> list[tuple[str, object]]:
-    """The granularity of the trainer's per-block profile: the U-Net's top-level blocks, named."""
-    named = [(f"enc{i}", block) for i, block in enumerate(model.encoders)]
-    named.append(("bottleneck", model.bottleneck))
-    named += [(f"dec{i}", block) for i, block in enumerate(model.decoders)]
-    return named + [("head", model.head)]
 
 
 class _Rank:
@@ -715,7 +709,7 @@ class ElasticTrainer:
             images = initial_images if epoch == start_epoch else 0
             if self._profile_enabled:
                 self._phases_ms = dict.fromkeys(_PHASES, 0.0)
-                with LayerTimer(_top_blocks(self.master)) as timer:
+                with LayerTimer((op.name.split(".")[0], op.layer) for op in self.master.ops) as timer:
                     stats = self._run_epoch(loader, epoch, replay, losses, images)
                 stats.profile = {
                     "phases_ms": {k: round(v, 3) for k, v in self._phases_ms.items()},

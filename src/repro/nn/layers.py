@@ -236,9 +236,6 @@ class Concat(Module):
         self._split = a.shape[1]
         return np.concatenate([a, b], axis=1)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:  # type: ignore[override]
-        return self.forward(a, b)
-
     def backward(self, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
         if self._split is None:
             raise RuntimeError("backward called before forward")

@@ -110,7 +110,7 @@ class Module:
 
         Counts every ndarray reachable through private attributes — the
         convention all layers use for forward-to-backward state (``_cache``,
-        ``_mask``, ``_skips``, …) — excluding parameters and child modules.
+        ``_mask``, ``_split``, …) — excluding parameters and child modules.
         This is the number the training-throughput benchmark tracks per layer.
         """
         total = 0
@@ -171,8 +171,8 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
+    def __call__(self, *inputs: np.ndarray) -> np.ndarray:
+        return self.forward(*inputs)
 
 
 class Sequential(Module):

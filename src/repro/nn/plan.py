@@ -9,9 +9,9 @@ intermediate activations for every pool/up-convolution/concat.
 This module provides the machinery to *compile* a model once per concrete
 input shape instead:
 
-* :class:`PlanBuilder` walks a layer graph at compile time, computing every
-  intermediate shape, pre-packing convolution weights into their GEMM layout
-  (one transpose/reshape at compile time instead of per call) and reserving
+* :class:`PlanBuilder` takes one call per op of a model's op list at compile
+  time, computing every intermediate shape, pre-packing convolution weights
+  into their GEMM layout (one transpose/reshape per compile, not per call) and reserving
   every activation buffer; a buffer a padding convolution reads carries that
   zero border itself, so its producers write its interior and nothing is
   copied into a padded twin (only the external input is);
@@ -111,10 +111,10 @@ class Slot:
     convolution that reads the slot (``None`` until then) and read in place of
     a padded copy.  ``offset`` is assigned when :meth:`PlanBuilder.finalize`
     packs the arena.  ``channels`` restricts the view to ``[c0:c1)`` along axis
-    1 — that is how concatenation is fused away: the encoder's skip
-    convolution and the decoder's up-convolution both write straight into
-    their channel slice of the merged buffer, so no ``np.concatenate`` ever
-    runs.  A slice shares its ``root``'s storage, border and placement.
+    1 — that is how concatenation is fused away (:meth:`PlanBuilder.concat`):
+    the producers of both sources write straight into their channel slice of
+    the merged buffer, so no ``np.concatenate`` ever runs.  A slice shares its
+    ``root``'s storage, border and placement.
     """
 
     __slots__ = ("offset", "shape", "channels", "pad", "root")
@@ -390,10 +390,10 @@ class CompiledPlan:
 class PlanBuilder:
     """Reserve buffers and record steps, then :meth:`finalize` into a plan.
 
-    The builder is model-agnostic: it knows how to pad, convolve, pool and
-    up-convolve between arena slots.  Model-specific compilers (e.g.
-    :func:`repro.unet.compiled.compile_unet_plan`) walk their layer graph and
-    drive these primitives.
+    The builder is model-agnostic: it knows how to pad, convolve, pool,
+    up-convolve and concatenate between arena slots.  A model compiler (e.g.
+    :func:`repro.unet.compiled.compile_unet_plan`) makes one primitive call
+    per op of its model's op list.
     """
 
     def __init__(self, input_shape: tuple[int, ...], packed_weights: dict | None = None):
@@ -415,17 +415,15 @@ class PlanBuilder:
     # ------------------------------------------------------------------ #
     # Primitives
     # ------------------------------------------------------------------ #
-    def conv2d(self, src: Slot, conv, relu: bool = False, out: Slot | None = None,
-               name: str | None = None) -> Slot:
+    def conv2d(self, src: Slot, conv, relu: bool = False, name: str | None = None) -> Slot:
         """Append a convolution of ``src`` by a ``Conv2D`` layer.
 
         The first convolution to read a buffer decides its zero border, so a
         padding layer reads its source in place (steps recorded earlier bind
         to the interior); only the external input, a buffer whose border is
         already narrower, or a pointwise read of a bordered one is copied.
-        Packs the weights into their ``(offset, channel)`` GEMM layout, and
-        routes the GEMM output into ``out`` (e.g. a channel slice of a merged
-        buffer) or a freshly reserved activation.  Returns the output slot.
+        Packs the weights into their ``(offset, channel)`` GEMM layout and
+        reserves the output activation.  Returns the output slot.
 
         ``name`` keys the layer into the builder's ``packed_weights`` map:
         when a pre-packed ``(w_mat, bias)`` pair was supplied for it (e.g.
@@ -452,12 +450,12 @@ class PlanBuilder:
         w_mat, bias = self._weights(conv, name, (f, k * k * c))
         kc = k * k * c
         self._grow_scratch(((0 if pointwise else kc) + f) * conv_band_rows(kc, f, oh, ow) * ow)
-        out = self._output(out, (n, f, oh, ow))
+        out = self.reserve((n, f, oh, ow))
         self._steps.append(_ConvStep(src, self._scratch, out, w_mat, bias, k, p, relu))
         return out
 
-    def upconv(self, src: Slot, upconv, out: Slot | None = None, name: str | None = None) -> Slot:
-        """Append an ``UpConv2D`` of ``src`` into ``out`` (or a fresh activation) at ``src``'s resolution.
+    def upconv(self, src: Slot, upconv, name: str | None = None) -> Slot:
+        """Append an ``UpConv2D`` of ``src`` at ``src``'s resolution; returns its fresh output activation.
 
         No up-sampled or edge-padded buffer exists: the step gathers the four
         clamped taps of one band of ``src`` into the scratch and writes each
@@ -471,7 +469,7 @@ class PlanBuilder:
         f = conv.out_channels
         w_pack, bias = self._weights(upconv, name, (f, 9 * c))
         self._grow_scratch((4 * c + f) * conv_band_rows(4 * c, f, h, w) * w)
-        out = self._output(out, (n, f, 2 * h, 2 * w))
+        out = self.reserve((n, f, 2 * h, 2 * w))
         self._steps.append(_UpConvStep(src, self._scratch, out, w_pack, bias))
         return out
 
@@ -490,13 +488,6 @@ class PlanBuilder:
     def _grow_scratch(self, floats: int) -> None:
         self._scratch.shape = (max(self._scratch.shape[0], floats),)
 
-    def _output(self, out: Slot | None, shape: tuple[int, ...]) -> Slot:
-        if out is None:
-            return self.reserve(shape)
-        if out.view_shape != shape:
-            raise ValueError(f"conv output {shape} does not fit slot {out.view_shape}")
-        return out
-
     def maxpool(self, src: Slot, pool: int) -> Slot:
         n, c, h, w = src.view_shape
         if h % pool or w % pool:
@@ -504,6 +495,25 @@ class PlanBuilder:
         out = self.reserve((n, c, h // pool, w // pool))
         self._steps.append(_MaxPoolStep(src, out, pool))
         return out
+
+    def concat(self, a: Slot, b: Slot) -> Slot:
+        """Channel concatenation ``[a ‖ b]`` with no step: the sources become channel slices of one new buffer.
+
+        ``a`` and ``b`` must be whole buffers whose border no convolution has
+        decided yet.  They are re-pointed in place at the merged buffer, so the
+        steps already recorded as writing or reading them bind to their slice
+        of it.  Returns the merged slot.
+        """
+        for src in (a, b):
+            if src is INPUT or src.root is not src or src.pad is not None:
+                raise ValueError("concat sources must be whole buffers no convolution has read yet")
+        (n, ca, h, w), cb = a.shape, b.shape[1]
+        if b.shape != (n, cb, h, w):
+            raise ValueError(f"cannot concat shapes {a.shape} and {b.shape}")
+        merged = self.reserve((n, ca + cb, h, w))
+        for src, view in ((a, merged.slice(0, ca)), (b, merged.slice(ca, ca + cb))):
+            src.shape, src.channels, src.root = view.shape, view.channels, merged
+        return merged
 
     def softmax_output(self, src: Slot) -> None:
         """Terminal step: channel softmax returned as a fresh tensor."""

@@ -187,8 +187,9 @@ def profile_training(config=None, epochs: int = 2, batches: int = 4, batch_size:
 
     The step profiled is the trainer's in-process rank on one micro-shard — what
     a forked rank runs per shard — for a model built from ``config`` (a ``UNetConfig``).
-    ``scratch_bytes`` is the conv kernels' shared workspace as the profiled epochs
-    left it: one forward band or one pitched output gradient, whichever is larger.
+    ``by_kind`` times the layers of the model's op list by class.  ``scratch_bytes`` is the
+    conv kernels' shared workspace as the profiled epochs left it: one forward band or one
+    pitched output gradient, whichever is larger.
     """
     from ..data.loader import BatchLoader
     from ..distributed.elastic import ElasticTrainer
@@ -207,7 +208,7 @@ def profile_training(config=None, epochs: int = 2, batches: int = 4, batch_size:
 
     trainer.enable_profiling()
     release_workspace()
-    with LayerTimer((type(module).__name__, module) for module in model.modules()) as timer:
+    with LayerTimer((type(op.layer).__name__, op.layer) for op in model.ops) as timer:
         trainer.fit(loader, epochs=epochs)
     scratch_bytes = workspace_nbytes()
     kinds = timer.to_dict()

@@ -1,6 +1,5 @@
 """U-Net model and inference pipeline for sea-ice classification."""
 
-from .blocks import DecoderBlock, DoubleConv, EncoderBlock
 from .compiled import CompiledUNet, compile_unet_plan
 from .inference import (
     InferenceConfig,
@@ -8,21 +7,17 @@ from .inference import (
     predict_batch_probabilities,
     predict_tile_probabilities,
 )
-from .model import UNet, UNetConfig, build_unet, paper_unet_config, tiny_unet_config
+from .model import UNet, UNetConfig, paper_unet_config, tiny_unet_config
 
 __all__ = [
     "CompiledUNet",
     "compile_unet_plan",
-    "DecoderBlock",
-    "DoubleConv",
-    "EncoderBlock",
     "InferenceConfig",
     "SceneClassifier",
     "predict_batch_probabilities",
     "predict_tile_probabilities",
     "UNet",
     "UNetConfig",
-    "build_unet",
     "paper_unet_config",
     "tiny_unet_config",
 ]

@@ -1,19 +1,20 @@
 """Compile a :class:`~repro.unet.UNet` into a zero-allocation inference plan.
 
-:func:`compile_unet_plan` walks the encoder–bottleneck–decoder graph once for
-a concrete ``(N, C, H, W)`` input shape and emits a
+:func:`compile_unet_plan` maps each op of the model's op list
+(:func:`~repro.unet.model.unet_ops`) to one :class:`~repro.nn.plan.PlanBuilder`
+call for a concrete ``(N, C, H, W)`` input shape, and emits a
 :class:`~repro.nn.plan.CompiledPlan` whose steps run the *exact* eval-mode
-forward (offset-GEMM convolutions, fused bias+ReLU, window max pooling,
-up-convolutions at their input's resolution) into a single preallocated
-workspace arena.
+forward (offset-GEMM convolutions with their ReLU fused in, window max
+pooling, up-convolutions at their input's resolution; dropout is the identity
+and emits nothing) into a single preallocated workspace arena.
 
 Three structural fusions fall out of planning ahead:
 
-* **Concatenation disappears.**  Each decoder level's merged feature map is
-  one arena buffer; the matching encoder's second convolution writes its
-  skip activation directly into the upper channel slice during the
-  contracting pass, and the up-convolution GEMMs into the lower slice during
-  the expansive pass — no ``np.concatenate``, no skip copy.
+* **Concatenation disappears.**  A concat op makes its two sources channel
+  slices of one merged arena buffer (:meth:`~repro.nn.plan.PlanBuilder.concat`):
+  the encoder's second convolution has already been recorded writing its skip
+  activation, and the up-convolution its output, so each lands in its slice of
+  the merged buffer — no ``np.concatenate``, no skip copy.
 * **Padding is never copied.**  A buffer a padding convolution reads carries
   the zero border itself: its producers (convolutions, pooling) write the
   interior, the consumer reads the whole of it.  Only the external input is
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn import Concat, Conv2D, Dropout, MaxPool2D, ReLU, UpConv2D
 from ..nn.plan import INPUT, CompiledPlan, PlanBuilder, PlanCache
 from .model import UNet
 
@@ -47,26 +49,16 @@ __all__ = ["compile_unet_plan", "iter_plan_conv_layers", "CompiledUNet"]
 
 
 def iter_plan_conv_layers(model: UNet):
-    """Yield ``(name, layer)`` for every ``Conv2D`` / ``UpConv2D`` a U-Net plan packs.
+    """Yield ``(name, layer)`` for every ``Conv2D`` / ``UpConv2D`` a U-Net plan packs, in plan order.
 
-    The names are the layers' dotted module paths (the same paths
-    ``state_dict`` uses), in plan execution order.  This is the single
-    enumeration both :func:`compile_unet_plan` and the shared-memory model
-    store rely on, so pre-packed weights published under these names line up
-    with the plan steps that bind them.
+    The names are the op names — the layers' ``state_dict`` paths — under
+    which :func:`compile_unet_plan` looks layers up in ``packed_weights``, so
+    the packs the shared-memory model store publishes under them line up with
+    the plan steps that bind them.
     """
     if not isinstance(model, UNet):
         raise TypeError(f"iter_plan_conv_layers requires a UNet, got {type(model).__name__}")
-    for e, encoder in enumerate(model.encoders):
-        yield f"encoders.{e}.conv.conv1", encoder.conv.conv1
-        yield f"encoders.{e}.conv.conv2", encoder.conv.conv2
-    yield "bottleneck.conv1", model.bottleneck.conv1
-    yield "bottleneck.conv2", model.bottleneck.conv2
-    for j, decoder in enumerate(model.decoders):
-        yield f"decoders.{j}.upconv", decoder.upconv
-        yield f"decoders.{j}.conv.conv1", decoder.conv.conv1
-        yield f"decoders.{j}.conv.conv2", decoder.conv.conv2
-    yield "head", model.head
+    yield from ((op.name, op.layer) for op in model.ops if isinstance(op.layer, (Conv2D, UpConv2D)))
 
 
 def compile_unet_plan(
@@ -82,42 +74,25 @@ def compile_unet_plan(
     """
     if not isinstance(model, UNet):
         raise TypeError(f"compile_unet_plan requires a UNet, got {type(model).__name__}")
-    cfg = model.config
-    if len(input_shape) != 4:
-        raise ValueError(f"expected a (N, C, H, W) input shape, got {input_shape}")
-    n, c, h, w = (int(d) for d in input_shape)
-    if c != cfg.in_channels:
-        raise ValueError(f"model expects {cfg.in_channels} input channels, got {c}")
-    step = cfg.min_input_size()
-    if h % step or w % step:
-        raise ValueError(f"input spatial size must be divisible by {step} for depth {cfg.depth}")
-
-    widths = cfg.encoder_channels()
-    b = PlanBuilder((n, c, h, w), packed_weights=packed_weights)
-
-    # Merged (up-convolution ‖ skip) buffers, one per encoder/decoder level; the decoder's first
-    # convolution gives each its border.  Channel layout matches Concat(upsampled, skip): [0:width) up, [width:2w) skip.
-    merged = [b.reserve((n, 2 * widths[e], h >> e, w >> e)) for e in range(cfg.depth)]
-
-    x = INPUT
-    for e, encoder in enumerate(model.encoders):
-        block = encoder.conv  # DoubleConv (dropout is identity in eval)
-        x = b.conv2d(x, block.conv1, relu=True, name=f"encoders.{e}.conv.conv1")
-        skip = b.conv2d(x, block.conv2, relu=True, out=merged[e].slice(widths[e], 2 * widths[e]),
-                        name=f"encoders.{e}.conv.conv2")
-        x = b.maxpool(skip, encoder.pool.pool_size)
-
-    x = b.conv2d(x, model.bottleneck.conv1, relu=True, name="bottleneck.conv1")
-    x = b.conv2d(x, model.bottleneck.conv2, relu=True, name="bottleneck.conv2")
-
-    for j, decoder in enumerate(model.decoders):
-        e = cfg.depth - 1 - j
-        b.upconv(x, decoder.upconv, out=merged[e].slice(0, widths[e]), name=f"decoders.{j}.upconv")
-        x = b.conv2d(merged[e], decoder.conv.conv1, relu=True, name=f"decoders.{j}.conv.conv1")
-        x = b.conv2d(x, decoder.conv.conv2, relu=True, name=f"decoders.{j}.conv.conv2")
-
-    logits = b.conv2d(x, model.head, relu=False, name="head")
-    b.softmax_output(logits)
+    model.config.check_input_shape(input_shape)
+    b = PlanBuilder(input_shape, packed_weights=packed_weights)
+    ops, slots = model.ops, [INPUT]  # slots[i]: where activation i lives
+    for i, op in enumerate(ops):
+        layer, srcs = op.layer, [slots[s] for s in op.srcs]
+        if isinstance(layer, Conv2D):
+            relu = i + 1 < len(ops) and isinstance(ops[i + 1].layer, ReLU)
+            slots.append(b.conv2d(srcs[0], layer, relu=relu, name=op.name))
+        elif isinstance(layer, Dropout) or (isinstance(layer, ReLU) and isinstance(ops[i - 1].layer, Conv2D)):
+            slots.append(srcs[0])  # the identity in eval / fused into the conv before it
+        elif isinstance(layer, MaxPool2D):
+            slots.append(b.maxpool(srcs[0], layer.pool_size))
+        elif isinstance(layer, UpConv2D):
+            slots.append(b.upconv(srcs[0], layer, name=op.name))
+        elif isinstance(layer, Concat):
+            slots.append(b.concat(*srcs))
+        else:
+            raise TypeError(f"no plan step for op {op.name} ({type(layer).__name__})")
+    b.softmax_output(slots[-1])
     return b.finalize()
 
 

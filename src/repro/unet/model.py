@@ -1,23 +1,32 @@
-"""The U-Net semantic segmentation model (paper §III-C, Figure 7).
+"""The U-Net semantic segmentation model (paper §III-C, Figure 7), written once as data.
 
-The architecture is parameterised by depth (number of encoder/decoder
-steps) and base channel width so that the full paper-scale model
-(5 down-sampling steps, 64 base channels, 28 convolution layers, 256×256
-inputs) and small fast variants for tests share the same code path.
+:func:`unet_ops` is the graph as a flat list of :class:`Op` in execution order:
+per contracting step two 3×3 convolutions with ReLU (dropout between them) and
+2×2 max pooling, the bottleneck without pooling, per expansive step a 2×
+up-convolution, the skip concatenation and two 3×3 convolutions with ReLU, then
+a 1×1 head.  Activation ``i + 1`` is ``ops[i].layer(*acts[ops[i].srcs])`` and
+activation 0 is the input.  An op's name is its layer's ``state_dict`` path
+(``enc0.conv.conv1``, ``dec0.concat``, ``head``).  The forward, the backward,
+:func:`~repro.unet.compiled.compile_unet_plan`, the weight store and the
+trainer's profile all read this one list.
+
+Depth and base width are parameters, so the paper-scale model (5 steps, 64
+base channels, 28 convolution layers, 256×256 inputs) and small test variants
+share the same code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..classes import NUM_CLASSES
-from ..nn import Conv2D, Module
+from ..nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D
 from ..nn.losses import softmax
-from .blocks import DecoderBlock, DoubleConv, EncoderBlock
 
-__all__ = ["UNetConfig", "UNet", "build_unet", "paper_unet_config", "tiny_unet_config"]
+__all__ = ["Op", "UNetConfig", "UNet", "paper_unet_config", "tiny_unet_config", "unet_ops"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,14 @@ class UNetConfig:
         """Smallest spatial size the model accepts (input must be divisible by this)."""
         return 2**self.depth
 
+    def check_input_shape(self, shape: tuple[int, ...]) -> None:
+        """Raise ``ValueError`` unless ``shape`` is ``(N, in_channels, H, W)`` with H and W divisible by :meth:`min_input_size`."""
+        if len(shape) != 4 or shape[1] != self.in_channels:
+            raise ValueError(f"expected an (N, {self.in_channels}, H, W) input ({self.in_channels} channels), got {tuple(shape)}")
+        step = self.min_input_size()
+        if shape[2] % step or shape[3] % step:
+            raise ValueError(f"input spatial size must be divisible by {step} for depth {self.depth}")
+
 
 def paper_unet_config(seed: int = 0) -> UNetConfig:
     """The full-scale configuration described in the paper (5 steps, 64 base channels)."""
@@ -58,83 +75,99 @@ def tiny_unet_config(seed: int = 0) -> UNetConfig:
     return UNetConfig(depth=2, base_channels=8, dropout=0.1, seed=seed)
 
 
+class Op(NamedTuple):
+    """One node of the graph: ``layer`` applied to the activations ``srcs``, registered under ``name``."""
+
+    name: str
+    layer: Module
+    srcs: tuple[int, ...]
+
+
+def unet_ops(cfg: UNetConfig) -> list[Op]:
+    """The U-Net of ``cfg`` as a flat op list in execution order, with fresh layers seeded from ``cfg.seed``."""
+    ops: list[Op] = []
+
+    def add(name: str, layer: Module, *srcs: int) -> int:
+        """Append an op reading ``srcs`` (default: the latest activation); return its output's index."""
+        ops.append(Op(name, layer, srcs or (len(ops),)))
+        return len(ops)
+
+    def double_conv(name: str, cin: int, cout: int, seed: int) -> int:
+        add(f"{name}.conv1", Conv2D(cin, cout, kernel_size=3, padding="same", seed=seed))
+        add(f"{name}.relu1", ReLU())
+        if cfg.dropout > 0:
+            add(f"{name}.dropout", Dropout(cfg.dropout, seed=seed + 1))
+        add(f"{name}.conv2", Conv2D(cout, cout, kernel_size=3, padding="same", seed=seed + 2))
+        return add(f"{name}.relu2", ReLU())
+
+    widths = cfg.encoder_channels()
+    skips, cin = [], cfg.in_channels
+    for i, width in enumerate(widths):
+        skips.append(double_conv(f"enc{i}.conv", cin, width, cfg.seed + 10 * i))
+        add(f"enc{i}.pool", MaxPool2D(2))
+        cin = width
+    double_conv("bottleneck", cin, 2 * cin, cfg.seed + 1000)
+    cin *= 2
+    for i, width in enumerate(reversed(widths)):
+        seed = cfg.seed + 2000 + 10 * i
+        up = add(f"dec{i}.upconv", UpConv2D(cin, width, seed=seed))
+        add(f"dec{i}.concat", Concat(), up, skips.pop())  # channels [up ‖ skip]
+        double_conv(f"dec{i}.conv", 2 * width, width, seed + 3)
+        cin = width
+    add("head", Conv2D(cin, cfg.num_classes, kernel_size=1, padding=0, seed=cfg.seed + 3000))
+    return ops
+
+
 class UNet(Module):
-    """Encoder–bottleneck–decoder U-Net with skip connections."""
+    """Encoder–bottleneck–decoder U-Net with skip connections, run from its op list."""
 
     def __init__(self, config: UNetConfig | None = None) -> None:
         super().__init__()
         self.config = config or UNetConfig()
-        cfg = self.config
-        widths = cfg.encoder_channels()
-
-        self.encoders: list[EncoderBlock] = []
-        in_ch = cfg.in_channels
-        for i, width in enumerate(widths):
-            block = EncoderBlock(in_ch, width, dropout=cfg.dropout, seed=cfg.seed + 10 * i)
-            self.register_module(f"enc{i}", block)
-            self.encoders.append(block)
-            in_ch = width
-
-        bottleneck_width = widths[-1] * 2
-        self.bottleneck = DoubleConv(in_ch, bottleneck_width, dropout=cfg.dropout, seed=cfg.seed + 1000)
-
-        self.decoders: list[DecoderBlock] = []
-        in_ch = bottleneck_width
-        for i, width in enumerate(reversed(widths)):
-            block = DecoderBlock(in_ch, skip_channels=width, out_channels=width,
-                                 dropout=cfg.dropout, seed=cfg.seed + 2000 + 10 * i)
-            self.register_module(f"dec{i}", block)
-            self.decoders.append(block)
-            in_ch = width
-
-        self.head = Conv2D(in_ch, cfg.num_classes, kernel_size=1, padding=0, seed=cfg.seed + 3000)
-        self._skips: list[np.ndarray] | None = None
+        #: the graph in execution order (see :func:`unet_ops`)
+        self.ops = unet_ops(self.config)
+        # Each layer lives at its dotted op name, under plain containers (``enc0``, ``enc0.conv``, …).
+        for op in self.ops:
+            *path, leaf = op.name.split(".")
+            parent: Module = self
+            for part in path:
+                if part not in parent._modules:
+                    setattr(parent, part, Module())
+                parent = parent._modules[part]
+            setattr(parent, leaf, op.layer)
+        #: activation index -> the last op reading it, where the forward lets it go
+        self._last_reader = {s: i for i, op in enumerate(self.ops) for s in op.srcs}
 
     # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Return per-pixel class logits of shape ``(N, num_classes, H, W)``."""
         x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 4 or x.shape[1] != self.config.in_channels:
-            raise ValueError(f"expected (N, {self.config.in_channels}, H, W) input, got shape {x.shape}")
-        step = self.config.min_input_size()
-        if x.shape[2] % step or x.shape[3] % step:
-            raise ValueError(f"input spatial size must be divisible by {step} for depth {self.config.depth}")
-
-        skips = []
-        out = x
-        for encoder in self.encoders:
-            out, skip = encoder(out)
-            skips.append(skip)
-        out = self.bottleneck(out)
-        for decoder, skip in zip(self.decoders, reversed(skips)):
-            out = decoder(out, skip)
-        self._skips = skips if self.training else None
-        return self.head(out)
+        self.config.check_input_shape(x.shape)
+        acts: list[np.ndarray | None] = [x] + [None] * len(self.ops)
+        for i, op in enumerate(self.ops):
+            acts[i + 1] = op.layer(*(acts[s] for s in op.srcs))
+            for s in op.srcs:
+                if self._last_reader[s] == i:
+                    acts[s] = None
+        return acts[-1]
 
     def backward(self, grad_output: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        """Back-propagate ``dL/dlogits`` and return ``dL/dinput``.
+        """Back-propagate ``dL/dlogits`` through the ops in reverse and return ``dL/dinput``.
 
-        Training loops pass ``need_input_grad=False``: nothing consumes the
-        input gradient there, and skipping the first layer's input
-        contraction saves a full-resolution transposed convolution per step.
+        An activation read twice (a skip: by its pool and by its concat) sums
+        the two gradients.  Training loops pass ``need_input_grad=False``:
+        nothing consumes the input gradient there, and skipping the first
+        layer's input contraction saves a full-resolution transposed
+        convolution per step.
         """
-        if self._skips is None:
-            raise RuntimeError("backward called before forward")
-        grad = self.head.backward(np.asarray(grad_output, dtype=np.float32))
-
-        skip_grads: list[np.ndarray | None] = [None] * len(self.encoders)
-        # Decoders were applied in order during forward, so backward visits
-        # them in reverse; decoder i consumed the skip of encoder (depth-1-i).
-        for i in range(len(self.decoders) - 1, -1, -1):
-            grad, grad_skip = self.decoders[i].backward(grad)
-            skip_grads[len(self.encoders) - 1 - i] = grad_skip
-
-        grad = self.bottleneck.backward(grad)
-        for index, (encoder, grad_skip) in enumerate(zip(reversed(self.encoders), reversed(skip_grads))):
-            is_first_layer = index == len(self.encoders) - 1
-            grad = encoder.backward(grad, grad_skip,
-                                    need_input_grad=need_input_grad or not is_first_layer)
-        return grad
+        grads: list[np.ndarray | None] = [None] * len(self.ops) + [np.asarray(grad_output, dtype=np.float32)]
+        for i in range(len(self.ops) - 1, -1, -1):
+            op, grad = self.ops[i], grads[i + 1]
+            grads[i + 1] = None
+            src_grads = op.layer.backward(*((grad, need_input_grad) if op.srcs == (0,) else (grad,)))  # (0,): the first conv
+            for s, g in zip(op.srcs, src_grads if len(op.srcs) > 1 else (src_grads,)):
+                grads[s] = g if grads[s] is None else g + grads[s]
+        return grads[0]
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -155,8 +188,3 @@ class UNet(Module):
     def num_conv_layers(self) -> int:
         """Number of convolution layers in the model (28 for the paper configuration)."""
         return sum(1 for m in self.modules() if isinstance(m, Conv2D))
-
-
-def build_unet(config: UNetConfig | None = None) -> UNet:
-    """Factory mirroring the paper's model construction step."""
-    return UNet(config)

@@ -22,10 +22,13 @@ replaced with the four-view primitives: :class:`ReferenceReLU` (mask +
 (``np.pad``), all three exact oracles — and :class:`ReferenceUpConv2D`, the
 up-convolution over the up-sampled, edge-padded map (broadcast up-sampling,
 ``np.pad(mode="edge")``, a 2×2 conv and the backward that went with them),
-which the phase-wise layer matches only to a tolerance.  At the
-end, :func:`reference_train_step`: the plain single-process step of the second
+which the phase-wise layer matches only to a tolerance.  Then
+:func:`reference_train_step`: the plain single-process step of the second
 training loop (``unet/trainer.py``) the one trainer replaced — at one micro-shard
 and no dropout ``ElasticTrainer``'s in-process rank is held to it bit for bit.
+At the end, :class:`ReferenceUNet`: the U-Net as three block classes
+(``DoubleConv``, ``EncoderBlock``, ``DecoderBlock``) and a hand walk over them,
+before the graph became one op list — an exact oracle of ``UNet``.
 Not a test module; nothing under ``src/`` imports it.
 """
 
@@ -38,8 +41,9 @@ from hypothesis.extra import numpy as hnp
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
 from repro.cloudshadow import VeilEstimate
 from repro.imops import absdiff, gaussian_blur, scale_to_uint8
-from repro.nn import Conv2D, MaxPool2D, Module, ReLU, UpConv2D
+from repro.nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D, softmax
 from repro.nn.layers import max_of_views, pool_views
+from repro.unet import UNetConfig
 
 
 @st.composite
@@ -430,3 +434,179 @@ def reference_train_step(model, loss_fn, optimizer, x: np.ndarray, y: np.ndarray
     model.backward(loss_fn.backward(), need_input_grad=need_input_grad)
     optimizer.step()
     return loss
+
+
+# --------------------------------------------------------------------------- #
+# The U-Net as it was written before it became an op list: three block classes
+# and a hand walk over them.  An exact oracle of ``UNet`` — same layers, seeds,
+# ``state_dict`` paths and Dropout order, same bits forward and backward.
+# --------------------------------------------------------------------------- #
+class DoubleConv(Module):
+    """Two consecutive 3×3 convolutions, each followed by ReLU, with optional dropout."""
+
+    def __init__(self, in_channels: int, out_channels: int, dropout: float = 0.0, seed: int = 0) -> None:
+        super().__init__()
+        self.conv1 = Conv2D(in_channels, out_channels, kernel_size=3, padding="same", seed=seed)
+        self.relu1 = ReLU()
+        self.dropout = Dropout(dropout, seed=seed + 1) if dropout > 0 else None
+        if self.dropout is not None:
+            self.register_module("dropout", self.dropout)
+        self.conv2 = Conv2D(out_channels, out_channels, kernel_size=3, padding="same", seed=seed + 2)
+        self.relu2 = ReLU()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = self.relu1(self.conv1(x))
+        if self.dropout is not None:
+            x = self.dropout(x)
+        return self.relu2(self.conv2(x))
+
+    def backward(self, grad_output: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        grad = self.conv2.backward(self.relu2.backward(grad_output))
+        if self.dropout is not None:
+            grad = self.dropout.backward(grad)
+        return self.conv1.backward(self.relu1.backward(grad), need_input_grad=need_input_grad)
+
+
+class EncoderBlock(Module):
+    """One contracting step: double convolution, then 2×2 max pooling.
+
+    ``forward`` returns ``(pooled, skip)`` where ``skip`` is the pre-pooling
+    feature map handed to the matching decoder step.
+    """
+
+    def __init__(self, in_channels: int, out_channels: int, dropout: float = 0.0, seed: int = 0) -> None:
+        super().__init__()
+        self.conv = DoubleConv(in_channels, out_channels, dropout=dropout, seed=seed)
+        self.pool = MaxPool2D(2)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
+        skip = self.conv(x)
+        return self.pool(skip), skip
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
+        return self.forward(x)
+
+    def backward(  # type: ignore[override]
+        self, grad_pooled: np.ndarray, grad_skip: np.ndarray | None = None,
+        need_input_grad: bool = True,
+    ) -> np.ndarray | None:
+        grad = self.pool.backward(grad_pooled)
+        if grad_skip is not None:
+            grad = grad + grad_skip
+        return self.conv.backward(grad, need_input_grad=need_input_grad)
+
+
+class DecoderBlock(Module):
+    """One expansive step: up-convolution, skip concatenation, double convolution."""
+
+    def __init__(self, in_channels: int, skip_channels: int, out_channels: int, dropout: float = 0.0, seed: int = 0) -> None:
+        super().__init__()
+        self.upconv = UpConv2D(in_channels, out_channels, seed=seed)
+        self.concat = Concat()
+        self.conv = DoubleConv(out_channels + skip_channels, out_channels, dropout=dropout, seed=seed + 3)
+
+    def forward(self, x: np.ndarray, skip: np.ndarray) -> np.ndarray:  # type: ignore[override]
+        upsampled = self.upconv(x)
+        merged = self.concat(upsampled, skip)
+        return self.conv(merged)
+
+    def __call__(self, x: np.ndarray, skip: np.ndarray) -> np.ndarray:  # type: ignore[override]
+        return self.forward(x, skip)
+
+    def backward(self, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # type: ignore[override]
+        """Returns ``(grad_wrt_input, grad_wrt_skip)``."""
+        grad_merged = self.conv.backward(grad_output)
+        grad_up, grad_skip = self.concat.backward(grad_merged)
+        grad_input = self.upconv.backward(grad_up)
+        return grad_input, grad_skip
+
+
+class ReferenceUNet(Module):
+    """Encoder–bottleneck–decoder U-Net with skip connections."""
+
+    def __init__(self, config: UNetConfig | None = None) -> None:
+        super().__init__()
+        self.config = config or UNetConfig()
+        cfg = self.config
+        widths = cfg.encoder_channels()
+
+        self.encoders: list[EncoderBlock] = []
+        in_ch = cfg.in_channels
+        for i, width in enumerate(widths):
+            block = EncoderBlock(in_ch, width, dropout=cfg.dropout, seed=cfg.seed + 10 * i)
+            self.register_module(f"enc{i}", block)
+            self.encoders.append(block)
+            in_ch = width
+
+        bottleneck_width = widths[-1] * 2
+        self.bottleneck = DoubleConv(in_ch, bottleneck_width, dropout=cfg.dropout, seed=cfg.seed + 1000)
+
+        self.decoders: list[DecoderBlock] = []
+        in_ch = bottleneck_width
+        for i, width in enumerate(reversed(widths)):
+            block = DecoderBlock(in_ch, skip_channels=width, out_channels=width,
+                                 dropout=cfg.dropout, seed=cfg.seed + 2000 + 10 * i)
+            self.register_module(f"dec{i}", block)
+            self.decoders.append(block)
+            in_ch = width
+
+        self.head = Conv2D(in_ch, cfg.num_classes, kernel_size=1, padding=0, seed=cfg.seed + 3000)
+        self._skips: list[np.ndarray] | None = None
+
+    # ------------------------------------------------------------------ #
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Return per-pixel class logits of shape ``(N, num_classes, H, W)``."""
+        x = np.asarray(x, dtype=np.float32)
+        if x.ndim != 4 or x.shape[1] != self.config.in_channels:
+            raise ValueError(f"expected (N, {self.config.in_channels}, H, W) input, got shape {x.shape}")
+        step = self.config.min_input_size()
+        if x.shape[2] % step or x.shape[3] % step:
+            raise ValueError(f"input spatial size must be divisible by {step} for depth {self.config.depth}")
+
+        skips = []
+        out = x
+        for encoder in self.encoders:
+            out, skip = encoder(out)
+            skips.append(skip)
+        out = self.bottleneck(out)
+        for decoder, skip in zip(self.decoders, reversed(skips)):
+            out = decoder(out, skip)
+        self._skips = skips if self.training else None
+        return self.head(out)
+
+    def backward(self, grad_output: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        """Back-propagate ``dL/dlogits`` and return ``dL/dinput``.
+
+        Training loops pass ``need_input_grad=False``: nothing consumes the
+        input gradient there, and skipping the first layer's input
+        contraction saves a full-resolution transposed convolution per step.
+        """
+        if self._skips is None:
+            raise RuntimeError("backward called before forward")
+        grad = self.head.backward(np.asarray(grad_output, dtype=np.float32))
+
+        skip_grads: list[np.ndarray | None] = [None] * len(self.encoders)
+        # Decoders were applied in order during forward, so backward visits
+        # them in reverse; decoder i consumed the skip of encoder (depth-1-i).
+        for i in range(len(self.decoders) - 1, -1, -1):
+            grad, grad_skip = self.decoders[i].backward(grad)
+            skip_grads[len(self.encoders) - 1 - i] = grad_skip
+
+        grad = self.bottleneck.backward(grad)
+        for index, (encoder, grad_skip) in enumerate(zip(reversed(self.encoders), reversed(skip_grads))):
+            is_first_layer = index == len(self.encoders) - 1
+            grad = encoder.backward(grad, grad_skip,
+                                    need_input_grad=need_input_grad or not is_first_layer)
+        return grad
+
+    # ------------------------------------------------------------------ #
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities ``(N, K, H, W)`` with the model in eval mode."""
+        was_training = self.training
+        self.eval()
+        try:
+            probs = softmax(self.forward(np.asarray(x, dtype=np.float32)), axis=1)
+        finally:
+            if was_training:
+                self.train()
+        return probs

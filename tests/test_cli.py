@@ -154,11 +154,10 @@ class TestProfileCommand:
         # --depth 3: three encoders and decoders in the per-block table, not the fixed depth-2 model.
         assert {"enc2", "dec2"} <= set(report["per_epoch"][0]["layers"])
         kinds = report["by_kind"]
-        assert {"Conv2D", "ReLU", "Dropout", "MaxPool2D", "UpConv2D", "Concat",
-                "DoubleConv", "EncoderBlock", "DecoderBlock", "UNet"} == set(kinds)
+        assert {"Conv2D", "ReLU", "Dropout", "MaxPool2D", "UpConv2D", "Concat"} == set(kinds)
         # --base-channels/--depth reach the model: 2 steps x (3 encoders + bottleneck + 3 decoders) x 2 ReLUs.
         assert kinds["ReLU"]["calls"] == 2 * 7 * 2 and kinds["MaxPool2D"]["calls"] == 2 * 3
-        assert kinds["UNet"]["calls"] == 2
+        assert kinds["Concat"]["calls"] == 2 * 3
         assert sum(cell["share"] for cell in kinds.values()) == pytest.approx(1.0, abs=1e-2)
         assert all(cell["forward_ms"] >= 0.0 and cell["backward_ms"] >= 0.0 for cell in kinds.values())
         assert report["checkpoint_ms"] > 0.0

@@ -187,11 +187,10 @@ class TestConvKernel:
         with band_budget(budget):
             b = PlanBuilder(x.shape)
             a = b.conv2d(INPUT, stem, relu=True)
-            merged = b.reserve((n, 8, h, w))
             # whichever reads ``a`` first decides its border: the narrower second reader fits inside the wider
             # border, the wider second reader is the conflicting consumer that still gets a pad copy
-            for layer, channels in ((wide, (4, 8)), (narrow, (0, 4)))[:: 1 if wide_first else -1]:
-                b.conv2d(a, layer, out=merged.slice(*channels))
+            outs = {layer: b.conv2d(a, layer) for layer in ((wide, narrow) if wide_first else (narrow, wide))}
+            merged = b.concat(outs[narrow], outs[wide])
             g = b.conv2d(merged, valid, relu=True)
             b.softmax_output(b.conv2d(b.conv2d(g, even), head))
             plan = b.finalize()

@@ -56,6 +56,20 @@ class TestSlot:
         assert sliced.storage_shape == (1, 2, 7, 7)
         np.testing.assert_array_equal(sliced.resolve(arena, border=1), whole[:, 1:2, 1:-1, 1:-1])
 
+    def test_concat_turns_unread_sources_into_slices_of_one_buffer(self):
+        b = PlanBuilder((1, 3, 8, 8))
+        a = b.conv2d(INPUT, Conv2D(3, 2, kernel_size=3, padding=1))
+        up, skip = b.conv2d(a, Conv2D(2, 4, kernel_size=3, padding=1)), b.conv2d(a, Conv2D(2, 3, kernel_size=3, padding=1))
+        merged = b.concat(up, skip)
+        assert merged.shape == (1, 7, 8, 8)
+        assert (up.root, up.channels, skip.root, skip.channels) == (merged, (0, 4), merged, (4, 7))
+        with pytest.raises(ValueError, match="no convolution has read"):
+            b.concat(a, b.conv2d(a, Conv2D(2, 1, kernel_size=1)))  # a's border is decided
+        with pytest.raises(ValueError, match="no convolution has read"):
+            b.concat(INPUT, b.conv2d(a, Conv2D(2, 1, kernel_size=1)))
+        with pytest.raises(ValueError, match="cannot concat"):
+            b.concat(b.maxpool(merged, 2), b.conv2d(a, Conv2D(2, 1, kernel_size=1)))
+
 
 class TestLivenessPacking:
     @staticmethod

@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import BatchLoader
 from repro.distributed import ElasticTrainer
+from repro.nn import Dropout, MaxPool2D, UpConv2D
 from repro.unet import (
     SceneClassifier,
     InferenceConfig,
     UNet,
     UNetConfig,
-    build_unet,
     paper_unet_config,
     tiny_unet_config,
 )
+from repro.unet.compiled import iter_plan_conv_layers
+
+from reference_kernels import ReferenceUNet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +43,8 @@ class TestUNetModel:
         """Paper: 28 convolutional layers, 5 down-sampling steps, 256x256 inputs."""
         model = UNet(paper_unet_config())
         assert model.num_conv_layers() == 28
-        assert len(model.encoders) == 5
-        assert len(model.decoders) == 5
+        assert sum(isinstance(op.layer, MaxPool2D) for op in model.ops) == 5
+        assert sum(isinstance(op.layer, UpConv2D) for op in model.ops) == 5
         assert model.config.min_input_size() == 32  # 256 is a valid input size
         assert 256 % model.config.min_input_size() == 0
 
@@ -80,13 +90,74 @@ class TestUNetModel:
         with pytest.raises(ValueError):
             UNetConfig(dropout=1.5)
 
-    def test_build_unet_factory(self):
-        assert isinstance(build_unet(), UNet)
-
     def test_deterministic_construction(self):
         a, b = UNet(UNetConfig(seed=5, depth=2, base_channels=4)), UNet(UNetConfig(seed=5, depth=2, base_channels=4))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
+
+
+class TestOpList:
+    """The graph is one op list; the block classes and hand walk it replaced are ``ReferenceUNet``."""
+
+    def test_plan_layer_names_are_state_dict_paths(self):
+        model = UNet(UNetConfig(depth=3, base_channels=2, dropout=0.1))
+        keys = model.state_dict()
+        named = list(iter_plan_conv_layers(model))
+        assert len(named) == 3 * 2 + 2 + 3 * 3 + 1  # encoder convs, bottleneck, up-conv + convs per decoder, head
+        for name, layer in named:
+            for key in layer.state_dict():
+                assert f"{name}.{key}" in keys
+
+    @settings(max_examples=25, deadline=None)
+    @given(depth=st.integers(1, 4), base=st.integers(1, 6), dropout=st.sampled_from([0.0, 0.2]),
+           in_channels=st.integers(1, 4), num_classes=st.integers(2, 4), batch=st.integers(1, 3),
+           scale=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_matches_the_block_walk_bit_for_bit(self, depth, base, dropout, in_channels, num_classes, batch,
+                                                scale, seed):
+        config = UNetConfig(in_channels=in_channels, num_classes=num_classes, depth=depth,
+                            base_channels=base, dropout=dropout, seed=seed)
+        model, oracle = UNet(config), ReferenceUNet(config)
+        ours, theirs = model.state_dict(), oracle.state_dict()
+        assert list(ours) == list(theirs)
+        assert all(np.array_equal(ours[key], theirs[key]) for key in ours)
+        drops = [[m for m in net.modules() if isinstance(m, Dropout)] for net in (model, oracle)]
+        states = [[drop._rng.bit_generator.state for drop in ds] for ds in drops]
+        assert states[0] == states[1]  # same seeds in the same modules() order
+
+        rng = np.random.default_rng(seed)
+        size = config.min_input_size() * scale
+        x = rng.standard_normal((batch, in_channels, size, size)).astype(np.float32)
+        grad = rng.standard_normal((batch, num_classes, size, size)).astype(np.float32)
+        for ds in drops:
+            for index, drop in enumerate(ds):
+                drop._rng = np.random.default_rng([seed, 1, 0, index])
+        logits = [net.forward(x) for net in (model, oracle)]
+        assert np.array_equal(logits[0], logits[1])
+        for need_input_grad in (True, False):
+            model.zero_grad()
+            oracle.zero_grad()
+            dx = [net.backward(grad, need_input_grad=need_input_grad) for net in (model, oracle)]
+            if need_input_grad:
+                assert np.array_equal(dx[0], dx[1])
+            else:
+                assert dx == [None, None]
+            for param, oracle_param in zip(model.parameters(), oracle.parameters()):
+                assert np.array_equal(param.grad, oracle_param.grad)
+        assert np.array_equal(model.predict_proba(x), oracle.predict_proba(x))
+
+
+def test_the_unet_topology_is_written_once():
+    """Only ``unet/model.py`` spells out the encoder–bottleneck–decoder graph: nothing else
+    under ``src/repro`` reaches blocks by attribute or builds a block name."""
+    root = SRC / "repro"
+    pattern = r"\.(encoders|decoders|bottleneck)\b|f[\"'](enc|dec)\{"
+    spelled = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(pattern, path.read_text())
+    }
+    assert spelled == {"unet/model.py"}
+    assert not (root / "unet" / "blocks.py").exists()
 
 
 class TestTrainer:
