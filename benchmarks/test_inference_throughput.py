@@ -71,8 +71,7 @@ def _seed_style_classify(model: UNet, scene_rgb: np.ndarray, batch_size: int = 8
         for start in range(0, tiles.shape[0], batch_size):
             x = image_to_tensor(tiles[start : start + batch_size])
             outputs.append(softmax(model.forward(x), axis=1).argmax(axis=1).astype(np.uint8))
-        stitched = assemble_from_tiles(np.concatenate(outputs, axis=0), (grid[0], grid[1]))
-        return stitched[: scene_rgb.shape[0], : scene_rgb.shape[1]]
+        return assemble_from_tiles(np.concatenate(outputs, axis=0), grid)
     finally:
         model.eval()
         for module, cls in swapped:

@@ -29,7 +29,7 @@ import numpy as np
 from ..imops import gaussian_blur, hsv_planes, median_blur, morph_close, otsu_threshold, remove_small_objects, scale_to_uint8
 from .removal import ThinCloudShadowRemover, VeilEstimate
 
-__all__ = ["CloudShadowMasks", "detect_cloud_shadow", "estimate_coverage"]
+__all__ = ["CloudShadowMasks", "detect_cloud_shadow"]
 
 
 @dataclass
@@ -104,7 +104,7 @@ def detect_cloud_shadow(
     # clean scenes while leaving real banks (which are large and smooth) intact.
     deviation = _brightness_deviation(img, blur_ksize)
     if deviation.max() > 0:
-        otsu_level, _ = otsu_threshold(deviation)
+        otsu_level = otsu_threshold(deviation)
         gate = deviation >= min(max(otsu_level * 0.5, 4.0), 40.0)
     else:
         gate = np.zeros(deviation.shape, dtype=bool)
@@ -116,7 +116,3 @@ def detect_cloud_shadow(
         shadow=_clean(shadow, min_object_size),
     )
 
-
-def estimate_coverage(rgb: np.ndarray, **kwargs) -> float:
-    """Convenience wrapper returning only the detected cloud+shadow coverage fraction."""
-    return detect_cloud_shadow(rgb, **kwargs).coverage

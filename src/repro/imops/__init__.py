@@ -1,14 +1,18 @@
 """Pure-NumPy image operations (the repo's OpenCV substitute).
 
-Every classical transform the paper's thin-cloud/shadow filter and
-colour-segmentation auto-labeler rely on is implemented here:
+What the paper's thin-cloud/shadow filter, colour-segmentation auto-labeler and
+tiled inference call:
 
-* :mod:`repro.imops.color` — RGB↔HSV/grayscale conversion (OpenCV uint8 conventions)
-* :mod:`repro.imops.threshold` — binary / truncated / to-zero / Otsu / adaptive thresholding
-* :mod:`repro.imops.filters` — Gaussian, box, median and bilateral filtering
-* :mod:`repro.imops.arithmetic` — saturating add/subtract, absdiff, bit-wise ops, min-max normalisation
-* :mod:`repro.imops.morphology` — erosion, dilation, opening, closing, small-object removal
-* :mod:`repro.imops.resize` — nearest / bilinear resize, scene tiling and reassembly
+* :mod:`repro.imops.color` — RGB→HSV planes (OpenCV uint8 conventions)
+* :mod:`repro.imops.threshold` — Otsu's automatic level
+* :mod:`repro.imops.filters` — Gaussian and median filtering
+* :mod:`repro.imops.arithmetic` — round-and-clip to uint8
+* :mod:`repro.imops.morphology` — closing and small-object removal of binary masks
+* :mod:`repro.imops.resize` — scene tiling and (blended) reassembly
+
+The rest (fixed-level and adaptive thresholds, box and bilateral filters, saturating
+and bit-wise arithmetic, resizing, HSV→RGB and grayscale helpers) is tested but has no
+caller in the pipeline; ``tests/test_reachability.py`` lists it.
 """
 
 from .arithmetic import (

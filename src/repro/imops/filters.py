@@ -2,7 +2,8 @@
 
 The cloud/shadow filter uses Gaussian blurring for veil estimation and
 median filtering for speckle-noise suppression, mirroring the OpenCV calls
-(``GaussianBlur``, ``medianBlur``, ``blur``) the paper relies on.
+(``GaussianBlur``, ``medianBlur``) the paper relies on.  The box and bilateral
+filters have no caller in the pipeline.
 """
 
 from __future__ import annotations

@@ -68,47 +68,40 @@ def _morph(image: np.ndarray, footprint: np.ndarray, op: str) -> np.ndarray:
     return ndimage.grey_dilation(img, footprint=footprint).astype(img.dtype)
 
 
-def erode(image: np.ndarray, ksize: int = 3, shape: str = "rect", iterations: int = 1) -> np.ndarray:
-    """Morphological erosion (shrinks bright / foreground regions)."""
-    footprint = structuring_element(shape, ksize)
-    out = np.asarray(image)
-    for _ in range(max(1, iterations)):
-        out = _morph(out, footprint, "erode")
-    return out
+def erode(image: np.ndarray, ksize: int = 3) -> np.ndarray:
+    """Erosion by a ``ksize``×``ksize`` square (shrinks bright / foreground regions)."""
+    return _morph(image, structuring_element("rect", ksize), "erode")
 
 
-def dilate(image: np.ndarray, ksize: int = 3, shape: str = "rect", iterations: int = 1) -> np.ndarray:
-    """Morphological dilation (grows bright / foreground regions)."""
-    footprint = structuring_element(shape, ksize)
-    out = np.asarray(image)
-    for _ in range(max(1, iterations)):
-        out = _morph(out, footprint, "dilate")
-    return out
+def dilate(image: np.ndarray, ksize: int = 3) -> np.ndarray:
+    """Dilation by a ``ksize``×``ksize`` square (grows bright / foreground regions)."""
+    return _morph(image, structuring_element("rect", ksize), "dilate")
 
 
-def morph_open(image: np.ndarray, ksize: int = 3, shape: str = "rect") -> np.ndarray:
+def morph_open(image: np.ndarray, ksize: int = 3) -> np.ndarray:
     """Opening = erosion followed by dilation; removes small bright specks."""
-    return dilate(erode(image, ksize, shape), ksize, shape)
+    return dilate(erode(image, ksize), ksize)
 
 
-def morph_close(image: np.ndarray, ksize: int = 3, shape: str = "rect") -> np.ndarray:
+def morph_close(image: np.ndarray, ksize: int = 3) -> np.ndarray:
     """Closing = dilation followed by erosion; fills small dark gaps."""
-    return erode(dilate(image, ksize, shape), ksize, shape)
+    return erode(dilate(image, ksize), ksize)
 
 
 def remove_small_objects(mask: np.ndarray, min_size: int = 16) -> np.ndarray:
     """Drop connected components smaller than ``min_size`` pixels from a binary mask."""
-    m = np.asarray(mask).astype(bool)
-    labeled, num = ndimage.label(m)
+    m = np.asarray(mask)
+    binary = m.astype(bool)
+    labeled, num = ndimage.label(binary)
     if num == 0:
-        return np.zeros_like(m) if mask.dtype == bool else np.zeros_like(np.asarray(mask))
-    sizes = ndimage.sum(m, labeled, index=np.arange(1, num + 1))
+        return np.zeros_like(m)
+    sizes = ndimage.sum(binary, labeled, index=np.arange(1, num + 1))
     keep = np.zeros(num + 1, dtype=bool)
     keep[1:] = sizes >= min_size
     out = keep[labeled]
-    if np.asarray(mask).dtype == bool:
+    if m.dtype == bool:
         return out
-    return (out * (255 if np.asarray(mask).max() > 1 else 1)).astype(np.asarray(mask).dtype)
+    return (out * (255 if m.max() > 1 else 1)).astype(m.dtype)
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:

@@ -121,19 +121,15 @@ class TileGrid(tuple):
         rows: int,
         cols: int,
         tile_size: int,
-        overlap: int = 0,
-        image_shape: tuple[int, int] | None = None,
-        padded_shape: tuple[int, int] | None = None,
+        overlap: int,
+        image_shape: tuple[int, int],
+        padded_shape: tuple[int, int],
     ) -> "TileGrid":
         self = super().__new__(cls, (int(rows), int(cols)))
         self.tile_size = int(tile_size)
         self.overlap = int(overlap)
-        stride = self.tile_size - self.overlap
-        if padded_shape is None:
-            padded_shape = ((int(rows) - 1) * stride + self.tile_size,
-                            (int(cols) - 1) * stride + self.tile_size)
+        self.image_shape = (int(image_shape[0]), int(image_shape[1]))
         self.padded_shape = (int(padded_shape[0]), int(padded_shape[1]))
-        self.image_shape = self.padded_shape if image_shape is None else (int(image_shape[0]), int(image_shape[1]))
         return self
 
     @property
@@ -259,26 +255,21 @@ def _assemble_blended(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
     return out[..., 0] if not has_channels else out
 
 
-def assemble_from_tiles(tiles: np.ndarray, grid: "TileGrid | tuple[int, int]") -> np.ndarray:
+def assemble_from_tiles(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
     """Inverse of :func:`split_into_tiles`: stitch tiles back into a scene.
 
-    With a :class:`TileGrid` the output is cropped back to the original
-    (pre-padding) scene shape; overlapped grids are reassembled by weighted
-    blending (see :func:`blend_window`) and therefore return a floating-point
-    scene — blend probability maps, not argmax label maps.  A plain
-    ``(rows, cols)`` tuple selects the legacy disjoint, uncropped stitch.
+    The output is cropped back to the original (pre-padding) scene shape.
+    Overlapped grids are reassembled by weighted blending (see
+    :func:`blend_window`) and therefore return a floating-point scene —
+    blend probability maps, not argmax label maps.
     """
     tiles = np.asarray(tiles)
     rows, cols = grid
     if tiles.shape[0] != rows * cols:
         raise ValueError(f"expected {rows * cols} tiles, got {tiles.shape[0]}")
-    if isinstance(grid, TileGrid):
-        if tiles.shape[1] != grid.tile_size or tiles.shape[2] != grid.tile_size:
-            raise ValueError(
-                f"tiles of shape {tiles.shape[1:3]} do not match grid tile_size {grid.tile_size}"
-            )
-        h, w = grid.image_shape
-        if grid.overlap == 0:
-            return _assemble_disjoint(tiles, rows, cols)[:h, :w]
-        return _assemble_blended(tiles, grid)[:h, :w]
-    return _assemble_disjoint(tiles, rows, cols)
+    if tiles.shape[1] != grid.tile_size or tiles.shape[2] != grid.tile_size:
+        raise ValueError(f"tiles of shape {tiles.shape[1:3]} do not match grid tile_size {grid.tile_size}")
+    h, w = grid.image_shape
+    if grid.overlap == 0:
+        return _assemble_disjoint(tiles, rows, cols)[:h, :w]
+    return _assemble_blended(tiles, grid)[:h, :w]

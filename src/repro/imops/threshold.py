@@ -1,9 +1,10 @@
-"""Thresholding operators used by the thin-cloud and shadow filter.
+"""Thresholding operators in OpenCV's ``cv2.threshold`` semantics.
 
-Reproduces the OpenCV thresholding modes the paper lists in §III-A:
-binary, binary-inverted, truncated, to-zero and Otsu's automatic
-threshold selection.  All operators follow the OpenCV semantics of
-``cv2.threshold`` so that the filter pipeline reads like the original.
+The paper's thin-cloud/shadow filter (§III-A) uses one of them: Otsu's
+automatic level (:func:`otsu_threshold`), which gates the brightness
+deviation in :func:`repro.cloudshadow.detect_cloud_shadow`.  The fixed-level
+modes (binary, binary-inverted, truncated, to-zero) and the adaptive
+mean threshold have no caller in the pipeline.
 """
 
 from __future__ import annotations
@@ -94,18 +95,11 @@ def threshold_tozero_inv(image: np.ndarray, thresh: float) -> np.ndarray:
     return threshold(image, thresh, kind=ThresholdType.TOZERO_INV)[1]
 
 
-def otsu_threshold(
-    image: np.ndarray,
-    maxval: float = 255,
-    kind: ThresholdType = ThresholdType.BINARY,
-    nbins: int = 256,
-) -> tuple[float, np.ndarray]:
-    """Otsu's automatic threshold selection followed by thresholding.
+def otsu_threshold(image: np.ndarray) -> float:
+    """Otsu's automatic threshold level of a single-channel image.
 
-    Picks the threshold that maximises between-class variance of the
-    grayscale histogram, as in ``cv2.threshold(..., THRESH_OTSU)``.
-
-    Returns ``(otsu_threshold, output_image)``.
+    Picks the level that maximises the between-class variance of the
+    256-bin histogram, as ``cv2.threshold(..., THRESH_OTSU)`` does.
     """
     img = _check_gray(image)
     if img.size == 0:
@@ -114,9 +108,9 @@ def otsu_threshold(
     lo, hi = float(data.min()), float(data.max())
     if lo == hi:
         # Degenerate constant image: any threshold separates nothing.
-        return lo, threshold(img, lo, maxval, kind)[1]
+        return lo
 
-    hist, bin_edges = np.histogram(data, bins=nbins, range=(lo, hi))
+    hist, bin_edges = np.histogram(data, bins=256, range=(lo, hi))
     bin_centers = (bin_edges[:-1] + bin_edges[1:]) / 2.0
 
     weight1 = np.cumsum(hist)
@@ -132,8 +126,7 @@ def otsu_threshold(
     best = variance.max()
     candidates = np.flatnonzero(variance >= best * (1.0 - 1e-12))
     idx = int(candidates[len(candidates) // 2])
-    thresh = float(bin_centers[idx])
-    return thresh, threshold(img, thresh, maxval, kind)[1]
+    return float(bin_centers[idx])
 
 
 def adaptive_mean_threshold(

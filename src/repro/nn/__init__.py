@@ -2,12 +2,11 @@
 
 Layer-wise reverse-mode differentiation with the building blocks the paper's
 U-Net needs: offset-GEMM convolutions, ReLU, max pooling, up-convolution, dropout,
-batch norm, channel concatenation, softmax cross-entropy, SGD/Adam, weight
-checkpointing and numerical gradient checking.
+batch norm, channel concatenation, softmax cross-entropy, Adam, compiled
+inference plans and weight checkpointing.
 """
 
 from .conv import Conv2D
-from .gradcheck import check_layer_gradients, numerical_gradient, relative_error
 from .convgemm import (
     conv_backward_offset,
     conv_forward_offset,
@@ -16,17 +15,16 @@ from .convgemm import (
     release_workspace,
     workspace_nbytes,
 )
-from .initializers import get_initializer, glorot_uniform, he_normal, zeros
+from .initializers import he_normal, zeros
 from .layers import BatchNorm2D, Concat, Dropout, MaxPool2D, ReLU, UpConv2D
 from .losses import CategoricalCrossEntropy, softmax
-from .module import Module, Parameter, Sequential
-from .optimizers import SGD, Adam, Optimizer
+from .module import Module, Parameter
+from .optimizers import Adam, Optimizer
 from .plan import CompiledPlan, PlanBuilder, PlanCache
 from .serialization import (
     CheckpointError,
     load_checkpoint,
     load_model_state,
-    load_weights,
     read_metadata,
     save_checkpoint,
     save_weights,
@@ -34,17 +32,12 @@ from .serialization import (
 
 __all__ = [
     "Conv2D",
-    "check_layer_gradients",
-    "numerical_gradient",
-    "relative_error",
     "conv_backward_offset",
     "conv_forward_offset",
     "conv_output_size",
     "pad_input",
     "release_workspace",
     "workspace_nbytes",
-    "get_initializer",
-    "glorot_uniform",
     "he_normal",
     "zeros",
     "BatchNorm2D",
@@ -57,8 +50,6 @@ __all__ = [
     "softmax",
     "Module",
     "Parameter",
-    "Sequential",
-    "SGD",
     "Adam",
     "Optimizer",
     "CompiledPlan",
@@ -67,7 +58,6 @@ __all__ = [
     "CheckpointError",
     "load_checkpoint",
     "load_model_state",
-    "load_weights",
     "read_metadata",
     "save_checkpoint",
     "save_weights",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "glorot_uniform", "zeros", "get_initializer"]
+__all__ = ["he_normal", "zeros"]
 
 
 def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -15,23 +15,7 @@ def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> 
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation (used for the final 1×1 projection)."""
-    if fan_in < 1 or fan_out < 1:
-        raise ValueError("fan_in and fan_out must be >= 1")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (biases)."""
     return np.zeros(shape, dtype=np.float32)
 
-
-def get_initializer(name: str):
-    """Look up an initializer by name (``"he_normal"`` / ``"glorot_uniform"`` / ``"zeros"``)."""
-    table = {"he_normal": he_normal, "glorot_uniform": glorot_uniform, "zeros": zeros}
-    try:
-        return table[name]
-    except KeyError as exc:
-        raise ValueError(f"unknown initializer {name!r}; expected one of {sorted(table)}") from exc

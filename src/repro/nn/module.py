@@ -14,7 +14,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module"]
 
 
 def _array_nbytes(obj) -> int:
@@ -174,32 +174,3 @@ class Module:
     def __call__(self, *inputs: np.ndarray) -> np.ndarray:
         return self.forward(*inputs)
 
-
-class Sequential(Module):
-    """A linear chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-        for index, layer in enumerate(self.layers):
-            self.register_module(str(index), layer)
-
-    def append(self, layer: Module) -> None:
-        self.register_module(str(len(self.layers)), layer)
-        self.layers.append(layer)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output)
-        return grad_output
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]

@@ -1,11 +1,7 @@
-"""Gradient-descent optimisers (SGD with momentum, Adam).
-
-The paper trains its U-Net with Adam and categorical cross-entropy; SGD is
-kept as a baseline and for the distributed-training equivalence tests, which
-are easiest to reason about without adaptive state.
+"""The optimiser: Adam, which the paper trains its U-Net with.
 
 ``state_dict`` / ``load_state_dict`` round-trip *all* optimiser state —
-hyper-parameters and the per-parameter moment/velocity tensors — so a
+hyper-parameters and the per-parameter moment tensors — so a
 checkpoint-resumed run continues exactly where it stopped instead of
 silently restarting the adaptive state.
 """
@@ -18,7 +14,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -61,50 +57,6 @@ class Optimizer:
             if value.shape != slot.shape:
                 raise ValueError(f"shape mismatch for {key}: {value.shape} vs {slot.shape}")
             slot[...] = value
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.value
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.value -= self.lr * update
-
-    def state_dict(self) -> dict:
-        state = {"lr": self.lr, "momentum": self.momentum, "weight_decay": self.weight_decay}
-        self._dump_slots(state, "velocity", self._velocity)
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._load_slots(state, "velocity", self._velocity)
 
 
 class Adam(Optimizer):

@@ -1,10 +1,10 @@
 """Model checkpoint I/O: save and load module weights as stored (uncompressed) ``.npz`` archives.
 
-Two levels are provided: ``save_weights`` / ``load_weights`` persist model
-parameters only, while ``save_checkpoint`` / ``load_checkpoint`` bundle the
-model *and* the full optimiser state (Adam moments and step count, SGD
-velocity, every hyper-parameter) so a resumed run continues exactly where it
-stopped instead of silently restarting the adaptive state.
+Two levels are provided: ``save_weights`` persists model parameters only,
+while ``save_checkpoint`` / ``load_checkpoint`` bundle the model *and* the full
+optimiser state (Adam moments, step count and every hyper-parameter) so a
+resumed run continues exactly where it stopped instead of silently restarting
+the adaptive state.
 
 Both archive kinds can carry a JSON metadata block (``metadata=`` at save
 time, :func:`read_metadata` at load time).  The serving model registry uses
@@ -35,7 +35,6 @@ from .optimizers import Optimizer
 __all__ = [
     "CheckpointError",
     "save_weights",
-    "load_weights",
     "save_checkpoint",
     "load_checkpoint",
     "read_metadata",
@@ -135,12 +134,6 @@ def save_weights(module: Module, path: str | os.PathLike, metadata: dict | None 
     ``.npz`` appended if missing).
     """
     return _atomic_savez(path, {**module.state_dict(), **_json_entry(_META_KEY, "metadata", metadata)})
-
-
-def load_weights(module: Module, path: str | os.PathLike) -> Module:
-    """Load weights saved by :func:`save_weights` into ``module`` (strict match)."""
-    module.load_state_dict(load_model_state(path))
-    return module
 
 
 def save_checkpoint(

@@ -17,7 +17,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    metrics_enabled,
     set_metrics_enabled,
 )
 from .profile import (
@@ -52,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "metrics_enabled",
     "set_metrics_enabled",
     "LayerTimer",
     "latency_percentiles",

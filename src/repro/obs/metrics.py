@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "get_registry",
     "set_metrics_enabled",
-    "metrics_enabled",
     "METRICS_ENV_VAR",
 ]
 
@@ -538,6 +537,3 @@ def set_metrics_enabled(enabled: bool) -> None:
     """Turn every update on the default registry on or off (the bench knob)."""
     _default_registry.enabled = bool(enabled)
 
-
-def metrics_enabled() -> bool:
-    return _default_registry.enabled

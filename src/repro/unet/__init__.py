@@ -7,7 +7,7 @@ from .inference import (
     predict_batch_probabilities,
     predict_tile_probabilities,
 )
-from .model import UNet, UNetConfig, paper_unet_config, tiny_unet_config
+from .model import UNet, UNetConfig, tiny_unet_config
 
 __all__ = [
     "CompiledUNet",
@@ -18,6 +18,5 @@ __all__ = [
     "predict_tile_probabilities",
     "UNet",
     "UNetConfig",
-    "paper_unet_config",
     "tiny_unet_config",
 ]

@@ -26,7 +26,7 @@ from ..classes import NUM_CLASSES
 from ..nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D
 from ..nn.losses import softmax
 
-__all__ = ["Op", "UNetConfig", "UNet", "paper_unet_config", "tiny_unet_config", "unet_ops"]
+__all__ = ["Op", "UNetConfig", "UNet", "tiny_unet_config", "unet_ops"]
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ class UNetConfig:
         step = self.min_input_size()
         if shape[2] % step or shape[3] % step:
             raise ValueError(f"input spatial size must be divisible by {step} for depth {self.depth}")
-
-
-def paper_unet_config(seed: int = 0) -> UNetConfig:
-    """The full-scale configuration described in the paper (5 steps, 64 base channels)."""
-    return UNetConfig(depth=5, base_channels=64, dropout=0.2, seed=seed)
 
 
 def tiny_unet_config(seed: int = 0) -> UNetConfig:

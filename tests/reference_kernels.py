@@ -28,7 +28,11 @@ training loop (``unet/trainer.py``) the one trainer replaced — at one micro-sh
 and no dropout ``ElasticTrainer``'s in-process rank is held to it bit for bit.
 At the end, :class:`ReferenceUNet`: the U-Net as three block classes
 (``DoubleConv``, ``EncoderBlock``, ``DecoderBlock``) and a hand walk over them,
-before the graph became one op list — an exact oracle of ``UNet``.
+before the graph became one op list — an exact oracle of ``UNet``.  Last, two
+fixtures the pipeline never calls: :class:`Sequential`, the small container the
+module-system and checkpoint tests build, and the central-difference gradient
+checker (:func:`numerical_gradient`, :func:`check_layer_gradients`) every layer's
+backward is certified against.
 Not a test module; nothing under ``src/`` imports it.
 """
 
@@ -610,3 +614,98 @@ class ReferenceUNet(Module):
             if was_training:
                 self.train()
         return probs
+
+
+class Sequential(Module):
+    """A linear chain of modules applied in order."""
+
+    def __init__(self, *layers: Module) -> None:
+        super().__init__()
+        self.layers = list(layers)
+        for index, layer in enumerate(self.layers):
+            self.register_module(str(index), layer)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            grad_output = layer.backward(grad_output)
+        return grad_output
+
+    def __len__(self) -> int:
+        return len(self.layers)
+
+    def __getitem__(self, index: int) -> Module:
+        return self.layers[index]
+
+
+def _relative_error(a: np.ndarray, b: np.ndarray, eps: float = 1e-8) -> float:
+    """Max elementwise relative error, robust near zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), eps)))
+
+
+def numerical_gradient(func, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of a scalar function of an array."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        original = x[idx]
+        x[idx] = original + h
+        f_plus = func(x)
+        x[idx] = original - h
+        f_minus = func(x)
+        x[idx] = original
+        grad[idx] = (f_plus - f_minus) / (2.0 * h)
+        it.iternext()
+    return grad
+
+
+def check_layer_gradients(layer: Module, input_shape: tuple[int, ...], seed: int = 0, h: float = 1e-3,
+                          tolerance: float = 2e-2) -> dict[str, float]:
+    """Compare a layer's analytic gradients with central differences.
+
+    A random input and a random upstream gradient are drawn; the scalar test
+    function is ``sum(forward(x) * upstream)``, whose input gradient is the
+    layer's ``backward(upstream)`` and whose parameter gradients are the
+    accumulated ``param.grad`` values.  Returns the relative error of ``"input"``
+    and of each parameter; raises ``AssertionError`` when one exceeds ``tolerance``.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, size=input_shape).astype(np.float64)
+    out = layer.forward(x.astype(np.float32))
+    upstream = rng.normal(0.0, 1.0, size=out.shape).astype(np.float64)
+
+    layer.zero_grad()
+    layer.forward(x.astype(np.float32))
+    analytic_input = np.asarray(layer.backward(upstream.astype(np.float32)), dtype=np.float64)
+
+    def loss_of_input(values: np.ndarray) -> float:
+        return float(np.sum(layer.forward(values.astype(np.float32)).astype(np.float64) * upstream))
+
+    errors = {"input": _relative_error(analytic_input, numerical_gradient(loss_of_input, x.copy(), h=h))}
+    for name, param in layer.named_parameters().items():
+        layer.zero_grad()
+        layer.forward(x.astype(np.float32))
+        layer.backward(upstream.astype(np.float32))
+        analytic = param.grad.astype(np.float64).copy()
+        original = param.value.copy()
+
+        def loss_of_param(values: np.ndarray, _param=param) -> float:
+            _param.value = values.astype(np.float32)
+            return float(np.sum(layer.forward(x.astype(np.float32)).astype(np.float64) * upstream))
+
+        numeric = numerical_gradient(loss_of_param, original.astype(np.float64).copy(), h=h)
+        param.value = original
+        errors[name] = _relative_error(analytic, numeric)
+
+    failures = {k: v for k, v in errors.items() if v > tolerance}
+    if failures:
+        raise AssertionError(f"gradient check failed: {failures}")
+    return errors

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from repro.cloudshadow import (
     CloudShadowFilter,
     ThinCloudShadowRemover,
     detect_cloud_shadow,
-    estimate_coverage,
     filter_tiles,
 )
 from repro.cloudshadow.detection import _brightness_deviation
@@ -37,7 +38,17 @@ class TestDetection:
         assert masks.coverage > 0.10
 
     def test_detected_coverage_correlates_with_truth(self, clear_scene, cloudy_scene):
-        assert estimate_coverage(cloudy_scene.rgb) > estimate_coverage(clear_scene.rgb)
+        assert detect_cloud_shadow(cloudy_scene.rgb).coverage > detect_cloud_shadow(clear_scene.rgb).coverage
+
+    def test_masks_are_bit_identical_to_the_pinned_digest(self, clear_scene, cloudy_scene, tiny_dataset):
+        """Cloud and shadow masks of the shared scenes and tiles, pinned before ``otsu_threshold``
+        came to return its level alone and the morphology lost its unused options."""
+        digest = hashlib.sha256()
+        for rgb in [clear_scene.rgb, cloudy_scene.rgb, *tiny_dataset.images]:
+            masks = detect_cloud_shadow(rgb)
+            digest.update(masks.cloud.tobytes())
+            digest.update(masks.shadow.tobytes())
+        assert digest.hexdigest() == "3128f5857f322fa975449c281f970afd361f67f33daf74e54b3c91fe06d0984c"
 
     def test_masks_are_boolean_and_shaped(self, cloudy_scene):
         masks = detect_cloud_shadow(cloudy_scene.rgb)

@@ -26,7 +26,7 @@ from repro.distributed import (
     paper_table3,
     ring_allreduce,
 )
-from repro.nn import SGD, Adam, CategoricalCrossEntropy, load_checkpoint, read_metadata, save_checkpoint
+from repro.nn import Adam, CategoricalCrossEntropy, load_checkpoint, read_metadata, save_checkpoint
 from repro.nn.convgemm import NUMERICS
 from repro.obs.metrics import get_registry
 from repro.reliability import FaultSpec, configure_faults, fault_stats, reset_faults
@@ -171,11 +171,11 @@ class TestDataParallelTrainer:
         batches = list(loader)[:3]
 
         serial = UNet(config)
-        loss_fn, sgd = CategoricalCrossEntropy(), SGD(serial.parameters(), lr=1e-2)
+        loss_fn, adam = CategoricalCrossEntropy(), Adam(serial.parameters(), lr=1e-2)
         with ElasticTrainer(num_workers=2, config=config) as parallel:
-            parallel.optimizer = SGD(parallel.master.parameters(), lr=1e-2)
+            parallel.optimizer = Adam(parallel.master.parameters(), lr=1e-2)
             for x, y in batches:
-                reference_train_step(serial, loss_fn, sgd, x, y)
+                reference_train_step(serial, loss_fn, adam, x, y)
                 parallel.train_step(x, y)
             for (name_a, pa), (name_b, pb) in zip(
                 serial.named_parameters().items(),

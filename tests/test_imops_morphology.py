@@ -75,8 +75,8 @@ class TestErodeDilate:
         assert out[1, 1] == 90
 
     def test_iterations(self, blob_mask):
-        once = dilate(blob_mask, 3, iterations=1)
-        twice = dilate(blob_mask, 3, iterations=2)
+        once = dilate(blob_mask, 3)
+        twice = dilate(once, 3)
         assert twice.sum() > once.sum()
 
     def test_rejects_3d(self, rgb_image):
@@ -106,6 +106,22 @@ class TestCleanup:
     def test_remove_small_objects_empty_mask(self):
         out = remove_small_objects(np.zeros((5, 5), dtype=bool), min_size=2)
         assert out.sum() == 0
+
+    @pytest.mark.parametrize("kind", ["list", "uint8", "bool"])
+    @pytest.mark.parametrize("foreground", [False, True])
+    def test_remove_small_objects_keeps_the_input_kind(self, kind, foreground):
+        """A list mask is read as the array it makes, with or without foreground; the
+        result has the input's dtype and levels either way."""
+        grid = np.zeros((6, 6), dtype=np.uint8)
+        if foreground:
+            grid[1:4, 1:4] = 255
+            grid[5, 5] = 255  # a 1-pixel speck, dropped
+        mask = {"list": grid.tolist(), "uint8": grid, "bool": grid > 0}[kind]
+        out = remove_small_objects(mask, min_size=2)
+        want = np.asarray(mask).copy()
+        want[5, 5] = 0
+        assert out.dtype == np.asarray(mask).dtype
+        np.testing.assert_array_equal(out, want)
 
     def test_fill_holes(self):
         mask = np.zeros((20, 20), dtype=bool)

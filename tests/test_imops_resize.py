@@ -105,9 +105,9 @@ class TestPadAndTiles:
         assert tiles.shape[0] == 6
 
     def test_assemble_rejects_wrong_count(self):
-        tiles = np.zeros((5, 8, 8), dtype=np.uint8)
+        _, grid = split_into_tiles(np.zeros((16, 24), dtype=np.uint8), 8)
         with pytest.raises(ValueError):
-            assemble_from_tiles(tiles, (2, 3))
+            assemble_from_tiles(np.zeros((5, 8, 8), dtype=np.uint8), grid)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([8, 16]))
@@ -153,20 +153,25 @@ class TestOverlapTiling:
         assert copy.image_shape == grid.image_shape and copy.padded_shape == grid.padded_shape
 
     def test_non_multiple_round_trip_is_cropped_exact(self):
-        """A TileGrid reassembly crops back to the original scene size, so
-        non-multiple scenes round-trip exactly."""
+        """A disjoint reassembly stitches the padded scene and crops it back to the
+        original size, so non-multiple scenes round-trip exactly."""
         rng = np.random.default_rng(5)
-        img = rng.integers(0, 255, size=(300, 500, 3), dtype=np.uint8)
-        tiles, grid = split_into_tiles(img, 128)
-        out = assemble_from_tiles(tiles, grid)
-        np.testing.assert_array_equal(out, img)
+        for shape in [(300, 500, 3), (300, 500)]:
+            img = rng.integers(0, 255, size=shape, dtype=np.uint8)
+            tiles, grid = split_into_tiles(img, 128)
+            assert grid.padded_shape == (384, 512)
+            np.testing.assert_array_equal(assemble_from_tiles(tiles, grid), img)
 
     def test_legacy_tuple_grid_keeps_uncropped_stitch(self):
+        """The uncropped stitch a plain (rows, cols) tuple used to select is a
+        TileGrid whose image shape is its padded shape: the padded scene comes back."""
         img = np.random.default_rng(6).integers(0, 255, size=(300, 500), dtype=np.uint8)
         tiles, grid = split_into_tiles(img, 128)
-        legacy = assemble_from_tiles(tiles, (grid[0], grid[1]))
+        uncropped = TileGrid(grid[0], grid[1], grid.tile_size, 0, grid.padded_shape, grid.padded_shape)
+        legacy = assemble_from_tiles(tiles, uncropped)
         assert legacy.shape == grid.padded_shape
         np.testing.assert_array_equal(legacy[:300, :500], img)
+        np.testing.assert_array_equal(legacy, pad_to_multiple(img, 128))
 
     @pytest.mark.parametrize("shape", [(300, 500, 3), (96, 96), (40, 130)])
     def test_overlap_blend_round_trip(self, shape):

@@ -13,11 +13,10 @@ from repro.nn import (
     MaxPool2D,
     ReLU,
     UpConv2D,
-    check_layer_gradients,
     conv_output_size,
 )
 
-from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, Subsampled, col2im, im2col
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, Subsampled, check_layer_gradients, col2im, im2col
 
 
 class TestGradientChecks:

@@ -15,7 +15,7 @@ import pytest
 from batcher_gate import GatedPredict, tagged_tile
 
 from repro.distributed import ElasticTrainer
-from repro.nn.optimizers import SGD, Adam
+from repro.nn.optimizers import Adam
 from repro.nn.serialization import (
     CheckpointError,
     load_checkpoint,
@@ -293,7 +293,7 @@ class TestAtomicCheckpointWrites:
 
     def test_save_checkpoint_replaces_previous_archive_atomically(self, tmp_path):
         model = UNet(tiny_unet_config(seed=2))
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(model, optimizer, path)
         before = load_model_state(path)

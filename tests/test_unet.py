@@ -18,7 +18,6 @@ from repro.unet import (
     InferenceConfig,
     UNet,
     UNetConfig,
-    paper_unet_config,
     tiny_unet_config,
 )
 from repro.unet.compiled import iter_plan_conv_layers
@@ -41,7 +40,7 @@ class TestUNetModel:
 
     def test_paper_configuration_matches_description(self):
         """Paper: 28 convolutional layers, 5 down-sampling steps, 256x256 inputs."""
-        model = UNet(paper_unet_config())
+        model = UNet(UNetConfig(depth=5, base_channels=64, dropout=0.2))
         assert model.num_conv_layers() == 28
         assert sum(isinstance(op.layer, MaxPool2D) for op in model.ops) == 5
         assert sum(isinstance(op.layer, UpConv2D) for op in model.ops) == 5
