@@ -2,11 +2,11 @@
 
 * :mod:`repro.cloudshadow.detection` — classical mask detection (and the coverage it implies)
 * :mod:`repro.cloudshadow.removal` — linear-mixing-model veil estimation and inversion
-* :mod:`repro.cloudshadow.pipeline` — combined filter with batch helpers
+* :mod:`repro.cloudshadow.pipeline` — combined filter and its batch method
 """
 
 from .detection import CloudShadowMasks, detect_cloud_shadow
-from .pipeline import CloudShadowFilter, FilterResult, filter_tiles
+from .pipeline import CloudShadowFilter, FilterResult
 from .removal import ThinCloudShadowRemover, VeilEstimate
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "detect_cloud_shadow",
     "CloudShadowFilter",
     "FilterResult",
-    "filter_tiles",
     "ThinCloudShadowRemover",
     "VeilEstimate",
 ]

@@ -2,7 +2,7 @@
 
 Combines detection (which pixels are veiled, and how much of the tile is
 affected) with removal (what the surface underneath looks like), and adds
-batch helpers so the auto-labeling and inference workflows can filter whole
+a batch method so the auto-labeling and inference workflows can filter whole
 tile stacks with one call.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 from .detection import CloudShadowMasks, detect_cloud_shadow
 from .removal import ThinCloudShadowRemover, VeilEstimate
 
-__all__ = ["FilterResult", "CloudShadowFilter", "filter_tiles"]
+__all__ = ["FilterResult", "CloudShadowFilter"]
 
 
 @dataclass
@@ -57,7 +57,7 @@ class CloudShadowFilter:
         return self.remover.remove(np.asarray(rgb))
 
     def filter_planes(self, rgb: np.ndarray) -> np.ndarray:
-        """The filtered image as float64 ``(3, H, W)`` planes of exact uint8 values (what the labeler reads)."""
+        """The filtered image as float32 ``(3, H, W)`` planes of exact uint8 values (what the labeler reads)."""
         return self.remover.remove_planes(np.asarray(rgb))
 
     def apply_batch(self, tiles: np.ndarray) -> np.ndarray:
@@ -70,8 +70,3 @@ class CloudShadowFilter:
     def coverage(self, rgb: np.ndarray) -> float:
         """Detected cloud+shadow coverage fraction of one image."""
         return detect_cloud_shadow(np.asarray(rgb), blur_ksize=self.detection_blur_ksize, remover=self.remover).coverage
-
-
-def filter_tiles(tiles: np.ndarray, **kwargs) -> np.ndarray:
-    """Module-level convenience: filter a tile stack with a default filter."""
-    return CloudShadowFilter(**kwargs).apply_batch(tiles)

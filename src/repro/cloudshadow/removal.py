@@ -21,17 +21,23 @@ filter therefore
 4. optionally smooths the opacity field (veils are spatially smooth), and
 5. inverts the mixing model to recover the surface colour.
 
-The kernel is planar.  The image is split once into three contiguous float64
-``(H, W)`` planes and the K x 2 hypotheses are visited in a Python loop, each
-a fixed sequence of whole-plane ufuncs writing into per-call scratch
-(``out=``).  No per-pixel hypothesis array is built: one running best score
-per contaminant, with the class that attains it and that hypothesis's
-opacity, is all that outlives the loop.  The floating-point operations and
+The kernel is planar and float32.  The image is split once into three
+contiguous float32 ``(H, W)`` planes and the K x 2 hypotheses are visited in a
+Python loop, each a fixed sequence of whole-plane ufuncs writing into per-call
+scratch (``out=``).  No per-pixel hypothesis array is built: one running best
+score per contaminant, with the class that attains it and that hypothesis's
+opacity, is all that outlives the loop.  The passes are bound by memory
+traffic, and float32 halves it: with 8-bit pixels and integer calibration
+colours every difference, product and sum of the projection is an integer
+below 2**24, exact in float32 as in float64.  The floating-point operations and
 their order are those of the textbook broadcast formulation, which the tests
-keep as the oracle and require ``array_equal`` against.  (That holds wherever
-the projection's products are exact -- 8-bit pixels, colours on a binary grid,
-the defaults among them; elsewhere the oracle's ``einsum`` fuses multiply-adds
-on CPUs that can, and the two differ in the last bit of ``alpha``.)
+keep as the oracle (run in float32) and require ``array_equal`` against.  (That
+holds wherever the projection's products are exact -- 8-bit pixels, colours on
+a binary grid, the defaults among them; elsewhere the oracle's ``einsum`` fuses
+multiply-adds on CPUs that can, and the two differ in the last bit of
+``alpha``.)  Against the same oracle run in float64 the class maps of the
+auto-labeller and the detection masks agree exactly; a filtered pixel-channel
+whose value sits on a rounding boundary can move by 1 DN.
 
 In a deployment on real Sentinel-2 data the reference colours would be
 calibrated per region/season exactly as the paper calibrates its HSV
@@ -86,14 +92,19 @@ class ThinCloudShadowRemover:
         absorb a little sensor noise into a tiny spurious opacity; the floor
         keeps genuinely clean pixels untouched.
     smooth_ksize:
-        Gaussian kernel size used to smooth the opacity fields (0 disables).
+        Gaussian kernel size used to smooth the opacity fields (0 disables,
+        otherwise odd and at least 3).
     score_smooth_ksize:
         Gaussian kernel size used to aggregate hypothesis scores over a
         neighbourhood before choosing the winner.  Both the surface classes
         and the veils are regionally coherent, so pooling evidence spatially
         resolves pixels where two (surface, contaminant) explanations are
         nearly collinear in RGB space (e.g. cloud-over-water versus
-        shadow-over-thin-ice).  0 disables pooling.
+        shadow-over-thin-ice).  0 disables pooling; otherwise odd and at
+        least 3.
+
+    The calibration is held as float32 constants, and every plane the
+    remover computes is float32.
     """
 
     surface_prototypes: np.ndarray = field(default_factory=prototype_array)
@@ -106,15 +117,21 @@ class ThinCloudShadowRemover:
     score_smooth_ksize: int = 11
 
     def __post_init__(self) -> None:
-        self.surface_prototypes = np.asarray(self.surface_prototypes, dtype=np.float64)
+        self.surface_prototypes = np.asarray(self.surface_prototypes, dtype=np.float32)
         if self.surface_prototypes.ndim != 2 or self.surface_prototypes.shape[1] != 3:
             raise ValueError("surface_prototypes must be a (K, 3) array")
         if not 0.0 < self.max_alpha < 1.0:
             raise ValueError("max_alpha must be in (0, 1)")
+        if not 0.0 <= self.min_alpha < self.max_alpha:
+            raise ValueError(f"min_alpha must be in [0, max_alpha), got {self.min_alpha} with max_alpha {self.max_alpha}")
+        for name in ("smooth_ksize", "score_smooth_ksize"):
+            ksize = getattr(self, name)
+            if not isinstance(ksize, (int, np.integer)) or not (ksize == 0 or (ksize >= 3 and ksize % 2)):
+                raise ValueError(f"{name} must be 0 or an odd integer >= 3, got {ksize!r}")
         # What depends only on the calibration: direction[k, m] = C_m - J_k and its squared norm.
-        contaminants = np.array([self.cloud_color, self.shadow_color], dtype=np.float64)  # (2, 3)
+        contaminants = np.array([self.cloud_color, self.shadow_color], dtype=np.float32)  # (2, 3)
         self._direction = contaminants[None, :, :] - self.surface_prototypes[:, None, :]  # (K, 2, 3)
-        self._dir_norm_sq = np.maximum(np.sum(self._direction * self._direction, axis=-1), 1e-9)  # (K, 2)
+        self._dir_norm_sq = np.maximum(np.sum(self._direction * self._direction, axis=-1), np.float32(1e-9))  # (K, 2)
 
     # ------------------------------------------------------------------ #
     # Veil estimation
@@ -136,11 +153,11 @@ class ThinCloudShadowRemover:
         # Kept per contaminant m: the best score over the surfaces k, the first k that attains it
         # and that hypothesis's opacity.  The rest is per-call scratch (the thread executor runs
         # one remover concurrently).
-        best = np.empty((2, h, w))
+        best = np.empty((2, h, w), dtype=np.float32)
         best_k = np.zeros((2, h, w), dtype=np.uint8)
-        best_alpha = np.empty((2, h, w))
-        diff = np.empty((3, h, w))
-        alpha, scratch, tmp = np.empty((3, h, w))
+        best_alpha = np.empty((2, h, w), dtype=np.float32)
+        diff = np.empty((3, h, w), dtype=np.float32)
+        alpha, scratch, tmp = np.empty((3, h, w), dtype=np.float32)
         for k in range(self.surface_prototypes.shape[0]):
             np.subtract(planes, self.surface_prototypes[k][:, None, None], out=diff)  # I - J_k
             for m in range(2):
@@ -173,7 +190,7 @@ class ThinCloudShadowRemover:
         # surface class itself is the per-pixel winner under that contaminant
         # (class boundaries are sharp and must not be blurred across).
         cloud_score, shadow_score = best
-        if self.score_smooth_ksize and self.score_smooth_ksize >= 3:
+        if self.score_smooth_ksize:
             cloud_score = gaussian_blur(cloud_score, ksize=self.score_smooth_ksize)
             shadow_score = gaussian_blur(shadow_score, ksize=self.score_smooth_ksize)
         is_shadow = shadow_score < cloud_score  # ties go to cloud, as argmin over m would
@@ -181,7 +198,7 @@ class ThinCloudShadowRemover:
         cloud_alpha = np.where(is_shadow, 0.0, best_alpha[0])
         shadow_alpha = np.where(is_shadow, best_alpha[1], 0.0)
 
-        if self.smooth_ksize and self.smooth_ksize >= 3:
+        if self.smooth_ksize:
             cloud_alpha = gaussian_blur(cloud_alpha, ksize=self.smooth_ksize)
             shadow_alpha = gaussian_blur(shadow_alpha, ksize=self.smooth_ksize)
             cloud_alpha = np.clip(cloud_alpha, 0.0, self.max_alpha)
@@ -202,13 +219,13 @@ class ThinCloudShadowRemover:
     # Veil inversion
     # ------------------------------------------------------------------ #
     def remove_planes(self, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
-        """The filtered image as float64 ``(3, H, W)`` planes holding its exact uint8 values."""
+        """The filtered image as float32 ``(3, H, W)`` planes holding its exact uint8 values."""
         planes = self._planes(rgb)
         est = estimate or self._estimate(planes)
 
         # Invert the shadow veil first (it is composited on top of the cloud
         # veil by the atmosphere: the shadowed surface may itself be cloudy).
-        tmp = np.empty(planes.shape[1:])
+        tmp = np.empty(planes.shape[1:], dtype=np.float32)
         for veil, color in ((est.shadow_alpha, self.shadow_color), (est.cloud_alpha, self.cloud_color)):
             a = np.clip(veil, 0.0, self.max_alpha)
             keep = np.maximum(1.0 - a, 1.0 - self.max_alpha)

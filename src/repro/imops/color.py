@@ -29,13 +29,14 @@ _HUE_SCALE = 2.0
 
 
 def channel_planes(image: np.ndarray) -> np.ndarray:
-    """The channels of an ``(H, W, C)`` image as contiguous float64 ``(C, H, W)`` planes.
+    """The channels of an ``(H, W, C)`` image as contiguous float32 ``(C, H, W)`` planes.
 
-    The cloud/shadow remover runs whole-plane ufuncs with ``out=`` on them; on the
-    interleaved layout the same arithmetic walks a length-``C`` strided last axis.
+    The cloud/shadow remover runs whole-plane float32 ufuncs with ``out=`` on them; on
+    the interleaved layout the same arithmetic walks a length-``C`` strided last axis.
+    8-bit pixels (and any value on a fine enough binary grid) are held exactly.
     """
     img = np.asarray(image)
-    planes = np.empty(img.shape[-1:] + img.shape[:-1])
+    planes = np.empty(img.shape[-1:] + img.shape[:-1], dtype=np.float32)
     planes[...] = np.moveaxis(img, -1, 0)
     return planes
 

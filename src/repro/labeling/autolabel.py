@@ -103,8 +103,8 @@ class ColorSegmentationLabeler:
     def __call__(self, rgb: np.ndarray) -> np.ndarray:
         """Return only the class map (the form used by the parallel pipelines).
 
-        Nobody reads the filtered image here, so the filter's planes (exact integers 0-255) are labelled as
-        they are; :meth:`segment` labels their uint8 interleave, and the two agree bit for bit."""
+        Nobody reads the filtered image here, so the filter's float32 planes (exact integers 0-255) are labelled
+        as they are; :meth:`segment` labels their uint8 interleave, and the two agree bit for bit."""
         if self.apply_cloud_filter:
             return self._label(self.cloud_filter.filter_planes(rgb), unit=False)[0]
         return self._label(np.moveaxis(np.asarray(rgb), -1, 0))[0]

@@ -5,10 +5,13 @@ The auto-label half is the bodies ``ThinCloudShadowRemover.estimate``/``remove``
 and ``_brightness_deviation`` had before the per-tile path went planar, kept
 verbatim (hypothesis tensors, ``einsum``, fancy indexing and all) so the
 differential tests can demand ``array_equal`` rather than a tolerance, plus the
-input strategy those tests share.  The ``nn`` half holds the whole-image
-offset-GEMM and the 6-D pooling reduce that ``conv_forward_offset``,
-``_ConvStep``, ``_MaxPoolStep`` and ``MaxPool2D`` ran before they went
-row-banded / four-view.  Pooling is exact against its oracle; the conv is not
+input strategy those tests share.  The remover's two run in the remover's dtype
+(float32) or, asked, in float64 -- the filter as it was before it went float32.
+``gaussian_blur`` as it was before it became a numpy recurrence,
+``scipy.ndimage.correlate1d`` per axis and channel, sits beside them.  The
+``nn`` half holds the whole-image offset-GEMM and the 6-D pooling reduce that
+``conv_forward_offset``, ``_ConvStep``, ``_MaxPoolStep`` and ``MaxPool2D`` ran
+before they went row-banded / four-view.  Pooling is exact against its oracle; the conv is not
 (OpenBLAS ``sgemm`` results depend on the GEMM's column count in the last bit),
 so it is compared under a tolerance.  Last come the seed's training kernels —
 ``im2col`` / ``col2im`` and the :class:`ReferenceConv2D` /
@@ -41,10 +44,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
 from repro.cloudshadow import VeilEstimate
-from repro.imops import absdiff, gaussian_blur, scale_to_uint8
+from repro.imops import absdiff, gaussian_blur, gaussian_kernel1d, scale_to_uint8
 from repro.nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D, softmax
 from repro.nn.layers import max_of_views, pool_views
 from repro.unet import UNetConfig
@@ -67,18 +71,20 @@ def rgb_views(draw, max_side=24):
     return base[..., ::-1] if layout == "reversed" else base
 
 
-def reference_estimate(remover, rgb: np.ndarray) -> VeilEstimate:
-    """``ThinCloudShadowRemover.estimate`` over the (H, W, K, M, 3) hypothesis tensor."""
-    data = np.asarray(rgb).astype(np.float64)
+def reference_estimate(remover, rgb: np.ndarray, dtype=None) -> VeilEstimate:
+    """``ThinCloudShadowRemover.estimate`` over the (H, W, K, M, 3) hypothesis tensor, computed in
+    ``dtype`` (the remover's, float32, unless given: float64 is the filter before it went float32)."""
+    dtype = np.dtype(dtype or remover.surface_prototypes.dtype).type
+    data = np.asarray(rgb).astype(dtype)
     h, w, _ = data.shape
 
-    prototypes = remover.surface_prototypes  # (K, 3)
-    contaminants = np.array([remover.cloud_color, remover.shadow_color], dtype=np.float64)  # (2, 3)
+    prototypes = remover.surface_prototypes.astype(dtype)  # (K, 3)
+    contaminants = np.array([remover.cloud_color, remover.shadow_color], dtype=dtype)  # (2, 3)
     num_m = contaminants.shape[0]
 
     diff = data[:, :, None, :] - prototypes[None, None, :, :]  # (H, W, K, 3)
     direction = contaminants[None, :, :] - prototypes[:, None, :]  # (K, M, 3)
-    dir_norm_sq = np.maximum(np.sum(direction * direction, axis=-1), 1e-9)  # (K, M)
+    dir_norm_sq = np.maximum(np.sum(direction * direction, axis=-1), dtype(1e-9))  # (K, M)
 
     alpha = np.einsum("hwkc,kmc->hwkm", diff, direction) / dir_norm_sq[None, None, :, :]
     alpha = np.clip(alpha, 0.0, remover.max_alpha)
@@ -114,17 +120,19 @@ def reference_estimate(remover, rgb: np.ndarray) -> VeilEstimate:
     return VeilEstimate(cloud_alpha=cloud_alpha, shadow_alpha=shadow_alpha, surface_class=best_k.astype(np.uint8))
 
 
-def reference_remove(remover, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
-    """``ThinCloudShadowRemover.remove`` on the interleaved (H, W, 3) float image."""
+def reference_remove(remover, rgb: np.ndarray, estimate: VeilEstimate | None = None, dtype=None) -> np.ndarray:
+    """``ThinCloudShadowRemover.remove`` on the interleaved (H, W, 3) float image, in ``dtype`` as
+    :func:`reference_estimate`."""
+    dtype = np.dtype(dtype or remover.surface_prototypes.dtype).type
     img = np.asarray(rgb)
-    est = estimate or reference_estimate(remover, img)
-    data = img.astype(np.float64)
+    est = estimate or reference_estimate(remover, img, dtype)
+    data = img.astype(dtype)
 
-    shadow = np.asarray(remover.shadow_color, dtype=np.float64).reshape(1, 1, 3)
+    shadow = np.asarray(remover.shadow_color, dtype=dtype).reshape(1, 1, 3)
     a_s = np.clip(est.shadow_alpha, 0.0, remover.max_alpha)[..., None]
     data = (data - a_s * shadow) / np.maximum(1.0 - a_s, 1.0 - remover.max_alpha)
 
-    cloud = np.asarray(remover.cloud_color, dtype=np.float64).reshape(1, 1, 3)
+    cloud = np.asarray(remover.cloud_color, dtype=dtype).reshape(1, 1, 3)
     a_c = np.clip(est.cloud_alpha, 0.0, remover.max_alpha)[..., None]
     data = (data - a_c * cloud) / np.maximum(1.0 - a_c, 1.0 - remover.max_alpha)
     return np.clip(np.round(data), 0, 255).astype(np.uint8)
@@ -195,6 +203,22 @@ def reference_brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarr
     smoothed = gaussian_blur(value, ksize=blur_ksize).astype(np.float64)
     deviation = np.abs(smoothed - float(np.median(smoothed)))
     return scale_to_uint8(absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
+
+
+def reference_gaussian_blur(image: np.ndarray, ksize: int) -> np.ndarray:
+    """``gaussian_blur`` as ``scipy.ndimage.correlate1d`` along each axis of each channel, in float64."""
+    img = np.asarray(image)
+    kernel = gaussian_kernel1d(ksize)
+
+    def blur2d(channel):
+        data = ndimage.correlate1d(channel.astype(np.float64), kernel, axis=0, mode="reflect")
+        return ndimage.correlate1d(data, kernel, axis=1, mode="reflect")
+
+    out = blur2d(img) if img.ndim == 2 else np.stack([blur2d(img[..., c]) for c in range(img.shape[-1])], axis=-1)
+    if np.issubdtype(img.dtype, np.integer):
+        info = np.iinfo(img.dtype)
+        return np.clip(np.round(out), info.min, info.max).astype(img.dtype)
+    return out
 
 
 def reference_conv_forward(xp, weight, bias) -> np.ndarray:

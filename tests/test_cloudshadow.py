@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reference_kernels import reference_brightness_deviation, reference_estimate, reference_remove, rgb_views
 
-from repro.cloudshadow import (
-    CloudShadowFilter,
-    ThinCloudShadowRemover,
-    detect_cloud_shadow,
-    filter_tiles,
-)
+from repro.cloudshadow import CloudShadowFilter, ThinCloudShadowRemover, detect_cloud_shadow
 from repro.cloudshadow.detection import _brightness_deviation
+from repro.data import build_dataset
+from repro.labeling import autolabel_tile
 from repro.metrics import accuracy_score, ssim
 
 
@@ -105,6 +102,24 @@ class TestRemoval:
         with pytest.raises(ValueError):
             ThinCloudShadowRemover(surface_prototypes=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("min_alpha, max_alpha", [(0.9, 0.75), (0.75, 0.75), (-0.01, 0.75)])
+    def test_rejects_an_opacity_floor_outside_the_ceiling(self, min_alpha, max_alpha):
+        """A floor at or above ``max_alpha`` zeroed every veil: the filter silently did nothing."""
+        with pytest.raises(ValueError, match="min_alpha"):
+            ThinCloudShadowRemover(min_alpha=min_alpha, max_alpha=max_alpha)
+
+    @pytest.mark.parametrize("name", ["smooth_ksize", "score_smooth_ksize"])
+    @pytest.mark.parametrize("ksize", [4, -3, 1, 2, 5.0])
+    def test_rejects_a_kernel_that_is_not_off_or_odd(self, name, ksize):
+        """Even sizes failed only at the first estimate, and negative ones silently disabled smoothing."""
+        with pytest.raises(ValueError, match=name):
+            ThinCloudShadowRemover(**{name: ksize})
+
+    @pytest.mark.parametrize("ksize", [0, 3, 7, np.int64(5)])
+    def test_accepts_the_edges_of_each_range(self, ksize):
+        remover = ThinCloudShadowRemover(smooth_ksize=ksize, score_smooth_ksize=ksize, min_alpha=0.0)
+        assert remover.estimate(np.zeros((4, 4, 3), dtype=np.uint8)).cloud_alpha.dtype == np.float32
+
     def test_callable_alias(self, cloudy_scene):
         remover = ThinCloudShadowRemover()
         np.testing.assert_array_equal(remover(cloudy_scene.rgb), remover.remove(cloudy_scene.rgb))
@@ -153,8 +168,9 @@ class TestPlanarKernelMatchesBroadcastOracle:
         remover = ThinCloudShadowRemover(surface_prototypes=np.array([[238.3, 242.1, 248.7], [126.37, 124.2, 120.9], [2.1, 13.3, 22.7]]))
         got, want = remover.estimate(cloudy_scene.rgb), reference_estimate(remover, cloudy_scene.rgb)
         np.testing.assert_array_equal(got.surface_class, want.surface_class)
-        np.testing.assert_allclose(got.cloud_alpha, want.cloud_alpha, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(got.shadow_alpha, want.shadow_alpha, rtol=0, atol=1e-15)
+        ulps = 4 * np.finfo(np.float32).eps
+        np.testing.assert_allclose(got.cloud_alpha, want.cloud_alpha, rtol=0, atol=ulps)
+        np.testing.assert_allclose(got.shadow_alpha, want.shadow_alpha, rtol=0, atol=ulps)
         np.testing.assert_array_equal(remover.remove(cloudy_scene.rgb, got), reference_remove(remover, cloudy_scene.rgb, want))
 
     def test_one_remover_shared_by_threads(self, cloudy_scene, clear_scene):
@@ -172,6 +188,40 @@ class TestPlanarKernelMatchesBroadcastOracle:
     @given(rgb=rgb_views(max_side=40), ksize=st.sampled_from([3, 11, 63]))
     def test_brightness_deviation_without_the_hsv_round_trip(self, rgb, ksize):
         np.testing.assert_array_equal(_brightness_deviation(rgb, ksize), reference_brightness_deviation(rgb, ksize))
+
+
+class TestFloat32AgreesWithTheFloat64Filter:
+    """The float32 filter against the broadcast oracle run in float64, which is the filter as it was
+    before it went float32: class maps and detection masks equal; filtered pixel-channels that sit on a
+    rounding boundary may move by 1 DN, on a share no larger than 1e-5."""
+
+    @staticmethod
+    def moved_pixel_channels(images) -> int:
+        remover = ThinCloudShadowRemover()
+        moved = 0
+        for rgb in images:
+            wide = reference_estimate(remover, rgb, np.float64)
+            filtered = reference_remove(remover, rgb, wide, np.float64)
+            np.testing.assert_array_equal(autolabel_tile(rgb), autolabel_tile(filtered, apply_cloud_filter=False))
+            narrow = remover.estimate(rgb)
+            got, want = detect_cloud_shadow(rgb, estimate=narrow), detect_cloud_shadow(rgb, estimate=wide)
+            np.testing.assert_array_equal(got.cloud, want.cloud)
+            np.testing.assert_array_equal(got.shadow, want.shadow)
+            delta = np.abs(remover.remove(rgb, narrow).astype(np.int16) - filtered)
+            assert delta.max() <= 1
+            moved += int(np.count_nonzero(delta))
+        return moved
+
+    def test_shared_scenes_and_tiles(self, clear_scene, cloudy_scene, tiny_dataset):
+        self.moved_pixel_channels([clear_scene.rgb, cloudy_scene.rgb, *tiny_dataset.images])
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_bench_shaped_datasets(self, seed):
+        """The tiles the auto-label benchmark labels at these seeds: 24 of 256 x 256, half the scenes cloudy."""
+        images = build_dataset(num_scenes=6, scene_size=512, tile_size=256, base_seed=seed, cloudy_fraction=0.5).images
+        moved = self.moved_pixel_channels(images)
+        print(f"seed {seed}: {moved} of {images.size:,} filtered pixel-channels moved by 1 DN")
+        assert moved <= 1e-5 * images.size
 
 
 class TestFilterPipeline:
@@ -207,10 +257,6 @@ class TestFilterPipeline:
     def test_apply_batch_rejects_bad_shape(self, tiny_dataset):
         with pytest.raises(ValueError):
             CloudShadowFilter().apply_batch(tiny_dataset.labels)
-
-    def test_filter_tiles_helper(self, tiny_dataset):
-        out = filter_tiles(tiny_dataset.images[:2])
-        assert out.shape == tiny_dataset.images[:2].shape
 
     def test_filtering_improves_autolabel_accuracy(self, cloudy_scene):
         """The central claim of the paper's filter: labels on filtered imagery are better."""

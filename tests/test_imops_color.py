@@ -113,7 +113,7 @@ class TestPlanarRgbToHsvMatchesOracle:
 
     def test_channel_planes(self, rgb_image):
         planes = channel_planes(rgb_image[:, ::2])
-        assert planes.dtype == np.float64 and planes.shape == (3, 40, 28) and planes.flags.c_contiguous
+        assert planes.dtype == np.float32 and planes.shape == (3, 40, 28) and planes.flags.c_contiguous
         np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), rgb_image[:, ::2])
 
 

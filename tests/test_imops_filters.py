@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from reference_kernels import reference_gaussian_blur
 
 from repro.imops import bilateral_filter, box_filter, gaussian_blur, gaussian_kernel1d, median_blur
+
+# Odd kernels from 3 to 63 taps, and 2-D or 3-channel shapes with sides from 1 (smaller than any of them) to 40.
+KSIZES = st.integers(1, 31).map(lambda r: 2 * r + 1)
+SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 40)) | st.tuples(st.integers(1, 40), st.integers(1, 40), st.just(3))
 
 
 class TestGaussianKernel:
@@ -61,6 +69,37 @@ class TestGaussianBlur:
     def test_integer_constant_image_unchanged(self):
         img = np.full((12, 12), -321, dtype=np.int16)
         np.testing.assert_array_equal(gaussian_blur(img, 5), img)
+
+
+class TestGaussianBlurMatchesCorrelate1d:
+    """The numpy recurrence against ``scipy.ndimage.correlate1d``, the implementation it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ksize=KSIZES, shape=SHAPES)
+    def test_float64_is_bit_identical(self, data, ksize, shape):
+        img = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e4, 1e4)))
+        out = gaussian_blur(img, ksize)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, reference_gaussian_blur(img, ksize))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ksize=KSIZES, shape=SHAPES)
+    def test_uint8_is_bit_identical(self, data, ksize, shape):
+        img = data.draw(hnp.arrays(np.uint8, shape))
+        out = gaussian_blur(img, ksize)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, reference_gaussian_blur(img, ksize))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ksize=KSIZES, shape=SHAPES)
+    def test_float32_stays_float32_within_its_rounding(self, data, ksize, shape):
+        img = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(-1e4, 1e4, width=32)))
+        out = gaussian_blur(img, ksize)
+        assert out.dtype == np.float32
+        # Each pass is a positive-weight sum of 2r + 1 = ksize values in under 3r + 2 roundings,
+        # each by at most eps / 2 of the largest magnitude; the float32 weights add one more.
+        bound = 2 * ksize * np.finfo(np.float32).eps * float(np.abs(img).max())
+        np.testing.assert_allclose(out, gaussian_blur(img.astype(np.float64), ksize), rtol=0, atol=bound)
 
 
 class TestBoxAndMedian:

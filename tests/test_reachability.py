@@ -45,7 +45,7 @@ _STILL_TESTED = frozenset({
     "fill_holes", "morph_open",  # imops/morphology.py
     "BatchNorm2D",  # nn/layers.py
     "augment_pair", "labels_to_onehot", "smooth_blobs", "color_to_class_map",  # data/, classes.py
-    "amdahl_speedup", "iou_score", "filter_tiles",  # metrics/, cloudshadow/
+    "amdahl_speedup", "iou_score",  # metrics/
 })
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
