@@ -155,6 +155,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     import time
 
     from .data import SceneSpec, synthesize_scene
+    from .imops.resize import TileGrid
     from .metrics import accuracy_score
     from .unet import InferenceConfig, SceneClassifier
 
@@ -177,9 +178,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         class_map = classifier.classify_scene(scene.rgb)
         elapsed = time.perf_counter() - start
     # Tile count from geometry alone — no need to cut the scene a second time.
-    stride = args.tile_size - args.overlap
-    per_axis = 1 if args.scene_size <= args.tile_size else -(-(args.scene_size - args.tile_size) // stride) + 1
-    num_tiles = per_axis * per_axis
+    num_tiles = TileGrid.covering((args.scene_size, args.scene_size), args.tile_size, args.overlap).num_tiles
     print(
         json.dumps(
             {

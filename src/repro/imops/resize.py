@@ -148,6 +148,20 @@ class TileGrid(tuple):
     def num_tiles(self) -> int:
         return self[0] * self[1]
 
+    @classmethod
+    def covering(cls, image_shape: tuple[int, int], tile_size: int, overlap: int = 0) -> "TileGrid":
+        """The grid :func:`split_into_tiles` cuts an ``image_shape`` scene into: per axis, the
+        fewest tiles at stride ``tile_size - overlap`` that reach the far edge (one when the
+        axis fits in a tile), the scene padded out to where the last tile ends."""
+        if tile_size < 1:
+            raise ValueError("tile_size must be >= 1")
+        if not 0 <= overlap < tile_size:
+            raise ValueError("overlap must satisfy 0 <= overlap < tile_size")
+        stride = tile_size - overlap
+        counts = [1 if n <= tile_size else -(-(n - tile_size) // stride) + 1 for n in image_shape]
+        padded = [(count - 1) * stride + tile_size for count in counts]
+        return cls(*counts, tile_size, overlap, image_shape=image_shape, padded_shape=padded)
+
     def __reduce__(self):
         return (TileGrid, (self[0], self[1], self.tile_size, self.overlap, self.image_shape, self.padded_shape))
 
@@ -193,19 +207,12 @@ def split_into_tiles(
     ``(n_tiles, tile_size, tile_size[, C])`` and ``grid`` is a
     :class:`TileGrid` (usable as a plain ``(rows, cols)`` tuple).
     """
-    if tile_size < 1:
-        raise ValueError("tile_size must be >= 1")
-    if not 0 <= overlap < tile_size:
-        raise ValueError("overlap must satisfy 0 <= overlap < tile_size")
     img = np.asarray(image)
     h, w = img.shape[:2]
-    stride = tile_size - overlap
-    rows = 1 if h <= tile_size else int(np.ceil((h - tile_size) / stride)) + 1
-    cols = 1 if w <= tile_size else int(np.ceil((w - tile_size) / stride)) + 1
-    padded_h = (rows - 1) * stride + tile_size
-    padded_w = (cols - 1) * stride + tile_size
-    img = _pad_bottom_right(img, padded_h - h, padded_w - w, "reflect")
-    grid = TileGrid(rows, cols, tile_size, overlap, image_shape=(h, w), padded_shape=(padded_h, padded_w))
+    grid = TileGrid.covering((h, w), tile_size, overlap)
+    rows, cols = grid
+    stride = grid.stride
+    img = _pad_bottom_right(img, grid.padded_shape[0] - h, grid.padded_shape[1] - w, "reflect")
 
     if overlap == 0:
         if img.ndim == 2:
@@ -236,21 +243,29 @@ def _assemble_disjoint(tiles: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
+def _blend_tile_row(acc: np.ndarray, weights: np.ndarray, tiles: np.ndarray, overlap: int) -> None:
+    """Add one grid row of ``(cols, t, t, c)`` tiles, windowed, into the ``(t, padded_w, c)``
+    float64 sums ``acc`` and their ``(t, padded_w, 1)`` window ``weights``, left to right."""
+    t = tiles.shape[1]
+    window = blend_window(t, overlap)[..., None]
+    for q, tile in enumerate(tiles):
+        x = q * (t - overlap)
+        acc[:, x : x + t] += window * tile
+        weights[:, x : x + t] += window
+
+
 def _assemble_blended(tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
     rows, cols = grid
     t, stride = grid.tile_size, grid.stride
     ph, pw = grid.padded_shape
     has_channels = tiles.ndim == 4
     c = tiles.shape[-1] if has_channels else 1
-    window = blend_window(t, grid.overlap)[..., None]
     acc = np.zeros((ph, pw, c), dtype=np.float64)
     weights = np.zeros((ph, pw, 1), dtype=np.float64)
     for r in range(rows):
-        for q in range(cols):
-            y, x = r * stride, q * stride
-            tile = tiles[r * cols + q].reshape(t, t, c)
-            acc[y : y + t, x : x + t] += window * tile
-            weights[y : y + t, x : x + t] += window
+        y = r * stride
+        _blend_tile_row(acc[y : y + t], weights[y : y + t], tiles[r * cols : (r + 1) * cols].reshape(cols, t, t, c),
+                        grid.overlap)
     out = acc / weights
     return out[..., 0] if not has_channels else out
 

@@ -10,16 +10,10 @@ separable convolutions so whole scenes remain fast to score.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
-from ..imops.filters import gaussian_kernel1d
+from ..imops.filters import gaussian_blur
 
 __all__ = ["ssim", "mean_ssim_over_pairs"]
-
-
-def _window_mean(data: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(data, kernel, axis=0, mode="reflect")
-    return ndimage.correlate1d(out, kernel, axis=1, mode="reflect")
 
 
 def ssim(
@@ -61,19 +55,18 @@ def ssim(
             return mean, np.mean(np.stack(maps, axis=-1), axis=-1)
         return mean
 
-    kernel = gaussian_kernel1d(window_size, sigma)
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
 
-    mu_a = _window_mean(a, kernel)
-    mu_b = _window_mean(b, kernel)
+    mu_a = gaussian_blur(a, window_size, sigma)
+    mu_b = gaussian_blur(b, window_size, sigma)
     mu_a_sq = mu_a * mu_a
     mu_b_sq = mu_b * mu_b
     mu_ab = mu_a * mu_b
 
-    sigma_a_sq = _window_mean(a * a, kernel) - mu_a_sq
-    sigma_b_sq = _window_mean(b * b, kernel) - mu_b_sq
-    sigma_ab = _window_mean(a * b, kernel) - mu_ab
+    sigma_a_sq = gaussian_blur(a * a, window_size, sigma) - mu_a_sq
+    sigma_b_sq = gaussian_blur(b * b, window_size, sigma) - mu_b_sq
+    sigma_ab = gaussian_blur(a * b, window_size, sigma) - mu_ab
 
     numerator = (2 * mu_ab + c1) * (2 * sigma_ab + c2)
     denominator = (mu_a_sq + mu_b_sq + c1) * (sigma_a_sq + sigma_b_sq + c2)

@@ -2,7 +2,7 @@
 
 Layer-wise reverse-mode differentiation with the building blocks the paper's
 U-Net needs: offset-GEMM convolutions, ReLU, max pooling, up-convolution, dropout,
-batch norm, channel concatenation, softmax cross-entropy, Adam, compiled
+channel concatenation, softmax cross-entropy, Adam, compiled
 inference plans and weight checkpointing.
 """
 
@@ -16,7 +16,7 @@ from .convgemm import (
     workspace_nbytes,
 )
 from .initializers import he_normal, zeros
-from .layers import BatchNorm2D, Concat, Dropout, MaxPool2D, ReLU, UpConv2D
+from .layers import Concat, Dropout, MaxPool2D, ReLU, UpConv2D
 from .losses import CategoricalCrossEntropy, softmax
 from .module import Module, Parameter
 from .optimizers import Adam, Optimizer
@@ -40,7 +40,6 @@ __all__ = [
     "workspace_nbytes",
     "he_normal",
     "zeros",
-    "BatchNorm2D",
     "Concat",
     "Dropout",
     "MaxPool2D",

@@ -27,7 +27,7 @@ from .convgemm import (
 )
 from .module import Module
 
-__all__ = ["ReLU", "MaxPool2D", "UpConv2D", "Dropout", "Concat", "BatchNorm2D"]
+__all__ = ["ReLU", "MaxPool2D", "UpConv2D", "Dropout", "Concat"]
 
 
 class ReLU(Module):
@@ -242,60 +242,3 @@ class Concat(Module):
         grad = np.asarray(grad_output, dtype=np.float32)
         return grad[:, : self._split], grad[:, self._split :]
 
-
-class BatchNorm2D(Module):
-    """Per-channel batch normalisation (optional extension to the paper's U-Net)."""
-
-    def __init__(self, num_channels: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
-        super().__init__()
-        from .module import Parameter  # local import to avoid re-export confusion
-
-        if num_channels < 1:
-            raise ValueError("num_channels must be >= 1")
-        self.num_channels = num_channels
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(np.ones((num_channels,), dtype=np.float32))
-        self.beta = Parameter(np.zeros((num_channels,), dtype=np.float32))
-        self.running_mean = np.zeros((num_channels,), dtype=np.float32)
-        self.running_var = np.ones((num_channels,), dtype=np.float32)
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 4 or x.shape[1] != self.num_channels:
-            raise ValueError(f"expected (N, {self.num_channels}, H, W) input, got {x.shape}")
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) / std[None, :, None, None]
-        out = self.gamma.value[None, :, None, None] * x_hat + self.beta.value[None, :, None, None]
-        self._cache = (x_hat, std) if self.training else None
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, std = self._cache
-        grad = np.asarray(grad_output, dtype=np.float32)
-        n, _, h, w = grad.shape
-        m = n * h * w
-
-        self.gamma.grad += (grad * x_hat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad.sum(axis=(0, 2, 3))
-
-        gamma = self.gamma.value[None, :, None, None]
-        dxhat = grad * gamma
-        # Standard batch-norm backward over the (N, H, W) statistics axes.
-        dx = (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-            - x_hat * (dxhat * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-        ) / std[None, :, None, None]
-        # Correct for using mean over m samples.
-        return dx.astype(np.float32) if m else dx

@@ -127,7 +127,7 @@ class Module:
     # Training state
     # ------------------------------------------------------------------ #
     def train(self) -> "Module":
-        """Switch to training mode (enables dropout, batch-norm statistics updates)."""
+        """Switch to training mode (enables dropout)."""
         for module in self.modules():
             module.training = True
         return self

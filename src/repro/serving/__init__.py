@@ -1,4 +1,4 @@
-"""Long-lived model-serving subsystem (registry, micro-batching, streaming, HTTP).
+"""Long-lived model-serving subsystem (registry, micro-batching, HTTP).
 
 Layering (stdlib + NumPy only):
 
@@ -6,8 +6,6 @@ Layering (stdlib + NumPy only):
   :class:`~repro.unet.SceneClassifier`, with hot-swap on version bump.
 * :mod:`repro.serving.batching` — queue + deadline/size micro-batcher that
   coalesces concurrent single-tile requests into batched forward passes.
-* :mod:`repro.serving.streaming` — row-band streaming classification of
-  scenes larger than memory, bit-identical to the whole-scene engine.
 * :mod:`repro.serving.service` — JSON endpoints (``/healthz``, ``/models``,
   ``/predict``) over ``http.server``; ``repro-seaice serve`` is the CLI.
 
@@ -21,7 +19,6 @@ expired work answers 504 with per-stage timings.
 from .batching import BatcherStats, MicroBatcher, PendingPrediction
 from .registry import ModelRecord, ModelRegistry
 from .service import InferenceService, ServiceConfig, make_server, run_service
-from .streaming import StreamingSceneClassifier
 
 __all__ = [
     "BatcherStats",
@@ -33,5 +30,4 @@ __all__ = [
     "ServiceConfig",
     "make_server",
     "run_service",
-    "StreamingSceneClassifier",
 ]

@@ -9,12 +9,20 @@ compiled plans directly, ``fork`` workers attach to a shared-memory copy of
 the weights — and stitching the per-tile probability maps back into a
 full-scene classification map.  Overlapping tiles are blend-averaged before
 the final argmax, which removes the seam artifacts of hard tile boundaries.
+
+The scene is processed one tile-row band at a time: a band's tiles are cut,
+predicted in one backend dispatch and stitched, and its finished rows leave
+before the next band is read.  The working set is therefore bounded by the
+scene's width, not its area, and the scene may be any row-sliceable array
+(``np.memmap`` streams from disk); the class map is the one the whole scene
+cut into tiles at once would give, bit for bit.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from ..classes import NUM_CLASSES
 from ..reliability import Deadline, fault_point
 from ..cloudshadow import CloudShadowFilter
 from ..data.loader import image_to_tensor
-from ..imops.resize import assemble_from_tiles, split_into_tiles
+from ..imops.resize import TileGrid, _blend_tile_row, _pad_bottom_right, assemble_from_tiles, split_into_tiles
 from .compiled import CompiledUNet
 from .model import UNet
 
@@ -116,6 +124,21 @@ def _validate_stack(tiles: np.ndarray) -> np.ndarray:
     if stack.ndim != 4 or stack.shape[-1] != 3:
         raise ValueError(f"expected (N, H, W, 3) tile stack, got shape {stack.shape}")
     return stack
+
+
+def _scene_shape(scene) -> tuple[int, int]:
+    shape = np.shape(scene)  # reads ``.shape`` without materialising a memmap or dataset
+    if len(shape) != 3 or shape[2] != 3:
+        raise ValueError(f"expected a row-sliceable (H, W, 3) scene, got shape {shape}")
+    return int(shape[0]), int(shape[1])
+
+
+def _fetch_band(scene, y0: int, tile: int, height: int) -> np.ndarray:
+    """Rows ``[y0, y0 + tile)`` of the scene as :func:`split_into_tiles` bottom-pads it,
+    read with only the rows of context the reflection needs."""
+    pad = max(0, y0 + tile - height)
+    top = min(y0, max(0, height - pad - 1))
+    return _pad_bottom_right(np.asarray(scene[top : y0 + tile]), pad, 0, "reflect")[y0 - top :]
 
 
 def _num_classes_of(model) -> int:
@@ -244,7 +267,7 @@ def predict_tile_probabilities(
 
 @dataclass
 class SceneClassifier:
-    """Whole-scene inference engine (tile → filter → batched predict → blend-stitch).
+    """Scene inference engine (tile → filter → batched predict → blend-stitch), one tile-row band at a time.
 
     With ``config.compile_plans`` (the default) the classifier owns a
     :class:`~repro.unet.compiled.CompiledUNet`: every distinct batch shape it
@@ -336,21 +359,67 @@ class SceneClassifier:
         return None if self.engine is None else self.engine.cache_info()
 
     # ------------------------------------------------------------------ #
-    def classify_scene_proba(self, scene_rgb: np.ndarray) -> np.ndarray:
-        """Per-pixel class probabilities ``(H, W, K)`` of a full ``(H, W, 3)`` scene.
+    def iter_row_bands(self, scene) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(row_start, probs)`` down an ``(H, W, 3)`` scene; the bands cover its rows once, in order.
 
-        Overlapping tile regions are blend-averaged (see
-        :func:`repro.imops.resize.blend_window`) before any argmax, so seams
-        between tiles cross-fade instead of switching abruptly.
+        ``probs`` holds the finished ``(n, W, K)`` class probabilities of rows
+        ``row_start … row_start + n``: a whole tile row of a disjoint grid
+        (float32), one tile stride of a blended grid (float64 — the overlapped
+        rows the next band still adds to wait in a rolling accumulator), the
+        remainder at the bottom edge.  Overlapping tile regions are
+        blend-averaged (see :func:`repro.imops.resize.blend_window`) in the
+        whole-scene tile order, so seams cross-fade and every value equals
+        :func:`~repro.imops.resize.assemble_from_tiles` of the whole scene's
+        tiles.  Each band's tiles go to the backend as one ``predict_stack``;
+        a band is valid until the next one is requested.  ``scene`` needs only
+        ``.shape`` and row slicing.
         """
-        scene = np.asarray(scene_rgb)
-        if scene.ndim != 3 or scene.shape[-1] != 3:
-            raise ValueError(f"expected (H, W, 3) scene, got shape {scene.shape}")
-        cfg = self.config
-        tiles, grid = split_into_tiles(scene, tile_size=cfg.tile_size, overlap=cfg.overlap)
-        probs = self._predict_stack(tiles)
-        prob_tiles = np.moveaxis(probs, 1, -1)  # (N, h, w, K)
-        return np.asarray(assemble_from_tiles(prob_tiles, grid))
+        h, w = _scene_shape(scene)
+        if h == 0 or w == 0:
+            return
+        t, overlap = self.config.tile_size, self.config.overlap
+        grid = TileGrid.covering((h, w), t, overlap)
+        acc = weights = None  # blended grids: the rolling (t, padded W, K) float64 sums
+        for r in range(grid.rows):
+            y0 = r * grid.stride
+            tiles, band_grid = split_into_tiles(_fetch_band(scene, y0, t, h), t, overlap)
+            probs = np.moveaxis(self._predict_stack(tiles), 1, -1)  # (cols, t, t, K)
+            n = h - y0 if r == grid.rows - 1 else grid.stride
+            if not overlap:
+                yield y0, assemble_from_tiles(probs, band_grid)[:n]
+                continue
+            if acc is None:
+                acc = np.zeros((t, grid.padded_shape[1], probs.shape[-1]))
+                weights = np.zeros((t, grid.padded_shape[1], 1))
+            _blend_tile_row(acc, weights, probs, overlap)
+            yield y0, (acc[:n] / weights[:n])[:, :w]
+            # Slide down one stride: the top `overlap` rows of the next band are part-summed.
+            acc[:overlap], weights[:overlap] = acc[grid.stride :], weights[grid.stride :]
+            acc[overlap:], weights[overlap:] = 0.0, 0.0
+
+    def classify_to(self, scene, out: np.ndarray) -> np.ndarray:
+        """Stream the scene's classification into a preallocated ``out`` and return it.
+
+        An ``(H, W)`` ``out`` receives the class map, an ``(H, W, K)`` one the
+        probabilities.  Pass a ``np.memmap`` to keep the output off-heap too.
+        """
+        h, w = _scene_shape(scene)
+        if out.ndim not in (2, 3) or out.shape[:2] != (h, w):
+            raise ValueError(f"output shape {out.shape} does not match scene rows {(h, w)}")
+        for y0, probs in self.iter_row_bands(scene):
+            out[y0 : y0 + len(probs)] = probs if out.ndim == 3 else probs.argmax(axis=-1)
+        return out
+
+    def classify_scene_proba(self, scene) -> np.ndarray:
+        """Per-pixel class probabilities ``(H, W, K)`` of an ``(H, W, 3)`` scene
+        (float32 on a disjoint grid, float64 on a blended one)."""
+        h, w = _scene_shape(scene)
+        dtype = np.float64 if self.config.overlap else np.float32
+        return self.classify_to(scene, np.empty((h, w, _num_classes_of(self.model)), dtype))
+
+    def classify_scene(self, scene) -> np.ndarray:
+        """Return the uint8 class map ``(H, W)`` of an ``(H, W, 3)`` scene."""
+        return self.classify_to(scene, np.empty(_scene_shape(scene), np.uint8))
 
     def _predict_stack(self, tiles: np.ndarray) -> np.ndarray:
         stack = _validate_stack(tiles)
@@ -360,10 +429,6 @@ class SceneClassifier:
         # before the next dispatch, so the fork backend may hand back its
         # shared output arena directly.
         return self.backend.predict_stack(_SCENE_MODEL_KEY, stack, self.config.batch_size, copy=False)
-
-    def classify_scene(self, scene_rgb: np.ndarray) -> np.ndarray:
-        """Return the per-pixel class map of a full ``(H, W, 3)`` scene."""
-        return self.classify_scene_proba(scene_rgb).argmax(axis=-1).astype(np.uint8)
 
     def classify_tiles(self, tiles: np.ndarray) -> np.ndarray:
         """Classify an already-tiled stack (honours ``config.backend``)."""

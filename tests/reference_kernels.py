@@ -29,6 +29,8 @@ which the phase-wise layer matches only to a tolerance.  Then
 :func:`reference_train_step`: the plain single-process step of the second
 training loop (``unet/trainer.py``) the one trainer replaced — at one micro-shard
 and no dropout ``ElasticTrainer``'s in-process rank is held to it bit for bit.
+:func:`reference_classify_scene` is the whole-scene stack-and-stitch ``SceneClassifier`` ran
+before it streamed tile-row bands — an exact oracle of both scene outputs.
 At the end, :class:`ReferenceUNet`: the U-Net as three block classes
 (``DoubleConv``, ``EncoderBlock``, ``DecoderBlock``) and a hand walk over them,
 before the graph became one op list — an exact oracle of ``UNet``.  Last, two
@@ -47,11 +49,11 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
-from repro.cloudshadow import VeilEstimate
-from repro.imops import absdiff, gaussian_blur, gaussian_kernel1d, scale_to_uint8
+from repro.cloudshadow import CloudShadowFilter, VeilEstimate
+from repro.imops import absdiff, assemble_from_tiles, gaussian_blur, gaussian_kernel1d, scale_to_uint8, split_into_tiles
 from repro.nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D, softmax
 from repro.nn.layers import max_of_views, pool_views
-from repro.unet import UNetConfig
+from repro.unet import UNetConfig, predict_tile_probabilities
 
 
 @st.composite
@@ -462,6 +464,19 @@ def reference_train_step(model, loss_fn, optimizer, x: np.ndarray, y: np.ndarray
     model.backward(loss_fn.backward(), need_input_grad=need_input_grad)
     optimizer.step()
     return loss
+
+
+def reference_classify_scene(model, scene: np.ndarray, config) -> np.ndarray:
+    """``SceneClassifier.classify_scene_proba`` as it was before it streamed tile-row bands: the
+    whole scene cut into one tile stack, every tile predicted, every map stitched at once.
+
+    Its ``argmax(axis=-1).astype(np.uint8)`` was ``classify_scene``.  The prediction runs on an
+    ephemeral serial backend (the backends are bit-identical).
+    """
+    tiles, grid = split_into_tiles(scene, tile_size=config.tile_size, overlap=config.overlap)
+    probs = predict_tile_probabilities(model, tiles, batch_size=config.batch_size, backend="serial",
+                                       cloud_filter=CloudShadowFilter() if config.apply_cloud_filter else None)
+    return np.asarray(assemble_from_tiles(np.moveaxis(probs, 1, -1), grid))
 
 
 # --------------------------------------------------------------------------- #

@@ -41,6 +41,19 @@ class _PixelwiseModel:
         return softmax(logits.astype(np.float32), axis=1)
 
 
+class _RowSliceable:
+    """A scene that offers only ``.shape`` and row slices, and records how many rows each read took."""
+
+    def __init__(self, scene: np.ndarray) -> None:
+        self._scene, self.shape, self.fetched = scene, scene.shape, []
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        assert isinstance(rows, slice) and rows.step is None, rows
+        block = self._scene[rows]
+        self.fetched.append(len(block))
+        return block
+
+
 class TestInferenceConfig:
     def test_defaults_valid(self):
         config = InferenceConfig()
@@ -150,15 +163,14 @@ class TestOnePredictionPath:
 
     @pytest.fixture(scope="class")
     def classifiers(self, engine_model):
-        """One classifier (hence one started backend) per backend name, plus a serial streamer."""
+        """One classifier (hence one started backend) per backend name, plus a serial one
+        that is handed the scene as a bare row-sliceable object."""
         from repro.backend import available_backends
-        from repro.serving import StreamingSceneClassifier
 
-        built = {name: SceneClassifier(engine_model, InferenceConfig(backend=name, num_workers=2,
+        backends = {name: name for name in available_backends()} | {"streaming": "serial"}
+        built = {name: SceneClassifier(engine_model, InferenceConfig(backend=backend, num_workers=2,
                                                                      apply_cloud_filter=False))
-                 for name in available_backends()}
-        built["streaming"] = StreamingSceneClassifier(engine_model, InferenceConfig(backend="serial",
-                                                                                    apply_cloud_filter=False))
+                 for name, backend in backends.items()}
         yield built
         for classifier in built.values():
             classifier.close()
@@ -176,8 +188,13 @@ class TestOnePredictionPath:
             # (started once, above) outlives the config swap.
             classifier.config = replace(classifier.config, tile_size=tile, overlap=overlap,
                                         batch_size=batch_size)
-            assert classifier.backend.name == classifier.config.backend
-            maps[name] = classifier.classify_scene(scene)
+            if name == "streaming":
+                rows = _RowSliceable(scene)
+                maps[name] = classifier.classify_scene(rows)
+                assert max(rows.fetched) <= tile  # a band and its context, never more
+            else:
+                assert classifier.backend.name == classifier.config.backend
+                maps[name] = classifier.classify_scene(scene)
         for name, class_map in maps.items():
             np.testing.assert_array_equal(class_map, maps["serial"], err_msg=name)
 

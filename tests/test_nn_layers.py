@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    BatchNorm2D,
     Concat,
     Conv2D,
     Dropout,
@@ -39,9 +38,6 @@ class TestGradientChecks:
 
     def test_upconv(self):
         check_layer_gradients(UpConv2D(2, 1, seed=4), (1, 2, 4, 4))
-
-    def test_batchnorm(self):
-        check_layer_gradients(BatchNorm2D(3), (4, 3, 5, 5), tolerance=5e-2)
 
 
 class TestEngineParity:
@@ -262,20 +258,3 @@ class TestSimpleLayers:
     def test_concat_rejects_mismatched_spatial(self):
         with pytest.raises(ValueError):
             Concat()(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 8, 8)))
-
-    def test_batchnorm_normalises(self):
-        layer = BatchNorm2D(2)
-        rng = np.random.default_rng(0)
-        x = rng.normal(5.0, 3.0, size=(8, 2, 6, 6)).astype(np.float32)
-        out = layer(x)
-        assert abs(out.mean()) < 0.1
-        assert abs(out.std() - 1.0) < 0.1
-
-    def test_batchnorm_eval_uses_running_stats(self):
-        layer = BatchNorm2D(1)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            layer(rng.normal(2.0, 1.0, size=(4, 1, 4, 4)).astype(np.float32))
-        layer.training = False
-        out = layer(np.full((1, 1, 4, 4), 2.0, dtype=np.float32))
-        assert abs(out.mean()) < 0.5

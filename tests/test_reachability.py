@@ -43,7 +43,6 @@ _STILL_TESTED = frozenset({
     "threshold_tozero", "threshold_tozero_inv", "threshold_truncate",
     "pad_to_multiple", "resize_bilinear", "resize_nearest",  # imops/resize.py
     "fill_holes", "morph_open",  # imops/morphology.py
-    "BatchNorm2D",  # nn/layers.py
     "augment_pair", "labels_to_onehot", "smooth_blobs", "color_to_class_map",  # data/, classes.py
     "amdahl_speedup", "iou_score",  # metrics/
 })
