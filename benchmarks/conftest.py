@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data import build_dataset
+from repro.obs.metrics import get_registry
 from repro.workflow import AccuracyExperimentConfig, run_accuracy_experiment
 
 # The seed arms of the throughput benchmarks are the reference layers in
@@ -79,6 +80,25 @@ def print_rows(title: str, rows: list[dict]) -> None:
     print(f"\n== {title} ==")
     for row in rows:
         print("  " + "  ".join(f"{key}={value}" for key, value in row.items()))
+
+
+def fold_per_step(run_steps) -> dict:
+    """The trainer's gradient fold, read from its registry across ``run_steps()``.
+
+    ``{"steps", "fold_ms", "fold_bytes"}``: the step count, and the mean wall time and
+    bytes of one fold (``repro_train_allreduce_ms`` / ``repro_train_allreduce_bytes_total``).
+    """
+    registry = get_registry()
+
+    def totals():  # the metrics exist once a trainer does
+        return (registry.get("repro_train_step_ms").snapshot()["count"],
+                registry.get("repro_train_allreduce_ms").snapshot()["sum"],
+                registry.get("repro_train_allreduce_bytes_total").value())
+
+    first = totals()
+    run_steps()
+    steps, fold_ms, fold_bytes = (last - before for last, before in zip(totals(), first))
+    return {"steps": steps, "fold_ms": fold_ms / steps, "fold_bytes": fold_bytes / steps}
 
 
 def print_paper_vs_measured(title: str, paper_rows: list[dict], measured_rows: list[dict]) -> None:

@@ -5,9 +5,9 @@ scales from 280.72 s (1 GPU) to 38.91 s (8 GPUs) for 50 epochs — a 7.21×
 speedup with throughput rising from 586 to 4249 images/s.  Without GPUs the
 sweep is regenerated two ways:
 
-* the *algorithmic* path — the ring all-reduce itself, and a real
-  synchronous data-parallel step of the elastic trainer over two forked
-  workers, timed to show the per-step cost;
+* the *algorithmic* path — a real synchronous data-parallel step of the
+  elastic trainer over two forked workers, and its gradient all-reduce (the
+  slot-order fold over shared memory), read from the trainer's registry;
 * the *hardware* path — the calibrated DGX A100 performance model, whose
   1-GPU row matches the paper and whose scaling terms (compute / ring
   all-reduce / input pipeline) regenerate the full table.
@@ -19,30 +19,33 @@ import numpy as np
 import pytest
 
 from repro.data import BatchLoader
-from repro.distributed import (
-    DGXTrainingModel,
-    ElasticTrainer,
-    naive_allreduce,
-    paper_table3,
-    ring_allreduce,
-)
+from repro.distributed import DGXTrainingModel, ElasticTrainer, paper_table3
 from repro.unet import UNetConfig
 
-from conftest import print_paper_vs_measured, print_rows
+from conftest import fold_per_step, print_paper_vs_measured, print_rows
 
 _CONFIG = UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=3)
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_ring_allreduce_cost(benchmark):
-    """Cost of one ring all-reduce over a gradient buffer (the per-step Horovod overhead)."""
-    rng = np.random.default_rng(0)
-    buffers = [rng.normal(size=(200_000,)) for _ in range(8)]
+def _global_batch(bench_dataset, size: int = 8):
+    loader = BatchLoader(bench_dataset.images[:size], bench_dataset.labels[:size], batch_size=size,
+                         shuffle=False, drop_last=True)
+    return next(iter(loader))
 
-    reduced, stats = benchmark(ring_allreduce, buffers)
-    expected = np.mean(buffers, axis=0)
-    np.testing.assert_allclose(reduced[0], expected, rtol=1e-9)
-    assert stats.traffic_fraction == pytest.approx(2 * 7 / 8, rel=0.05)
+
+@pytest.mark.benchmark(group="table3")
+def test_table3_ring_allreduce_cost(benchmark, bench_dataset):
+    """Cost of the gradient all-reduce per step (the per-step Horovod overhead): the 2-worker fold."""
+    x, y = _global_batch(bench_dataset)
+    with ElasticTrainer(num_workers=2, config=_CONFIG, learning_rate=1e-3) as trainer:
+        fold = benchmark.pedantic(
+            lambda: fold_per_step(lambda: [trainer.train_step(x, y) for _ in range(3)]), rounds=1, iterations=1)
+        flat_bytes = trainer._flat_size * 4
+    print_rows("Table III: gradient all-reduce per step (2 forked workers, slot-order fold)",
+               [{"fold_ms": round(fold["fold_ms"], 3), "bytes": int(fold["fold_bytes"]),
+                 "gradient_bytes": flat_bytes}])
+    assert fold["steps"] == 3 and fold["fold_ms"] > 0
+    assert fold["fold_bytes"] == 2 * flat_bytes  # every micro-shard slot folded once
 
 
 @pytest.mark.benchmark(group="table3")
@@ -120,16 +123,21 @@ def test_table3_and_fig12_dgx_sweep(benchmark, bench_dataset):
 
 
 @pytest.mark.benchmark(group="table3")
-def test_table3_ablation_ring_vs_naive_allreduce(benchmark):
-    """Ablation: ring all-reduce vs centralised gather-broadcast traffic."""
-    rng = np.random.default_rng(1)
-    buffers = [rng.normal(size=(100_000,)) for _ in range(8)]
+def test_table3_ablation_ring_vs_naive_allreduce(benchmark, bench_dataset):
+    """Ablation: the fold's bytes per step do not depend on the worker count (M = 2 micro-shards
+    throughout); beside them, the per-worker share 2(p-1)/p that the DGX model prices for the ring."""
+    x, y = _global_batch(bench_dataset)
 
-    _, ring_stats = ring_allreduce(buffers)
-    _, naive_stats = benchmark(naive_allreduce, buffers)
-    rows = [
-        {"algorithm": "ring", "traffic_fraction": round(ring_stats.traffic_fraction, 2)},
-        {"algorithm": "gather-broadcast", "traffic_fraction": round(naive_stats.traffic_fraction, 2)},
-    ]
-    print_rows("Ablation: all-reduce per-worker traffic (fraction of buffer size)", rows)
-    assert ring_stats.traffic_fraction < naive_stats.traffic_fraction
+    def sweep():
+        rows = []
+        for workers in (0, 1, 2):
+            with ElasticTrainer(num_workers=workers, micro_shards=2, config=_CONFIG) as trainer:
+                fold = fold_per_step(lambda: trainer.train_step(x, y))
+            rows.append({"workers": workers, "fold_bytes_per_step": int(fold["fold_bytes"]),
+                         "fold_ms": round(fold["fold_ms"], 3),
+                         "ring_traffic_fraction": round(2 * (max(workers, 1) - 1) / max(workers, 1), 2)})
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print_rows("Ablation: gradient bytes folded per step vs the ring's per-worker traffic", rows)
+    assert len({row["fold_bytes_per_step"] for row in rows}) == 1

@@ -3,20 +3,19 @@
 Mirrors the paper's §III-C.1 workflow: fork a group of workers that share
 the initial weights, shard every global batch across them, average the
 per-shard gradients and apply the identical update everywhere.  The example
-shows the bandwidth-optimal ring all-reduce Horovod averages with, verifies
-that :class:`~repro.distributed.ElasticTrainer` reaches bit-identical weights
-in-process and on two forked workers, then prints the DGX A100
-performance-model sweep that regenerates the paper's Table III.
+verifies that :class:`~repro.distributed.ElasticTrainer` reaches bit-identical
+weights in-process and on two forked workers — its gradient all-reduce folds
+the micro-shard gradients in slot order, whatever the worker count — then
+prints the DGX A100 performance-model sweep that regenerates the paper's
+Table III.
 
 Run with:  python examples/distributed_training.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data import BatchLoader, build_dataset, train_test_split
-from repro.distributed import DGXTrainingModel, ElasticTrainer, paper_table3, ring_allreduce
+from repro.distributed import DGXTrainingModel, ElasticTrainer, paper_table3
 from repro.unet import UNetConfig
 
 
@@ -26,20 +25,9 @@ def main() -> None:
     train, _ = train_test_split(dataset, test_fraction=0.2, seed=0)
 
     # ------------------------------------------------------------------ #
-    # 1. The ring all-reduce itself.
+    # 1. Synchronous data-parallel training equals in-process training, bit for bit.
     # ------------------------------------------------------------------ #
-    rng = np.random.default_rng(0)
-    gradients = [rng.normal(size=(50_000,)) for _ in range(8)]
-    reduced, stats = ring_allreduce(gradients)
-    print("1. ring all-reduce over 8 workers:")
-    print(f"   per-worker traffic = {stats.traffic_fraction:.2f}x the buffer "
-          f"(theory: 2(p-1)/p = {2 * 7 / 8:.2f}), {stats.communication_steps} communication steps")
-    assert np.allclose(reduced[0], np.mean(gradients, axis=0))
-
-    # ------------------------------------------------------------------ #
-    # 2. Synchronous data-parallel training equals in-process training, bit for bit.
-    # ------------------------------------------------------------------ #
-    print("2. verifying 2-worker synchronous training matches in-process training ...")
+    print("1. verifying 2-worker synchronous training matches in-process training ...")
     digests = {}
     for workers in (0, 2):
         loader = BatchLoader(train.images, train.labels, batch_size=4, augment=True, seed=0)
@@ -51,9 +39,9 @@ def main() -> None:
     print("   identical trajectories: the worker count does not touch the model")
 
     # ------------------------------------------------------------------ #
-    # 3. The DGX A100 sweep of Table III / Figure 12.
+    # 2. The DGX A100 sweep of Table III / Figure 12.
     # ------------------------------------------------------------------ #
-    print("3. DGX A100 performance-model sweep (Table III / Figure 12):")
+    print("2. DGX A100 performance-model sweep (Table III / Figure 12):")
     model = DGXTrainingModel()
     for row in model.sweep():
         print(f"   {row}")

@@ -7,8 +7,8 @@ which honours the ``REPRO_BACKEND`` environment variable).  The fork
 backend keeps persistent workers attached to a shared-memory model store
 (:mod:`repro.backend.store`): weights and pre-packed compiled-plan GEMM
 operands are published once and mapped read-only by every worker.  Its
-workers — like the elastic trainer's ranks and the pipe ring's members —
-run on the one worker-process runtime in :mod:`repro.backend.worker`.
+workers — like the elastic trainer's ranks — run on the one worker-process
+runtime in :mod:`repro.backend.worker`.
 """
 
 from .base import (

@@ -1,9 +1,9 @@
 """The worker-process runtime: one forked child behind one duplex pipe.
 
-The fork backend's serving workers, the elastic trainer's ranks and the
-pipe ring's members are all the same thing: a forked child that answers
-requests over a pipe.  This module is that thing, once.  The contract its
-callers rely on and never re-implement:
+The fork backend's serving workers and the elastic trainer's ranks are the
+same thing: a forked child that answers requests over a pipe.  This module
+is that thing, once.  The contract its callers rely on and never
+re-implement:
 
 * **Every wait is bounded.**  :meth:`WorkerProcess.recv` takes a timeout;
   :meth:`WorkerProcess.stop` polls for the acknowledgement instead of

@@ -80,9 +80,9 @@ from ..obs.metrics import get_registry
 from ..obs.profile import LayerTimer
 from ..reliability import fault_point
 from ..unet.model import UNet, UNetConfig
-from .allreduce import RingBroken
 
-__all__ = ["ElasticTrainer", "ElasticTrainingError", "EpochStats", "TrainingHistory", "latest_checkpoints"]
+__all__ = ["ElasticTrainer", "ElasticTrainingError", "EpochStats", "RingBroken", "TrainingHistory",
+           "latest_checkpoints"]
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
 
@@ -92,6 +92,18 @@ _PHASES = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
 
 class ElasticTrainingError(RuntimeError):
     """Elastic training cannot make progress (e.g. every worker died)."""
+
+
+class RingBroken(RuntimeError):
+    """A worker died or missed its deadline during a step or a fold hop.
+
+    ``rank`` identifies the worker that stopped responding — the trainer
+    evicts exactly that rank and re-runs the step on the survivors.
+    """
+
+    def __init__(self, rank: int, message: str | None = None) -> None:
+        super().__init__(message or f"ring all-reduce broken at rank {rank}")
+        self.rank = int(rank)
 
 
 def latest_checkpoints(directory: str | os.PathLike) -> list[str]:
@@ -677,7 +689,9 @@ class ElasticTrainer:
         With ``resume=True`` (and a ``checkpoint_dir``), pick up from the
         newest readable checkpoint: restore model/optimiser, rewind the
         loader RNG to the interrupted epoch's start and replay the already
-        -trained batches so the data trajectory continues bit-exactly.
+        -trained batches so the data trajectory continues bit-exactly.  A
+        checkpoint written under another ``micro_shards`` or ``seed`` raises
+        :class:`ElasticTrainingError`.
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -690,6 +704,13 @@ class ElasticTrainer:
         if resume and self.checkpoint_dir:
             extra = self._load_latest()
             if extra:
+                # The trajectory is a function of M and the seed: under others a resume would silently fork it.
+                for key, ours in (("micro_shards", self.micro_shards), ("seed", self.seed)):
+                    if extra[key] != ours:
+                        raise ElasticTrainingError(
+                            f"the checkpoint in {self.checkpoint_dir!r} was written with {key}={extra[key]}, but this "
+                            f"run has {key}={ours}: resume with the layout it was written under (--micro-shards "
+                            f"{extra['micro_shards']} with the same --seed), or start without --resume")
                 self.global_step = int(extra["global_step"])
                 start_epoch = int(extra["epoch"])
                 skip_steps = int(extra["step_in_epoch"])

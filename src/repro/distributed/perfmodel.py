@@ -7,9 +7,9 @@ analytic model with three physically meaningful terms per epoch:
 
 * **compute** — the per-GPU forward/backward work, which divides by the
   number of GPUs under synchronous data parallelism;
-* **all-reduce communication** — the ring all-reduce cost
-  ``2 (p-1)/p · model_bytes / bandwidth + latency · 2 (p-1)``, taken directly
-  from the algorithm implemented in :mod:`repro.distributed.allreduce`;
+* **all-reduce communication** — the cost of Horovod's bandwidth-optimal ring
+  all-reduce (Patarasuk & Yuan 2009),
+  ``2 (p-1)/p · model_bytes / bandwidth + latency · 2 (p-1)``;
 * **input pipeline** — host-side data preprocessing and batch preparation
   that does not parallelise across GPUs; the paper explicitly names this as
   the source of GPU starvation at higher GPU counts.

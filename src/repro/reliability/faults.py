@@ -24,9 +24,9 @@ Known fault points and what firing does:
 ``trainer_worker_crash`` an elastic-training worker calls ``os._exit(170)``
                         mid-step (the parent must rebuild the ring and
                         finish the step on the survivors)
-``allreduce_stall``     a ring/fold participant sleeps ``param`` seconds
-                        (default 600 — tripping the per-hop reply deadline,
-                        which surfaces as ``RingBroken``)
+``allreduce_stall``     a forked rank sleeps ``param`` seconds in the
+                        gradient fold (default 600 — tripping the per-hop
+                        reply deadline, which surfaces as ``RingBroken``)
 ``ckpt_corrupt_write``  truncates the checkpoint temp file before it is
                         renamed into place (a torn write the resume path
                         must skip past)

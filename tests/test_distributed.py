@@ -1,4 +1,4 @@
-"""Tests for repro.distributed (all-reduce, the elastic data-parallel trainer, DGX model)."""
+"""Tests for repro.distributed (the gradient fold, the elastic data-parallel trainer, DGX model)."""
 
 from __future__ import annotations
 
@@ -14,18 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.store import close_segment, create_segment
 from repro.backend.worker import WorkerProcess
 from repro.data import BatchLoader
 from repro.distributed import (
     DGXTrainingModel,
     ElasticTrainer,
-    PipeRingAllReducer,
+    ElasticTrainingError,
     RingBroken,
     latest_checkpoints,
-    naive_allreduce,
     paper_table3,
-    ring_allreduce,
 )
+from repro.distributed.elastic import _grad_views, _Rank
 from repro.nn import Adam, CategoricalCrossEntropy, load_checkpoint, read_metadata, save_checkpoint
 from repro.nn.convgemm import NUMERICS
 from repro.obs.metrics import get_registry
@@ -47,104 +47,193 @@ def disarm_faults():
     reset_faults()
 
 
+def _wide_slots(num_slots: int, size: int, seed: int) -> list[np.ndarray]:
+    """float32 gradients spread over ~60 binary orders of magnitude: their float64 sum depends on its order."""
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=size) * 10.0 ** rng.uniform(-9, 9, size=size)).astype(np.float32)
+            for _ in range(num_slots)]
+
+
+def _slot_order_sum(slots) -> np.ndarray:
+    """The reference reduction: ``np.add`` over the slots in index order, into float64."""
+    acc = np.zeros(slots[0].size, dtype=np.float64)
+    for slot in slots:
+        np.add(acc, slot, out=acc)
+    return acc
+
+
+class _InlineWorker:
+    """A fleet member that answers ``call`` on an in-process :class:`_Rank` (the fold's transport stripped)."""
+
+    def __init__(self, rank: _Rank, log: list) -> None:
+        self.rank, self.log = rank, log
+
+    def call(self, op, *args, timeout=None):
+        self.log.append((op, args))
+        return getattr(self.rank, op)(*args)
+
+
+def _fold_on_fleet(slots, live_ranks: int) -> tuple[np.ndarray, list]:
+    """Fold ``slots`` through :meth:`ElasticTrainer._fold_phase` over ``live_ranks`` members sharing one arena."""
+    trainer = ElasticTrainer(micro_shards=len(slots), config=UNetConfig(depth=1, base_channels=2, seed=0))
+    acc = np.full(slots[0].size, np.nan)  # init=True must overwrite whatever the arena held
+    rank = _Rank(trainer.master, 0, acc, list(slots))
+    log: list = []
+    trainer._workers = {r: _InlineWorker(rank, log) for r in range(live_ranks)}
+    trainer._fold_phase(trainer._assign(sorted(trainer._workers)))
+    return acc, log
+
+
+def _applied_grads(trainer: ElasticTrainer) -> np.ndarray:
+    return np.concatenate([param.grad.ravel() for _name, param in trainer._params])
+
+
+def _one_step(trainer: ElasticTrainer, seed: int = 4) -> None:
+    """One train_step on a fixed random batch, with the optimiser held so ``param.grad`` is what was applied."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((10, 3, 16, 16), dtype=np.float32)
+    y = rng.integers(0, 3, size=(10, 16, 16))
+    with mock.patch.object(trainer.optimizer, "step"):
+        assert trainer.train_step(x, y) is not None
+
+
 class TestRingAllReduce:
+    """The gradient all-reduce is the trainer's slot-order fold: a float64 left-fold over micro-shard slots."""
+
     def test_matches_mean(self):
-        rng = np.random.default_rng(0)
-        buffers = [rng.normal(size=(33,)) for _ in range(4)]
-        reduced, _ = ring_allreduce(buffers)
-        expected = np.mean(buffers, axis=0)
-        for out in reduced:
-            np.testing.assert_allclose(out, expected, rtol=1e-10)
+        with ElasticTrainer(micro_shards=4, config=ELASTIC_CONFIG, seed=1) as trainer:
+            _one_step(trainer)
+            slots = trainer._local.slots
+            expected = (_slot_order_sum(slots) * (1.0 / 4)).astype(np.float32)
+            np.testing.assert_array_equal(_applied_grads(trainer), expected)
+            np.testing.assert_allclose(_applied_grads(trainer), np.mean(slots, axis=0), rtol=1e-5, atol=1e-9)
 
     def test_sum_mode(self):
-        buffers = [np.ones(5), 2 * np.ones(5)]
-        reduced, _ = ring_allreduce(buffers, average=False)
-        np.testing.assert_allclose(reduced[0], 3.0)
+        slots = _wide_slots(3, 11, seed=0)
+        acc = np.full(11, 7.0)
+        rank = _Rank(UNet(UNetConfig(depth=1, base_channels=2, seed=0)), 0, acc, slots)
+        rank.fold([0], True)
+        rank.fold([1, 2], False)  # init=False keeps adding onto the running sum
+        np.testing.assert_array_equal(acc, _slot_order_sum(slots))
+        rank.fold([2], True)  # init=True starts over
+        np.testing.assert_array_equal(acc, slots[2].astype(np.float64))
 
     def test_matches_naive_reference(self):
-        rng = np.random.default_rng(1)
-        buffers = [rng.normal(size=(4, 7)) for _ in range(5)]
-        ring, _ = ring_allreduce(buffers)
-        naive, _ = naive_allreduce(buffers)
-        np.testing.assert_allclose(ring[2], naive[2], rtol=1e-10)
+        """Any contiguous split of the slots over ranks folds to the bits of one rank folding them all."""
+        slots = _wide_slots(6, 64, seed=1)
+        expected = _slot_order_sum(slots)
+        assert not np.array_equal(expected, _slot_order_sum(slots[::-1]))  # the data can tell the order
+        for cuts in ([], [3], [1, 2], [2, 4], [1, 2, 3, 4, 5], [5]):
+            rank = _Rank(UNet(UNetConfig(depth=1, base_channels=2, seed=0)), 0, np.empty(64), slots)
+            for index, run in enumerate(np.split(np.arange(6), cuts)):
+                rank.fold([int(m) for m in run], index == 0)
+            np.testing.assert_array_equal(rank.acc, expected, err_msg=f"split at {cuts}")
 
     def test_single_worker(self):
-        reduced, stats = ring_allreduce([np.arange(5.0)])
-        np.testing.assert_array_equal(reduced[0], np.arange(5.0))
-        assert stats.communication_steps == 0
+        """M = 1: the update is the shard's own float32 gradient, bit for bit."""
+        with ElasticTrainer(micro_shards=1, config=ELASTIC_CONFIG, seed=1) as trainer:
+            _one_step(trainer)
+            np.testing.assert_array_equal(_applied_grads(trainer), trainer._local.slots[0])
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(2, 7), st.integers(1, 40))
-    def test_property_any_worker_count_and_size(self, workers, size):
-        rng = np.random.default_rng(workers * 100 + size)
-        buffers = [rng.normal(size=(size,)) for _ in range(workers)]
-        reduced, stats = ring_allreduce(buffers)
-        expected = np.mean(buffers, axis=0)
-        for out in reduced:
-            np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
-        assert stats.communication_steps == 2 * (workers - 1)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 40))
+    def test_property_any_worker_count_and_size(self, micro_shards, live_ranks, size):
+        slots = _wide_slots(micro_shards, size, seed=micro_shards * 1000 + live_ranks * 100 + size)
+        acc, log = _fold_on_fleet(slots, live_ranks)
+        np.testing.assert_array_equal(acc, _slot_order_sum(slots))
+        assert [(op, args[1]) for op, args in log] == [("fold", True)] + [("fold", False)] * (len(log) - 1)
 
     def test_bandwidth_optimality_traffic(self):
-        """Per-worker traffic approaches 2(p-1)/p of the buffer — the ring's defining property."""
-        buffers = [np.ones(1000) for _ in range(8)]
-        _, ring_stats = ring_allreduce(buffers)
-        assert ring_stats.traffic_fraction == pytest.approx(2 * 7 / 8, rel=0.05)
-        _, naive_stats = naive_allreduce(buffers)
-        # The centralised scheme moves ~p times the buffer through the root.
-        assert naive_stats.elements_sent_per_worker > ring_stats.elements_sent_per_worker * 3
+        """The fold moves every slot once: M·flat·4 bytes a step, whatever the worker count."""
+        for workers in ((0, 1, 2) if HAVE_FORK else (0,)):
+            with ElasticTrainer(num_workers=workers, micro_shards=2, config=ELASTIC_CONFIG, seed=1,
+                                step_timeout_s=30.0) as trainer:
+                counter = get_registry().get("repro_train_allreduce_bytes_total")
+                before = counter.value()
+                _one_step(trainer)
+                _one_step(trainer, seed=5)
+                assert counter.value() - before == 2 * 2 * trainer._flat_size * 4, workers
 
     def test_preserves_shape(self):
-        buffers = [np.ones((3, 4, 5)) for _ in range(3)]
-        reduced, _ = ring_allreduce(buffers)
-        assert reduced[0].shape == (3, 4, 5)
+        """_apply_update cuts the accumulator into each parameter's shape, in parameter order."""
+        with ElasticTrainer(micro_shards=2, config=ELASTIC_CONFIG) as trainer:
+            trainer._acc[...] = np.arange(trainer._flat_size, dtype=np.float64)
+            with mock.patch.object(trainer.optimizer, "step"):
+                trainer._apply_update()
+            offset = 0
+            for _name, param in trainer._params:
+                assert param.grad.shape == param.value.shape and param.grad.dtype == np.float32
+                np.testing.assert_array_equal(
+                    param.grad.ravel(), (np.arange(offset, offset + param.grad.size) * 0.5).astype(np.float32))
+                offset += param.grad.size
+            assert offset == trainer._flat_size
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            ring_allreduce([np.ones(3), np.ones(4)])
+        """The arena's views never overlap, and the float64 accumulator is aligned at any flat size."""
+        for flat_size in (1, 3, 7, 13):
+            shm = create_segment(flat_size * (8 + 4 * 3))
+            try:
+                acc, slots = _grad_views(shm, 3, flat_size)
+                assert acc.dtype == np.float64 and acc.ctypes.data % 8 == 0 and acc.shape == (flat_size,)
+                assert [(s.dtype, s.shape) for s in slots] == [(np.float32, (flat_size,))] * 3
+                acc[...] = -1.0
+                for m, slot in enumerate(slots):
+                    slot[...] = m
+                assert (acc == -1.0).all() and all((slot == m).all() for m, slot in enumerate(slots))
+                end = slots[-1].ctypes.data + slots[-1].nbytes - acc.ctypes.data
+                assert end == flat_size * (8 + 4 * 3), flat_size  # the last slot ends where the arena does
+                del acc, slots
+            finally:
+                close_segment(shm, unlink=True)
 
+    @fork_only
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ring_allreduce([])
+        """A fleet with no live worker to fold on raises instead of returning a zero gradient."""
+        with ElasticTrainer(num_workers=1, micro_shards=2, config=ELASTIC_CONFIG, auto_respawn=False,
+                            step_timeout_s=30.0) as trainer:
+            trainer._workers[0].kill()
+            with pytest.raises(ElasticTrainingError, match="no live workers"):
+                _one_step(trainer)
 
+    @fork_only
     def test_pipe_ring_across_processes(self):
-        rng = np.random.default_rng(5)
-        buffers = [rng.normal(size=(17,)) for _ in range(3)]
-        results = PipeRingAllReducer(3).allreduce(buffers)
-        expected = np.mean(buffers, axis=0)
-        for out in results:
-            np.testing.assert_allclose(out, expected, rtol=1e-9)
+        """The accumulator three forked ranks fold over shared memory equals the in-process one bit for bit."""
+        with ElasticTrainer(micro_shards=5, config=ELASTIC_CONFIG, seed=2) as local:
+            _one_step(local)
+            expected = local._acc.copy()
+            np.testing.assert_array_equal(expected, _slot_order_sum(local._local.slots))
+        with ElasticTrainer(num_workers=3, micro_shards=5, config=ELASTIC_CONFIG, seed=2,
+                            step_timeout_s=30.0) as fleet:
+            _one_step(fleet)
+            np.testing.assert_array_equal(fleet._acc, expected)
 
+    @fork_only
     def test_pipe_ring_validates_count(self):
-        with pytest.raises(ValueError):
-            PipeRingAllReducer(2).allreduce([np.ones(3)])
+        """More workers than micro-shards: the idle rank is never asked to fold, and the bits do not move."""
+        with ElasticTrainer(micro_shards=2, config=ELASTIC_CONFIG, seed=2) as local:
+            _one_step(local)
+            expected = local._acc.copy()
+        folds = []
+        real_call = WorkerProcess.call
 
-    def test_pipe_ring_large_buffers_do_not_deadlock(self):
-        """Chunks bigger than the OS pipe capacity used to wedge every worker
-        in send(); the rank-0 recv-first schedule must keep the ring moving."""
-        rng = np.random.default_rng(6)
-        buffers = [rng.normal(size=(150_000,)) for _ in range(3)]
-        results = PipeRingAllReducer(3, timeout_s=30.0).allreduce(buffers)
-        expected = np.mean(buffers, axis=0)
-        for out in results:
-            np.testing.assert_allclose(out, expected, rtol=1e-9)
+        def call(worker, op, *args, **kwargs):
+            if op == "fold":
+                folds.append(worker)
+            return real_call(worker, op, *args, **kwargs)
+
+        with ElasticTrainer(num_workers=3, micro_shards=2, config=ELASTIC_CONFIG, seed=2,
+                            step_timeout_s=30.0) as fleet:
+            assert fleet._assign([0, 1, 2]) == [(0, [0]), (1, [1]), (2, [])]
+            with mock.patch.object(WorkerProcess, "call", call):
+                _one_step(fleet)
+            assert folds == [fleet._workers[0], fleet._workers[1]]
+            np.testing.assert_array_equal(fleet._acc, expected)
 
     def test_ring_broken_carries_rank(self):
         err = RingBroken(2)
         assert err.rank == 2
         assert "rank 2" in str(err)
         assert isinstance(err, RuntimeError)
-
-    @fork_only
-    def test_pipe_ring_stall_raises_ring_broken(self):
-        """A stalled worker must surface as RingBroken (with the failing rank)
-        within the deadline — the pre-fix behaviour was an indefinite hang on
-        the neighbour's blocking recv."""
-        configure_faults({"allreduce_stall": FaultSpec(times=1, param=600.0)})
-        reducer = PipeRingAllReducer(3, timeout_s=1.5)
-        buffers = [np.ones(8) * r for r in range(3)]
-        with pytest.raises(RingBroken) as excinfo:
-            reducer.allreduce(buffers)
-        assert excinfo.value.rank in range(3)
 
 
 @fork_only
@@ -362,6 +451,18 @@ class TestElasticTrainer:
             history = trainer.fit(loader, epochs=1, resume=True)
             assert trainer.resumes == 0
             assert len(history.losses) == 1
+
+    @pytest.mark.parametrize("key, written, resumed", [("micro_shards", 2, 4), ("seed", 3, 9)])
+    def test_resume_under_another_layout_refuses(self, tmp_path, key, written, resumed):
+        """The trajectory is a function of M and the seed: a checkpoint written under others must not
+        be continued as if it were this run's."""
+        kwargs = dict(num_workers=0, config=ELASTIC_CONFIG, micro_shards=2, seed=3, checkpoint_dir=tmp_path)
+        with ElasticTrainer(**kwargs) as trainer:
+            trainer.fit(_eight_step_loader(), epochs=1)
+        with ElasticTrainer(**{**kwargs, key: resumed}) as trainer:
+            with pytest.raises(ElasticTrainingError, match=rf"{key}={written}\b.*{key}={resumed}\b.*--micro-shards 2"):
+                trainer.fit(_eight_step_loader(), epochs=2, resume=True)
+            assert trainer.resumes == 0 and trainer.global_step == 0
 
     def test_keep_checkpoints_prunes_old_archives(self, tiny_split, tmp_path):
         loader = _elastic_loader(tiny_split)

@@ -71,6 +71,18 @@ class TestGaussianBlur:
         np.testing.assert_array_equal(gaussian_blur(img, 5), img)
 
 
+def _assert_float32_within_its_rounding(img: np.ndarray, ksize: int) -> None:
+    out = gaussian_blur(img, ksize)
+    assert out.dtype == np.float32
+    # Each pass is a positive-weight sum of 2r + 1 = ksize values in under 3r + 2 roundings,
+    # each by at most eps / 2 of the largest magnitude or one subnormal spacing, whichever is
+    # larger; the float32 weights add one more.  The bound is computed in float64: in float32
+    # it underflows to 0 for subnormal inputs.
+    f32 = np.finfo(np.float32)
+    bound = 2 * ksize * (float(f32.eps) * float(np.abs(img).max()) + float(f32.smallest_subnormal))
+    np.testing.assert_allclose(out, gaussian_blur(img.astype(np.float64), ksize), rtol=0, atol=bound)
+
+
 class TestGaussianBlurMatchesCorrelate1d:
     """The numpy recurrence against ``scipy.ndimage.correlate1d``, the implementation it replaced."""
 
@@ -93,13 +105,12 @@ class TestGaussianBlurMatchesCorrelate1d:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), ksize=KSIZES, shape=SHAPES)
     def test_float32_stays_float32_within_its_rounding(self, data, ksize, shape):
-        img = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(-1e4, 1e4, width=32)))
-        out = gaussian_blur(img, ksize)
-        assert out.dtype == np.float32
-        # Each pass is a positive-weight sum of 2r + 1 = ksize values in under 3r + 2 roundings,
-        # each by at most eps / 2 of the largest magnitude; the float32 weights add one more.
-        bound = 2 * ksize * np.finfo(np.float32).eps * float(np.abs(img).max())
-        np.testing.assert_allclose(out, gaussian_blur(img.astype(np.float64), ksize), rtol=0, atol=bound)
+        _assert_float32_within_its_rounding(
+            data.draw(hnp.arrays(np.float32, shape, elements=st.floats(-1e4, 1e4, width=32))), ksize)
+
+    def test_float32_bound_holds_among_subnormals(self):
+        """Near zero the rounding error is one subnormal spacing, not a fraction of the magnitude."""
+        _assert_float32_within_its_rounding(np.array([[1e-45, 0]], dtype=np.float32), 3)
 
 
 class TestBoxAndMedian:

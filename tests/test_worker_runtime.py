@@ -1,8 +1,8 @@
 """The worker-process runtime on its own (no model, no backend, no trainer).
 
-Everything the fork backend, the elastic trainer and the pipe ring rely on
-the runtime for: typed errors with the child still serving, deadlines that
-kill, EOF that marks dead, a stop that cannot wedge, metric deltas that
+Everything the fork backend and the elastic trainer rely on the runtime
+for: typed errors with the child still serving, deadlines that kill, EOF
+that marks dead, a stop that cannot wedge, metric deltas that
 arrive exactly once, and pipes that EOF when the parent is SIGKILLed.
 """
 
@@ -209,7 +209,7 @@ def test_sigkilled_parent_leaves_no_worker_alive():
 # in under src/repro without one of these patterns appearing in a new file.
 _ONLY_IN = {
     r"\.Process\(": {"backend/worker.py"},
-    r"\.Pipe\(": {"backend/worker.py", "distributed/allreduce.py"},
+    r"\.Pipe\(": {"backend/worker.py"},
     r"resource_tracker\.ensure_running": {"backend/worker.py"},
     r"registry\(\)\.reset\(\)|\.drain\(\)|\.merge\(": {"backend/worker.py"},
     r"start_method": set(),
