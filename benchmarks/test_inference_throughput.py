@@ -8,8 +8,8 @@ dispatching tile batches through one of the unified execution backends
 (``serial`` in-process, ``thread`` pool, ``fork`` workers attached to the
 shared-memory model store).  This benchmark measures warm steady-state
 tiles/sec of each arm on a 1024×1024 synthetic scene and checks the engine's
-overlap-blended output agrees with the non-overlap output away from tile
-seams.
+disjoint and overlap-blended probability maps against the whole-scene
+stack-and-stitch oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.unet import CompiledUNet, InferenceConfig, SceneClassifier, UNet, UNe
 from repro.unet.inference import predict_batch_probabilities
 
 from conftest import BENCH_SMOKE, print_rows, update_bench_json
-from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D
+from reference_kernels import ReferenceConv2D, ReferenceMaxPool2D, reference_classify_scene
 
 TILE = 256
 SCENE = 512 if BENCH_SMOKE else 1024
@@ -258,40 +258,18 @@ def test_compiled_plan_fixed_shape_serving_throughput(model):
         assert speedup >= 1.3, f"compiled plan reached only {speedup:.2f}x over the generic forward"
 
 
-class _PixelwiseModel:
-    """Stub model whose per-pixel probabilities depend only on that pixel.
-
-    Tiling-invariant by construction: any tile layout predicts the same
-    probability vector for a given pixel, so stitched outputs must agree no
-    matter how the scene was cut — which isolates the blending machinery.
-    """
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        # x: (N, 3, H, W) in [0, 1]; three smooth, well-separated channel scores.
-        r, g, b = x[:, 0], x[:, 1], x[:, 2]
-        logits = np.stack([3.0 * r - g, 2.0 * g - 0.5 * b, 1.5 * b + 0.25 * r], axis=1)
-        return softmax(logits.astype(np.float32), axis=1)
-
-
 @pytest.mark.benchmark(group="inference")
-def test_overlap_blend_matches_non_overlap_on_interiors(big_scene):
-    """Blended overlap inference must reproduce the non-overlap output exactly
-    wherever predictions are tiling-invariant (tile interiors and seams alike
-    for a pixelwise model)."""
+def test_overlap_blend_matches_non_overlap_on_interiors(model, big_scene):
+    """The engine's disjoint (overlap 0) and blended (overlap 64) probability
+    maps of a real U-Net are, bit for bit, the whole-scene stack-and-stitch
+    oracle's (``reference_classify_scene``) at the same overlap."""
     scene = big_scene.rgb[:512, :768]
-    stub = _PixelwiseModel()
-
-    def run(overlap: int) -> tuple[np.ndarray, np.ndarray]:
+    maps = {}
+    for overlap in (0, 64):
         config = InferenceConfig(tile_size=TILE, overlap=overlap, apply_cloud_filter=False, batch_size=4)
-        classifier = SceneClassifier(model=stub, config=config)  # type: ignore[arg-type]
-        probs = classifier.classify_scene_proba(scene)
-        return probs, probs.argmax(axis=-1).astype(np.uint8)
-
-    probs0, map0 = run(0)
-    probs64, map64 = run(64)
-
-    assert probs0.shape == probs64.shape == scene.shape[:2] + (3,)
-    np.testing.assert_allclose(probs64, probs0, atol=1e-6)
-    np.testing.assert_array_equal(map64, map0)
+        with SceneClassifier(model=model, config=config) as classifier:
+            maps[overlap] = classifier.classify_scene_proba(scene)
+        assert maps[overlap].shape == scene.shape[:2] + (3,)
+        np.testing.assert_array_equal(maps[overlap], reference_classify_scene(model, scene, config))
     # Blended probabilities must still be normalised.
-    np.testing.assert_allclose(probs64.sum(axis=-1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(maps[64].sum(axis=-1), 1.0, atol=1e-6)

@@ -15,13 +15,18 @@ A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
   children, the same runtime the elastic trainer's ranks run on);
 * **generic task dispatch** — :meth:`Backend.map`, the ordered chunked map
   the Table I harness and the sparklite engine call directly;
-* **a model store** — :meth:`Backend.publish_model` installs a model (and
-  its compiled-plan engine) once per backend, after which
+* **a model store** — :meth:`Backend.publish_model` installs a ``UNet``
+  (anything else raises ``TypeError``) once per backend, after which
   :meth:`Backend.predict` / :meth:`Backend.predict_stack` run batches
-  against the warm copy.  The fork backend's store lives in
-  ``multiprocessing.shared_memory`` (see :mod:`repro.backend.store`), so N
-  worker processes attach to one physical copy of the weights and pre-packed
-  plan GEMM operands instead of each re-pickling and re-packing them.
+  against the warm copy.  The backend owns the compiled engine: an
+  in-process :class:`LocalModelEntry` is the one place a parent process
+  builds a ``CompiledUNet``, and fork workers always compile their own.
+  ``compile_plans=False`` is the eager reference switch (the in-process
+  entry runs the uncompiled layer walk; fork workers ignore it).  The fork
+  backend's store lives in ``multiprocessing.shared_memory`` (see
+  :mod:`repro.backend.store`), so N worker processes attach to one physical
+  copy of the weights and pre-packed plan GEMM operands instead of each
+  re-pickling and re-packing them.
 
 Backends are *behaviour-preserving*: a batch predicted under ``serial``,
 ``thread`` and ``fork`` produces bit-identical probability maps, because
@@ -210,26 +215,17 @@ class Backend(ABC):
     # Model store
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def publish_model(
-        self,
-        key,
-        model,
-        cloud_filter=None,
-        *,
-        engine=None,
-        compile_plans: bool = True,
-        plan_cache_size: int = 8,
-        warm_shapes: Sequence[tuple[int, ...]] = (),
-    ) -> ModelHandle:
-        """Install ``model`` under ``key`` so workers can serve predictions.
+    def publish_model(self, key, model, cloud_filter=None, *, compile_plans: bool = True) -> ModelHandle:
+        """Install the :class:`~repro.unet.UNet` ``model`` under ``key`` so workers can serve predictions.
 
-        ``cloud_filter`` is applied to every batch before prediction (pass
-        ``None`` to skip filtering).  ``engine`` lets in-process backends
-        reuse an already-compiled :class:`~repro.unet.compiled.CompiledUNet`
-        instead of building a duplicate plan cache; process backends ignore
-        it (their workers bind shared pre-packed weights instead).
-        ``warm_shapes`` pre-compiles plans for the given input shapes so the
-        first prediction does not pay compilation.
+        A model that is not a ``UNet`` raises ``TypeError``.  ``cloud_filter``
+        is applied to every batch before prediction (pass ``None`` to skip
+        filtering).  The backend owns the compiled engine: an in-process
+        entry builds a fresh :class:`~repro.unet.compiled.CompiledUNet` per
+        publish, and fork workers always compile their own.
+        ``compile_plans=False`` is the eager reference switch — the
+        in-process entry runs the uncompiled layer walk instead; fork
+        workers ignore it.
         """
 
     @abstractmethod
@@ -239,6 +235,10 @@ class Backend(ABC):
     @abstractmethod
     def has_model(self, key) -> bool:
         """Whether ``key`` is currently published."""
+
+    def engine(self, key):
+        """The compiled engine this process runs ``key``'s predictions on (``None`` unless in-process)."""
+        return None
 
     @abstractmethod
     def predict(self, key, batch: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
@@ -304,29 +304,26 @@ _UNCOMPILED_PREDICT_LOCK = threading.Lock()
 
 
 class LocalModelEntry:
-    """One published model held in-process: model + filter + compiled engine."""
+    """One published model held in-process: model + filter + compiled engine.
+
+    The one place a parent process builds a ``CompiledUNet`` (none with
+    ``compile_plans`` off); a fork worker's ``AttachedModel`` is one too.
+    """
 
     __slots__ = ("model", "cloud_filter", "engine", "handle")
 
-    def __init__(self, key, model, cloud_filter, engine, compile_plans, plan_cache_size,
-                 warm_shapes):
+    def __init__(self, key, model, cloud_filter=None, compile_plans: bool = True,
+                 packed_weights: dict | None = None) -> None:
         from ..unet.compiled import CompiledUNet
         from ..unet.model import UNet
 
+        if not isinstance(model, UNet):
+            raise TypeError(f"a published model must be a UNet, got {type(model).__name__}")
         self.model = model
         self.cloud_filter = cloud_filter
-        if engine is None and compile_plans and isinstance(model, UNet):
-            engine = CompiledUNet(model, max_plans=plan_cache_size)
-        self.engine = engine
-        if self.engine is not None:
-            for shape in warm_shapes:
-                self.engine.warm(tuple(int(d) for d in shape))
-        config = getattr(model, "config", None)
-        self.handle = ModelHandle(
-            key=key,
-            num_classes=int(getattr(config, "num_classes", 0) or 0),
-            in_channels=int(getattr(config, "in_channels", 3) or 3),
-        )
+        self.engine = CompiledUNet(model, packed_weights=packed_weights) if compile_plans else None
+        config = model.config
+        self.handle = ModelHandle(key=key, num_classes=config.num_classes, in_channels=config.in_channels)
 
     def predict(self, batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         from ..unet.inference import predict_batch_probabilities
@@ -349,12 +346,9 @@ class InProcessBackend(Backend):
         super().__init__(num_workers=num_workers)
         self._models: dict[object, LocalModelEntry] = {}
 
-    def publish_model(self, key, model, cloud_filter=None, *, engine=None,
-                      compile_plans: bool = True, plan_cache_size: int = 8,
-                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
+    def publish_model(self, key, model, cloud_filter=None, *, compile_plans: bool = True) -> ModelHandle:
         self._ensure_open()
-        entry = LocalModelEntry(key, model, cloud_filter, engine, compile_plans,
-                                plan_cache_size, warm_shapes)
+        entry = LocalModelEntry(key, model, cloud_filter, compile_plans)
         self._models[key] = entry
         return entry.handle
 
@@ -363,6 +357,9 @@ class InProcessBackend(Backend):
 
     def has_model(self, key) -> bool:
         return key in self._models
+
+    def engine(self, key):
+        return self._models[key].engine
 
     def _close(self) -> None:
         self._models.clear()

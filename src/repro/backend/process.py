@@ -39,7 +39,7 @@ import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -70,13 +70,14 @@ _PING_TIMEOUT_S = 5.0
 
 
 def _env_float(var: str, default: float) -> float:
+    """Seconds from ``var``: unset or empty means ``default``; a value that is not a number raises."""
     raw = os.environ.get(var, "").strip()
     if not raw:
         return default
     try:
         return float(raw)
     except ValueError:
-        return default
+        raise ValueError(f"{var}={raw!r} is not a number of seconds (<= 0 disables)") from None
 
 
 # ---------------------------------------------------------------------- #
@@ -401,16 +402,10 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------ #
     # Model store
     # ------------------------------------------------------------------ #
-    def publish_model(self, key, model, cloud_filter=None, *, engine=None,
-                      compile_plans: bool = True, plan_cache_size: int = 8,
-                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
+    def publish_model(self, key, model, cloud_filter=None, *, compile_plans: bool = True) -> ModelHandle:
+        # ``compile_plans`` is ignored: workers always compile.
         self._ensure_open()
-        if engine is not None:
-            plan_cache_size = engine.max_plans
-        spec = self._store.publish(
-            key, model, cloud_filter,
-            plan_cache_size=plan_cache_size, warm_shapes=warm_shapes,
-        )
+        spec = self._store.publish(key, model, cloud_filter)
         self._drop_io(key)
         self._broadcast("publish", spec)
         config = model.config

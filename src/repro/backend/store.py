@@ -28,13 +28,14 @@ from __future__ import annotations
 import itertools
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..obs.metrics import get_registry
 from ..reliability import fault_point
+from .base import LocalModelEntry
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -157,8 +158,6 @@ class SharedModelSpec:
     params: tuple[SharedArrayField, ...]
     packed: tuple[tuple[str, SharedArrayField, SharedArrayField | None], ...]
     cloud_filter: object | None = None
-    plan_cache_size: int = 8
-    warm_shapes: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
 
 class SharedModelStore:
@@ -181,15 +180,7 @@ class SharedModelStore:
         self._m_models.set(float(len(self._segments)))
 
     # ------------------------------------------------------------------ #
-    def publish(
-        self,
-        key,
-        model,
-        cloud_filter=None,
-        *,
-        plan_cache_size: int = 8,
-        warm_shapes=(),
-    ) -> SharedModelSpec:
+    def publish(self, key, model, cloud_filter=None) -> SharedModelSpec:
         """Lay ``model`` out in one shared segment and return its spec.
 
         Re-publishing an existing key replaces the old segment (hot-swap).
@@ -242,8 +233,6 @@ class SharedModelStore:
             params=tuple(param_fields),
             packed=tuple(packed_fields),
             cloud_filter=cloud_filter,
-            plan_cache_size=int(plan_cache_size),
-            warm_shapes=tuple(tuple(int(d) for d in s) for s in warm_shapes),
         )
         self.release(key)
         self._segments[key] = shm
@@ -276,20 +265,22 @@ class SharedModelStore:
             self.release(key)
 
 
-class AttachedModel:
-    """Worker-side handle: a model whose weights alias the shared segment.
+class AttachedModel(LocalModelEntry):
+    """Worker-side entry: a model whose weights alias the shared segment.
 
     The rebuilt model's parameter values are **read-only views** into the
     published segment, and its :class:`~repro.unet.compiled.CompiledUNet`
     binds the shared pre-packed GEMM operands — attaching costs one mmap
-    plus module construction, never a weight copy or a re-pack.
+    plus module construction, never a weight copy or a re-pack.  Prediction
+    is :class:`~repro.backend.base.LocalModelEntry`'s; this class adds the
+    attach, the first-touch warm and the detach.
     """
 
+    __slots__ = ("shm",)
+
     def __init__(self, spec: SharedModelSpec) -> None:
-        from ..unet.compiled import CompiledUNet
         from ..unet.model import UNet
 
-        self.spec = spec
         self.shm = attach_segment(spec.segment_name)
         model = UNet(spec.unet_config)
         params = model.named_parameters()
@@ -306,18 +297,7 @@ class AttachedModel:
             )
             for name, w, b in spec.packed
         }
-        self.model = model
-        self.cloud_filter = spec.cloud_filter
-        self.engine = CompiledUNet(model, max_plans=spec.plan_cache_size, packed_weights=packed)
-        for shape in spec.warm_shapes:
-            self.engine.warm(shape)
-
-    def predict(self, batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        from ..unet.inference import predict_batch_probabilities
-
-        return predict_batch_probabilities(
-            batch, self.model, self.cloud_filter, engine=self.engine, out=out
-        )
+        super().__init__(spec.key, model, spec.cloud_filter, packed_weights=packed)
 
     def warm(self, batch_shape: tuple[int, ...]) -> None:
         """Run one throwaway ``(N, H, W, C)`` batch to bring a plan fully hot.
@@ -327,8 +307,7 @@ class AttachedModel:
         parent broadcasts a warm for each new stack shape so no real request
         ever lands on a cold plan.
         """
-        if self.engine is not None:
-            self.predict(np.zeros(tuple(batch_shape), dtype=np.uint8))
+        self.predict(np.zeros(tuple(batch_shape), dtype=np.uint8))
 
     def close(self) -> None:
         """Detach from the segment (drops the weight views first)."""

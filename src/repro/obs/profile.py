@@ -158,7 +158,7 @@ def profile_inference(model, batch_shape: tuple[int, int, int] = (1, 32, 32),
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, model.config.in_channels, h, w)).astype(np.float32)
 
-    engine = CompiledUNet(model, max_plans=2)
+    engine = CompiledUNet(model)
     plan = engine.warm(x.shape)
     for _ in range(max(1, warmup)):
         plan.run(x)

@@ -479,12 +479,11 @@ class ModelRegistry:
         else:
             inference = InferenceConfig()
         classifier = SceneClassifier(model=model, config=inference)
-        # Warm-up: compile the single-tile serving plan now so the first
-        # request does not pay plan compilation (a no-op when compile_plans
-        # is off).  Serving traffic at other batch shapes compiles lazily.
+        # Warm-up: bring the execution backend up — the model is published
+        # into its store (shared memory, under fork) here, and retirement
+        # releases it again — and compile the single-tile serving plan of its
+        # in-process engine so the first request does not pay compilation (a
+        # no-op under fork, whose workers warm their own, and with
+        # compile_plans off).  Other batch shapes compile lazily.
         classifier.warm_plans(batch_sizes=(1,))
-        # Bring the execution backend up too: the model is published into its
-        # store (shared memory, under fork) here, at warm-up — retirement
-        # releases it again.
-        _ = classifier.backend
         return classifier

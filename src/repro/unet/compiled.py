@@ -109,7 +109,6 @@ class CompiledUNet:
         if not isinstance(model, UNet):
             raise TypeError(f"CompiledUNet requires a UNet, got {type(model).__name__}")
         self.model = model
-        self.max_plans = int(max_plans)
         self._cache = PlanCache(
             lambda shape: compile_unet_plan(model, shape, packed_weights=packed_weights),
             max_plans=max_plans,

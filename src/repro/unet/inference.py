@@ -4,10 +4,10 @@ A trained model classifies new Sentinel-2 scenes by: splitting the big scene
 into 256×256 tiles (optionally with overlapping margins), optionally running
 the thin-cloud/shadow filter on each tile, predicting per-pixel class
 probabilities in batches through an execution backend (:mod:`repro.backend`)
-— ``serial`` runs them inline, ``thread`` workers share the classifier's
-compiled plans directly, ``fork`` workers attach to a shared-memory copy of
-the weights — and stitching the per-tile probability maps back into a
-full-scene classification map.  Overlapping tiles are blend-averaged before
+— ``serial`` runs them inline, ``thread`` workers share the in-process
+entry's compiled plans, ``fork`` workers attach to a shared-memory copy of
+the weights and compile their own — and stitching the per-tile probability
+maps back into a full-scene classification map.  Overlapping tiles are blend-averaged before
 the final argmax, which removes the seam artifacts of hard tile boundaries.
 
 The scene is processed one tile-row band at a time: a band's tiles are cut,
@@ -27,7 +27,6 @@ from typing import Iterator
 import numpy as np
 
 from ..backend.base import Backend, make_backend, resolve_backend_name
-from ..classes import NUM_CLASSES
 from ..reliability import Deadline, fault_point
 from ..cloudshadow import CloudShadowFilter
 from ..data.loader import image_to_tensor
@@ -53,11 +52,14 @@ class InferenceConfig:
     ``"serial"``, ``"thread"``, ``"fork"`` or ``"auto"`` (the default, which
     honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``
     and the platform supports it).  ``num_workers`` sizes the worker pool
-    and turns fan-out on by itself under ``backend="auto"``.  ``compile_plans`` (on by
-    default — inference always runs the model in eval mode) routes forward
-    passes through per-shape compiled plans executing into a preallocated
-    workspace arena (:mod:`repro.nn.plan`); ``plan_cache_size`` bounds how
-    many input shapes stay compiled (LRU).
+    and turns fan-out on by itself under ``backend="auto"``.
+
+    The model is a :class:`~repro.unet.UNet`, and the backend owns its
+    compiled engine: the serial/thread entry compiles one per-shape plan
+    cache in this process, fork workers always compile their own.
+    ``compile_plans=False`` is the eager reference switch — the in-process
+    entry runs the uncompiled layer walk instead, the oracle the benchmark's
+    reference check compares against.
     """
 
     tile_size: int = 256
@@ -66,7 +68,6 @@ class InferenceConfig:
     batch_size: int = 8
     num_workers: int = 1
     compile_plans: bool = True
-    plan_cache_size: int = 8
     backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -78,8 +79,6 @@ class InferenceConfig:
             raise ValueError("batch_size must be >= 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
         if self.backend != "auto":
             # Validate eagerly (and reject e.g. fork on fork-less platforms)
             # so a bad backend fails at config time, not inside a worker.
@@ -95,24 +94,25 @@ class InferenceConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InferenceConfig":
-        """Build a config from a (JSON-loaded) dict, rejecting unknown keys."""
+        """Build a config from a (JSON-loaded) dict, rejecting unknown keys and mistyped values.
+
+        A bool option takes only a JSON boolean, an int option only a JSON
+        integer, ``backend`` only a string.  ``plan_cache_size``, a retired
+        option that archives written before it went still carry, is skipped.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"expected a dict of InferenceConfig options, got {type(data).__name__}")
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        known = {f.name: {"bool": bool, "int": int, "str": str}[f.type] for f in fields(cls)}
+        options = {key: value for key, value in data.items() if key != "plan_cache_size"}
+        unknown = sorted(set(options) - set(known))
         if unknown:
             raise ValueError(
                 f"unknown InferenceConfig keys {unknown}; valid keys are {sorted(known)}"
             )
-        kwargs = {}
-        for key, value in data.items():
-            if key == "backend":
-                kwargs[key] = str(value)
-            elif key in ("apply_cloud_filter", "compile_plans"):
-                kwargs[key] = bool(value)
-            else:
-                kwargs[key] = int(value)
-        return cls(**kwargs)
+        for key, value in options.items():
+            if type(value) is not known[key]:  # exact: a JSON boolean is no integer
+                raise ValueError(f"InferenceConfig option {key!r} must be a JSON {known[key].__name__}, got {value!r}")
+        return cls(**options)
 
 
 #: The store key scene-inference backends publish the model under.
@@ -139,26 +139,6 @@ def _fetch_band(scene, y0: int, tile: int, height: int) -> np.ndarray:
     pad = max(0, y0 + tile - height)
     top = min(y0, max(0, height - pad - 1))
     return _pad_bottom_right(np.asarray(scene[top : y0 + tile]), pad, 0, "reflect")[y0 - top :]
-
-
-def _num_classes_of(model) -> int:
-    config = getattr(model, "config", None)
-    return int(getattr(config, "num_classes", NUM_CLASSES))
-
-
-def _publishable_backend_name(model, name: str | None, num_workers: int) -> str:
-    """The backend ``name`` resolves to — ``serial`` for a model only an
-    in-process store can hold (a non-UNet stub), whatever was asked for."""
-    return resolve_backend_name(name, num_workers) if isinstance(model, UNet) else "serial"
-
-
-def _model_input_multiple(model) -> int:
-    """Spatial divisor the model's forward pass requires (1 when unconstrained)."""
-    config = getattr(model, "config", None)
-    min_input_size = getattr(config, "min_input_size", None)
-    if callable(min_input_size):
-        return max(1, int(min_input_size()))
-    return 1
 
 
 def _pad_stack_to_multiple(stack: np.ndarray, multiple: int) -> np.ndarray:
@@ -212,7 +192,7 @@ def predict_batch_probabilities(
     if cloud_filter is not None:
         batch = cloud_filter.apply_batch(batch)
     h, w = batch.shape[1:3]
-    padded = _pad_stack_to_multiple(batch, _model_input_multiple(model))
+    padded = _pad_stack_to_multiple(batch, model.config.min_input_size())
     tensor = image_to_tensor(padded)
     if engine is not None:
         if out is not None and padded.shape[1] == h and padded.shape[2] == w:
@@ -244,9 +224,8 @@ def predict_tile_probabilities(
     published (``SceneClassifier.backend``) is used as is; otherwise the
     model is published into an ephemeral backend — created, used and closed
     within the call — of the name ``backend`` resolves to (``None``/``"auto"``
-    resolve from ``num_workers``; models the store cannot publish, i.e.
-    non-UNet stubs, run on ``serial``).  An empty stack returns a
-    correctly-shaped empty array instead of raising.
+    resolve from ``num_workers``).  An empty stack returns a correctly-shaped
+    empty array instead of raising.
     """
     stack = _validate_stack(tiles)
     if batch_size < 1:
@@ -254,13 +233,13 @@ def predict_tile_probabilities(
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
     if stack.shape[0] == 0:
-        return np.zeros((0, _num_classes_of(model), *stack.shape[1:3]), dtype=np.float32)
+        return np.zeros((0, model.config.num_classes, *stack.shape[1:3]), dtype=np.float32)
     if isinstance(backend, Backend):
         if backend.has_model(_SCENE_MODEL_KEY):
             return backend.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
         backend = backend.name
     workers = min(num_workers, -(-stack.shape[0] // batch_size))  # never more workers than batches
-    with make_backend(_publishable_backend_name(model, backend, workers), num_workers=workers) as ephemeral:
+    with make_backend(backend, num_workers=workers) as ephemeral:
         ephemeral.publish_model(_SCENE_MODEL_KEY, model, cloud_filter)
         return ephemeral.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
 
@@ -269,24 +248,26 @@ def predict_tile_probabilities(
 class SceneClassifier:
     """Scene inference engine (tile → filter → batched predict → blend-stitch), one tile-row band at a time.
 
-    With ``config.compile_plans`` (the default) the classifier owns a
-    :class:`~repro.unet.compiled.CompiledUNet`: every distinct batch shape it
-    predicts is compiled once into an arena-backed plan and re-run
-    allocation-free afterwards.  Plans snapshot weights — call
-    :meth:`invalidate_plans` if the wrapped model is trained further.
+    The model must be a :class:`~repro.unet.UNet` (anything else raises
+    ``TypeError``).  The classifier compiles nothing itself: its backend
+    owns the engine.  Under ``serial`` and ``thread`` that is the in-process
+    entry's :class:`~repro.unet.compiled.CompiledUNet` (:attr:`engine`) —
+    every distinct batch shape is compiled once into an arena-backed plan
+    and re-run allocation-free afterwards; fork workers always compile their
+    own.  ``config.compile_plans=False`` runs the eager layer walk instead,
+    as the reference.  Plans snapshot weights — call :meth:`invalidate_plans`
+    if the wrapped model is trained further.
     """
 
     model: UNet
     config: InferenceConfig = field(default_factory=InferenceConfig)
     cloud_filter: CloudShadowFilter = field(default_factory=CloudShadowFilter)
-    #: The compiled-plan engine (``None`` when ``compile_plans`` is off).
-    engine: CompiledUNet | None = field(default=None, init=False, repr=False, compare=False)
     _backend: Backend | None = field(default=None, init=False, repr=False, compare=False)
     _finalizer: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.config.compile_plans and isinstance(self.model, UNet):
-            self.engine = CompiledUNet(self.model, max_plans=self.config.plan_cache_size)
+        if not isinstance(self.model, UNet):
+            raise TypeError(f"SceneClassifier requires a UNet, got {type(self.model).__name__}")
 
     # ------------------------------------------------------------------ #
     @property
@@ -294,15 +275,23 @@ class SceneClassifier:
         """The running execution backend every prediction dispatches through.
 
         Started on first use — ``serial`` unless the config (or
-        ``REPRO_BACKEND``) asks for fan-out — with the model, filter and
-        compiled engine published into it once.
+        ``REPRO_BACKEND``) asks for fan-out — with the model and filter
+        published into it once.
         """
         return self._backend or self._start_backend()
 
+    @property
+    def engine(self) -> CompiledUNet | None:
+        """The compiled engine this process runs the classifier's predictions on.
+
+        The backend's in-process entry's — ``None`` under fork, whose workers
+        compile their own, and with ``compile_plans`` off.
+        """
+        return self.backend.engine(_SCENE_MODEL_KEY)
+
     def _start_backend(self) -> Backend:
         cfg = self.config
-        name = _publishable_backend_name(self.model, cfg.backend, cfg.num_workers)
-        backend = make_backend(name, num_workers=cfg.num_workers).start()
+        backend = make_backend(cfg.backend, num_workers=cfg.num_workers).start()
         self._finalizer = weakref.finalize(self, backend.close)
         self._publish(backend)
         self._backend = backend
@@ -310,12 +299,7 @@ class SceneClassifier:
 
     def _publish(self, backend: Backend) -> None:
         filt = self.cloud_filter if self.config.apply_cloud_filter else None
-        backend.publish_model(
-            _SCENE_MODEL_KEY, self.model, filt,
-            engine=self.engine,
-            compile_plans=self.config.compile_plans,
-            plan_cache_size=self.config.plan_cache_size,
-        )
+        backend.publish_model(_SCENE_MODEL_KEY, self.model, filt, compile_plans=self.config.compile_plans)
 
     def close(self) -> None:
         """Shut the backend down (safe to call repeatedly; the next prediction starts a new one)."""
@@ -331,32 +315,35 @@ class SceneClassifier:
         self.close()
 
     def warm_plans(self, batch_sizes: tuple[int, ...] = (1,)) -> None:
-        """Pre-compile plans for the configured tile shape at ``batch_sizes``.
+        """Pre-compile the engine's plans for the configured tile shape at ``batch_sizes``.
 
         Uses the shape the prediction seam would actually run: the tile size
-        rounded up to the model's input multiple.
+        rounded up to the model's input multiple.  Without an in-process
+        engine it does nothing: fork workers warm each new stack shape as
+        ``predict_stack`` first sees it.
         """
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             return
-        multiple = _model_input_multiple(self.model)
+        multiple = self.model.config.min_input_size()
         t = -(-self.config.tile_size // multiple) * multiple
         for n in batch_sizes:
-            self.engine.warm((int(n), self.model.config.in_channels, t, t))
+            engine.warm((int(n), self.model.config.in_channels, t, t))
 
     def invalidate_plans(self) -> None:
         """Drop compiled plans (call after mutating the model's weights).
 
-        A live backend gets the new weights republished — fork workers hold
-        read-only views of the *published* copy, so a republish (not just a
-        cache clear) is what propagates trained weights to them.
+        A live backend gets the model republished: the new in-process entry
+        compiles a fresh engine, and fork workers — which hold read-only
+        views of the *published* copy — attach to the new weights.
         """
-        if self.engine is not None:
-            self.engine.clear()
-        if self._backend:
+        if self._backend is not None:
             self._publish(self._backend)
 
     def plan_cache_info(self) -> dict | None:
-        return None if self.engine is None else self.engine.cache_info()
+        """The in-process engine's plan-cache counters (``None`` without one)."""
+        engine = self.engine
+        return None if engine is None else engine.cache_info()
 
     # ------------------------------------------------------------------ #
     def iter_row_bands(self, scene) -> Iterator[tuple[int, np.ndarray]]:
@@ -415,7 +402,7 @@ class SceneClassifier:
         (float32 on a disjoint grid, float64 on a blended one)."""
         h, w = _scene_shape(scene)
         dtype = np.float64 if self.config.overlap else np.float32
-        return self.classify_to(scene, np.empty((h, w, _num_classes_of(self.model)), dtype))
+        return self.classify_to(scene, np.empty((h, w, self.model.config.num_classes), dtype))
 
     def classify_scene(self, scene) -> np.ndarray:
         """Return the uint8 class map ``(H, W)`` of an ``(H, W, 3)`` scene."""
@@ -424,7 +411,7 @@ class SceneClassifier:
     def _predict_stack(self, tiles: np.ndarray) -> np.ndarray:
         stack = _validate_stack(tiles)
         if stack.shape[0] == 0:
-            return np.zeros((0, _num_classes_of(self.model), *stack.shape[1:3]), dtype=np.float32)
+            return np.zeros((0, self.model.config.num_classes, *stack.shape[1:3]), dtype=np.float32)
         # copy=False: the stack result is consumed (stitched or argmax-reduced)
         # before the next dispatch, so the fork backend may hand back its
         # shared output arena directly.

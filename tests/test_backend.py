@@ -370,6 +370,23 @@ class TestLifecycleAndErrors:
             backend.close()
             backend.close()
 
+    @pytest.mark.parametrize("var, attr, default", [
+        ("REPRO_HEARTBEAT_S", "heartbeat_interval_s", 2.0),
+        ("REPRO_DISPATCH_TIMEOUT_S", "dispatch_timeout_s", 30.0),
+    ])
+    def test_reliability_env_var_must_be_a_number(self, monkeypatch, var, attr, default):
+        """A malformed value raises, naming the variable and the value, instead of
+        quietly leaving the default in force; empty means the default, <= 0 disables."""
+        for value in ("off", "30s"):
+            monkeypatch.setenv(var, value)
+            with pytest.raises(ValueError, match=f"{var}='{value}'"):
+                ProcessBackend(num_workers=1)
+        for value, expected in (("", default), ("  ", default), ("0", None), ("-1", None), ("1.5", 1.5)):
+            monkeypatch.setenv(var, value)
+            assert getattr(ProcessBackend(num_workers=1), attr) == expected
+        monkeypatch.delenv(var)
+        assert getattr(ProcessBackend(num_workers=1), attr) == default
+
     def test_occupancy_reports_models_and_workers(self, model):
         with ProcessBackend(num_workers=2) as backend:
             backend.publish_model("m", model)

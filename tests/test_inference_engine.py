@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernels import reference_classify_scene
 
-from repro.nn.losses import softmax
+from repro.backend import available_backends, make_backend
 from repro.unet import (
     InferenceConfig,
     SceneClassifier,
@@ -29,16 +31,6 @@ def predict_tiles(model, tiles, batch_size=8):
     config = InferenceConfig(batch_size=batch_size, apply_cloud_filter=False)
     with SceneClassifier(model=model, config=config) as classifier:
         return classifier.classify_tiles(tiles)
-
-
-class _PixelwiseModel:
-    """Stub whose per-pixel probabilities depend only on that pixel, making
-    predictions tiling-invariant — the property the blend tests rely on."""
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        r, g, b = x[:, 0], x[:, 1], x[:, 2]
-        logits = np.stack([3.0 * r - g, 2.0 * g - 0.5 * b, 1.5 * b + 0.25 * r], axis=1)
-        return softmax(logits.astype(np.float32), axis=1)
 
 
 class _RowSliceable:
@@ -95,6 +87,26 @@ class TestInferenceConfig:
     def test_from_dict_validates_values(self):
         with pytest.raises(ValueError):
             InferenceConfig.from_dict({"tile_size": 32, "overlap": 32})
+
+    @pytest.mark.parametrize("data", [
+        {"apply_cloud_filter": "false"},  # a truthy string used to turn the filter on
+        {"compile_plans": 0},
+        {"tile_size": 32.9},  # used to truncate to 32
+        {"tile_size": True},  # used to give 1
+        {"batch_size": "8"},
+        {"backend": 1},
+    ])
+    def test_from_dict_rejects_mistyped_values(self, data):
+        (key,) = data
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON"):
+            InferenceConfig.from_dict(data)
+
+    def test_from_dict_loads_archives_that_carry_plan_cache_size(self):
+        """Archives carry ``to_dict()``; before ``plan_cache_size`` was retired it returned this."""
+        written = {"tile_size": 256, "overlap": 0, "apply_cloud_filter": True, "batch_size": 8,
+                   "num_workers": 1, "compile_plans": True, "plan_cache_size": 8, "backend": "auto"}
+        assert InferenceConfig.from_dict(written) == InferenceConfig()
+        assert "plan_cache_size" not in InferenceConfig().to_dict()
 
     def test_backend_key_round_trips(self):
         config = InferenceConfig(backend="thread", num_workers=3)
@@ -198,17 +210,20 @@ class TestOnePredictionPath:
         for name, class_map in maps.items():
             np.testing.assert_array_equal(class_map, maps["serial"], err_msg=name)
 
-    def test_unpublishable_stub_classifies_through_serial(self, monkeypatch):
-        """A non-UNet model cannot be laid out in the fork store: it runs on
-        ``serial`` whatever ``REPRO_BACKEND`` says, instead of raising."""
-        monkeypatch.setenv("REPRO_BACKEND", "fork")
-        scene = np.random.default_rng(5).integers(0, 256, size=(40, 24, 3), dtype=np.uint8)
-        config = InferenceConfig(tile_size=16, overlap=4, apply_cloud_filter=False, num_workers=2)
-        with SceneClassifier(model=_PixelwiseModel(), config=config) as classifier:
-            assert classifier.backend.name == "serial"
-            assert classifier.classify_scene(scene).shape == (40, 24)
-        probs = predict_tile_probabilities(_PixelwiseModel(), scene[None, :16, :16], num_workers=2)
-        assert probs.shape == (1, 3, 16, 16)
+    def test_non_unet_rejected_on_every_backend(self, engine_model):
+        """Inference takes a UNet only: a duck-typed stand-in raises ``TypeError``
+        from the classifier and from every backend's ``publish_model``."""
+        stub = SimpleNamespace(config=engine_model.config, predict_proba=engine_model.predict_proba)
+        tiles = np.zeros((1, 16, 16, 3), dtype=np.uint8)
+        for name in available_backends():
+            with pytest.raises(TypeError, match="UNet"):
+                SceneClassifier(model=stub, config=InferenceConfig(backend=name, num_workers=2))
+            with make_backend(name, num_workers=2) as backend:
+                with pytest.raises(TypeError, match="UNet"):
+                    backend.publish_model("m", stub)
+                assert not backend.has_model("m")
+            with pytest.raises(TypeError, match="UNet"):
+                predict_tile_probabilities(stub, tiles, num_workers=2, backend=name)
 
 
 class TestOverlapBlending:
@@ -216,20 +231,19 @@ class TestOverlapBlending:
         rng = np.random.default_rng(11)
         return rng.integers(0, 255, size=(100, 140, 3), dtype=np.uint8)
 
-    def test_blended_output_matches_non_overlap(self):
-        """With a tiling-invariant model, overlap blending must reproduce the
-        non-overlap classification exactly (interiors and seams)."""
+    def test_blended_output_matches_non_overlap(self, engine_model):
+        """A real U-Net's blended (overlap 8) and disjoint (overlap 0) probability maps
+        are, bit for bit, the whole-scene stack-and-stitch oracle's at the same overlap."""
         scene = self._scene()
-        stub = _PixelwiseModel()
-
-        def classify(overlap):
+        maps = {}
+        for overlap in (0, 8):
             config = InferenceConfig(tile_size=32, overlap=overlap, apply_cloud_filter=False, batch_size=4)
-            return SceneClassifier(model=stub, config=config).classify_scene_proba(scene)
-
-        probs0 = classify(0)
-        probs8 = classify(8)
-        np.testing.assert_allclose(probs8, probs0, atol=1e-6)
-        np.testing.assert_array_equal(probs8.argmax(axis=-1), probs0.argmax(axis=-1))
+            with SceneClassifier(model=engine_model, config=config) as classifier:
+                maps[overlap] = classifier.classify_scene_proba(scene)
+            expected = reference_classify_scene(engine_model, scene, config)
+            assert maps[overlap].dtype == expected.dtype
+            np.testing.assert_array_equal(maps[overlap], expected)
+        assert not np.array_equal(maps[8], maps[0])  # the seams really were blended
 
     def test_proba_map_shape_and_norm(self, engine_model):
         scene = self._scene()

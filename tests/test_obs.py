@@ -427,10 +427,12 @@ class TestServiceTelemetry:
         assert status == 200
         payload = json.loads(raw)
         caches = payload["plan_caches"]
-        assert "seaice/1" in caches
-        info = caches["seaice/1"]
-        assert {"hits", "misses", "evictions", "plans"} <= set(info)
-        assert info["misses"] >= 1
+        if payload["backends"]["seaice/1"]["backend"] == "fork":  # workers compile their own plans
+            assert "seaice/1" not in caches
+        else:
+            info = caches["seaice/1"]
+            assert {"hits", "misses", "evictions", "plans"} <= set(info)
+            assert info["misses"] >= 1
         assert "repro_requests_total" in payload["metrics"]
         batcher = payload["batchers"]["seaice/1"]
         assert batcher["flush_size_histogram"]["count"] >= 1

@@ -265,7 +265,7 @@ class TestWarmEvictionPolicy:
 
     def test_warm_load_precompiles_serving_plan(self, tmp_path, small_model):
         registry = _publish(tmp_path, small_model,
-                            inference=InferenceConfig(tile_size=16, apply_cloud_filter=False))
+                            inference=InferenceConfig(tile_size=16, apply_cloud_filter=False, backend="serial"))
         classifier = registry.classifier("seaice")
         info = classifier.plan_cache_info()
         assert info is not None and info["plans"] == 1  # (1, C, 16, 16) pre-compiled

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import os
 import socket
 import threading
 from http.server import ThreadingHTTPServer
@@ -400,6 +401,28 @@ class TestWarmModelStats:
             payload = service.stats_payload()
             assert payload["warm_models"]["loaded"] == ["b/1"]
             assert list(payload["batchers"]) == ["b/1"]
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", ["serial", pytest.param("fork", marks=pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="needs os.fork"))])
+    def test_plan_cache_stats_only_for_an_in_process_engine(self, tmp_path, rng, backend):
+        """A registry model's warm-up compiles the single-tile plan of an in-process engine;
+        under fork the workers compile their own, so the parent reports no plan cache."""
+        registry = ModelRegistry(str(tmp_path / "reg"))
+        model = UNet(UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=3))
+        registry.publish("m", 1, model, inference=InferenceConfig(
+            tile_size=32, apply_cloud_filter=False, backend=backend, num_workers=2))
+        service = InferenceService(registry, ServiceConfig(port=0))
+        try:
+            tile = rng.integers(0, 255, size=(32, 32, 3), dtype=np.uint8).tolist()
+            assert service.predict_payload({"tile": tile, "model": "m"})["model"] == "m"
+            stats = service.plan_cache_stats()
+            if backend == "fork":
+                assert stats == {}
+                assert registry.warm_classifier("m", 1).engine is None
+            else:
+                assert stats["m/1"]["plans"] == 1 and stats["m/1"]["hits"] >= 1
         finally:
             service.close()
 

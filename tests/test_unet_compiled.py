@@ -8,6 +8,7 @@ transparently into every consumer of the shared prediction seam.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestSeamIntegration:
     def test_warm_plans_precompiles_serving_shape(self):
         model = _model(2, dropout=0.0)
         classifier = SceneClassifier(
-            model=model, config=InferenceConfig(tile_size=30, apply_cloud_filter=False)
+            model=model, config=InferenceConfig(tile_size=30, apply_cloud_filter=False, backend="serial")
         )
         classifier.warm_plans(batch_sizes=(1, 4))
         info = classifier.plan_cache_info()
@@ -174,12 +175,40 @@ class TestSeamIntegration:
         np.testing.assert_array_equal(classifier.classify_tiles(tiles), ref.classify_tiles(tiles))
 
     def test_config_roundtrip_with_plan_knobs(self):
-        config = InferenceConfig(compile_plans=False, plan_cache_size=3)
-        restored = InferenceConfig.from_dict(config.to_dict())
-        assert restored == config
-        assert InferenceConfig.from_dict({"compile_plans": 1}).compile_plans is True
-        with pytest.raises(ValueError, match="plan_cache_size"):
-            InferenceConfig(plan_cache_size=0)
+        config = InferenceConfig(compile_plans=False)
+        assert InferenceConfig.from_dict(config.to_dict()) == config
+        with pytest.raises(ValueError, match="compile_plans"):
+            InferenceConfig.from_dict({"compile_plans": 1})
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_engine_is_the_one_the_backend_entry_runs(self, rng, backend):
+        model = _model(2, dropout=0.0)
+        scene = rng.integers(0, 255, size=(40, 48, 3), dtype=np.uint8)
+        config = InferenceConfig(tile_size=16, apply_cloud_filter=False, batch_size=2, backend=backend,
+                                 num_workers=2)
+        with SceneClassifier(model=model, config=config) as classifier:
+            engine = classifier.engine
+            runs = []
+            compiled_run = engine.predict_proba
+            engine.predict_proba = lambda x, out=None: runs.append(x.shape) or compiled_run(x, out=out)
+            classifier.classify_scene(scene)
+            assert classifier.engine is engine
+            assert runs and all(shape[1:] == (3, 16, 16) for shape in runs)
+            classifier.invalidate_plans()  # a republish: the new entry compiles a fresh engine
+            assert classifier.engine is not engine and classifier.plan_cache_info()["plans"] == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_classifier_compiles_nothing_in_the_parent(self, rng):
+        model = _model(2, dropout=0.0)
+        scene = rng.integers(0, 255, size=(32, 32, 3), dtype=np.uint8)
+        config = InferenceConfig(tile_size=16, apply_cloud_filter=False, backend="fork", num_workers=2)
+        with SceneClassifier(model=model, config=config) as classifier:
+            classifier.warm_plans((1,))
+            class_map = classifier.classify_scene(scene)
+            assert classifier.engine is None and classifier.plan_cache_info() is None
+        serial = SceneClassifier(model=model, config=InferenceConfig(tile_size=16, apply_cloud_filter=False,
+                                                                     backend="serial"))
+        np.testing.assert_array_equal(class_map, serial.classify_scene(scene))
 
 
 class TestMicroBatcherConcurrency:

@@ -228,15 +228,17 @@ def test_there_is_one_worker_runtime(pattern):
 
 
 def test_there_is_one_path_per_job():
-    """Predictions reach a model only through a backend's store entry, the ``nn``
-    layers have no engine switch, and there is no second auto-label runner."""
+    """Predictions reach a model only through a backend's store entry (which alone
+    builds a compiled engine, besides the profiler), the ``nn`` layers have no
+    engine switch, and there is no second auto-label runner."""
     root = SRC / "repro"
-    callers = {
-        path.relative_to(root).as_posix()
-        for path in root.rglob("*.py")
-        if re.search(r"(?<!def )predict_batch_probabilities\(", path.read_text())
-    }
-    assert callers == {"backend/base.py", "backend/store.py"}
+
+    def callers(pattern):
+        return {path.relative_to(root).as_posix() for path in root.rglob("*.py")
+                if re.search(pattern, path.read_text())}
+
+    assert callers(r"(?<!def )predict_batch_probabilities\(") == {"backend/base.py"}
+    assert callers(r"CompiledUNet\(") == {"backend/base.py", "obs/profile.py"}
     for layers in ("nn/conv.py", "nn/layers.py"):
         assert not re.search(r"\bengine\b", (root / layers).read_text()), layers
     assert not (root / "parallel").exists()
