@@ -6,9 +6,9 @@ auto-label workflow and the sparklite engine — dispatches through one
 which honours the ``REPRO_BACKEND`` environment variable).  The fork
 backend keeps persistent workers attached to a shared-memory model store
 (:mod:`repro.backend.store`): weights and pre-packed compiled-plan GEMM
-operands are published once and mapped read-only by every worker.  Its
-workers — like the elastic trainer's ranks — run on the one worker-process
-runtime in :mod:`repro.backend.worker`.
+operands are published once and mapped read-only by every worker, and the
+elastic trainer publishes its replica there the same way.  Its workers run
+on the one worker-process runtime in :mod:`repro.backend.worker`.
 """
 
 from .base import (
@@ -23,7 +23,7 @@ from .base import (
 )
 from .process import ProcessBackend
 from .serial import SerialBackend
-from .store import SEGMENT_PREFIX, SharedModelSpec, SharedModelStore, attach_model
+from .store import SEGMENT_PREFIX, SharedModelSpec, SharedModelStore
 from .thread import ThreadBackend
 from .worker import WorkerLost, WorkerProcess
 
@@ -40,7 +40,6 @@ __all__ = [
     "ThreadBackend",
     "WorkerLost",
     "WorkerProcess",
-    "attach_model",
     "available_backends",
     "available_cpu_count",
     "make_backend",

@@ -12,7 +12,8 @@ A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
 
 * **worker lifecycle** — ``start`` / ``close``, crash detection and respawn
   (the fork backend's workers are :class:`repro.backend.worker.WorkerProcess`
-  children, the same runtime the elastic trainer's ranks run on);
+  children; the elastic trainer runs its ranks on them as residents its store
+  publishes, see :meth:`repro.backend.process.ProcessBackend.publish_resident`);
 * **generic task dispatch** — :meth:`Backend.map`, the ordered chunked map
   the Table I harness and the sparklite engine call directly;
 * **a model store** — :meth:`Backend.publish_model` installs a ``UNet``

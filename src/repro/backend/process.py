@@ -20,16 +20,22 @@ through a pipe.  This backend removes all three costs structurally:
   is cached per ``(key, stack shape)`` and reused across scenes, so the
   steady state allocates nothing and concatenates nothing.
 
+* **Residents are published, not inherited.**  A worker holds whatever the
+  store keeps — attached models, and the elastic trainer's replicas
+  (:mod:`repro.distributed.elastic`) — built by ``spec.attach()`` on the
+  worker's side of a ``publish``; a respawned worker gets every one again.
+
 Workers that fail are handled, not propagated: a dead pipe or a dispatch
 that blows its per-op timeout (``dispatch_timeout_s``, env
-``REPRO_DISPATCH_TIMEOUT_S``) kills the worker, and the idempotent predict
-ops are retried on another worker with capped exponential backoff — a
-prediction span writes only its own slice of the shared output arena, so
-re-running it is safe.  A background watchdog heartbeats idle workers
+``REPRO_DISPATCH_TIMEOUT_S``) kills the worker, which is respawned with
+every resident republished before the call that lost it returns, and the
+idempotent ops :meth:`ProcessBackend.submit` runs — a prediction span
+writes only its own slice of the shared output arena, a trainer step only
+its own gradient slot — are retried on another worker with capped
+exponential backoff.  A background watchdog heartbeats idle workers
 (``heartbeat_interval_s``, env ``REPRO_HEARTBEAT_S``) and respawns hung or
-dead ones — with their models republished from the store — before the next
-dispatch ever lands on them.  Only after retries exhaust does the caller
-see a :class:`BackendError`.
+dead ones before the next dispatch ever lands on them.  Only after retries
+exhaust does the caller see a :class:`BackendError`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -49,7 +55,6 @@ from ..reliability import Deadline, RetryPolicy, fault_point
 from .base import Backend, BackendError, ModelHandle, available_cpu_count
 from .store import (
     SharedModelStore,
-    attach_model,
     attach_segment,
     close_segment,
     create_segment,
@@ -84,8 +89,8 @@ def _env_float(var: str, default: float) -> float:
 # Worker process
 # ---------------------------------------------------------------------- #
 def _worker_main(conn, inherited) -> None:
-    """One backend worker: its attached models, its arena views, its op handlers."""
-    models: dict = {}  # key -> AttachedModel
+    """One backend worker: its residents, its arena views, its op handlers."""
+    residents: dict = {}  # key -> what its spec's attach() built (AttachedModel, trainer replica)
     segments: dict = {}  # segment name -> (SharedMemory, ndarray view)
     hist_compute = get_registry().histogram(
         "repro_backend_compute_ms",
@@ -102,18 +107,18 @@ def _worker_main(conn, inherited) -> None:
         return cached[1]
 
     def release(key):
-        old = models.pop(key, None)
+        old = residents.pop(key, None)
         if old is not None:
             old.close()
 
     def publish(spec):
         release(spec.key)
-        models[spec.key] = attach_model(spec)
+        residents[spec.key] = spec.attach()
 
     def timed_predict(key, src, out, trace_id):
         # The trace id crossed the pipe with the request and goes back in the
         # reply meta, next to the compute time measured where the model ran.
-        entry = models[key]
+        entry = residents[key]
         fault_point("worker_crash")
         fault_point("worker_hang")
         t0 = time.perf_counter()
@@ -139,8 +144,8 @@ def _worker_main(conn, inherited) -> None:
                 close_segment(cached[0])
 
     def cleanup():
-        for attached in models.values():
-            attached.close()
+        for resident in residents.values():
+            resident.close()
         for shm, _view in segments.values():
             close_segment(shm)
 
@@ -149,7 +154,8 @@ def _worker_main(conn, inherited) -> None:
         "release": release,
         "predict_span": predict_span,
         "predict_batch": predict_batch,
-        "warm": lambda key, shape: models[key].warm(shape),
+        "warm": lambda key, shape: residents[key].warm(shape),
+        "train_step": lambda key, *args: residents[key].step(*args),
         "map_chunk": lambda fn, chunk: [fn(item) for item in chunk],
         "drop_segments": drop_segments,
     }, cleanup)
@@ -276,14 +282,15 @@ class ProcessBackend(Backend):
         return index
 
     def _respawn(self, index: int) -> None:
-        """Replace a dead worker and republish every stored model into it."""
+        """Replace a dead worker and republish every stored resident into it."""
         self._workers[index].stop(timeout=0.5)
         worker = WorkerProcess(
             _worker_main,
             siblings=[w for i, w in enumerate(self._workers) if i != index],
         )
         self._workers[index] = worker
-        self._respawns += 1
+        with self._busy_lock:  # dispatcher threads respawn concurrently
+            self._respawns += 1
         try:
             for spec in self._store.specs():
                 worker.call("publish", spec, timeout=self.dispatch_timeout_s)
@@ -328,21 +335,28 @@ class ProcessBackend(Backend):
             self._busy += 1
         try:
             return self._workers[index].call(*msg, timeout=timeout)
+        except WorkerLost:
+            # Back at full strength before the caller hears of the loss; a
+            # failed respawn leaves it dead for the next checkout to retry.
+            try:
+                self._respawn(index)
+            except BackendError:
+                pass
+            raise
         finally:
             with self._busy_lock:
                 self._busy -= 1
             self._free.put(index)
-        # A worker that died inside call() goes back on the free queue dead;
-        # the next checkout respawns it with the store's models republished.
 
-    def _predict_call(self, *msg, deadline: Deadline | None = None):
+    def _retried_call(self, *msg, deadline: Deadline | None = None):
         """A `_call` that survives worker loss: kill, respawn, retry, backoff.
 
-        Predict ops are idempotent (a span writes only its own output
-        slice), so a lost worker just means the op runs again elsewhere.
-        Worker-side *errors* (``("err", …)`` replies) are not retried — the
-        worker is healthy and the failure is deterministic.  The deadline is
-        checked before every attempt so expired work never dispatches.
+        Only idempotent ops come here (a span writes only its own output
+        slice, a trainer step only its own gradient slot), so a lost worker
+        just means the op runs again elsewhere.  Worker-side *errors*
+        (``("err", …)`` replies) are not retried — the worker is healthy and
+        the failure is deterministic.  The deadline is checked before every
+        attempt so expired work never dispatches.
         """
         attempt = 0
         while True:
@@ -394,6 +408,11 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------ #
     # Generic dispatch
     # ------------------------------------------------------------------ #
+    def submit(self, *msg, deadline: Deadline | None = None) -> Future:
+        """Run the idempotent op ``msg`` on any worker from a dispatcher thread, retried on worker loss."""
+        self._ensure_open()
+        return self._dispatcher.submit(self._retried_call, *msg, deadline=deadline)
+
     def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
         futures = [self._dispatcher.submit(self._call, "map_chunk", fn, chunk)
                    for chunk in chunks]
@@ -413,6 +432,11 @@ class ProcessBackend(Backend):
                              in_channels=int(config.in_channels))
         self._handles[key] = handle
         return handle
+
+    def publish_resident(self, spec, shm) -> None:
+        """Install ``spec.attach()`` in every worker, respawned ones too; the store owns segment ``shm`` from now on."""
+        self._ensure_open()
+        self._broadcast("publish", self._store.keep(spec, shm))
 
     def release_model(self, key) -> None:
         if key not in self._store:
@@ -446,7 +470,7 @@ class ProcessBackend(Backend):
         # The trace id crosses the pipe with the batch and comes back echoed
         # in reply meta: the worker's compute time is attributed to *this*
         # request's collector, and the round trip itself is testable.
-        return self._predict_call("predict_batch", key, np.ascontiguousarray(batch),
+        return self._retried_call("predict_batch", key, np.ascontiguousarray(batch),
                                   current_trace_id(), deadline=deadline)
 
     def _io_for(self, key, stack: np.ndarray) -> tuple[_IOSegments, bool]:
@@ -496,16 +520,9 @@ class ProcessBackend(Backend):
         # Capture the trace id here, in the caller's thread — the dispatcher
         # threads running the spans have no collector of their own.
         trace_id = current_trace_id()
-        submit = self._dispatcher.submit
         futures = [
-            submit(
-                lambda s=start, e=stop: self._predict_call(
-                    "predict_span", key,
-                    in_name, seg.in_view.shape, seg.in_dtype,
-                    out_name, seg.out_view.shape, s, e, trace_id,
-                    deadline=deadline,
-                )
-            )
+            self.submit("predict_span", key, in_name, seg.in_view.shape, seg.in_dtype,
+                        out_name, seg.out_view.shape, start, stop, trace_id, deadline=deadline)
             for start, stop in spans
         ]
         # Drain every span before raising, so no in-flight worker is still
@@ -534,8 +551,8 @@ class ProcessBackend(Backend):
         info = super().occupancy()
         info["worker_pids"] = [w.process.pid for w in self._workers if w.alive]
         info["alive_workers"] = len(info["worker_pids"])
-        info["respawns"] = self._respawns
         with self._busy_lock:
+            info["respawns"] = self._respawns
             info["dispatch_retries"] = self._retries
         info["dispatch_timeout_s"] = self.dispatch_timeout_s
         info["heartbeat_interval_s"] = self.heartbeat_interval_s

@@ -11,11 +11,16 @@ Publishing a model serialises it **once** into a single
   :func:`repro.nn.plan.pack_conv_weights`).
 
 Workers receive only a tiny picklable :class:`SharedModelSpec` (segment name
-plus array offsets) and :func:`attach_model` rebuilds the model with its
-parameter values *aliased* to read-only views of the one shared segment —
-N workers, one physical copy, no per-worker pickling and no per-worker
-re-packing.  Packing is input-shape independent, so the shared pack serves
-every plan shape a worker compiles.
+plus array offsets) and its :meth:`~SharedModelSpec.attach` rebuilds the
+model with its parameter values *aliased* to read-only views of the one
+shared segment — N workers, one physical copy, no per-worker pickling and no
+per-worker re-packing.  Packing is input-shape independent, so the shared
+pack serves every plan shape a worker compiles.
+
+A model is one kind of *resident*.  The store keeps any spec with a ``key``
+and a worker-side ``attach()`` (the elastic trainer's replica is the other
+kind) and owns the segment it names: a respawned worker gets every kept spec
+again, and releasing or closing the store unlinks it.
 
 The same segment helpers back the backend's input/output arenas: a tile
 batch is written into a shared input segment once and each worker's compiled
@@ -43,7 +48,6 @@ __all__ = [
     "SharedModelSpec",
     "SharedModelStore",
     "AttachedModel",
-    "attach_model",
     "create_segment",
     "attach_segment",
     "layout_fields",
@@ -159,13 +163,17 @@ class SharedModelSpec:
     packed: tuple[tuple[str, SharedArrayField, SharedArrayField | None], ...]
     cloud_filter: object | None = None
 
+    def attach(self) -> "AttachedModel":
+        """Worker side: the model, attached to the published segment."""
+        return AttachedModel(self)
+
 
 class SharedModelStore:
-    """Parent-side registry of published model segments (one per key)."""
+    """Parent-side registry of published residents: each key's spec and the segment it owns."""
 
     def __init__(self) -> None:
         self._segments: dict[object, shared_memory.SharedMemory] = {}
-        self._specs: dict[object, SharedModelSpec] = {}
+        self._specs: dict = {}
         self._m_bytes = get_registry().gauge(
             "repro_store_shm_bytes",
             "Bytes of shared memory held by published model segments",
@@ -226,24 +234,24 @@ class SharedModelStore:
             close_segment(shm, unlink=True)
             raise
 
-        spec = SharedModelSpec(
+        return self.keep(SharedModelSpec(
             key=key,
             segment_name=shm.name,
             unet_config=model.config,
             params=tuple(param_fields),
             packed=tuple(packed_fields),
             cloud_filter=cloud_filter,
-        )
-        self.release(key)
-        self._segments[key] = shm
-        self._specs[key] = spec
+        ), shm)
+
+    def keep(self, spec, shm: shared_memory.SharedMemory):
+        """Keep ``spec`` under ``spec.key`` and own its segment ``shm`` from now on (replacing the key's old resident)."""
+        self.release(spec.key)
+        self._segments[spec.key] = shm
+        self._specs[spec.key] = spec
         self._update_gauges()
         return spec
 
-    def spec(self, key) -> SharedModelSpec:
-        return self._specs[key]
-
-    def specs(self) -> list[SharedModelSpec]:
+    def specs(self) -> list:
         return list(self._specs.values())
 
     def __contains__(self, key) -> bool:
@@ -314,8 +322,3 @@ class AttachedModel(LocalModelEntry):
         self.engine = None
         self.model = None
         close_segment(self.shm)
-
-
-def attach_model(spec: SharedModelSpec) -> AttachedModel:
-    """Attach to a published model (worker-side entry point)."""
-    return AttachedModel(spec)

@@ -1,17 +1,18 @@
 """The worker-process runtime: one forked child behind one duplex pipe.
 
-The fork backend's serving workers and the elastic trainer's ranks are the
-same thing: a forked child that answers requests over a pipe.  This module
-is that thing, once.  The contract its callers rely on and never
-re-implement:
+A fork backend worker is a forked child that answers requests over a pipe;
+whatever it holds — an attached model, an elastic-trainer replica — is a
+resident the backend published to it.  This module is that child, once, and
+:mod:`repro.backend.process` is its only owner.  The contract the backend
+relies on and never re-implements:
 
 * **Every wait is bounded.**  :meth:`WorkerProcess.recv` takes a timeout;
   :meth:`WorkerProcess.stop` polls for the acknowledgement instead of
   blocking on it, so shutdown cannot wedge behind a hung child.
 * **Silence means kill.**  A child that misses a reply deadline is
   SIGKILLed on the spot and reported as :class:`WorkerLost`; so is one
-  whose pipe hits EOF.  What to do next (respawn the slot, evict the rank)
-  is the caller's policy, not the runtime's.
+  whose pipe hits EOF.  What to do next (respawn the slot, retry the op)
+  is the backend's policy, not the runtime's.
 * **Errors are typed.**  An exception inside a handler comes back as
   :class:`~repro.backend.base.BackendError` carrying ``"Type: message"``;
   the child keeps serving.

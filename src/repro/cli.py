@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with equal M are bit-identical for any worker count, 0 included")
     p.add_argument("--batch-size", type=int, default=8, help="global batch size")
     p.add_argument("--step-timeout", type=float, default=60.0,
-                   help="per-reply deadline (s) before a worker is evicted")
+                   help="per-shard deadline (s) before a worker is killed, respawned and the shard re-run")
     p.add_argument("--checkpoint-dir", default=None,
                    help="directory for atomic ckpt-*.npz checkpoints")
     p.add_argument("--checkpoint-every", type=int, default=0,

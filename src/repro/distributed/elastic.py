@@ -1,33 +1,36 @@
-"""The trainer: synchronous data-parallel U-Net training on zero or more forked ranks.
+"""The trainer: synchronous data-parallel U-Net training, in-process or on the fork backend's workers.
 
-:class:`ElasticTrainer` is the one training loop of the repo.  A *rank*
-(:class:`_Rank`) answers two operations: ``step`` (forward / loss / backward
-of its micro-shards, each flat gradient into that shard's slot) and ``fold``
-(add slots, in index order, into a float64 accumulator).  With
-``num_workers=0`` the trainer is its own rank — both run in-process on
-:attr:`ElasticTrainer.master` over plain ndarrays.  With ``N`` workers they
-run in persistent forked processes on the fork serving backend's worker
-runtime (:mod:`repro.backend.worker`): weights published through one
-shared-memory segment (the :mod:`repro.backend.store` idiom), slots and
-accumulator in a second, every cross-process wait bounded by a deadline so a
-dead or hung worker can never wedge a step.  What this module adds is policy
-— which rank owns which micro-shards, what happens when one is lost.
+:class:`ElasticTrainer` is the one training loop of the repo.  A step trains
+``M`` micro-shards — forward / loss / backward of each, its flat gradient
+into that shard's float32 slot (:class:`_Rank`) — then the master folds the
+slots and applies the update.  With ``num_workers=0`` the trainer is its own
+rank on :attr:`ElasticTrainer.master` over plain ndarrays.  With ``N``
+workers every micro-shard is one call to a *resident* of a
+:class:`~repro.backend.process.ProcessBackend`: a trainer replica published
+to its persistent workers the way a model is (:class:`_ReplicaSpec`), whose
+weights and slots live in one shared-memory segment the backend's store
+owns.  Checkout, the dispatch deadline, kill, respawn with republish and
+retry are the backend's; this module adds the step, the fold and the
+checkpoints.
 
-Two properties drive the design:
+Three properties drive the design:
 
-**Elastic bit-identity.**  A p-dependent reduction order would make the
-update depend on how many workers happen to be alive, so losing a worker
-would fork the training trajectory.  Instead the global batch is split
-into a *fixed* number ``M`` of micro-shards (independent of the live
-worker count) and the reduction is a deterministic left-fold over slots
-``0..M-1``: live workers own contiguous runs of slots, and the parent
-walks them in rank order, each folding its run — in slot order — into the
-float64 accumulator.  The fold therefore performs the exact same float
-operations for *any* worker count, zero included, which is what lets the
-ring shrink (or grow back) mid-epoch while producing bit-identical weights
-— and the paper's "without affecting the accuracy" is an identity here.
-Dropout masks are reseeded per ``(seed, step, micro-shard)`` so they too
-are assignment-independent.
+**Elastic bit-identity.**  The global batch is split into a *fixed* number
+``M`` of micro-shards, independent of the worker count, and dropout masks
+are reseeded per ``(seed, step, micro-shard)``, so a slot's gradient does
+not depend on which worker — or whether any — computed it.  The reduction
+is one deterministic left-fold, ``np.add`` over slots ``0..M-1`` in slot
+order into a float64 accumulator, so the update performs the exact same
+float operations for any worker count, zero included, and a run that loses
+a worker mid-epoch reaches the weights of one that did not — the paper's
+"without affecting the accuracy" is an identity here.
+
+**Steps move, the fold does not.**  A shard's step writes only its own slot,
+so, like a prediction span, it is idempotent and the backend may re-run it
+on another worker when one is lost.  A fold does ``acc += slot`` in place,
+which a half-done retry would double-add, so it runs on the master over the
+shared slots once every shard has returned: one fold path for 0 and N
+workers, and no pipe round trip for it.
 
 **Crash-safe exact resume.**  Periodic checkpoints are written atomically
 (temp file + ``os.replace``) and capture — besides model and optimiser —
@@ -41,12 +44,12 @@ writes, ``ckpt_corrupt_write`` injections) surface as
 :class:`~repro.nn.serialization.CheckpointError` and resume falls back to
 the next-newest checkpoint, mirroring the serving registry's quarantine.
 
-Failure handling in a forked step: every reply and every fold hop has a
-deadline; a worker that misses it (or EOFs) is killed by the runtime, the
-ring is rebuilt with the survivors (``RingBroken`` carries the rank), the
-batch is re-sharded over them and the *same* step re-runs — nothing is
-lost, and determinism makes the re-computation identical.  Below-target
-fleets are topped back up at step boundaries (elastic grow).
+A worker that dies or misses the dispatch deadline (``step_timeout_s``) on
+a shard is killed and respawned with its residents republished before the
+step that lost it returns, and the shard re-runs; determinism makes the
+re-run identical.  A shard lost more often than the backend's
+:class:`~repro.reliability.RetryPolicy` allows raises
+:class:`ElasticTrainingError` naming the step and the slot.
 """
 
 from __future__ import annotations
@@ -56,20 +59,13 @@ import os
 import re
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend.store import (
-    SharedArrayField,
-    attach_segment,
-    close_segment,
-    create_segment,
-    layout_fields,
-    ndarray_view,
-)
-from ..backend.worker import WorkerLost, WorkerProcess, serve
+from ..backend.base import BackendError
+from ..backend.process import ProcessBackend
+from ..backend.store import SharedArrayField, attach_segment, close_segment, create_segment, layout_fields, ndarray_view
 from ..data.loader import BatchLoader
 from ..metrics.classification import ClassificationReport, classification_report
 from ..nn import Adam, CategoricalCrossEntropy, Optimizer, load_checkpoint, read_metadata, save_checkpoint
@@ -81,8 +77,7 @@ from ..obs.profile import LayerTimer
 from ..reliability import fault_point
 from ..unet.model import UNet, UNetConfig
 
-__all__ = ["ElasticTrainer", "ElasticTrainingError", "EpochStats", "RingBroken", "TrainingHistory",
-           "latest_checkpoints"]
+__all__ = ["ElasticTrainer", "ElasticTrainingError", "EpochStats", "TrainingHistory", "latest_checkpoints"]
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
 
@@ -91,19 +86,7 @@ _PHASES = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
 
 
 class ElasticTrainingError(RuntimeError):
-    """Elastic training cannot make progress (e.g. every worker died)."""
-
-
-class RingBroken(RuntimeError):
-    """A worker died or missed its deadline during a step or a fold hop.
-
-    ``rank`` identifies the worker that stopped responding — the trainer
-    evicts exactly that rank and re-runs the step on the survivors.
-    """
-
-    def __init__(self, rank: int, message: str | None = None) -> None:
-        super().__init__(message or f"ring all-reduce broken at rank {rank}")
-        self.rank = int(rank)
+    """Elastic training cannot make progress (e.g. a micro-shard's worker keeps dying)."""
 
 
 def latest_checkpoints(directory: str | os.PathLike) -> list[str]:
@@ -168,28 +151,28 @@ class TrainingHistory:
 
 
 # ---------------------------------------------------------------------- #
-# The rank: in-process on the master, or the body of a forked worker
+# The rank: in-process on the master, or a replica resident in a worker
 # ---------------------------------------------------------------------- #
 def _reseed_dropouts(dropouts: list[Dropout], seed: int, step: int, slot: int) -> None:
     """Make dropout a pure function of (seed, step, micro-shard).
 
     Reseeding per micro-shard — never per worker — keeps the masks
-    identical no matter which rank a shard lands on, which is required
-    for re-dispatching shards after an eviction to be bit-exact.
+    identical no matter which worker a shard lands on, which is required
+    for re-running a shard on another worker to be bit-exact.
     """
     for index, drop in enumerate(dropouts):
         drop._rng = np.random.default_rng([seed, step, slot, index])
 
 
 class _Rank:
-    """The two operations of a rank over a gradient arena (float64 accumulator, float32 slots).
+    """Micro-shard gradients into their float32 slots.
 
-    ``model`` is the trainer's master and the arena plain ndarrays when the
+    ``model`` is the trainer's master and the slots plain ndarrays when the
     trainer is its own rank; a replica over shared-memory views in a worker.
     """
 
-    def __init__(self, model: UNet, seed: int, acc: np.ndarray, slots: list[np.ndarray]) -> None:
-        self.model, self.seed, self.acc, self.slots = model, seed, acc, slots
+    def __init__(self, model: UNet, seed: int, slots: list[np.ndarray]) -> None:
+        self.model, self.seed, self.slots = model, seed, slots
         self.loss_fn = CategoricalCrossEntropy()
         self.dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
         self.params = model.parameters()
@@ -223,63 +206,51 @@ class _Rank:
                     phases_ms[key] += seconds * 1e3
         return losses
 
-    def fold(self, slots, init: bool) -> None:
-        """Add ``slots``, in the order given, into the accumulator (zeroed first when ``init``)."""
-        if init:
-            self.acc[...] = 0.0
-        for slot in slots:
-            np.add(self.acc, self.slots[slot], out=self.acc)
+
+#: The trainer replica's key in its backend's store (one trainer per backend).
+_REPLICA = "elastic-trainer"
 
 
-def _elastic_worker_main(conn, inherited, config, seed, weight_segment, weight_fields,
-                         grad_segment, num_shards, flat_size) -> None:
-    """A forked rank: a replica over the shared weights, answering step/fold.
+@dataclass(frozen=True)
+class _ReplicaSpec:
+    """What a worker needs to hold a trainer replica (picklable, tiny); :meth:`attach` builds it there."""
 
-    The two process-boundary fault points live here, not in :class:`_Rank`:
-    an armed crash or stall must not take an in-process run down with it.
+    config: UNetConfig
+    seed: int
+    segment_name: str
+    weights: tuple[SharedArrayField, ...]  # the master's parameters, in name order
+    slots: tuple[SharedArrayField, ...]  # one flat float32 gradient per micro-shard
+    key: str = _REPLICA
+
+    def attach(self) -> "_Replica":
+        return _Replica(self)
+
+
+class _Replica:
+    """Worker side: a :class:`_Rank` over a model whose weights alias the shared segment read-only.
+
+    The master writes the weights only in the update, after every shard of the
+    step has returned, so a replica reads the current ones without copying them.
+    The two process-boundary fault points live here, not in :class:`_Rank`: an
+    armed crash or hang must not take an in-process run down with it.
     """
-    model = UNet(config)
-    params = model.named_parameters()
-    weight_shm = attach_segment(weight_segment)
-    grad_shm = attach_segment(grad_segment)
-    weight_views = [
-        (params[fld.name], ndarray_view(weight_shm, fld.shape, fld.offset, writeable=False))
-        for fld in weight_fields
-    ]
-    rank = _Rank(model, seed, *_grad_views(grad_shm, num_shards, flat_size))
 
-    def step(step_idx, shards):
+    def __init__(self, spec: _ReplicaSpec) -> None:
+        self.shm = attach_segment(spec.segment_name)
+        model = UNet(spec.config)
+        params = model.named_parameters()
+        for fld in spec.weights:
+            params[fld.name].value = ndarray_view(self.shm, fld.shape, fld.offset, writeable=False)
+        self.rank = _Rank(model, spec.seed, [ndarray_view(self.shm, fld.shape, fld.offset) for fld in spec.slots])
+
+    def step(self, step_idx: int, slot: int, x: np.ndarray, y: np.ndarray) -> float:
         fault_point("trainer_worker_crash")
-        for param, view in weight_views:
-            param.value[...] = view
-        return rank.step(step_idx, shards)
+        fault_point("trainer_worker_hang")
+        return self.rank.step(step_idx, [(slot, x, y)])[slot]
 
-    def fold(slots, init):
-        fault_point("allreduce_stall")
-        rank.fold(slots, init)
-
-    def cleanup():
-        # Views first: closing a segment under a live ndarray raises BufferError.
-        rank.acc = None
-        rank.slots.clear()
-        weight_views.clear()
-        close_segment(weight_shm)
-        close_segment(grad_shm)
-
-    serve(conn, inherited, {"step": step, "fold": fold}, cleanup)
-
-
-def _grad_views(grad_shm, num_shards: int, flat_size: int):
-    """``(float64 accumulator, [float32 slot per micro-shard])`` over the gradient arena.
-
-    The accumulator comes first so it is 8-byte aligned whatever ``flat_size`` is.
-    """
-    acc = ndarray_view(grad_shm, (flat_size,), dtype=np.float64)
-    slots = [
-        ndarray_view(grad_shm, (flat_size,), offset=flat_size * (8 + 4 * m))
-        for m in range(num_shards)
-    ]
-    return acc, slots
+    def close(self) -> None:
+        self.rank = None  # the views go before their segment
+        close_segment(self.shm)
 
 
 # ---------------------------------------------------------------------- #
@@ -291,9 +262,9 @@ class ElasticTrainer:
     Parameters
     ----------
     num_workers:
-        Forked ranks; ``0`` (the default) trains in-process on :attr:`master`.
-        A fleet may shrink below its target when workers die mid-step and
-        grows back at step boundaries (``auto_respawn``).
+        Worker processes of the trainer's fork backend; ``0`` (the default)
+        trains in-process on :attr:`master`.  A lost worker is respawned
+        before the step that lost it returns, so the fleet stays at target.
     micro_shards:
         Fixed micro-shard count ``M`` (defaults to ``max(num_workers, 1)``).
         The update trajectory depends on ``M`` and the data — never on the
@@ -303,16 +274,14 @@ class ElasticTrainer:
         shards are what make the fold assignment-independent); ``M = 1`` is
         plain full-batch training.
     step_timeout_s:
-        Per-reply / per-fold-hop deadline; a worker silent past it is
-        evicted and the step re-runs on the survivors.
+        The backend's dispatch deadline: a worker silent past it on a shard
+        is killed and respawned, and the shard re-runs.
     checkpoint_dir / checkpoint_every:
         When set, write an atomic ``ckpt-{step:08d}.npz`` every
-        ``checkpoint_every`` global steps and at every epoch end (once, in
-        the epoch-end form, when the two coincide).
+        ``checkpoint_every`` global steps (``0``: none mid-epoch) and at every
+        epoch end (once, in the epoch-end form, when the two coincide).
     keep_checkpoints:
-        Retain at most this many newest checkpoints.
-    auto_respawn:
-        Top the fleet back up to ``num_workers`` at step boundaries.
+        Retain at most this many newest checkpoints (at least 1: the newest is what a resume reads).
     """
 
     def __init__(
@@ -326,12 +295,16 @@ class ElasticTrainer:
         checkpoint_dir: str | os.PathLike | None = None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 3,
-        auto_respawn: bool = True,
     ) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         if micro_shards is not None and micro_shards < 1:
             raise ValueError("micro_shards must be >= 1")
+        if checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0 (0 checkpoints at epoch ends only), got {checkpoint_every}")
+        if keep_checkpoints < 1:
+            raise ValueError(f"keep_checkpoints must be >= 1, got {keep_checkpoints}: "
+                             "fewer would delete every checkpoint as it is written")
         self.num_workers = int(num_workers)
         self.micro_shards = int(micro_shards) if micro_shards is not None else max(self.num_workers, 1)
         self.config = config if config is not None else UNetConfig()
@@ -340,24 +313,22 @@ class ElasticTrainer:
         self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
         self.checkpoint_every = int(checkpoint_every)
         self.keep_checkpoints = int(keep_checkpoints)
-        self.auto_respawn = bool(auto_respawn)
 
         self.master = UNet(self.config)
         self.optimizer: Optimizer = Adam(self.master.parameters(), lr=learning_rate)
         self.history = TrainingHistory()
         self.global_step = 0
+        #: the backend's shard retries and worker respawns (0 in-process)
         self.ring_rebuilds = 0
         self.worker_respawns = 0
         self.resumes = 0
 
         self._params = list(self.master.named_parameters().items())
         self._flat_size = int(sum(p.value.size for _name, p in self._params))
-        self._weight_shm = None
-        self._grad_shm = None
-        self._weight_fields: list[SharedArrayField] = []
-        self._workers: dict[int, WorkerProcess] = {}
-        self._next_rank = 0
+        self._backend: ProcessBackend | None = None
         self._local: _Rank | None = None  # the in-process rank (num_workers == 0)
+        self._slots: list[np.ndarray] = []  # one float32 gradient per micro-shard
+        self._weights: list[np.ndarray] = []  # shared views the replicas read the weights from
         self._acc: np.ndarray | None = None  # the float64 accumulator every fold ends in
         self._profile_enabled = False
         self._phases_ms: dict[str, float] | None = None  # set for the length of a profiled epoch
@@ -371,9 +342,9 @@ class ElasticTrainer:
         self._m_allreduce_bytes = registry.counter(
             "repro_train_allreduce_bytes_total", "Gradient bytes folded across workers")
         self._m_rebuilds = registry.counter(
-            "repro_train_ring_rebuilds_total", "Ring rebuilds after worker eviction")
+            "repro_train_ring_rebuilds_total", "Micro-shard steps retried after losing their worker")
         self._m_respawns = registry.counter(
-            "repro_train_worker_respawns_total", "Elastic workers respawned (grow)")
+            "repro_train_worker_respawns_total", "Training workers respawned")
         self._m_resumes = registry.counter(
             "repro_train_resumes_total", "Training runs resumed from a checkpoint")
         self._m_checkpoints = registry.counter(
@@ -394,96 +365,44 @@ class ElasticTrainer:
         self.close()
 
     def start(self) -> None:
-        """Allocate the gradient arena; with workers, in shared segments, and fork the fleet."""
+        """Allocate the slots; with workers, in a segment published to a started fork backend."""
         if self._started:
             return
+        self._acc = np.zeros(self._flat_size, dtype=np.float64)
         if self.num_workers == 0:
-            self._acc = np.zeros(self._flat_size, dtype=np.float64)
-            slots = [np.empty(self._flat_size, dtype=np.float32) for _ in range(self.micro_shards)]
-            self._local = _Rank(self.master, self.seed, self._acc, slots)
+            self._slots = [np.empty(self._flat_size, dtype=np.float32) for _ in range(self.micro_shards)]
+            self._local = _Rank(self.master, self.seed, self._slots)
         else:
-            self._weight_fields, nbytes = layout_fields(
-                (name, param.value.shape) for name, param in self._params)
-            self._weight_shm = create_segment(nbytes)
-            self._grad_shm = create_segment(self._flat_size * (8 + 4 * self.micro_shards))
-            self._acc, _slots = _grad_views(self._grad_shm, 0, self._flat_size)
+            self._backend = ProcessBackend(self.num_workers, dispatch_timeout_s=self.step_timeout_s).start()
+            weights, end = layout_fields((name, param.value.shape) for name, param in self._params)
+            slots, nbytes = layout_fields(((f"slot{m}", (self._flat_size,)) for m in range(self.micro_shards)), end)
+            shm = create_segment(nbytes)
+            spec = _ReplicaSpec(self.config, self.seed, shm.name, tuple(weights), tuple(slots))
+            self._backend.publish_resident(spec, shm)  # the store owns and unlinks the segment
+            self._weights = [ndarray_view(shm, fld.shape, fld.offset) for fld in weights]
+            self._slots = [ndarray_view(shm, fld.shape, fld.offset) for fld in slots]
             self._publish_weights()
-            for _ in range(self.num_workers):
-                self._spawn_worker()
         self._started = True
-        self._m_workers.set(float(len(self._workers)))
+        self._m_workers.set(float(self.live_workers))
 
     def close(self) -> None:
-        """Stop the fleet and unlink the shared segments."""
-        for worker in self._workers.values():
-            worker.stop()
-        self._workers = {}
-        self._local = self._acc = None  # the view goes before its segment
-        if self._weight_shm is not None:
-            close_segment(self._weight_shm, unlink=True)
-            self._weight_shm = None
-        if self._grad_shm is not None:
-            close_segment(self._grad_shm, unlink=True)
-            self._grad_shm = None
+        """Stop the workers and unlink the shared segment."""
+        self._local = self._acc = None
+        self._slots, self._weights = [], []  # the views go before their segment
+        if self._backend is not None:
+            self._backend.close()
+            self._backend = None
         self._started = False
         self._m_workers.set(0.0)
 
-    def _spawn_worker(self) -> None:
-        args = (self.config, self.seed, self._weight_shm.name, tuple(self._weight_fields),
-                self._grad_shm.name, self.micro_shards, self._flat_size)
-        self._workers[self._next_rank] = WorkerProcess(
-            _elastic_worker_main, args, siblings=list(self._workers.values()))
-        self._next_rank += 1
-
-    @contextmanager
-    def _member(self, rank: int):
-        """The worker at ``rank``; losing it inside the block breaks the ring there."""
-        try:
-            yield self._workers[rank]
-        except WorkerLost as exc:
-            raise RingBroken(rank, f"worker rank {rank}: {exc}") from exc
-
     @property
     def live_workers(self) -> int:
-        return sum(1 for w in self._workers.values() if w.alive)
-
-    def ping(self) -> dict[int, int]:
-        """Heartbeat every live worker; evict the silent (watchdog probe)."""
-        pids = {}
-        for rank in list(self._workers):
-            try:
-                with self._member(rank) as worker:
-                    pids[rank] = worker.call("ping", timeout=self.step_timeout_s)
-            except RingBroken:
-                self._evict(rank)
-        return pids
-
-    # ------------------------------------------------------------------ #
-    # Ring membership
-    # ------------------------------------------------------------------ #
-    def _evict(self, rank: int) -> None:
-        worker = self._workers.pop(rank, None)
-        if worker is not None:
-            worker.kill()
-        self._m_workers.set(float(len(self._workers)))
-
-    def _ensure_fleet(self) -> None:
-        """Step-boundary grow: evict the silently dead, top back up to target."""
-        for rank in list(self._workers):
-            if not self._workers[rank].alive:
-                self._evict(rank)
-        if not self.auto_respawn:
-            return
-        while len(self._workers) < self.num_workers:
-            self._spawn_worker()
-            self.worker_respawns += 1
-            self._m_respawns.inc()
-        self._m_workers.set(float(len(self._workers)))
+        return 0 if self._backend is None else self._backend.occupancy()["alive_workers"]
 
     def _publish_weights(self) -> None:
-        """Copy the master's weights to where forked ranks read them (nothing in-process)."""
-        for fld, (_name, param) in zip(self._weight_fields, self._params):
-            ndarray_view(self._weight_shm, fld.shape, fld.offset)[...] = param.value
+        """Copy the master's weights to where the replicas read them (nothing in-process)."""
+        for view, (_name, param) in zip(self._weights, self._params):
+            view[...] = param.value
 
     # ------------------------------------------------------------------ #
     # One step
@@ -500,27 +419,27 @@ class ElasticTrainer:
     def train_step(self, x: np.ndarray, y: np.ndarray, meanwhile=None) -> float | None:
         """One synchronous step over a global batch (``None`` if too small).
 
-        ``meanwhile`` is called exactly once, where a master with forked ranks
-        is idle: after the shards are sent, before the replies are awaited
-        (re-sends after an eviction do not repeat it).  It must leave the
-        weights alone — they change only in the update, after the replies.
-        The in-process rank calls it at the same point of the step.
+        ``meanwhile`` is called exactly once, where a master with workers is
+        idle: after the shards are submitted, before their results are
+        awaited (a shard the backend retries does not repeat it).  It must
+        leave the weights alone — they change only in the update, after the
+        results.  The in-process rank calls it first thing in the step.
         """
         if not self._started:
             self.start()
         shards = self._shard_batch(x, y)
-        if meanwhile is not None and (shards is None or self._local is not None):
+        if meanwhile is not None and (shards is None or self._backend is None):
             meanwhile()  # nobody to wait for: first thing in the step, as on a fleet
         if shards is None:
             return None
         clock = time.perf_counter
         t_step = clock()
-        if self._local is not None:
+        if self._backend is None:
             losses = self._local.step(self.global_step, shards, self._phases_ms)
-            fold_t0 = clock()
-            self._local.fold(range(self.micro_shards), True)
         else:
-            losses, fold_t0 = self._step_on_fleet(shards, meanwhile)
+            losses = self._step_on_fleet(shards, meanwhile)
+        fold_t0 = clock()
+        self._fold()
         self._m_allreduce_ms.observe((clock() - fold_t0) * 1e3)
         self._m_allreduce_bytes.inc(float(self.micro_shards * self._flat_size * 4))
         self._apply_update()
@@ -530,85 +449,39 @@ class ElasticTrainer:
             self._phases_ms["optimizer_ms"] += (clock() - fold_t0) * 1e3
         return float(np.mean([losses[m] for m in range(self.micro_shards)]))
 
-    def _step_on_fleet(self, shards, meanwhile) -> tuple[dict[int, float], float]:
-        """Compute and fold on the forked ranks; ``(losses, when the fold began)``.
+    def _step_on_fleet(self, shards, meanwhile) -> dict[int, float]:
+        """One backend call per micro-shard, ``meanwhile`` on the master while they run; ``{slot: loss}``.
 
-        Survives any number of mid-step worker deaths: each eviction
-        rebuilds the ring, re-shards onto the survivors and re-runs the
-        step — determinism makes the retry bit-identical, so no batch is
-        ever lost or double-counted.
+        Every call is awaited before a failure is raised, so no worker is
+        still writing a slot when the caller sees it.
         """
-        self._ensure_fleet()
-        while True:
-            ranks = sorted(
-                rank for rank, w in self._workers.items() if not w.dead
-            )
-            if not ranks:
-                raise ElasticTrainingError(
-                    f"no live workers left at step {self.global_step}"
-                )
-            assignment = self._assign(ranks)
-            try:
-                losses = self._compute_phase(shards, assignment, meanwhile)
-                fold_t0 = time.perf_counter()
-                self._fold_phase(assignment)
-                return losses, fold_t0
-            except RingBroken as exc:
-                self._evict(exc.rank)
-                self.ring_rebuilds += 1
-                self._m_rebuilds.inc()
-                meanwhile = None  # it ran: _compute_phase calls it before the first reply can fail
-
-    def _assign(self, ranks: list[int]) -> list[tuple[int, list[int]]]:
-        """Contiguous micro-shard runs per live rank (rank order = slot order)."""
-        splits = np.array_split(np.arange(self.micro_shards), len(ranks))
-        return [(rank, [int(s) for s in split])
-                for rank, split in zip(ranks, splits)]
-
-    def _compute_phase(self, shards, assignment, meanwhile) -> dict[int, float]:
-        # Send everything first so the shard computations overlap, do the
-        # master's own work while they run, then collect with per-reply
-        # deadlines.  A failure still drains every reply that was solicited
-        # before raising, so a retry never reads a stale reply from the
-        # previous attempt.
-        sent: list[int] = []
-        failure: RingBroken | None = None
-        for rank, slots in assignment:
-            try:
-                with self._member(rank) as worker:
-                    worker.send("step", self.global_step, [shards[m] for m in slots])
-                sent.append(rank)
-            except RingBroken as exc:
-                failure = failure or exc
+        futures = [self._backend.submit("train_step", _REPLICA, self.global_step, slot, x, y)
+                   for slot, x, y in shards]
         if meanwhile is not None:
             meanwhile()
-        losses: dict[int, float] = {}
-        for rank in sent:
-            if self._workers[rank].dead:
-                continue
+        losses, failed = {}, None
+        for (slot, _x, _y), future in zip(shards, futures):
             try:
-                with self._member(rank) as worker:
-                    losses.update(worker.recv(self.step_timeout_s))
-            except RingBroken as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
+                losses[slot] = future.result()
+            except BackendError as exc:
+                failed = failed or (slot, exc)
+        info = self._backend.occupancy()
+        self._m_rebuilds.inc(info["dispatch_retries"] - self.ring_rebuilds)
+        self._m_respawns.inc(info["respawns"] - self.worker_respawns)
+        self.ring_rebuilds, self.worker_respawns = info["dispatch_retries"], info["respawns"]
+        self._m_workers.set(float(info["alive_workers"]))
+        if failed is not None:
+            slot, exc = failed
+            raise ElasticTrainingError(
+                f"step {self.global_step}, micro-shard slot {slot}: {exc} (a lost worker is retried "
+                f"{self._backend.retry.max_retries} times)") from exc
         return losses
 
-    def _fold_phase(self, assignment) -> None:
-        """Chain-fold the micro-shard slots into the shared accumulator.
-
-        The token walks the live ranks in order; each worker folds its
-        contiguous slot run in index order, so the accumulation order is
-        always slots ``0..M-1`` — independent of the fleet that runs it.
-        """
-        first = True
-        for rank, slots in assignment:
-            if not slots:
-                continue
-            with self._member(rank) as worker:
-                worker.call("fold", slots, first, timeout=self.step_timeout_s)
-            first = False
+    def _fold(self) -> None:
+        """The gradient all-reduce: ``np.add`` over the slots in slot order, whoever computed them, into the accumulator."""
+        self._acc[...] = 0.0
+        for slot in self._slots:
+            np.add(self._acc, slot, out=self._acc)
 
     def _apply_update(self) -> None:
         acc = self._acc
@@ -752,19 +625,16 @@ class ElasticTrainer:
         # first N batches re-consumes permutation + augmentation draws
         # exactly, which is the whole bit-exact-resume trick.
         epoch_rng_state = loader.rng_state()
-        # Epoch-boundary heartbeat: busy workers are covered by per-reply
-        # deadlines; this catches ones that wedged while idle.
-        self.ping()
         start = time.perf_counter()
-        step_in_epoch = 0
+        step_in_epoch = largest = 0
         batches = iter(loader)
         batch = next(batches, None)
         due = False
 
         def meanwhile():
-            # What the master does while the ranks compute: the periodic checkpoint
+            # What the master does while the workers compute: the periodic checkpoint
             # that fell due with the last step (the weights move only after the
-            # replies), then the loader's next batch.  A checkpoint due when the
+            # results), then the loader's next batch.  A checkpoint due when the
             # epoch ends is not written here: ``fit``'s epoch-boundary write to the
             # same path is the one.
             nonlocal batch
@@ -778,6 +648,7 @@ class ElasticTrainer:
             if step_in_epoch <= replay:
                 batch = next(batches, None)
                 continue
+            largest = max(largest, x.shape[0])
             loss = self.train_step(x, y, meanwhile)
             due = False
             if loss is None:
@@ -786,6 +657,11 @@ class ElasticTrainer:
             images += x.shape[0] // self.micro_shards * self.micro_shards  # what _shard_batch trained
             due = bool(self.checkpoint_dir and self.checkpoint_every > 0
                        and self.global_step % self.checkpoint_every == 0)
+        if largest and not losses:
+            raise ValueError(
+                f"epoch {epoch} trained nothing: its batches hold at most {largest} samples, fewer than "
+                f"micro_shards={self.micro_shards} (a step trains {self.micro_shards} equal shards); "
+                "raise the batch size or lower micro_shards")
         elapsed = time.perf_counter() - start
         return EpochStats(
             epoch=epoch,

@@ -21,12 +21,12 @@ Known fault points and what firing does:
                         published shared-memory segment)
 ``corrupt_archive_read`` raises :class:`FaultInjected` while opening a
                         checkpoint archive (surfaces as ``CheckpointError``)
-``trainer_worker_crash`` an elastic-training worker calls ``os._exit(170)``
-                        mid-step (the parent must rebuild the ring and
-                        finish the step on the survivors)
-``allreduce_stall``     a forked rank sleeps ``param`` seconds in the
-                        gradient fold (default 600 — tripping the per-hop
-                        reply deadline, which surfaces as ``RingBroken``)
+``trainer_worker_crash`` a training worker calls ``os._exit(170)`` in a
+                        micro-shard step (the backend respawns it and
+                        re-runs the shard)
+``trainer_worker_hang`` a training worker sleeps ``param`` seconds in a
+                        micro-shard step (default 600 — caught by the
+                        dispatch deadline, ``--step-timeout``)
 ``ckpt_corrupt_write``  truncates the checkpoint temp file before it is
                         renamed into place (a torn write the resume path
                         must skip past)
@@ -69,11 +69,11 @@ _ACTIONS = {
     "shm_attach_fail": "raise",
     "corrupt_archive_read": "raise",
     "trainer_worker_crash": "exit",
-    "allreduce_stall": "sleep",
+    "trainer_worker_hang": "sleep",
     "ckpt_corrupt_write": "raise",
 }
 
-_SLEEP_DEFAULTS = {"worker_hang": 600.0, "slow_predict": 0.05, "allreduce_stall": 600.0}
+_SLEEP_DEFAULTS = {"worker_hang": 600.0, "slow_predict": 0.05, "trainer_worker_hang": 600.0}
 
 
 class FaultInjected(OSError):

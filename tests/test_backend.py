@@ -26,7 +26,7 @@ from repro.backend import (
     make_backend,
     resolve_backend_name,
 )
-from repro.backend.store import SharedModelStore, attach_model
+from repro.backend.store import SharedModelStore
 from repro.cloudshadow import CloudShadowFilter
 from repro.unet import InferenceConfig, SceneClassifier, UNet, tiny_unet_config
 from repro.unet.inference import predict_batch_probabilities
@@ -211,7 +211,7 @@ class TestSharedModelStore:
         store = SharedModelStore()
         try:
             spec = store.publish("m", model)
-            attached = attach_model(spec)
+            attached = spec.attach()
             try:
                 for name, param in attached.model.named_parameters().items():
                     assert not param.value.flags.writeable
@@ -225,7 +225,7 @@ class TestSharedModelStore:
     def test_attached_prediction_matches_direct(self, model, stack):
         store = SharedModelStore()
         try:
-            attached = attach_model(store.publish("m", model, CloudShadowFilter()))
+            attached = store.publish("m", model, CloudShadowFilter()).attach()
             try:
                 got = attached.predict(stack[:4])
             finally:
@@ -241,7 +241,7 @@ class TestSharedModelStore:
         store = SharedModelStore()
         try:
             spec = store.publish("m", model)
-            attached = attach_model(spec)
+            attached = spec.attach()
             try:
                 plan = attached.engine.warm((2, 3, 32, 32))
                 segment = np.ndarray((attached.shm.size,), dtype=np.uint8, buffer=attached.shm.buf)
@@ -262,7 +262,7 @@ class TestSharedModelStore:
     def test_predict_into_out_buffer_identical(self, model, stack):
         store = SharedModelStore()
         try:
-            attached = attach_model(store.publish("m", model))
+            attached = store.publish("m", model).attach()
             try:
                 direct = attached.predict(stack[:4])
                 out = np.empty_like(direct)

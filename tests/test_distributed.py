@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import shutil
+import time
 import warnings
 import zipfile
 from unittest import mock
@@ -14,24 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.store import close_segment, create_segment
-from repro.backend.worker import WorkerProcess
+from repro.backend import ProcessBackend, WorkerProcess
 from repro.data import BatchLoader
 from repro.distributed import (
     DGXTrainingModel,
     ElasticTrainer,
     ElasticTrainingError,
-    RingBroken,
     latest_checkpoints,
     paper_table3,
 )
-from repro.distributed.elastic import _grad_views, _Rank
 from repro.nn import Adam, CategoricalCrossEntropy, load_checkpoint, read_metadata, save_checkpoint
 from repro.nn.convgemm import NUMERICS
 from repro.obs.metrics import get_registry
 from repro.reliability import FaultSpec, configure_faults, fault_stats, reset_faults
 from repro.unet import UNet, UNetConfig
 
+from leaks import shm_segments
 from reference_kernels import reference_train_step
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
@@ -62,26 +61,12 @@ def _slot_order_sum(slots) -> np.ndarray:
     return acc
 
 
-class _InlineWorker:
-    """A fleet member that answers ``call`` on an in-process :class:`_Rank` (the fold's transport stripped)."""
-
-    def __init__(self, rank: _Rank, log: list) -> None:
-        self.rank, self.log = rank, log
-
-    def call(self, op, *args, timeout=None):
-        self.log.append((op, args))
-        return getattr(self.rank, op)(*args)
-
-
-def _fold_on_fleet(slots, live_ranks: int) -> tuple[np.ndarray, list]:
-    """Fold ``slots`` through :meth:`ElasticTrainer._fold_phase` over ``live_ranks`` members sharing one arena."""
+def _fold(slots, acc) -> np.ndarray:
+    """What :meth:`ElasticTrainer._fold` leaves in ``acc`` after folding ``slots``."""
     trainer = ElasticTrainer(micro_shards=len(slots), config=UNetConfig(depth=1, base_channels=2, seed=0))
-    acc = np.full(slots[0].size, np.nan)  # init=True must overwrite whatever the arena held
-    rank = _Rank(trainer.master, 0, acc, list(slots))
-    log: list = []
-    trainer._workers = {r: _InlineWorker(rank, log) for r in range(live_ranks)}
-    trainer._fold_phase(trainer._assign(sorted(trainer._workers)))
-    return acc, log
+    trainer._slots, trainer._acc = list(slots), acc
+    trainer._fold()
+    return trainer._acc
 
 
 def _applied_grads(trainer: ElasticTrainer) -> np.ndarray:
@@ -98,50 +83,41 @@ def _one_step(trainer: ElasticTrainer, seed: int = 4) -> None:
 
 
 class TestRingAllReduce:
-    """The gradient all-reduce is the trainer's slot-order fold: a float64 left-fold over micro-shard slots."""
+    """The gradient all-reduce is the master's slot-order fold: a float64 left-fold over micro-shard slots."""
 
     def test_matches_mean(self):
         with ElasticTrainer(micro_shards=4, config=ELASTIC_CONFIG, seed=1) as trainer:
             _one_step(trainer)
-            slots = trainer._local.slots
+            slots = trainer._slots
             expected = (_slot_order_sum(slots) * (1.0 / 4)).astype(np.float32)
             np.testing.assert_array_equal(_applied_grads(trainer), expected)
             np.testing.assert_allclose(_applied_grads(trainer), np.mean(slots, axis=0), rtol=1e-5, atol=1e-9)
 
     def test_sum_mode(self):
+        """The fold sums (the mean is the update's) and starts over whatever the accumulator held."""
         slots = _wide_slots(3, 11, seed=0)
-        acc = np.full(11, 7.0)
-        rank = _Rank(UNet(UNetConfig(depth=1, base_channels=2, seed=0)), 0, acc, slots)
-        rank.fold([0], True)
-        rank.fold([1, 2], False)  # init=False keeps adding onto the running sum
-        np.testing.assert_array_equal(acc, _slot_order_sum(slots))
-        rank.fold([2], True)  # init=True starts over
-        np.testing.assert_array_equal(acc, slots[2].astype(np.float64))
+        np.testing.assert_array_equal(_fold(slots, np.full(11, 7.0)), _slot_order_sum(slots))
+        np.testing.assert_array_equal(_fold(slots[2:], np.full(11, np.nan)), slots[2].astype(np.float64))
 
     def test_matches_naive_reference(self):
-        """Any contiguous split of the slots over ranks folds to the bits of one rank folding them all."""
+        """The fold runs in slot order, on data whose sum can tell the order."""
         slots = _wide_slots(6, 64, seed=1)
         expected = _slot_order_sum(slots)
-        assert not np.array_equal(expected, _slot_order_sum(slots[::-1]))  # the data can tell the order
-        for cuts in ([], [3], [1, 2], [2, 4], [1, 2, 3, 4, 5], [5]):
-            rank = _Rank(UNet(UNetConfig(depth=1, base_channels=2, seed=0)), 0, np.empty(64), slots)
-            for index, run in enumerate(np.split(np.arange(6), cuts)):
-                rank.fold([int(m) for m in run], index == 0)
-            np.testing.assert_array_equal(rank.acc, expected, err_msg=f"split at {cuts}")
+        assert not np.array_equal(expected, _slot_order_sum(slots[::-1]))
+        np.testing.assert_array_equal(_fold(slots, np.empty(64)), expected)
 
     def test_single_worker(self):
         """M = 1: the update is the shard's own float32 gradient, bit for bit."""
         with ElasticTrainer(micro_shards=1, config=ELASTIC_CONFIG, seed=1) as trainer:
             _one_step(trainer)
-            np.testing.assert_array_equal(_applied_grads(trainer), trainer._local.slots[0])
+            np.testing.assert_array_equal(_applied_grads(trainer), trainer._slots[0])
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 40))
-    def test_property_any_worker_count_and_size(self, micro_shards, live_ranks, size):
-        slots = _wide_slots(micro_shards, size, seed=micro_shards * 1000 + live_ranks * 100 + size)
-        acc, log = _fold_on_fleet(slots, live_ranks)
-        np.testing.assert_array_equal(acc, _slot_order_sum(slots))
-        assert [(op, args[1]) for op, args in log] == [("fold", True)] + [("fold", False)] * (len(log) - 1)
+    @given(st.integers(1, 6), st.integers(1, 40))
+    def test_property_any_worker_count_and_size(self, micro_shards, size):
+        """The master folds every slot, whatever number of workers filled them: one fold for 0 and N workers."""
+        slots = _wide_slots(micro_shards, size, seed=micro_shards * 1000 + size)
+        np.testing.assert_array_equal(_fold(slots, np.full(size, np.nan)), _slot_order_sum(slots))
 
     def test_bandwidth_optimality_traffic(self):
         """The fold moves every slot once: M·flat·4 bytes a step, whatever the worker count."""
@@ -168,72 +144,46 @@ class TestRingAllReduce:
                 offset += param.grad.size
             assert offset == trainer._flat_size
 
+    @fork_only
     def test_rejects_mismatched_shapes(self):
-        """The arena's views never overlap, and the float64 accumulator is aligned at any flat size."""
-        for flat_size in (1, 3, 7, 13):
-            shm = create_segment(flat_size * (8 + 4 * 3))
-            try:
-                acc, slots = _grad_views(shm, 3, flat_size)
-                assert acc.dtype == np.float64 and acc.ctypes.data % 8 == 0 and acc.shape == (flat_size,)
-                assert [(s.dtype, s.shape) for s in slots] == [(np.float32, (flat_size,))] * 3
-                acc[...] = -1.0
-                for m, slot in enumerate(slots):
-                    slot[...] = m
-                assert (acc == -1.0).all() and all((slot == m).all() for m, slot in enumerate(slots))
-                end = slots[-1].ctypes.data + slots[-1].nbytes - acc.ctypes.data
-                assert end == flat_size * (8 + 4 * 3), flat_size  # the last slot ends where the arena does
-                del acc, slots
-            finally:
-                close_segment(shm, unlink=True)
+        """The replica's segment holds each weight and slot once: the parameters' shapes and the flat
+        gradient, cache-line aligned, no view overlapping another."""
+        with ElasticTrainer(num_workers=1, micro_shards=3, config=ELASTIC_CONFIG, step_timeout_s=30.0) as trainer:
+            assert [view.shape for view in trainer._weights] == [param.value.shape for _name, param in trainer._params]
+            assert [(slot.dtype, slot.shape) for slot in trainer._slots] == [(np.float32, (trainer._flat_size,))] * 3
+            views = trainer._weights + trainer._slots
+            assert all(view.ctypes.data % 64 == 0 for view in views)
+            spans = sorted((view.ctypes.data, view.ctypes.data + view.nbytes) for view in views)
+            assert all(end <= start for (_start, end), (start, _end) in zip(spans, spans[1:]))
 
     @fork_only
     def test_rejects_empty(self):
-        """A fleet with no live worker to fold on raises instead of returning a zero gradient."""
-        with ElasticTrainer(num_workers=1, micro_shards=2, config=ELASTIC_CONFIG, auto_respawn=False,
-                            step_timeout_s=30.0) as trainer:
-            trainer._workers[0].kill()
-            with pytest.raises(ElasticTrainingError, match="no live workers"):
-                _one_step(trainer)
+        """A micro-shard whose worker dies on every attempt raises, naming the step and the slot, once the
+        backend's retries are spent — in bounded time, with no segment left behind."""
+        before = shm_segments()
+        configure_faults({"trainer_worker_crash": FaultSpec(times=-1)})
+        start = time.monotonic()
+        with ElasticTrainer(num_workers=2, micro_shards=2, config=ELASTIC_CONFIG, step_timeout_s=30.0) as trainer:
+            with pytest.raises(ElasticTrainingError, match=r"^step 0, micro-shard slot [01]: .*died"):
+                trainer.fit(_eight_step_loader(), epochs=1)
+            assert trainer.global_step == 0
+        assert time.monotonic() - start < 60.0
+        assert fault_stats()["trainer_worker_crash"]["fired"] == 2 * 3  # two shards, each tried 1 + 2 times
+        assert shm_segments() == before
 
     @fork_only
     def test_pipe_ring_across_processes(self):
-        """The accumulator three forked ranks fold over shared memory equals the in-process one bit for bit."""
-        with ElasticTrainer(micro_shards=5, config=ELASTIC_CONFIG, seed=2) as local:
-            _one_step(local)
-            expected = local._acc.copy()
-            np.testing.assert_array_equal(expected, _slot_order_sum(local._local.slots))
-        with ElasticTrainer(num_workers=3, micro_shards=5, config=ELASTIC_CONFIG, seed=2,
-                            step_timeout_s=30.0) as fleet:
-            _one_step(fleet)
-            np.testing.assert_array_equal(fleet._acc, expected)
-
-    @fork_only
-    def test_pipe_ring_validates_count(self):
-        """More workers than micro-shards: the idle rank is never asked to fold, and the bits do not move."""
-        with ElasticTrainer(micro_shards=2, config=ELASTIC_CONFIG, seed=2) as local:
-            _one_step(local)
-            expected = local._acc.copy()
-        folds = []
-        real_call = WorkerProcess.call
-
-        def call(worker, op, *args, **kwargs):
-            if op == "fold":
-                folds.append(worker)
-            return real_call(worker, op, *args, **kwargs)
-
-        with ElasticTrainer(num_workers=3, micro_shards=2, config=ELASTIC_CONFIG, seed=2,
-                            step_timeout_s=30.0) as fleet:
-            assert fleet._assign([0, 1, 2]) == [(0, [0]), (1, [1]), (2, [])]
-            with mock.patch.object(WorkerProcess, "call", call):
+        """The accumulator the master folds from slots forked workers filled equals the in-process one bit for
+        bit, with more shards than workers and with fewer."""
+        for micro_shards in (5, 2):
+            with ElasticTrainer(micro_shards=micro_shards, config=ELASTIC_CONFIG, seed=2) as local:
+                _one_step(local)
+                expected = local._acc.copy()
+                np.testing.assert_array_equal(expected, _slot_order_sum(local._slots))
+            with ElasticTrainer(num_workers=3, micro_shards=micro_shards, config=ELASTIC_CONFIG, seed=2,
+                                step_timeout_s=30.0) as fleet:
                 _one_step(fleet)
-            assert folds == [fleet._workers[0], fleet._workers[1]]
-            np.testing.assert_array_equal(fleet._acc, expected)
-
-    def test_ring_broken_carries_rank(self):
-        err = RingBroken(2)
-        assert err.rank == 2
-        assert "rank 2" in str(err)
-        assert isinstance(err, RuntimeError)
+                np.testing.assert_array_equal(fleet._acc, expected)
 
 
 @fork_only
@@ -501,29 +451,37 @@ class TestElasticTrainer:
             "ckpt-00000008.npz", "ckpt-00000004.npz"]
 
     def test_the_master_works_once_per_step_while_the_ranks_compute(self, tmp_path):
-        """The due checkpoint and the loader's next batch happen between the last send and the first receive:
-        once a step, also when a crashed worker makes the step re-send — and the run still equals the
-        undisturbed in-process one, archive for archive."""
+        """The due checkpoint and the loader's next batch happen between the last submit and the first wait:
+        once a step, also when a crashed worker makes the backend re-send a shard — and the run still equals
+        the undisturbed in-process one, archive for archive."""
         kwargs = dict(config=ELASTIC_CONFIG, micro_shards=2, seed=0, checkpoint_every=1, keep_checkpoints=20)
         with ElasticTrainer(num_workers=0, checkpoint_dir=tmp_path / "calm", **kwargs) as trainer:
             calm = list(trainer.fit(_eight_step_loader(), epochs=1).losses), trainer.weights_digest()
-        events = []
-        real_send, real_recv, real_save = WorkerProcess.send, WorkerProcess.recv, ElasticTrainer._save_checkpoint
+        events, sends = [], []
+        real_submit, real_send, real_save = ProcessBackend.submit, WorkerProcess.send, ElasticTrainer._save_checkpoint
+
+        def submit(backend, *msg, **kwargs):
+            events.append(msg[0])
+            future = real_submit(backend, *msg, **kwargs)
+            result = future.result
+
+            def awaited(timeout=None):
+                events.append("recv")
+                return result(timeout)
+
+            future.result = awaited
+            return future
 
         def send(worker, *msg):
-            events.append(msg[0])
+            sends.append(msg[0])
             real_send(worker, *msg)
-
-        def recv(worker, timeout=None):
-            events.append("recv")
-            return real_recv(worker, timeout)
 
         def save(trainer, epoch, *cursor):
             events.append(f"save-{trainer.global_step}")
             return real_save(trainer, epoch, *cursor)
 
         configure_faults({"trainer_worker_crash": FaultSpec(times=1)})
-        with mock.patch.object(WorkerProcess, "send", send), mock.patch.object(WorkerProcess, "recv", recv), \
+        with mock.patch.object(ProcessBackend, "submit", submit), mock.patch.object(WorkerProcess, "send", send), \
                 mock.patch.object(ElasticTrainer, "_save_checkpoint", save):
             with ElasticTrainer(num_workers=2, checkpoint_dir=tmp_path / "crash", step_timeout_s=30.0, **kwargs) as trainer:
                 crashed = list(trainer.fit(_eight_step_loader(), epochs=1).losses), trainer.weights_digest()
@@ -533,8 +491,9 @@ class TestElasticTrainer:
         saves = [index for index, event in enumerate(events) if event.startswith("save")]
         assert [events[index] for index in saves] == [f"save-{step}" for step in range(1, 9)]
         for index in saves[:-1]:  # the last is the epoch-boundary write, after the fold
-            assert events[index - 1] == "step" and events[index + 1] == "recv"
-        assert events.count("step") > 2 * 8  # the crashed step re-sent its shards
+            assert events[index - 1] == "train_step" and events[index + 1] == "recv"
+        assert events.count("train_step") == 2 * 8  # the trainer submits each shard once
+        assert sends.count("train_step") > 2 * 8  # the backend re-sent the crashed one
 
     def test_resume_from_either_kept_archive_in_either_format(self, tmp_path, archive_writer):
         """Mid-epoch (step 4) and epoch-boundary (step 8) archives, stored or deflated as the
@@ -569,8 +528,8 @@ class TestElasticTrainer:
             assert stats["global_step"] >= 1
             assert stats["live_workers"] == stats["target_workers"] == 2
             assert stats["ring_rebuilds"] == 0 and stats["resumes"] == 0
+            assert stats["worker_respawns"] == 0
             assert len(stats["weights_digest"]) == 64
-            assert trainer.ping()  # every worker answers the heartbeat
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -620,10 +579,10 @@ class TestInProcessRank:
         assert run(workers) == (losses, digest)
 
     def test_armed_process_faults_do_not_reach_an_in_process_run(self, tiny_split):
-        """``trainer_worker_crash`` exits and ``allreduce_stall`` sleeps a *worker*: with no worker
+        """``trainer_worker_crash`` exits and ``trainer_worker_hang`` sleeps a *worker*: with no worker
         process there is no boundary for them to fire on."""
         configure_faults({"trainer_worker_crash": FaultSpec(times=-1),
-                          "allreduce_stall": FaultSpec(times=-1, param=600.0)})
+                          "trainer_worker_hang": FaultSpec(times=-1, param=600.0)})
         with ElasticTrainer(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG) as trainer:
             history = trainer.fit(_elastic_loader(tiny_split), epochs=1)
         assert np.isfinite(history.losses).all() and trainer.global_step > 0
@@ -653,6 +612,21 @@ class TestInProcessRank:
         (tmp_path / "killed").mkdir()
         shutil.copy(tmp_path / "whole" / "ckpt-00000001.npz", tmp_path / "killed")
         assert run(tmp_path / "killed", resume=True) == (trained, cursors, 1)
+
+    def test_an_epoch_that_trains_nothing_raises(self):
+        """Batches of 2 cannot fill 4 micro-shards: the epoch says so instead of reporting a NaN loss."""
+        trainer = ElasticTrainer(num_workers=0, micro_shards=4, config=ELASTIC_CONFIG)
+        tiles = _eight_step_loader()
+        loader = _IterOnlyLoader(BatchLoader(tiles.images, tiles.labels, batch_size=2))  # no batch_size to read
+        with pytest.raises(ValueError, match=r"at most 2 samples, fewer than micro_shards=4"):
+            trainer.fit(loader, epochs=1)
+        assert trainer.global_step == 0 and not trainer.history.epochs
+
+    @pytest.mark.parametrize("option", [{"keep_checkpoints": 0}, {"checkpoint_every": -1}])
+    def test_checkpoint_options_that_lose_the_resume_are_refused(self, tmp_path, option):
+        """``keep_checkpoints=0`` would delete every checkpoint as it is written."""
+        with pytest.raises(ValueError, match=next(iter(option))):
+            ElasticTrainer(checkpoint_dir=tmp_path, **option)
 
     def test_resumed_history_does_not_dilute_throughput(self, tiny_split, tmp_path):
         """Epochs restored from a checkpoint carry their loss but were not timed by this

@@ -1,13 +1,14 @@
 """The worker-process runtime on its own (no model, no backend, no trainer).
 
-Everything the fork backend and the elastic trainer rely on the runtime
-for: typed errors with the child still serving, deadlines that kill, EOF
+Everything the fork backend relies on the runtime for (the elastic
+trainer's ranks are residents on its workers): typed errors with the child still serving, deadlines that kill, EOF
 that marks dead, a stop that cannot wedge, metric deltas that
 arrive exactly once, and pipes that EOF when the parent is SIGKILLed.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import signal
@@ -225,6 +226,20 @@ def test_there_is_one_worker_runtime(pattern):
         if "obs" not in path.relative_to(root).parts and re.search(pattern, path.read_text())
     }
     assert found == _ONLY_IN[pattern]
+
+
+def test_only_the_backend_forks_workers():
+    """The trainer's ranks are residents on the fork backend's workers: no module outside ``backend/``
+    builds a ``WorkerProcess``, and the trainer imports nothing of the worker runtime."""
+    root = SRC / "repro"
+    builders = {path.relative_to(root).as_posix() for path in root.rglob("*.py")
+                if re.search(r"WorkerProcess\(", path.read_text())}
+    assert builders and all(path.startswith("backend/") for path in builders), builders
+    tree = ast.parse((root / "distributed" / "elastic.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [node.module for node in imports if node.module.endswith("worker")]
+    runtime = {"worker", "WorkerProcess", "WorkerLost", "Reply", "serve"}
+    assert not [alias.name for node in imports for alias in node.names if alias.name in runtime]
 
 
 def test_there_is_one_path_per_job():
