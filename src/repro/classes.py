@@ -23,7 +23,6 @@ __all__ = [
     "HSVRange",
     "HSV_RANGES",
     "class_map_to_color",
-    "color_to_class_map",
 ]
 
 
@@ -64,13 +63,6 @@ class HSVRange:
         checks = [(plane >= self.lower[c]) & (plane <= self.upper[c]) for c, plane in planes.items()]
         return reduce(np.logical_and, checks)
 
-    def contains(self, hsv: np.ndarray) -> np.ndarray:
-        """Boolean mask of pixels inside the range (``hsv`` is ``(H, W, 3)`` uint8)."""
-        arr = np.asarray(hsv)
-        if arr.ndim != 3 or arr.shape[-1] != 3:
-            raise ValueError(f"expected (H, W, 3) HSV image, got shape {arr.shape}")
-        return self.inside({c: arr[..., c] for c in range(3)})
-
 
 #: Auto-labeling colour thresholds from paper §III-B (Ross Sea, Antarctic summer).
 HSV_RANGES: dict[SeaIceClass, HSVRange] = {
@@ -91,18 +83,3 @@ def class_map_to_color(class_map: np.ndarray) -> np.ndarray:
     if cmap.min() < 0 or cmap.max() >= NUM_CLASSES:
         raise ValueError("class map contains ids outside the known classes")
     return lut[cmap.astype(np.intp)]
-
-
-def color_to_class_map(label_image: np.ndarray) -> np.ndarray:
-    """Invert :func:`class_map_to_color` by nearest label colour.
-
-    Useful when round-tripping label images through lossy stores; each pixel
-    is assigned the class whose reference colour is closest in RGB space.
-    """
-    img = np.asarray(label_image)
-    if img.ndim != 3 or img.shape[-1] != 3:
-        raise ValueError(f"expected (H, W, 3) label image, got shape {img.shape}")
-    colors = np.array([LABEL_COLORS[SeaIceClass(i)] for i in range(NUM_CLASSES)], dtype=np.int32)
-    diff = img[..., None, :].astype(np.int32) - colors[None, None, :, :]
-    dist = np.sum(diff * diff, axis=-1)
-    return np.argmin(dist, axis=-1).astype(np.uint8)

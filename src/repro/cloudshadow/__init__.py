@@ -1,6 +1,6 @@
 """Thin-cloud and cloud-shadow filtering (paper §III-A).
 
-* :mod:`repro.cloudshadow.detection` — classical mask detection (and the coverage it implies)
+* :mod:`repro.cloudshadow.detection` — classical cloud and shadow mask detection
 * :mod:`repro.cloudshadow.removal` — linear-mixing-model veil estimation and inversion
 * :mod:`repro.cloudshadow.pipeline` — combined filter and its batch method
 """

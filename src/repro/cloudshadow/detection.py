@@ -1,9 +1,8 @@
-"""Thin-cloud and shadow *detection* (mask + coverage estimation).
+"""Thin-cloud and shadow *detection* (cloud and shadow masks).
 
-Detection answers two questions the workflow needs: *which pixels* are
-contaminated (so the removal step can be audited and visualised) and *how
-much* of a tile is contaminated (the quantity behind Table V's split into
-"more / less than about 10 % cloud and shadow cover").
+Detection answers *which pixels* are contaminated, so the removal step can be
+audited and visualised.  (Table V splits the test set by the synthetic
+scenes' ground-truth cover, not by these masks.)
 
 The detector combines two cues:
 
@@ -39,15 +38,6 @@ class CloudShadowMasks:
     cloud: np.ndarray
     shadow: np.ndarray
 
-    @property
-    def affected(self) -> np.ndarray:
-        return self.cloud | self.shadow
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the image flagged as cloud or shadow."""
-        return float(self.affected.mean())
-
 
 def _brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarray:
     """Low-frequency brightness deviation from the scene's median level (uint8)."""
@@ -67,7 +57,6 @@ def detect_cloud_shadow(
     blur_ksize: int = 63,
     alpha_threshold: float = 0.10,
     min_object_size: int = 64,
-    remover: ThinCloudShadowRemover | None = None,
     estimate: VeilEstimate | None = None,
 ) -> CloudShadowMasks:
     """Detect thin-cloud and shadow masks from a single RGB tile or scene.
@@ -82,10 +71,9 @@ def detect_cloud_shadow(
         Minimum estimated veil opacity for a pixel to count as contaminated.
     min_object_size:
         Smallest connected component (pixels) kept after clean-up.
-    remover:
-        Optionally reuse an existing remover (and its calibration).
     estimate:
-        The veil estimate of ``rgb`` if the caller already has it; the remover is then not run.
+        The veil estimate of ``rgb`` if the caller already has it (made with the
+        caller's own remover and calibration); otherwise a default remover makes one.
     """
     img = np.asarray(rgb)
     if img.ndim != 3 or img.shape[-1] != 3:
@@ -94,7 +82,7 @@ def detect_cloud_shadow(
         blur_ksize += 1
 
     if estimate is None:
-        estimate = (remover or ThinCloudShadowRemover()).estimate(img)
+        estimate = ThinCloudShadowRemover().estimate(img)
 
     cloud = estimate.cloud_alpha > alpha_threshold
     shadow = estimate.shadow_alpha > alpha_threshold

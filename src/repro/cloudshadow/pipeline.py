@@ -26,11 +26,6 @@ class FilterResult:
     masks: CloudShadowMasks
     veil: VeilEstimate
 
-    @property
-    def coverage(self) -> float:
-        """Detected cloud+shadow coverage of the input image."""
-        return self.masks.coverage
-
 
 @dataclass
 class CloudShadowFilter:
@@ -66,7 +61,3 @@ class CloudShadowFilter:
         if stack.ndim != 4 or stack.shape[-1] != 3:
             raise ValueError(f"expected (N, H, W, 3) tile stack, got shape {stack.shape}")
         return np.stack([self.filter_image(stack[i]) for i in range(stack.shape[0])])
-
-    def coverage(self, rgb: np.ndarray) -> float:
-        """Detected cloud+shadow coverage fraction of one image."""
-        return detect_cloud_shadow(np.asarray(rgb), blur_ksize=self.detection_blur_ksize, remover=self.remover).coverage

@@ -10,8 +10,8 @@ and batch-loading machinery the workflow needs.
 from .io import load_dataset, save_dataset
 from .catalog import TileDataset, TileRecord, build_dataset, tiles_from_scenes, train_test_split
 from .clouds import CloudShadowField, generate_cloud_field, generate_cloud_shadow_pair
-from .loader import BatchLoader, augment_batch, augment_pair, image_to_tensor, labels_to_onehot
-from .noise import fractal_noise, smooth_blobs, spectral_noise
+from .loader import BatchLoader, augment_batch, image_to_tensor
+from .noise import fractal_noise, spectral_noise
 from .radiometry import (
     CLASS_RGB_PROTOTYPES,
     CLASS_TEXTURE_AMPLITUDE,
@@ -36,11 +36,8 @@ __all__ = [
     "generate_cloud_shadow_pair",
     "BatchLoader",
     "augment_batch",
-    "augment_pair",
     "image_to_tensor",
-    "labels_to_onehot",
     "fractal_noise",
-    "smooth_blobs",
     "spectral_noise",
     "CLASS_RGB_PROTOTYPES",
     "CLASS_TEXTURE_AMPLITUDE",

@@ -3,7 +3,7 @@
 The paper "organise[s] the data into batches for the U-Net models using
 dataloader" with batch sizes of 16/32/64 and relies on U-Net's heavy use of
 data augmentation.  This loader converts uint8 RGB tiles into normalised
-``(N, C, H, W)`` float32 batches with one-hot targets, supports shuffling
+``(N, C, H, W)`` float32 batches with integer class-map targets, supports shuffling
 and the standard flip / rotate-90 augmentations that preserve label maps.
 """
 
@@ -14,9 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..classes import NUM_CLASSES
-
-__all__ = ["image_to_tensor", "labels_to_onehot", "augment_pair", "augment_batch", "BatchLoader"]
+__all__ = ["image_to_tensor", "augment_batch", "BatchLoader"]
 
 
 def image_to_tensor(images: np.ndarray) -> np.ndarray:
@@ -32,49 +30,6 @@ def image_to_tensor(images: np.ndarray) -> np.ndarray:
     return tensor[0] if single else tensor
 
 
-def labels_to_onehot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
-    """Convert ``(N, H, W)`` integer class maps to ``(N, num_classes, H, W)`` float32 one-hot."""
-    arr = np.asarray(labels)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None]
-    if arr.ndim != 3:
-        raise ValueError(f"expected (N, H, W) labels, got shape {np.asarray(labels).shape}")
-    if arr.min() < 0 or arr.max() >= num_classes:
-        raise ValueError("labels outside [0, num_classes)")
-    onehot = np.zeros((arr.shape[0], num_classes) + arr.shape[1:], dtype=np.float32)
-    np.put_along_axis(onehot, arr.astype(np.intp)[:, None], 1.0, axis=1)
-    return onehot[0] if single else onehot
-
-
-def augment_pair(
-    image: np.ndarray,
-    label: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a random label-preserving augmentation to an (image, label) pair.
-
-    ``image`` is ``(C, H, W)`` float32, ``label`` is ``(H, W)`` int.  The
-    augmentation group is the 8-element dihedral group (flips + 90° rotations),
-    which is exact for square tiles and keeps image/label aligned.
-    """
-    img = np.asarray(image)
-    lab = np.asarray(label)
-    if img.ndim != 3 or lab.ndim != 2 or img.shape[1:] != lab.shape:
-        raise ValueError("augment_pair expects (C, H, W) image and matching (H, W) label")
-    if rng.uniform() < 0.5:
-        img = img[:, :, ::-1]
-        lab = lab[:, ::-1]
-    if rng.uniform() < 0.5:
-        img = img[:, ::-1, :]
-        lab = lab[::-1, :]
-    k = int(rng.integers(0, 4))
-    if k and img.shape[1] == img.shape[2]:
-        img = np.rot90(img, k=k, axes=(1, 2))
-        lab = np.rot90(lab, k=k)
-    return np.ascontiguousarray(img), np.ascontiguousarray(lab)
-
-
 def augment_batch(
     images: np.ndarray,
     labels: np.ndarray,
@@ -84,9 +39,9 @@ def augment_batch(
 
     ``images`` is ``(N, C, H, W)`` float32, ``labels`` is ``(N, H, W)`` int;
     both are modified in place and returned.  Each sample draws its own flips
-    and rotation (the same group :func:`augment_pair` uses), but the work is
-    vectorised per transform over the sub-batch that drew it instead of
-    looping tile by tile.
+    and rotation from the 8-element dihedral group (flips + 90° rotations,
+    exact for square tiles, so image and label stay aligned); the work is
+    vectorised per transform over the sub-batch that drew it.
     """
     img = np.asarray(images)
     lab = np.asarray(labels)
@@ -172,10 +127,6 @@ class BatchLoader:
     def set_rng_state(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`rng_state`."""
         self._rng.bit_generator.state = state
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.images.shape[0])
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(x, y)`` with ``x`` NCHW float32 and ``y`` (N, H, W) int64."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spectral_noise", "fractal_noise", "smooth_blobs"]
+__all__ = ["spectral_noise", "fractal_noise"]
 
 
 def spectral_noise(
@@ -79,26 +79,3 @@ def fractal_noise(
     if hi - lo < 1e-15:
         return np.zeros(shape)
     return (field - lo) / (hi - lo)
-
-
-def smooth_blobs(
-    shape: tuple[int, int],
-    coverage: float,
-    beta: float = 3.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Boolean mask of smooth blobs covering approximately ``coverage`` of the image.
-
-    Thresholding a smooth random field at its ``(1 - coverage)`` quantile
-    yields connected, organically shaped regions — how both cloud banks and
-    open-water leads are placed in the synthetic scenes.
-    """
-    if not 0.0 <= coverage <= 1.0:
-        raise ValueError("coverage must be in [0, 1]")
-    if coverage == 0.0:
-        return np.zeros(shape, dtype=bool)
-    if coverage == 1.0:
-        return np.ones(shape, dtype=bool)
-    field = spectral_noise(shape, beta=beta, rng=rng)
-    threshold = np.quantile(field, 1.0 - coverage)
-    return field >= threshold

@@ -140,10 +140,6 @@ class TrainingHistory:
         return [e for e in self.epochs if e.time_s > 0]
 
     @property
-    def mean_epoch_time(self) -> float:
-        return self.total_time / max(len(self._timed()), 1)
-
-    @property
     def mean_throughput(self) -> float:
         """Mean images/second across timed epochs (the "Data/s" column of Table III)."""
         timed = self._timed()

@@ -1,127 +1,10 @@
-"""Pixel-wise arithmetic, bit-wise and normalisation operators.
-
-These mirror the OpenCV primitives the paper's thin-cloud/shadow filter is
-assembled from: saturating add/subtract, absolute difference, bit-wise
-AND/OR/NOT with optional masks, and min–max normalisation.
-"""
+"""Quantisation back to 8-bit pixels."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "saturating_add",
-    "saturating_subtract",
-    "absdiff",
-    "bitwise_and",
-    "bitwise_or",
-    "bitwise_not",
-    "apply_mask",
-    "min_max_normalize",
-    "scale_to_uint8",
-]
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape and b.ndim != 0:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``cv2.add`` equivalent: element-wise addition clipped to the uint8 range."""
-    a, b = _pair(a, b)
-    out = a.astype(np.int32) + b.astype(np.int32)
-    if a.dtype == np.uint8:
-        return np.clip(out, 0, 255).astype(np.uint8)
-    return out.astype(np.result_type(a, b))
-
-
-def saturating_subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``cv2.subtract`` equivalent: element-wise subtraction clipped at zero for uint8."""
-    a, b = _pair(a, b)
-    out = a.astype(np.int32) - b.astype(np.int32)
-    if a.dtype == np.uint8:
-        return np.clip(out, 0, 255).astype(np.uint8)
-    return out.astype(np.result_type(a, b))
-
-
-def absdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Absolute per-pixel difference (``cv2.absdiff``)."""
-    a, b = _pair(a, b)
-    out = np.abs(a.astype(np.int32) - b.astype(np.int32))
-    if a.dtype == np.uint8:
-        return out.astype(np.uint8)
-    return out.astype(np.result_type(a, b))
-
-
-def _broadcast_mask(image: np.ndarray, mask: np.ndarray | None) -> np.ndarray | None:
-    if mask is None:
-        return None
-    mask = np.asarray(mask)
-    if mask.shape != image.shape[: mask.ndim]:
-        raise ValueError(f"mask shape {mask.shape} incompatible with image {image.shape}")
-    mask_bool = mask.astype(bool)
-    if image.ndim == 3 and mask_bool.ndim == 2:
-        mask_bool = mask_bool[..., None]
-    return mask_bool
-
-
-def bitwise_and(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Bit-wise AND of two images, optionally restricted to ``mask`` pixels."""
-    a, b = _pair(a, b)
-    out = np.bitwise_and(a.astype(np.uint8), np.asarray(b, dtype=np.uint8))
-    mask_bool = _broadcast_mask(a, mask)
-    if mask_bool is not None:
-        out = np.where(mask_bool, out, 0).astype(np.uint8)
-    return out
-
-
-def bitwise_or(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Bit-wise OR of two images, optionally restricted to ``mask`` pixels."""
-    a, b = _pair(a, b)
-    out = np.bitwise_or(a.astype(np.uint8), np.asarray(b, dtype=np.uint8))
-    mask_bool = _broadcast_mask(a, mask)
-    if mask_bool is not None:
-        out = np.where(mask_bool, out, 0).astype(np.uint8)
-    return out
-
-
-def bitwise_not(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Bit-wise NOT (255 - x for uint8), optionally restricted to ``mask`` pixels."""
-    a = np.asarray(a)
-    out = np.bitwise_not(a.astype(np.uint8))
-    mask_bool = _broadcast_mask(a, mask)
-    if mask_bool is not None:
-        out = np.where(mask_bool, out, 0).astype(np.uint8)
-    return out
-
-
-def apply_mask(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero out every pixel where ``mask`` is falsy (``cv2.bitwise_and(img, img, mask=...)``)."""
-    img = np.asarray(image)
-    mask_bool = _broadcast_mask(img, mask)
-    return np.where(mask_bool, img, 0).astype(img.dtype, copy=False)
-
-
-def min_max_normalize(
-    image: np.ndarray,
-    new_min: float = 0.0,
-    new_max: float = 255.0,
-) -> np.ndarray:
-    """Linearly rescale pixel values to ``[new_min, new_max]`` (``cv2.normalize`` MINMAX).
-
-    A constant image maps to ``new_min`` everywhere.
-    Returns float64; use :func:`scale_to_uint8` to quantise.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    lo = img.min() if img.size else 0.0
-    hi = img.max() if img.size else 0.0
-    if hi == lo:
-        return np.full_like(img, new_min)
-    return (img - lo) / (hi - lo) * (new_max - new_min) + new_min
+__all__ = ["scale_to_uint8"]
 
 
 def scale_to_uint8(image: np.ndarray) -> np.ndarray:

@@ -17,11 +17,6 @@ __all__ = [
     "channel_planes",
     "hsv_planes",
     "rgb_to_hsv",
-    "hsv_to_rgb",
-    "rgb_to_gray",
-    "gray_to_rgb",
-    "split_channels",
-    "merge_channels",
 ]
 
 # OpenCV stores hue / 2 so that it fits in uint8.
@@ -113,85 +108,3 @@ def rgb_to_hsv(image: np.ndarray) -> np.ndarray:
     for c, plane in hsv_planes(np.moveaxis(img, -1, 0)).items():
         out[..., c] = plane
     return out
-
-
-def hsv_to_rgb(image: np.ndarray) -> np.ndarray:
-    """Convert an OpenCV-convention HSV uint8 image back to RGB uint8.
-
-    Inverse of :func:`rgb_to_hsv` up to rounding error (hue is quantised to
-    2-degree bins by the uint8 representation).
-    """
-    img = np.asarray(image)
-    if img.ndim != 3 or img.shape[-1] != 3:
-        raise ValueError(f"expected (H, W, 3) HSV image, got shape {img.shape}")
-    hue = img[..., 0].astype(np.float64) * _HUE_SCALE
-    sat = img[..., 1].astype(np.float64) / 255.0
-    val = img[..., 2].astype(np.float64) / 255.0
-
-    c = val * sat
-    hprime = hue / 60.0
-    x = c * (1.0 - np.abs(hprime % 2.0 - 1.0))
-    m = val - c
-
-    zeros = np.zeros_like(c)
-    # Piecewise assembly over the six hue sectors.
-    conds = [
-        (hprime < 1.0),
-        (hprime >= 1.0) & (hprime < 2.0),
-        (hprime >= 2.0) & (hprime < 3.0),
-        (hprime >= 3.0) & (hprime < 4.0),
-        (hprime >= 4.0) & (hprime < 5.0),
-        (hprime >= 5.0),
-    ]
-    r = np.select(conds, [c, x, zeros, zeros, x, c])
-    g = np.select(conds, [x, c, c, x, zeros, zeros])
-    b = np.select(conds, [zeros, zeros, x, c, c, x])
-
-    rgb = np.stack([r + m, g + m, b + m], axis=-1)
-    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
-
-
-def rgb_to_gray(image: np.ndarray) -> np.ndarray:
-    """Convert RGB to single-channel grayscale using the ITU-R BT.601 weights.
-
-    Matches OpenCV's ``COLOR_RGB2GRAY`` (0.299 R + 0.587 G + 0.114 B).
-    Returns ``uint8`` if the input was ``uint8``, otherwise float64.
-    """
-    img = np.asarray(image)
-    if img.ndim == 2:
-        return img.copy()
-    if img.ndim != 3 or img.shape[-1] != 3:
-        raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
-    weights = np.array([0.299, 0.587, 0.114], dtype=np.float64)
-    gray = img.astype(np.float64) @ weights
-    if img.dtype == np.uint8:
-        return np.clip(np.round(gray), 0, 255).astype(np.uint8)
-    return gray
-
-
-def gray_to_rgb(image: np.ndarray) -> np.ndarray:
-    """Replicate a single-channel image into three identical RGB channels."""
-    img = np.asarray(image)
-    if img.ndim == 3 and img.shape[-1] == 3:
-        return img.copy()
-    if img.ndim != 2:
-        raise ValueError(f"expected (H, W) gray image, got shape {img.shape}")
-    return np.repeat(img[..., None], 3, axis=-1)
-
-
-def split_channels(image: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split an ``(H, W, C)`` image into ``C`` contiguous ``(H, W)`` arrays."""
-    img = np.asarray(image)
-    if img.ndim != 3:
-        raise ValueError(f"expected (H, W, C) image, got shape {img.shape}")
-    return tuple(np.ascontiguousarray(img[..., c]) for c in range(img.shape[-1]))
-
-
-def merge_channels(channels: "list[np.ndarray] | tuple[np.ndarray, ...]") -> np.ndarray:
-    """Stack single-channel images back into an ``(H, W, C)`` array."""
-    if not channels:
-        raise ValueError("need at least one channel")
-    shapes = {np.asarray(c).shape for c in channels}
-    if len(shapes) != 1:
-        raise ValueError(f"channel shapes differ: {shapes}")
-    return np.stack([np.asarray(c) for c in channels], axis=-1)

@@ -2,8 +2,7 @@
 
 The cloud/shadow filter uses Gaussian blurring for veil estimation and
 median filtering for speckle-noise suppression, mirroring the OpenCV calls
-(``GaussianBlur``, ``medianBlur``) the paper relies on.  The box and bilateral
-filters have no caller in the pipeline.
+(``GaussianBlur``, ``medianBlur``) the paper relies on.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from scipy import ndimage
 __all__ = [
     "gaussian_kernel1d",
     "gaussian_blur",
-    "box_filter",
     "median_blur",
-    "bilateral_filter",
 ]
 
 
@@ -92,22 +89,6 @@ def gaussian_blur(image: np.ndarray, ksize: int = 5, sigma: float | None = None)
     return out.astype(img.dtype, copy=False) if np.issubdtype(img.dtype, np.floating) else out
 
 
-def box_filter(image: np.ndarray, ksize: int = 3) -> np.ndarray:
-    """Normalised box (mean) filter, OpenCV ``blur`` equivalent.
-
-    Returns float64 output so callers can compare against it without
-    quantisation error (used by adaptive thresholding).
-    """
-    if ksize < 1 or ksize % 2 == 0:
-        raise ValueError("ksize must be a positive odd integer")
-    img = np.asarray(image)
-
-    def _box2d(channel: np.ndarray) -> np.ndarray:
-        return ndimage.uniform_filter(channel.astype(np.float64), size=ksize, mode="reflect")
-
-    return _per_channel(img, _box2d)
-
-
 def median_blur(image: np.ndarray, ksize: int = 3) -> np.ndarray:
     """Median filter for salt-and-pepper / speckle noise removal."""
     if ksize < 1 or ksize % 2 == 0:
@@ -119,43 +100,3 @@ def median_blur(image: np.ndarray, ksize: int = 3) -> np.ndarray:
 
     out = _per_channel(img, _median2d)
     return out.astype(img.dtype, copy=False)
-
-
-def bilateral_filter(
-    image: np.ndarray,
-    ksize: int = 5,
-    sigma_color: float = 25.0,
-    sigma_space: float = 3.0,
-) -> np.ndarray:
-    """Edge-preserving bilateral filter (small-kernel, vectorised).
-
-    Provided for the optional edge-preserving variant of the shadow filter.
-    The implementation shifts the image over the kernel window (``ksize**2``
-    shifted copies) instead of looping over pixels, which keeps the work in
-    NumPy even though it allocates ``ksize**2`` temporaries.
-    """
-    if ksize < 1 or ksize % 2 == 0:
-        raise ValueError("ksize must be a positive odd integer")
-    img = np.asarray(image)
-
-    def _bilateral2d(channel: np.ndarray) -> np.ndarray:
-        data = channel.astype(np.float64)
-        radius = ksize // 2
-        padded = np.pad(data, radius, mode="reflect")
-        acc = np.zeros_like(data)
-        weight_sum = np.zeros_like(data)
-        h, w = data.shape
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                shifted = padded[radius + dy : radius + dy + h, radius + dx : radius + dx + w]
-                spatial = np.exp(-(dy * dy + dx * dx) / (2.0 * sigma_space**2))
-                rangew = np.exp(-((shifted - data) ** 2) / (2.0 * sigma_color**2))
-                weight = spatial * rangew
-                acc += weight * shifted
-                weight_sum += weight
-        return acc / np.maximum(weight_sum, 1e-12)
-
-    out = _per_channel(img, _bilateral2d)
-    if img.dtype == np.uint8:
-        return np.clip(np.round(out), 0, 255).astype(np.uint8)
-    return out

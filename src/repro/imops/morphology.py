@@ -1,4 +1,4 @@
-"""Binary and grayscale morphology (erode, dilate, open, close).
+"""Binary and grayscale morphology (erode, dilate, close, small-object removal).
 
 Used to clean up the cloud / shadow masks produced by thresholding before
 they are used to correct the underlying Sentinel-2 pixels.
@@ -13,10 +13,8 @@ __all__ = [
     "structuring_element",
     "erode",
     "dilate",
-    "morph_open",
     "morph_close",
     "remove_small_objects",
-    "fill_holes",
 ]
 
 
@@ -78,11 +76,6 @@ def dilate(image: np.ndarray, ksize: int = 3) -> np.ndarray:
     return _morph(image, structuring_element("rect", ksize), "dilate")
 
 
-def morph_open(image: np.ndarray, ksize: int = 3) -> np.ndarray:
-    """Opening = erosion followed by dilation; removes small bright specks."""
-    return dilate(erode(image, ksize), ksize)
-
-
 def morph_close(image: np.ndarray, ksize: int = 3) -> np.ndarray:
     """Closing = dilation followed by erosion; fills small dark gaps."""
     return erode(dilate(image, ksize), ksize)
@@ -102,12 +95,3 @@ def remove_small_objects(mask: np.ndarray, min_size: int = 16) -> np.ndarray:
     if m.dtype == bool:
         return out
     return (out * (255 if m.max() > 1 else 1)).astype(m.dtype)
-
-
-def fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill enclosed holes in a binary mask."""
-    m = np.asarray(mask).astype(bool)
-    out = ndimage.binary_fill_holes(m)
-    if np.asarray(mask).dtype == bool:
-        return out
-    return (out * (255 if np.asarray(mask).max() > 1 else 1)).astype(np.asarray(mask).dtype)

@@ -1,8 +1,8 @@
-"""Image resizing, tiling and padding helpers.
+"""Scene tiling and reassembly.
 
 The paper splits 2048×2048 Sentinel-2 scenes into 256×256 tiles before
-auto-labeling and U-Net training, and the U-Net decoder up-samples feature
-maps by a factor of two at every stage; this module provides both.
+auto-labeling and U-Net training, and stitches per-tile predictions back
+into scene maps.
 
 Tiling supports an optional ``overlap`` between neighbouring tiles: the scene
 is cut with a stride of ``tile_size - overlap`` and reassembled with a
@@ -16,9 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "resize_nearest",
-    "resize_bilinear",
-    "pad_to_multiple",
     "TileGrid",
     "blend_window",
     "split_into_tiles",
@@ -26,62 +23,14 @@ __all__ = [
 ]
 
 
-def resize_nearest(image: np.ndarray, new_shape: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbour resize to ``(new_h, new_w)``; preserves dtype and labels."""
-    img = np.asarray(image)
-    new_h, new_w = int(new_shape[0]), int(new_shape[1])
-    if new_h <= 0 or new_w <= 0:
-        raise ValueError("target shape must be positive")
-    h, w = img.shape[:2]
-    rows = np.minimum((np.arange(new_h) + 0.5) * h / new_h, h - 1).astype(np.intp)
-    cols = np.minimum((np.arange(new_w) + 0.5) * w / new_w, w - 1).astype(np.intp)
-    return img[rows][:, cols]
-
-
-def resize_bilinear(image: np.ndarray, new_shape: tuple[int, int]) -> np.ndarray:
-    """Bilinear resize to ``(new_h, new_w)`` with half-pixel centres.
-
-    Integer inputs are rounded, clipped to the dtype's range and cast back to
-    the input dtype; float inputs stay float.
-    """
-    img = np.asarray(image)
-    new_h, new_w = int(new_shape[0]), int(new_shape[1])
-    if new_h <= 0 or new_w <= 0:
-        raise ValueError("target shape must be positive")
-    h, w = img.shape[:2]
-    data = img.astype(np.float64)
-
-    ys = (np.arange(new_h) + 0.5) * h / new_h - 0.5
-    xs = (np.arange(new_w) + 0.5) * w / new_w - 0.5
-    ys = np.clip(ys, 0, h - 1)
-    xs = np.clip(xs, 0, w - 1)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).reshape(-1, 1)
-    wx = (xs - x0).reshape(1, -1)
-    if img.ndim == 3:
-        wy = wy[..., None]
-        wx = wx[..., None]
-
-    top = data[y0][:, x0] * (1 - wx) + data[y0][:, x1] * wx
-    bot = data[y1][:, x0] * (1 - wx) + data[y1][:, x1] * wx
-    out = top * (1 - wy) + bot * wy
-    if np.issubdtype(img.dtype, np.integer):
-        info = np.iinfo(img.dtype)
-        return np.clip(np.round(out), info.min, info.max).astype(img.dtype)
-    return out.astype(img.dtype, copy=False) if np.issubdtype(img.dtype, np.floating) else out
-
-
-def _pad_bottom_right(image: np.ndarray, pad_h: int, pad_w: int, mode: str) -> np.ndarray:
-    """Pad the bottom/right edges, falling back to edge padding per axis when
+def _pad_bottom_right(image: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
+    """Reflect-pad the bottom/right edges, falling back to edge padding per axis when
     reflect padding is impossible (``np.pad`` reflect cannot pad wider than
     ``dim - 1``, which breaks on degenerate 1-pixel-wide inputs)."""
     if pad_h == 0 and pad_w == 0:
         return image
     h, w = image.shape[:2]
-    if mode == "reflect" and ((pad_h > max(h - 1, 0)) or (pad_w > max(w - 1, 0))):
+    if pad_h > max(h - 1, 0) or pad_w > max(w - 1, 0):
         out = image
         if pad_h:
             spec = [(0, pad_h)] + [(0, 0)] * (out.ndim - 1)
@@ -91,16 +40,7 @@ def _pad_bottom_right(image: np.ndarray, pad_h: int, pad_w: int, mode: str) -> n
             out = np.pad(out, spec, mode="reflect" if pad_w <= w - 1 else "edge")
         return out
     spec = [(0, pad_h), (0, pad_w)] + [(0, 0)] * (image.ndim - 2)
-    return np.pad(image, spec, mode=mode)
-
-
-def pad_to_multiple(image: np.ndarray, multiple: int, mode: str = "reflect") -> np.ndarray:
-    """Pad the bottom/right edges so height and width are multiples of ``multiple``."""
-    if multiple < 1:
-        raise ValueError("multiple must be >= 1")
-    img = np.asarray(image)
-    h, w = img.shape[:2]
-    return _pad_bottom_right(img, (-h) % multiple, (-w) % multiple, mode)
+    return np.pad(image, spec, mode="reflect")
 
 
 class TileGrid(tuple):
@@ -135,10 +75,6 @@ class TileGrid(tuple):
     @property
     def rows(self) -> int:
         return self[0]
-
-    @property
-    def cols(self) -> int:
-        return self[1]
 
     @property
     def stride(self) -> int:
@@ -212,7 +148,7 @@ def split_into_tiles(
     grid = TileGrid.covering((h, w), tile_size, overlap)
     rows, cols = grid
     stride = grid.stride
-    img = _pad_bottom_right(img, grid.padded_shape[0] - h, grid.padded_shape[1] - w, "reflect")
+    img = _pad_bottom_right(img, grid.padded_shape[0] - h, grid.padded_shape[1] - w)
 
     if overlap == 0:
         if img.ndim == 2:

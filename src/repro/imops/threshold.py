@@ -2,9 +2,7 @@
 
 The paper's thin-cloud/shadow filter (§III-A) uses one of them: Otsu's
 automatic level (:func:`otsu_threshold`), which gates the brightness
-deviation in :func:`repro.cloudshadow.detect_cloud_shadow`.  The fixed-level
-modes (binary, binary-inverted, truncated, to-zero) and the adaptive
-mean threshold have no caller in the pipeline.
+deviation in :func:`repro.cloudshadow.detect_cloud_shadow`.
 """
 
 from __future__ import annotations
@@ -16,13 +14,7 @@ import numpy as np
 __all__ = [
     "ThresholdType",
     "threshold",
-    "threshold_binary",
-    "threshold_binary_inv",
-    "threshold_truncate",
-    "threshold_tozero",
-    "threshold_tozero_inv",
     "otsu_threshold",
-    "adaptive_mean_threshold",
 ]
 
 
@@ -70,31 +62,6 @@ def threshold(
     return float(thresh), out.astype(img.dtype, copy=False)
 
 
-def threshold_binary(image: np.ndarray, thresh: float, maxval: float = 255) -> np.ndarray:
-    """Pixels above ``thresh`` become ``maxval``, everything else 0."""
-    return threshold(image, thresh, maxval, ThresholdType.BINARY)[1]
-
-
-def threshold_binary_inv(image: np.ndarray, thresh: float, maxval: float = 255) -> np.ndarray:
-    """Pixels above ``thresh`` become 0, everything else ``maxval``."""
-    return threshold(image, thresh, maxval, ThresholdType.BINARY_INV)[1]
-
-
-def threshold_truncate(image: np.ndarray, thresh: float) -> np.ndarray:
-    """Clamp pixels above ``thresh`` down to ``thresh`` (OpenCV THRESH_TRUNC)."""
-    return threshold(image, thresh, kind=ThresholdType.TRUNC)[1]
-
-
-def threshold_tozero(image: np.ndarray, thresh: float) -> np.ndarray:
-    """Zero out pixels at or below ``thresh``; keep brighter pixels unchanged."""
-    return threshold(image, thresh, kind=ThresholdType.TOZERO)[1]
-
-
-def threshold_tozero_inv(image: np.ndarray, thresh: float) -> np.ndarray:
-    """Keep pixels at or below ``thresh``; zero out brighter pixels."""
-    return threshold(image, thresh, kind=ThresholdType.TOZERO_INV)[1]
-
-
 def otsu_threshold(image: np.ndarray) -> float:
     """Otsu's automatic threshold level of a single-channel image.
 
@@ -127,24 +94,3 @@ def otsu_threshold(image: np.ndarray) -> float:
     candidates = np.flatnonzero(variance >= best * (1.0 - 1e-12))
     idx = int(candidates[len(candidates) // 2])
     return float(bin_centers[idx])
-
-
-def adaptive_mean_threshold(
-    image: np.ndarray,
-    block_size: int = 11,
-    offset: float = 2.0,
-    maxval: float = 255,
-) -> np.ndarray:
-    """Adaptive thresholding against the local block mean.
-
-    Each pixel is compared to the mean of its ``block_size``×``block_size``
-    neighbourhood minus ``offset`` (OpenCV ``ADAPTIVE_THRESH_MEAN_C``).
-    """
-    if block_size < 3 or block_size % 2 == 0:
-        raise ValueError("block_size must be an odd integer >= 3")
-    img = _check_gray(image).astype(np.float64)
-    from .filters import box_filter  # local import avoids a cycle at import time
-
-    local_mean = box_filter(img, block_size)
-    out = np.where(img > local_mean - offset, maxval, 0)
-    return out.astype(np.asarray(image).dtype, copy=False)

@@ -1,12 +1,9 @@
 """Sea-ice labeling: HSV colour-segmentation auto-labeling and simulated manual annotation."""
 
-from .calibration import CalibrationResult, calibrate_hsv_ranges
 from .autolabel import AutoLabelResult, ColorSegmentationLabeler, autolabel_batch, autolabel_tile
 from .manual import ManualLabelSimulator, simulate_manual_labels
 
 __all__ = [
-    "CalibrationResult",
-    "calibrate_hsv_ranges",
     "AutoLabelResult",
     "ColorSegmentationLabeler",
     "autolabel_batch",

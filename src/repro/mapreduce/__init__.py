@@ -1,7 +1,7 @@
 """sparklite: a miniature map-reduce engine standing in for PySpark.
 
 * :mod:`repro.mapreduce.partition` — partitions and partitioning policies
-* :mod:`repro.mapreduce.dataset` — lazy transformations, eager actions, phase timings
+* :mod:`repro.mapreduce.dataset` — a lazy map, an eager collect, phase timings
 * :mod:`repro.mapreduce.cluster` — calibrated Dataproc cluster cost model (Table II)
 * :mod:`repro.mapreduce.autolabel_job` — the distributed auto-labeling job itself
 """
@@ -14,7 +14,7 @@ from .autolabel_job import (
     run_mapreduce_autolabel,
 )
 from .cluster import PAPER_TABLE2_ROWS, ClusterShape, GCDClusterModel, paper_table2
-from .dataset import Dataset, JobTimings, SparkLiteContext, udf
+from .dataset import Dataset, JobTimings, SparkLiteContext
 from .partition import Partition, default_num_partitions, partition_items
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Dataset",
     "JobTimings",
     "SparkLiteContext",
-    "udf",
     "Partition",
     "default_num_partitions",
     "partition_items",

@@ -14,18 +14,16 @@ import numpy as np
 
 from ..labeling.autolabel import autolabel_tile
 from .cluster import ClusterShape, GCDClusterModel
-from .dataset import JobTimings, SparkLiteContext, udf
+from .dataset import JobTimings, SparkLiteContext
 
 __all__ = ["MapReduceAutoLabelResult", "run_mapreduce_autolabel", "mapreduce_scaling_sweep"]
 
 
-@udf
 def autolabel_udf(tile: np.ndarray) -> np.ndarray:
     """The auto-labeling UDF registered on the distributed dataset."""
     return autolabel_tile(tile, apply_cloud_filter=True)
 
 
-@udf
 def autolabel_udf_unfiltered(tile: np.ndarray) -> np.ndarray:
     """Auto-labeling without the cloud/shadow filter (ablation variant)."""
     return autolabel_tile(tile, apply_cloud_filter=False)

@@ -1,13 +1,13 @@
-"""The sparklite distributed dataset: lazy transformations + eager actions.
+"""The sparklite distributed dataset: a lazy map and an eager collect.
 
 This is the PySpark substitute.  ``SparkLiteContext.parallelize`` splits a
-collection into partitions, ``Dataset.map`` / ``filter`` / ``map_partitions``
-record *lazy* transformations (nothing executes, exactly as in Spark — which
-is why the paper's "Map Time" column is ~0.3 s), and actions such as
-``collect`` / ``count`` / ``reduce`` materialise the lineage — one task per
-partition through :meth:`repro.backend.Backend.map` — on the execution
-backend the context's executor kind names.  Per-phase wall times (load / map
-/ reduce) are recorded on the context so the Table II harness can report them.
+collection into partitions, ``Dataset.map`` records a *lazy* transformation
+(nothing executes, exactly as in Spark — which is why the paper's "Map Time"
+column is ~0.3 s), and ``Dataset.collect`` materialises the lineage — one
+task per partition through :meth:`repro.backend.Backend.map` — on the
+execution backend the context's executor kind names.  Per-phase wall times
+(load / map / reduce) are recorded on the context so the Table II harness
+can report them.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import reduce as functools_reduce
 from typing import Callable, Iterable
 
 from ..backend import make_backend
 from .partition import Partition, default_num_partitions, partition_items
 
-__all__ = ["JobTimings", "SparkLiteContext", "Dataset", "udf"]
+__all__ = ["JobTimings", "SparkLiteContext", "Dataset"]
 
 
 @dataclass
@@ -40,41 +39,12 @@ class JobTimings:
         }
 
 
-def udf(func: Callable) -> Callable:
-    """Mark a function as a user-defined function (mirrors ``pyspark.sql.functions.udf``).
-
-    sparklite UDFs are ordinary picklable callables; the decorator exists so
-    workflow code reads like the original PySpark implementation.
-    """
-    func.__sparklite_udf__ = True
-    return func
-
-
-# --------------------------------------------------------------------------- #
-# Lineage operations
-# --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _MapOp:
     func: Callable
 
     def apply(self, items: list) -> list:
         return [self.func(item) for item in items]
-
-
-@dataclass(frozen=True)
-class _FilterOp:
-    predicate: Callable
-
-    def apply(self, items: list) -> list:
-        return [item for item in items if self.predicate(item)]
-
-
-@dataclass(frozen=True)
-class _MapPartitionsOp:
-    func: Callable
-
-    def apply(self, items: list) -> list:
-        return list(self.func(items))
 
 
 #: Partition lists of the actions in flight, by action id.  An action registers its partitions
@@ -151,35 +121,23 @@ class SparkLiteContext:
 
 @dataclass
 class Dataset:
-    """An immutable, lazily transformed, partitioned collection."""
+    """An immutable, lazily mapped, partitioned collection."""
 
     context: SparkLiteContext
     partitions: list[Partition]
     lineage: tuple = field(default_factory=tuple)
 
-    # ------------------------------- transformations (lazy) ------------- #
-    def _derive(self, op) -> "Dataset":
+    def map(self, func: Callable) -> "Dataset":
+        """Lazily apply ``func`` to every item (the auto-labeling UDF in the paper)."""
         start = time.perf_counter()
-        derived = Dataset(context=self.context, partitions=self.partitions, lineage=self.lineage + (op,))
+        derived = Dataset(context=self.context, partitions=self.partitions, lineage=self.lineage + (_MapOp(func),))
         # Registering a transformation is (nearly) free; accumulate it so the
         # Table II "Map Time" column measures what PySpark's does.
         self.context.last_timings.map_time += time.perf_counter() - start
         return derived
 
-    def map(self, func: Callable) -> "Dataset":
-        """Lazily apply ``func`` to every item (the auto-labeling UDF in the paper)."""
-        return self._derive(_MapOp(func))
-
-    def filter(self, predicate: Callable) -> "Dataset":
-        """Lazily keep only the items satisfying ``predicate``."""
-        return self._derive(_FilterOp(predicate))
-
-    def map_partitions(self, func: Callable) -> "Dataset":
-        """Lazily apply ``func`` to each partition's item list as a whole."""
-        return self._derive(_MapPartitionsOp(func))
-
-    # ------------------------------- actions (eager) -------------------- #
-    def _materialize(self) -> list[list]:
+    def collect(self) -> list:
+        """Run the lineage and gather all items on the driver (the Reduce phase)."""
         start = time.perf_counter()
         context = self.context
         action = next(_ACTION_IDS)
@@ -192,33 +150,7 @@ class Dataset:
         finally:
             del _IN_FLIGHT[action]
         context.last_timings.reduce_time += time.perf_counter() - start
-        return per_partition
-
-    def collect(self) -> list:
-        """Run the lineage and gather all items on the driver (the Reduce phase)."""
-        return [item for part in self._materialize() for item in part]
-
-    def count(self) -> int:
-        """Number of items after applying the lineage."""
-        return sum(len(part) for part in self._materialize())
-
-    def reduce(self, func: Callable) -> object:
-        """Reduce all items pairwise with ``func`` (raises on an empty dataset)."""
-        per_partition = self._materialize()
-        partials = [functools_reduce(func, part) for part in per_partition if part]
-        if not partials:
-            raise ValueError("reduce() of an empty dataset")
-        return functools_reduce(func, partials)
-
-    def take(self, n: int) -> list:
-        """First ``n`` items after applying the lineage."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return self.collect()[:n]
+        return [item for part in per_partition for item in part]
 
     def num_partitions(self) -> int:
         return len(self.partitions)
-
-    def timings(self) -> JobTimings:
-        """Timings of the most recent load / transformation / action phases."""
-        return self.context.last_timings

@@ -5,7 +5,6 @@ from .classification import (
     accuracy_score,
     classification_report,
     confusion_matrix,
-    iou_score,
     normalize_confusion,
     per_class_accuracy,
     precision_recall_f1,
@@ -13,7 +12,6 @@ from .classification import (
 from .scaling import (
     ScalingPoint,
     ScalingTable,
-    amdahl_speedup,
     efficiency,
     fit_amdahl_serial_fraction,
     speedup,
@@ -26,13 +24,11 @@ __all__ = [
     "accuracy_score",
     "classification_report",
     "confusion_matrix",
-    "iou_score",
     "normalize_confusion",
     "per_class_accuracy",
     "precision_recall_f1",
     "ScalingPoint",
     "ScalingTable",
-    "amdahl_speedup",
     "efficiency",
     "fit_amdahl_serial_fraction",
     "speedup",

@@ -17,7 +17,6 @@ __all__ = [
     "accuracy_score",
     "precision_recall_f1",
     "per_class_accuracy",
-    "iou_score",
     "ClassificationReport",
     "classification_report",
 ]
@@ -121,15 +120,6 @@ def precision_recall_f1(
     raise ValueError("average must be 'macro', 'weighted' or 'micro'")
 
 
-def iou_score(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    """Per-class intersection-over-union (Jaccard index)."""
-    cm = confusion_matrix(y_true, y_pred, num_classes).astype(np.float64)
-    tp = cm.diagonal()
-    union = cm.sum(axis=1) + cm.sum(axis=0) - tp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(union > 0, tp / np.maximum(union, 1e-12), 0.0)
-
-
 @dataclass
 class ClassificationReport:
     """Bundle of every metric the paper reports for one model / dataset pair."""
@@ -142,18 +132,6 @@ class ClassificationReport:
     confusion_percent: np.ndarray
     per_class_accuracy: np.ndarray
     class_names: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        """Plain-Python summary suitable for printing or JSON dumping."""
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_class_accuracy": self.per_class_accuracy.tolist(),
-            "confusion_percent": np.round(self.confusion_percent, 2).tolist(),
-            "class_names": list(self.class_names),
-        }
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         names = self.class_names or [f"class{i}" for i in range(len(self.per_class_accuracy))]

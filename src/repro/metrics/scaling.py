@@ -15,7 +15,6 @@ __all__ = [
     "speedup",
     "efficiency",
     "throughput",
-    "amdahl_speedup",
     "fit_amdahl_serial_fraction",
     "ScalingPoint",
     "ScalingTable",
@@ -43,15 +42,6 @@ def throughput(items: int, elapsed: float) -> float:
     if items < 0:
         raise ValueError("items must be non-negative")
     return items / elapsed
-
-
-def amdahl_speedup(workers: int, serial_fraction: float) -> float:
-    """Amdahl's-law speedup for a given serial fraction ``f``: ``1 / (f + (1-f)/p)``."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if not 0.0 <= serial_fraction <= 1.0:
-        raise ValueError("serial_fraction must be in [0, 1]")
-    return 1.0 / (serial_fraction + (1.0 - serial_fraction) / workers)
 
 
 def fit_amdahl_serial_fraction(workers: np.ndarray, speedups: np.ndarray) -> float:
@@ -111,10 +101,6 @@ class ScalingTable:
     def speedups(self) -> list[float]:
         base = self.serial_time
         return [p.speedup_vs(base) for p in self.points]
-
-    def efficiencies(self) -> list[float]:
-        base = self.serial_time
-        return [p.efficiency_vs(base) for p in self.points]
 
     def serial_fraction(self) -> float:
         workers = np.array([p.workers for p in self.points], dtype=float)

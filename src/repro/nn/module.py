@@ -59,18 +59,6 @@ class Module:
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        if not isinstance(param, Parameter):
-            raise TypeError("register_parameter expects a Parameter")
-        self._parameters[name] = param
-        return param
-
-    def register_module(self, name: str, module: "Module") -> "Module":
-        if not isinstance(module, Module):
-            raise TypeError("register_module expects a Module")
-        self._modules[name] = module
-        return module
-
     def __setattr__(self, name: str, value) -> None:
         # Auto-register parameters and sub-modules assigned as attributes.
         if isinstance(value, Parameter):

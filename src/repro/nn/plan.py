@@ -607,11 +607,6 @@ class PlanCache:
                 self.evictions += 1
             return plan
 
-    def shapes(self) -> list[tuple[int, ...]]:
-        """Cached shapes, least recently used first."""
-        with self._lock:
-            return list(self._plans)
-
     def items(self) -> list[tuple[tuple[int, ...], CompiledPlan]]:
         """``(shape, plan)`` snapshot, least recently used first."""
         with self._lock:

@@ -152,9 +152,6 @@ class _BoundGauge:
         with metric._lock:
             metric._cells[self._key] = metric._cells.get(self._key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class _BoundHistogram:
     """A histogram cell with its label key pre-resolved (hot-path handle)."""
@@ -243,9 +240,6 @@ class Gauge(_Metric):
         key = self._key(labels)
         with self._lock:
             self._cells[key] = self._cells.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
         with self._lock:
@@ -337,33 +331,6 @@ class Histogram(_Metric):
                         "counts": [0] * (len(self.buckets) + 1), "sum": 0.0, "count": 0}
             return {"buckets": list(self.buckets), "counts": list(cell.counts),
                     "sum": cell.total, "count": cell.count}
-
-    def percentile(self, q: float, **labels: object) -> float | None:
-        """Estimate the ``q``-quantile (``0 < q <= 1``) from the bucket counts.
-
-        Linear interpolation inside the winning bucket (the standard
-        Prometheus ``histogram_quantile`` estimate); ``None`` with no
-        observations.  Values landing in the overflow bucket report the
-        largest finite bound.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        snap = self.snapshot(**labels)
-        total = snap["count"]
-        if total == 0:
-            return None
-        rank = q * total
-        cumulative = 0
-        for index, count in enumerate(snap["counts"]):
-            cumulative += count
-            if cumulative >= rank:
-                if index >= len(self.buckets):  # overflow bucket
-                    return float(self.buckets[-1])
-                hi = self.buckets[index]
-                lo = self.buckets[index - 1] if index > 0 else 0.0
-                inside = rank - (cumulative - count)
-                return float(lo + (hi - lo) * inside / count)
-        return float(self.buckets[-1])  # pragma: no cover - unreachable
 
     # -- registry hooks ------------------------------------------------- #
     def _drain(self) -> dict:

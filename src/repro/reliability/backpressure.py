@@ -86,11 +86,6 @@ class AdmissionController:
 
     # ------------------------------------------------------------------ #
     @property
-    def active(self) -> int:
-        with self._lock:
-            return self._active
-
-    @property
     def shed(self) -> int:
         with self._lock:
             return self._shed

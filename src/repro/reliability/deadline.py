@@ -55,11 +55,6 @@ class Deadline:
                 raise ValueError("deadline timeout_s must be >= 0 (or None for unbounded)")
             self.expires_at = self.started_at + timeout_s
 
-    @classmethod
-    def none(cls) -> "Deadline":
-        """The unbounded deadline (never expires)."""
-        return cls(None)
-
     def remaining(self) -> float | None:
         """Seconds left (clamped at 0.0), or ``None`` when unbounded."""
         if self.expires_at is None:

@@ -35,8 +35,8 @@ from ..reliability import Deadline, DeadlineExceeded, OverloadedError
 __all__ = ["BatcherStats", "MicroBatcher", "PendingPrediction"]
 
 #: Flush-size buckets: powers of two up to the largest ``max_batch`` anyone
-#: reasonably configures, so ``bucket_batches`` padding targets land exactly
-#: on bucket boundaries.
+#: reasonably configures, so the batcher's padding targets land exactly on
+#: bucket boundaries.
 FLUSH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 #: ``predict_fn`` contract: ``(N, H, W, 3) uint8 -> (N, K, H, W) float32``.
@@ -69,9 +69,6 @@ class PendingPrediction:
         self._result = result
         self._error = error
         self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
 
     def cancel(self) -> bool:
         """Abandon the prediction: the flush drops it instead of computing it.
@@ -142,15 +139,14 @@ class MicroBatcher:
     max_batch:
         Most tiles one flush takes.  Requests are taken whole, in arrival
         order, while they fit; only a request larger than ``max_batch`` is
-        split (into ``max_batch``-tile flushes).
-    bucket_batches:
-        Pad every flushed shape group up to the next power of two (capped at
-        ``max_batch``) by repeating its last tile, and crop the padded
-        predictions away afterwards.  This pins the set of batch shapes the
-        predictor ever sees to ``{1, 2, 4, …, max_batch}`` per tile shape, so
-        a compiled-plan engine behind ``predict_fn`` stays inside a handful
-        of warm plans instead of recompiling (or thrashing its LRU cache)
-        for every distinct queue depth.
+        split (into ``max_batch``-tile flushes).  Every flushed shape group is
+        padded up to the next power of two (capped at ``max_batch``) by
+        repeating its last tile, and the padded predictions are cropped away
+        afterwards.  This pins the set of batch shapes the predictor ever sees
+        to ``{1, 2, 4, …, max_batch}`` per tile shape, so a compiled-plan
+        engine behind ``predict_fn`` stays inside a handful of warm plans
+        instead of recompiling (or thrashing its LRU cache) for every distinct
+        queue depth.
     max_queue:
         Bound the request queue: a request whose tiles would take it past
         this many waiting tiles is shed whole, immediately, with
@@ -158,8 +154,7 @@ class MicroBatcher:
         that cannot finish in time.  ``None`` keeps the queue unbounded.
     """
 
-    def __init__(self, predict_fn: PredictFn, max_batch: int = 8,
-                 bucket_batches: bool = False, max_queue: int | None = None,
+    def __init__(self, predict_fn: PredictFn, max_batch: int = 8, max_queue: int | None = None,
                  name: str = "default") -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -195,7 +190,6 @@ class MicroBatcher:
         except (TypeError, ValueError):  # pragma: no cover - builtins etc.
             self._fn_takes_deadline = False
         self.max_batch = int(max_batch)
-        self.bucket_batches = bool(bucket_batches)
         self.max_queue = None if max_queue is None else int(max_queue)
         # One condition guards the queue, its tile count, the closed flag and
         # the counters.  Entries are whole requests (tuples of tiles).
@@ -352,10 +346,8 @@ class MicroBatcher:
             predict_start = flush_start
             try:
                 tiles = [p.tile for p in group]
-                target = len(tiles)
-                if self.bucket_batches:
-                    target = min(1 << (len(tiles) - 1).bit_length(), self.max_batch)
-                    tiles = tiles + [tiles[-1]] * (target - len(tiles))
+                target = min(1 << (len(tiles) - 1).bit_length(), self.max_batch)
+                tiles = tiles + [tiles[-1]] * (target - len(tiles))
                 stack = np.stack(tiles)
                 predict_start = time.perf_counter()
                 with collector_context(collector, group_trace):

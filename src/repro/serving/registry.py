@@ -221,9 +221,6 @@ class ModelRegistry:
         except (CheckpointError, FileNotFoundError):
             return None
 
-    def latest_version(self, name: str) -> int:
-        return max(self._versions_of(name))
-
     def record(self, name: str, version: int | None = None) -> ModelRecord:
         """The :class:`ModelRecord` for ``name`` (latest version when omitted).
 
@@ -244,9 +241,6 @@ class ModelRegistry:
                 f"model {name!r} has no version {version}; available: {sorted(versions)}"
             )
         return versions[version]
-
-    def _versions_of(self, name: str) -> list[int]:
-        return sorted(self._records_snapshot(name, rescan=True))
 
     def _records_snapshot(self, name: str, rescan: bool) -> dict[int, ModelRecord]:
         """``{version: record}`` for ``name``, sorted ascending by version."""

@@ -51,10 +51,6 @@ __all__ = ["ServiceConfig", "InferenceService", "make_server", "run_service"]
 class ServiceConfig:
     """Tunables of the HTTP front-end and its micro-batchers.
 
-    ``bucket_batches`` (default on) makes every micro-batcher pad flushed
-    batches up to power-of-two sizes, pinning the compiled-plan engine to a
-    fixed set of batch shapes per tile shape.
-
     ``request_timeout_s`` is also the request *deadline*: it is pinned at the
     HTTP edge and propagated through the batcher queue into backend dispatch,
     so expired work is dropped at every stage instead of computed (HTTP 504).
@@ -67,7 +63,6 @@ class ServiceConfig:
     port: int = 8080
     max_batch: int = 16
     request_timeout_s: float = 60.0
-    bucket_batches: bool = True
     max_queue: int | None = 128
     max_concurrent: int | None = 64
     retry_after_s: float = 1.0
@@ -187,7 +182,6 @@ class InferenceService:
         batcher = MicroBatcher(
             classifier.predict_batch,
             max_batch=self.config.max_batch,
-            bucket_batches=self.config.bucket_batches,
             max_queue=self.config.max_queue,
             name=f"{record.name}/{record.version}",
         )

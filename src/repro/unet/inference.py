@@ -138,13 +138,13 @@ def _fetch_band(scene, y0: int, tile: int, height: int) -> np.ndarray:
     read with only the rows of context the reflection needs."""
     pad = max(0, y0 + tile - height)
     top = min(y0, max(0, height - pad - 1))
-    return _pad_bottom_right(np.asarray(scene[top : y0 + tile]), pad, 0, "reflect")[y0 - top :]
+    return _pad_bottom_right(np.asarray(scene[top : y0 + tile]), pad, 0)[y0 - top :]
 
 
 def _pad_stack_to_multiple(stack: np.ndarray, multiple: int) -> np.ndarray:
     """Reflect-pad the bottom/right of every tile in an ``(N, H, W, C)`` stack
     so H and W are multiples of ``multiple`` (edge padding per axis when the
-    tile is too small to reflect, matching :func:`repro.imops.resize.pad_to_multiple`)."""
+    tile is too small to reflect, as :func:`repro.imops.split_into_tiles` pads a scene)."""
     n, h, w = stack.shape[:3]
     pad_h, pad_w = (-h) % multiple, (-w) % multiple
     if pad_h == 0 and pad_w == 0:
@@ -255,8 +255,8 @@ class SceneClassifier:
     every distinct batch shape is compiled once into an arena-backed plan
     and re-run allocation-free afterwards; fork workers always compile their
     own.  ``config.compile_plans=False`` runs the eager layer walk instead,
-    as the reference.  Plans snapshot weights — call :meth:`invalidate_plans`
-    if the wrapped model is trained further.
+    as the reference.  Plans snapshot weights: a model trained further
+    needs a new classifier.
     """
 
     model: UNet
@@ -329,16 +329,6 @@ class SceneClassifier:
         t = -(-self.config.tile_size // multiple) * multiple
         for n in batch_sizes:
             engine.warm((int(n), self.model.config.in_channels, t, t))
-
-    def invalidate_plans(self) -> None:
-        """Drop compiled plans (call after mutating the model's weights).
-
-        A live backend gets the model republished: the new in-process entry
-        compiles a fresh engine, and fork workers — which hold read-only
-        views of the *published* copy — attach to the new weights.
-        """
-        if self._backend is not None:
-            self._publish(self._backend)
 
     def plan_cache_info(self) -> dict | None:
         """The in-process engine's plan-cache counters (``None`` without one)."""
@@ -416,10 +406,6 @@ class SceneClassifier:
         # before the next dispatch, so the fork backend may hand back its
         # shared output arena directly.
         return self.backend.predict_stack(_SCENE_MODEL_KEY, stack, self.config.batch_size, copy=False)
-
-    def classify_tiles(self, tiles: np.ndarray) -> np.ndarray:
-        """Classify an already-tiled stack (honours ``config.backend``)."""
-        return self._predict_stack(tiles).argmax(axis=1).astype(np.uint8)
 
     def predict_batch(self, batch: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         """One batched prediction ``(N, H, W, 3) → (N, K, H, W)`` on the

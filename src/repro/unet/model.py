@@ -179,7 +179,3 @@ class UNet(Module):
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Per-pixel class predictions ``(N, H, W)`` (uint8)."""
         return self.predict_proba(x).argmax(axis=1).astype(np.uint8)
-
-    def num_conv_layers(self) -> int:
-        """Number of convolution layers in the model (28 for the paper configuration)."""
-        return sum(1 for m in self.modules() if isinstance(m, Conv2D))

@@ -137,6 +137,9 @@ def autolabel_scaling_table(
     exposes the speedup column exactly as the paper tabulates it
     (``S = Ts / Tp``).
     """
+    bad = [workers for workers in worker_counts if workers < 1]
+    if bad:
+        raise ValueError(f"worker counts must be >= 1, got {bad}")
     func = autolabel_udf if apply_cloud_filter else autolabel_udf_unfiltered
     items = list(np.asarray(tiles))
     points = []

@@ -50,7 +50,7 @@ from scipy import ndimage
 
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
 from repro.cloudshadow import CloudShadowFilter, VeilEstimate
-from repro.imops import absdiff, assemble_from_tiles, gaussian_blur, gaussian_kernel1d, scale_to_uint8, split_into_tiles
+from repro.imops import assemble_from_tiles, gaussian_blur, gaussian_kernel1d, scale_to_uint8, split_into_tiles
 from repro.nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D, softmax
 from repro.nn.layers import max_of_views, pool_views
 from repro.unet import UNetConfig, predict_tile_probabilities
@@ -172,7 +172,7 @@ def reference_rgb_to_hsv(image: np.ndarray) -> np.ndarray:
 
 
 def reference_contains(hsv_range, hsv: np.ndarray) -> np.ndarray:
-    """``HSVRange.contains`` through an int32 copy and ``np.all(axis=-1)``."""
+    """``HSVRange.inside`` of all three channels, through an int32 copy and ``np.all(axis=-1)``."""
     lo = np.array(hsv_range.lower, dtype=np.int32)
     hi = np.array(hsv_range.upper, dtype=np.int32)
     data = np.asarray(hsv).astype(np.int32)
@@ -204,7 +204,12 @@ def reference_brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarr
     value = reference_rgb_to_hsv(rgb)[..., 2].astype(np.float64)
     smoothed = gaussian_blur(value, ksize=blur_ksize).astype(np.float64)
     deviation = np.abs(smoothed - float(np.median(smoothed)))
-    return scale_to_uint8(absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
+    return scale_to_uint8(_absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
+
+
+def _absdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cv2.absdiff`` of two uint8 images: the per-pixel absolute difference, still uint8."""
+    return np.abs(a.astype(np.int32) - b.astype(np.int32)).astype(np.uint8)
 
 
 def reference_gaussian_blur(image: np.ndarray, ksize: int) -> np.ndarray:
@@ -493,7 +498,7 @@ class DoubleConv(Module):
         self.relu1 = ReLU()
         self.dropout = Dropout(dropout, seed=seed + 1) if dropout > 0 else None
         if self.dropout is not None:
-            self.register_module("dropout", self.dropout)
+            self._modules["dropout"] = self.dropout
         self.conv2 = Conv2D(out_channels, out_channels, kernel_size=3, padding="same", seed=seed + 2)
         self.relu2 = ReLU()
 
@@ -577,7 +582,7 @@ class ReferenceUNet(Module):
         in_ch = cfg.in_channels
         for i, width in enumerate(widths):
             block = EncoderBlock(in_ch, width, dropout=cfg.dropout, seed=cfg.seed + 10 * i)
-            self.register_module(f"enc{i}", block)
+            self._modules[f"enc{i}"] = block
             self.encoders.append(block)
             in_ch = width
 
@@ -589,7 +594,7 @@ class ReferenceUNet(Module):
         for i, width in enumerate(reversed(widths)):
             block = DecoderBlock(in_ch, skip_channels=width, out_channels=width,
                                  dropout=cfg.dropout, seed=cfg.seed + 2000 + 10 * i)
-            self.register_module(f"dec{i}", block)
+            self._modules[f"dec{i}"] = block
             self.decoders.append(block)
             in_ch = width
 
@@ -662,7 +667,7 @@ class Sequential(Module):
         super().__init__()
         self.layers = list(layers)
         for index, layer in enumerate(self.layers):
-            self.register_module(str(index), layer)
+            self._modules[str(index)] = layer
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -25,17 +25,22 @@ def assert_same_estimate(got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+def coverage(masks):
+    """Fraction of the image flagged as cloud or shadow."""
+    return float((masks.cloud | masks.shadow).mean())
+
+
 class TestDetection:
     def test_clear_scene_low_coverage(self, clear_scene):
         masks = detect_cloud_shadow(clear_scene.rgb)
-        assert masks.coverage < 0.05
+        assert coverage(masks) < 0.05
 
     def test_cloudy_scene_detected(self, cloudy_scene):
         masks = detect_cloud_shadow(cloudy_scene.rgb)
-        assert masks.coverage > 0.10
+        assert coverage(masks) > 0.10
 
     def test_detected_coverage_correlates_with_truth(self, clear_scene, cloudy_scene):
-        assert detect_cloud_shadow(cloudy_scene.rgb).coverage > detect_cloud_shadow(clear_scene.rgb).coverage
+        assert coverage(detect_cloud_shadow(cloudy_scene.rgb)) > coverage(detect_cloud_shadow(clear_scene.rgb))
 
     def test_masks_are_bit_identical_to_the_pinned_digest(self, clear_scene, cloudy_scene, tiny_dataset):
         """Cloud and shadow masks of the shared scenes and tiles, pinned before ``otsu_threshold``
@@ -50,8 +55,7 @@ class TestDetection:
     def test_masks_are_boolean_and_shaped(self, cloudy_scene):
         masks = detect_cloud_shadow(cloudy_scene.rgb)
         assert masks.cloud.dtype == bool and masks.shadow.dtype == bool
-        assert masks.cloud.shape == cloudy_scene.rgb.shape[:2]
-        np.testing.assert_array_equal(masks.affected, masks.cloud | masks.shadow)
+        assert masks.cloud.shape == cloudy_scene.rgb.shape[:2] and masks.shadow.shape == cloudy_scene.rgb.shape[:2]
 
     def test_rejects_gray_input(self, gray_image):
         with pytest.raises(ValueError):
@@ -239,14 +243,10 @@ class TestFilterPipeline:
         np.testing.assert_array_equal(result.masks.shadow, own.shadow)
         assert (detect_cloud_shadow(cloudy_scene.rgb).cloud != result.masks.cloud).any()  # what the default calibration sees
 
-        calls.clear()
-        assert CloudShadowFilter(remover=remover).coverage(cloudy_scene.rgb) == result.coverage
-        assert len(calls) == 1 and calls[0] is remover
-
     def test_apply_returns_all_products(self, cloudy_scene):
         result = CloudShadowFilter().apply(cloudy_scene.rgb)
         assert result.filtered.shape == cloudy_scene.rgb.shape
-        assert 0.0 <= result.coverage <= 1.0
+        assert 0.0 <= coverage(result.masks) <= 1.0
         assert result.veil.cloud_alpha.shape == cloudy_scene.rgb.shape[:2]
 
     def test_apply_batch_shape(self, tiny_dataset):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import BatchLoader, augment_batch, augment_pair, image_to_tensor, labels_to_onehot
+from repro.data import BatchLoader, augment_batch, image_to_tensor
 
 
 class TestImageToTensor:
@@ -26,54 +26,6 @@ class TestImageToTensor:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             image_to_tensor(np.zeros((4, 4), dtype=np.uint8))
-
-
-class TestOneHot:
-    def test_shape_and_partition(self):
-        labels = np.random.default_rng(0).integers(0, 3, size=(2, 8, 8))
-        onehot = labels_to_onehot(labels)
-        assert onehot.shape == (2, 3, 8, 8)
-        np.testing.assert_allclose(onehot.sum(axis=1), 1.0)
-
-    def test_argmax_recovers_labels(self):
-        labels = np.random.default_rng(1).integers(0, 3, size=(3, 6, 6))
-        np.testing.assert_array_equal(labels_to_onehot(labels).argmax(axis=1), labels)
-
-    def test_single_map(self):
-        labels = np.zeros((8, 8), dtype=np.uint8)
-        assert labels_to_onehot(labels).shape == (3, 8, 8)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            labels_to_onehot(np.full((2, 2), 7))
-
-
-class TestAugmentPair:
-    def test_image_and_label_stay_aligned(self):
-        rng = np.random.default_rng(0)
-        label = rng.integers(0, 3, size=(16, 16)).astype(np.int64)
-        image = label[None].astype(np.float32).repeat(3, axis=0)  # image encodes the label
-        for seed in range(5):
-            aug_img, aug_lab = augment_pair(image, label, np.random.default_rng(seed))
-            np.testing.assert_array_equal(aug_img[0].astype(np.int64), aug_lab)
-
-    def test_preserves_shapes(self):
-        image = np.zeros((3, 8, 8), dtype=np.float32)
-        label = np.zeros((8, 8), dtype=np.int64)
-        aug_img, aug_lab = augment_pair(image, label, np.random.default_rng(1))
-        assert aug_img.shape == image.shape and aug_lab.shape == label.shape
-
-    def test_preserves_class_histogram(self):
-        rng = np.random.default_rng(2)
-        label = rng.integers(0, 3, size=(12, 12)).astype(np.int64)
-        image = np.zeros((3, 12, 12), dtype=np.float32)
-        _, aug_lab = augment_pair(image, label, np.random.default_rng(3))
-        np.testing.assert_array_equal(np.bincount(aug_lab.ravel(), minlength=3),
-                                      np.bincount(label.ravel(), minlength=3))
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            augment_pair(np.zeros((3, 8, 8)), np.zeros((6, 6)), np.random.default_rng(0))
 
 
 class TestAugmentBatch:
@@ -113,6 +65,55 @@ class TestAugmentBatch:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             augment_batch(np.zeros((2, 3, 8, 8)), np.zeros((3, 8, 8)), np.random.default_rng(0))
+
+
+    @pytest.mark.parametrize("size", [(8, 8), (6, 10)], ids=["square", "oblong"])
+    def test_each_sample_draws_a_dihedral_transform(self, size):
+        """Every sample comes out as one symmetry of its own input, the same one for image
+        and label; over 64 samples a square tile sees all 8, an oblong one the 4 flips."""
+        h, w = size
+        base = np.arange(h * w, dtype=np.int64).reshape(h, w)
+        lab = np.repeat(base[None], 64, axis=0)
+        img = lab[:, None].astype(np.float32).repeat(2, axis=1)
+        augment_batch(img, lab, np.random.default_rng(11))
+        group = [base, base[:, ::-1], base[::-1], base[::-1, ::-1]]
+        if h == w:
+            group += [np.rot90(g) for g in group]
+        seen = set()
+        for sample_img, sample_lab in zip(img, lab):
+            np.testing.assert_array_equal(sample_img[0], sample_lab)
+            np.testing.assert_array_equal(sample_img[1], sample_lab)
+            matches = [i for i, g in enumerate(group) if g.shape == sample_lab.shape and np.array_equal(g, sample_lab)]
+            assert len(matches) == 1
+            seen.add(matches[0])
+        assert seen == set(range(len(group)))
+
+
+class TestAugmentPair:
+    """One (image, label) pair: the batch of one a loader hands over when ``N % batch_size == 1``."""
+
+    def test_image_and_label_stay_aligned(self):
+        label = np.random.default_rng(0).integers(0, 3, size=(1, 16, 16)).astype(np.int64)
+        image = label[:, None].astype(np.float32).repeat(3, axis=1)  # image encodes the label
+        for seed in range(5):
+            aug_img, aug_lab = augment_batch(image.copy(), label.copy(), np.random.default_rng(seed))
+            np.testing.assert_array_equal(aug_img[0, 0].astype(np.int64), aug_lab[0])
+
+    def test_preserves_shapes(self):
+        image = np.zeros((1, 3, 8, 8), dtype=np.float32)
+        label = np.zeros((1, 8, 8), dtype=np.int64)
+        aug_img, aug_lab = augment_batch(image, label, np.random.default_rng(1))
+        assert aug_img.shape == (1, 3, 8, 8) and aug_lab.shape == (1, 8, 8)
+
+    def test_preserves_class_histogram(self):
+        label = np.random.default_rng(2).integers(0, 3, size=(1, 12, 12)).astype(np.int64)
+        before = np.bincount(label.ravel(), minlength=3)
+        _, aug_lab = augment_batch(np.zeros((1, 3, 12, 12), dtype=np.float32), label, np.random.default_rng(3))
+        np.testing.assert_array_equal(np.bincount(aug_lab.ravel(), minlength=3), before)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            augment_batch(np.zeros((1, 3, 8, 8)), np.zeros((1, 6, 6)), np.random.default_rng(0))
 
 
 class TestBatchLoader:

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.data import fractal_noise, smooth_blobs, spectral_noise
+from repro.data import fractal_noise, spectral_noise
 
 
 class TestSpectralNoise:
@@ -51,27 +49,3 @@ class TestFractalNoise:
     def test_single_octave_equals_spectral_structure(self):
         field = fractal_noise((16, 16), octaves=1, rng=np.random.default_rng(0))
         assert field.shape == (16, 16)
-
-
-class TestSmoothBlobs:
-    @settings(max_examples=20, deadline=None)
-    @given(st.floats(0.05, 0.95))
-    def test_coverage_close_to_target(self, coverage):
-        mask = smooth_blobs((64, 64), coverage, rng=np.random.default_rng(7))
-        assert abs(mask.mean() - coverage) < 0.05
-
-    def test_zero_and_full_coverage(self):
-        assert not smooth_blobs((16, 16), 0.0).any()
-        assert smooth_blobs((16, 16), 1.0).all()
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            smooth_blobs((8, 8), 1.5)
-
-    def test_blobs_are_spatially_coherent(self):
-        mask = smooth_blobs((64, 64), 0.3, beta=3.5, rng=np.random.default_rng(1))
-        # A coherent mask has far fewer boundary transitions than random noise.
-        transitions = np.abs(np.diff(mask.astype(int), axis=0)).sum()
-        random_mask = np.random.default_rng(2).uniform(size=(64, 64)) < 0.3
-        random_transitions = np.abs(np.diff(random_mask.astype(int), axis=0)).sum()
-        assert transitions < random_transitions / 2

@@ -26,7 +26,7 @@ class TestPrototypes:
         for cls, rgb in CLASS_RGB_PROTOTYPES.items():
             pixel = np.array(rgb, dtype=np.uint8).reshape(1, 1, 3)
             hsv = rgb_to_hsv(pixel)
-            assert HSV_RANGES[cls].contains(hsv)[0, 0], f"{cls} prototype outside its HSV range"
+            assert HSV_RANGES[cls].inside({c: hsv[..., c] for c in range(3)})[0, 0], f"{cls} prototype outside its HSV range"
 
     def test_texture_keeps_classes_inside_their_bands(self):
         """Prototype ± texture amplitude must not cross the class V thresholds."""

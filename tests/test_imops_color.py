@@ -1,6 +1,8 @@
-"""Tests for repro.imops.color (RGB/HSV/grayscale conversions)."""
+"""Tests for repro.imops.color (RGB to HSV conversion)."""
 
 from __future__ import annotations
+
+import colorsys
 
 import numpy as np
 import pytest
@@ -10,17 +12,15 @@ from hypothesis.extra import numpy as hnp
 from reference_kernels import reference_rgb_to_hsv, rgb_views
 
 from repro.classes import HSV_RANGES, SeaIceClass
-from repro.imops import (
-    channel_planes,
-    gray_to_rgb,
-    hsv_planes,
-    hsv_to_rgb,
-    merge_channels,
-    rgb_to_gray,
-    rgb_to_hsv,
-    split_channels,
-)
+from repro.imops import channel_planes, hsv_planes, rgb_to_hsv
 from repro.labeling import autolabel_tile
+
+
+def _opencv_hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
+    """The inverse of OpenCV's 8-bit HSV (hue in 2-degree steps), pixel by pixel through ``colorsys``."""
+    flat = hsv.reshape(-1, 3).astype(np.float64)
+    rgb = [colorsys.hsv_to_rgb(h * 2.0 / 360.0 % 1.0, s / 255.0, v / 255.0) for h, s, v in flat]
+    return np.clip(np.rint(np.asarray(rgb).reshape(hsv.shape) * 255.0), 0, 255).astype(np.uint8)
 
 
 class TestRgbToHsv:
@@ -118,6 +118,9 @@ class TestPlanarRgbToHsvMatchesOracle:
 
 
 class TestHsvRoundTrip:
+    """``rgb_to_hsv`` followed by the ``colorsys`` inverse lands back on the input, up to
+    the 2-degree hue and 1/255 saturation steps of the 8-bit convention."""
+
     @settings(max_examples=25, deadline=None)
     @given(
         hnp.arrays(
@@ -126,61 +129,41 @@ class TestHsvRoundTrip:
         )
     )
     def test_round_trip_close(self, img):
-        # Hue is quantised to 2-degree bins so allow a small tolerance.
-        back = hsv_to_rgb(rgb_to_hsv(img))
+        back = _opencv_hsv_to_rgb(rgb_to_hsv(img))
         assert np.max(np.abs(back.astype(int) - img.astype(int))) <= 6
 
     def test_round_trip_on_sea_ice_palette(self):
         from repro.data import prototype_array
 
         img = np.clip(np.round(prototype_array()), 0, 255).astype(np.uint8).reshape(1, 3, 3)
-        back = hsv_to_rgb(rgb_to_hsv(img))
+        back = _opencv_hsv_to_rgb(rgb_to_hsv(img))
         assert np.max(np.abs(back.astype(int) - img.astype(int))) <= 4
 
-    def test_hsv_to_rgb_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            hsv_to_rgb(np.zeros((3, 3), dtype=np.uint8))
 
+class TestMatchesColorsys:
+    """Named colours against ``colorsys.rgb_to_hsv`` scaled to OpenCV's 8-bit ranges; a hue
+    that rounds up to 180 (``ff0001``, 359.8 degrees) is held at the top of the range, 179."""
 
-class TestGray:
-    def test_weights_sum_to_white(self):
-        img = np.full((2, 2, 3), 255, dtype=np.uint8)
-        assert np.all(rgb_to_gray(img) == 255)
-
-    def test_green_dominates_luminance(self):
-        red = np.zeros((1, 1, 3), dtype=np.uint8)
-        red[..., 0] = 200
-        green = np.zeros((1, 1, 3), dtype=np.uint8)
-        green[..., 1] = 200
-        assert rgb_to_gray(green)[0, 0] > rgb_to_gray(red)[0, 0]
-
-    def test_gray_passthrough(self, gray_image):
-        np.testing.assert_array_equal(rgb_to_gray(gray_image), gray_image)
-
-    def test_gray_to_rgb_shape(self, gray_image):
-        rgb = gray_to_rgb(gray_image)
-        assert rgb.shape == gray_image.shape + (3,)
-        np.testing.assert_array_equal(rgb[..., 0], rgb[..., 2])
-
-    def test_gray_to_rgb_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            gray_to_rgb(np.zeros((2, 2, 2, 2)))
+    @pytest.mark.parametrize(
+        "rgb",
+        [(255, 0, 0), (255, 128, 0), (255, 255, 0), (0, 255, 0), (0, 255, 255), (0, 0, 255),
+         (255, 0, 255), (255, 0, 1), (255, 255, 255), (0, 0, 0), (128, 128, 128), (10, 40, 90)],
+        ids=lambda rgb: "%02x%02x%02x" % rgb,
+    )
+    def test_named_colour(self, rgb):
+        h, s, v = colorsys.rgb_to_hsv(*(c / 255.0 for c in rgb))
+        expected = np.rint([h * 360.0 / 2.0, s * 255.0, v * 255.0])
+        expected[0] = min(expected[0], 179)
+        hsv = rgb_to_hsv(np.array([[rgb]], dtype=np.uint8))[0, 0]
+        np.testing.assert_array_equal(hsv, expected)
 
 
 class TestSplitMerge:
     def test_split_merge_round_trip(self, rgb_image):
-        channels = split_channels(rgb_image)
-        assert len(channels) == 3
-        np.testing.assert_array_equal(merge_channels(channels), rgb_image)
+        planes = channel_planes(rgb_image)
+        assert len(planes) == 3
+        np.testing.assert_array_equal(np.moveaxis(planes, 0, -1).astype(np.uint8), rgb_image)
 
     def test_split_returns_contiguous(self, rgb_image):
-        for channel in split_channels(rgb_image):
-            assert channel.flags["C_CONTIGUOUS"]
-
-    def test_merge_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            merge_channels([np.zeros((2, 2)), np.zeros((3, 3))])
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_channels([])
+        for plane in channel_planes(rgb_image):
+            assert plane.flags["C_CONTIGUOUS"]

@@ -8,9 +8,7 @@ import pytest
 from repro.imops import (
     dilate,
     erode,
-    fill_holes,
     morph_close,
-    morph_open,
     remove_small_objects,
     structuring_element,
 )
@@ -43,6 +41,16 @@ class TestStructuringElement:
     def test_even_size_raises(self):
         with pytest.raises(ValueError):
             structuring_element("rect", 4)
+
+    @pytest.mark.parametrize("ksize", [1, 3, 7])
+    @pytest.mark.parametrize("shape", ["rect", "cross", "ellipse"])
+    def test_element_is_centred_and_symmetric(self, shape, ksize):
+        elem = structuring_element(shape, ksize)
+        assert elem.shape == (ksize, ksize) and elem.dtype == bool
+        mid = ksize // 2
+        assert elem[mid].all() and elem[:, mid].all()  # every shape holds the cross through its centre
+        for flipped in (elem[::-1], elem[:, ::-1], elem.T):
+            np.testing.assert_array_equal(flipped, elem)
 
 
 class TestErodeDilate:
@@ -84,11 +92,41 @@ class TestErodeDilate:
             erode(rgb_image, 3)
 
 
+def _window_extreme(image, ksize, reduce, mode, **pad):
+    """Brute-force ``ksize`` x ``ksize`` sliding ``reduce`` over a padded copy."""
+    half = ksize // 2
+    padded = np.pad(image, half, mode=mode, **pad)
+    h, w = image.shape
+    stack = [padded[dy:dy + h, dx:dx + w] for dy in range(ksize) for dx in range(ksize)]
+    return reduce(np.stack(stack), axis=0)
+
+
+class TestMatchesSlidingWindow:
+    """Square erosion / dilation against a sliding window: grayscale images read past
+    the edge as a mirror (``scipy.ndimage``'s ``reflect``), binary masks as background."""
+
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("op, reduce", [(erode, np.min), (dilate, np.max)], ids=["erode", "dilate"])
+    def test_grayscale(self, op, reduce, ksize, gray_image):
+        expected = _window_extreme(gray_image, ksize, reduce, "symmetric")
+        np.testing.assert_array_equal(op(gray_image, ksize), expected)
+
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("op, reduce", [(erode, np.min), (dilate, np.max)], ids=["erode", "dilate"])
+    def test_binary(self, op, reduce, ksize):
+        mask = np.random.default_rng(ksize).uniform(size=(17, 23)) < 0.6
+        expected = _window_extreme(mask, ksize, reduce, "constant", constant_values=False)
+        np.testing.assert_array_equal(op(mask, ksize), expected)
+        np.testing.assert_array_equal(op(mask.astype(np.uint8) * 255, ksize), expected.astype(np.uint8) * 255)
+
+
 class TestOpenClose:
     def test_open_removes_specks(self, blob_mask):
-        out = morph_open(blob_mask, 3)
+        """Opening, as erosion then dilation, drops a lone pixel and keeps the blob."""
+        out = dilate(erode(blob_mask, 3), 3)
         assert not out[22, 22]
         assert out[9, 9]
+        np.testing.assert_array_equal(out[5:15, 5:15], blob_mask[5:15, 5:15])
 
     def test_close_fills_small_gap(self):
         mask = np.ones((20, 20), dtype=bool)
@@ -122,18 +160,3 @@ class TestCleanup:
         want[5, 5] = 0
         assert out.dtype == np.asarray(mask).dtype
         np.testing.assert_array_equal(out, want)
-
-    def test_fill_holes(self):
-        mask = np.zeros((20, 20), dtype=bool)
-        mask[3:17, 3:17] = True
-        mask[8:12, 8:12] = False
-        out = fill_holes(mask)
-        assert out[10, 10]
-        assert not out[0, 0]
-
-    def test_fill_holes_uint8(self):
-        mask = np.zeros((10, 10), dtype=np.uint8)
-        mask[2:8, 2:8] = 255
-        mask[5, 5] = 0
-        out = fill_holes(mask)
-        assert out[5, 5] == 255

@@ -1,4 +1,4 @@
-"""Tests for repro.imops.resize (resizing, tiling, reassembly)."""
+"""Tests for repro.imops.resize (tiling, reassembly)."""
 
 from __future__ import annotations
 
@@ -9,76 +9,19 @@ from hypothesis import strategies as st
 
 import pickle
 
-from repro.imops import (
-    TileGrid,
-    assemble_from_tiles,
-    blend_window,
-    pad_to_multiple,
-    resize_bilinear,
-    resize_nearest,
-    split_into_tiles,
-)
-
-
-class TestResize:
-    def test_nearest_shape(self, rgb_image):
-        out = resize_nearest(rgb_image, (20, 30))
-        assert out.shape == (20, 30, 3)
-        assert out.dtype == rgb_image.dtype
-
-    def test_nearest_identity(self, gray_image):
-        np.testing.assert_array_equal(resize_nearest(gray_image, gray_image.shape), gray_image)
-
-    def test_nearest_preserves_label_values(self):
-        labels = np.random.default_rng(0).integers(0, 3, size=(16, 16)).astype(np.uint8)
-        out = resize_nearest(labels, (32, 32))
-        assert set(np.unique(out)).issubset(set(np.unique(labels)))
-
-    def test_bilinear_shape_and_dtype(self, rgb_image):
-        out = resize_bilinear(rgb_image, (80, 112))
-        assert out.shape == (80, 112, 3)
-        assert out.dtype == np.uint8
-
-    def test_bilinear_constant_image(self):
-        img = np.full((10, 10), 77, dtype=np.uint8)
-        out = resize_bilinear(img, (23, 17))
-        assert np.all(out == 77)
-
-    def test_bilinear_upscale_within_range(self, gray_image):
-        out = resize_bilinear(gray_image, (96, 80))
-        assert out.min() >= gray_image.min()
-        assert out.max() <= gray_image.max()
-
-    def test_rejects_nonpositive_target(self, gray_image):
-        with pytest.raises(ValueError):
-            resize_nearest(gray_image, (0, 10))
-        with pytest.raises(ValueError):
-            resize_bilinear(gray_image, (10, 0))
-
-    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint16])
-    def test_bilinear_preserves_integer_dtypes(self, dtype):
-        """Non-uint8 integer inputs must come back in the input dtype, not float64."""
-        img = np.arange(12 * 10, dtype=dtype).reshape(12, 10) * 7
-        out = resize_bilinear(img, (20, 18))
-        assert out.dtype == dtype
-        assert out.min() >= img.min() and out.max() <= img.max()
-
-    def test_bilinear_integer_constant_image(self):
-        img = np.full((9, 9), -1234, dtype=np.int16)
-        out = resize_bilinear(img, (15, 4))
-        assert out.dtype == np.int16
-        assert np.all(out == -1234)
+from repro.imops import TileGrid, assemble_from_tiles, blend_window, split_into_tiles
 
 
 class TestPadAndTiles:
     def test_pad_to_multiple(self):
-        img = np.ones((30, 45), dtype=np.uint8)
-        out = pad_to_multiple(img, 16)
-        assert out.shape == (32, 48)
+        tiles, grid = split_into_tiles(np.ones((30, 45), dtype=np.uint8), 16)
+        assert grid.padded_shape == (32, 48)
+        assert tiles.shape == (6, 16, 16)
 
     def test_pad_noop_when_already_multiple(self, gray_image):
-        out = pad_to_multiple(gray_image, 8)
-        assert out.shape == gray_image.shape
+        tiles, grid = split_into_tiles(gray_image, 8)
+        assert grid.padded_shape == gray_image.shape
+        np.testing.assert_array_equal(tiles[0], gray_image[:8, :8])
 
     def test_split_grid_and_count(self):
         img = np.arange(64 * 96 * 3, dtype=np.uint8).reshape(64, 96, 3)
@@ -124,14 +67,14 @@ class TestPadAndTiles:
         assert 66 * tiles_per_scene == 4224
 
     def test_pad_to_multiple_handles_single_pixel_dims(self):
-        """Reflect padding cannot pad wider than dim-1; degenerate inputs must
+        """Reflect padding cannot pad wider than dim-1; degenerate scenes must
         fall back to edge padding instead of raising."""
-        out = pad_to_multiple(np.full((1, 5), 9, dtype=np.uint8), 8)
-        assert out.shape == (8, 8)
-        assert np.all(out[:, :5] == 9)
-        out = pad_to_multiple(np.ones((2, 1, 3), dtype=np.uint8), 16)
-        assert out.shape == (16, 16, 3)
-        assert np.all(out == 1)
+        tiles, grid = split_into_tiles(np.full((1, 5), 9, dtype=np.uint8), 8)
+        assert grid.padded_shape == (8, 8)
+        assert np.all(tiles[0][:, :5] == 9)
+        tiles, grid = split_into_tiles(np.ones((2, 1, 3), dtype=np.uint8), 16)
+        assert tiles.shape == (1, 16, 16, 3)
+        assert np.all(tiles == 1)
 
 
 class TestOverlapTiling:
@@ -171,7 +114,7 @@ class TestOverlapTiling:
         legacy = assemble_from_tiles(tiles, uncropped)
         assert legacy.shape == grid.padded_shape
         np.testing.assert_array_equal(legacy[:300, :500], img)
-        np.testing.assert_array_equal(legacy, pad_to_multiple(img, 128))
+        np.testing.assert_array_equal(legacy, np.pad(img, ((0, 84), (0, 12)), mode="reflect"))
 
     @pytest.mark.parametrize("shape", [(300, 500, 3), (96, 96), (40, 130)])
     def test_overlap_blend_round_trip(self, shape):
@@ -216,9 +159,49 @@ class TestOverlapTiling:
         with pytest.raises(ValueError):
             blend_window(32, 32)
 
+    @pytest.mark.parametrize("tile_size, overlap", [(1, 0), (8, 0), (8, 3), (32, 8), (33, 16)])
+    def test_blend_window_is_symmetric_and_separable(self, tile_size, overlap):
+        win = blend_window(tile_size, overlap)
+        np.testing.assert_array_equal(win, win.T)
+        np.testing.assert_array_equal(win, win[::-1, ::-1])
+        edge = win[tile_size // 2]
+        np.testing.assert_allclose(win, np.outer(edge, edge) / edge.max())
+        assert win.max() == 1.0 and win.min() > 0.0
+
     def test_blended_tiles_mismatch_rejected(self):
         tiles, grid = split_into_tiles(np.zeros((64, 64), dtype=np.uint8), 32, overlap=8)
         with pytest.raises(ValueError):
             assemble_from_tiles(tiles[:-1], grid)
         with pytest.raises(ValueError):
             assemble_from_tiles(np.zeros((grid.num_tiles, 16, 16)), grid)
+
+
+class TestGridCovering:
+    """``TileGrid.covering`` against the brute-force rule: per axis, the fewest
+    tiles at stride ``tile - overlap`` whose last one ends at or past the edge."""
+
+    @staticmethod
+    def _fewest(n, tile, overlap):
+        count = 1
+        while (count - 1) * (tile - overlap) + tile < n:
+            count += 1
+        return count
+
+    @pytest.mark.parametrize(
+        "shape, tile, overlap",
+        [((1, 1), 8, 0), ((8, 8), 8, 0), ((9, 8), 8, 0), ((64, 96), 32, 0),
+         ((70, 50), 32, 8), ((300, 500), 128, 32), ((129, 127), 128, 127), ((5, 200), 16, 15)],
+    )
+    def test_covering_matches_brute_force(self, shape, tile, overlap):
+        grid = TileGrid.covering(shape, tile, overlap)
+        counts = tuple(self._fewest(n, tile, overlap) for n in shape)
+        assert tuple(grid) == counts
+        assert grid.padded_shape == tuple((c - 1) * (tile - overlap) + tile for c in counts)
+        assert all(p >= n for p, n in zip(grid.padded_shape, shape))
+        _, split_grid = split_into_tiles(np.zeros(shape, dtype=np.uint8), tile, overlap=overlap)
+        assert split_grid == grid and split_grid.padded_shape == grid.padded_shape
+
+    @pytest.mark.parametrize("tile, overlap", [(0, 0), (8, 8), (8, -1)])
+    def test_covering_rejects_bad_geometry(self, tile, overlap):
+        with pytest.raises(ValueError):
+            TileGrid.covering((16, 16), tile, overlap)

@@ -27,10 +27,10 @@ def engine_model():
 
 
 def predict_tiles(model, tiles, batch_size=8):
-    """Class maps of an already-tiled stack (unfiltered), through ``SceneClassifier.classify_tiles``."""
+    """Class maps of an already-tiled stack (unfiltered), through the stack dispatch ``SceneClassifier``'s scene paths use."""
     config = InferenceConfig(batch_size=batch_size, apply_cloud_filter=False)
     with SceneClassifier(model=model, config=config) as classifier:
-        return classifier.classify_tiles(tiles)
+        return classifier._predict_stack(tiles).argmax(axis=1).astype(np.uint8)
 
 
 class _RowSliceable:
@@ -349,11 +349,14 @@ class TestPaddingAvoidsCopies:
         np.testing.assert_array_equal(padded[:, 31], stack[:, 27])
 
     def test_pad_to_multiple_already_multiple_is_identity(self, rng):
-        from repro.imops.resize import _pad_bottom_right, pad_to_multiple
+        """A scene already a tile multiple is not padded: its grid covers it exactly and
+        the padding step of ``split_into_tiles`` hands the same object back."""
+        from repro.imops import TileGrid
+        from repro.imops.resize import _pad_bottom_right
 
         image = rng.integers(0, 255, size=(64, 96, 3), dtype=np.uint8)
-        assert pad_to_multiple(image, 32) is image
-        assert _pad_bottom_right(image, 0, 0, "reflect") is image
+        assert TileGrid.covering(image.shape[:2], 32).padded_shape == image.shape[:2]
+        assert _pad_bottom_right(image, 0, 0) is image
 
     def test_seam_output_equals_unpadded_forward(self, engine_model, rng):
         from repro.unet.inference import predict_batch_probabilities

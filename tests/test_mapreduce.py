@@ -16,7 +16,6 @@ from repro.mapreduce import (
     paper_table2,
     partition_items,
     run_mapreduce_autolabel,
-    udf,
 )
 from repro.mapreduce import dataset as dataset_module
 
@@ -25,8 +24,8 @@ def add_one(x):
     return x + 1
 
 
-def is_even(x):
-    return x % 2 == 0
+def double(x):
+    return 2 * x
 
 
 class TestPartitioning:
@@ -65,8 +64,8 @@ class TestExecutors:
     def test_all_backends_agree(self, kind):
         context = SparkLiteContext(executor=kind, parallelism=2)
         data = context.parallelize(list(range(30)), num_partitions=4)
-        result = data.map(add_one).filter(is_even).collect()
-        expected = [x + 1 for x in range(30) if (x + 1) % 2 == 0]
+        result = data.map(add_one).map(double).collect()
+        expected = [2 * (x + 1) for x in range(30)]
         assert result == expected
 
     def test_make_executor_rejects_unknown(self):
@@ -156,32 +155,6 @@ class TestDatasetSemantics:
         items = list(range(25))
         assert context.parallelize(items).map(add_one).collect() == [add_one(x) for x in items]
 
-    def test_count_and_take(self):
-        context = SparkLiteContext()
-        data = context.parallelize(list(range(12)), num_partitions=3)
-        assert data.count() == 12
-        assert data.take(4) == [0, 1, 2, 3]
-        with pytest.raises(ValueError):
-            data.take(-1)
-
-    def test_reduce(self):
-        context = SparkLiteContext()
-        data = context.parallelize(list(range(1, 11)), num_partitions=4)
-        assert data.reduce(lambda a, b: a + b) == 55
-
-    def test_reduce_empty_raises(self):
-        context = SparkLiteContext()
-        data = context.parallelize([]).filter(lambda x: False)
-        with pytest.raises(ValueError):
-            data.reduce(lambda a, b: a + b)
-
-    def test_map_partitions(self):
-        context = SparkLiteContext()
-        data = context.parallelize(list(range(10)), num_partitions=2)
-        out = data.map_partitions(lambda items: [sum(items)]).collect()
-        assert sum(out) == sum(range(10))
-        assert len(out) == 2
-
     def test_timings_recorded(self):
         context = SparkLiteContext()
         data = context.parallelize(list(range(100)))
@@ -189,13 +162,6 @@ class TestDatasetSemantics:
         timings = context.last_timings
         assert timings.load_time >= 0 and timings.reduce_time > 0
         assert set(timings.as_row()) == {"load_time_s", "map_time_s", "reduce_time_s"}
-
-    def test_udf_decorator_marks_function(self):
-        @udf
-        def my_udf(x):
-            return x
-
-        assert getattr(my_udf, "__sparklite_udf__", False)
 
     def test_transformations_do_not_mutate_parent(self):
         context = SparkLiteContext()

@@ -130,7 +130,7 @@ class TestPlanCache:
         cache.get(s2)
         cache.get(s1)  # s1 is now most recent: s2 must be the eviction victim
         cache.get(s3)
-        assert cache.shapes() == [s1, s3]
+        assert [shape for shape, _ in cache.items()] == [s1, s3]
         assert cache.info()["evictions"] == 1
         # Re-requesting the evicted shape recompiles (a miss, not a hit).
         before = cache.info()["misses"]

@@ -142,18 +142,6 @@ class TestHistogramBuckets:
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram("bad", buckets=(5.0, 1.0))
 
-    def test_percentile_interpolates_and_handles_overflow(self):
-        hist = Histogram("p_ms", buckets=(10.0, 20.0))
-        for _ in range(50):
-            hist.observe(5.0)
-        for _ in range(50):
-            hist.observe(15.0)
-        assert 0.0 < hist.percentile(0.25) <= 10.0
-        assert 10.0 < hist.percentile(0.75) <= 20.0
-        hist.observe(1e6)  # overflow bucket reports the largest finite bound
-        assert hist.percentile(1.0) == 20.0
-        assert Histogram("empty_ms").percentile(0.5) is None
-
 
 class TestExposition:
     def test_render_parses_line_by_line(self):

@@ -47,7 +47,8 @@ class TestFlushRule:
             assert batcher.stats().queue_depth == queued
             predict.release()
             results = [p.result(10.0) for p in [blocker, *pending]]
-        assert predict.calls == [1, *flushes]
+        # Each flush reaches predict_fn padded up to a power of two (capped at max_batch).
+        assert predict.calls == [1, *(min(1 << (n - 1).bit_length(), max_batch) for n in flushes)]
         np.testing.assert_array_equal(np.stack(results), stub_probs(tiles[:1 + queued]))
         stats = batcher.stats()
         assert (stats.requests, stats.batches) == (1 + queued, 1 + len(flushes))
@@ -64,18 +65,20 @@ class TestFlushRule:
         assert predict.calls == flushes
         np.testing.assert_array_equal(results, stub_probs(tiles[:8]))
 
-    def test_requests_are_taken_whole_while_they_fit(self, tiles):
+    def test_requests_are_taken_whole_while_they_fit(self):
         predict = GatedPredict()
         with MicroBatcher(predict, max_batch=4) as batcher:
-            predict.hold_worker(batcher, tiles[0])
-            pending = batcher.submit_many(tiles[1:4]) + batcher.submit_many(tiles[4:7])
-            pending += batcher.submit_many(tiles[7:8])
+            predict.hold_worker(batcher, tagged_tile(0))
+            pending = batcher.submit_many([tagged_tile(t) for t in (1, 2, 3)])
+            pending += batcher.submit_many([tagged_tile(t) for t in (4, 5, 6)])
+            pending += batcher.submit_many([tagged_tile(7)])
             predict.release()
             for p in pending:
                 p.result(10.0)
         # 3 + 3 does not fit in 4: the second request waits for the next
         # flush instead of being split 1 + 2; the single tile then joins it.
-        assert predict.calls == [1, 3, 4]
+        # The flush of 3 is padded to 4 with its last tile.
+        assert predict.batches == [[0], [1, 2, 3, 3], [4, 5, 6, 7]]
 
     def test_mixed_tile_shapes_grouped_into_one_call_each(self, rng):
         small = rng.integers(0, 255, size=(16, 16, 3), dtype=np.uint8)
@@ -123,7 +126,7 @@ class TestMicroBatcher:
             for t in threads:
                 t.join(10.0)
         assert sorted(results) == list(range(16))
-        assert sum(predict.calls) == 16 and max(predict.calls) <= 8
+        assert batcher.stats().requests == 16 and max(predict.calls) <= 8
         for i, probs in results.items():
             np.testing.assert_array_equal(probs, stub_probs(tiles[i:i + 1])[0])
 
@@ -248,7 +251,6 @@ class TestBoundedQueueAndClose:
         predict.release()
         closer.join(10.0)
         assert not closer.is_alive() and not batcher._worker.is_alive()
-        assert all(p.done() for p in pending)
         assert [p.result(0).shape for p in pending] == [(2, 8, 8)] * 6
         assert predict.calls == [1, 2, 2, 1]
         with pytest.raises(RuntimeError, match="closed"):
@@ -259,7 +261,7 @@ class TestBucketBatching:
     @pytest.mark.parametrize("live, max_batch, padded", [(3, 8, 4), (5, 8, 8), (5, 6, 6), (6, 6, 6), (1, 8, 1)])
     def test_flushes_pad_to_power_of_two_capped_at_max_batch(self, tiles, live, max_batch, padded):
         predict = GatedPredict(open=True)
-        with MicroBatcher(predict, max_batch=max_batch, bucket_batches=True) as batcher:
+        with MicroBatcher(predict, max_batch=max_batch) as batcher:
             maps = np.stack([p.result(10.0) for p in batcher.submit_many(tiles[:live])])
         assert predict.calls == [padded]
         # Callers see only their own map, never a padded row.
@@ -284,11 +286,10 @@ requests_strategy = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(max_batch=st.integers(1, 6), bucket=st.booleans(),
-       max_queue=st.one_of(st.none(), st.integers(1, 12)), requests=requests_strategy)
-def test_property_staged_traffic(max_batch, bucket, max_queue, requests):
+@given(max_batch=st.integers(1, 6), max_queue=st.one_of(st.none(), st.integers(1, 12)), requests=requests_strategy)
+def test_property_staged_traffic(max_batch, max_queue, requests):
     predict = GatedPredict()
-    batcher = MicroBatcher(predict, max_batch=max_batch, bucket_batches=bucket, max_queue=max_queue)
+    batcher = MicroBatcher(predict, max_batch=max_batch, max_queue=max_queue)
     submitted = 1  # the blocker
     depth = 0
     groups = []  # (tags that must be served, request size) per admitted request
@@ -334,7 +335,8 @@ def test_property_staged_traffic(max_batch, bucket, max_queue, requests):
         predict.release()
         batcher.close()
 
-    assert all(size <= max_batch for size in predict.calls)
+    # Every call is a power of two, or max_batch itself.
+    assert all(size <= max_batch and (size & (size - 1) == 0 or size == max_batch) for size in predict.calls)
     # A request that fits in one flush is never split: its live tiles share one
     # call.  Only a request larger than max_batch is served in slices.
     for served, size in groups:

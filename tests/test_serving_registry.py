@@ -34,7 +34,7 @@ class TestRegistryBasics:
     def test_publish_scan_and_lookup(self, tmp_path, small_model):
         registry = _publish(tmp_path, small_model)
         assert registry.models() == {"seaice": [1]}
-        assert registry.latest_version("seaice") == 1
+        assert registry.record("seaice").version == 1
         record = registry.record("seaice")
         assert record.version == 1 and record.path.endswith("1.npz")
 
@@ -179,7 +179,7 @@ class TestWarmInstancesAndHotSwap:
         # Simulate another process dropping a new version into the directory.
         other = ModelRegistry(registry.root)
         other.publish("seaice", 7, small_model)
-        assert registry.latest_version("seaice") == 7
+        assert registry.record("seaice").version == 7
 
     def test_inference_override_beats_archive_metadata(self, tmp_path, small_model):
         registry = _publish(tmp_path, small_model,

@@ -84,9 +84,9 @@ class TestEndpoints:
                                    {"model": "seaice", "tile": tile.tolist()})
         assert status == 200
         assert payload["model"] == "seaice" and payload["version"] == 1
-        expected = SceneClassifier(
-            model=model, config=InferenceConfig(tile_size=32, apply_cloud_filter=False)
-        ).classify_tiles(tile[None])[0]
+        with SceneClassifier(model=model, config=InferenceConfig(tile_size=32, apply_cloud_filter=False)) as classifier:
+            # Reduced inside the block: under fork the stack result is a view of the backend's output arena.
+            expected = classifier._predict_stack(tile[None]).argmax(axis=1)[0]
         np.testing.assert_array_equal(np.asarray(payload["class_map"], dtype=np.uint8), expected)
         assert sum(payload["class_counts"].values()) == 32 * 32
 

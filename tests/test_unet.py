@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.data import BatchLoader
 from repro.distributed import ElasticTrainer
-from repro.nn import Dropout, MaxPool2D, UpConv2D
+from repro.nn import Conv2D, Dropout, MaxPool2D, UpConv2D
 from repro.unet import (
     SceneClassifier,
     InferenceConfig,
@@ -41,7 +41,7 @@ class TestUNetModel:
     def test_paper_configuration_matches_description(self):
         """Paper: 28 convolutional layers, 5 down-sampling steps, 256x256 inputs."""
         model = UNet(UNetConfig(depth=5, base_channels=64, dropout=0.2))
-        assert model.num_conv_layers() == 28
+        assert sum(isinstance(m, Conv2D) for m in model.modules()) == 28
         assert sum(isinstance(op.layer, MaxPool2D) for op in model.ops) == 5
         assert sum(isinstance(op.layer, UpConv2D) for op in model.ops) == 5
         assert model.config.min_input_size() == 32  # 256 is a valid input size
@@ -203,10 +203,10 @@ class TestTrainer:
 
 
 def predict_tiles(model, tiles, batch_size=8, apply_cloud_filter=False):
-    """Class maps of an already-tiled stack, the way every caller gets them: ``SceneClassifier.classify_tiles``."""
+    """Class maps of an already-tiled stack, through the stack dispatch ``SceneClassifier``'s scene paths use."""
     config = InferenceConfig(batch_size=batch_size, apply_cloud_filter=apply_cloud_filter)
     with SceneClassifier(model=model, config=config) as classifier:
-        return classifier.classify_tiles(tiles)
+        return classifier._predict_stack(tiles).argmax(axis=1).astype(np.uint8)
 
 
 class TestInference:
