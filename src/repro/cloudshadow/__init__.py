@@ -1,19 +1,9 @@
 """Thin-cloud and cloud-shadow filtering (paper §III-A).
 
-* :mod:`repro.cloudshadow.detection` — classical cloud and shadow mask detection
-* :mod:`repro.cloudshadow.removal` — linear-mixing-model veil estimation and inversion
-* :mod:`repro.cloudshadow.pipeline` — combined filter and its batch method
+:class:`CloudShadowFilter` estimates each pixel's veil opacity under a
+linear mixing model and inverts it (:mod:`repro.cloudshadow.removal`).
 """
 
-from .detection import CloudShadowMasks, detect_cloud_shadow
-from .pipeline import CloudShadowFilter, FilterResult
-from .removal import ThinCloudShadowRemover, VeilEstimate
+from .removal import CloudShadowFilter
 
-__all__ = [
-    "CloudShadowMasks",
-    "detect_cloud_shadow",
-    "CloudShadowFilter",
-    "FilterResult",
-    "ThinCloudShadowRemover",
-    "VeilEstimate",
-]
+__all__ = ["CloudShadowFilter"]

@@ -1,4 +1,4 @@
-"""Thin-cloud and shadow *removal* (veil estimation and inversion).
+"""Thin-cloud and shadow filtering: veil estimation, then its inversion (paper §III-A, Figure 5).
 
 Thin clouds and cloud shadows act, to first order, as a linear mixture of
 the true surface colour with a contaminant colour (white scattered light
@@ -25,19 +25,19 @@ The kernel is planar and float32.  The image is split once into three
 contiguous float32 ``(H, W)`` planes and the K x 2 hypotheses are visited in a
 Python loop, each a fixed sequence of whole-plane ufuncs writing into per-call
 scratch (``out=``).  No per-pixel hypothesis array is built: one running best
-score per contaminant, with the class that attains it and that hypothesis's
-opacity, is all that outlives the loop.  The passes are bound by memory
-traffic, and float32 halves it: with 8-bit pixels and integer calibration
-colours every difference, product and sum of the projection is an integer
-below 2**24, exact in float32 as in float64.  The floating-point operations and
+score per contaminant, with that hypothesis's opacity, is all that outlives
+the loop.  The passes are bound by memory traffic, and float32 halves it:
+with 8-bit pixels and integer calibration colours every difference, product
+and sum of the projection is an integer below 2**24, exact in float32 as in
+float64.  The floating-point operations and
 their order are those of the textbook broadcast formulation, which the tests
 keep as the oracle (run in float32) and require ``array_equal`` against.  (That
 holds wherever the projection's products are exact -- 8-bit pixels, colours on
 a binary grid, the defaults among them; elsewhere the oracle's ``einsum`` fuses
 multiply-adds on CPUs that can, and the two differ in the last bit of
 ``alpha``.)  Against the same oracle run in float64 the class maps of the
-auto-labeller and the detection masks agree exactly; a filtered pixel-channel
-whose value sits on a rounding boundary can move by 1 DN.
+auto-labeller agree exactly; a filtered pixel-channel whose value sits on a
+rounding boundary can move by 1 DN.
 
 In a deployment on real Sentinel-2 data the reference colours would be
 calibrated per region/season exactly as the paper calibrates its HSV
@@ -53,25 +53,15 @@ import numpy as np
 from ..data.radiometry import CLOUD_CONTAMINANT_RGB, SHADOW_CONTAMINANT_RGB, prototype_array
 from ..imops import channel_planes, gaussian_blur
 
-__all__ = ["VeilEstimate", "ThinCloudShadowRemover"]
+__all__ = ["CloudShadowFilter"]
 
 
 @dataclass
-class VeilEstimate:
-    """Per-pixel veil estimate produced by :class:`ThinCloudShadowRemover`."""
+class CloudShadowFilter:
+    """The paper's thin-cloud and shadow filter for RGB sea-ice imagery.
 
-    cloud_alpha: np.ndarray
-    shadow_alpha: np.ndarray
-    surface_class: np.ndarray  #: index of the best-fitting surface prototype
-
-    @property
-    def affected_fraction(self) -> float:
-        return float(((self.cloud_alpha > 0.05) | (self.shadow_alpha > 0.05)).mean())
-
-
-@dataclass
-class ThinCloudShadowRemover:
-    """Removes thin clouds and shadows from RGB sea-ice imagery.
+    ``filter_image`` filters one ``(H, W, 3)`` tile or scene, ``filter_planes`` returns the same
+    pixels as float32 planes (what the labeler reads) and ``apply_batch`` filters a tile stack.
 
     Parameters
     ----------
@@ -104,7 +94,7 @@ class ThinCloudShadowRemover:
         least 3.
 
     The calibration is held as float32 constants, and every plane the
-    remover computes is float32.
+    filter computes is float32.
     """
 
     surface_prototypes: np.ndarray = field(default_factory=prototype_array)
@@ -136,25 +126,13 @@ class ThinCloudShadowRemover:
     # ------------------------------------------------------------------ #
     # Veil estimation
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _planes(rgb: np.ndarray) -> np.ndarray:
-        img = np.asarray(rgb)
-        if img.ndim != 3 or img.shape[-1] != 3:
-            raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
-        return channel_planes(img)
-
-    def estimate(self, rgb: np.ndarray) -> VeilEstimate:
-        """Estimate per-pixel cloud and shadow opacity for an RGB image."""
-        return self._estimate(self._planes(rgb))
-
-    def _estimate(self, planes: np.ndarray) -> VeilEstimate:
-        """:meth:`estimate` of an image already split into planes (read, not written)."""
+    def _estimate(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cloud_alpha, shadow_alpha)``: per-pixel veil opacities of an image split into planes (read, not written)."""
         _, h, w = planes.shape
-        # Kept per contaminant m: the best score over the surfaces k, the first k that attains it
-        # and that hypothesis's opacity.  The rest is per-call scratch (the thread executor runs
-        # one remover concurrently).
+        # Kept per contaminant m: the best score over the surfaces k and the opacity of the first
+        # hypothesis that attains it.  The rest is per-call scratch (the thread executor runs one
+        # filter concurrently).
         best = np.empty((2, h, w), dtype=np.float32)
-        best_k = np.zeros((2, h, w), dtype=np.uint8)
         best_alpha = np.empty((2, h, w), dtype=np.float32)
         diff = np.empty((3, h, w), dtype=np.float32)
         alpha, scratch, tmp = np.empty((3, h, w), dtype=np.float32)
@@ -178,23 +156,19 @@ class ThinCloudShadowRemover:
                 np.sqrt(s, out=s)
                 np.add(s, np.multiply(a, self.alpha_penalty, out=tmp), out=s)
                 if k:  # strict "<" keeps the first minimum, as argmin over k would
-                    better = s < best[m]
-                    np.putmask(best_k[m], better, k)
-                    np.putmask(best_alpha[m], better, a)
+                    np.putmask(best_alpha[m], s < best[m], a)
                     np.minimum(best[m], s, out=best[m])
         del diff, alpha, scratch, tmp
 
         # Decide the contaminant type (cloud vs shadow) from spatially pooled
         # evidence: veils are regionally coherent, so the per-pixel best-class
         # score of each contaminant is smoothed before the comparison.  The
-        # surface class itself is the per-pixel winner under that contaminant
-        # (class boundaries are sharp and must not be blurred across).
+        # opacity itself is the per-pixel winner's under that contaminant.
         cloud_score, shadow_score = best
         if self.score_smooth_ksize:
             cloud_score = gaussian_blur(cloud_score, ksize=self.score_smooth_ksize)
             shadow_score = gaussian_blur(shadow_score, ksize=self.score_smooth_ksize)
         is_shadow = shadow_score < cloud_score  # ties go to cloud, as argmin over m would
-        best_k = np.where(is_shadow, best_k[1], best_k[0])
         cloud_alpha = np.where(is_shadow, 0.0, best_alpha[0])
         shadow_alpha = np.where(is_shadow, best_alpha[1], 0.0)
 
@@ -209,24 +183,23 @@ class ThinCloudShadowRemover:
         cloud_alpha = np.where(cloud_alpha >= self.min_alpha, cloud_alpha, 0.0)
         shadow_alpha = np.where(shadow_alpha >= self.min_alpha, shadow_alpha, 0.0)
 
-        return VeilEstimate(
-            cloud_alpha=cloud_alpha,
-            shadow_alpha=shadow_alpha,
-            surface_class=best_k,
-        )
+        return cloud_alpha, shadow_alpha
 
     # ------------------------------------------------------------------ #
     # Veil inversion
     # ------------------------------------------------------------------ #
-    def remove_planes(self, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
-        """The filtered image as float32 ``(3, H, W)`` planes holding its exact uint8 values."""
-        planes = self._planes(rgb)
-        est = estimate or self._estimate(planes)
+    def filter_planes(self, rgb: np.ndarray) -> np.ndarray:
+        """The filtered image as float32 ``(3, H, W)`` planes of exact uint8 values (what the labeler reads)."""
+        img = np.asarray(rgb)
+        if img.ndim != 3 or img.shape[-1] != 3:
+            raise ValueError(f"expected (H, W, 3) RGB image, got shape {img.shape}")
+        planes = channel_planes(img)
+        cloud_alpha, shadow_alpha = self._estimate(planes)
 
         # Invert the shadow veil first (it is composited on top of the cloud
         # veil by the atmosphere: the shadowed surface may itself be cloudy).
         tmp = np.empty(planes.shape[1:], dtype=np.float32)
-        for veil, color in ((est.shadow_alpha, self.shadow_color), (est.cloud_alpha, self.cloud_color)):
+        for veil, color in ((shadow_alpha, self.shadow_color), (cloud_alpha, self.cloud_color)):
             a = np.clip(veil, 0.0, self.max_alpha)
             keep = np.maximum(1.0 - a, 1.0 - self.max_alpha)
             for c in range(3):
@@ -235,10 +208,15 @@ class ThinCloudShadowRemover:
 
         return np.clip(np.round(planes, out=planes), 0, 255, out=planes)
 
-    def remove(self, rgb: np.ndarray, estimate: VeilEstimate | None = None) -> np.ndarray:
-        """Return the cloud/shadow-filtered RGB image (uint8)."""
-        return np.moveaxis(self.remove_planes(rgb, estimate), 0, -1).astype(np.uint8, order="C")
+    def filter_image(self, rgb: np.ndarray) -> np.ndarray:
+        """Filter one ``(H, W, 3)`` image, returning the filtered uint8 image."""
+        return np.moveaxis(self.filter_planes(rgb), 0, -1).astype(np.uint8, order="C")
 
-    def __call__(self, rgb: np.ndarray) -> np.ndarray:
-        """Alias for :meth:`remove` so the remover composes as a plain function."""
-        return self.remove(rgb)
+    def apply_batch(self, tiles: np.ndarray) -> np.ndarray:
+        """Filter a ``(N, H, W, 3)`` stack of tiles, returning the filtered uint8 stack."""
+        stack = np.asarray(tiles)
+        if stack.ndim != 4 or stack.shape[-1] != 3:
+            raise ValueError(f"expected (N, H, W, 3) tile stack, got shape {stack.shape}")
+        if not len(stack):
+            return np.empty(stack.shape, dtype=np.uint8)
+        return np.stack([self.filter_image(tile) for tile in stack])

@@ -26,8 +26,9 @@ _HUE_SCALE = 2.0
 def channel_planes(image: np.ndarray) -> np.ndarray:
     """The channels of an ``(H, W, C)`` image as contiguous float32 ``(C, H, W)`` planes.
 
-    The cloud/shadow remover runs whole-plane float32 ufuncs with ``out=`` on them; on
-    the interleaved layout the same arithmetic walks a length-``C`` strided last axis.
+    The cloud/shadow filter estimates and inverts the veil with whole-plane float32 ufuncs
+    (``out=``) on them; on the interleaved layout the same arithmetic walks a length-``C``
+    strided last axis.
     8-bit pixels (and any value on a fine enough binary grid) are held exactly.
     """
     img = np.asarray(image)

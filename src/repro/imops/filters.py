@@ -1,19 +1,17 @@
-"""Smoothing and noise-reduction filters (NumPy / SciPy implementations).
+"""Gaussian smoothing (a NumPy implementation).
 
-The cloud/shadow filter uses Gaussian blurring for veil estimation and
-median filtering for speckle-noise suppression, mirroring the OpenCV calls
-(``GaussianBlur``, ``medianBlur``) the paper relies on.
+The cloud/shadow filter uses Gaussian blurring to pool its hypothesis scores
+and smooth its opacity fields, mirroring the OpenCV ``GaussianBlur`` call the
+paper relies on; SSIM uses it for its local window statistics.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "gaussian_kernel1d",
     "gaussian_blur",
-    "median_blur",
 ]
 
 
@@ -87,16 +85,3 @@ def gaussian_blur(image: np.ndarray, ksize: int = 5, sigma: float | None = None)
         info = np.iinfo(img.dtype)
         return np.clip(np.round(out), info.min, info.max).astype(img.dtype)
     return out.astype(img.dtype, copy=False) if np.issubdtype(img.dtype, np.floating) else out
-
-
-def median_blur(image: np.ndarray, ksize: int = 3) -> np.ndarray:
-    """Median filter for salt-and-pepper / speckle noise removal."""
-    if ksize < 1 or ksize % 2 == 0:
-        raise ValueError("ksize must be a positive odd integer")
-    img = np.asarray(image)
-
-    def _median2d(channel: np.ndarray) -> np.ndarray:
-        return ndimage.median_filter(channel, size=ksize, mode="reflect")
-
-    out = _per_channel(img, _median2d)
-    return out.astype(img.dtype, copy=False)

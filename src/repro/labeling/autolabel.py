@@ -114,6 +114,8 @@ class ColorSegmentationLabeler:
         stack = np.asarray(tiles)
         if stack.ndim != 4 or stack.shape[-1] != 3:
             raise ValueError(f"expected (N, H, W, 3) tile stack, got shape {stack.shape}")
+        if not len(stack):
+            return np.empty(stack.shape[:3], dtype=np.uint8)
         return np.stack([self(stack[i]) for i in range(stack.shape[0])])
 
 

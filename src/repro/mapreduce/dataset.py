@@ -39,14 +39,6 @@ class JobTimings:
         }
 
 
-@dataclass(frozen=True)
-class _MapOp:
-    func: Callable
-
-    def apply(self, items: list) -> list:
-        return [self.func(item) for item in items]
-
-
 #: Partition lists of the actions in flight, by action id.  An action registers its partitions
 #: *before* its backend forks, so worker processes inherit them copy-on-write (as does a worker
 #: respawned mid-action) and a task message carries a partition index, not the partition.
@@ -61,14 +53,14 @@ class _PipelineTask:
     to worker processes; called with the index of a partition of its action.
     """
 
-    def __init__(self, ops: tuple, action: int) -> None:
-        self.ops = ops
+    def __init__(self, funcs: tuple, action: int) -> None:
+        self.funcs = funcs
         self.action = action
 
     def __call__(self, index: int) -> list:
         items = list(_IN_FLIGHT[self.action][index].items)
-        for op in self.ops:
-            items = op.apply(items)
+        for f in self.funcs:
+            items = [f(x) for x in items]
         return items
 
 
@@ -125,12 +117,12 @@ class Dataset:
 
     context: SparkLiteContext
     partitions: list[Partition]
-    lineage: tuple = field(default_factory=tuple)
+    lineage: tuple = field(default_factory=tuple)  #: the mapped functions, in order
 
     def map(self, func: Callable) -> "Dataset":
         """Lazily apply ``func`` to every item (the auto-labeling UDF in the paper)."""
         start = time.perf_counter()
-        derived = Dataset(context=self.context, partitions=self.partitions, lineage=self.lineage + (_MapOp(func),))
+        derived = Dataset(context=self.context, partitions=self.partitions, lineage=self.lineage + (func,))
         # Registering a transformation is (nearly) free; accumulate it so the
         # Table II "Map Time" column measures what PySpark's does.
         self.context.last_timings.map_time += time.perf_counter() - start

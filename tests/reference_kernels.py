@@ -1,12 +1,13 @@
 """Oracles: the formulations the planar auto-label kernel and the row-banded ``nn`` kernels replaced.
 
-The auto-label half is the bodies ``ThinCloudShadowRemover.estimate``/``remove``,
-``rgb_to_hsv``, ``HSVRange.contains``, ``ColorSegmentationLabeler.segment``
-and ``_brightness_deviation`` had before the per-tile path went planar, kept
-verbatim (hypothesis tensors, ``einsum``, fancy indexing and all) so the
-differential tests can demand ``array_equal`` rather than a tolerance, plus the
-input strategy those tests share.  The remover's two run in the remover's dtype
-(float32) or, asked, in float64 -- the filter as it was before it went float32.
+The auto-label half is the bodies the cloud/shadow filter's veil estimate and
+inversion (``CloudShadowFilter._estimate`` / ``filter_image``), ``rgb_to_hsv``,
+``HSVRange.contains`` and ``ColorSegmentationLabeler.segment`` had before the
+per-tile path went planar, kept verbatim (hypothesis tensors, ``einsum``, fancy
+indexing and all) so the differential tests can demand ``array_equal`` rather
+than a tolerance, plus the input strategy those tests share.  The filter's two
+run in the filter's dtype (float32) or, asked, in float64 -- the filter as it
+was before it went float32.
 ``gaussian_blur`` as it was before it became a numpy recurrence,
 ``scipy.ndimage.correlate1d`` per axis and channel, sits beside them.  The
 ``nn`` half holds the whole-image offset-GEMM and the 6-D pooling reduce that
@@ -49,8 +50,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
-from repro.cloudshadow import CloudShadowFilter, VeilEstimate
-from repro.imops import assemble_from_tiles, gaussian_blur, gaussian_kernel1d, scale_to_uint8, split_into_tiles
+from repro.cloudshadow import CloudShadowFilter
+from repro.imops import assemble_from_tiles, gaussian_blur, gaussian_kernel1d, split_into_tiles
 from repro.nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D, softmax
 from repro.nn.layers import max_of_views, pool_views
 from repro.unet import UNetConfig, predict_tile_probabilities
@@ -73,15 +74,16 @@ def rgb_views(draw, max_side=24):
     return base[..., ::-1] if layout == "reversed" else base
 
 
-def reference_estimate(remover, rgb: np.ndarray, dtype=None) -> VeilEstimate:
-    """``ThinCloudShadowRemover.estimate`` over the (H, W, K, M, 3) hypothesis tensor, computed in
-    ``dtype`` (the remover's, float32, unless given: float64 is the filter before it went float32)."""
-    dtype = np.dtype(dtype or remover.surface_prototypes.dtype).type
+def reference_estimate(cloud_filter, rgb: np.ndarray, dtype=None) -> tuple:
+    """``(cloud_alpha, shadow_alpha)`` of ``CloudShadowFilter._estimate`` over the (H, W, K, M, 3) hypothesis
+    tensor, computed in ``dtype`` (the filter's, float32, unless given: float64 is the filter before it went
+    float32)."""
+    dtype = np.dtype(dtype or cloud_filter.surface_prototypes.dtype).type
     data = np.asarray(rgb).astype(dtype)
     h, w, _ = data.shape
 
-    prototypes = remover.surface_prototypes.astype(dtype)  # (K, 3)
-    contaminants = np.array([remover.cloud_color, remover.shadow_color], dtype=dtype)  # (2, 3)
+    prototypes = cloud_filter.surface_prototypes.astype(dtype)  # (K, 3)
+    contaminants = np.array([cloud_filter.cloud_color, cloud_filter.shadow_color], dtype=dtype)  # (2, 3)
     num_m = contaminants.shape[0]
 
     diff = data[:, :, None, :] - prototypes[None, None, :, :]  # (H, W, K, 3)
@@ -89,18 +91,18 @@ def reference_estimate(remover, rgb: np.ndarray, dtype=None) -> VeilEstimate:
     dir_norm_sq = np.maximum(np.sum(direction * direction, axis=-1), dtype(1e-9))  # (K, M)
 
     alpha = np.einsum("hwkc,kmc->hwkm", diff, direction) / dir_norm_sq[None, None, :, :]
-    alpha = np.clip(alpha, 0.0, remover.max_alpha)
+    alpha = np.clip(alpha, 0.0, cloud_filter.max_alpha)
 
     recon = alpha[..., None] * direction[None, None, :, :, :]  # (H, W, K, M, 3)
     resid = diff[:, :, :, None, :] - recon
     residual = np.sqrt(np.sum(resid * resid, axis=-1))  # (H, W, K, M)
-    score = residual + remover.alpha_penalty * alpha
+    score = residual + cloud_filter.alpha_penalty * alpha
 
     contaminant_score = score.min(axis=2)  # (H, W, M)
-    if remover.score_smooth_ksize and remover.score_smooth_ksize >= 3:
+    if cloud_filter.score_smooth_ksize and cloud_filter.score_smooth_ksize >= 3:
         pooled = np.empty_like(contaminant_score)
         for m in range(num_m):
-            pooled[:, :, m] = gaussian_blur(contaminant_score[:, :, m], ksize=remover.score_smooth_ksize)
+            pooled[:, :, m] = gaussian_blur(contaminant_score[:, :, m], ksize=cloud_filter.score_smooth_ksize)
         contaminant_score = pooled
     best_m = np.argmin(contaminant_score, axis=-1)  # (H, W)
 
@@ -112,31 +114,31 @@ def reference_estimate(remover, rgb: np.ndarray, dtype=None) -> VeilEstimate:
 
     cloud_alpha = np.where(best_m == 0, best_alpha, 0.0)
     shadow_alpha = np.where(best_m == 1, best_alpha, 0.0)
-    if remover.smooth_ksize and remover.smooth_ksize >= 3:
-        cloud_alpha = gaussian_blur(cloud_alpha, ksize=remover.smooth_ksize)
-        shadow_alpha = gaussian_blur(shadow_alpha, ksize=remover.smooth_ksize)
-        cloud_alpha = np.clip(cloud_alpha, 0.0, remover.max_alpha)
-        shadow_alpha = np.clip(shadow_alpha, 0.0, remover.max_alpha)
-    cloud_alpha = np.where(cloud_alpha >= remover.min_alpha, cloud_alpha, 0.0)
-    shadow_alpha = np.where(shadow_alpha >= remover.min_alpha, shadow_alpha, 0.0)
-    return VeilEstimate(cloud_alpha=cloud_alpha, shadow_alpha=shadow_alpha, surface_class=best_k.astype(np.uint8))
+    if cloud_filter.smooth_ksize and cloud_filter.smooth_ksize >= 3:
+        cloud_alpha = gaussian_blur(cloud_alpha, ksize=cloud_filter.smooth_ksize)
+        shadow_alpha = gaussian_blur(shadow_alpha, ksize=cloud_filter.smooth_ksize)
+        cloud_alpha = np.clip(cloud_alpha, 0.0, cloud_filter.max_alpha)
+        shadow_alpha = np.clip(shadow_alpha, 0.0, cloud_filter.max_alpha)
+    cloud_alpha = np.where(cloud_alpha >= cloud_filter.min_alpha, cloud_alpha, 0.0)
+    shadow_alpha = np.where(shadow_alpha >= cloud_filter.min_alpha, shadow_alpha, 0.0)
+    return cloud_alpha, shadow_alpha
 
 
-def reference_remove(remover, rgb: np.ndarray, estimate: VeilEstimate | None = None, dtype=None) -> np.ndarray:
-    """``ThinCloudShadowRemover.remove`` on the interleaved (H, W, 3) float image, in ``dtype`` as
-    :func:`reference_estimate`."""
-    dtype = np.dtype(dtype or remover.surface_prototypes.dtype).type
+def reference_remove(cloud_filter, rgb: np.ndarray, estimate: tuple | None = None, dtype=None) -> np.ndarray:
+    """``CloudShadowFilter.filter_image`` on the interleaved (H, W, 3) float image, inverting ``estimate``
+    (``(cloud_alpha, shadow_alpha)``; :func:`reference_estimate`'s unless given), in ``dtype`` as it."""
+    dtype = np.dtype(dtype or cloud_filter.surface_prototypes.dtype).type
     img = np.asarray(rgb)
-    est = estimate or reference_estimate(remover, img, dtype)
+    cloud_alpha, shadow_alpha = reference_estimate(cloud_filter, img, dtype) if estimate is None else estimate
     data = img.astype(dtype)
 
-    shadow = np.asarray(remover.shadow_color, dtype=dtype).reshape(1, 1, 3)
-    a_s = np.clip(est.shadow_alpha, 0.0, remover.max_alpha)[..., None]
-    data = (data - a_s * shadow) / np.maximum(1.0 - a_s, 1.0 - remover.max_alpha)
+    shadow = np.asarray(cloud_filter.shadow_color, dtype=dtype).reshape(1, 1, 3)
+    a_s = np.clip(shadow_alpha, 0.0, cloud_filter.max_alpha)[..., None]
+    data = (data - a_s * shadow) / np.maximum(1.0 - a_s, 1.0 - cloud_filter.max_alpha)
 
-    cloud = np.asarray(remover.cloud_color, dtype=dtype).reshape(1, 1, 3)
-    a_c = np.clip(est.cloud_alpha, 0.0, remover.max_alpha)[..., None]
-    data = (data - a_c * cloud) / np.maximum(1.0 - a_c, 1.0 - remover.max_alpha)
+    cloud = np.asarray(cloud_filter.cloud_color, dtype=dtype).reshape(1, 1, 3)
+    a_c = np.clip(cloud_alpha, 0.0, cloud_filter.max_alpha)[..., None]
+    data = (data - a_c * cloud) / np.maximum(1.0 - a_c, 1.0 - cloud_filter.max_alpha)
     return np.clip(np.round(data), 0, 255).astype(np.uint8)
 
 
@@ -182,7 +184,7 @@ def reference_contains(hsv_range, hsv: np.ndarray) -> np.ndarray:
 def reference_segment(labeler, rgb: np.ndarray):
     """``ColorSegmentationLabeler.segment``: (class_map, label_image, masks, filtered_rgb)."""
     img = np.asarray(rgb)
-    filtered = reference_remove(labeler.cloud_filter.remover, img) if labeler.apply_cloud_filter else None
+    filtered = reference_remove(labeler.cloud_filter, img) if labeler.apply_cloud_filter else None
     hsv = reference_rgb_to_hsv(img if filtered is None else filtered)
     masks = {cls: reference_contains(rng, hsv) for cls, rng in labeler.hsv_ranges.items()}
 
@@ -197,19 +199,6 @@ def reference_segment(labeler, rgb: np.ndarray):
             centers[int(cls)] = (rng.lower[2] + rng.upper[2]) // 2
         class_map[unassigned] = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1).astype(np.uint8)
     return class_map, class_map_to_color(class_map), masks, filtered
-
-
-def reference_brightness_deviation(rgb: np.ndarray, blur_ksize: int) -> np.ndarray:
-    """``_brightness_deviation`` with the HSV round trip and the double rescale."""
-    value = reference_rgb_to_hsv(rgb)[..., 2].astype(np.float64)
-    smoothed = gaussian_blur(value, ksize=blur_ksize).astype(np.float64)
-    deviation = np.abs(smoothed - float(np.median(smoothed)))
-    return scale_to_uint8(_absdiff(scale_to_uint8(deviation), np.zeros(deviation.shape, dtype=np.uint8)))
-
-
-def _absdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``cv2.absdiff`` of two uint8 images: the per-pixel absolute difference, still uint8."""
-    return np.abs(a.astype(np.int32) - b.astype(np.int32)).astype(np.uint8)
 
 
 def reference_gaussian_blur(image: np.ndarray, ksize: int) -> np.ndarray:

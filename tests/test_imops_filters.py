@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reference_kernels import reference_gaussian_blur
 
-from repro.imops import gaussian_blur, gaussian_kernel1d, median_blur
+from repro.imops import gaussian_blur, gaussian_kernel1d
 
 # Odd kernels from 3 to 63 taps, and 2-D or 3-channel shapes with sides from 1 (smaller than any of them) to 40.
 KSIZES = st.integers(1, 31).map(lambda r: 2 * r + 1)
@@ -123,37 +123,3 @@ class TestGaussianBlurMatchesCorrelate1d:
     def test_float32_bound_holds_among_subnormals(self):
         """Near zero the rounding error is one subnormal spacing, not a fraction of the magnitude."""
         _assert_float32_within_its_rounding(np.array([[1e-45, 0]], dtype=np.float32), 3)
-
-
-class TestBoxAndMedian:
-    def test_median_removes_salt_and_pepper(self):
-        rng = np.random.default_rng(0)
-        img = np.full((30, 30), 128, dtype=np.uint8)
-        noisy = img.copy()
-        idx = rng.integers(0, 30, size=(20, 2))
-        noisy[idx[:, 0], idx[:, 1]] = 255
-        out = median_blur(noisy, 3)
-        assert np.abs(out.astype(int) - 128).mean() < 3
-
-    def test_median_preserves_dtype(self, gray_image):
-        assert median_blur(gray_image, 3).dtype == gray_image.dtype
-
-    def test_median_rejects_even_kernel(self, gray_image):
-        with pytest.raises(ValueError):
-            median_blur(gray_image, 2)
-
-    @pytest.mark.parametrize("ksize", [1, 3, 5])
-    def test_median_matches_sorted_window(self, ksize, gray_image):
-        """Each output pixel is the middle of its ``ksize`` x ``ksize`` window, read past
-        the edge as a mirror."""
-        half = ksize // 2
-        padded = np.pad(gray_image, half, mode="symmetric")
-        h, w = gray_image.shape
-        windows = np.stack([padded[dy:dy + h, dx:dx + w] for dy in range(ksize) for dx in range(ksize)])
-        expected = np.sort(windows, axis=0)[ksize * ksize // 2]
-        np.testing.assert_array_equal(median_blur(gray_image, ksize), expected)
-
-    def test_median_filters_each_channel_alone(self, rgb_image):
-        out = median_blur(rgb_image, 3)
-        for c in range(3):
-            np.testing.assert_array_equal(out[..., c], median_blur(np.ascontiguousarray(rgb_image[..., c]), 3))

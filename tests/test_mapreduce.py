@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,10 @@ def add_one(x):
 
 def double(x):
     return 2 * x
+
+
+def affine(scale, shift, x):
+    return scale * x + shift
 
 
 class TestPartitioning:
@@ -162,6 +168,22 @@ class TestDatasetSemantics:
         timings = context.last_timings
         assert timings.load_time >= 0 and timings.reduce_time > 0
         assert set(timings.as_row()) == {"load_time_s", "map_time_s", "reduce_time_s"}
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("num_partitions", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+    def test_lineage_applies_each_map_in_order(self, kind, num_partitions, depth):
+        """The lineage is the mapped functions; a partition task applies them first to last.  Affine maps do
+        not commute, so any other order gives other items."""
+        funcs = tuple(partial(affine, 3, shift) for shift in range(1, depth + 1))
+        data = SparkLiteContext(executor=kind, parallelism=2).parallelize(range(7), num_partitions=num_partitions)
+        for f in funcs:
+            data = data.map(f)
+        assert data.lineage == funcs
+        expected = list(range(7))
+        for f in funcs:
+            expected = [f(x) for x in expected]
+        assert data.collect() == expected
 
     def test_transformations_do_not_mutate_parent(self):
         context = SparkLiteContext()

@@ -47,6 +47,7 @@ def served(tmp_path_factory):
             yield port, service, model
     finally:
         service.close()
+        registry.close()
 
 
 def _request(port, method, path, body=None):
