@@ -5,8 +5,8 @@ layers unconditionally cached their backward state (im2col matrices, pooling
 argmax masks), then stitched hard argmax labels.  The engine predicts
 probability maps through a cache-free inference path and blend-stitches them,
 dispatching tile batches through one of the unified execution backends
-(``serial`` in-process, ``thread`` pool, ``fork`` workers attached to the
-shared-memory model store).  This benchmark measures warm steady-state
+(``serial`` in-process, ``fork`` workers attached to the shared-memory model
+store).  This benchmark measures warm steady-state
 tiles/sec of each arm on a 1024×1024 synthetic scene and checks the engine's
 disjoint and overlap-blended probability maps against the whole-scene
 stack-and-stitch oracle, bit for bit.
@@ -104,14 +104,14 @@ def test_inference_throughput_seed_vs_backends(model, big_scene):
     workers = max(2, min(4, available_cpu_count()))
     repeats = 1 if BENCH_SMOKE else 5
     # Smoke scale has only (512/256)² = 4 tiles; batch 2 keeps at least two
-    # spans in flight so the fan-out backends still have work to overlap.
+    # spans in flight so the fork backend still has work to overlap.
     batch = 2 if BENCH_SMOKE else 4
 
     model.predict_proba(image_to_tensor(np.zeros((1, TILE, TILE, 3), np.uint8)))  # warmup
 
     seed_map, t_seed = _timed(_seed_style_classify, model, scene)
 
-    backends = ["serial", "thread"]
+    backends = ["serial"]
     if "fork" in available_backends():
         backends.append("fork")
     round_times: dict[str, list[float]] = {backend: [] for backend in backends}
@@ -138,7 +138,6 @@ def test_inference_throughput_seed_vs_backends(model, big_scene):
 
     t_batched = arm_times["serial"]
     labels = {"serial": f"engine batched (batch {batch})",
-              "thread": f"engine + thread backend ({workers} workers)",
               "fork": f"engine + fork backend ({workers} workers)"}
     rows = [
         {"path": "seed serial (caching, batch 8)", "time_s": round(t_seed, 2),

@@ -1,4 +1,4 @@
-"""Unified execution-backend seam (serial / thread / fork).
+"""Unified execution-backend seam (serial / fork).
 
 Every fan-out layer in the repo — scene inference, the serving tier, the
 auto-label workflow and the sparklite engine — dispatches through one
@@ -24,7 +24,6 @@ from .base import (
 from .process import ProcessBackend
 from .serial import SerialBackend
 from .store import SEGMENT_PREFIX, SharedModelSpec, SharedModelStore
-from .thread import ThreadBackend
 from .worker import WorkerLost, WorkerProcess
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "SerialBackend",
     "SharedModelSpec",
     "SharedModelStore",
-    "ThreadBackend",
     "WorkerLost",
     "WorkerProcess",
     "available_backends",

@@ -29,8 +29,8 @@ A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
   copy of the weights and pre-packed plan GEMM operands instead of each
   re-pickling and re-packing them.
 
-Backends are *behaviour-preserving*: a batch predicted under ``serial``,
-``thread`` and ``fork`` produces bit-identical probability maps, because
+Backends are *behaviour-preserving*: a batch predicted under ``serial``
+and ``fork`` produces bit-identical probability maps, because
 every backend ultimately executes the same
 :func:`repro.unet.inference.predict_batch_probabilities` seam.
 """
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 #: Environment variable overriding how ``"auto"`` resolves (CI matrixes the
-#: tier-1 suite over it: ``REPRO_BACKEND=serial|thread|fork``).
+#: tier-1 suite over it: ``REPRO_BACKEND=serial|fork``).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
@@ -79,9 +79,8 @@ def record_compute(backend_name: str, compute_ms: float) -> None:
     Feeds both sinks at once: the thread-local trace collector (so a traced
     request's span breakdown separates compute from dispatch overhead) and
     the per-backend compute histogram.  Each backend calls this with the
-    time measured *where the model actually ran* — inline (serial), in the
-    pool thread (thread), or inside the worker process (fork, echoed back in
-    reply metadata).
+    time measured *where the model actually ran* — inline (serial) or inside
+    the worker process (fork, echoed back in reply metadata).
     """
     global _compute_hist
     _trace_record("compute_ms", compute_ms)
@@ -121,7 +120,7 @@ def available_cpu_count() -> int:
 class Backend(ABC):
     """Common lifecycle + dispatch + model-store interface of all backends."""
 
-    #: registry name ("serial" / "thread" / "fork")
+    #: registry name ("serial" / "fork")
     name: str = "?"
 
     def __init__(self, num_workers: int = 1) -> None:
@@ -294,13 +293,16 @@ class Backend(ABC):
 
 
 # ---------------------------------------------------------------------- #
-# In-process model store (shared by the serial and thread backends)
+# In-process model entry (the serial backend's store, a fork worker's model)
 # ---------------------------------------------------------------------- #
 #: The generic (uncompiled) forward pass runs its conv GEMMs through the
 #: process-wide scratch workspace in ``repro.nn.convgemm``, which assumes one
-#: engine call at a time per process.  Compiled plans carry their own
-#: in-arena scratch (and a per-plan lock), so only uncompiled predictions
-#: must be serialised when the thread backend fans them out.
+#: engine call at a time per process.  Serving runs one ``MicroBatcher``
+#: thread per model version, each predicting through its own classifier's
+#: entry, and a hot swap keeps two versions live at once — so two entries can
+#: predict concurrently in one process.  Compiled plans carry their own
+#: in-arena scratch (and a per-plan lock); only the uncompiled walk
+#: (``compile_plans=False``) needs this process-wide lock.
 _UNCOMPILED_PREDICT_LOCK = threading.Lock()
 
 
@@ -335,40 +337,6 @@ class LocalModelEntry:
             )
 
 
-class InProcessBackend(Backend):
-    """A backend whose workers share the caller's address space.
-
-    Its model store is a dict of :class:`LocalModelEntry` — one model, one
-    compiled-plan cache, zero copies — whether predictions then run inline
-    (serial) or on pool threads (thread).
-    """
-
-    def __init__(self, num_workers: int = 1) -> None:
-        super().__init__(num_workers=num_workers)
-        self._models: dict[object, LocalModelEntry] = {}
-
-    def publish_model(self, key, model, cloud_filter=None, *, compile_plans: bool = True) -> ModelHandle:
-        self._ensure_open()
-        entry = LocalModelEntry(key, model, cloud_filter, compile_plans)
-        self._models[key] = entry
-        return entry.handle
-
-    def release_model(self, key) -> None:
-        self._models.pop(key, None)
-
-    def has_model(self, key) -> bool:
-        return key in self._models
-
-    def engine(self, key):
-        return self._models[key].engine
-
-    def _close(self) -> None:
-        self._models.clear()
-
-    def _model_keys(self) -> list:
-        return list(self._models)
-
-
 # ---------------------------------------------------------------------- #
 # Registry / resolution
 # ---------------------------------------------------------------------- #
@@ -378,7 +346,7 @@ def _fork_available() -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """Backend names usable on this platform."""
-    names = ["serial", "thread"]
+    names = ["serial"]
     if _fork_available():
         names.append("fork")
     return tuple(names)
@@ -400,12 +368,12 @@ def resolve_backend_name(name: str | None, num_workers: int = 1) -> str:
         else:
             return "fork" if num_workers > 1 and _fork_available() else "serial"
     name = str(name).lower()
-    valid = ("serial", "thread", "fork")
+    valid = ("serial", "fork")
     if name not in valid:
         raise ValueError(f"unknown backend {name!r}; expected one of {valid} or 'auto'")
     if name == "fork" and not _fork_available():
         raise ValueError("backend 'fork' is not available on this platform "
-                         "(no os.fork); use 'serial' or 'thread'")
+                         "(no os.fork); use 'serial'")
     return name
 
 
@@ -413,13 +381,10 @@ def make_backend(name: str | None = "auto", num_workers: int | None = None, **kw
     """Build a backend by name (``"auto"`` resolves via :func:`resolve_backend_name`)."""
     from .process import ProcessBackend
     from .serial import SerialBackend
-    from .thread import ThreadBackend
 
     if num_workers is None:
         num_workers = available_cpu_count()
     resolved = resolve_backend_name(name, num_workers)
     if resolved == "serial":
         return SerialBackend()
-    if resolved == "thread":
-        return ThreadBackend(num_workers=num_workers, **kwargs)
     return ProcessBackend(num_workers=num_workers, **kwargs)

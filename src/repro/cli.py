@@ -3,7 +3,7 @@
 Sub-commands (``repro-seaice <command> --help`` for options):
 
 * ``autolabel``  — generate a synthetic archive and auto-label it (``--backend
-  auto|serial|thread|fork``, as in ``classify``), reporting timing and label quality.
+  auto|serial|fork``, as in ``classify``), reporting timing and label quality.
 * ``scaling``    — print the Table I / Table II / Table III scaling tables.
 * ``train``      — run the U-Net-Man vs U-Net-Auto accuracy experiment
   (Tables IV/V) at a configurable scale, in-process or on ``--workers``
@@ -380,7 +380,7 @@ def _publish_demo_model(registry_dir: str, args: argparse.Namespace) -> None:
     )
 
 
-_BACKENDS = ("auto", "serial", "thread", "fork")
+_BACKENDS = ("auto", "serial", "fork")
 
 
 def _add_archive_args(p, scene_size: int, tile_size: int, scenes: int | None = None, seed: int | None = 0) -> None:
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=_BACKENDS, default="auto",
                    help="execution backend every served model dispatches through")
     p.add_argument("--backend-workers", type=int, default=None,
-                   help="worker count for thread/fork backends")
+                   help="worker count for the fork backend")
     p.add_argument("--demo", action="store_true",
                    help="publish a freshly trained tiny model into the registry and serve it")
     p.add_argument("--demo-epochs", type=int, default=1,

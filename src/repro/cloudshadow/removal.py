@@ -130,8 +130,8 @@ class CloudShadowFilter:
         """``(cloud_alpha, shadow_alpha)``: per-pixel veil opacities of an image split into planes (read, not written)."""
         _, h, w = planes.shape
         # Kept per contaminant m: the best score over the surfaces k and the opacity of the first
-        # hypothesis that attains it.  The rest is per-call scratch (the thread executor runs one
-        # filter concurrently).
+        # hypothesis that attains it.  The rest is per-call scratch, so the filter keeps no state
+        # between calls.
         best = np.empty((2, h, w), dtype=np.float32)
         best_alpha = np.empty((2, h, w), dtype=np.float32)
         diff = np.empty((3, h, w), dtype=np.float32)

@@ -75,6 +75,8 @@ class ManualLabelSimulator:
         stack = np.asarray(class_maps)
         if stack.ndim != 3:
             raise ValueError(f"expected (N, H, W) stack, got shape {stack.shape}")
+        if not len(stack):
+            return np.empty(stack.shape, dtype=np.uint8)
         return np.stack([self.annotate(stack[i]) for i in range(stack.shape[0])])
 
     # ------------------------------------------------------------------ #

@@ -61,7 +61,7 @@ def run_mapreduce_autolabel(
     labelled = dataset.map(func)
     labels = labelled.collect()
     return MapReduceAutoLabelResult(
-        labels=np.stack(labels),
+        labels=np.stack(labels) if labels else np.empty(stack.shape[:3], dtype=np.uint8),
         timings=context.last_timings,
         num_partitions=dataset.num_partitions(),
         executor_kind=executor,

@@ -68,10 +68,9 @@ class _PipelineTask:
 # Context and dataset
 # --------------------------------------------------------------------------- #
 #: Executor kind -> execution backend running its partition tasks:
-#: ``serial`` is the 1-executor / 1-core baseline, ``threads`` suits UDFs
-#: that release the GIL (NumPy-heavy ones largely do), ``processes`` is the
+#: ``serial`` is the 1-executor / 1-core baseline, ``processes`` is the
 #: local stand-in for the paper's multi-node Dataproc executors.
-_EXECUTOR_BACKENDS = {"serial": "serial", "threads": "thread", "processes": "fork"}
+_EXECUTOR_BACKENDS = {"serial": "serial", "processes": "fork"}
 
 
 class SparkLiteContext:
@@ -81,7 +80,7 @@ class SparkLiteContext:
         executor = executor.lower()
         if executor not in _EXECUTOR_BACKENDS:
             raise ValueError(
-                f"unknown executor kind {executor!r}; expected serial / threads / processes")
+                f"unknown executor kind {executor!r}; expected serial / processes")
         if executor == "serial":
             parallelism = 1
         elif parallelism < 1:

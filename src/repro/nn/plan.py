@@ -35,7 +35,12 @@ Plans snapshot the weights they were compiled from (the GEMM pack is a
 copy): mutating the model's parameters afterwards requires recompiling
 (:meth:`PlanCache.clear`).  Running one plan is serialised by a per-plan
 lock — concurrent callers of the *same* plan are safe but do not overlap;
-distinct plans (distinct shapes) run fully in parallel.
+distinct plans (distinct shapes) run fully in parallel.  Serving runs each
+model version's plans on that version's one ``MicroBatcher`` thread (a hot
+swap keeps two versions, hence two engines, live at once), so there the lock
+is uncontended; it guards a caller that shares one classifier across its own
+threads, and keeps :meth:`CompiledPlan.enable_profiling` from switching a
+plan mid-run.
 """
 
 from __future__ import annotations

@@ -375,10 +375,10 @@ class MicroBatcher:
                     pending._resolve(None, exc)
                 continue
             # Decompose the predict call: ``compute_ms`` is what the backend
-            # measured where the model ran (inline, pool thread or worker
-            # process) — 0 for a ``predict_fn`` that is not a backend dispatch;
-            # the rest of the call is dispatch overhead (message framing,
-            # pickling, pool hops).  Assembly is the pre-call flush work.
+            # measured where the model ran (inline or in a worker process) —
+            # 0 for a ``predict_fn`` that is not a backend dispatch; the rest
+            # of the call is dispatch overhead (message framing, pickling,
+            # pipe round trips).  Assembly is the pre-call flush work.
             assembly_ms = (predict_start - flush_start) * 1e3
             compute_ms = float(collector.get("compute_ms", 0.0))
             dispatch_ms = max(0.0, dispatch_total_ms - compute_ms)

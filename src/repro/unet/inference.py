@@ -4,9 +4,9 @@ A trained model classifies new Sentinel-2 scenes by: splitting the big scene
 into 256×256 tiles (optionally with overlapping margins), optionally running
 the thin-cloud/shadow filter on each tile, predicting per-pixel class
 probabilities in batches through an execution backend (:mod:`repro.backend`)
-— ``serial`` runs them inline, ``thread`` workers share the in-process
-entry's compiled plans, ``fork`` workers attach to a shared-memory copy of
-the weights and compile their own — and stitching the per-tile probability
+— ``serial`` runs them inline on the in-process entry's compiled plans,
+``fork`` workers attach to a shared-memory copy of the weights and compile
+their own — and stitching the per-tile probability
 maps back into a full-scene classification map.  Overlapping tiles are blend-averaged before
 the final argmax, which removes the seam artifacts of hard tile boundaries.
 
@@ -49,13 +49,13 @@ class InferenceConfig:
     ``overlap`` is the number of pixels neighbouring tiles share; overlapped
     probability maps are blend-averaged at reassembly.  ``backend`` selects
     the execution backend prediction batches dispatch through —
-    ``"serial"``, ``"thread"``, ``"fork"`` or ``"auto"`` (the default, which
+    ``"serial"``, ``"fork"`` or ``"auto"`` (the default, which
     honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``
     and the platform supports it).  ``num_workers`` sizes the worker pool
     and turns fan-out on by itself under ``backend="auto"``.
 
     The model is a :class:`~repro.unet.UNet`, and the backend owns its
-    compiled engine: the serial/thread entry compiles one per-shape plan
+    compiled engine: the serial entry compiles one per-shape plan
     cache in this process, fork workers always compile their own.
     ``compile_plans=False`` is the eager reference switch — the in-process
     entry runs the uncompiled layer walk instead, the oracle the benchmark's
@@ -169,7 +169,7 @@ def predict_batch_probabilities(
     """Probability maps ``(N, K, H, W)`` for one ``(N, H, W, 3)`` tile batch.
 
     This is the single batchable prediction seam every execution backend
-    runs (serial and thread entries as well as fork workers attached to the
+    runs (the serial entry as well as fork workers attached to the
     shared-memory model store) — which is what makes the backends
     bit-identical by construction.  Tiles whose spatial size the
     model cannot ingest (not a multiple of ``config.min_input_size()``) are
@@ -250,7 +250,7 @@ class SceneClassifier:
 
     The model must be a :class:`~repro.unet.UNet` (anything else raises
     ``TypeError``).  The classifier compiles nothing itself: its backend
-    owns the engine.  Under ``serial`` and ``thread`` that is the in-process
+    owns the engine.  Under ``serial`` that is the in-process
     entry's :class:`~repro.unet.compiled.CompiledUNet` (:attr:`engine`) —
     every distinct batch shape is compiled once into an arena-backed plan
     and re-run allocation-free afterwards; fork workers always compile their

@@ -39,7 +39,7 @@ class AutoLabelWorkflowConfig:
 
     ``backend`` names the execution backend the map-reduce job's partition
     tasks run on, in the vocabulary ``classify`` and ``serve`` speak:
-    ``"serial"``, ``"thread"``, ``"fork"`` or ``"auto"`` (the default, which
+    ``"serial"``, ``"fork"`` or ``"auto"`` (the default, which
     honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``).
     """
 

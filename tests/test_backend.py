@@ -1,4 +1,4 @@
-"""Tests for the unified execution-backend seam (serial / thread / fork).
+"""Tests for the unified execution-backend seam (serial / fork).
 
 The load-bearing properties: every backend produces **bit-identical**
 probability maps (they all execute the same prediction seam), the fork
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.backend import (
     BackendError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
     resolve_backend_name,
@@ -33,7 +33,7 @@ from repro.unet.inference import predict_batch_probabilities
 
 from leaks import shm_segments as _segments
 
-BACKENDS = ["serial", "thread", "fork"]
+BACKENDS = ["serial", "fork"]
 
 pytestmark = pytest.mark.skipif(
     "fork" not in available_backends(), reason="fork start method unavailable"
@@ -54,8 +54,6 @@ def stack():
 def _build(name: str):
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(num_workers=2)
     return ProcessBackend(num_workers=2)
 
 
@@ -70,13 +68,18 @@ class TestResolution:
         assert resolve_backend_name("auto", 4) == "fork"
 
     def test_auto_honours_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert resolve_backend_name("auto", 8) == "serial"
+        monkeypatch.setenv("REPRO_BACKEND", "fork")
+        assert resolve_backend_name(None, 1) == "fork"
         monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert resolve_backend_name("auto", 8) == "thread"
-        assert resolve_backend_name(None, 1) == "thread"
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            resolve_backend_name("auto", 8)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend_name("dask", 1)
+        for name in ("dask", "thread"):
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'.*'serial', 'fork'"):
+                resolve_backend_name(name, 1)
 
     def test_fork_rejected_without_fork(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -86,8 +89,7 @@ class TestResolution:
         assert resolve_backend_name("auto", 4) == "serial"
 
     def test_make_backend_builds_each_kind(self):
-        for name, cls in [("serial", SerialBackend), ("thread", ThreadBackend),
-                          ("fork", ProcessBackend)]:
+        for name, cls in [("serial", SerialBackend), ("fork", ProcessBackend)]:
             backend = make_backend(name, num_workers=2)
             assert isinstance(backend, cls)
             backend.close()
@@ -118,7 +120,6 @@ class TestCrossBackendParity:
                 backend.publish_model("m", model)
                 results.append(backend.predict("m", stack[:3]))
         assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
 
     def test_map_preserves_order_everywhere(self):
         items = list(range(23))
@@ -134,22 +135,31 @@ class TestCrossBackendParity:
             config = InferenceConfig(tile_size=32, batch_size=2, backend=name, num_workers=2)
             with SceneClassifier(model, config) as classifier:
                 maps[name] = classifier.classify_scene(scene)
-        assert np.array_equal(maps["serial"], maps["thread"])
         assert np.array_equal(maps["serial"], maps["fork"])
 
-    def test_thread_backend_uncompiled_predictions_race_free(self, model, stack):
-        # The generic forward runs through the process-wide im2col scratch
-        # workspace; concurrent uncompiled batches used to interleave in it
-        # and corrupt each other's GEMM inputs.
+    def test_concurrent_uncompiled_entries_race_free(self, model, stack):
+        # The generic forward runs through the process-wide conv scratch
+        # workspace.  Serving predicts on one thread per model version (two
+        # live across a hot swap); unserialised, their uncompiled batches
+        # would interleave in it and corrupt each other's GEMM inputs.
         expected = np.concatenate([
             predict_batch_probabilities(stack[i : i + 3], model)
             for i in range(0, stack.shape[0], 3)
         ])
-        with _build("thread") as backend:
-            backend.publish_model("m", model, compile_plans=False)
-            for _ in range(5):
-                probs = backend.predict_stack("m", stack, batch_size=3)
-                assert np.array_equal(probs, expected)
+        results: list[bool] = []
+
+        def serve_version(key):
+            with SerialBackend() as backend:
+                backend.publish_model(key, model, compile_plans=False)
+                for _ in range(5):
+                    results.append(np.array_equal(backend.predict_stack(key, stack, batch_size=3), expected))
+
+        threads = [threading.Thread(target=serve_version, args=(("m", version),)) for version in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [True] * 10
 
 
 def _square(x: int) -> int:
@@ -165,7 +175,6 @@ def map_backends():
     """Every (backend, worker count) the map property draws from, started once."""
     backends = {("serial", 1): SerialBackend()}
     for workers in (1, 2, 3):
-        backends["thread", workers] = ThreadBackend(num_workers=workers)
         backends["fork", workers] = ProcessBackend(num_workers=workers)
     try:
         yield backends
@@ -194,7 +203,7 @@ class TestMapProperty:
         larger than the list) and 1-3 workers, every backend returns
         ``[fn(item) for item in items]`` in order."""
         expected = [_twice(item) for item in items]
-        for name in ("serial", "thread", "fork"):
+        for name in BACKENDS:
             backend = map_backends[name, 1 if name == "serial" else workers]
             got = backend.map(_twice, items, chunk_size=chunk_size)
             assert len(got) == len(expected)

@@ -18,8 +18,11 @@ class TestParser:
         args = build_parser().parse_args(["autolabel"])
         assert args.backend == "auto"
         assert args.scenes == 4
-        with pytest.raises(SystemExit):  # one vocabulary: no job-shape names beside the backend names
-            build_parser().parse_args(["autolabel", "--backend", "mapreduce"])
+        # One vocabulary: no job-shape names beside the backend names, and no thread backend.
+        for command, backend in [("autolabel", "mapreduce"), ("autolabel", "thread"), ("classify", "thread"),
+                                 ("serve", "thread")]:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", backend])
 
     def test_scaling_table_choices(self):
         args = build_parser().parse_args(["scaling", "--table", "2"])

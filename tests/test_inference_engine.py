@@ -109,14 +109,15 @@ class TestInferenceConfig:
         assert "plan_cache_size" not in InferenceConfig().to_dict()
 
     def test_backend_key_round_trips(self):
-        config = InferenceConfig(backend="thread", num_workers=3)
+        config = InferenceConfig(backend="serial", num_workers=3)
         data = config.to_dict()
-        assert data["backend"] == "thread"
+        assert data["backend"] == "serial"
         assert InferenceConfig.from_dict(data) == config
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            InferenceConfig(backend="gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                InferenceConfig(backend=name)
 
     def test_fork_backend_rejected_at_config_time_without_fork(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

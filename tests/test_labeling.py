@@ -162,7 +162,7 @@ class TestPlanarLabelerMatchesOracle:
         tiles = build_dataset(num_scenes=2, scene_size=64, tile_size=32, base_seed=5, cloudy_fraction=1.0).images
         expected = np.stack([reference_segment(ColorSegmentationLabeler(apply_cloud_filter=True), tile)[0] for tile in tiles])
         assert len(np.unique(expected)) > 1
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("serial", "processes"):
             labels = run_mapreduce_autolabel(tiles, executor=executor, parallelism=2).labels
             np.testing.assert_array_equal(labels, expected, err_msg=executor)
         np.testing.assert_array_equal(autolabel_batch(tiles), expected)
@@ -255,3 +255,14 @@ class TestManualLabelSimulator:
         annotated = sim.annotate(cmap)
         diff = (annotated != cmap).mean()
         assert 0.0 < diff < 0.3
+
+
+@pytest.mark.parametrize("label", [
+    lambda stack: run_mapreduce_autolabel(stack, executor="serial").labels,
+    lambda stack: run_mapreduce_autolabel(stack, executor="processes", parallelism=2).labels,
+    lambda stack: ManualLabelSimulator().annotate_batch(stack[..., 0]),
+], ids=["mapreduce-serial", "mapreduce-processes", "annotate_batch"])
+def test_empty_stack_gives_empty_labels(label):
+    """``np.stack`` of no label maps raised; ``autolabel_batch`` already returned this."""
+    labels = label(np.zeros((0, 8, 6, 3), dtype=np.uint8))
+    assert (labels.shape, labels.dtype) == ((0, 8, 6), np.uint8)

@@ -65,23 +65,29 @@ class TestPartitioning:
         assert [x for p in parts for x in p.items] == items
 
 
+#: Each executor kind, plus the fork executor on one worker, which runs every
+#: partition task of an action in turn in the same process.
+executors = pytest.mark.parametrize("kind, parallelism", [("serial", 1), ("processes", 2), ("processes", 1)],
+                                    ids=["serial", "processes", "one-worker"])
+
+
 class TestExecutors:
-    @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
-    def test_all_backends_agree(self, kind):
-        context = SparkLiteContext(executor=kind, parallelism=2)
+    @executors
+    def test_all_backends_agree(self, kind, parallelism):
+        context = SparkLiteContext(executor=kind, parallelism=parallelism)
         data = context.parallelize(list(range(30)), num_partitions=4)
         result = data.map(add_one).map(double).collect()
         expected = [2 * (x + 1) for x in range(30)]
         assert result == expected
 
     def test_make_executor_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            SparkLiteContext(executor="gpu")
+        for kind in ("gpu", "threads"):
+            with pytest.raises(ValueError, match=f"unknown executor kind '{kind}'; expected serial / processes"):
+                SparkLiteContext(executor=kind)
 
     def test_executor_parallelism_bounds(self):
-        for kind in ("threads", "processes"):
-            with pytest.raises(ValueError):
-                SparkLiteContext(executor=kind, parallelism=0)
+        with pytest.raises(ValueError, match="parallelism"):
+            SparkLiteContext(executor="processes", parallelism=0)
         assert SparkLiteContext(executor="serial", parallelism=0).parallelism == 1
 
 
@@ -98,11 +104,11 @@ def fail_on_seven(x):
 class TestPartitionsAreInheritedNotSent:
     """An action registers its partitions before its backend forks; task messages carry partition indices."""
 
-    @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
-    def test_items_that_cannot_be_pickled(self, kind):
+    @executors
+    def test_items_that_cannot_be_pickled(self, kind, parallelism):
         """Closures do not pickle: worker processes can only hold them by having forked after the registration."""
         thunks = [(lambda i=i: 3 * i) for i in range(11)]
-        context = SparkLiteContext(executor=kind, parallelism=2)
+        context = SparkLiteContext(executor=kind, parallelism=parallelism)
         assert context.parallelize(thunks, num_partitions=4).map(call).collect() == [3 * i for i in range(11)]
         assert not dataset_module._IN_FLIGHT
 
@@ -132,9 +138,8 @@ class TestPartitionsAreInheritedNotSent:
         from concurrent.futures import ThreadPoolExecutor
 
         def action(offset):
-            kind = "processes" if offset % 2 else "threads"
             items = list(range(offset, offset + 40))
-            return SparkLiteContext(executor=kind, parallelism=2).parallelize(items, num_partitions=5).map(add_one).collect()
+            return SparkLiteContext(executor="processes", parallelism=2).parallelize(items, num_partitions=5).map(add_one).collect()
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             for offset, got in zip(range(0, 800, 100), pool.map(action, range(0, 800, 100))):
@@ -157,7 +162,7 @@ class TestDatasetSemantics:
         assert sorted(calls) == [1, 2, 3]
 
     def test_collect_equals_serial_map(self):
-        context = SparkLiteContext(executor="threads", parallelism=3)
+        context = SparkLiteContext(executor="processes", parallelism=3)
         items = list(range(25))
         assert context.parallelize(items).map(add_one).collect() == [add_one(x) for x in items]
 
@@ -171,12 +176,13 @@ class TestDatasetSemantics:
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     @pytest.mark.parametrize("num_partitions", [1, 2, 5])
-    @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
-    def test_lineage_applies_each_map_in_order(self, kind, num_partitions, depth):
+    @executors
+    def test_lineage_applies_each_map_in_order(self, kind, parallelism, num_partitions, depth):
         """The lineage is the mapped functions; a partition task applies them first to last.  Affine maps do
         not commute, so any other order gives other items."""
         funcs = tuple(partial(affine, 3, shift) for shift in range(1, depth + 1))
-        data = SparkLiteContext(executor=kind, parallelism=2).parallelize(range(7), num_partitions=num_partitions)
+        data = SparkLiteContext(executor=kind, parallelism=parallelism).parallelize(range(7),
+                                                                                   num_partitions=num_partitions)
         for f in funcs:
             data = data.map(f)
         assert data.lineage == funcs

@@ -425,10 +425,10 @@ class TestServiceTelemetry:
         batcher = payload["batchers"]["seaice/1"]
         assert batcher["flush_size_histogram"]["count"] >= 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", pytest.param("fork", marks=needs_fork)])
+    @pytest.mark.parametrize("backend", ["serial", pytest.param("fork", marks=needs_fork)])
     def test_backend_spans_include_compute(self, tmp_path, rng, backend):
-        """Every backend measures compute where the model runs — inline,
-        pool thread or worker process — so ``dispatch_ms`` is dispatch only."""
+        """Every backend measures compute where the model runs — inline or
+        in a worker process — so ``dispatch_ms`` is dispatch only."""
         from repro.obs import get_registry
 
         def compute_count() -> int:

@@ -118,10 +118,10 @@ class TestAutoLabelRunner:
     def test_parallel_matches_serial_labels(self, tiny_dataset, monkeypatch):
         """``auto`` resolves the way ``classify`` does: ``REPRO_BACKEND`` first, then the worker count."""
         serial = AutoLabelWorkflow(AutoLabelWorkflowConfig(backend="serial")).run(tiny_dataset)
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        threaded = AutoLabelWorkflow(AutoLabelWorkflowConfig(num_workers=2)).run(tiny_dataset)
-        assert (serial.backend, threaded.backend) == ("serial", "thread")
-        np.testing.assert_array_equal(serial.auto_labels, threaded.auto_labels)
+        monkeypatch.setenv("REPRO_BACKEND", "fork")
+        forked = AutoLabelWorkflow(AutoLabelWorkflowConfig(num_workers=1)).run(tiny_dataset)
+        assert (serial.backend, forked.backend) == ("serial", "fork")
+        np.testing.assert_array_equal(serial.auto_labels, forked.auto_labels)
 
     def test_output_shape(self, tiny_dataset, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

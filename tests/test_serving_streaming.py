@@ -80,28 +80,26 @@ class TestStreamingMatchesWholeScene:
 
 
 class TestBandPathMatchesTheWholeSceneOracle:
-    """By property: any scene, grid, batch, filter and in-process backend gives the oracle's bits."""
+    """By property: any scene, grid, batch and filter gives the oracle's bits on the serial backend."""
 
     @pytest.fixture(scope="class")
     def classifiers(self, model):
-        built = {(name, filt): SceneClassifier(model, InferenceConfig(backend=name, num_workers=2,
-                                                                      apply_cloud_filter=filt))
-                 for name in ("serial", "thread") for filt in (False, True)}
+        built = {filt: SceneClassifier(model, InferenceConfig(backend="serial", apply_cloud_filter=filt))
+                 for filt in (False, True)}
         yield built
         for classifier in built.values():
             classifier.close()
 
     @settings(max_examples=30, deadline=None)
     @given(tile=st.sampled_from([16, 32]), data=st.data(), batch_size=st.integers(1, 5),
-           cloud_filter=st.booleans(), backend=st.sampled_from(["serial", "thread"]), seed=st.integers(0, 2**16))
-    def test_scene_outputs_equal_the_oracle(self, classifiers, model, tile, data, batch_size, cloud_filter,
-                                            backend, seed):
+           cloud_filter=st.booleans(), seed=st.integers(0, 2**16))
+    def test_scene_outputs_equal_the_oracle(self, classifiers, model, tile, data, batch_size, cloud_filter, seed):
         overlap = data.draw(st.integers(0, tile - 1), label="overlap")
         # Sides up to 140 px and at most 8 strides past the first tile, so a
         # 1-px stride still makes a grid of tens of tiles, not thousands.
         side = st.integers(1, min(140, tile + 8 * (tile - overlap)))
         h, w = data.draw(side, label="h"), data.draw(side, label="w")
-        classifier = classifiers[backend, cloud_filter]
+        classifier = classifiers[cloud_filter]
         # Tile geometry and batch size are read per call; the backend (started
         # once, with or without the filter published) outlives the swap.
         classifier.config = replace(classifier.config, tile_size=tile, overlap=overlap, batch_size=batch_size)
@@ -149,16 +147,17 @@ class TestStreamingMechanics:
         tall_peak = _band_peak(classifier, _scene((1024, 64), seed=1), tmp_path / "tall.dat")
         assert 0 < tall_peak <= 1.25 * short_peak, (short_peak, tall_peak)
 
+    @pytest.mark.skipif("fork" not in available_backends(), reason="fork backend unavailable")
     def test_streams_on_the_configured_backend_and_releases_it(self, model):
         """``config.backend`` / ``num_workers`` pick the backend the bands run on: same bits."""
         scene = _scene((100, 140), seed=4)
         options = dict(tile_size=32, overlap=16, apply_cloud_filter=False, batch_size=3)
         serial = SceneClassifier(model=model, config=InferenceConfig(backend="serial", **options))
-        fanned_out = InferenceConfig(backend="thread", num_workers=2, **options)
-        with SceneClassifier(model=model, config=fanned_out) as threaded:
-            backend = threaded.backend
-            assert (backend.name, backend.num_workers, backend.running) == ("thread", 2, True)
-            streamed = threaded.classify_scene(scene)
+        fanned_out = InferenceConfig(backend="fork", num_workers=2, **options)
+        with SceneClassifier(model=model, config=fanned_out) as forked:
+            backend = forked.backend
+            assert (backend.name, backend.num_workers, backend.running) == ("fork", 2, True)
+            streamed = forked.classify_scene(scene)
             assert backend.occupancy()["tasks_dispatched"] > 0
         assert not backend.running
         np.testing.assert_array_equal(streamed, serial.classify_scene(scene))
@@ -175,7 +174,8 @@ class TestStreamingMechanics:
         np.testing.assert_array_equal(SceneClassifier(model=model, config=config).classify_scene(scene),
                                       whole[0].argmax(axis=-1))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", pytest.param("fork", marks=pytest.mark.skipif(
+        "fork" not in available_backends(), reason="fork backend unavailable"))])
     @pytest.mark.parametrize("shape", [(0, 10), (10, 0), (0, 0)])
     def test_empty_scene_gives_an_empty_map(self, model, backend, shape):
         for overlap, dtype in ((0, np.float32), (4, np.float64)):

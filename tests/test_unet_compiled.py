@@ -183,12 +183,10 @@ class TestSeamIntegration:
         with pytest.raises(ValueError, match="compile_plans"):
             InferenceConfig.from_dict({"compile_plans": 1})
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_engine_is_the_one_the_backend_entry_runs(self, rng, backend):
+    def test_engine_is_the_one_the_backend_entry_runs(self, rng):
         model = _model(2, dropout=0.0)
         scene = rng.integers(0, 255, size=(40, 48, 3), dtype=np.uint8)
-        config = InferenceConfig(tile_size=16, apply_cloud_filter=False, batch_size=2, backend=backend,
-                                 num_workers=2)
+        config = InferenceConfig(tile_size=16, apply_cloud_filter=False, batch_size=2, backend="serial")
         with SceneClassifier(model=model, config=config) as classifier:
             engine = classifier.engine
             runs = []
