@@ -1,10 +1,10 @@
-"""Table II — PySpark (sparklite) map-reduce auto-labeling scalability.
+"""Table II — PySpark map-reduce auto-labeling scalability.
 
 Paper result: on a 4-node Google Cloud Dataproc cluster the distributed
 auto-labeling job reaches a 9× data-loading speedup and a 16.25× map-reduce
-speedup at 4 executors × 4 cores.  Here the identical job runs on the
-sparklite engine: the real UDF is measured locally (serial and multi-process
-executors), and the executor×core sweep is regenerated with the calibrated
+speedup at 4 executors × 4 cores.  Here the same load → map → reduce job
+(``run_mapreduce_autolabel``) runs locally on the serial and multi-process
+executors, and the executor×core sweep is regenerated with the calibrated
 Dataproc cost model, printed next to the paper's rows.
 """
 
@@ -24,7 +24,7 @@ from conftest import print_paper_vs_measured, print_rows
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_local_mapreduce_job(benchmark, bench_dataset):
-    """Real sparklite execution of the auto-label job (serial executor baseline)."""
+    """Real local execution of the auto-label job (serial executor baseline)."""
     tiles = bench_dataset.images[: min(32, len(bench_dataset))]
 
     def run_job():
@@ -33,7 +33,7 @@ def test_table2_local_mapreduce_job(benchmark, bench_dataset):
     result = benchmark.pedantic(run_job, rounds=1, iterations=1)
     assert result.labels.shape == tiles.shape[:3]
     print_rows(
-        "Table II baseline: sparklite serial execution of the auto-label UDF",
+        "Table II baseline: serial execution of the auto-label job",
         [
             {
                 "tiles": tiles.shape[0],
@@ -59,7 +59,7 @@ def test_table2_local_process_executor_speedup(benchmark, bench_dataset):
         {"executor": "serial", **serial.timings.as_row()},
         {"executor": "processes(4)", **parallel.timings.as_row()},
     ]
-    print_rows("Table II: sparklite executor comparison (identical labels)", rows)
+    print_rows("Table II: executor comparison (identical labels)", rows)
 
 
 @pytest.mark.benchmark(group="table2")

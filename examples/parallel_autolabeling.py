@@ -1,9 +1,9 @@
 """Parallel auto-labeling at scale: multiprocessing and map-reduce backends.
 
 Reproduces the workflow behind the paper's Tables I and II on a synthetic
-archive: the same thin-cloud/shadow-filtered colour-segmentation UDF is run
-serially, with Python multiprocessing, and on the sparklite map-reduce
-engine, and the measured scaling is printed next to the paper's cluster
+archive: the same thin-cloud/shadow-filtered colour-segmentation job is run
+serially, with Python multiprocessing (Table I) and as the map-reduce job
+(Table II), and the measured scaling is printed next to the paper's cluster
 numbers (regenerated with the calibrated Dataproc cost model).
 
 Run with:  python examples/parallel_autolabeling.py
@@ -39,7 +39,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Table II: map-reduce job + simulated Dataproc cluster sweep.
     # ------------------------------------------------------------------ #
-    print("\nTable II workload: sparklite map-reduce job (process executor)")
+    print("\nTable II workload: map-reduce auto-label job (process executor)")
     result = run_mapreduce_autolabel(tiles, executor="processes", parallelism=min(4, cpus))
     print(f"  {result.labels.shape[0]} tiles labelled over {result.num_partitions} partitions; "
           f"timings: {result.timings.as_row()}")

@@ -1,7 +1,7 @@
 """Unified execution-backend seam (serial / fork).
 
-Every fan-out layer in the repo — scene inference, the serving tier, the
-auto-label workflow and the sparklite engine — dispatches through one
+Every fan-out layer in the repo — scene inference, the serving tier and
+the auto-label job behind Tables I and II — dispatches through one
 :class:`~repro.backend.base.Backend`, selected by name (or ``"auto"``,
 which honours the ``REPRO_BACKEND`` environment variable).  The fork
 backend keeps persistent workers attached to a shared-memory model store

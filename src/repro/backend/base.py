@@ -1,7 +1,7 @@
 """The execution-backend seam: one abstraction every fan-out layer dispatches through.
 
-The auto-label workflow (``workflow/autolabel.py``), the sparklite
-engine (``mapreduce/dataset.py``), scene inference
+The auto-label job (``mapreduce/autolabel_job.py``, which Table I,
+Table II and the auto-label workflow all run), scene inference
 (``unet/inference.py``) and the serving micro-batchers
 (``serving/batching.py`` / ``serving/service.py``) hold no parallelism of
 their own: each asks :func:`make_backend` for a backend by name and calls
@@ -15,7 +15,7 @@ A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
   children; the elastic trainer runs its ranks on them as residents its store
   publishes, see :meth:`repro.backend.process.ProcessBackend.publish_resident`);
 * **generic task dispatch** — :meth:`Backend.map`, the ordered chunked map
-  the Table I harness and the sparklite engine call directly;
+  the auto-label job calls directly;
 * **a model store** — :meth:`Backend.publish_model` installs a ``UNet``
   (anything else raises ``TypeError``) once per backend, after which
   :meth:`Backend.predict` / :meth:`Backend.predict_stack` run batches

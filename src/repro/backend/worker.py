@@ -22,10 +22,10 @@ relies on and never re-implements:
   metrics hot path never takes a cross-process lock.
 
 Children are always forked: fault budgets, the shared-memory tracker and
-whatever the caller put in module state before the fork (the map-reduce
-engine registers an action's partitions there) are inherited, never pickled.
-What a request carries is pickled: ``Backend.map`` sends each chunk of items
-through the pipe, so a map over inherited data sends indices.
+whatever the caller put in module state before the fork (the auto-label
+job registers its tile stack there) are inherited, never pickled.  What a
+request carries is pickled: ``Backend.map`` sends each chunk of items
+through the pipe, so the job's map over the inherited stack sends spans.
 """
 
 from __future__ import annotations

@@ -1,36 +1,19 @@
-"""sparklite: a miniature map-reduce engine standing in for PySpark.
+"""The paper's map-reduce auto-labeling job (Table II) and the cluster model it is scaled by.
 
-* :mod:`repro.mapreduce.partition` — partitions and partitioning policies
-* :mod:`repro.mapreduce.dataset` — a lazy map, an eager collect, phase timings
+* :mod:`repro.mapreduce.autolabel_job` — the auto-labeling job: load → map → reduce over tile spans
 * :mod:`repro.mapreduce.cluster` — calibrated Dataproc cluster cost model (Table II)
-* :mod:`repro.mapreduce.autolabel_job` — the distributed auto-labeling job itself
 """
 
-from .autolabel_job import (
-    MapReduceAutoLabelResult,
-    autolabel_udf,
-    autolabel_udf_unfiltered,
-    mapreduce_scaling_sweep,
-    run_mapreduce_autolabel,
-)
+from .autolabel_job import JobTimings, MapReduceAutoLabelResult, mapreduce_scaling_sweep, run_mapreduce_autolabel
 from .cluster import PAPER_TABLE2_ROWS, ClusterShape, GCDClusterModel, paper_table2
-from .dataset import Dataset, JobTimings, SparkLiteContext
-from .partition import Partition, default_num_partitions, partition_items
 
 __all__ = [
+    "JobTimings",
     "MapReduceAutoLabelResult",
-    "autolabel_udf",
-    "autolabel_udf_unfiltered",
     "mapreduce_scaling_sweep",
     "run_mapreduce_autolabel",
     "PAPER_TABLE2_ROWS",
     "ClusterShape",
     "GCDClusterModel",
     "paper_table2",
-    "Dataset",
-    "JobTimings",
-    "SparkLiteContext",
-    "Partition",
-    "default_num_partitions",
-    "partition_items",
 ]

@@ -11,7 +11,7 @@ calibrated cost model:
   driver-side concatenation).  The paper's own load column follows Amdahl
   with a serial fraction of about 5 %, which is the default here.
 * **Map phase** — registering the auto-label UDF transformation.  Lazy in
-  Spark and in sparklite, hence a small constant.
+  Spark, and locally only the building of the task object, hence a small constant.
 * **Reduce phase** — executing the UDF over every image and collecting the
   results.  Pixel-independent work that scales essentially linearly with
   the number of slots, with a small per-node scheduling overhead.
@@ -19,9 +19,9 @@ calibrated cost model:
 The model's defaults are calibrated on the paper's 4224-image workload so
 that the 1-executor/1-core row matches Table II's baseline; the *shape* of
 the predicted sweep (who wins, by how much, where returns diminish) is the
-reproduction target.  The same code can also drive the real local engine
-(:class:`~repro.mapreduce.dataset.SparkLiteContext`) to obtain measured
-times for however many local cores exist.
+reproduction target.  :func:`~repro.mapreduce.mapreduce_scaling_sweep` can
+re-calibrate it on one serial run of the real local job
+(:func:`~repro.mapreduce.run_mapreduce_autolabel`).
 """
 
 from __future__ import annotations

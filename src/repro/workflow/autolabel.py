@@ -6,7 +6,7 @@ colour-segmentation labeler, and the map-reduce job on an execution backend
 raw scenes to an auto-labelled tile dataset, with per-phase timing and
 label-quality metrics (SSIM against manual labels).  The Table I harness
 (:func:`autolabel_scaling_table`, the paper's §III-B(a) multiprocessing arm)
-times the same per-tile labeler at several process counts.
+times the same job at several process counts.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import make_backend, resolve_backend_name
+from ..backend import resolve_backend_name
 from ..classes import class_map_to_color
 from ..data.catalog import TileDataset
 from ..labeling.manual import simulate_manual_labels
-from ..mapreduce.autolabel_job import autolabel_udf, autolabel_udf_unfiltered, run_mapreduce_autolabel
-from ..mapreduce.dataset import _EXECUTOR_BACKENDS
+from ..mapreduce.autolabel_job import run_mapreduce_autolabel
 from ..metrics.scaling import ScalingPoint, ScalingTable
 from ..metrics.ssim import mean_ssim_over_pairs
 
@@ -37,8 +36,8 @@ __all__ = [
 class AutoLabelWorkflowConfig:
     """Configuration of the training-data-preparation pipeline.
 
-    ``backend`` names the execution backend the map-reduce job's partition
-    tasks run on, in the vocabulary ``classify`` and ``serve`` speak:
+    ``backend`` names the execution backend the auto-label job's span tasks
+    run on, in the vocabulary ``classify`` and ``serve`` speak:
     ``"serial"``, ``"fork"`` or ``"auto"`` (the default, which
     honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``).
     """
@@ -92,10 +91,9 @@ class AutoLabelWorkflow:
         """
         cfg = self.config
         backend = cfg.resolved_backend()
-        executor = next(kind for kind, name in _EXECUTOR_BACKENDS.items() if name == backend)
         start = time.perf_counter()
         labels = run_mapreduce_autolabel(
-            dataset.images, executor=executor, parallelism=cfg.num_workers,
+            dataset.images, executor="processes" if backend == "fork" else "serial", parallelism=cfg.num_workers,
             apply_cloud_filter=cfg.apply_cloud_filter,
         ).labels
         elapsed = time.perf_counter() - start
@@ -128,24 +126,22 @@ def autolabel_scaling_table(
 ) -> ScalingTable:
     """Measure auto-labeling wall time at several process counts (Table I).
 
-    Each row is one timed :meth:`repro.backend.Backend.map` of the per-tile
-    labeler over the stack on a fresh backend: one worker runs in-process
-    (the ``Ts`` baseline row); more fork that many workers, whose start-up is
-    part of the measured time, as is pickling each chunk of tiles through a
-    worker's pipe (the map-reduce job's workers inherit their partitions and
-    are sent indices).  The returned :class:`~repro.metrics.scaling.ScalingTable`
-    exposes the speedup column exactly as the paper tabulates it
-    (``S = Ts / Tp``).
+    Each row is one timed :func:`~repro.mapreduce.run_mapreduce_autolabel`
+    job over the stack on a fresh backend: one worker runs in-process (the
+    ``Ts`` baseline row); more fork that many workers, whose start-up is part
+    of the measured time.  The workers inherit the registered stack and are
+    sent ``(start, stop)`` spans, as in Table II's job.  The returned
+    :class:`~repro.metrics.scaling.ScalingTable` exposes the speedup column
+    exactly as the paper tabulates it (``S = Ts / Tp``).
     """
     bad = [workers for workers in worker_counts if workers < 1]
     if bad:
         raise ValueError(f"worker counts must be >= 1, got {bad}")
-    func = autolabel_udf if apply_cloud_filter else autolabel_udf_unfiltered
-    items = list(np.asarray(tiles))
+    stack = np.asarray(tiles)
     points = []
     for workers in worker_counts:
         start = time.perf_counter()
-        with make_backend("fork" if workers > 1 else "serial", workers) as backend:
-            backend.map(func, items)
-        points.append(ScalingPoint(workers=workers, time=time.perf_counter() - start, items=len(items)))
+        run_mapreduce_autolabel(stack, executor="processes" if workers > 1 else "serial", parallelism=workers,
+                                apply_cloud_filter=apply_cloud_filter)
+        points.append(ScalingPoint(workers=workers, time=time.perf_counter() - start, items=len(stack)))
     return ScalingTable(points=points, label="Python multiprocessing auto-labeling")

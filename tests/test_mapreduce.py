@@ -1,72 +1,69 @@
-"""Tests for repro.mapreduce (sparklite engine, executor kinds, cluster model)."""
+"""Tests for repro.mapreduce (the auto-label job, its span cutter, executor kinds, cluster model)."""
 
 from __future__ import annotations
 
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.labeling import autolabel_batch, autolabel_tile
 from repro.mapreduce import (
     PAPER_TABLE2_ROWS,
     ClusterShape,
     GCDClusterModel,
-    SparkLiteContext,
     mapreduce_scaling_sweep,
     paper_table2,
-    partition_items,
     run_mapreduce_autolabel,
 )
-from repro.mapreduce import dataset as dataset_module
+from repro.mapreduce import autolabel_job
+from repro.mapreduce.autolabel_job import _cut_spans
 
 
-def add_one(x):
-    return x + 1
-
-
-def double(x):
-    return 2 * x
-
-
-def affine(scale, shift, x):
-    return scale * x + shift
+def random_tiles(n, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size=(n, 32, 32, 3), dtype=np.uint8)
 
 
 class TestPartitioning:
+    """The job's span cutter: ``count`` contiguous, balanced ``(start, stop)`` spans."""
+
     def test_balanced_partitions(self):
-        parts = partition_items(list(range(10)), 3)
-        sizes = [len(p) for p in parts]
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
+        sizes = [stop - start for start, stop in _cut_spans(10, 3)]
+        assert sizes == [4, 3, 3]
 
     def test_preserves_order(self):
-        parts = partition_items(list(range(7)), 2)
-        flattened = [x for p in parts for x in p.items]
-        assert flattened == list(range(7))
+        items = list(range(7))
+        assert [x for start, stop in _cut_spans(7, 2) for x in items[start:stop]] == items
 
     def test_more_partitions_than_items(self):
-        parts = partition_items([1, 2], 5)
-        assert sum(len(p) for p in parts) == 2
+        assert _cut_spans(2, 5) == [(0, 1), (1, 2)]
 
     def test_empty_items(self):
-        parts = partition_items([], 3)
-        assert len(parts) == 1 and len(parts[0]) == 0
+        assert _cut_spans(0, 3) == [(0, 0)]
 
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
-            partition_items([1], 0)
+            _cut_spans(1, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(), max_size=40), st.integers(1, 8))
     def test_partition_concat_identity(self, items, k):
-        parts = partition_items(items, k)
-        assert [x for p in parts for x in p.items] == items
+        spans = _cut_spans(len(items), k)
+        assert len(spans) == min(k, max(1, len(items)))
+        assert [x for start, stop in spans for x in items[start:stop]] == items
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 16))
+    def test_span_sizes_differ_by_at_most_one_longest_first(self, num_tiles, k):
+        sizes = [stop - start for start, stop in _cut_spans(num_tiles, k)]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] - sizes[-1] <= 1
 
 
 #: Each executor kind, plus the fork executor on one worker, which runs every
-#: partition task of an action in turn in the same process.
+#: span task of a job in turn in the same process.
 executors = pytest.mark.parametrize("kind, parallelism", [("serial", 1), ("processes", 2), ("processes", 1)],
                                     ids=["serial", "processes", "one-worker"])
 
@@ -74,47 +71,31 @@ executors = pytest.mark.parametrize("kind, parallelism", [("serial", 1), ("proce
 class TestExecutors:
     @executors
     def test_all_backends_agree(self, kind, parallelism):
-        context = SparkLiteContext(executor=kind, parallelism=parallelism)
-        data = context.parallelize(list(range(30)), num_partitions=4)
-        result = data.map(add_one).map(double).collect()
-        expected = [2 * (x + 1) for x in range(30)]
-        assert result == expected
+        tiles = random_tiles(9)
+        labels = run_mapreduce_autolabel(tiles, executor=kind, parallelism=parallelism).labels
+        np.testing.assert_array_equal(labels, autolabel_batch(tiles))
 
     def test_make_executor_rejects_unknown(self):
         for kind in ("gpu", "threads"):
             with pytest.raises(ValueError, match=f"unknown executor kind '{kind}'; expected serial / processes"):
-                SparkLiteContext(executor=kind)
+                run_mapreduce_autolabel(random_tiles(1), executor=kind)
 
     def test_executor_parallelism_bounds(self):
         with pytest.raises(ValueError, match="parallelism"):
-            SparkLiteContext(executor="processes", parallelism=0)
-        assert SparkLiteContext(executor="serial", parallelism=0).parallelism == 1
+            run_mapreduce_autolabel(random_tiles(1), executor="processes", parallelism=0)
+        assert run_mapreduce_autolabel(random_tiles(5), executor="serial", parallelism=0).num_partitions == 2
 
 
-def call(thunk):
-    return thunk()
+def raise_seven(stack, apply_cloud_filter):
+    raise RuntimeError("seven")
 
 
-def fail_on_seven(x):
-    if x == 7:
-        raise RuntimeError("seven")
-    return x
+class TestTilesAreInheritedNotSent:
+    """A job registers its stack before its backend forks; task messages carry ``(start, stop)`` spans."""
 
-
-class TestPartitionsAreInheritedNotSent:
-    """An action registers its partitions before its backend forks; task messages carry partition indices."""
-
-    @executors
-    def test_items_that_cannot_be_pickled(self, kind, parallelism):
-        """Closures do not pickle: worker processes can only hold them by having forked after the registration."""
-        thunks = [(lambda i=i: 3 * i) for i in range(11)]
-        context = SparkLiteContext(executor=kind, parallelism=parallelism)
-        assert context.parallelize(thunks, num_partitions=4).map(call).collect() == [3 * i for i in range(11)]
-        assert not dataset_module._IN_FLIGHT
-
-    def test_task_messages_are_indices(self, monkeypatch):
+    def test_task_messages_are_spans(self, monkeypatch):
         sent = []
-        make_backend = dataset_module.make_backend
+        make_backend = autolabel_job.make_backend
 
         def spying(kind, workers):
             backend = make_backend(kind, workers)
@@ -122,81 +103,67 @@ class TestPartitionsAreInheritedNotSent:
             backend.map = lambda fn, items, **options: sent.extend(items) or backend_map(fn, items, **options)
             return backend
 
-        monkeypatch.setattr(dataset_module, "make_backend", spying)
-        data = SparkLiteContext(executor="processes", parallelism=2).parallelize(list(range(30)), num_partitions=4)
-        assert data.map(add_one).collect() == list(range(1, 31))
-        assert sent == [0, 1, 2, 3]
+        monkeypatch.setattr(autolabel_job, "make_backend", spying)
+        tiles = random_tiles(10)
+        np.testing.assert_array_equal(run_mapreduce_autolabel(tiles, executor="processes", parallelism=2).labels,
+                                      autolabel_batch(tiles))
+        assert sent == [(0, 3), (3, 6), (6, 8), (8, 10)]
 
     @pytest.mark.parametrize("kind", ["serial", "processes"])
-    def test_registration_does_not_outlive_a_failed_action(self, kind):
-        data = SparkLiteContext(executor=kind, parallelism=2).parallelize(list(range(10)), num_partitions=3)
+    def test_registration_does_not_outlive_a_failed_job(self, kind, monkeypatch):
+        monkeypatch.setattr(autolabel_job, "autolabel_batch", raise_seven)
         with pytest.raises(Exception, match="seven"):
-            data.map(fail_on_seven).collect()
-        assert not dataset_module._IN_FLIGHT
+            run_mapreduce_autolabel(random_tiles(5), executor=kind, parallelism=2)
+        assert not autolabel_job._STACKS
 
-    def test_concurrent_actions_keep_their_own_partitions(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        def action(offset):
-            items = list(range(offset, offset + 40))
-            return SparkLiteContext(executor="processes", parallelism=2).parallelize(items, num_partitions=5).map(add_one).collect()
+    def test_concurrent_jobs_keep_their_own_stacks(self):
+        def job(seed):
+            return run_mapreduce_autolabel(random_tiles(6, seed), executor="processes", parallelism=2).labels
 
         with ThreadPoolExecutor(max_workers=4) as pool:
-            for offset, got in zip(range(0, 800, 100), pool.map(action, range(0, 800, 100))):
-                assert got == list(range(offset + 1, offset + 41))
-        assert not dataset_module._IN_FLIGHT
+            for seed, got in zip(range(8), pool.map(job, range(8))):
+                np.testing.assert_array_equal(got, autolabel_batch(random_tiles(6, seed)))
+        assert not autolabel_job._STACKS
 
 
-class TestDatasetSemantics:
-    def test_map_is_lazy(self):
-        calls = []
-
-        def tracer(x):
-            calls.append(x)
-            return x
-
-        context = SparkLiteContext()
-        data = context.parallelize([1, 2, 3]).map(tracer)
-        assert calls == []  # nothing ran yet
-        data.collect()
-        assert sorted(calls) == [1, 2, 3]
-
+class TestJobSemantics:
     def test_collect_equals_serial_map(self):
-        context = SparkLiteContext(executor="processes", parallelism=3)
-        items = list(range(25))
-        assert context.parallelize(items).map(add_one).collect() == [add_one(x) for x in items]
+        tiles = random_tiles(7)
+        labels = run_mapreduce_autolabel(tiles, executor="processes", parallelism=3).labels
+        np.testing.assert_array_equal(labels, np.stack([autolabel_tile(tile) for tile in tiles]))
 
     def test_timings_recorded(self):
-        context = SparkLiteContext()
-        data = context.parallelize(list(range(100)))
-        data.map(add_one).collect()
-        timings = context.last_timings
-        assert timings.load_time >= 0 and timings.reduce_time > 0
+        timings = run_mapreduce_autolabel(random_tiles(4), executor="serial").timings
+        assert timings.load_time >= 0 and timings.map_time >= 0 and timings.reduce_time > 0
         assert set(timings.as_row()) == {"load_time_s", "map_time_s", "reduce_time_s"}
 
-    @pytest.mark.parametrize("depth", [0, 1, 3])
-    @pytest.mark.parametrize("num_partitions", [1, 2, 5])
+    @pytest.mark.parametrize("apply_cloud_filter", [True, False], ids=["filtered", "unfiltered"])
+    @pytest.mark.parametrize("num_tiles", [0, 1, 3, 7])
     @executors
-    def test_lineage_applies_each_map_in_order(self, kind, parallelism, num_partitions, depth):
-        """The lineage is the mapped functions; a partition task applies them first to last.  Affine maps do
-        not commute, so any other order gives other items."""
-        funcs = tuple(partial(affine, 3, shift) for shift in range(1, depth + 1))
-        data = SparkLiteContext(executor=kind, parallelism=parallelism).parallelize(range(7),
-                                                                                   num_partitions=num_partitions)
-        for f in funcs:
-            data = data.map(f)
-        assert data.lineage == funcs
-        expected = list(range(7))
-        for f in funcs:
-            expected = [f(x) for x in expected]
-        assert data.collect() == expected
+    def test_labels_come_back_in_input_order(self, kind, parallelism, num_tiles, apply_cloud_filter):
+        """Spans are labelled wherever they land and gathered in span order; uneven spans and more spans than
+        tiles included.  Random tiles differ from each other, so any other order gives other labels."""
+        tiles = random_tiles(num_tiles, seed=num_tiles)
+        result = run_mapreduce_autolabel(tiles, executor=kind, parallelism=parallelism,
+                                         apply_cloud_filter=apply_cloud_filter)
+        assert result.num_partitions == min(2 * parallelism, max(1, num_tiles))
+        assert result.labels.shape == (num_tiles, 32, 32) and result.labels.dtype == np.uint8
+        np.testing.assert_array_equal(result.labels, autolabel_batch(tiles, apply_cloud_filter))
+
+    @executors
+    def test_strided_view_is_labelled_as_given(self, kind, parallelism):
+        """A non-contiguous view is registered as it is; workers slice the view they inherit."""
+        tiles = random_tiles(12)[::2, :, ::-1]
+        result = run_mapreduce_autolabel(tiles, executor=kind, parallelism=parallelism)
+        np.testing.assert_array_equal(result.labels, autolabel_batch(np.ascontiguousarray(tiles)))
 
     def test_transformations_do_not_mutate_parent(self):
-        context = SparkLiteContext()
-        base = context.parallelize([1, 2, 3, 4])
-        mapped = base.map(add_one)
-        assert base.collect() == [1, 2, 3, 4]
-        assert mapped.collect() == [2, 3, 4, 5]
+        tiles = random_tiles(5)
+        before = tiles.copy()
+        for kind in ("serial", "processes"):
+            for apply_cloud_filter in (True, False):
+                run_mapreduce_autolabel(tiles, executor=kind, parallelism=2, apply_cloud_filter=apply_cloud_filter)
+        np.testing.assert_array_equal(tiles, before)
 
 
 class TestAutoLabelJob:
@@ -216,6 +183,12 @@ class TestAutoLabelJob:
     def test_rejects_bad_stack(self, tiny_dataset):
         with pytest.raises(ValueError):
             run_mapreduce_autolabel(tiny_dataset.labels)
+
+    @pytest.mark.parametrize("shape", [(32, 32, 3), (2, 32, 32), (2, 32, 32, 4)])
+    def test_rejects_a_stack_that_is_not_n_h_w_3(self, shape):
+        with pytest.raises(ValueError, match=r"expected \(N, H, W, 3\) tile stack"):
+            run_mapreduce_autolabel(np.zeros(shape, dtype=np.uint8), executor="serial")
+        assert not autolabel_job._STACKS
 
 
 class TestClusterModel:
@@ -267,3 +240,14 @@ class TestClusterModel:
         rows = mapreduce_scaling_sweep(tiles=tiny_dataset.images[:2])
         assert len(rows) == 9
         assert rows[-1]["reduce_time_s"] < rows[0]["reduce_time_s"]
+
+    def test_sweep_models_the_load_column_from_the_paper_ratio(self, monkeypatch):
+        """Only the measured reduce time calibrates the 1×1 row; the measured load (a registration) is not read."""
+        measured = autolabel_job.MapReduceAutoLabelResult(
+            labels=np.zeros((4, 32, 32), np.uint8), num_partitions=1,
+            timings=autolabel_job.JobTimings(load_time=5.0, map_time=0.0, reduce_time=2.0))
+        monkeypatch.setattr(autolabel_job, "run_mapreduce_autolabel", lambda *args, **kwargs: measured)
+        base = mapreduce_scaling_sweep(tiles=random_tiles(4))[0]
+        overhead = 0.005 * 2.0
+        assert base["reduce_time_s"] == pytest.approx(2.0 + overhead, abs=1e-4)
+        assert base["load_time_s"] == pytest.approx(2.0 * 108.0 / 390.0 + overhead, abs=1e-4)

@@ -338,6 +338,7 @@ def traced_service(tmp_path_factory):
         server.shutdown()
         server.server_close()
         service.close()
+        registry.close()
         thread.join(5.0)
 
 
@@ -457,6 +458,7 @@ class TestServiceTelemetry:
             assert occupancy["models"] == ["scene-model"]
         finally:
             service.close()
+            registry.close()
 
 
 class TestValueFormatting:

@@ -141,7 +141,7 @@ class TestAutoLabelRunner:
     def test_scaling_table_rejects_a_bad_worker_count_before_timing(self, tiny_dataset, monkeypatch, bad):
         """A row no backend can run fails up front, naming the count, instead of after timing the rows before it."""
         built = []
-        monkeypatch.setattr("repro.workflow.autolabel.make_backend", lambda *args: built.append(args))
+        monkeypatch.setattr("repro.mapreduce.autolabel_job.make_backend", lambda *args: built.append(args))
         with pytest.raises(ValueError, match=str(bad)):
             autolabel_scaling_table(tiny_dataset.images[:2], worker_counts=(1, bad))
         assert built == []
