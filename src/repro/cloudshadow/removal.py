@@ -26,7 +26,8 @@ contiguous float32 ``(H, W)`` planes and the K x 2 hypotheses are visited in a
 Python loop, each a fixed sequence of whole-plane ufuncs writing into per-call
 scratch (``out=``).  No per-pixel hypothesis array is built: one running best
 score per contaminant, with that hypothesis's opacity, is all that outlives
-the loop.  The passes are bound by memory traffic, and float32 halves it:
+the loop.  The loop runs over bands of rows whose planes fit in cache.  The
+passes are bound by memory traffic, and float32 halves it:
 with 8-bit pixels and integer calibration colours every difference, product
 and sum of the projection is an integer below 2**24, exact in float32 as in
 float64.  The floating-point operations and
@@ -54,6 +55,10 @@ from ..data.radiometry import CLOUD_CONTAMINANT_RGB, SHADOW_CONTAMINANT_RGB, pro
 from ..imops import channel_planes, gaussian_blur
 
 __all__ = ["CloudShadowFilter"]
+
+#: Pixels per band of the hypothesis loop: its ~13 float32 planes of a 32K-pixel band (1.7 MB) fit a
+#: 2 MB L2 cache, a whole 256 x 256 tile's (3.4 MB) do not.  Any band size gives the same bits.
+_BAND_PIXELS = 1 << 15
 
 
 @dataclass
@@ -126,20 +131,15 @@ class CloudShadowFilter:
     # ------------------------------------------------------------------ #
     # Veil estimation
     # ------------------------------------------------------------------ #
-    def _estimate(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(cloud_alpha, shadow_alpha)``: per-pixel veil opacities of an image split into planes (read, not written)."""
-        _, h, w = planes.shape
-        # Kept per contaminant m: the best score over the surfaces k and the opacity of the first
-        # hypothesis that attains it.  The rest is per-call scratch, so the filter keeps no state
-        # between calls.
-        best = np.empty((2, h, w), dtype=np.float32)
-        best_alpha = np.empty((2, h, w), dtype=np.float32)
-        diff = np.empty((3, h, w), dtype=np.float32)
-        alpha, scratch, tmp = np.empty((3, h, w), dtype=np.float32)
+    def _best_hypotheses(self, planes: np.ndarray, best: np.ndarray, best_alpha: np.ndarray, scratch: np.ndarray, below: np.ndarray) -> None:
+        """Per contaminant m, the best score over the surfaces k into ``best[m]`` and the opacity of the first
+        hypothesis that attains it into ``best_alpha[m]``.  Pixel by pixel, so a band of rows may go alone;
+        ``scratch`` is six float32 planes and ``below`` one boolean plane of the band's shape."""
+        diff, (alpha, score, tmp) = scratch[:3], scratch[3:]
         for k in range(self.surface_prototypes.shape[0]):
             np.subtract(planes, self.surface_prototypes[k][:, None, None], out=diff)  # I - J_k
             for m in range(2):
-                d, a, s = self._direction[k, m], alpha if k else best_alpha[m], scratch if k else best[m]
+                d, a, s = self._direction[k, m], alpha if k else best_alpha[m], score if k else best[m]
                 # alpha = <I - J_k, C_m - J_k> / ||C_m - J_k||^2, clipped.
                 np.multiply(diff[0], d[0], out=a)
                 for c in (1, 2):
@@ -150,15 +150,30 @@ class CloudShadowFilter:
                 for c in range(3):
                     np.subtract(diff[c], np.multiply(a, d[c], out=tmp), out=tmp)
                     if c == 0:
-                        np.multiply(tmp, tmp, out=s)
+                        np.square(tmp, out=s)
                     else:
-                        np.add(s, np.multiply(tmp, tmp, out=tmp), out=s)
+                        np.add(s, np.square(tmp, out=tmp), out=s)
                 np.sqrt(s, out=s)
                 np.add(s, np.multiply(a, self.alpha_penalty, out=tmp), out=s)
                 if k:  # strict "<" keeps the first minimum, as argmin over k would
-                    np.putmask(best_alpha[m], s < best[m], a)
+                    np.copyto(best_alpha[m], a, where=np.less(s, best[m], out=below))
                     np.minimum(best[m], s, out=best[m])
-        del diff, alpha, scratch, tmp
+
+    def _estimate(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cloud_alpha, shadow_alpha)``: per-pixel veil opacities of an image split into planes (read, not written)."""
+        _, h, w = planes.shape
+        # Kept per contaminant m: the best score over the surfaces k and the opacity of the first
+        # hypothesis that attains it.  The rest is per-call scratch one band of rows deep (see
+        # _BAND_PIXELS), so the filter keeps no state between calls.
+        best = np.empty((2, h, w), dtype=np.float32)
+        best_alpha = np.empty((2, h, w), dtype=np.float32)
+        rows = max(1, min(h, _BAND_PIXELS // max(w, 1)))
+        scratch = np.empty((6, rows, w), dtype=np.float32)
+        below = np.empty((rows, w), dtype=bool)
+        for top in range(0, h, rows):
+            band, n = slice(top, top + rows), min(rows, h - top)
+            self._best_hypotheses(planes[:, band], best[:, band], best_alpha[:, band], scratch[:, :n], below[:n])
+        del scratch, below
 
         # Decide the contaminant type (cloud vs shadow) from spatially pooled
         # evidence: veils are regionally coherent, so the per-pixel best-class
@@ -169,20 +184,19 @@ class CloudShadowFilter:
             cloud_score = gaussian_blur(cloud_score, ksize=self.score_smooth_ksize)
             shadow_score = gaussian_blur(shadow_score, ksize=self.score_smooth_ksize)
         is_shadow = shadow_score < cloud_score  # ties go to cloud, as argmin over m would
-        cloud_alpha = np.where(is_shadow, 0.0, best_alpha[0])
-        shadow_alpha = np.where(is_shadow, best_alpha[1], 0.0)
+        cloud_alpha, shadow_alpha = best_alpha
+        np.copyto(cloud_alpha, 0.0, where=is_shadow)
+        np.copyto(shadow_alpha, 0.0, where=np.logical_not(is_shadow, out=is_shadow))
 
         if self.smooth_ksize:
             cloud_alpha = gaussian_blur(cloud_alpha, ksize=self.smooth_ksize)
             shadow_alpha = gaussian_blur(shadow_alpha, ksize=self.smooth_ksize)
-            cloud_alpha = np.clip(cloud_alpha, 0.0, self.max_alpha)
-            shadow_alpha = np.clip(shadow_alpha, 0.0, self.max_alpha)
 
-        # Suppress the tiny spurious opacities that the extra least-squares
-        # degree of freedom extracts from sensor noise on clean pixels.
-        cloud_alpha = np.where(cloud_alpha >= self.min_alpha, cloud_alpha, 0.0)
-        shadow_alpha = np.where(shadow_alpha >= self.min_alpha, shadow_alpha, 0.0)
-
+        for veil in (cloud_alpha, shadow_alpha):
+            np.clip(veil, 0.0, self.max_alpha, out=veil)
+            # Suppress the tiny spurious opacities that the extra least-squares
+            # degree of freedom extracts from sensor noise on clean pixels.
+            np.copyto(veil, 0.0, where=np.less(veil, self.min_alpha, out=is_shadow))
         return cloud_alpha, shadow_alpha
 
     # ------------------------------------------------------------------ #
@@ -198,12 +212,12 @@ class CloudShadowFilter:
 
         # Invert the shadow veil first (it is composited on top of the cloud
         # veil by the atmosphere: the shadowed surface may itself be cloudy).
-        tmp = np.empty(planes.shape[1:], dtype=np.float32)
+        # Both veils are within [0, max_alpha] already.
+        keep, tmp = np.empty((2,) + planes.shape[1:], dtype=np.float32)
         for veil, color in ((shadow_alpha, self.shadow_color), (cloud_alpha, self.cloud_color)):
-            a = np.clip(veil, 0.0, self.max_alpha)
-            keep = np.maximum(1.0 - a, 1.0 - self.max_alpha)
+            np.maximum(np.subtract(1.0, veil, out=keep), 1.0 - self.max_alpha, out=keep)
             for c in range(3):
-                np.subtract(planes[c], np.multiply(a, float(color[c]), out=tmp), out=planes[c])
+                np.subtract(planes[c], np.multiply(veil, float(color[c]), out=tmp), out=planes[c])
                 np.divide(planes[c], keep, out=planes[c])
 
         return np.clip(np.round(planes, out=planes), 0, 255, out=planes)

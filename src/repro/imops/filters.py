@@ -30,37 +30,71 @@ def gaussian_kernel1d(ksize: int, sigma: float | None = None) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _per_channel(image: np.ndarray, func) -> np.ndarray:
-    """Apply ``func`` to each channel of a 2-D or 3-D image."""
-    img = np.asarray(image)
-    if img.ndim == 2:
-        return func(img)
-    if img.ndim == 3:
-        return np.stack([func(img[..., c]) for c in range(img.shape[-1])], axis=-1)
-    raise ValueError(f"expected 2-D or 3-D image, got shape {img.shape}")
+def _pad_symmetric(data: np.ndarray, r: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """``np.pad(data, r, mode="symmetric")`` along ``axis``, written into ``out``.
 
-
-def _correlate_symmetric(data: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """``data`` correlated with the symmetric ``weights`` along ``axis``, borders mirrored.
-
-    ``out = x[i] w[r]``, then ``out += (x[i - j] + x[i + j]) w[r - j]`` for ``j = r ... 1``: the order of
-    ``scipy.ndimage.correlate1d``'s symmetric-kernel loop, and ``symmetric`` padding is its ``reflect``
-    mode, so the result equals ``correlate1d(data, weights, axis, mode="reflect")`` bit for bit.
+    Each border mirrors the ``r`` input lines beside it.  A border wider than the input (``r > n``)
+    continues the mirroring with period ``2n``, as ``np.pad`` does; it is filled line by line.
     """
-    r, n = weights.size // 2, data.shape[axis]
-    widths = [(0, 0)] * data.ndim
-    widths[axis] = (r, r)
-    padded = np.pad(data, widths, mode="symmetric")
-    lead = (slice(None),) * axis
+    n = data.shape[axis]
 
-    def shifted(j: int) -> np.ndarray:
-        return padded[lead + (slice(r + j, r + j + n),)]
+    def span(start: "int | None", stop: "int | None", step: int = 1) -> tuple:
+        return (slice(None),) * axis + (slice(start, stop, step),)
 
-    out = np.multiply(shifted(0), weights[r])
-    tmp = np.empty_like(out)
+    out[span(r, r + n)] = data
+    if 0 < r <= n:
+        out[span(0, r)] = data[span(r - 1, None, -1)]
+        out[span(r + n, n + 2 * r)] = data[span(n - 1, n - 1 - r if r < n else None, -1)]
+    elif r:
+        for p in (*range(r), *range(r + n, n + 2 * r)):
+            i = (p - r) % (2 * n)
+            i = i if i < n else 2 * n - 1 - i
+            out[span(p, p + 1)] = data[span(i, i + 1)]
+    return out
+
+
+def _correlate_line(line: np.ndarray, weights: np.ndarray, step: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out[q]`` = the symmetric ``weights`` correlated with ``line`` around ``line[q + r * step]``, taps ``step`` apart.
+
+    ``out = x[0] w[r]``, then ``out += (x[-j] + x[+j]) w[r - j]`` for ``j = r ... 1`` (``x[s]`` is
+    ``line[q + (r + s) * step]``): the order of ``scipy.ndimage.correlate1d``'s symmetric-kernel loop.
+    Every operand is a contiguous slice of ``line``, whatever the axis the taps run along.
+    """
+    r, n = weights.size // 2, out.size
+
+    def shifted(s: int) -> np.ndarray:
+        return line[(r + s) * step:(r + s) * step + n]
+
+    np.multiply(shifted(0), weights[r], out=out)
     for j in range(r, 0, -1):
         np.add(shifted(-j), shifted(j), out=tmp)
         np.add(out, np.multiply(tmp, weights[r - j], out=tmp), out=out)
+    return out
+
+
+def _blur_into(plane: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The 2-D ``plane`` blurred with the separable ``kernel`` into ``out``, in ``kernel``'s dtype.
+
+    Down the columns, then along the rows, each a :func:`_correlate_line` over the ``symmetric``-padded
+    plane laid out flat -- ``scipy.ndimage.correlate1d`` (``mode="reflect"``) along axis 0, then axis 1,
+    bit for bit.  Along the rows the padded plane keeps its ``w + 2r`` pitch, so the output has ``2r``
+    junk columns per row that are never read (and ``2r`` zeros past the end keep the last row's in
+    bounds and finite).
+    """
+    (h, w), r = plane.shape, kernel.size // 2
+    pitch = w + 2 * r
+    padded = np.empty(max((h + 2 * r) * w, h * pitch + 2 * r), dtype=kernel.dtype)
+    acc, tmp = np.empty((2, h * pitch), dtype=kernel.dtype)
+
+    down = padded[:(h + 2 * r) * w]
+    _pad_symmetric(plane, r, 0, down.reshape(h + 2 * r, w))
+    cols = _correlate_line(down, kernel, w, acc[:h * w], tmp[:h * w])
+
+    along = padded[:h * pitch + 2 * r]
+    _pad_symmetric(cols.reshape(h, w), r, 1, along[:h * pitch].reshape(h, pitch))
+    along[h * pitch:] = 0
+    _correlate_line(along, kernel, 1, acc, tmp)
+    out[...] = acc.reshape(h, pitch)[:, :w]
     return out
 
 
@@ -76,11 +110,11 @@ def gaussian_blur(image: np.ndarray, ksize: int = 5, sigma: float | None = None)
     img = np.asarray(image)
     dtype = np.float32 if img.dtype == np.float32 else np.float64
     kernel = gaussian_kernel1d(ksize, sigma).astype(dtype)
-
-    def _blur2d(channel: np.ndarray) -> np.ndarray:
-        return _correlate_symmetric(_correlate_symmetric(channel.astype(dtype, copy=False), kernel, 0), kernel, 1)
-
-    out = _per_channel(img, _blur2d)
+    if img.ndim not in (2, 3):
+        raise ValueError(f"expected 2-D or 3-D image, got shape {img.shape}")
+    out = np.empty(img.shape, dtype=dtype)
+    for index in [()] if img.ndim == 2 else [(..., c) for c in range(img.shape[-1])]:
+        _blur_into(img[index].astype(dtype, copy=False), kernel, out[index])
     if np.issubdtype(img.dtype, np.integer):
         info = np.iinfo(img.dtype)
         return np.clip(np.round(out), info.min, info.max).astype(img.dtype)

@@ -120,7 +120,8 @@ class ColorSegmentationLabeler:
 
 
 #: The default labelers, with and without the cloud/shadow filter: built once per process and
-#: inherited by forked workers.  Labeling keeps no state on them, so threads may share one.
+#: inherited by forked workers.  They hold calibration only (every call allocates its own scratch and
+#: drops it on return), so every caller in a process may share them.
 _DEFAULT_LABELERS = {flag: ColorSegmentationLabeler(apply_cloud_filter=flag) for flag in (False, True)}
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,11 +122,15 @@ class TestPlanarKernelMatchesBroadcastOracle:
         prototypes=st.lists(st.tuples(*[st.sampled_from([0.0, 2.0, 124.0, 126.5, 238.0, 255.0])] * 3), min_size=1, max_size=4),
         smooth=st.sampled_from([0, 3, 5, 11]),
         score_smooth=st.sampled_from([0, 3, 5, 11]),
+        band_rows=st.integers(1, 3),
     )
-    def test_any_shape_layout_and_calibration(self, rgb, prototypes, smooth, score_smooth):
+    def test_any_shape_layout_and_calibration(self, rgb, prototypes, smooth, score_smooth, band_rows):
+        """``band_rows`` sets the hypothesis loop's band height, so most images run as several bands, often with a
+        short last one."""
         cloud_filter = CloudShadowFilter(surface_prototypes=np.array(prototypes), smooth_ksize=smooth, score_smooth_ksize=score_smooth)
-        assert_same_estimate(estimate(cloud_filter, rgb), reference_estimate(cloud_filter, rgb))
-        filtered = cloud_filter.filter_image(rgb)
+        with mock.patch("repro.cloudshadow.removal._BAND_PIXELS", band_rows * rgb.shape[1]):
+            assert_same_estimate(estimate(cloud_filter, rgb), reference_estimate(cloud_filter, rgb))
+            filtered = cloud_filter.filter_image(rgb)
         assert filtered.dtype == np.uint8 and filtered.flags.c_contiguous
         np.testing.assert_array_equal(filtered, reference_remove(cloud_filter, rgb))
 

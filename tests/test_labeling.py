@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -203,8 +204,9 @@ class TestLabelPathDoesOnlyWhatLabelsDependOn:
 
     @pytest.mark.parametrize("apply_cloud_filter, ceiling", [(True, 6_000_000), (False, 1_000_000)])
     def test_peak_bytes_of_one_tile(self, apply_cloud_filter, ceiling):
-        """Measured 4.86 MB filtered (float32 planes), 0.85 MB unfiltered.  8.6 MB filtered means the filter's planes
-        went float64 again; 12.7 MB adds K x 2 opacity planes, two plane splits and a full HSV conversion."""
+        """Measured 3.75 MB filtered (float32 planes, hypothesis scratch one band deep), 0.85 MB unfiltered.  4.86 MB
+        filtered means whole-tile hypothesis scratch, 8.6 MB that the filter's planes went float64 again; 12.7 MB adds
+        K x 2 opacity planes, two plane splits and a full HSV conversion."""
         tile = synthesize_scene(SceneSpec(height=256, width=256, cloud_coverage=0.25, seed=7)).rgb
         autolabel_tile(tile, apply_cloud_filter=apply_cloud_filter)  # imports and caches out of the measurement
         tracemalloc.start()
@@ -215,6 +217,70 @@ class TestLabelPathDoesOnlyWhatLabelsDependOn:
             tracemalloc.stop()
         print(f"autolabel_tile(256x256, apply_cloud_filter={apply_cloud_filter}) peak: {peak:,} B (ceiling {ceiling:,})")
         assert peak <= ceiling
+
+
+def batch_peak_bytes(tiles, apply_cloud_filter):
+    """``tracemalloc``'s peak over one ``autolabel_batch`` call."""
+    tracemalloc.start()
+    try:
+        autolabel_batch(tiles, apply_cloud_filter=apply_cloud_filter)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("apply_cloud_filter", [True, False])
+def test_batch_peak_bytes_do_not_grow_with_the_stack(apply_cloud_filter):
+    """Eight tiles cost at most one tile's peak plus eight class maps and 64 KiB: a tile's scratch dies before the
+    next tile starts, so nothing grows with N or piles up from tile to tile."""
+    tiles = build_dataset(num_scenes=2, scene_size=512, tile_size=256, base_seed=7, cloudy_fraction=0.5).images
+    assert tiles.shape == (8, 256, 256, 3)
+    autolabel_batch(tiles[:1], apply_cloud_filter=apply_cloud_filter)  # imports and caches out of the measurement
+    one, eight = batch_peak_bytes(tiles[:1], apply_cloud_filter), batch_peak_bytes(tiles, apply_cloud_filter)
+    ceiling = one + 8 * 256 * 256 + 64 * 1024
+    print(f"autolabel_batch(apply_cloud_filter={apply_cloud_filter}) peak: 1 tile {one:,} B, 8 tiles {eight:,} B (ceiling {ceiling:,})")
+    assert eight <= ceiling
+
+
+@functools.lru_cache(maxsize=None)
+def cloudy_source() -> np.ndarray:
+    """A cloudy synthetic scene that tiles are cut from (veils, shadows and all three classes)."""
+    return synthesize_scene(SceneSpec(height=128, width=128, cloud_coverage=0.4, seed=11)).rgb
+
+
+@st.composite
+def tile_stacks(draw, height, width):
+    """0-5 ``(height, width)`` tiles: cut from a cloudy scene at drawn offsets, or uniform noise."""
+    count = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 256, (count, height, width, 3), dtype=np.uint8)
+    scene = cloudy_source()
+    corners = [(draw(st.integers(0, scene.shape[0] - height)), draw(st.integers(0, scene.shape[1] - width))) for _ in range(count)]
+    return np.stack([scene[y:y + height, x:x + width] for y, x in corners]) if count else np.zeros((0, height, width, 3), np.uint8)
+
+
+@st.composite
+def two_shapes(draw):
+    """Two stacks of different (often non-square) tile shapes, 8-96 px a side, to run one after the other."""
+    first = (draw(st.integers(8, 96)), draw(st.integers(8, 96)))
+    second = draw(st.tuples(st.integers(8, 96), st.integers(8, 96)).filter(lambda shape: shape != first))
+    return draw(tile_stacks(*first)), draw(tile_stacks(*second))
+
+
+class TestBatchEqualsTileByTile:
+    """A stack's labels and filtered tiles are, tile for tile, what a call on that tile alone gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stacks=two_shapes(), apply_cloud_filter=st.booleans())
+    def test_batch_equals_tile_by_tile(self, stacks, apply_cloud_filter):
+        labeler = ColorSegmentationLabeler(apply_cloud_filter=apply_cloud_filter)
+        for stack in stacks:
+            labels, filtered = labeler.label_batch(stack), labeler.cloud_filter.apply_batch(stack)
+            assert (labels.shape, labels.dtype) == (stack.shape[:3], np.uint8)
+            assert (filtered.shape, filtered.dtype) == (stack.shape, np.uint8)
+            for i, tile in enumerate(stack):
+                np.testing.assert_array_equal(labels[i], labeler(tile))
+                np.testing.assert_array_equal(filtered[i], labeler.cloud_filter.filter_image(tile))
 
 
 class TestManualLabelSimulator:
