@@ -130,7 +130,6 @@ def accuracy_experiment():
         num_scenes=8,
         scene_size=128,
         tile_size=32,
-        cloudy_fraction=0.5,
         epochs=30,
         batch_size=8,
         learning_rate=2e-3,

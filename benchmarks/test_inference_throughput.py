@@ -19,7 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
+from helpers import classify_scene_proba
+from helpers import available_backends
 from repro.data import SceneSpec, synthesize_scene
 from repro.data.loader import image_to_tensor
 from repro.imops.resize import assemble_from_tiles, split_into_tiles
@@ -267,7 +268,7 @@ def test_overlap_blend_matches_non_overlap_on_interiors(model, big_scene):
     for overlap in (0, 64):
         config = InferenceConfig(tile_size=TILE, overlap=overlap, apply_cloud_filter=False, batch_size=4)
         with SceneClassifier(model=model, config=config) as classifier:
-            maps[overlap] = classifier.classify_scene_proba(scene)
+            maps[overlap] = classify_scene_proba(classifier, scene)
         assert maps[overlap].shape == scene.shape[:2] + (3,)
         np.testing.assert_array_equal(maps[overlap], reference_classify_scene(model, scene, config))
     # Blended probabilities must still be normalised.

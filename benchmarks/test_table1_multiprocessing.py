@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import autolabel_tile
 from repro.data import build_dataset
-from repro.labeling.autolabel import autolabel_tile
 from repro.metrics import fit_amdahl_serial_fraction
 from repro.metrics.scaling import ScalingTable
 from repro.backend import available_cpu_count

@@ -19,9 +19,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.distributed import DGXTrainingModel, ElasticTrainer
+from helpers import cache_nbytes
+from repro.distributed import DGXTrainingModel, ElasticTrainer, perfmodel
 from repro.nn import Adam, CategoricalCrossEntropy, Conv2D, MaxPool2D, workspace_nbytes
 from repro.nn.layers import Dropout, ReLU, UpConv2D
+from repro.nn.optimizers import BETA1, BETA2, EPS
 from repro.unet import UNet, UNetConfig
 
 from conftest import BENCH_SMOKE, fold_per_step, print_rows, update_bench_json, write_bench_json
@@ -107,17 +109,17 @@ class SeedAdam(Adam):
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
+        bias1 = 1.0 - BETA1**self._t
+        bias2 = 1.0 - BETA2**self._t
         for param, m, v in zip(self.parameters, self._m, self._v):
             grad = param.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class SeedTrainer:
@@ -148,7 +150,7 @@ def layer_cache_bytes(model: UNet) -> dict[str, int]:
     totals: dict[str, int] = {}
     for module in model.modules():
         name = type(module).__name__.removeprefix("Seed").removeprefix("Reference")
-        totals[name] = totals.get(name, 0) + module.cache_nbytes(recurse=False)
+        totals[name] = totals.get(name, 0) + cache_nbytes(module, recurse=False)
     return {name: size for name, size in totals.items() if size}
 
 
@@ -250,7 +252,7 @@ def _measure_fold(workers: int, config: UNetConfig) -> tuple[float, int]:
 
 
 @pytest.mark.benchmark(group="training")
-def test_allreduce_cost_matches_perfmodel():
+def test_allreduce_cost_matches_perfmodel(monkeypatch):
     """Calibrate the DGX model's communication term from the trainer's own 2-worker gradient fold
     (two model sizes isolate bandwidth from fixed overhead), predict the 4-worker fold, and record
     measured/predicted in BENCH_training_throughput.json without asserting it.  The fold is a chain
@@ -264,11 +266,9 @@ def test_allreduce_cost_matches_perfmodel():
     bandwidth = (large_bytes - small_bytes) / max(t_large - t_small, 1e-9)
     latency = max((t_small - small_bytes / bandwidth) / 2.0, 1e-6)
 
-    model = DGXTrainingModel(
-        model_megabytes=large_bytes / 1e6,
-        interconnect_gb_per_s=bandwidth / 1e9,
-        allreduce_latency_s=latency,
-    )
+    monkeypatch.setattr(perfmodel, "INTERCONNECT_GB_PER_S", bandwidth / 1e9)
+    monkeypatch.setattr(perfmodel, "ALLREDUCE_LATENCY_S", latency)
+    model = DGXTrainingModel(model_megabytes=large_bytes / 1e6)
     predicted = model.allreduce_time_per_step(4)
     measured, _ = _measure_fold(4, ALLREDUCE_LARGE)
     ratio = measured / predicted

@@ -16,7 +16,6 @@ from .base import (
     Backend,
     BackendError,
     ModelHandle,
-    available_backends,
     available_cpu_count,
     make_backend,
     resolve_backend_name,
@@ -38,7 +37,6 @@ __all__ = [
     "SharedModelStore",
     "WorkerLost",
     "WorkerProcess",
-    "available_backends",
     "available_cpu_count",
     "make_backend",
     "resolve_backend_name",

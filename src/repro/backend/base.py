@@ -54,7 +54,6 @@ __all__ = [
     "Backend",
     "BackendError",
     "ModelHandle",
-    "available_backends",
     "available_cpu_count",
     "record_compute",
     "resolve_backend_name",
@@ -102,11 +101,15 @@ class ModelHandle:
     in_channels: int
 
 
-def _default_chunk_size(num_items: int, num_workers: int, chunks_per_worker: int = 4) -> int:
-    """Chunk size giving each worker a few sizable chunks (load balance vs overhead)."""
+#: Chunks ``Backend.map`` cuts per worker by default: a few sizable ones balance load against overhead.
+_CHUNKS_PER_WORKER = 4
+
+
+def _default_chunk_size(num_items: int, num_workers: int) -> int:
+    """Chunk size giving each worker :data:`_CHUNKS_PER_WORKER` chunks."""
     if num_items <= 0:
         return 1
-    return max(1, -(-num_items // (num_workers * chunks_per_worker)))
+    return max(1, -(-num_items // (num_workers * _CHUNKS_PER_WORKER)))
 
 
 def available_cpu_count() -> int:
@@ -250,24 +253,18 @@ class Backend(ABC):
         worker on a result nobody is waiting for).
         """
 
-    def predict_stack(
-        self, key, stack: np.ndarray, batch_size: int, copy: bool = True,
-        deadline: Deadline | None = None,
-    ) -> np.ndarray:
+    def predict_stack(self, key, stack: np.ndarray, batch_size: int, copy: bool = True) -> np.ndarray:
         """Predict a whole ``(N, H, W, 3)`` stack in ``batch_size`` batches.
 
         Returns the concatenated ``(N, K, H, W)`` probability maps.  With
         ``copy=False`` a backend may return a reusable internal buffer that
         is only valid until the next ``predict_stack`` call for the same key
         and shape — callers must consume (or copy) it before dispatching
-        again.  ``deadline`` is re-checked before every batch, so an expired
-        request stops dispatching mid-stack.
+        again.
         """
         self._ensure_open()
         outputs = []
         for start in range(0, stack.shape[0], batch_size):
-            if deadline is not None:
-                deadline.check("backend predict_stack")
             outputs.append(self.predict(key, stack[start : start + batch_size]))
         return np.concatenate(outputs, axis=0)
 
@@ -342,14 +339,6 @@ class LocalModelEntry:
 # ---------------------------------------------------------------------- #
 def _fork_available() -> bool:
     return hasattr(os, "fork")
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names usable on this platform."""
-    names = ["serial"]
-    if _fork_available():
-        names.append("fork")
-    return tuple(names)
 
 
 def resolve_backend_name(name: str | None, num_workers: int = 1) -> str:

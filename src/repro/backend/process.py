@@ -33,13 +33,14 @@ idempotent ops :meth:`ProcessBackend.submit` runs — a prediction span
 writes only its own slice of the shared output arena, a trainer step only
 its own gradient slot — are retried on another worker with capped
 exponential backoff.  A background watchdog heartbeats idle workers
-(``heartbeat_interval_s``, env ``REPRO_HEARTBEAT_S``) and respawns hung or
+(every ``REPRO_HEARTBEAT_S`` seconds) and respawns hung or
 dead ones before the next dispatch ever lands on them.  Only after retries
 exhaust does the caller see a :class:`BackendError`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
@@ -51,7 +52,7 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.trace import current_trace_id
-from ..reliability import Deadline, RetryPolicy, fault_point
+from ..reliability import MAX_RETRIES, Deadline, backoff, fault_point
 from .base import Backend, BackendError, ModelHandle, available_cpu_count
 from .store import (
     SharedModelStore,
@@ -80,9 +81,12 @@ def _env_float(var: str, default: float) -> float:
     if not raw:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ValueError(f"{var}={raw!r} is not a number of seconds (<= 0 disables)") from None
+        value = math.nan
+    if math.isnan(value):  # ``nan > 0`` is false: it would read as "disabled"
+        raise ValueError(f"{var}={raw!r} is not a number of seconds (<= 0 disables)")
+    return value
 
 
 # ---------------------------------------------------------------------- #
@@ -191,21 +195,16 @@ class ProcessBackend(Backend):
 
     name = "fork"
 
-    def __init__(self, num_workers: int = 2, *,
-                 dispatch_timeout_s: float | None = None,
-                 heartbeat_interval_s: float | None = None,
-                 retry: RetryPolicy | None = None) -> None:
+    def __init__(self, num_workers: int = 2, *, dispatch_timeout_s: float | None = None) -> None:
         super().__init__(num_workers=num_workers)
         if dispatch_timeout_s is None:
             dispatch_timeout_s = _env_float(DISPATCH_TIMEOUT_ENV_VAR,
                                             _DEFAULT_DISPATCH_TIMEOUT_S)
-        if heartbeat_interval_s is None:
-            heartbeat_interval_s = _env_float(HEARTBEAT_ENV_VAR, _DEFAULT_HEARTBEAT_S)
+        heartbeat_interval_s = _env_float(HEARTBEAT_ENV_VAR, _DEFAULT_HEARTBEAT_S)
         #: reply deadline of every predict dispatch and broadcast; <= 0 disables
         self.dispatch_timeout_s = dispatch_timeout_s if dispatch_timeout_s > 0 else None
         #: idle-worker heartbeat period; <= 0 disables the watchdog
         self.heartbeat_interval_s = heartbeat_interval_s if heartbeat_interval_s > 0 else None
-        self.retry = retry if retry is not None else RetryPolicy()
         self._store = SharedModelStore()
         self._handles: dict[object, ModelHandle] = {}
         self._workers: list[WorkerProcess] = []
@@ -365,11 +364,11 @@ class ProcessBackend(Backend):
             try:
                 return self._call(*msg, timeout=self.dispatch_timeout_s)
             except WorkerLost:
-                if attempt >= self.retry.max_retries:
+                if attempt >= MAX_RETRIES:
                     raise
                 with self._busy_lock:
                     self._retries += 1
-                self.retry.sleep(attempt, deadline)
+                backoff(attempt, deadline)
                 attempt += 1
 
     def _broadcast(self, *msg) -> None:
@@ -408,10 +407,10 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------ #
     # Generic dispatch
     # ------------------------------------------------------------------ #
-    def submit(self, *msg, deadline: Deadline | None = None) -> Future:
+    def submit(self, *msg) -> Future:
         """Run the idempotent op ``msg`` on any worker from a dispatcher thread, retried on worker loss."""
         self._ensure_open()
-        return self._dispatcher.submit(self._retried_call, *msg, deadline=deadline)
+        return self._dispatcher.submit(self._retried_call, *msg)
 
     def _run_chunks(self, fn: Callable, chunks: list[list]) -> list[list]:
         futures = [self._dispatcher.submit(self._call, "map_chunk", fn, chunk)
@@ -487,8 +486,7 @@ class ProcessBackend(Backend):
                 created = True
         return seg, created
 
-    def predict_stack(self, key, stack: np.ndarray, batch_size: int,
-                      copy: bool = True, deadline: Deadline | None = None) -> np.ndarray:
+    def predict_stack(self, key, stack: np.ndarray, batch_size: int, copy: bool = True) -> np.ndarray:
         """Zero-pickle stack prediction through the shared I/O arenas.
 
         With ``copy=False`` the returned array is the shared output arena
@@ -497,8 +495,6 @@ class ProcessBackend(Backend):
         self._ensure_open()
         if key not in self._store:
             raise KeyError(key)
-        if deadline is not None:
-            deadline.check("backend predict_stack")
         stack = np.asarray(stack)
         if stack.shape[0] == 0:
             handle = self._handles[key]
@@ -522,7 +518,7 @@ class ProcessBackend(Backend):
         trace_id = current_trace_id()
         futures = [
             self.submit("predict_span", key, in_name, seg.in_view.shape, seg.in_dtype,
-                        out_name, seg.out_view.shape, start, stop, trace_id, deadline=deadline)
+                        out_name, seg.out_view.shape, start, stop, trace_id)
             for start, stop in spans
         ]
         # Drain every span before raising, so no in-flight worker is still

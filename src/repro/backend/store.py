@@ -66,11 +66,9 @@ def _new_segment_name() -> str:
     return f"{SEGMENT_PREFIX}{os.getpid():x}_{next(_counter):x}_{secrets.token_hex(4)}"
 
 
-def create_segment(nbytes: int, name: str | None = None) -> shared_memory.SharedMemory:
+def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     """Create (and own) a shared-memory segment of at least ``nbytes``."""
-    return shared_memory.SharedMemory(
-        name=name or _new_segment_name(), create=True, size=max(1, int(nbytes))
-    )
+    return shared_memory.SharedMemory(name=_new_segment_name(), create=True, size=max(1, int(nbytes)))
 
 
 def attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -160,7 +158,7 @@ class SharedModelSpec:
     segment_name: str
     unet_config: object  # UNetConfig (frozen dataclass, pickles by value)
     params: tuple[SharedArrayField, ...]
-    packed: tuple[tuple[str, SharedArrayField, SharedArrayField | None], ...]
+    packed: tuple[tuple[str, SharedArrayField, SharedArrayField], ...]
     cloud_filter: object | None = None
 
     def attach(self) -> "AttachedModel":
@@ -208,16 +206,13 @@ class SharedModelStore:
         # First pass: compute the aligned layout.
         param_fields, offset = layout_fields(
             (name, value.shape) for name, value in state.items())
-        packed_fields: list[tuple[str, SharedArrayField, SharedArrayField | None]] = []
+        packed_fields: list[tuple[str, SharedArrayField, SharedArrayField]] = []
         for name, (w_mat, bias) in packs.items():
             offset = _aligned(offset)
             w_field = SharedArrayField(name, tuple(w_mat.shape), offset)
-            offset += w_mat.size * 4
-            b_field = None
-            if bias is not None:
-                offset = _aligned(offset)
-                b_field = SharedArrayField(name, tuple(bias.shape), offset)
-                offset += bias.size * 4
+            offset = _aligned(offset + w_mat.size * 4)
+            b_field = SharedArrayField(name, tuple(bias.shape), offset)
+            offset += bias.size * 4
             packed_fields.append((name, w_field, b_field))
 
         # Second pass: copy everything in.
@@ -228,8 +223,7 @@ class SharedModelStore:
             for name, w_field, b_field in packed_fields:
                 w_mat, bias = packs[name]
                 ndarray_view(shm, w_field.shape, w_field.offset)[...] = w_mat
-                if b_field is not None:
-                    ndarray_view(shm, b_field.shape, b_field.offset)[...] = bias
+                ndarray_view(shm, b_field.shape, b_field.offset)[...] = bias
         except BaseException:
             close_segment(shm, unlink=True)
             raise
@@ -301,7 +295,7 @@ class AttachedModel(LocalModelEntry):
         packed = {
             name: (
                 ndarray_view(self.shm, w.shape, w.offset, writeable=False),
-                None if b is None else ndarray_view(self.shm, b.shape, b.offset, writeable=False),
+                ndarray_view(self.shm, b.shape, b.offset, writeable=False),
             )
             for name, w, b in spec.packed
         }

@@ -71,8 +71,7 @@ class WorkerProcess:
     shared-memory segments forever.
     """
 
-    def __init__(self, target: Callable, args: Sequence = (),
-                 siblings: Sequence["WorkerProcess"] = ()) -> None:
+    def __init__(self, target: Callable, siblings: Sequence["WorkerProcess"] = ()) -> None:
         # The tracker must run *before* the fork so the child inherits its
         # fd; otherwise a child's first shared-memory attach spawns a private
         # tracker whose cache never sees the parent's unlink.
@@ -80,9 +79,7 @@ class WorkerProcess:
         ctx = mp.get_context("fork")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         inherited = tuple(s.conn for s in siblings) + (self.conn,)
-        self.process = ctx.Process(
-            target=target, args=(child_conn, inherited) + tuple(args), daemon=True
-        )
+        self.process = ctx.Process(target=target, args=(child_conn, inherited), daemon=True)
         self.process.start()
         child_conn.close()
         self.dead = False

@@ -18,7 +18,7 @@ filter therefore
 2. solves the per-pixel least-squares opacity ``alpha`` for each hypothesis,
 3. keeps the hypothesis with the smallest residual (with a small penalty on
    ``alpha`` so clean pixels are preferred when the evidence is ambiguous),
-4. optionally smooths the opacity field (veils are spatially smooth), and
+4. smooths the opacity field (veils are spatially smooth), and
 5. inverts the mixing model to recover the surface colour.
 
 The kernel is planar and float32.  The image is split once into three
@@ -47,8 +47,6 @@ thresholds "through a process of trial and error".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..data.radiometry import CLOUD_CONTAMINANT_RGB, SHADOW_CONTAMINANT_RGB, prototype_array
@@ -61,70 +59,43 @@ __all__ = ["CloudShadowFilter"]
 _BAND_PIXELS = 1 << 15
 
 
-@dataclass
+#: The filter's calibration, one setting each, as the paper's thresholds are.  The surfaces every pixel is
+#: hypothesised to be, as ``(K, 3)`` reference RGB colours: the thick-ice / thin-ice / open-water prototypes.
+SURFACE_PROTOTYPES = prototype_array()
+#: Penalty (in RGB distance units) added per unit of opacity when scoring hypotheses; it biases ambiguous
+#: pixels toward "clean".
+ALPHA_PENALTY = 6.0
+#: Upper bound on recoverable opacity; beyond it the veil is treated as opaque (the paper explicitly does not
+#: handle thick clouds).
+MAX_ALPHA = 0.75
+#: Opacities below this are treated as zero.  The least-squares fit has one extra degree of freedom per
+#: hypothesis, so it can always absorb a little sensor noise into a tiny spurious opacity; the floor keeps
+#: genuinely clean pixels untouched.
+MIN_ALPHA = 0.04
+#: Gaussian kernel size (odd, >= 3) that smooths the opacity fields: veils are spatially smooth.
+SMOOTH_KSIZE = 5
+#: Gaussian kernel size (odd, >= 3) that pools hypothesis scores over a neighbourhood before the winner is
+#: chosen.  Both the surface classes and the veils are regionally coherent, so pooled evidence resolves pixels
+#: where two (surface, contaminant) explanations are nearly collinear in RGB space (e.g. cloud-over-water
+#: versus shadow-over-thin-ice).
+SCORE_SMOOTH_KSIZE = 11
+
+
 class CloudShadowFilter:
     """The paper's thin-cloud and shadow filter for RGB sea-ice imagery.
 
     ``filter_image`` filters one ``(H, W, 3)`` tile or scene, ``filter_planes`` returns the same
     pixels as float32 planes (what the labeler reads) and ``apply_batch`` filters a tile stack.
 
-    Parameters
-    ----------
-    surface_prototypes:
-        ``(K, 3)`` reference RGB colours of the plausible surfaces.  Defaults
-        to the thick-ice / thin-ice / open-water prototypes.
-    cloud_color, shadow_color:
-        Contaminant colours of the two veil types.
-    alpha_penalty:
-        Penalty (in RGB distance units) added per unit of opacity when
-        scoring hypotheses; biases ambiguous pixels toward "clean".
-    max_alpha:
-        Upper bound on recoverable opacity; beyond this the veil is treated
-        as opaque (the paper explicitly does not handle thick clouds).
-    min_alpha:
-        Opacities below this are treated as zero.  Because the least-squares
-        fit has one extra degree of freedom per hypothesis it can always
-        absorb a little sensor noise into a tiny spurious opacity; the floor
-        keeps genuinely clean pixels untouched.
-    smooth_ksize:
-        Gaussian kernel size used to smooth the opacity fields (0 disables,
-        otherwise odd and at least 3).
-    score_smooth_ksize:
-        Gaussian kernel size used to aggregate hypothesis scores over a
-        neighbourhood before choosing the winner.  Both the surface classes
-        and the veils are regionally coherent, so pooling evidence spatially
-        resolves pixels where two (surface, contaminant) explanations are
-        nearly collinear in RGB space (e.g. cloud-over-water versus
-        shadow-over-thin-ice).  0 disables pooling; otherwise odd and at
-        least 3.
-
-    The calibration is held as float32 constants, and every plane the
-    filter computes is float32.
+    The calibration is this module's constants, with the contaminant colours
+    :data:`~repro.data.radiometry.CLOUD_CONTAMINANT_RGB` and ``SHADOW_CONTAMINANT_RGB``.  What depends
+    on it alone is built once per filter, as float32, and every plane the filter computes is float32.
     """
 
-    surface_prototypes: np.ndarray = field(default_factory=prototype_array)
-    cloud_color: tuple[float, float, float] = CLOUD_CONTAMINANT_RGB
-    shadow_color: tuple[float, float, float] = SHADOW_CONTAMINANT_RGB
-    alpha_penalty: float = 6.0
-    max_alpha: float = 0.75
-    min_alpha: float = 0.04
-    smooth_ksize: int = 5
-    score_smooth_ksize: int = 11
-
-    def __post_init__(self) -> None:
-        self.surface_prototypes = np.asarray(self.surface_prototypes, dtype=np.float32)
-        if self.surface_prototypes.ndim != 2 or self.surface_prototypes.shape[1] != 3:
-            raise ValueError("surface_prototypes must be a (K, 3) array")
-        if not 0.0 < self.max_alpha < 1.0:
-            raise ValueError("max_alpha must be in (0, 1)")
-        if not 0.0 <= self.min_alpha < self.max_alpha:
-            raise ValueError(f"min_alpha must be in [0, max_alpha), got {self.min_alpha} with max_alpha {self.max_alpha}")
-        for name in ("smooth_ksize", "score_smooth_ksize"):
-            ksize = getattr(self, name)
-            if not isinstance(ksize, (int, np.integer)) or not (ksize == 0 or (ksize >= 3 and ksize % 2)):
-                raise ValueError(f"{name} must be 0 or an odd integer >= 3, got {ksize!r}")
-        # What depends only on the calibration: direction[k, m] = C_m - J_k and its squared norm.
-        contaminants = np.array([self.cloud_color, self.shadow_color], dtype=np.float32)  # (2, 3)
+    def __init__(self) -> None:
+        self.surface_prototypes = np.asarray(SURFACE_PROTOTYPES, dtype=np.float32)
+        # direction[k, m] = C_m - J_k and its squared norm.
+        contaminants = np.array([CLOUD_CONTAMINANT_RGB, SHADOW_CONTAMINANT_RGB], dtype=np.float32)  # (2, 3)
         self._direction = contaminants[None, :, :] - self.surface_prototypes[:, None, :]  # (K, 2, 3)
         self._dir_norm_sq = np.maximum(np.sum(self._direction * self._direction, axis=-1), np.float32(1e-9))  # (K, 2)
 
@@ -145,7 +116,7 @@ class CloudShadowFilter:
                 for c in (1, 2):
                     np.add(a, np.multiply(diff[c], d[c], out=tmp), out=a)
                 np.divide(a, self._dir_norm_sq[k, m], out=a)
-                np.clip(a, 0.0, self.max_alpha, out=a)
+                np.clip(a, 0.0, MAX_ALPHA, out=a)
                 # score = || (I - J_k) - alpha * (C_m - J_k) || + penalty * alpha
                 for c in range(3):
                     np.subtract(diff[c], np.multiply(a, d[c], out=tmp), out=tmp)
@@ -154,7 +125,7 @@ class CloudShadowFilter:
                     else:
                         np.add(s, np.square(tmp, out=tmp), out=s)
                 np.sqrt(s, out=s)
-                np.add(s, np.multiply(a, self.alpha_penalty, out=tmp), out=s)
+                np.add(s, np.multiply(a, ALPHA_PENALTY, out=tmp), out=s)
                 if k:  # strict "<" keeps the first minimum, as argmin over k would
                     np.copyto(best_alpha[m], a, where=np.less(s, best[m], out=below))
                     np.minimum(best[m], s, out=best[m])
@@ -180,23 +151,21 @@ class CloudShadowFilter:
         # score of each contaminant is smoothed before the comparison.  The
         # opacity itself is the per-pixel winner's under that contaminant.
         cloud_score, shadow_score = best
-        if self.score_smooth_ksize:
-            cloud_score = gaussian_blur(cloud_score, ksize=self.score_smooth_ksize)
-            shadow_score = gaussian_blur(shadow_score, ksize=self.score_smooth_ksize)
+        cloud_score = gaussian_blur(cloud_score, ksize=SCORE_SMOOTH_KSIZE)
+        shadow_score = gaussian_blur(shadow_score, ksize=SCORE_SMOOTH_KSIZE)
         is_shadow = shadow_score < cloud_score  # ties go to cloud, as argmin over m would
         cloud_alpha, shadow_alpha = best_alpha
         np.copyto(cloud_alpha, 0.0, where=is_shadow)
         np.copyto(shadow_alpha, 0.0, where=np.logical_not(is_shadow, out=is_shadow))
 
-        if self.smooth_ksize:
-            cloud_alpha = gaussian_blur(cloud_alpha, ksize=self.smooth_ksize)
-            shadow_alpha = gaussian_blur(shadow_alpha, ksize=self.smooth_ksize)
+        cloud_alpha = gaussian_blur(cloud_alpha, ksize=SMOOTH_KSIZE)
+        shadow_alpha = gaussian_blur(shadow_alpha, ksize=SMOOTH_KSIZE)
 
         for veil in (cloud_alpha, shadow_alpha):
-            np.clip(veil, 0.0, self.max_alpha, out=veil)
+            np.clip(veil, 0.0, MAX_ALPHA, out=veil)
             # Suppress the tiny spurious opacities that the extra least-squares
             # degree of freedom extracts from sensor noise on clean pixels.
-            np.copyto(veil, 0.0, where=np.less(veil, self.min_alpha, out=is_shadow))
+            np.copyto(veil, 0.0, where=np.less(veil, MIN_ALPHA, out=is_shadow))
         return cloud_alpha, shadow_alpha
 
     # ------------------------------------------------------------------ #
@@ -212,10 +181,10 @@ class CloudShadowFilter:
 
         # Invert the shadow veil first (it is composited on top of the cloud
         # veil by the atmosphere: the shadowed surface may itself be cloudy).
-        # Both veils are within [0, max_alpha] already.
+        # Both veils are within [0, MAX_ALPHA] already.
         keep, tmp = np.empty((2,) + planes.shape[1:], dtype=np.float32)
-        for veil, color in ((shadow_alpha, self.shadow_color), (cloud_alpha, self.cloud_color)):
-            np.maximum(np.subtract(1.0, veil, out=keep), 1.0 - self.max_alpha, out=keep)
+        for veil, color in ((shadow_alpha, SHADOW_CONTAMINANT_RGB), (cloud_alpha, CLOUD_CONTAMINANT_RGB)):
+            np.maximum(np.subtract(1.0, veil, out=keep), 1.0 - MAX_ALPHA, out=keep)
             for c in range(3):
                 np.subtract(planes[c], np.multiply(veil, float(color[c]), out=tmp), out=planes[c])
                 np.divide(planes[c], keep, out=planes[c])

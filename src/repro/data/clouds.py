@@ -19,6 +19,9 @@ from .noise import spectral_noise
 
 __all__ = ["CloudShadowField", "generate_cloud_field", "generate_cloud_shadow_pair"]
 
+#: Spectral slope of the field that places a cloud bank: smooth, low-frequency structure.
+CLOUD_BETA = 3.5
+
 
 @dataclass
 class CloudShadowField:
@@ -52,7 +55,6 @@ def generate_cloud_field(
     shape: tuple[int, int],
     coverage: float,
     max_opacity: float = 0.55,
-    beta: float = 3.5,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Generate one smooth opacity field covering about ``coverage`` of the image.
@@ -69,7 +71,7 @@ def generate_cloud_field(
     if coverage == 0.0 or max_opacity == 0.0:
         return np.zeros(shape, dtype=np.float64)
 
-    field = spectral_noise(shape, beta=beta, rng=rng)
+    field = spectral_noise(shape, beta=CLOUD_BETA, rng=rng)
     cut = np.quantile(field, 1.0 - coverage)
     # Smooth ramp from the threshold to the field maximum; the 0.45 exponent
     # keeps the bank interior close to peak opacity with diffuse edges.
@@ -84,36 +86,27 @@ def generate_cloud_field(
 def generate_cloud_shadow_pair(
     shape: tuple[int, int],
     cloud_coverage: float,
-    shadow_coverage: float | None = None,
     cloud_max_opacity: float = 0.55,
     shadow_max_opacity: float = 0.55,
-    shadow_offset: tuple[int, int] | None = None,
     rng: np.random.Generator | None = None,
 ) -> CloudShadowField:
     """Generate a consistent cloud / shadow opacity pair.
 
-    The shadow field is the cloud field translated by ``shadow_offset``
-    (default: a random offset of roughly 1/6 of the image diagonal) and
-    lightly re-smoothed, mimicking the projection geometry of a low sun.
-    If ``shadow_coverage`` is given the shadow field is generated
-    independently instead (some tiles in real scenes contain shadows whose
-    clouds lie outside the tile).
+    The shadow field is the cloud field translated by a random offset of up
+    to 1/6 of the image's longer side along each axis and lightly
+    re-smoothed, mimicking the projection geometry of a low sun.
     """
     rng = rng or np.random.default_rng()
     cloud = generate_cloud_field(shape, cloud_coverage, cloud_max_opacity, rng=rng)
 
-    if shadow_coverage is not None:
-        shadow = generate_cloud_field(shape, shadow_coverage, shadow_max_opacity, rng=rng)
-    else:
-        if shadow_offset is None:
-            span = max(shape) // 6 or 1
-            shadow_offset = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
-        shadow = np.roll(cloud, shift=shadow_offset, axis=(0, 1))
-        if shadow.any():
-            shadow = ndimage.gaussian_filter(shadow, sigma=max(shape) / 100.0 + 1.0)
-            peak = shadow.max()
-            if peak > 0:
-                shadow = shadow / peak * shadow_max_opacity
+    span = max(shape) // 6 or 1
+    shadow_offset = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
+    shadow = np.roll(cloud, shift=shadow_offset, axis=(0, 1))
+    if shadow.any():
+        shadow = ndimage.gaussian_filter(shadow, sigma=max(shape) / 100.0 + 1.0)
+        peak = shadow.max()
+        if peak > 0:
+            shadow = shadow / peak * shadow_max_opacity
 
     # Where cloud and shadow overlap the cloud dominates what the sensor sees.
     shadow = np.where(cloud > 0.05, shadow * 0.3, shadow)

@@ -13,6 +13,11 @@ import numpy as np
 
 __all__ = ["spectral_noise", "fractal_noise"]
 
+#: Amplitude ratio of each fractal-noise octave to the one before it.
+PERSISTENCE = 0.55
+#: Spectral slope of the first fractal-noise octave; each further octave is 0.4 flatter (never below 0.5).
+BASE_BETA = 2.5
+
 
 def spectral_noise(
     shape: tuple[int, int],
@@ -58,8 +63,6 @@ def spectral_noise(
 def fractal_noise(
     shape: tuple[int, int],
     octaves: int = 4,
-    persistence: float = 0.55,
-    base_beta: float = 2.5,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Sum several spectral-noise octaves for richer multi-scale texture."""
@@ -70,10 +73,10 @@ def fractal_noise(
     amplitude = 1.0
     total = 0.0
     for octave in range(octaves):
-        beta = max(base_beta - 0.4 * octave, 0.5)
+        beta = max(BASE_BETA - 0.4 * octave, 0.5)
         field += amplitude * spectral_noise(shape, beta=beta, rng=rng)
         total += amplitude
-        amplitude *= persistence
+        amplitude *= PERSISTENCE
     field /= total
     lo, hi = field.min(), field.max()
     if hi - lo < 1e-15:

@@ -55,6 +55,9 @@ CLOUD_CONTAMINANT_RGB: tuple[float, float, float] = (255.0, 255.0, 255.0)
 #: Shadowed surfaces are lit only by blue ambient skylight.
 SHADOW_CONTAMINANT_RGB: tuple[float, float, float] = (24.0, 38.0, 88.0)
 
+#: Standard deviation (DN) of the additive per-pixel sensor noise of a rendered scene.
+PIXEL_NOISE = 2.0
+
 
 def prototype_array() -> np.ndarray:
     """Return the class prototypes as a ``(NUM_CLASSES, 3)`` float array."""
@@ -68,7 +71,6 @@ def render_class_map(
     class_map: np.ndarray,
     texture: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    pixel_noise: float = 2.0,
 ) -> np.ndarray:
     """Render an integer class map into a clean (cloud-free) RGB scene.
 
@@ -80,9 +82,8 @@ def render_class_map(
         Optional ``(H, W)`` field in ``[0, 1]`` modulating the per-class
         texture (e.g. fractal noise); a flat 0.5 field is used when omitted.
     rng:
-        Random generator for the small uncorrelated sensor noise.
-    pixel_noise:
-        Standard deviation of the additive per-pixel sensor noise in DN.
+        Random generator for the small uncorrelated sensor noise
+        (:data:`PIXEL_NOISE` DN).
 
     Returns
     -------
@@ -111,7 +112,7 @@ def render_class_map(
     amp = amplitude[cmap.astype(np.intp)][..., None]
     # Texture is a shared luminance modulation: centred on 0, scaled per class.
     modulation = (texture - 0.5)[..., None] * amp
-    noise = rng.normal(0.0, pixel_noise, size=base.shape)
+    noise = rng.normal(0.0, PIXEL_NOISE, size=base.shape)
     rgb = base + modulation + noise
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
 

@@ -34,6 +34,9 @@ from .radiometry import (
 
 __all__ = ["SceneSpec", "Scene", "synthesize_scene", "synthesize_scenes"]
 
+#: Spatial scale of the ice floes: the spectral slope of the field the class map is cut from.
+FLOE_BETA = 3.0
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -55,8 +58,6 @@ class SceneSpec:
     cloud_max_opacity: float = 0.55
     #: Peak opacity of the shadow veil.
     shadow_max_opacity: float = 0.5
-    #: Spatial scale of the ice floes (spectral slope of the class field).
-    floe_beta: float = 3.0
     #: Random seed for full reproducibility of the scene.
     seed: int = 0
 
@@ -115,7 +116,7 @@ def synthesize_scene(spec: SceneSpec) -> Scene:
     rng = np.random.default_rng(spec.seed)
     shape = (spec.height, spec.width)
 
-    floe_field = spectral_noise(shape, beta=spec.floe_beta, rng=rng)
+    floe_field = spectral_noise(shape, beta=FLOE_BETA, rng=rng)
     class_map = _class_map_from_field(floe_field, spec.normalized_fractions)
 
     texture = fractal_noise(shape, octaves=4, rng=rng)
@@ -140,7 +141,6 @@ def synthesize_scenes(
     width: int = 512,
     base_seed: int = 0,
     cloudy_fraction: float = 0.5,
-    rng: np.random.Generator | None = None,
 ) -> list[Scene]:
     """Generate a varied collection of scenes, as the paper's 66-scene archive.
 
@@ -151,7 +151,7 @@ def synthesize_scenes(
     """
     if num_scenes < 1:
         raise ValueError("num_scenes must be >= 1")
-    rng = rng or np.random.default_rng(base_seed)
+    rng = np.random.default_rng(base_seed)
     scenes = []
     for index in range(num_scenes):
         cloudy = rng.uniform() < cloudy_fraction

@@ -48,7 +48,7 @@ A worker that dies or misses the dispatch deadline (``step_timeout_s``) on
 a shard is killed and respawned with its residents republished before the
 step that lost it returns, and the shard re-runs; determinism makes the
 re-run identical.  A shard lost more often than the backend's
-:class:`~repro.reliability.RetryPolicy` allows raises
+:data:`~repro.reliability.MAX_RETRIES` allows raises
 :class:`ElasticTrainingError` naming the step and the slot.
 """
 
@@ -74,12 +74,17 @@ from ..nn.layers import Dropout
 from ..nn.serialization import CheckpointError
 from ..obs.metrics import get_registry
 from ..obs.profile import LayerTimer
-from ..reliability import fault_point
+from ..reliability import MAX_RETRIES, fault_point
 from ..unet.model import UNet, UNetConfig
 
 __all__ = ["ElasticTrainer", "ElasticTrainingError", "EpochStats", "TrainingHistory", "latest_checkpoints"]
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
+
+#: Checkpoints kept on disk, newest first (a resume reads the newest, and falls back past corrupt ones).
+KEEP_CHECKPOINTS = 3
+#: Tiles per forward pass when :meth:`ElasticTrainer.evaluate` predicts a validation set.
+EVAL_BATCH_SIZE = 8
 
 #: The phases a profiled epoch books, in step order (``optimizer`` is the gradient fold plus the update).
 _PHASES = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
@@ -122,7 +127,7 @@ class EpochStats:
 class TrainingHistory:
     """Loss / timing history of a full training run."""
 
-    epochs: list[EpochStats] = field(default_factory=list)
+    epochs: list[EpochStats] = field(default_factory=list, init=False)
 
     def append(self, stats: EpochStats) -> None:
         self.epochs.append(stats)
@@ -216,7 +221,7 @@ class _ReplicaSpec:
     segment_name: str
     weights: tuple[SharedArrayField, ...]  # the master's parameters, in name order
     slots: tuple[SharedArrayField, ...]  # one flat float32 gradient per micro-shard
-    key: str = _REPLICA
+    key = _REPLICA  # a class attribute, not a field: one trainer per backend
 
     def attach(self) -> "_Replica":
         return _Replica(self)
@@ -275,9 +280,8 @@ class ElasticTrainer:
     checkpoint_dir / checkpoint_every:
         When set, write an atomic ``ckpt-{step:08d}.npz`` every
         ``checkpoint_every`` global steps (``0``: none mid-epoch) and at every
-        epoch end (once, in the epoch-end form, when the two coincide).
-    keep_checkpoints:
-        Retain at most this many newest checkpoints (at least 1: the newest is what a resume reads).
+        epoch end (once, in the epoch-end form, when the two coincide), and
+        keep the :data:`KEEP_CHECKPOINTS` newest.
     """
 
     def __init__(
@@ -290,7 +294,6 @@ class ElasticTrainer:
         step_timeout_s: float = 60.0,
         checkpoint_dir: str | os.PathLike | None = None,
         checkpoint_every: int = 0,
-        keep_checkpoints: int = 3,
     ) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
@@ -298,9 +301,6 @@ class ElasticTrainer:
             raise ValueError("micro_shards must be >= 1")
         if checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0 (0 checkpoints at epoch ends only), got {checkpoint_every}")
-        if keep_checkpoints < 1:
-            raise ValueError(f"keep_checkpoints must be >= 1, got {keep_checkpoints}: "
-                             "fewer would delete every checkpoint as it is written")
         self.num_workers = int(num_workers)
         self.micro_shards = int(micro_shards) if micro_shards is not None else max(self.num_workers, 1)
         self.config = config if config is not None else UNetConfig()
@@ -308,7 +308,6 @@ class ElasticTrainer:
         self.step_timeout_s = float(step_timeout_s)
         self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
         self.checkpoint_every = int(checkpoint_every)
-        self.keep_checkpoints = int(keep_checkpoints)
 
         self.master = UNet(self.config)
         self.optimizer: Optimizer = Adam(self.master.parameters(), lr=learning_rate)
@@ -470,7 +469,7 @@ class ElasticTrainer:
             slot, exc = failed
             raise ElasticTrainingError(
                 f"step {self.global_step}, micro-shard slot {slot}: {exc} (a lost worker is retried "
-                f"{self._backend.retry.max_retries} times)") from exc
+                f"{MAX_RETRIES} times)") from exc
         return losses
 
     def _fold(self) -> None:
@@ -515,7 +514,7 @@ class ElasticTrainer:
             metadata={"kind": "elastic-trainer", "numerics": NUMERICS}, extra_state=extra,
         )
         self._m_checkpoints.inc()
-        for old in latest_checkpoints(self.checkpoint_dir)[self.keep_checkpoints:]:
+        for old in latest_checkpoints(self.checkpoint_dir)[KEEP_CHECKPOINTS:]:
             try:
                 os.unlink(old)
             except OSError:  # pragma: no cover - already gone
@@ -670,11 +669,10 @@ class ElasticTrainer:
         self,
         images: np.ndarray,
         labels: np.ndarray,
-        batch_size: int = 8,
         class_names: list[str] | None = None,
     ) -> ClassificationReport:
         """Evaluate the master on a validation tile set (accuracy / P / R / F1 / confusion)."""
-        loader = BatchLoader(images, labels, batch_size=batch_size, shuffle=False, augment=False)
+        loader = BatchLoader(images, labels, batch_size=EVAL_BATCH_SIZE, shuffle=False, augment=False)
         predictions, targets = [], []
         for x, y in loader:
             predictions.append(self.master.predict(x))

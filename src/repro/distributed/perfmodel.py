@@ -40,6 +40,20 @@ PAPER_TABLE3_ROWS: list[dict] = [
 ]
 
 
+#: Training epochs (50 in the paper).
+EPOCHS = 50
+#: Batch size per GPU (32 in the paper), from which the number of optimisation steps per epoch at a given
+#: GPU count follows.
+PER_WORKER_BATCH_SIZE = 32
+#: Effective all-reduce bandwidth between GPUs in gigabytes/second (NVLink-class on a DGX A100).
+INTERCONNECT_GB_PER_S = 600.0
+#: Per-communication-step latency of the all-reduce ring.
+ALLREDUCE_LATENCY_S = 2.0e-5
+#: The share of a measured epoch that does not scale with the GPU count (the input pipeline): the
+#: fraction the paper's own efficiency curve implies.
+SERIAL_FRACTION = 0.014
+
+
 def paper_table3() -> list[dict]:
     """The paper's Table III rows (copied verbatim for side-by-side reporting)."""
     return [dict(row) for row in PAPER_TABLE3_ROWS]
@@ -55,8 +69,6 @@ class DGXTrainingModel:
         Training images processed per epoch (the paper's 80 % split of 4224
         tiles ≈ 3379; the throughput column implies ≈ 3222, which is what the
         default reproduces).
-    epochs:
-        Number of training epochs (50 in the paper).
     compute_time_per_image:
         Seconds of GPU compute per image on one A100.
     input_pipeline_time_per_epoch:
@@ -65,28 +77,18 @@ class DGXTrainingModel:
     model_megabytes:
         Size of the gradient buffer exchanged per step (U-Net with 31 M
         float32 parameters ≈ 124 MB).
-    interconnect_gb_per_s:
-        Effective all-reduce bandwidth between GPUs in gigabytes/second
-        (NVLink-class on a DGX A100).
-    allreduce_latency_s:
-        Per-communication-step latency of the all-reduce ring.
-    per_worker_batch_size:
-        Batch size per GPU (32 in the paper), from which the number of
-        optimisation steps per epoch at a given GPU count follows.
+
+    The run length, batch and interconnect are this module's constants.
     """
 
     images_per_epoch: int = 3379
-    epochs: int = 50
     compute_time_per_image: float = 5.538 / 3379.0
     input_pipeline_time_per_epoch: float = 0.0766
     model_megabytes: float = 124.0
-    interconnect_gb_per_s: float = 600.0
-    allreduce_latency_s: float = 2.0e-5
-    per_worker_batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.images_per_epoch < 1 or self.epochs < 1 or self.per_worker_batch_size < 1:
-            raise ValueError("images_per_epoch, epochs and per_worker_batch_size must be >= 1")
+        if self.images_per_epoch < 1:
+            raise ValueError("images_per_epoch must be >= 1")
         if self.compute_time_per_image <= 0:
             raise ValueError("compute_time_per_image must be positive")
 
@@ -95,7 +97,7 @@ class DGXTrainingModel:
         """Optimisation steps per epoch (global batch = per-worker batch × GPUs)."""
         if gpus < 1:
             raise ValueError("gpus must be >= 1")
-        return max(1, int(np.ceil(self.images_per_epoch / (self.per_worker_batch_size * gpus))))
+        return max(1, int(np.ceil(self.images_per_epoch / (PER_WORKER_BATCH_SIZE * gpus))))
 
     def allreduce_time_per_step(self, gpus: int) -> float:
         """Ring all-reduce time for one gradient exchange at ``gpus`` workers."""
@@ -104,8 +106,8 @@ class DGXTrainingModel:
         if gpus == 1:
             return 0.0
         bytes_exchanged = 2.0 * (gpus - 1) / gpus * self.model_megabytes * 1e6
-        bandwidth = self.interconnect_gb_per_s * 1e9
-        return bytes_exchanged / bandwidth + self.allreduce_latency_s * 2 * (gpus - 1)
+        bandwidth = INTERCONNECT_GB_PER_S * 1e9
+        return bytes_exchanged / bandwidth + ALLREDUCE_LATENCY_S * 2 * (gpus - 1)
 
     def epoch_time(self, gpus: int) -> float:
         """Predicted wall time of one epoch at ``gpus`` workers."""
@@ -116,7 +118,7 @@ class DGXTrainingModel:
         return compute + comm + self.input_pipeline_time_per_epoch
 
     def total_time(self, gpus: int) -> float:
-        return self.epoch_time(gpus) * self.epochs
+        return self.epoch_time(gpus) * EPOCHS
 
     def throughput(self, gpus: int) -> float:
         """Images per second during one epoch (the paper's Data/s column)."""
@@ -136,9 +138,9 @@ class DGXTrainingModel:
             "speedup": round(self.speedup(gpus), 2),
         }
 
-    def sweep(self, gpu_counts: tuple[int, ...] = (1, 2, 4, 6, 8)) -> list[dict]:
-        """Predict the full Table III sweep."""
-        return [self.predict_row(g) for g in gpu_counts]
+    def sweep(self) -> list[dict]:
+        """Predict the full Table III sweep: the paper's 1, 2, 4, 6 and 8 GPUs."""
+        return [self.predict_row(g) for g in (1, 2, 4, 6, 8)]
 
     @classmethod
     def calibrated_from_measurement(
@@ -146,30 +148,20 @@ class DGXTrainingModel:
         measured_epoch_time: float,
         images_per_epoch: int,
         model_parameters: int,
-        epochs: int = 50,
-        per_worker_batch_size: int = 32,
-        serial_fraction: float = 0.014,
-        **overrides,
     ) -> "DGXTrainingModel":
         """Calibrate the model from a locally measured single-worker epoch.
 
-        ``serial_fraction`` apportions the measured epoch time between the
-        parallelisable compute term and the non-scaling input-pipeline term
-        (default: the fraction implied by the paper's own efficiency curve).
+        :data:`SERIAL_FRACTION` apportions the measured epoch time between the
+        parallelisable compute term and the non-scaling input-pipeline term.
         """
         if measured_epoch_time <= 0:
             raise ValueError("measured_epoch_time must be positive")
-        if not 0.0 <= serial_fraction < 1.0:
-            raise ValueError("serial_fraction must be in [0, 1)")
-        compute_total = measured_epoch_time * (1.0 - serial_fraction)
+        compute_total = measured_epoch_time * (1.0 - SERIAL_FRACTION)
         return cls(
             images_per_epoch=images_per_epoch,
-            epochs=epochs,
             compute_time_per_image=compute_total / images_per_epoch,
-            input_pipeline_time_per_epoch=measured_epoch_time * serial_fraction,
+            input_pipeline_time_per_epoch=measured_epoch_time * SERIAL_FRACTION,
             model_megabytes=model_parameters * 4 / 1e6,
-            per_worker_batch_size=per_worker_batch_size,
-            **overrides,
         )
 
     def relative_error_vs_paper(self) -> float:

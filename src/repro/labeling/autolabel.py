@@ -24,7 +24,7 @@ from ..classes import HSV_RANGES, SeaIceClass, class_map_to_color
 from ..cloudshadow import CloudShadowFilter
 from ..imops import hsv_planes
 
-__all__ = ["AutoLabelResult", "ColorSegmentationLabeler", "autolabel_tile", "autolabel_batch"]
+__all__ = ["AutoLabelResult", "ColorSegmentationLabeler", "autolabel_batch"]
 
 
 @dataclass
@@ -41,12 +41,13 @@ class AutoLabelResult:
 class ColorSegmentationLabeler:
     """HSV colour-range segmentation labeler.
 
+    The ranges are the paper's published thresholds,
+    :data:`~repro.classes.HSV_RANGES` (one :class:`~repro.classes.HSVRange`
+    per class, none overlapping); pixels matching no range are assigned to
+    the nearest range by HSV value.
+
     Parameters
     ----------
-    hsv_ranges:
-        Mapping of class → :class:`~repro.classes.HSVRange`.  Defaults to the
-        paper's published thresholds.  The ranges must not overlap; pixels
-        matching no range are assigned to the nearest range by HSV value.
     apply_cloud_filter:
         Run the thin-cloud/shadow filter before segmentation (the paper's
         recommended configuration).
@@ -54,20 +55,18 @@ class ColorSegmentationLabeler:
         The filter instance to use when ``apply_cloud_filter`` is set.
     """
 
-    hsv_ranges: dict = field(default_factory=lambda: dict(HSV_RANGES))
     apply_cloud_filter: bool = False
     cloud_filter: CloudShadowFilter = field(default_factory=CloudShadowFilter)
 
     def __post_init__(self) -> None:
-        if set(self.hsv_ranges.keys()) != set(SeaIceClass):
-            raise ValueError("hsv_ranges must define a range for every SeaIceClass")
+        self._ranges = HSV_RANGES
         # Centre of each class's value band: where leftover pixels are sent (depends only on the ranges).
         self._value_centers = np.array(
-            [(self.hsv_ranges[cls].lower[2] + self.hsv_ranges[cls].upper[2]) // 2 for cls in SeaIceClass], dtype=np.int32
+            [(self._ranges[cls].lower[2] + self._ranges[cls].upper[2]) // 2 for cls in SeaIceClass], dtype=np.int32
         )
         # The planes a class map depends on: hue / saturation only if some range bounds them inside the
         # channel's own span (the paper's thresholds do not), value always (leftover pixels go by it).
-        bounded = [c for c, top in ((0, 179), (1, 255)) if any(r.lower[c] > 0 or r.upper[c] < top for r in self.hsv_ranges.values())]
+        bounded = [c for c, top in ((0, 179), (1, 255)) if any(r.lower[c] > 0 or r.upper[c] < top for r in self._ranges.values())]
         self._channels = (*bounded, 2)
 
     # ------------------------------------------------------------------ #
@@ -76,7 +75,7 @@ class ColorSegmentationLabeler:
         if planes.ndim != 3 or planes.shape[0] != 3:
             raise ValueError(f"expected (H, W, 3) RGB image, got shape {planes.shape[1:] + planes.shape[:1]}")
         hsv = hsv_planes(planes, self._channels, unit)
-        masks = {cls: rng.inside(hsv) for cls, rng in self.hsv_ranges.items()}
+        masks = {cls: rng.inside(hsv) for cls, rng in self._ranges.items()}
 
         class_map = np.full(planes.shape[1:], 255, dtype=np.uint8)
         for cls in reversed(SeaIceClass):  # written last wins: the first class whose range matches
@@ -123,12 +122,6 @@ class ColorSegmentationLabeler:
 #: inherited by forked workers.  They hold calibration only (every call allocates its own scratch and
 #: drops it on return), so every caller in a process may share them.
 _DEFAULT_LABELERS = {flag: ColorSegmentationLabeler(apply_cloud_filter=flag) for flag in (False, True)}
-
-
-def autolabel_tile(rgb: np.ndarray, apply_cloud_filter: bool = True) -> np.ndarray:
-    """Label one tile with default settings; module-level function so it pickles cleanly
-    for the multiprocessing and map-reduce backends."""
-    return _DEFAULT_LABELERS[bool(apply_cloud_filter)](rgb)
 
 
 def autolabel_batch(tiles: np.ndarray, apply_cloud_filter: bool = True) -> np.ndarray:

@@ -4,7 +4,7 @@ The paper manually annotated all 4224 tiles to obtain ground truth for
 validation and to train the U-Net-Man baseline.  With synthetic scenes the
 exact class map is known, so "manual" labels are derived from it; to stay
 faithful to how human annotation behaves, a controlled amount of annotation
-imperfection can be injected:
+imperfection is injected:
 
 * **boundary jitter** — annotators draw polygon boundaries that wobble a few
   pixels around the true class edges;
@@ -27,32 +27,21 @@ from ..classes import NUM_CLASSES
 
 __all__ = ["ManualLabelSimulator", "simulate_manual_labels"]
 
+#: Standard deviation (pixels) of the smooth displacement field applied to class boundaries.
+BOUNDARY_JITTER = 1.0
+#: Regions smaller than this many pixels are absorbed into their neighbourhood (annotators skip tiny features).
+MIN_REGION_SIZE = 8
+
 
 @dataclass
 class ManualLabelSimulator:
-    """Derives human-like annotations from ground-truth class maps.
+    """Derives human-like annotations from ground-truth class maps: boundaries jittered by
+    :data:`BOUNDARY_JITTER`, regions below :data:`MIN_REGION_SIZE` absorbed.  ``seed`` seeds the
+    simulator's random generator."""
 
-    Parameters
-    ----------
-    boundary_jitter:
-        Standard deviation (pixels) of the smooth displacement field applied
-        to class boundaries; 0 disables jitter and returns exact labels.
-    min_region_size:
-        Regions smaller than this many pixels are absorbed into their
-        neighbourhood (annotators skip tiny features); 0 disables.
-    seed:
-        Seed of the simulator's random generator.
-    """
-
-    boundary_jitter: float = 1.0
-    min_region_size: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.boundary_jitter < 0:
-            raise ValueError("boundary_jitter must be >= 0")
-        if self.min_region_size < 0:
-            raise ValueError("min_region_size must be >= 0")
         self._rng = np.random.default_rng(self.seed)
 
     def annotate(self, class_map: np.ndarray) -> np.ndarray:
@@ -62,13 +51,7 @@ class ManualLabelSimulator:
             raise ValueError(f"expected 2-D class map, got shape {cmap.shape}")
         if cmap.min() < 0 or cmap.max() >= NUM_CLASSES:
             raise ValueError("class map contains unknown class ids")
-        out = cmap.copy()
-
-        if self.boundary_jitter > 0:
-            out = self._jitter_boundaries(out)
-        if self.min_region_size > 0:
-            out = self._absorb_small_regions(out)
-        return out.astype(np.uint8)
+        return self._absorb_small_regions(self._jitter_boundaries(cmap)).astype(np.uint8)
 
     def annotate_batch(self, class_maps: np.ndarray) -> np.ndarray:
         """Annotate a ``(N, H, W)`` stack of class maps."""
@@ -89,7 +72,7 @@ class ManualLabelSimulator:
         for d in (dy, dx):
             peak = np.abs(d).max()
             if peak > 0:
-                d *= self.boundary_jitter / peak
+                d *= BOUNDARY_JITTER / peak
         rows, cols = np.mgrid[0:h, 0:w]
         src_r = np.clip(np.round(rows + dy), 0, h - 1).astype(np.intp)
         src_c = np.clip(np.round(cols + dx), 0, w - 1).astype(np.intp)
@@ -105,7 +88,7 @@ class ManualLabelSimulator:
             if num == 0:
                 continue
             sizes = ndimage.sum(mask, labeled, index=np.arange(1, num + 1))
-            small = np.flatnonzero(sizes < self.min_region_size) + 1
+            small = np.flatnonzero(sizes < MIN_REGION_SIZE) + 1
             if small.size == 0:
                 continue
             small_mask = np.isin(labeled, small)
@@ -117,9 +100,9 @@ class ManualLabelSimulator:
         return out
 
 
-def simulate_manual_labels(class_maps: np.ndarray, seed: int = 0, **kwargs) -> np.ndarray:
+def simulate_manual_labels(class_maps: np.ndarray, seed: int = 0) -> np.ndarray:
     """Convenience wrapper: simulate manual annotation of a label stack."""
-    sim = ManualLabelSimulator(seed=seed, **kwargs)
+    sim = ManualLabelSimulator(seed=seed)
     stack = np.asarray(class_maps)
     if stack.ndim == 2:
         return sim.annotate(stack)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..backend import make_backend
 from ..labeling.autolabel import autolabel_batch
-from .cluster import ClusterShape, GCDClusterModel
+from .cluster import GCDClusterModel
 
 __all__ = ["JobTimings", "MapReduceAutoLabelResult", "run_mapreduce_autolabel", "mapreduce_scaling_sweep"]
 
@@ -120,11 +120,7 @@ def run_mapreduce_autolabel(
     return MapReduceAutoLabelResult(labels=labels, timings=timings, num_partitions=len(spans))
 
 
-def mapreduce_scaling_sweep(
-    tiles: np.ndarray | None = None,
-    model: GCDClusterModel | None = None,
-    shapes: "list[ClusterShape] | None" = None,
-) -> list[dict]:
+def mapreduce_scaling_sweep(tiles: np.ndarray | None = None) -> list[dict]:
     """Produce the Table II sweep.
 
     When ``tiles`` is given, a single-core job is run first and the cluster
@@ -137,16 +133,13 @@ def mapreduce_scaling_sweep(
     column is the model's constant registration cost, and every other row is
     predicted from the 1×1 row.
     """
-    if model is None:
-        if tiles is not None:
-            stack = np.asarray(tiles)
-            measured = run_mapreduce_autolabel(stack, executor="serial", parallelism=1)
-            reduce_time = max(measured.timings.reduce_time, 1e-4)
-            model = GCDClusterModel.calibrated_from_measurement(
-                num_images=stack.shape[0],
-                measured_load_time=reduce_time * (108.0 / 390.0),
-                measured_reduce_time=reduce_time,
-            )
-        else:
-            model = GCDClusterModel()
-    return model.sweep(shapes)
+    if tiles is None:
+        return GCDClusterModel().sweep()
+    stack = np.asarray(tiles)
+    measured = run_mapreduce_autolabel(stack, executor="serial", parallelism=1)
+    reduce_time = max(measured.timings.reduce_time, 1e-4)
+    return GCDClusterModel.calibrated_from_measurement(
+        num_images=stack.shape[0],
+        measured_load_time=reduce_time * (108.0 / 390.0),
+        measured_reduce_time=reduce_time,
+    ).sweep()

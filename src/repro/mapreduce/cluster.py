@@ -60,6 +60,14 @@ def paper_table2() -> list[dict]:
     return rows
 
 
+#: Amdahl serial fraction of the load phase (driver-side work).
+LOAD_SERIAL_FRACTION = 0.052
+#: Amdahl serial fraction of the reduce phase (result collection).
+REDUCE_SERIAL_FRACTION = 0.0
+#: Constant cost of registering the lazy UDF transformation.
+MAP_REGISTRATION_TIME = 0.3
+
+
 @dataclass(frozen=True)
 class ClusterShape:
     """One cluster configuration of the sweep."""
@@ -89,31 +97,21 @@ class GCDClusterModel:
         Seconds to read + decode one tile on one core.
     label_cost_per_image:
         Seconds to cloud/shadow-filter + colour-segment one tile on one core.
-    load_serial_fraction:
-        Amdahl serial fraction of the load phase (driver-side work).
-    reduce_serial_fraction:
-        Amdahl serial fraction of the reduce phase (result collection).
-    map_registration_time:
-        Constant cost of registering the lazy UDF transformation.
     scheduler_overhead_per_executor:
         Per-executor task-scheduling overhead added to each phase.
+
+    The phases' serial fractions and the map's registration cost are this
+    module's constants.
     """
 
     num_images: int = 4224
     load_cost_per_image: float = 108.0 / 4224.0
     label_cost_per_image: float = 390.0 / 4224.0
-    load_serial_fraction: float = 0.052
-    reduce_serial_fraction: float = 0.0
-    map_registration_time: float = 0.3
     scheduler_overhead_per_executor: float = 0.05
 
     def __post_init__(self) -> None:
         if self.num_images < 1:
             raise ValueError("num_images must be >= 1")
-        for name in ("load_serial_fraction", "reduce_serial_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
 
     # ------------------------------------------------------------------ #
     def _amdahl_time(self, serial_time: float, serial_fraction: float, slots: int) -> float:
@@ -123,19 +121,19 @@ class GCDClusterModel:
         """Predicted wall time of loading the image archive into the dataframe."""
         serial = self.num_images * self.load_cost_per_image
         return (
-            self._amdahl_time(serial, self.load_serial_fraction, shape.slots)
+            self._amdahl_time(serial, LOAD_SERIAL_FRACTION, shape.slots)
             + self.scheduler_overhead_per_executor * shape.executors
         )
 
     def map_time(self, shape: ClusterShape) -> float:
         """Predicted wall time of registering the (lazy) auto-label map transformation."""
-        return self.map_registration_time
+        return MAP_REGISTRATION_TIME
 
     def reduce_time(self, shape: ClusterShape) -> float:
         """Predicted wall time of executing the UDF and collecting the labels."""
         serial = self.num_images * self.label_cost_per_image
         return (
-            self._amdahl_time(serial, self.reduce_serial_fraction, shape.slots)
+            self._amdahl_time(serial, REDUCE_SERIAL_FRACTION, shape.slots)
             + self.scheduler_overhead_per_executor * shape.executors
         )
 
@@ -155,11 +153,9 @@ class GCDClusterModel:
             "speedup_reduce": round(self.reduce_time(base) / red, 2),
         }
 
-    def sweep(self, shapes: "list[ClusterShape] | None" = None) -> list[dict]:
-        """Predict the full Table II sweep (default: the paper's 9 configurations)."""
-        if shapes is None:
-            shapes = [ClusterShape(e, c) for e in (1, 2, 4) for c in (1, 2, 4)]
-        return [self.predict_row(s) for s in shapes]
+    def sweep(self) -> list[dict]:
+        """Predict the full Table II sweep: the paper's 9 configurations."""
+        return [self.predict_row(ClusterShape(e, c)) for e in (1, 2, 4) for c in (1, 2, 4)]
 
     @classmethod
     def calibrated_from_measurement(
@@ -167,7 +163,6 @@ class GCDClusterModel:
         num_images: int,
         measured_load_time: float,
         measured_reduce_time: float,
-        **overrides,
     ) -> "GCDClusterModel":
         """Build a model whose 1×1 row matches a locally measured single-core run.
 
@@ -179,14 +174,11 @@ class GCDClusterModel:
         # Scheduling overhead scales with the workload: for tiny local
         # measurements the paper-scale default (50 ms per executor) would
         # otherwise dominate and invert the scaling trend.
-        overrides.setdefault(
-            "scheduler_overhead_per_executor", min(0.05, 0.005 * measured_reduce_time)
-        )
         return cls(
             num_images=num_images,
             load_cost_per_image=measured_load_time / num_images,
             label_cost_per_image=measured_reduce_time / num_images,
-            **overrides,
+            scheduler_overhead_per_executor=min(0.05, 0.005 * measured_reduce_time),
         )
 
     def relative_error_vs_paper(self) -> float:

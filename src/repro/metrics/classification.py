@@ -50,21 +50,11 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int | 
     return counts.reshape(num_classes, num_classes)
 
 
-def normalize_confusion(matrix: np.ndarray, axis: str = "true") -> np.ndarray:
-    """Normalise a confusion matrix to percentages.
-
-    ``axis="true"`` makes each row sum to 100 (per-class recall view, the
-    layout of the paper's Figure 13); ``axis="pred"`` makes each column sum
-    to 100 (per-class precision view).
-    """
+def normalize_confusion(matrix: np.ndarray) -> np.ndarray:
+    """Normalise a confusion matrix to percentages: each row sums to 100 (the
+    per-class recall view, the layout of the paper's Figure 13)."""
     m = np.asarray(matrix, dtype=np.float64)
-    if axis == "true":
-        denom = m.sum(axis=1, keepdims=True)
-    elif axis == "pred":
-        denom = m.sum(axis=0, keepdims=True)
-    else:
-        raise ValueError("axis must be 'true' or 'pred'")
-    return 100.0 * m / np.maximum(denom, 1e-12)
+    return 100.0 * m / np.maximum(m.sum(axis=1, keepdims=True), 1e-12)
 
 
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -84,40 +74,23 @@ def precision_recall_f1(
     y_true: np.ndarray,
     y_pred: np.ndarray,
     num_classes: int | None = None,
-    average: str = "macro",
 ) -> tuple[float, float, float]:
-    """Precision, recall and F1 score.
-
-    ``average="macro"`` (paper default) averages the per-class scores with
-    equal class weight; ``average="weighted"`` weights by class support;
-    ``average="micro"`` pools all pixels (equals accuracy for single-label
-    classification).
-    """
+    """Precision, recall and F1 score, macro-averaged as the paper reports them: the
+    per-class scores of the classes present in ``y_true``, with equal class weight."""
     cm = confusion_matrix(y_true, y_pred, num_classes).astype(np.float64)
     tp = cm.diagonal()
     support = cm.sum(axis=1)
     predicted = cm.sum(axis=0)
-
-    if average == "micro":
-        total = cm.sum()
-        p = r = tp.sum() / max(total, 1e-12)
-        f1 = p
-        return float(p), float(r), float(f1)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         prec_c = np.where(predicted > 0, tp / np.maximum(predicted, 1e-12), 0.0)
         rec_c = np.where(support > 0, tp / np.maximum(support, 1e-12), 0.0)
         f1_c = np.where(prec_c + rec_c > 0, 2 * prec_c * rec_c / np.maximum(prec_c + rec_c, 1e-12), 0.0)
 
-    if average == "macro":
-        present = support > 0
-        if not present.any():
-            return 0.0, 0.0, 0.0
-        return float(prec_c[present].mean()), float(rec_c[present].mean()), float(f1_c[present].mean())
-    if average == "weighted":
-        weights = support / max(support.sum(), 1e-12)
-        return float((prec_c * weights).sum()), float((rec_c * weights).sum()), float((f1_c * weights).sum())
-    raise ValueError("average must be 'macro', 'weighted' or 'micro'")
+    present = support > 0
+    if not present.any():
+        return 0.0, 0.0, 0.0
+    return float(prec_c[present].mean()), float(rec_c[present].mean()), float(f1_c[present].mean())
 
 
 @dataclass

@@ -12,7 +12,7 @@ __all__ = ["Conv2D"]
 
 
 class Conv2D(Module):
-    """2-D convolution over ``(N, C, H, W)`` batches.
+    """2-D convolution over ``(N, C, H, W)`` batches, plus a per-output-channel bias.
 
     Parameters
     ----------
@@ -24,8 +24,6 @@ class Conv2D(Module):
         Symmetric zero padding; ``"same"`` picks ``kernel_size // 2`` so the
         spatial size is preserved for odd kernels (the paper's U-Net keeps
         tile size constant through each stage; pooling does the down-sampling).
-    use_bias:
-        Add a per-output-channel bias.
     seed:
         Seed of the weight initialisation.
 
@@ -40,7 +38,6 @@ class Conv2D(Module):
         out_channels: int,
         kernel_size: int = 3,
         padding: "int | str" = "same",
-        use_bias: bool = True,
         seed: int = 0,
     ) -> None:
         super().__init__()
@@ -59,13 +56,11 @@ class Conv2D(Module):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = int(padding)
-        self.use_bias = use_bias
 
         rng = np.random.default_rng(seed)
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(he_normal((out_channels, in_channels, kernel_size, kernel_size), fan_in, rng))
-        if use_bias:
-            self.bias = Parameter(zeros((out_channels,)))
+        self.bias = Parameter(zeros((out_channels,)))
 
         self._cache: np.ndarray | None = None  # the padded input of the last training forward
 
@@ -80,7 +75,7 @@ class Conv2D(Module):
             conv_output_size(size, self.kernel_size, self.padding)  # raises on an input smaller than the kernel
         xp = pad_input(x, self.padding)
         self._cache = xp if self.training else None
-        return conv_forward_offset(xp, self.weight.value, self.bias.value if self.use_bias else None)
+        return conv_forward_offset(xp, self.weight.value, self.bias.value)
 
     def backward(self, grad_output: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients and return ``dL/dinput``.
@@ -93,9 +88,8 @@ class Conv2D(Module):
             raise RuntimeError("backward called before forward")
         dx, dw, db = conv_backward_offset(
             self._cache, self.weight.value, np.asarray(grad_output, dtype=np.float32),
-            need_input_grad=need_input_grad, need_bias_grad=self.use_bias, pad=self.padding,
+            need_input_grad=need_input_grad, pad=self.padding,
         )
         self.weight.grad += dw
-        if self.use_bias:
-            self.bias.grad += db
+        self.bias.grad += db
         return dx

@@ -252,22 +252,19 @@ def upconv_bands(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[tu
     return bands
 
 
-def run_upconv_bands(bands, w_pack: np.ndarray, bias: np.ndarray | None) -> None:
+def run_upconv_bands(bands, w_pack: np.ndarray, bias: np.ndarray) -> None:
     """Gather, then per phase one GEMM against its block of the ``(F, 9C)`` pack and one bias pass into its pixels."""
     c, k0, weights = w_pack.shape[1] // 9, 0, []
     for _, t0, t1 in UPCONV_PHASES:
         weights.append(w_pack[:, k0 : k0 + (t1 - t0) * c])
         k0 += (t1 - t0) * c
-    bias3 = None if bias is None else bias[:, :, None]
+    bias3 = bias[:, :, None]
     for copies, operands, staged2, staged, dests in bands:
         for dst, src in copies:
             dst[...] = src
         for w_phase, cols, dest in zip(weights, operands, dests):
             np.matmul(w_phase, cols, out=staged2)
-            if bias3 is None:
-                dest[...] = staged
-            else:
-                np.add(staged, bias3, out=dest)
+            np.add(staged, bias3, out=dest)
 
 
 def conv_forward_offset(xp: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
@@ -297,9 +294,8 @@ def conv_backward_offset(
     weight: np.ndarray,
     grad_output: np.ndarray,
     need_input_grad: bool = True,
-    need_bias_grad: bool = False,
     pad: int = 0,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv_forward_offset` from the padded input alone.
 
     Returns ``(grad_input, grad_weight, grad_bias)``, the first for the input
@@ -337,7 +333,7 @@ def conv_backward_offset(
         xp, (n, k, k, run, c), (xp.strides[0], wp * item, item, item, xp.strides[1]), writeable=False
     )
     dw = np.matmul(g.reshape(n, 1, 1, f, oh * wp)[..., :run], runs).sum(axis=0).transpose(2, 3, 0, 1)
-    db = g.sum(axis=(0, 2, 3)) if need_bias_grad else None
+    db = g.sum(axis=(0, 2, 3))
     if not need_input_grad:
         return None, dw, db
 

@@ -150,8 +150,7 @@ class UpConv2D(Module):
         f = conv.out_channels
         out = np.empty((n, f, 2 * h, 2 * w), dtype=np.float32)
         scratch = scratch_buffer(((4 * c + f) * conv_band_rows(4 * c, f, h, w) * w,))
-        bias = conv.bias.value[:, None] if conv.use_bias else None
-        run_upconv_bands(upconv_bands(x, out, scratch), upconv_weights(conv.weight.value), bias)
+        run_upconv_bands(upconv_bands(x, out, scratch), upconv_weights(conv.weight.value), conv.bias.value[:, None])
         self._cache = x if self.training else None
         return out
 
@@ -170,15 +169,13 @@ class UpConv2D(Module):
         for p, ((a, b), _, _) in enumerate(UPCONV_PHASES):
             phase_grad[:, p] = grad[:, :, a::2, b::2]
         kernels = upconv_phase_kernels(conv.weight.value)
-        dxe, dk, db = conv_backward_offset(xe, kernels.reshape(4 * f, c, 2, 2), phase_grad.reshape(n, 4 * f, h, w),
-                                           need_bias_grad=conv.use_bias)
+        dxe, dk, db = conv_backward_offset(xe, kernels.reshape(4 * f, c, 2, 2), phase_grad.reshape(n, 4 * f, h, w))
         dk = dk.reshape(kernels.shape)
         for p, ((a, b), _, _) in enumerate(UPCONV_PHASES):
             for di in (0, 1):
                 for dj in (0, 1):
                     conv.weight.grad[:, :, di, dj] += dk[p, :, :, (a + di) // 2, (b + dj) // 2]
-        if conv.use_bias:
-            conv.bias.grad += db.reshape(4, f).sum(axis=0)
+        conv.bias.grad += db.reshape(4, f).sum(axis=0)
         # Fold the clamped edge's gradient back onto the last real row/column.
         dx = dxe[:, :, :h, :w].copy()
         dx[:, :, -1, :] += dxe[:, :, h, :w]

@@ -32,8 +32,7 @@ class CategoricalCrossEntropy:
     float32; only the scalar loss reduction accumulates in float64.
     """
 
-    def __init__(self, class_weights: np.ndarray | None = None) -> None:
-        self.class_weights = None if class_weights is None else np.asarray(class_weights, dtype=np.float32)
+    def __init__(self) -> None:
         self._cache: tuple | None = None
 
     # ------------------------------------------------------------------ #
@@ -61,36 +60,22 @@ class CategoricalCrossEntropy:
         picked = np.take_along_axis(probs, target_idx[:, None], axis=1)[:, 0]
         picked = np.clip(picked, 1e-12, 1.0)
 
-        if self.class_weights is not None:
-            if self.class_weights.shape != (k,):
-                raise ValueError(f"class_weights must have shape ({k},)")
-            weights = self.class_weights[target_idx]
-            weight_sum = float(weights.sum(dtype=np.float64))
-            loss = float(-(weights * np.log(picked)).sum(dtype=np.float64) / weight_sum)
-        else:
-            weights = None
-            weight_sum = float(picked.size)
-            loss = float(-np.log(picked).sum(dtype=np.float64) / weight_sum)
+        weight_sum = float(picked.size)
+        loss = float(-np.log(picked).sum(dtype=np.float64) / weight_sum)
 
-        self._cache = (probs, target_idx, weights, weight_sum)
+        self._cache = (probs, target_idx, weight_sum)
         return loss
 
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss with respect to the logits."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        probs, target_idx, weights, weight_sum = self._cache
+        probs, target_idx, weight_sum = self._cache
 
         idx = target_idx[:, None]
-        if weights is None:
-            grad = probs * np.float32(1.0 / weight_sum)
-            picked = np.take_along_axis(grad, idx, axis=1)
-            np.put_along_axis(grad, idx, picked - np.float32(1.0 / weight_sum), axis=1)
-        else:
-            scale = weights * np.float32(1.0 / weight_sum)  # (N, H, W)
-            grad = probs * scale[:, None]
-            picked = np.take_along_axis(grad, idx, axis=1)
-            np.put_along_axis(grad, idx, picked - scale[:, None], axis=1)
+        grad = probs * np.float32(1.0 / weight_sum)
+        picked = np.take_along_axis(grad, idx, axis=1)
+        np.put_along_axis(grad, idx, picked - np.float32(1.0 / weight_sum), axis=1)
         return grad
 
     def __call__(self, logits: np.ndarray, targets: np.ndarray) -> float:

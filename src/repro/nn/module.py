@@ -17,15 +17,6 @@ import numpy as np
 __all__ = ["Parameter", "Module"]
 
 
-def _array_nbytes(obj) -> int:
-    """Total bytes of every ndarray reachable through obj (arrays, tuples, lists)."""
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (tuple, list)):
-        return sum(_array_nbytes(item) for item in obj)
-    return 0
-
-
 class Parameter:
     """A trainable array with its gradient accumulator."""
 
@@ -88,28 +79,6 @@ class Module:
         for module in self._modules.values():
             out.extend(module.modules())
         return out
-
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return sum(p.size for p in self.parameters())
-
-    def cache_nbytes(self, recurse: bool = True) -> int:
-        """Bytes currently pinned by backward caches (``_``-prefixed ndarray state).
-
-        Counts every ndarray reachable through private attributes — the
-        convention all layers use for forward-to-backward state (``_cache``,
-        ``_mask``, ``_split``, …) — excluding parameters and child modules.
-        This is the number the training-throughput benchmark tracks per layer.
-        """
-        total = 0
-        for name, value in self.__dict__.items():
-            if not name.startswith("_") or name in ("_parameters", "_modules"):
-                continue
-            total += _array_nbytes(value)
-        if recurse:
-            for module in self._modules.values():
-                total += module.cache_nbytes()
-        return total
 
     # ------------------------------------------------------------------ #
     # Training state

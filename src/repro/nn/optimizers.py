@@ -1,8 +1,8 @@
 """The optimiser: Adam, which the paper trains its U-Net with.
 
 ``state_dict`` / ``load_state_dict`` round-trip *all* optimiser state —
-hyper-parameters and the per-parameter moment tensors — so a
-checkpoint-resumed run continues exactly where it stopped instead of
+the learning rate, the step count and the per-parameter moment tensors —
+so a checkpoint-resumed run continues exactly where it stopped instead of
 silently restarting the adaptive state.
 """
 
@@ -15,6 +15,11 @@ import numpy as np
 from .module import Parameter
 
 __all__ = ["Optimizer", "Adam"]
+
+#: Adam's moment decay rates and denominator guard: the defaults of Kingma & Ba, which the paper keeps.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Optimizer:
@@ -60,90 +65,58 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2014) — the paper's training optimiser.
+    """Adam optimiser (Kingma & Ba, 2014) — the paper's training optimiser, with
+    :data:`BETA1`, :data:`BETA2` and :data:`EPS`.
 
     ``step`` is allocation-free: the moments update in place, the bias
     corrections are folded into the scalar step size, and the elementwise
     work runs through one pre-allocated scratch buffer per parameter.
     """
 
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, parameters: list[Parameter], lr: float = 1e-3) -> None:
         super().__init__(parameters, lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.value) for p in self.parameters]
         self._v = [np.zeros_like(p.value) for p in self.parameters]
         self._t = 0
         self._scratch: list[np.ndarray] | None = None
-        self._grad_scratch: list[np.ndarray] | None = None
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
+        bias1 = 1.0 - BETA1**self._t
+        bias2 = 1.0 - BETA2**self._t
         # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with both bias
         # corrections hoisted out of the elementwise work.
         step_size = self.lr / bias1
         inv_sqrt_bias2 = 1.0 / math.sqrt(bias2)
         if self._scratch is None:
             self._scratch = [np.empty_like(p.value) for p in self.parameters]
-        if self.weight_decay and self._grad_scratch is None:
-            self._grad_scratch = [np.empty_like(p.value) for p in self.parameters]
 
-        for index, (param, m, v, buf) in enumerate(zip(self.parameters, self._m, self._v, self._scratch)):
+        for param, m, v, buf in zip(self.parameters, self._m, self._v, self._scratch):
             grad = param.grad
-            if self.weight_decay:
-                gbuf = self._grad_scratch[index]
-                np.multiply(param.value, self.weight_decay, out=gbuf)
-                gbuf += grad
-                grad = gbuf
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=buf)
+            m *= BETA1
+            np.multiply(grad, 1.0 - BETA1, out=buf)
             m += buf
-            v *= self.beta2
+            v *= BETA2
             np.multiply(grad, grad, out=buf)
-            buf *= 1.0 - self.beta2
+            buf *= 1.0 - BETA2
             v += buf
             np.sqrt(v, out=buf)
             buf *= inv_sqrt_bias2
-            buf += self.eps
+            buf += EPS
             np.divide(m, buf, out=buf)
             buf *= step_size
             param.value -= buf
 
     def state_dict(self) -> dict:
-        state = {
-            "lr": self.lr,
-            "t": self._t,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-        }
+        state = {"lr": self.lr, "t": self._t}
         self._dump_slots(state, "m", self._m)
         self._dump_slots(state, "v", self._v)
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        """Checkpoints written while the betas, ``eps`` and weight decay were settable carry them too;
+        they held the values every run used, and are not read."""
         super().load_state_dict(state)
         self._t = int(state["t"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
         self._load_slots(state, "m", self._m)
         self._load_slots(state, "v", self._v)

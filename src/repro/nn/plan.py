@@ -104,7 +104,7 @@ def pack_conv_weights(layer) -> tuple[np.ndarray, np.ndarray | None]:
         w_mat = np.array(conv.weight.value.transpose(0, 2, 3, 1).reshape(f, -1), dtype=np.float32)
     # np.array (not ascontiguousarray): the bias is already contiguous, so
     # only an explicit copy snapshots it alongside the packed weights.
-    bias = np.array(conv.bias.value, dtype=np.float32).reshape(f, 1) if conv.use_bias else None
+    bias = np.array(conv.bias.value, dtype=np.float32).reshape(f, 1)
     return w_mat, bias
 
 
@@ -266,7 +266,7 @@ class _UpConvStep(_Step):
     ``(F, 9C)`` phase pack and a bias pass into that phase's strided pixels
     (:func:`~repro.nn.convgemm.upconv_bands`, the partition the layer shares)."""
 
-    def __init__(self, src: Slot, scratch: Slot, out: Slot, w_pack: np.ndarray, bias: np.ndarray | None):
+    def __init__(self, src: Slot, scratch: Slot, out: Slot, w_pack: np.ndarray, bias: np.ndarray):
         self.reads, self.writes, self.scratch = (src,), (out,), scratch
         self.w_mat, self.bias = w_pack, bias
 
@@ -486,8 +486,6 @@ class PlanBuilder:
         w_mat, bias = packed
         if w_mat.shape != shape:
             raise ValueError(f"pre-packed weights for {name!r} have shape {w_mat.shape}, expected {shape}")
-        if (bias is None) != (not _conv_of(layer).use_bias):
-            raise ValueError(f"pre-packed bias for {name!r} does not match use_bias")
         return w_mat, bias
 
     def _grow_scratch(self, floats: int) -> None:
@@ -583,7 +581,7 @@ class PlanCache:
     (:meth:`info`) expose hit/miss/eviction behaviour for tests and ``/stats``.
     """
 
-    def __init__(self, compile_fn: Callable[[tuple[int, ...]], CompiledPlan], max_plans: int = 8):
+    def __init__(self, compile_fn: Callable[[tuple[int, ...]], CompiledPlan], max_plans: int):
         if max_plans < 1:
             raise ValueError("max_plans must be >= 1")
         self._compile_fn = compile_fn

@@ -29,9 +29,7 @@ from .trace import (
     TRACE_ENV_VAR,
     TRACE_LOG_ENV_VAR,
     TRACE_SAMPLE_ENV_VAR,
-    active_collector,
     collector_context,
-    configure_tracing,
     current_trace_id,
     emit_trace,
     new_trace_id,
@@ -59,9 +57,7 @@ __all__ = [
     "TRACE_ENV_VAR",
     "TRACE_LOG_ENV_VAR",
     "TRACE_SAMPLE_ENV_VAR",
-    "active_collector",
     "collector_context",
-    "configure_tracing",
     "current_trace_id",
     "emit_trace",
     "new_trace_id",

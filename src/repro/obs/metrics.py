@@ -383,10 +383,9 @@ class MetricsRegistry:
     touches without import-order coupling.
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get(METRICS_ENV_VAR, "").strip().lower() not in ("off", "0", "false")
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
+        #: ``REPRO_METRICS=off`` (or ``0`` / ``false``) starts the registry switched off
+        self.enabled = os.environ.get(METRICS_ENV_VAR, "").strip().lower() not in ("off", "0", "false")
         self._metrics: "dict[str, _Metric]" = {}
         self._lock = threading.Lock()
 

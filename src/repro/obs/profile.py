@@ -111,16 +111,16 @@ class LayerTimer:
         }
 
 
-def latency_percentiles(samples_ms: Sequence[float],
-                        qs: Sequence[float] = (0.5, 0.95, 0.99)) -> dict:
-    """Exact percentiles of a latency sample list: ``{"p50_ms": ..., ...}``."""
+#: The quantiles :func:`latency_percentiles` reports.
+PERCENTILES = (0.5, 0.95, 0.99)
+
+
+def latency_percentiles(samples_ms: Sequence[float]) -> dict:
+    """Exact percentiles of a latency sample list: ``{"p50_ms": ..., "p95_ms": ..., "p99_ms": ...}``."""
     if not len(samples_ms):
-        return {f"p{int(q * 100)}_ms": None for q in qs}
+        return {f"p{int(q * 100)}_ms": None for q in PERCENTILES}
     arr = np.asarray(samples_ms, dtype=np.float64)
-    return {
-        f"p{int(q * 100)}_ms": round(float(np.quantile(arr, q)), 3)
-        for q in qs
-    }
+    return {f"p{int(q * 100)}_ms": round(float(np.quantile(arr, q)), 3) for q in PERCENTILES}
 
 
 #: plan step class -> the budget line it belongs to; ``pad`` is the copy of the

@@ -6,14 +6,16 @@ spans — queue wait, batch assembly, dispatch, compute, stitch — and, when
 the trace is sampled, emits a single structured-JSON record to the trace
 log.  ``REPRO_TRACE`` picks the mode:
 
-* ``off`` (default) — no records are emitted (ids still flow, so responses
-  always carry a ``trace_id``);
+* ``off`` (unset or empty) — no records are emitted (ids still flow, so
+  responses always carry a ``trace_id``);
 * ``sampled`` — a deterministic hash of the trace id keeps roughly
-  ``REPRO_TRACE_SAMPLE`` (default 0.1) of traces;
+  ``REPRO_TRACE_SAMPLE`` (default 0.1, clamped to [0, 1]; a value that is
+  not a number raises) of traces;
 * ``all`` — every trace is emitted.
 
-Records go to ``REPRO_TRACE_LOG`` (a JSONL file, opened lazily and appended
-under a lock) or stderr when unset.
+Any other value raises a :class:`ValueError` naming the valid modes.  Records
+go to ``REPRO_TRACE_LOG`` (a JSONL file, opened lazily, reopened when the
+variable names another path, and appended under a lock) or stderr when unset.
 
 Stage timings cross layer boundaries without threading new parameters
 through every signature: the batcher pushes a thread-local **collector**
@@ -32,6 +34,7 @@ real worker compute, not just round-trip time.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -45,13 +48,11 @@ __all__ = [
     "TRACE_LOG_ENV_VAR",
     "new_trace_id",
     "trace_mode",
-    "configure_tracing",
     "should_sample",
     "emit_trace",
     "push_collector",
     "pop_collector",
     "record",
-    "active_collector",
     "current_trace_id",
     "collector_context",
 ]
@@ -65,11 +66,8 @@ TRACE_LOG_ENV_VAR = "REPRO_TRACE_LOG"
 
 _VALID_MODES = ("off", "sampled", "all")
 
-_config_lock = threading.Lock()
-_mode: str | None = None        # None → read the environment lazily
-_sample_rate: float | None = None
-_log_path: str | None = None
 _log_file = None
+_log_path: str | None = None  # what ``_log_file`` was opened for ("" for stderr)
 _log_lock = threading.Lock()
 
 
@@ -78,43 +76,27 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex
 
 
-def configure_tracing(mode: str | None = None, sample_rate: float | None = None,
-                      log_path: str | None = None) -> None:
-    """Override the environment-derived tracing config (tests, CLI flags).
-
-    Passing ``None`` for a field re-reads it from the environment on next
-    use; the log sink is reopened when its path changes.
-    """
-    global _mode, _sample_rate, _log_path, _log_file
-    if mode is not None and mode not in _VALID_MODES:
-        raise ValueError(f"trace mode must be one of {_VALID_MODES}, got {mode!r}")
-    with _config_lock:
-        _mode = mode
-        _sample_rate = sample_rate
-        with _log_lock:
-            if _log_file is not None and not _log_file.closed and _log_file is not sys.stderr:
-                _log_file.close()
-            _log_file = None
-            _log_path = log_path
-
-
 def trace_mode() -> str:
-    with _config_lock:
-        if _mode is not None:
-            return _mode
-    env = os.environ.get(TRACE_ENV_VAR, "off").strip().lower()
-    return env if env in _VALID_MODES else "off"
+    """``REPRO_TRACE``'s mode; unset or empty is ``off``, an unknown value raises."""
+    raw = os.environ.get(TRACE_ENV_VAR, "")
+    mode = raw.strip().lower() or "off"
+    if mode not in _VALID_MODES:
+        raise ValueError(f"{TRACE_ENV_VAR}={raw!r} is not a trace mode; expected one of {_VALID_MODES}")
+    return mode
 
 
 def _sample_rate_value() -> float:
-    with _config_lock:
-        if _sample_rate is not None:
-            return _sample_rate
+    """``REPRO_TRACE_SAMPLE`` clamped to [0, 1]; unset or empty is 0.1, a value that is not a number raises."""
     raw = os.environ.get(TRACE_SAMPLE_ENV_VAR, "").strip()
-    try:
-        return min(1.0, max(0.0, float(raw))) if raw else 0.1
-    except ValueError:
+    if not raw:
         return 0.1
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):  # ``nan`` would clamp to 0.0: ``sampled`` mode would sample nothing
+        raise ValueError(f"{TRACE_SAMPLE_ENV_VAR}={raw!r} is not a sample rate; expected a number in [0, 1]")
+    return min(1.0, max(0.0, value))
 
 
 def should_sample(trace_id: str) -> bool:
@@ -137,17 +119,19 @@ def should_sample(trace_id: str) -> bool:
 
 def emit_trace(record_dict: dict) -> None:
     """Append one JSON trace record to the configured sink (JSONL)."""
-    global _log_file
+    global _log_file, _log_path
     line = json.dumps(record_dict, sort_keys=True)
+    path = os.environ.get(TRACE_LOG_ENV_VAR, "").strip()
     with _log_lock:
-        if _log_file is None or _log_file.closed:
-            path = _log_path if _log_path is not None else os.environ.get(TRACE_LOG_ENV_VAR, "").strip()
+        if _log_file is None or _log_file.closed or path != _log_path:
+            if _log_file is not None and _log_file is not sys.stderr:
+                _log_file.close()
             if path:
-                directory = os.path.dirname(os.path.abspath(path))
-                os.makedirs(directory, exist_ok=True)
+                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
                 _log_file = open(path, "a", encoding="utf-8")
             else:
                 _log_file = sys.stderr
+            _log_path = path
         _log_file.write(line + "\n")
         _log_file.flush()
 
@@ -172,11 +156,6 @@ def pop_collector() -> dict:
     if not stack:
         raise RuntimeError("no active trace collector to pop")
     return stack.pop()[0]
-
-
-def active_collector() -> dict | None:
-    stack = getattr(_tls, "stack", None)
-    return stack[-1][0] if stack else None
 
 
 def current_trace_id() -> str | None:

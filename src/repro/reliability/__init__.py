@@ -10,7 +10,7 @@ rest of the stack threads through:
 * **Load shedding** — :class:`AdmissionController` caps in-flight requests
   and sheds the excess instantly (:class:`OverloadedError` → HTTP 503 +
   ``Retry-After``) instead of queueing unboundedly.
-* **Automatic recovery** — :class:`RetryPolicy` re-runs idempotent backend
+* **Automatic recovery** — :func:`backoff` paces re-runs of idempotent backend
   dispatches whose worker crashed or hung (the fork backend kills and
   respawns hung workers); :class:`CircuitBreaker` quarantines a model that
   keeps failing and probes it back to health.
@@ -33,7 +33,7 @@ from .faults import (
     faults_enabled,
     reset_faults,
 )
-from .retry import RetryPolicy
+from .retry import MAX_RETRIES, backoff
 
 __all__ = [
     "AdmissionController",
@@ -44,8 +44,9 @@ __all__ = [
     "FAULTS_ENV_VAR",
     "FaultInjected",
     "FaultSpec",
+    "MAX_RETRIES",
     "OverloadedError",
-    "RetryPolicy",
+    "backoff",
     "configure_faults",
     "fault_point",
     "fault_stats",

@@ -22,6 +22,9 @@ from ..obs.metrics import get_registry
 
 __all__ = ["AdmissionController", "OverloadedError"]
 
+#: How long after a shed request ``/healthz`` still reports the service as shedding.
+SHED_WINDOW_S = 5.0
+
 
 class OverloadedError(RuntimeError):
     """The service is past its high-water mark; the request was shed."""
@@ -90,10 +93,10 @@ class AdmissionController:
         with self._lock:
             return self._shed
 
-    def recently_shed(self, window_s: float = 5.0) -> bool:
-        """Whether a request was shed inside the last ``window_s`` seconds."""
+    def recently_shed(self) -> bool:
+        """Whether a request was shed inside the last :data:`SHED_WINDOW_S` seconds."""
         with self._lock:
-            return self._shed > 0 and (time.monotonic() - self._last_shed_at) < window_s
+            return self._shed > 0 and (time.monotonic() - self._last_shed_at) < SHED_WINDOW_S
 
     def to_dict(self) -> dict:
         with self._lock:

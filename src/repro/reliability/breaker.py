@@ -7,7 +7,7 @@ occupies a concurrency slot that healthy models could use.  The breaker
 watches consecutive failures and, past ``failure_threshold``, *opens*:
 requests fail immediately with :class:`CircuitOpenError` (the serving layer
 maps it to 503 + ``Retry-After``).  After ``reset_timeout_s`` it goes
-*half-open* and lets a limited number of probe requests through; one
+*half-open* and lets :data:`HALF_OPEN_PROBES` probe requests through; one
 success closes it again, one failure re-opens it for another full window.
 """
 
@@ -19,6 +19,9 @@ import time
 from ..obs.metrics import get_registry
 
 __all__ = ["CircuitBreaker", "CircuitOpenError"]
+
+#: Concurrent requests a half-open breaker lets probe; the rest fail fast until a probe reports back.
+HALF_OPEN_PROBES = 1
 
 
 def _transitions_counter():
@@ -40,27 +43,16 @@ class CircuitOpenError(RuntimeError):
 class CircuitBreaker:
     """Three-state (closed / open / half-open) failure quarantine.
 
-    Thread-safe; the clock is injectable for tests.  ``half_open_probes``
-    bounds how many concurrent requests may probe a half-open breaker —
-    the rest fail fast until a probe reports back.
+    Thread-safe; the clock is injectable for tests.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_timeout_s: float = 30.0,
-        half_open_probes: int = 1,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, failure_threshold: int, reset_timeout_s: float, clock=time.monotonic) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout_s < 0:
             raise ValueError("reset_timeout_s must be >= 0")
-        if half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout_s = float(reset_timeout_s)
-        self.half_open_probes = int(half_open_probes)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = "closed"
@@ -100,7 +92,7 @@ class CircuitBreaker:
             if state == "closed":
                 return
             if state == "half_open":
-                if self._probes_in_flight < self.half_open_probes:
+                if self._probes_in_flight < HALF_OPEN_PROBES:
                     self._probes_in_flight += 1
                     return
                 raise CircuitOpenError(

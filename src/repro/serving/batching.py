@@ -34,6 +34,9 @@ from ..reliability import Deadline, DeadlineExceeded, OverloadedError
 
 __all__ = ["BatcherStats", "MicroBatcher", "PendingPrediction"]
 
+#: Seconds :meth:`MicroBatcher.close` waits for its worker to drain the queue and exit.
+CLOSE_TIMEOUT_S = 5.0
+
 #: Flush-size buckets: powers of two up to the largest ``max_batch`` anyone
 #: reasonably configures, so the batcher's padding targets land exactly on
 #: bucket boundaries.
@@ -259,8 +262,9 @@ class MicroBatcher:
         """Bucketed snapshot of live-requests-per-flush for this batcher (``/stats``)."""
         return self._m_flush_size.snapshot(batcher=self.name)
 
-    def close(self, timeout: float | None = 5.0) -> None:
-        """Stop accepting work, drain what is queued, and join the worker.
+    def close(self) -> None:
+        """Stop accepting work, drain what is queued, and join the worker (for at most
+        :data:`CLOSE_TIMEOUT_S`).
 
         Idempotent and thread-safe: concurrent retirement paths (a registry
         hot-swap racing an LRU eviction) may both close the same batcher.
@@ -270,7 +274,7 @@ class MicroBatcher:
         with self._cond:
             self._closed = True
             self._cond.notify()
-        self._worker.join(timeout)
+        self._worker.join(CLOSE_TIMEOUT_S)
 
     def __enter__(self) -> "MicroBatcher":
         return self

@@ -46,6 +46,11 @@ from ..unet import InferenceConfig, SceneClassifier, UNet, UNetConfig
 
 __all__ = ["ModelRecord", "ModelRegistry"]
 
+#: Consecutive failures before a model's circuit breaker opens.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Seconds an open breaker waits before letting a probe request through.
+BREAKER_RESET_S = 30.0
+
 _VERSION_RE = re.compile(r"^v?(\d+)\.npz$")
 
 logger = logging.getLogger(__name__)
@@ -108,10 +113,6 @@ class ModelRegistry:
     root: str | None = None
     inference: InferenceConfig | None = None
     max_warm: int | None = None
-    #: consecutive failures before a model's circuit breaker opens
-    breaker_failure_threshold: int = 5
-    #: seconds an open breaker waits before letting a probe request through
-    breaker_reset_s: float = 30.0
     _records: dict[str, dict[int, ModelRecord]] = field(default_factory=dict, repr=False)
     _explicit: dict[str, dict[int, ModelRecord]] = field(default_factory=dict, repr=False)
     _warm: dict[tuple[str, int], _WarmEntry] = field(default_factory=dict, repr=False)
@@ -389,10 +390,7 @@ class ModelRegistry:
         with self._lock:
             breaker = self._breakers.get(key)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.breaker_failure_threshold,
-                    reset_timeout_s=self.breaker_reset_s,
-                )
+                breaker = CircuitBreaker(BREAKER_FAILURE_THRESHOLD, BREAKER_RESET_S)
                 self._breakers[key] = breaker
             return breaker
 
@@ -440,11 +438,10 @@ class ModelRegistry:
             entry = self._warm.get((name, int(version)))
         return None if entry is None else entry.classifier
 
-    def loaded_versions(self, name: str | None = None) -> list[tuple[str, int]]:
+    def loaded_versions(self) -> list[tuple[str, int]]:
         """The (name, version) pairs currently held warm."""
         with self._lock:
-            keys = sorted(self._warm)
-        return [k for k in keys if name is None or k[0] == name]
+            return sorted(self._warm)
 
     def warm_count(self) -> int:
         """Number of classifiers currently held warm."""

@@ -84,6 +84,8 @@ class InferenceService:
     """Registry + per-model micro-batchers behind a JSON API (HTTP-agnostic)."""
 
     def __init__(self, registry: ModelRegistry, config: ServiceConfig | None = None) -> None:
+        # An unknown REPRO_TRACE, or in sampled mode a malformed REPRO_TRACE_SAMPLE, fails here, at start-up.
+        should_sample(new_trace_id())
         self.registry = registry
         self.config = config or ServiceConfig()
         self.started_at = time.time()
@@ -507,17 +509,13 @@ def _make_handler(service: InferenceService, quiet: bool) -> type[BaseHTTPReques
     return Handler
 
 
-def make_server(
-    service: InferenceService, host: str | None = None, port: int | None = None, quiet: bool = True
-) -> ThreadingHTTPServer:
-    """Bind a :class:`ThreadingHTTPServer` for ``service`` (port 0 → ephemeral).
+def make_server(service: InferenceService, quiet: bool = True) -> ThreadingHTTPServer:
+    """Bind a :class:`ThreadingHTTPServer` for ``service`` at its config's host and port (port 0 → ephemeral).
 
     The caller owns the server: run ``serve_forever()`` (often in a thread),
     then ``shutdown()`` + ``server_close()`` and ``service.close()``.
     """
-    host = service.config.host if host is None else host
-    port = service.config.port if port is None else port
-    return ThreadingHTTPServer((host, port), _make_handler(service, quiet))
+    return ThreadingHTTPServer((service.config.host, service.config.port), _make_handler(service, quiet))
 
 
 def run_service(service: InferenceService, quiet: bool = False, on_ready=None) -> None:

@@ -96,6 +96,10 @@ def compile_unet_plan(
     return b.finalize()
 
 
+#: Distinct input shapes whose plans a :class:`CompiledUNet` keeps compiled (least recently used go first).
+MAX_PLANS = 8
+
+
 class CompiledUNet:
     """A model plus its per-shape LRU plan cache — the serving hot path.
 
@@ -105,13 +109,13 @@ class CompiledUNet:
     serialised by the plan's lock, distinct shapes run in parallel.
     """
 
-    def __init__(self, model: UNet, max_plans: int = 8, packed_weights: dict | None = None):
+    def __init__(self, model: UNet, packed_weights: dict | None = None):
         if not isinstance(model, UNet):
             raise TypeError(f"CompiledUNet requires a UNet, got {type(model).__name__}")
         self.model = model
         self._cache = PlanCache(
             lambda shape: compile_unet_plan(model, shape, packed_weights=packed_weights),
-            max_plans=max_plans,
+            max_plans=MAX_PLANS,
         )
 
     def predict_proba(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -213,8 +213,6 @@ def predict_tile_probabilities(
     model: UNet,
     tiles: np.ndarray,
     batch_size: int = 8,
-    cloud_filter: CloudShadowFilter | None = None,
-    num_workers: int = 1,
     backend: str | Backend | None = None,
 ) -> np.ndarray:
     """Per-class probability maps ``(N, K, H, W)`` for an ``(N, H, W, 3)`` stack.
@@ -222,25 +220,21 @@ def predict_tile_probabilities(
     Tiles are predicted in batches of ``batch_size`` through an execution
     backend: a running :class:`~repro.backend.Backend` with the model already
     published (``SceneClassifier.backend``) is used as is; otherwise the
-    model is published into an ephemeral backend — created, used and closed
-    within the call — of the name ``backend`` resolves to (``None``/``"auto"``
-    resolve from ``num_workers``).  An empty stack returns a correctly-shaped
-    empty array instead of raising.
+    model is published into a one-worker ephemeral backend — created, used
+    and closed within the call — of the name ``backend`` resolves to.  An
+    empty stack returns a correctly-shaped empty array instead of raising.
     """
     stack = _validate_stack(tiles)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
     if stack.shape[0] == 0:
         return np.zeros((0, model.config.num_classes, *stack.shape[1:3]), dtype=np.float32)
     if isinstance(backend, Backend):
         if backend.has_model(_SCENE_MODEL_KEY):
             return backend.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
         backend = backend.name
-    workers = min(num_workers, -(-stack.shape[0] // batch_size))  # never more workers than batches
-    with make_backend(backend, num_workers=workers) as ephemeral:
-        ephemeral.publish_model(_SCENE_MODEL_KEY, model, cloud_filter)
+    with make_backend(backend, num_workers=1) as ephemeral:
+        ephemeral.publish_model(_SCENE_MODEL_KEY, model)
         return ephemeral.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
 
 
@@ -386,13 +380,6 @@ class SceneClassifier:
         for y0, probs in self.iter_row_bands(scene):
             out[y0 : y0 + len(probs)] = probs if out.ndim == 3 else probs.argmax(axis=-1)
         return out
-
-    def classify_scene_proba(self, scene) -> np.ndarray:
-        """Per-pixel class probabilities ``(H, W, K)`` of an ``(H, W, 3)`` scene
-        (float32 on a disjoint grid, float64 on a blended one)."""
-        h, w = _scene_shape(scene)
-        dtype = np.float64 if self.config.overlap else np.float32
-        return self.classify_to(scene, np.empty((h, w, self.model.config.num_classes), dtype))
 
     def classify_scene(self, scene) -> np.ndarray:
         """Return the uint8 class map ``(H, W)`` of an ``(H, W, 3)`` scene."""

@@ -122,7 +122,6 @@ class AutoLabelWorkflow:
 def autolabel_scaling_table(
     tiles: np.ndarray,
     worker_counts: tuple[int, ...] = (1, 2, 4, 6, 8),
-    apply_cloud_filter: bool = True,
 ) -> ScalingTable:
     """Measure auto-labeling wall time at several process counts (Table I).
 
@@ -141,7 +140,6 @@ def autolabel_scaling_table(
     points = []
     for workers in worker_counts:
         start = time.perf_counter()
-        run_mapreduce_autolabel(stack, executor="processes" if workers > 1 else "serial", parallelism=workers,
-                                apply_cloud_filter=apply_cloud_filter)
+        run_mapreduce_autolabel(stack, executor="processes" if workers > 1 else "serial", parallelism=workers)
         points.append(ScalingPoint(workers=workers, time=time.perf_counter() - start, items=len(stack)))
     return ScalingTable(points=points, label="Python multiprocessing auto-labeling")

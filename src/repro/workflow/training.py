@@ -20,7 +20,7 @@ import numpy as np
 
 from ..classes import CLASS_NAMES, SeaIceClass
 from ..cloudshadow import CloudShadowFilter
-from ..data.catalog import TileDataset, build_dataset, train_test_split
+from ..data.catalog import build_dataset, train_test_split
 from ..data.loader import BatchLoader
 from ..distributed.elastic import ElasticTrainer
 from ..labeling.manual import simulate_manual_labels
@@ -31,6 +31,14 @@ from .autolabel import AutoLabelWorkflow, AutoLabelWorkflowConfig
 __all__ = ["AccuracyExperimentConfig", "AccuracyExperimentResult", "run_accuracy_experiment"]
 
 _CLASS_NAMES = [CLASS_NAMES[SeaIceClass(i)] for i in range(len(SeaIceClass))]
+
+
+#: Share of the archive's scenes that get substantial cloud banks.
+CLOUDY_FRACTION = 0.5
+#: Share of the tiles held out to test both models (the paper's 80/20 split).
+TEST_FRACTION = 0.2
+#: Cloud/shadow-affected pixel fraction above which a test tile counts as cloudy in Table V.
+CLOUD_SPLIT_THRESHOLD = 0.10
 
 
 @dataclass(frozen=True)
@@ -45,15 +53,12 @@ class AccuracyExperimentConfig:
     num_scenes: int = 6
     scene_size: int = 128
     tile_size: int = 32
-    cloudy_fraction: float = 0.5
-    test_fraction: float = 0.2
     epochs: int = 30
     batch_size: int = 8
     learning_rate: float = 2e-3
     unet_depth: int = 3
     unet_base_channels: int = 12
     unet_dropout: float = 0.1
-    cloud_split_threshold: float = 0.10
     seed: int = 0
 
     def unet_config(self, seed_offset: int = 0) -> UNetConfig:
@@ -116,14 +121,6 @@ class AccuracyExperimentResult:
                 )
         return rows
 
-    def confusion_matrices(self) -> dict:
-        """Row-normalised confusion matrices (percent) for Figure 13."""
-        out = {}
-        for variant in ("original", "filtered"):
-            for model in ("man", "auto"):
-                out[f"{model}_{variant}"] = np.round(self.table4[variant][model].confusion_percent, 2)
-        return out
-
 
 # --------------------------------------------------------------------------- #
 def _train_model(config: AccuracyExperimentConfig, images: np.ndarray, labels: np.ndarray, seed_offset: int,
@@ -151,7 +148,6 @@ def _reports(trainers: dict[str, ElasticTrainer], original: np.ndarray, filtered
 
 def run_accuracy_experiment(
     config: AccuracyExperimentConfig = AccuracyExperimentConfig(),
-    dataset: TileDataset | None = None,
     workers: int = 0,
     micro_shards: int | None = None,
     step_timeout_s: float = 60.0,
@@ -171,7 +167,7 @@ def run_accuracy_experiment(
 
     Steps (mirroring Figure 2 of the paper):
 
-    1. build (or accept) the tile dataset with ground truth;
+    1. build the tile dataset with ground truth;
     2. derive simulated manual labels and colour-segmentation auto-labels
        (auto-labels are computed on cloud/shadow-filtered tiles);
     3. split 80/20 into train / test tiles;
@@ -181,16 +177,14 @@ def run_accuracy_experiment(
        the filtered test imagery, overall (Table IV) and split by cloud
        coverage (Table V), with per-class confusion matrices (Figure 13).
     """
-    if dataset is None:
-        dataset = build_dataset(
-            num_scenes=config.num_scenes,
-            scene_size=config.scene_size,
-            tile_size=config.tile_size,
-            base_seed=config.seed,
-            cloudy_fraction=config.cloudy_fraction,
-        )
-
-    train_ds, test_ds = train_test_split(dataset, test_fraction=config.test_fraction, seed=config.seed)
+    dataset = build_dataset(
+        num_scenes=config.num_scenes,
+        scene_size=config.scene_size,
+        tile_size=config.tile_size,
+        base_seed=config.seed,
+        cloudy_fraction=CLOUDY_FRACTION,
+    )
+    train_ds, test_ds = train_test_split(dataset, test_fraction=TEST_FRACTION, seed=config.seed)
 
     # --- labels for training -------------------------------------------------
     manual_train = simulate_manual_labels(train_ds.labels, seed=config.seed)
@@ -218,7 +212,7 @@ def run_accuracy_experiment(
     # --- evaluation -----------------------------------------------------------
     # Ground truth of the test tiles plays the role of the manual validation labels.
     table4 = _reports(trainers, test_ds.images, test_filtered, test_ds.labels)
-    cloudy_ds, clear_ds = test_ds.split_by_cloud_coverage(config.cloud_split_threshold)
+    cloudy_ds, clear_ds = test_ds.split_by_cloud_coverage(CLOUD_SPLIT_THRESHOLD)
     table5: dict = {"cloudy": {}, "clear": {}}
     for split_name, split_ds in (("cloudy", cloudy_ds), ("clear", clear_ds)):
         if len(split_ds):

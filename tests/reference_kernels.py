@@ -50,7 +50,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from repro.classes import NUM_CLASSES, SeaIceClass, class_map_to_color
-from repro.cloudshadow import CloudShadowFilter
+from repro.cloudshadow import CloudShadowFilter, removal
+from repro.data.radiometry import CLOUD_CONTAMINANT_RGB, SHADOW_CONTAMINANT_RGB
 from repro.imops import assemble_from_tiles, gaussian_blur, gaussian_kernel1d, split_into_tiles
 from repro.nn import Concat, Conv2D, Dropout, MaxPool2D, Module, ReLU, UpConv2D, softmax
 from repro.nn.layers import max_of_views, pool_views
@@ -83,7 +84,7 @@ def reference_estimate(cloud_filter, rgb: np.ndarray, dtype=None) -> tuple:
     h, w, _ = data.shape
 
     prototypes = cloud_filter.surface_prototypes.astype(dtype)  # (K, 3)
-    contaminants = np.array([cloud_filter.cloud_color, cloud_filter.shadow_color], dtype=dtype)  # (2, 3)
+    contaminants = np.array([CLOUD_CONTAMINANT_RGB, SHADOW_CONTAMINANT_RGB], dtype=dtype)  # (2, 3)
     num_m = contaminants.shape[0]
 
     diff = data[:, :, None, :] - prototypes[None, None, :, :]  # (H, W, K, 3)
@@ -91,19 +92,18 @@ def reference_estimate(cloud_filter, rgb: np.ndarray, dtype=None) -> tuple:
     dir_norm_sq = np.maximum(np.sum(direction * direction, axis=-1), dtype(1e-9))  # (K, M)
 
     alpha = np.einsum("hwkc,kmc->hwkm", diff, direction) / dir_norm_sq[None, None, :, :]
-    alpha = np.clip(alpha, 0.0, cloud_filter.max_alpha)
+    alpha = np.clip(alpha, 0.0, removal.MAX_ALPHA)
 
     recon = alpha[..., None] * direction[None, None, :, :, :]  # (H, W, K, M, 3)
     resid = diff[:, :, :, None, :] - recon
     residual = np.sqrt(np.sum(resid * resid, axis=-1))  # (H, W, K, M)
-    score = residual + cloud_filter.alpha_penalty * alpha
+    score = residual + removal.ALPHA_PENALTY * alpha
 
     contaminant_score = score.min(axis=2)  # (H, W, M)
-    if cloud_filter.score_smooth_ksize and cloud_filter.score_smooth_ksize >= 3:
-        pooled = np.empty_like(contaminant_score)
-        for m in range(num_m):
-            pooled[:, :, m] = gaussian_blur(contaminant_score[:, :, m], ksize=cloud_filter.score_smooth_ksize)
-        contaminant_score = pooled
+    pooled = np.empty_like(contaminant_score)
+    for m in range(num_m):
+        pooled[:, :, m] = gaussian_blur(contaminant_score[:, :, m], ksize=removal.SCORE_SMOOTH_KSIZE)
+    contaminant_score = pooled
     best_m = np.argmin(contaminant_score, axis=-1)  # (H, W)
 
     rows = np.arange(h)[:, None]
@@ -114,13 +114,10 @@ def reference_estimate(cloud_filter, rgb: np.ndarray, dtype=None) -> tuple:
 
     cloud_alpha = np.where(best_m == 0, best_alpha, 0.0)
     shadow_alpha = np.where(best_m == 1, best_alpha, 0.0)
-    if cloud_filter.smooth_ksize and cloud_filter.smooth_ksize >= 3:
-        cloud_alpha = gaussian_blur(cloud_alpha, ksize=cloud_filter.smooth_ksize)
-        shadow_alpha = gaussian_blur(shadow_alpha, ksize=cloud_filter.smooth_ksize)
-        cloud_alpha = np.clip(cloud_alpha, 0.0, cloud_filter.max_alpha)
-        shadow_alpha = np.clip(shadow_alpha, 0.0, cloud_filter.max_alpha)
-    cloud_alpha = np.where(cloud_alpha >= cloud_filter.min_alpha, cloud_alpha, 0.0)
-    shadow_alpha = np.where(shadow_alpha >= cloud_filter.min_alpha, shadow_alpha, 0.0)
+    cloud_alpha = np.clip(gaussian_blur(cloud_alpha, ksize=removal.SMOOTH_KSIZE), 0.0, removal.MAX_ALPHA)
+    shadow_alpha = np.clip(gaussian_blur(shadow_alpha, ksize=removal.SMOOTH_KSIZE), 0.0, removal.MAX_ALPHA)
+    cloud_alpha = np.where(cloud_alpha >= removal.MIN_ALPHA, cloud_alpha, 0.0)
+    shadow_alpha = np.where(shadow_alpha >= removal.MIN_ALPHA, shadow_alpha, 0.0)
     return cloud_alpha, shadow_alpha
 
 
@@ -132,13 +129,13 @@ def reference_remove(cloud_filter, rgb: np.ndarray, estimate: tuple | None = Non
     cloud_alpha, shadow_alpha = reference_estimate(cloud_filter, img, dtype) if estimate is None else estimate
     data = img.astype(dtype)
 
-    shadow = np.asarray(cloud_filter.shadow_color, dtype=dtype).reshape(1, 1, 3)
-    a_s = np.clip(shadow_alpha, 0.0, cloud_filter.max_alpha)[..., None]
-    data = (data - a_s * shadow) / np.maximum(1.0 - a_s, 1.0 - cloud_filter.max_alpha)
+    shadow = np.asarray(SHADOW_CONTAMINANT_RGB, dtype=dtype).reshape(1, 1, 3)
+    a_s = np.clip(shadow_alpha, 0.0, removal.MAX_ALPHA)[..., None]
+    data = (data - a_s * shadow) / np.maximum(1.0 - a_s, 1.0 - removal.MAX_ALPHA)
 
-    cloud = np.asarray(cloud_filter.cloud_color, dtype=dtype).reshape(1, 1, 3)
-    a_c = np.clip(cloud_alpha, 0.0, cloud_filter.max_alpha)[..., None]
-    data = (data - a_c * cloud) / np.maximum(1.0 - a_c, 1.0 - cloud_filter.max_alpha)
+    cloud = np.asarray(CLOUD_CONTAMINANT_RGB, dtype=dtype).reshape(1, 1, 3)
+    a_c = np.clip(cloud_alpha, 0.0, removal.MAX_ALPHA)[..., None]
+    data = (data - a_c * cloud) / np.maximum(1.0 - a_c, 1.0 - removal.MAX_ALPHA)
     return np.clip(np.round(data), 0, 255).astype(np.uint8)
 
 
@@ -186,7 +183,7 @@ def reference_segment(labeler, rgb: np.ndarray):
     img = np.asarray(rgb)
     filtered = reference_remove(labeler.cloud_filter, img) if labeler.apply_cloud_filter else None
     hsv = reference_rgb_to_hsv(img if filtered is None else filtered)
-    masks = {cls: reference_contains(rng, hsv) for cls, rng in labeler.hsv_ranges.items()}
+    masks = {cls: reference_contains(rng, hsv) for cls, rng in labeler._ranges.items()}
 
     class_map = np.full(hsv.shape[:2], 255, dtype=np.uint8)
     for cls in SeaIceClass:
@@ -195,7 +192,7 @@ def reference_segment(labeler, rgb: np.ndarray):
     if unassigned.any():
         values = hsv[unassigned][..., 2].astype(np.int32)
         centers = np.zeros(NUM_CLASSES, dtype=np.int32)
-        for cls, rng in labeler.hsv_ranges.items():
+        for cls, rng in labeler._ranges.items():
             centers[int(cls)] = (rng.lower[2] + rng.upper[2]) // 2
         class_map[unassigned] = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1).astype(np.uint8)
     return class_map, class_map_to_color(class_map), masks, filtered
@@ -304,9 +301,7 @@ class ReferenceConv2D(Conv2D):
         n, _, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         cols = im2col(x, k, k, s, p)  # (N*out_h*out_w, C*k*k)
-        out = cols @ self.weight.value.reshape(self.out_channels, -1).T  # (N*out_h*out_w, F)
-        if self.use_bias:
-            out += self.bias.value
+        out = cols @ self.weight.value.reshape(self.out_channels, -1).T + self.bias.value  # (N*out_h*out_w, F)
         out = out.reshape(n, strided_output_size(h, k, s, p), strided_output_size(w, k, s, p), self.out_channels)
         self._cache = (x.shape, cols)
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
@@ -317,8 +312,7 @@ class ReferenceConv2D(Conv2D):
         # (N, F, out_h, out_w) -> (N*out_h*out_w, F)
         grad_mat = np.asarray(grad_output, dtype=np.float32).transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         self.weight.grad += (grad_mat.T @ cols).reshape(self.weight.value.shape)
-        if self.use_bias:
-            self.bias.grad += grad_mat.sum(axis=0)
+        self.bias.grad += grad_mat.sum(axis=0)
         if not need_input_grad:
             return None
         grad_cols = grad_mat @ self.weight.value.reshape(self.out_channels, -1)  # (N*out_h*out_w, C*k*k)
@@ -468,8 +462,9 @@ def reference_classify_scene(model, scene: np.ndarray, config) -> np.ndarray:
     ephemeral serial backend (the backends are bit-identical).
     """
     tiles, grid = split_into_tiles(scene, tile_size=config.tile_size, overlap=config.overlap)
-    probs = predict_tile_probabilities(model, tiles, batch_size=config.batch_size, backend="serial",
-                                       cloud_filter=CloudShadowFilter() if config.apply_cloud_filter else None)
+    if config.apply_cloud_filter:
+        tiles = CloudShadowFilter().apply_batch(tiles)
+    probs = predict_tile_probabilities(model, tiles, batch_size=config.batch_size, backend="serial")
     return np.asarray(assemble_from_tiles(np.moveaxis(probs, 1, -1), grid))
 
 

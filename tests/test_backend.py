@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import available_backends
 from repro.backend import (
     BackendError,
     ProcessBackend,
     SerialBackend,
-    available_backends,
     make_backend,
     resolve_backend_name,
 )
@@ -386,7 +386,7 @@ class TestLifecycleAndErrors:
     def test_reliability_env_var_must_be_a_number(self, monkeypatch, var, attr, default):
         """A malformed value raises, naming the variable and the value, instead of
         quietly leaving the default in force; empty means the default, <= 0 disables."""
-        for value in ("off", "30s"):
+        for value in ("off", "30s", "nan"):
             monkeypatch.setenv(var, value)
             with pytest.raises(ValueError, match=f"{var}='{value}'"):
                 ProcessBackend(num_workers=1)

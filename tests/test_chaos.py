@@ -21,9 +21,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import ProcessBackend, SerialBackend, available_backends
+from helpers import available_backends
+from repro.backend import ProcessBackend, SerialBackend
 from repro.data import BatchLoader
-from repro.distributed import ElasticTrainer, latest_checkpoints
+from repro.distributed import ElasticTrainer, elastic, latest_checkpoints
 from repro.nn import Adam, CheckpointError, load_checkpoint
 from repro.reliability import FaultSpec, configure_faults, fault_stats, reset_faults
 from repro.serving import InferenceService, ModelRegistry, ServiceConfig, make_server
@@ -79,11 +80,12 @@ def expected(model, stack):
 
 @fork_only
 class TestBackendChaos:
-    def test_worker_crash_is_retried_bit_identical(self, model, stack, expected):
+    def test_worker_crash_is_retried_bit_identical(self, model, stack, expected, monkeypatch):
         # Armed *before* the fork so workers inherit the (shared) budget.
         configure_faults({"worker_crash": FaultSpec(times=1)})
         before = _segments()
-        with ProcessBackend(num_workers=2, heartbeat_interval_s=0.0) as backend:
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0")
+        with ProcessBackend(num_workers=2) as backend:
             backend.publish_model("m", model)
             probs = backend.predict_stack("m", stack, batch_size=4)
             np.testing.assert_array_equal(probs, expected)
@@ -94,12 +96,11 @@ class TestBackendChaos:
         assert _segments() == before
         assert not any(_alive(pid) for pid in pids)
 
-    def test_hung_worker_killed_and_span_retried(self, model, stack, expected):
+    def test_hung_worker_killed_and_span_retried(self, model, stack, expected, monkeypatch):
         configure_faults({"worker_hang": FaultSpec(times=1, param=600.0)})
         before = _segments()
-        with ProcessBackend(
-            num_workers=2, dispatch_timeout_s=1.0, heartbeat_interval_s=0.0
-        ) as backend:
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0")
+        with ProcessBackend(num_workers=2, dispatch_timeout_s=1.0) as backend:
             backend.publish_model("m", model)
             start = time.monotonic()
             probs = backend.predict_stack("m", stack, batch_size=4)
@@ -112,9 +113,10 @@ class TestBackendChaos:
         assert _segments() == before
         assert not any(_alive(pid) for pid in pids)
 
-    def test_watchdog_respawns_idle_dead_worker(self, model, stack, expected):
+    def test_watchdog_respawns_idle_dead_worker(self, model, stack, expected, monkeypatch):
         before = _segments()
-        with ProcessBackend(num_workers=2, heartbeat_interval_s=0.1) as backend:
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.1")
+        with ProcessBackend(num_workers=2) as backend:
             backend.publish_model("m", model)
             victim = backend.occupancy()["worker_pids"][0]
             os.kill(victim, signal.SIGKILL)
@@ -130,14 +132,15 @@ class TestBackendChaos:
         assert _segments() == before
         assert not any(_alive(pid) for pid in pids)
 
-    def test_failed_attach_on_publish_respawns_the_worker(self, model, stack, expected):
+    def test_failed_attach_on_publish_respawns_the_worker(self, model, stack, expected, monkeypatch):
         """A worker whose attach fails inside the publish broadcast must not
         be left serving without the model (it used to answer every later
         predict with ``KeyError: 'm'``): it is killed, and the next checkout
         respawns it with the store republished."""
         configure_faults({"shm_attach_fail": FaultSpec(times=1)})
         before = _segments()
-        with ProcessBackend(num_workers=2, heartbeat_interval_s=0.0) as backend:
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0")
+        with ProcessBackend(num_workers=2) as backend:
             backend.publish_model("m", model)
             assert fault_stats()["shm_attach_fail"]["fired"] == 1
             probs = backend.predict_stack("m", stack, batch_size=4)
@@ -147,12 +150,13 @@ class TestBackendChaos:
             assert info["alive_workers"] == 2
         assert _segments() == before
 
-    def test_repeated_crashes_exhaust_retries_cleanly(self, model, stack):
-        # Unlimited crash budget: every attempt dies, the retry policy gives
-        # up, and the error is surfaced instead of hanging — with no leaks.
+    def test_repeated_crashes_exhaust_retries_cleanly(self, model, stack, monkeypatch):
+        # Unlimited crash budget: every attempt dies, the retries run out,
+        # and the error is surfaced instead of hanging — with no leaks.
         configure_faults({"worker_crash": FaultSpec(times=-1)})
         before = _segments()
-        with ProcessBackend(num_workers=1, heartbeat_interval_s=0.0) as backend:
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0")
+        with ProcessBackend(num_workers=1) as backend:
             backend.publish_model("m", model)
             with pytest.raises(Exception, match="died|killed"):
                 backend.predict_stack("m", stack, batch_size=4)
@@ -301,8 +305,14 @@ def _elastic_victim(images, labels, ckpt_dir: str) -> None:
     loader = _elastic_loader(images, labels)
     with ElasticTrainer(num_workers=2, config=_ELASTIC_CFG, micro_shards=4,
                         seed=0, step_timeout_s=30.0, checkpoint_dir=ckpt_dir,
-                        checkpoint_every=1, keep_checkpoints=100) as trainer:
+                        checkpoint_every=1) as trainer:
         trainer.fit(loader, epochs=3)
+
+
+@pytest.fixture
+def keep_every_checkpoint(monkeypatch):
+    """Resume and fallback tests read older archives than the newest few the trainer keeps."""
+    monkeypatch.setattr(elastic, "KEEP_CHECKPOINTS", 100)
 
 
 @fork_only
@@ -360,7 +370,7 @@ class TestTrainingChaos:
         assert losses == clean_losses
         assert digest == clean_digest
 
-    def test_sigkill_then_resume_is_bit_identical(self, tiny_split, tmp_path):
+    def test_sigkill_then_resume_is_bit_identical(self, tiny_split, tmp_path, keep_every_checkpoint):
         """The acceptance gate: SIGKILL the whole training process at an
         arbitrary step, resume from the newest checkpoint in a fresh
         process, and the remaining epochs' losses and the final weights
@@ -389,18 +399,16 @@ class TestTrainingChaos:
         loader = _elastic_loader(train.images, train.labels)
         with ElasticTrainer(num_workers=2, config=_ELASTIC_CFG, micro_shards=4,
                             seed=0, step_timeout_s=30.0,
-                            checkpoint_dir=str(tmp_path), checkpoint_every=1,
-                            keep_checkpoints=100) as trainer:
+                            checkpoint_dir=str(tmp_path), checkpoint_every=1) as trainer:
             resumed = trainer.fit(loader, epochs=3, resume=True)
             assert trainer.resumes == 1
             assert list(resumed.losses) == ref_losses
             assert trainer.weights_digest() == ref_digest
 
-    def test_corrupt_checkpoint_falls_back_to_older_archive(self, tiny_split, tmp_path):
+    def test_corrupt_checkpoint_falls_back_to_older_archive(self, tiny_split, tmp_path, keep_every_checkpoint):
         train, _ = tiny_split
         final_losses, final_digest, _ = self._run(
-            tiny_split, 2, checkpoint_dir=str(tmp_path), checkpoint_every=1,
-            keep_checkpoints=100)
+            tiny_split, 2, checkpoint_dir=str(tmp_path), checkpoint_every=1)
         ckpts = latest_checkpoints(tmp_path)
         assert len(ckpts) >= 2
         with open(ckpts[0], "r+b") as fh:  # tear the newest archive
@@ -418,7 +426,7 @@ class TestTrainingChaos:
             assert list(resumed.losses) == final_losses
             assert trainer.weights_digest() == final_digest
 
-    def test_ckpt_corrupt_write_fault_yields_rejected_archive(self, tmp_path, tiny_split):
+    def test_ckpt_corrupt_write_fault_yields_rejected_archive(self, tmp_path, tiny_split, keep_every_checkpoint):
         """The torn-write fault must reach the *final* checkpoint name and be
         rejected at load time — exactly what a crash mid-write looks like."""
         train, _ = tiny_split
@@ -426,7 +434,7 @@ class TestTrainingChaos:
         loader = _elastic_loader(train.images, train.labels)
         with ElasticTrainer(num_workers=1, config=_ELASTIC_CFG, micro_shards=2,
                             seed=0, checkpoint_dir=str(tmp_path),
-                            checkpoint_every=1, keep_checkpoints=100) as trainer:
+                            checkpoint_every=1) as trainer:
             trainer.fit(loader, epochs=1)
         assert fault_stats()["ckpt_corrupt_write"]["fired"] == 1
         reset_faults()

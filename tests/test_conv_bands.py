@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import cache_nbytes
 from reference_kernels import (
     ReferenceMaxPool2D,
     ReferenceUpConv2D,
@@ -220,8 +221,7 @@ class TestConvKernel:
                 xp = laid_out(rng, xp.shape, "strided")
         weight = rng.standard_normal((f, c, k, k)).astype(np.float32)
         grad = laid_out(rng, (n, f, xp.shape[2] - k + 1, xp.shape[3] - k + 1), grad_layout) - np.float32(0.5)
-        dx, dw, db = kernels.conv_backward_offset(xp, weight, grad, need_input_grad=need_input_grad,
-                                                  need_bias_grad=True, pad=pad)
+        dx, dw, db = kernels.conv_backward_offset(xp, weight, grad, need_input_grad=need_input_grad, pad=pad)
 
         cols = im2col(xp.astype(np.float64), k, k)
         grad_mat = grad.astype(np.float64).transpose(0, 2, 3, 1).reshape(-1, f)
@@ -320,7 +320,7 @@ class TestUpConvKernel:
                 evaluated = module.eval().forward(x)
                 got = {"out": module.train().forward(x)}
                 np.testing.assert_array_equal(evaluated, got["out"])
-                assert (module.cache_nbytes() <= bound) == (module is layer)
+                assert (cache_nbytes(module) <= bound) == (module is layer)
                 got["dX"] = module.backward(grad)
             got["dW"], got["dB"] = module.conv.weight.grad, module.conv.bias.grad
             for key, oracle_value in expected.items():
@@ -330,13 +330,11 @@ class TestUpConvKernel:
                 scale = max(float(size.max()), 1e-8)
                 assert float(np.abs(got[key] - oracle_value).max()) <= 1e-4 * scale, key
 
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_phases_write_their_pixels_and_nothing_else(self, use_bias):
+    def test_phases_write_their_pixels_and_nothing_else(self):
         """Into a channel slice of a bordered buffer, as a plan binds it: every band's four phases fill the
         interior exactly as the layer does, the ring and the other channels stay untouched."""
-        rng = np.random.default_rng(int(use_bias))
+        rng = np.random.default_rng(1)
         layer = UpConv2D(8, 4, seed=5).eval()
-        layer.conv.use_bias = use_bias
         x = rng.standard_normal((2, 8, 7, 5)).astype(np.float32)
         bordered = np.full((2, 6, 16, 12), np.nan, dtype=np.float32)
         with band_budget(SMALL_BUDGETS[0]):
@@ -345,7 +343,7 @@ class TestUpConvKernel:
             bands = kernels.upconv_bands(x, bordered[:, :4, 1:-1, 1:-1], scratch)
             assert len(bands) == 2 * 4  # rows 2, 2, 2 and a ragged 1
             kernels.run_upconv_bands(bands, kernels.upconv_weights(layer.conv.weight.value),
-                                     layer.conv.bias.value[:, None] if use_bias else None)
+                                     layer.conv.bias.value[:, None])
         np.testing.assert_array_equal(bordered[:, :4, 1:-1, 1:-1], expected)
         untouched = np.ones(bordered.shape, dtype=bool)
         untouched[:, :4, 1:-1, 1:-1] = False

@@ -21,6 +21,7 @@ from repro.distributed import (
     DGXTrainingModel,
     ElasticTrainer,
     ElasticTrainingError,
+    elastic,
     latest_checkpoints,
     paper_table3,
 )
@@ -414,11 +415,11 @@ class TestElasticTrainer:
                 trainer.fit(_eight_step_loader(), epochs=2, resume=True)
             assert trainer.resumes == 0 and trainer.global_step == 0
 
-    def test_keep_checkpoints_prunes_old_archives(self, tiny_split, tmp_path):
+    def test_keep_checkpoints_prunes_old_archives(self, tiny_split, tmp_path, monkeypatch):
+        monkeypatch.setattr(elastic, "KEEP_CHECKPOINTS", 2)
         loader = _elastic_loader(tiny_split)
         with ElasticTrainer(num_workers=1, config=ELASTIC_CONFIG, micro_shards=2,
-                            seed=0, checkpoint_dir=tmp_path, checkpoint_every=1,
-                            keep_checkpoints=2) as trainer:
+                            seed=0, checkpoint_dir=tmp_path, checkpoint_every=1) as trainer:
             trainer.fit(loader, epochs=3)
         assert len(latest_checkpoints(tmp_path)) == 2
 
@@ -450,11 +451,12 @@ class TestElasticTrainer:
         assert [os.path.basename(path) for path in latest_checkpoints(tmp_path)] == [
             "ckpt-00000008.npz", "ckpt-00000004.npz"]
 
-    def test_the_master_works_once_per_step_while_the_ranks_compute(self, tmp_path):
+    def test_the_master_works_once_per_step_while_the_ranks_compute(self, tmp_path, monkeypatch):
         """The due checkpoint and the loader's next batch happen between the last submit and the first wait:
         once a step, also when a crashed worker makes the backend re-send a shard — and the run still equals
         the undisturbed in-process one, archive for archive."""
-        kwargs = dict(config=ELASTIC_CONFIG, micro_shards=2, seed=0, checkpoint_every=1, keep_checkpoints=20)
+        monkeypatch.setattr(elastic, "KEEP_CHECKPOINTS", 20)
+        kwargs = dict(config=ELASTIC_CONFIG, micro_shards=2, seed=0, checkpoint_every=1)
         with ElasticTrainer(num_workers=0, checkpoint_dir=tmp_path / "calm", **kwargs) as trainer:
             calm = list(trainer.fit(_eight_step_loader(), epochs=1).losses), trainer.weights_digest()
         events, sends = [], []
@@ -588,14 +590,15 @@ class TestInProcessRank:
         assert np.isfinite(history.losses).all() and trainer.global_step > 0
         assert [cell["fired"] for cell in fault_stats().values()] == [0, 0]
 
-    def test_counts_the_images_that_were_trained(self, tmp_path):
+    def test_counts_the_images_that_were_trained(self, tmp_path, monkeypatch):
         """13 tiles in batches of 5, 5, 3 over two micro-shards train 4 + 4 + 2: the remainder a
         step drops is not booked — in the epoch's throughput or in the checkpoint cursor, where a
         resumed run must find what the uninterrupted one wrote."""
         rng = np.random.default_rng(2)
         images = rng.integers(0, 256, size=(13, 16, 16, 3), dtype=np.uint8)
         labels = rng.integers(0, 3, size=(13, 16, 16), dtype=np.uint8)
-        kwargs = dict(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG, checkpoint_every=1, keep_checkpoints=10)
+        monkeypatch.setattr(elastic, "KEEP_CHECKPOINTS", 10)
+        kwargs = dict(num_workers=0, micro_shards=2, config=ELASTIC_CONFIG, checkpoint_every=1)
 
         def run(directory, resume):
             loader = BatchLoader(images, labels, batch_size=5, shuffle=True, augment=True, seed=5)
@@ -622,11 +625,9 @@ class TestInProcessRank:
             trainer.fit(loader, epochs=1)
         assert trainer.global_step == 0 and not trainer.history.epochs
 
-    @pytest.mark.parametrize("option", [{"keep_checkpoints": 0}, {"checkpoint_every": -1}])
-    def test_checkpoint_options_that_lose_the_resume_are_refused(self, tmp_path, option):
-        """``keep_checkpoints=0`` would delete every checkpoint as it is written."""
-        with pytest.raises(ValueError, match=next(iter(option))):
-            ElasticTrainer(checkpoint_dir=tmp_path, **option)
+    def test_a_negative_checkpoint_period_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            ElasticTrainer(checkpoint_dir=tmp_path, checkpoint_every=-1)
 
     def test_resumed_history_does_not_dilute_throughput(self, tiny_split, tmp_path):
         """Epochs restored from a checkpoint carry their loss but were not timed by this

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from helpers import autolabel_tile
 from reference_kernels import reference_rgb_to_hsv, rgb_views
 
 from repro.classes import HSV_RANGES, SeaIceClass
 from repro.imops import channel_planes, hsv_planes, rgb_to_hsv
-from repro.labeling import autolabel_tile
 
 
 def _opencv_hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import classify_scene_proba
 from reference_kernels import reference_classify_scene
 
-from repro.backend import available_backends, make_backend
+from helpers import available_backends
+from repro.backend import make_backend
 from repro.unet import (
     InferenceConfig,
     SceneClassifier,
@@ -158,8 +160,10 @@ class TestPredictTiles:
 
     def test_multiprocess_matches_serial(self, engine_model, tiny_dataset):
         tiles = tiny_dataset.images[:6]
-        serial = predict_tile_probabilities(engine_model, tiles, batch_size=2, num_workers=1)
-        pooled = predict_tile_probabilities(engine_model, tiles, batch_size=2, num_workers=2)
+        serial = predict_tile_probabilities(engine_model, tiles, batch_size=2, backend="serial")
+        with make_backend("fork", num_workers=2) as backend:
+            backend.publish_model("scene-model", engine_model)
+            pooled = predict_tile_probabilities(engine_model, tiles, batch_size=2, backend=backend)
         np.testing.assert_array_equal(serial, pooled)
 
     def test_rejects_bad_stack(self, engine_model, tiny_dataset):
@@ -167,8 +171,6 @@ class TestPredictTiles:
             predict_tile_probabilities(engine_model, tiny_dataset.labels)
         with pytest.raises(ValueError):
             predict_tile_probabilities(engine_model, tiny_dataset.images, batch_size=0)
-        with pytest.raises(ValueError):
-            predict_tile_probabilities(engine_model, tiny_dataset.images, num_workers=0)
 
 
 class TestOnePredictionPath:
@@ -178,8 +180,6 @@ class TestOnePredictionPath:
     def classifiers(self, engine_model):
         """One classifier (hence one started backend) per backend name, plus a serial one
         that is handed the scene as a bare row-sliceable object."""
-        from repro.backend import available_backends
-
         backends = {name: name for name in available_backends()} | {"streaming": "serial"}
         built = {name: SceneClassifier(engine_model, InferenceConfig(backend=backend, num_workers=2,
                                                                      apply_cloud_filter=False))
@@ -224,7 +224,7 @@ class TestOnePredictionPath:
                     backend.publish_model("m", stub)
                 assert not backend.has_model("m")
             with pytest.raises(TypeError, match="UNet"):
-                predict_tile_probabilities(stub, tiles, num_workers=2, backend=name)
+                predict_tile_probabilities(stub, tiles, backend=name)
 
 
 class TestOverlapBlending:
@@ -240,7 +240,7 @@ class TestOverlapBlending:
         for overlap in (0, 8):
             config = InferenceConfig(tile_size=32, overlap=overlap, apply_cloud_filter=False, batch_size=4)
             with SceneClassifier(model=engine_model, config=config) as classifier:
-                maps[overlap] = classifier.classify_scene_proba(scene)
+                maps[overlap] = classify_scene_proba(classifier, scene)
             expected = reference_classify_scene(engine_model, scene, config)
             assert maps[overlap].dtype == expected.dtype
             np.testing.assert_array_equal(maps[overlap], expected)
@@ -249,7 +249,7 @@ class TestOverlapBlending:
     def test_proba_map_shape_and_norm(self, engine_model):
         scene = self._scene()
         config = InferenceConfig(tile_size=32, overlap=8, apply_cloud_filter=False, batch_size=4)
-        probs = SceneClassifier(model=engine_model, config=config).classify_scene_proba(scene)
+        probs = classify_scene_proba(SceneClassifier(model=engine_model, config=config), scene)
         assert probs.shape == (100, 140, 3)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
 

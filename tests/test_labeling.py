@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from helpers import autolabel_tile
 from reference_kernels import reference_contains, reference_segment, rgb_views
 
 from repro.classes import HSV_RANGES, NUM_CLASSES, HSVRange, SeaIceClass
@@ -19,9 +21,9 @@ from repro.labeling import (
     ColorSegmentationLabeler,
     ManualLabelSimulator,
     autolabel_batch,
-    autolabel_tile,
     simulate_manual_labels,
 )
+from repro.labeling import autolabel, manual
 from repro.mapreduce.autolabel_job import run_mapreduce_autolabel
 from repro.metrics import accuracy_score
 
@@ -67,10 +69,6 @@ class TestColorSegmentationLabeler:
         assert labels[0, 0] == int(SeaIceClass.THICK_ICE)
         assert labels[0, 1] == int(SeaIceClass.THIN_ICE)
         assert labels[0, 2] == int(SeaIceClass.OPEN_WATER)
-
-    def test_rejects_incomplete_ranges(self):
-        with pytest.raises(ValueError):
-            ColorSegmentationLabeler(hsv_ranges={SeaIceClass.THICK_ICE: HSV_RANGES[SeaIceClass.THICK_ICE]})
 
     def test_rejects_bad_input_shape(self):
         with pytest.raises(ValueError):
@@ -141,7 +139,9 @@ class TestPlanarLabelerMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(rgb=rgb_views(), ranges=value_bands(), apply_cloud_filter=st.booleans())
     def test_any_shape_layout_and_ranges(self, rgb, ranges, apply_cloud_filter):
-        self.assert_same_segmentation(ColorSegmentationLabeler(hsv_ranges=ranges, apply_cloud_filter=apply_cloud_filter), rgb)
+        with mock.patch.object(autolabel, "HSV_RANGES", ranges):
+            labeler = ColorSegmentationLabeler(apply_cloud_filter=apply_cloud_filter)
+        self.assert_same_segmentation(labeler, rgb)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -151,7 +151,9 @@ class TestPlanarLabelerMatchesOracle:
     )
     def test_unit_float_tiles(self, unit, dtype, ranges):
         """Float ``[0, 1]`` tiles, the other input ``rgb_to_hsv`` documents (unfiltered: the filter reads 0-255)."""
-        self.assert_same_segmentation(ColorSegmentationLabeler(hsv_ranges=ranges), unit.astype(dtype))
+        with mock.patch.object(autolabel, "HSV_RANGES", ranges):
+            labeler = ColorSegmentationLabeler()
+        self.assert_same_segmentation(labeler, unit.astype(dtype))
 
     @settings(max_examples=30, deadline=None)
     @given(hsv=rgb_views(), ranges=value_bands())
@@ -200,7 +202,8 @@ class TestLabelPathDoesOnlyWhatLabelsDependOn:
         edited = {"lower": list(thin.lower), "upper": list(thin.upper)}
         edited[side][index] = limit
         ranges[SeaIceClass.THIN_ICE] = HSVRange(lower=tuple(edited["lower"]), upper=tuple(edited["upper"]))
-        assert self.requested(monkeypatch, ColorSegmentationLabeler(hsv_ranges=ranges), clear_scene.rgb) == (channel, 2)
+        monkeypatch.setattr(autolabel, "HSV_RANGES", ranges)
+        assert self.requested(monkeypatch, ColorSegmentationLabeler(), clear_scene.rgb) == (channel, 2)
 
     @pytest.mark.parametrize("apply_cloud_filter, ceiling", [(True, 6_000_000), (False, 1_000_000)])
     def test_peak_bytes_of_one_tile(self, apply_cloud_filter, ceiling):
@@ -284,9 +287,10 @@ class TestBatchEqualsTileByTile:
 
 
 class TestManualLabelSimulator:
-    def test_exact_when_noise_disabled(self, tiny_dataset):
-        sim = ManualLabelSimulator(boundary_jitter=0.0, min_region_size=0)
-        np.testing.assert_array_equal(sim.annotate(tiny_dataset.labels[0]), tiny_dataset.labels[0])
+    def test_exact_when_noise_disabled(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(manual, "BOUNDARY_JITTER", 0.0)
+        monkeypatch.setattr(manual, "MIN_REGION_SIZE", 0)
+        np.testing.assert_array_equal(ManualLabelSimulator().annotate(tiny_dataset.labels[0]), tiny_dataset.labels[0])
 
     def test_high_agreement_with_truth(self, tiny_dataset):
         annotated = simulate_manual_labels(tiny_dataset.labels, seed=0)
@@ -309,15 +313,13 @@ class TestManualLabelSimulator:
             sim.annotate(np.zeros((4, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
             sim.annotate(np.full((4, 4), 9, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            ManualLabelSimulator(boundary_jitter=-1.0)
-        with pytest.raises(ValueError):
-            ManualLabelSimulator(min_region_size=-2)
 
-    def test_jitter_changes_some_boundary_pixels(self):
+    def test_jitter_changes_some_boundary_pixels(self, monkeypatch):
         cmap = np.zeros((32, 32), dtype=np.uint8)
         cmap[:, 16:] = 1
-        sim = ManualLabelSimulator(boundary_jitter=2.0, min_region_size=0, seed=3)
+        monkeypatch.setattr(manual, "BOUNDARY_JITTER", 2.0)
+        monkeypatch.setattr(manual, "MIN_REGION_SIZE", 0)
+        sim = ManualLabelSimulator(seed=3)
         annotated = sim.annotate(cmap)
         diff = (annotated != cmap).mean()
         assert 0.0 < diff < 0.3

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.labeling import autolabel_batch, autolabel_tile
+from helpers import autolabel_tile
+from repro.labeling import autolabel_batch
 from repro.mapreduce import (
     PAPER_TABLE2_ROWS,
     ClusterShape,

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.metrics import (
     accuracy_score,
@@ -16,9 +13,6 @@ from repro.metrics import (
     per_class_accuracy,
     precision_recall_f1,
 )
-
-label_arrays = hnp.arrays(dtype=np.int64, shape=st.integers(1, 60), elements=st.integers(0, 2))
-
 
 class TestConfusionMatrix:
     def test_perfect_prediction_is_diagonal(self):
@@ -57,17 +51,8 @@ class TestConfusionMatrix:
     def test_normalize_rows_sum_to_100(self):
         rng = np.random.default_rng(1)
         cm = confusion_matrix(rng.integers(0, 3, 200), rng.integers(0, 3, 200), 3)
-        norm = normalize_confusion(cm, axis="true")
+        norm = normalize_confusion(cm)
         np.testing.assert_allclose(norm.sum(axis=1), 100.0)
-
-    def test_normalize_columns(self):
-        cm = np.array([[5, 5], [0, 10]])
-        norm = normalize_confusion(cm, axis="pred")
-        np.testing.assert_allclose(norm.sum(axis=0), 100.0)
-
-    def test_normalize_bad_axis(self):
-        with pytest.raises(ValueError):
-            normalize_confusion(np.eye(2), axis="diagonal")
 
 
 class TestScores:
@@ -76,31 +61,10 @@ class TestScores:
         assert accuracy_score(y, y) == 1.0
         assert accuracy_score(y, (y + 1) % 3) == 0.0
 
-    @settings(max_examples=30, deadline=None)
-    @given(label_arrays)
-    def test_micro_average_equals_accuracy(self, y_true):
-        rng = np.random.default_rng(0)
-        y_pred = rng.integers(0, 3, size=y_true.shape)
-        p, r, f1 = precision_recall_f1(y_true, y_pred, num_classes=3, average="micro")
-        assert np.isclose(p, accuracy_score(y_true, y_pred))
-        assert np.isclose(p, r) and np.isclose(r, f1)
-
     def test_macro_scores_perfect(self):
         y = np.array([0, 1, 2, 0, 1, 2])
         p, r, f1 = precision_recall_f1(y, y, 3)
         assert p == r == f1 == 1.0
-
-    def test_weighted_average_bounded(self):
-        rng = np.random.default_rng(5)
-        y_true = rng.integers(0, 3, 300)
-        y_pred = rng.integers(0, 3, 300)
-        p, r, f1 = precision_recall_f1(y_true, y_pred, 3, average="weighted")
-        for v in (p, r, f1):
-            assert 0.0 <= v <= 1.0
-
-    def test_bad_average_raises(self):
-        with pytest.raises(ValueError):
-            precision_recall_f1(np.array([0]), np.array([0]), average="geometric")
 
     def test_per_class_accuracy(self):
         y_true = np.array([0, 0, 1, 1, 2, 2])

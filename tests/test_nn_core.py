@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import num_parameters
 from repro.nn import (
     Adam,
     CategoricalCrossEntropy,
@@ -29,7 +30,7 @@ class TestModuleSystem:
         conv = Conv2D(2, 3)
         names = set(conv.named_parameters())
         assert names == {"weight", "bias"}
-        assert conv.num_parameters() == 3 * 2 * 3 * 3 + 3
+        assert num_parameters(conv) == 3 * 2 * 3 * 3 + 3
 
     def test_nested_modules(self):
         model = Sequential(Conv2D(1, 2, seed=0), ReLU(), Conv2D(2, 1, seed=1))
@@ -134,13 +135,6 @@ class TestSoftmaxAndLoss:
         # float32 forward passes limit the attainable agreement
         assert np.max(np.abs(analytic - numeric)) < 3e-3
 
-    def test_class_weights_change_loss(self):
-        logits = np.zeros((1, 3, 2, 2), dtype=np.float32)
-        targets = np.zeros((1, 2, 2), dtype=np.int64)
-        unweighted = CategoricalCrossEntropy()(logits, targets)
-        weighted = CategoricalCrossEntropy(class_weights=np.array([2.0, 1.0, 1.0]))(logits, targets)
-        assert unweighted == pytest.approx(weighted)  # single-class targets: weights cancel
-
     def test_loss_rejects_bad_targets(self):
         logits = np.zeros((1, 3, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError):
@@ -166,23 +160,11 @@ class TestOptimizers:
             opt.step()
         assert np.all(np.abs(p.value) < 1e-2)
 
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
-        for _ in range(10):
-            p.zero_grad()
-            opt.step()
-        assert p.value[0] < 1.0
-
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=-1.0)
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], lr=0.1, beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], lr=0.1, eps=0.0)
 
     def test_state_dicts(self):
         p = Parameter(np.zeros(2))
@@ -200,16 +182,17 @@ class TestOptimizers:
 
     def test_adam_state_dict_round_trip_continues_trajectory(self):
         p1 = Parameter(np.array([4.0, -2.0], dtype=np.float32))
-        opt1 = Adam([p1], lr=0.1, weight_decay=0.02)
+        opt1 = Adam([p1], lr=0.1)
         self._run_steps(p1, opt1, 5)
         state = opt1.state_dict()
-        for key in ("t", "beta1", "beta2", "eps", "weight_decay", "m.0", "v.0"):
+        for key in ("t", "m.0", "v.0"):
             assert key in state
 
         p2 = Parameter(p1.value.copy())
         opt2 = Adam([p2], lr=0.5)
-        opt2.load_state_dict(state)
-        assert opt2._t == 5 and opt2.lr == 0.1 and opt2.weight_decay == 0.02
+        # A checkpoint from before the hyper-parameters became constants carries them too.
+        opt2.load_state_dict({**state, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.0})
+        assert opt2._t == 5 and opt2.lr == 0.1
         self._run_steps(p1, opt1, 5)
         self._run_steps(p2, opt2, 5)
         np.testing.assert_allclose(p1.value, p2.value, atol=1e-7)

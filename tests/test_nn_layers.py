@@ -24,8 +24,8 @@ class TestGradientChecks:
     def test_conv2d(self):
         check_layer_gradients(Conv2D(2, 3, kernel_size=3, seed=1), (2, 2, 6, 6))
 
-    def test_conv2d_stride_and_no_bias(self):
-        check_layer_gradients(Subsampled(Conv2D(1, 2, kernel_size=3, padding=1, use_bias=False, seed=2), 2), (1, 1, 7, 7))
+    def test_conv2d_stride(self):
+        check_layer_gradients(Subsampled(Conv2D(1, 2, kernel_size=3, padding=1, seed=2), 2), (1, 1, 7, 7))
 
     def test_conv2d_1x1(self):
         check_layer_gradients(Conv2D(3, 2, kernel_size=1, padding=0, seed=3), (2, 3, 4, 4))
@@ -168,7 +168,7 @@ class TestConvBehaviour:
         assert out.shape == (2, 8, 16, 16)
 
     def test_identity_kernel(self):
-        conv = Conv2D(1, 1, kernel_size=1, padding=0, use_bias=False)
+        conv = Conv2D(1, 1, kernel_size=1, padding=0)
         conv.weight.value[...] = 1.0
         x = np.random.default_rng(0).normal(size=(1, 1, 4, 4)).astype(np.float32)
         np.testing.assert_allclose(conv(x), x, rtol=1e-6)

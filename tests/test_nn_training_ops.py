@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from helpers import cache_nbytes
 from reference_kernels import ReferenceArgmaxPool2D, ReferenceReLU, reference_pad_input
 
 from repro.nn import CategoricalCrossEntropy, Conv2D, MaxPool2D, ReLU, UpConv2D, convgemm
@@ -39,7 +40,7 @@ def _same_step(layer, oracle, cache_attr, x, grad):
     out, expected = layer.forward(x), oracle.forward(x)
     assert out.dtype == expected.dtype == np.float32
     np.testing.assert_array_equal(out, expected)
-    assert layer.cache_nbytes() == oracle.cache_nbytes() > 0
+    assert cache_nbytes(layer) == cache_nbytes(oracle) > 0
     cached, reference = getattr(layer, cache_attr), getattr(oracle, cache_attr)
     assert cached.dtype == reference.dtype
     np.testing.assert_array_equal(cached, reference)

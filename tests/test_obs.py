@@ -19,7 +19,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backend import ProcessBackend, available_backends
+from helpers import available_backends
+from repro.backend import ProcessBackend
 from repro.obs import (
     Counter,
     Histogram,
@@ -53,7 +54,7 @@ _EXPOSITION_LINE = re.compile(
 
 class TestCounterExactness:
     def test_parallel_thread_increments_sum_exactly(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         counter = registry.counter("hits_total", "x", ("who",))
         threads_n, per_thread = 8, 500
 
@@ -70,7 +71,7 @@ class TestCounterExactness:
         assert total == threads_n * per_thread
 
     def test_bound_handle_matches_kwargs_path(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         counter = registry.counter("c_total", "x", ("k",))
         bound = counter.labels(k="a")
         bound.inc()
@@ -87,7 +88,7 @@ class TestCounterExactness:
         workers, per_worker = 4, 250
 
         def child(conn) -> None:
-            registry = MetricsRegistry(enabled=True)
+            registry = MetricsRegistry()
             counter = registry.counter("work_total", "x", ("pid_mod",))
             hist = registry.histogram("work_ms", "x", (), buckets=(1.0, 10.0, 100.0))
             for i in range(per_worker):
@@ -96,7 +97,7 @@ class TestCounterExactness:
             conn.send(registry.drain())
             conn.close()
 
-        parent = MetricsRegistry(enabled=True)
+        parent = MetricsRegistry()
         pipes, procs = [], []
         for _ in range(workers):
             recv, send = ctx.Pipe(duplex=False)
@@ -145,7 +146,7 @@ class TestHistogramBuckets:
 
 class TestExposition:
     def test_render_parses_line_by_line(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("a_total", "things counted", ("k",)).inc(k='tricky"label\\n')
         registry.gauge("b_gauge", "a level").set(2.5)
         registry.histogram("c_ms", "a latency", ("op",), buckets=(1.0, 10.0)).observe(3.0, op="x")
@@ -158,7 +159,7 @@ class TestExposition:
         assert "c_ms_count" in text and "c_ms_sum" in text
 
     def test_histogram_bucket_counts_are_cumulative(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         hist = registry.histogram("d_ms", "x", buckets=(1.0, 10.0))
         for value in (0.5, 5.0, 100.0):
             hist.observe(value)
@@ -168,7 +169,8 @@ class TestExposition:
         assert 'd_ms_bucket{le="+Inf"} 3' in text
 
     def test_disabled_registry_drops_updates(self):
-        registry = MetricsRegistry(enabled=False)
+        registry = MetricsRegistry()
+        registry.enabled = False
         counter = registry.counter("e_total", "x")
         counter.inc()
         assert counter.value() == 0.0
@@ -176,8 +178,18 @@ class TestExposition:
         counter.inc()
         assert counter.value() == 1.0
 
+    @pytest.mark.parametrize("value", ["off", "0", "FALSE"])
+    def test_metrics_env_var_starts_a_registry_switched_off(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_METRICS", value)
+        registry = MetricsRegistry()
+        counter, histogram = registry.counter("g_total", "x"), registry.histogram("g_ms", "x")
+        counter.inc()
+        histogram.observe(3.0)
+        assert counter.value() == 0.0 and histogram.snapshot()["count"] == 0
+        assert not registry.enabled
+
     def test_kind_conflict_rejected(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("f_total", "x")
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("f_total", "x")
@@ -190,19 +202,53 @@ class TestTracing:
         assert len(ids) == 200
 
     def test_sampling_modes(self, monkeypatch):
-        trace_mod.configure_tracing("off")
-        assert not should_sample(new_trace_id())
-        trace_mod.configure_tracing("all")
-        assert should_sample(new_trace_id())
-        trace_mod.configure_tracing("sampled", sample_rate=1.0)
-        assert should_sample(new_trace_id())
-        trace_mod.configure_tracing("sampled", sample_rate=0.0)
-        assert not should_sample(new_trace_id())
+        for mode, rate, sampled in (("", None, False), ("off", None, False), ("all", None, True),
+                                    ("sampled", "1.0", True), ("sampled", "0.0", False)):
+            monkeypatch.setenv("REPRO_TRACE", mode)
+            if rate is not None:
+                monkeypatch.setenv("REPRO_TRACE_SAMPLE", rate)
+            assert should_sample(new_trace_id()) is sampled, (mode, rate)
         # Deterministic: the same id always decides the same way.
-        trace_mod.configure_tracing("sampled", sample_rate=0.5)
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.5")
         tid = new_trace_id()
         assert all(should_sample(tid) == should_sample(tid) for _ in range(5))
-        trace_mod.configure_tracing("off")
+
+    @pytest.mark.parametrize("value", ["on", "sample", "al"])
+    def test_an_unknown_trace_mode_raises_naming_the_valid_ones(self, monkeypatch, value):
+        """A typo used to mean ``off``: tracing silently did nothing."""
+        monkeypatch.setenv("REPRO_TRACE", value)
+        with pytest.raises(ValueError, match=rf"REPRO_TRACE='{value}'.*'off', 'sampled', 'all'"):
+            should_sample(new_trace_id())
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "0.1.2"])
+    def test_a_sample_rate_that_is_not_a_number_raises(self, monkeypatch, value):
+        """``abc`` used to fall back to 0.1 and ``nan`` to clamp to 0.0, so ``sampled`` mode sampled nothing."""
+        monkeypatch.setenv("REPRO_TRACE", "sampled")
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", value)
+        with pytest.raises(ValueError, match=rf"REPRO_TRACE_SAMPLE='{value}' is not a sample rate"):
+            should_sample(new_trace_id())
+
+    @pytest.mark.parametrize("value, sampled", [("-0.5", False), ("2", True), ("inf", True)])
+    def test_a_sample_rate_outside_the_unit_interval_is_clamped(self, monkeypatch, value, sampled):
+        monkeypatch.setenv("REPRO_TRACE", "sampled")
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", value)
+        assert {should_sample(new_trace_id()) for _ in range(50)} == {sampled}
+
+    @pytest.mark.parametrize("mode, rate", [("on", None), ("sampled", "abc")])
+    def test_the_service_refuses_bad_trace_settings_at_start(self, monkeypatch, mode, rate):
+        monkeypatch.setenv("REPRO_TRACE", mode)
+        if rate is not None:
+            monkeypatch.setenv("REPRO_TRACE_SAMPLE", rate)
+        with pytest.raises(ValueError, match="REPRO_TRACE"):
+            InferenceService(ModelRegistry(), ServiceConfig(port=0))
+
+    def test_the_log_sink_follows_the_path_the_environment_names(self, monkeypatch, tmp_path):
+        for name in ("first.jsonl", "second.jsonl"):
+            monkeypatch.setenv("REPRO_TRACE_LOG", str(tmp_path / name))
+            trace_mod.emit_trace({"log": name})
+        monkeypatch.delenv("REPRO_TRACE_LOG")
+        for name in ("first.jsonl", "second.jsonl"):
+            assert [json.loads(line) for line in (tmp_path / name).read_text().splitlines()] == [{"log": name}]
 
     def test_collector_context_records_into_top_collector(self):
         outer: dict = {}
@@ -330,11 +376,13 @@ def traced_service(tmp_path_factory):
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
-    trace_mod.configure_tracing("all", log_path=str(log_path))
+    environment = pytest.MonkeyPatch()
+    environment.setenv("REPRO_TRACE", "all")
+    environment.setenv("REPRO_TRACE_LOG", str(log_path))
     try:
         yield server.server_address[1], service, log_path
     finally:
-        trace_mod.configure_tracing()  # back to environment-derived defaults
+        environment.undo()
         server.shutdown()
         server.server_close()
         service.close()

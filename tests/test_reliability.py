@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from batcher_gate import GatedPredict, tagged_tile
 
-from repro.distributed import ElasticTrainer
+from repro.distributed import ElasticTrainer, elastic
 from repro.nn.optimizers import Adam
 from repro.nn.serialization import (
     CheckpointError,
@@ -33,13 +33,14 @@ from repro.reliability import (
     FaultInjected,
     FaultSpec,
     OverloadedError,
-    RetryPolicy,
+    backoff,
     configure_faults,
     fault_point,
     fault_stats,
     faults_enabled,
     reset_faults,
 )
+from repro.reliability import retry
 from repro.reliability.faults import _parse_env
 from repro.serving import MicroBatcher, ModelRegistry
 from repro.unet import UNet, UNetConfig, tiny_unet_config
@@ -76,25 +77,21 @@ class TestDeadline:
             Deadline(-1.0)
 
 
-class TestRetryPolicy:
-    def test_exponential_backoff_capped(self):
-        policy = RetryPolicy(max_retries=4, base_delay_s=0.1, max_delay_s=0.3)
-        assert policy.delay_s(0) == pytest.approx(0.1)
-        assert policy.delay_s(1) == pytest.approx(0.2)
-        assert policy.delay_s(2) == pytest.approx(0.3)  # capped
-        assert policy.delay_s(5) == pytest.approx(0.3)
+class TestBackoff:
+    def test_exponential_backoff_capped(self, monkeypatch):
+        monkeypatch.setattr(retry, "BASE_DELAY_S", 0.1)
+        monkeypatch.setattr(retry, "MAX_DELAY_S", 0.3)
+        assert retry.backoff_s(0) == pytest.approx(0.1)
+        assert retry.backoff_s(1) == pytest.approx(0.2)
+        assert retry.backoff_s(2) == pytest.approx(0.3)  # capped
+        assert retry.backoff_s(5) == pytest.approx(0.3)
 
-    def test_sleep_clipped_to_deadline(self):
-        policy = RetryPolicy(max_retries=1, base_delay_s=5.0, max_delay_s=5.0)
+    def test_sleep_clipped_to_deadline(self, monkeypatch):
+        monkeypatch.setattr(retry, "BASE_DELAY_S", 5.0)
+        monkeypatch.setattr(retry, "MAX_DELAY_S", 5.0)
         start = time.monotonic()
-        policy.sleep(0, deadline=Deadline(0.01))
+        backoff(0, deadline=Deadline(0.01))
         assert time.monotonic() - start < 1.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_s=-0.1)
 
 
 class TestCircuitBreaker:
@@ -149,7 +146,7 @@ class TestCircuitBreaker:
         breaker.check()  # slot is free again for the next probe
 
     def test_to_dict_snapshot(self):
-        breaker = CircuitBreaker(failure_threshold=2)
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=30.0)
         breaker.record_failure()
         snapshot = breaker.to_dict()
         assert snapshot["state"] == "closed"
@@ -402,10 +399,10 @@ class TestArchiveFormats:
         with pytest.raises(CheckpointError, match="CRC"):
             load_model_state(path)
 
-    def test_resume_falls_back_past_a_flipped_and_a_torn_archive(self, tmp_path):
+    def test_resume_falls_back_past_a_flipped_and_a_torn_archive(self, tmp_path, monkeypatch):
         # Never started: checkpointing touches only the master model and its optimiser.
-        trainer = ElasticTrainer(num_workers=1, config=tiny_unet_config(seed=2),
-                                 checkpoint_dir=tmp_path, keep_checkpoints=10)
+        monkeypatch.setattr(elastic, "KEEP_CHECKPOINTS", 10)
+        trainer = ElasticTrainer(num_workers=1, config=tiny_unet_config(seed=2), checkpoint_dir=tmp_path)
         paths = {}
         for step in (1, 2, 3):
             trainer.global_step = step
@@ -450,7 +447,7 @@ class TestRegistryGracefulDegrade:
         _publish(registry, "m", 2, seed=9)
         os.utime(bad, ns=(time.time_ns(), time.time_ns()))
         served = registry.classifier("m")
-        assert registry.loaded_versions("m")[-1] == ("m", 2)
+        assert [key for key in registry.loaded_versions() if key[0] == "m"][-1] == ("m", 2)
         assert served is registry.warm_classifier("m", 2)
         assert not registry.quarantined_paths()
         registry.close()

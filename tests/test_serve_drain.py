@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
+from helpers import available_backends
 from repro.serving import ModelRegistry
 from repro.unet import InferenceConfig, UNet, UNetConfig
 

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import classify_scene_proba
 from repro.nn import Adam, CheckpointError, read_metadata, save_checkpoint, save_weights
 from repro.nn.convgemm import NUMERICS
 from repro.serving import ModelRegistry
@@ -87,7 +88,7 @@ class TestCheckpointLifecycle:
         assert served.config == inference
         direct = SceneClassifier(model=small_model, config=inference)
         np.testing.assert_array_equal(
-            served.classify_scene_proba(scene), direct.classify_scene_proba(scene)
+            classify_scene_proba(served, scene), classify_scene_proba(direct, scene)
         )
 
     def test_training_checkpoint_roundtrip(self, tmp_path, small_model, scene):
@@ -97,7 +98,7 @@ class TestCheckpointLifecycle:
         served = registry.classifier("seaice")
         direct = SceneClassifier(model=small_model, config=inference)
         np.testing.assert_array_equal(
-            served.classify_scene_proba(scene), direct.classify_scene_proba(scene)
+            classify_scene_proba(served, scene), classify_scene_proba(direct, scene)
         )
 
     def test_published_metadata_rebuilds_config(self, tmp_path, small_model):
@@ -154,7 +155,7 @@ class TestWarmInstancesAndHotSwap:
         registry = _publish(tmp_path, small_model)
         first = registry.classifier("seaice")
         assert registry.classifier("seaice") is first
-        assert registry.loaded_versions("seaice") == [("seaice", 1)]
+        assert [key for key in registry.loaded_versions() if key[0] == "seaice"] == [("seaice", 1)]
         assert not first.model.training  # served models stay in eval mode
 
     def test_version_bump_hot_swaps(self, tmp_path, small_model):
@@ -167,7 +168,7 @@ class TestWarmInstancesAndHotSwap:
         assert v2 is not v1
         assert registry.record("seaice").version == 2
         # The superseded warm instance is retired; pinned lookups still work.
-        assert registry.loaded_versions("seaice") == [("seaice", 2)]
+        assert [key for key in registry.loaded_versions() if key[0] == "seaice"] == [("seaice", 2)]
         pinned = registry.classifier("seaice", 1)
         np.testing.assert_array_equal(
             pinned.model.head.weight.value, v1.model.head.weight.value

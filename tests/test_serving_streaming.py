@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import available_backends
+from helpers import classify_scene_proba
+from helpers import available_backends
 from repro.unet import InferenceConfig, SceneClassifier, UNet, UNetConfig
 
 from reference_kernels import reference_classify_scene
@@ -32,7 +33,7 @@ def _scene(shape, seed=0):
 
 def _assert_matches_oracle(classifier, model, scene):
     expected = reference_classify_scene(model, scene, classifier.config)
-    proba = classifier.classify_scene_proba(scene)
+    proba = classify_scene_proba(classifier, scene)
     assert proba.dtype == expected.dtype
     np.testing.assert_array_equal(proba, expected)
     np.testing.assert_array_equal(classifier.classify_scene(scene), expected.argmax(axis=-1).astype(np.uint8))
@@ -183,7 +184,7 @@ class TestStreamingMechanics:
                                      backend=backend, num_workers=2)
             with SceneClassifier(model=model, config=config) as classifier:
                 class_map = classifier.classify_scene(np.zeros(shape + (3,), dtype=np.uint8))
-                proba = classifier.classify_scene_proba(np.zeros(shape + (3,), dtype=np.uint8))
+                proba = classify_scene_proba(classifier, np.zeros(shape + (3,), dtype=np.uint8))
             assert (class_map.shape, class_map.dtype) == (shape, np.uint8)
             assert (proba.shape, proba.dtype) == (shape + (model.config.num_classes,), dtype)
 

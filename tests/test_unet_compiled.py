@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import classify_scene_proba
 from repro.serving import MicroBatcher
 from repro.unet import (
     CompiledUNet,
@@ -23,6 +24,7 @@ from repro.unet import (
     UNetConfig,
     compile_unet_plan,
 )
+from repro.unet import compiled
 from repro.unet.inference import predict_batch_probabilities
 
 
@@ -95,9 +97,10 @@ class TestForwardParity:
 
 
 class TestCompiledUNetCache:
-    def test_shapes_compile_once_and_evict_lru(self, rng):
+    def test_shapes_compile_once_and_evict_lru(self, rng, monkeypatch):
+        monkeypatch.setattr(compiled, "MAX_PLANS", 2)
         model = _model(1, dropout=0.0)
-        engine = CompiledUNet(model, max_plans=2)
+        engine = CompiledUNet(model)
         for n in (1, 2, 1, 4):  # third call hits the (1, ...) plan
             engine.predict_proba(rng.random((n, 3, 8, 8), dtype=np.float32))
         info = engine.cache_info()
@@ -144,7 +147,7 @@ class TestSeamIntegration:
         plain = SceneClassifier(model=model, config=InferenceConfig(compile_plans=False, **kwargs))
         assert compiled.engine is not None and plain.engine is None
         np.testing.assert_allclose(
-            compiled.classify_scene_proba(scene), plain.classify_scene_proba(scene), rtol=0, atol=1e-6
+            classify_scene_proba(compiled, scene), classify_scene_proba(plain, scene), rtol=0, atol=1e-6
         )
         info = compiled.plan_cache_info()
         assert info is not None and info["misses"] >= 1
@@ -215,7 +218,7 @@ class TestMicroBatcherConcurrency:
         """Many threads hammering one engine-backed batcher must each get the
         map direct prediction would produce (plans are lock-protected)."""
         model = _model(2, dropout=0.0)
-        engine = CompiledUNet(model, max_plans=4)
+        engine = CompiledUNet(model)
 
         def predict_fn(stack: np.ndarray) -> np.ndarray:
             return predict_batch_probabilities(stack, model, None, engine=engine)

@@ -9,6 +9,7 @@ arrive exactly once, and pipes that EOF when the parent is SIGKILLed.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import re
 import signal
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import BackendError, WorkerLost, WorkerProcess, available_backends
+from helpers import available_backends
+from repro.backend import BackendError, WorkerLost, WorkerProcess
 from repro.backend.worker import Reply, serve
 from repro.obs import get_registry
 
@@ -130,7 +132,7 @@ class TestLoss:
     def test_cleanup_runs_on_stop_and_on_parent_eof(self, tmp_path):
         for how in ("stop", "eof"):
             marker = tmp_path / how
-            proc = WorkerProcess(_main, (str(marker),))
+            proc = WorkerProcess(functools.partial(_main, cleanup_marker=str(marker)))
             assert proc.call("echo", 1) == 1
             if how == "stop":
                 proc.stop()

@@ -7,14 +7,15 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
-from repro.data import build_dataset
+from helpers import confusion_matrices
+from helpers import available_backends
 from repro.workflow import (
     AccuracyExperimentConfig,
     AutoLabelWorkflow,
     AutoLabelWorkflowConfig,
     run_accuracy_experiment,
     run_preparation_pipeline,
+    training,
 )
 
 
@@ -82,7 +83,6 @@ class TestAccuracyExperiment:
             num_scenes=3,
             scene_size=64,
             tile_size=32,
-            cloudy_fraction=0.7,
             epochs=18,
             batch_size=4,
             learning_rate=3e-3,
@@ -91,14 +91,16 @@ class TestAccuracyExperiment:
             unet_dropout=0.0,
             seed=1,
         )
-        return run_accuracy_experiment(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "CLOUDY_FRACTION", 0.7)
+            return run_accuracy_experiment(config)
 
     def test_structure(self, small_result):
         rows4 = small_result.table4_rows()
         assert len(rows4) == 2
         assert {"dataset", "unet_man_accuracy_pct", "unet_auto_accuracy_pct"} <= set(rows4[0])
         assert small_result.unet_man is not small_result.unet_auto
-        matrices = small_result.confusion_matrices()
+        matrices = confusion_matrices(small_result)
         assert set(matrices) == {"man_original", "man_filtered", "auto_original", "auto_filtered"}
         assert matrices["auto_filtered"].shape == (3, 3)
 
@@ -124,10 +126,9 @@ class TestAccuracyExperiment:
         forked workers (dropout, augmentation and mid-epoch checkpoints all on)."""
         config = AccuracyExperimentConfig(num_scenes=2, scene_size=64, tile_size=16, epochs=2, batch_size=8,
                                           unet_depth=2, unet_base_channels=4, unet_dropout=0.1, seed=3)
-        dataset = build_dataset(num_scenes=2, scene_size=64, tile_size=16, base_seed=3, cloudy_fraction=0.5)
         outcomes = []
         for workers in (0, 1, 2):
-            result = run_accuracy_experiment(config, dataset=dataset, workers=workers, step_timeout_s=30.0,
+            result = run_accuracy_experiment(config, workers=workers, step_timeout_s=30.0,
                                              checkpoint_dir=tmp_path / str(workers), checkpoint_every=3)
             training = result.training
             assert set(training) == {"man", "auto"} and training["man"]["target_workers"] == workers
