@@ -4,9 +4,9 @@ The auto-label job (``mapreduce/autolabel_job.py``, which Table I,
 Table II and the auto-label workflow all run), scene inference
 (``unet/inference.py``) and the serving micro-batchers
 (``serving/batching.py`` / ``serving/service.py``) hold no parallelism of
-their own: each asks :func:`make_backend` for a backend by name and calls
-it.  Model weights are published once per backend and plans compiled once
-per worker, never per task.
+their own: each asks :func:`make_backend` for a backend by name and calls it, or
+borrows a started one from :func:`session_backend` (the auto-label job).  Model
+weights are published once per backend and plans compiled once per worker, never per task.
 
 A :class:`Backend` (in the shape of Ludwig's ``Backend`` abstraction) owns:
 
@@ -37,6 +37,7 @@ every backend ultimately executes the same
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -58,6 +59,8 @@ __all__ = [
     "record_compute",
     "resolve_backend_name",
     "make_backend",
+    "session_backend",
+    "close_session_backends",
 ]
 
 #: Environment variable overriding how ``"auto"`` resolves (CI matrixes the
@@ -377,3 +380,27 @@ def make_backend(name: str | None = "auto", num_workers: int | None = None, **kw
     if resolved == "serial":
         return SerialBackend()
     return ProcessBackend(num_workers=num_workers, **kwargs)
+
+
+#: The started backends jobs borrow, by ``(name, num_workers)``; they outlive every job (closed at exit).
+_SESSION: dict[tuple[str, int], Backend] = {}
+_SESSION_LOCK = threading.Lock()
+
+
+def session_backend(name: str, num_workers: int) -> Backend:
+    """The started backend every job of this process borrows: started on first use, replaced once it stops running."""
+    with _SESSION_LOCK:
+        backend = _SESSION.get((name, num_workers))
+        if backend is None or not backend.running:
+            backend = _SESSION[(name, num_workers)] = make_backend(name, num_workers).start()
+    return backend
+
+
+def close_session_backends() -> None:
+    """Close every backend :func:`session_backend` started (runs at interpreter exit)."""
+    with _SESSION_LOCK:
+        while _SESSION:
+            _SESSION.popitem()[1].close()
+
+
+atexit.register(close_session_backends)

@@ -30,7 +30,9 @@ so task messages carry only span indices.
 
 from __future__ import annotations
 
+import _posixshmem
 import itertools
+import mmap
 import os
 import secrets
 from dataclasses import dataclass
@@ -71,20 +73,27 @@ def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=_new_segment_name(), create=True, size=max(1, int(nbytes)))
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment owned by the parent process.
+class _Attached:
+    """An untracked mapping of an existing segment, with the ``name`` / ``size`` / ``buf`` / ``close`` of ``SharedMemory``."""
 
-    On Python < 3.13 ``SharedMemory(name=...)`` registers the mapping with
-    the resource tracker even when merely attaching.  Backend workers share
-    the parent's tracker process (multiprocessing hands the tracker down),
-    whose cache is a *set* of names — the attach-side register is therefore
-    an idempotent no-op, and calling ``unregister`` here would delete the
-    *owner's* registration (KeyError spam at unlink, leaked segments on
-    crash).  So: attach plainly, never unregister from the attach side, and
-    let the creating process's unlink do the single balanced unregister.
+    def __init__(self, name: str) -> None:
+        with open(_posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600), "rb", buffering=0) as fd:
+            self._mmap = mmap.mmap(fd.fileno(), 0)  # 0: the whole segment, read-write as the fd was opened
+        self.name, self.size, self.buf = name, len(self._mmap), memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()  # BufferError while ndarray views are alive, as ``SharedMemory.close``
+        self._mmap.close()
+
+
+def attach_segment(name: str) -> _Attached:
+    """Attach to an existing segment without registering it with multiprocessing's resource tracker.
+
+    (``SharedMemory(name=...)`` registers an attach below Python 3.13.)  Only the creating process registers, and
+    its unlink unregisters, so a worker needs no tracker and ``serve`` closes the tracker pipe it inherits.
     """
     fault_point("shm_attach_fail")
-    return shared_memory.SharedMemory(name=name)
+    return _Attached(name)
 
 
 def close_segment(shm: shared_memory.SharedMemory, unlink: bool = False) -> None:

@@ -21,11 +21,11 @@ relies on and never re-implements:
   them into the parent registry on the thread that owns the reply, so the
   metrics hot path never takes a cross-process lock.
 
-Children are always forked: fault budgets, the shared-memory tracker and
-whatever the caller put in module state before the fork (the auto-label
-job registers its tile stack there) are inherited, never pickled.  What a
-request carries is pickled: ``Backend.map`` sends each chunk of items
-through the pipe, so the job's map over the inherited stack sends spans.
+Children are always forked (fault budgets are inherited) and outlive the requests
+they serve, so a request's data is published, never inherited: ``Backend.map``
+pickles each chunk of items through the pipe, and the auto-label job sends its
+stack's shared segment name and spans.  A child closes its end of the parent's
+shared-memory tracker pipe, so stopping the tracker never waits for a live worker.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ class WorkerProcess:
     """
 
     def __init__(self, target: Callable, siblings: Sequence["WorkerProcess"] = ()) -> None:
-        # The tracker must run *before* the fork so the child inherits its
-        # fd; otherwise a child's first shared-memory attach spawns a private
-        # tracker whose cache never sees the parent's unlink.
+        # The tracker runs *before* the fork, so the pipe end the child inherits
+        # is the one ``serve`` closes, not one a concurrent start is creating.
         resource_tracker.ensure_running()
         ctx = mp.get_context("fork")
         self.conn, child_conn = ctx.Pipe(duplex=True)
@@ -164,6 +163,10 @@ def serve(conn, inherited: Sequence, handlers: Mapping[str, Callable],
     """
     for end in inherited:
         end.close()
+    tracker = resource_tracker._resource_tracker  # held open, it keeps the parent's tracker stop waiting
+    if tracker._fd is not None:
+        os.close(tracker._fd)
+        tracker._fd = tracker._pid = None
     # The fork cloned the parent's metric cells; zero them, or every count
     # the parent accumulated before the fork is double-reported by this
     # child's first drained delta.

@@ -1,14 +1,13 @@
 """The auto-labeling job (paper §III-B): one load → map → reduce over tile spans.
 
-Mirrors the paper's PySpark implementation: load the tile stack (register it
-and cut it into contiguous spans), register the auto-label task (the map),
-then run the task over every span on an execution backend and gather the
-labelled tiles back on the driver (the reduce).  The stack is registered
-*before* the backend forks, so worker processes inherit it copy-on-write
-(as does a worker respawned mid-job) and a task message is a
-``(start, stop)`` span, not tiles.  Table I (:func:`repro.workflow.autolabel_scaling_table`),
-Table II and the auto-label workflow all run this one function, and it
-reports the per-phase timings of Table II.
+Mirrors the paper's PySpark implementation: load the tile stack (copy it into one
+shared-memory segment and cut it into contiguous spans), register the auto-label task
+(the map), then run the task over every span on the process's started executors, which
+outlive the job as the paper's do (:func:`repro.backend.base.session_backend`), and
+gather the labelled tiles back on the driver (the reduce).  A worker, a respawned one
+too, attaches the segment by name, so a task message is that name and a ``(start, stop)``
+span, not tiles.  Table I (:func:`repro.workflow.autolabel_scaling_table`), Table II and
+the auto-label workflow all run this one function, and it reports Table II's phase timings.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from ..backend import make_backend
+from ..backend.base import session_backend
+from ..backend.store import attach_segment, close_segment, create_segment, ndarray_view
 from ..labeling.autolabel import autolabel_batch
 from .cluster import GCDClusterModel
 
@@ -56,10 +56,6 @@ class MapReduceAutoLabelResult:
 #: baseline, ``processes`` the local stand-in for the paper's multi-node Dataproc executors.
 _EXECUTOR_BACKENDS = {"serial": "serial", "processes": "fork"}
 
-#: Tile stacks of the jobs in flight, by job id (registered before the job's backend forks).
-_STACKS: dict[int, np.ndarray] = {}
-_JOB_IDS = itertools.count()
-
 
 def _cut_spans(num_tiles: int, count: int) -> list[tuple[int, int]]:
     """``count`` contiguous, balanced ``(start, stop)`` spans over ``num_tiles`` tiles, first spans one longer.
@@ -73,10 +69,14 @@ def _cut_spans(num_tiles: int, count: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _label_span(job: int, apply_cloud_filter: bool, span: tuple[int, int]) -> np.ndarray:
-    """The map task: label one span of a registered stack (runs in the worker that receives the span)."""
+def _label_span(segment: str, shape: tuple[int, ...], dtype: str, apply_cloud_filter: bool, span: tuple[int, int]) -> np.ndarray:
+    """The map task: label one span of a published stack (runs in the worker that receives the span)."""
     start, stop = span
-    return autolabel_batch(_STACKS[job][start:stop], apply_cloud_filter)
+    shm = attach_segment(segment)
+    try:
+        return autolabel_batch(ndarray_view(shm, shape, dtype=np.dtype(dtype), writeable=False)[start:stop], apply_cloud_filter)
+    finally:
+        close_segment(shm)
 
 
 def run_mapreduce_autolabel(
@@ -103,19 +103,18 @@ def run_mapreduce_autolabel(
     elif parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
+    backend = session_backend(_EXECUTOR_BACKENDS[executor], parallelism)
     start = time.perf_counter()
-    job = next(_JOB_IDS)
-    _STACKS[job] = stack
+    shm = create_segment(stack.nbytes)
     try:
+        ndarray_view(shm, stack.shape, dtype=stack.dtype)[...] = stack
         spans = _cut_spans(len(stack), 2 * parallelism)
         loaded = time.perf_counter()
-        task = partial(_label_span, job, apply_cloud_filter)
+        task = partial(_label_span, shm.name, stack.shape, stack.dtype.str, apply_cloud_filter)
         mapped = time.perf_counter()
-        # One task message per span, on a backend that lives (and forks) inside the registration.
-        with make_backend(_EXECUTOR_BACKENDS[executor], parallelism) as backend:
-            labels = np.concatenate(backend.map(task, spans, chunk_size=1))
+        labels = np.concatenate(backend.map(task, spans, chunk_size=1))
     finally:
-        del _STACKS[job]
+        close_segment(shm, unlink=True)
     timings = JobTimings(load_time=loaded - start, map_time=mapped - loaded, reduce_time=time.perf_counter() - mapped)
     return MapReduceAutoLabelResult(labels=labels, timings=timings, num_partitions=len(spans))
 

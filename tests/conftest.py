@@ -13,6 +13,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro.backend.base import close_session_backends
 from repro.data import SceneSpec, build_dataset, synthesize_scene, train_test_split
 
 from leaks import shm_segments
@@ -21,9 +22,13 @@ from leaks import shm_segments
 @pytest.fixture(scope="session", autouse=True)
 def no_leaked_workers_or_segments():
     """Fail the run if it ends with a worker process still alive or a
-    ``repro_ms_*`` shared-memory segment it created still in ``/dev/shm``."""
+    ``repro_ms_*`` shared-memory segment it created still in ``/dev/shm``.
+
+    The check runs after the program's own shutdown: the started backends that
+    jobs borrow outlive every test, and the interpreter's exit closes them."""
     before = shm_segments()
     yield
+    close_session_backends()
     leaked = shm_segments() - before
     assert not leaked, f"shared-memory segments leaked by the suite: {sorted(leaked)}"
     children = multiprocessing.active_children()

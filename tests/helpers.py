@@ -1,11 +1,16 @@
 """Conveniences the tests and benchmarks share that the pipeline itself never calls.
 
 Each wraps public API (or reads the state a module keeps) in the form a test wants:
-the backends this platform can run, one tile's labels, a model's size and pinned cache bytes, a scene's probability map, and
-the accuracy experiment's Figure 13 matrices.
+the backends this platform can run, one tile's labels, a model's size and pinned cache bytes, a scene's probability map,
+the accuracy experiment's Figure 13 matrices, and a script run in a fresh interpreter.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +22,13 @@ from repro.unet.inference import _scene_shape
 def available_backends() -> tuple[str, ...]:
     """Backend names usable on this platform."""
     return ("serial", "fork") if _fork_available() else ("serial",)
+
+
+def run_python(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's ``src/``; stdout and stderr as text."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def autolabel_tile(rgb: np.ndarray, apply_cloud_filter: bool = True) -> np.ndarray:

@@ -25,6 +25,15 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def gone(pid: int) -> bool:
+    """Exited: reaped, or a zombie (an init that never reaps orphans leaves them so)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
 def _process_tree(root: int) -> set[int]:
     """``root`` and every live process below it, from the parent pid in each ``/proc/<pid>/stat``."""
     children: dict[int, list[int]] = {}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import available_backends
+from helpers import available_backends, run_python
 from repro.backend import (
     BackendError,
     ProcessBackend,
@@ -417,3 +417,25 @@ class TestLifecycleAndErrors:
             # Same worker still serves afterwards (no respawn needed).
             assert backend.predict("m", stack[:2]).shape[0] == 2
             assert backend._workers[0].process.pid == pid
+
+
+_TRACKER_STOP_SCRIPT = """
+import time
+from multiprocessing import resource_tracker
+from repro.backend import ProcessBackend
+
+backend = ProcessBackend(2).start()
+assert backend.map(abs, [-1, 2, -3]) == [1, 2, 3]
+start = time.perf_counter()
+resource_tracker._resource_tracker._stop()
+print(time.perf_counter() - start, flush=True)
+backend.close()
+"""
+
+
+def test_stopping_the_tracker_does_not_wait_for_live_workers():
+    """The tracker exits once every holder of its pipe has closed it; a worker that kept the end it
+    inherited would make ``_stop`` (what a caller runs before exit) wait until the worker is gone."""
+    child = run_python(_TRACKER_STOP_SCRIPT, timeout=10)
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) < 1.0

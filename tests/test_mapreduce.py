@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import signal
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import autolabel_tile
+from helpers import autolabel_tile, run_python
+from leaks import gone, shm_segments
+from repro.backend.base import session_backend
+from repro.backend.store import SEGMENT_PREFIX
 from repro.labeling import autolabel_batch
 from repro.mapreduce import (
     PAPER_TABLE2_ROWS,
@@ -87,44 +92,88 @@ class TestExecutors:
         assert run_mapreduce_autolabel(random_tiles(5), executor="serial", parallelism=0).num_partitions == 2
 
 
-def raise_seven(stack, apply_cloud_filter):
+def raise_seven(*args):
     raise RuntimeError("seven")
 
 
-class TestTilesAreInheritedNotSent:
-    """A job registers its stack before its backend forks; task messages carry ``(start, stop)`` spans."""
+_EXIT_SCRIPT = """
+import os
+
+import numpy as np
+from repro.backend.base import session_backend
+from repro.mapreduce import run_mapreduce_autolabel
+
+run_mapreduce_autolabel(np.zeros((4, 16, 16, 3), dtype=np.uint8), executor="processes", parallelism=2)
+print(os.getpid(), *session_backend("fork", 2).occupancy()["worker_pids"], flush=True)
+"""
+
+
+class TestTilesArePublishedNotSent:
+    """A job borrows the process's started backend, copies its stack into one shared segment and sends
+    ``(start, stop)`` spans; the segment goes when the job ends, the backend does not."""
 
     def test_task_messages_are_spans(self, monkeypatch):
         sent = []
-        make_backend = autolabel_job.make_backend
-
-        def spying(kind, workers):
-            backend = make_backend(kind, workers)
-            backend_map = backend.map
-            backend.map = lambda fn, items, **options: sent.extend(items) or backend_map(fn, items, **options)
-            return backend
-
-        monkeypatch.setattr(autolabel_job, "make_backend", spying)
+        backend = session_backend("fork", 2)
+        backend_map = backend.map
+        monkeypatch.setattr(backend, "map",
+                            lambda fn, items, **options: sent.extend(items) or backend_map(fn, items, **options))
         tiles = random_tiles(10)
         np.testing.assert_array_equal(run_mapreduce_autolabel(tiles, executor="processes", parallelism=2).labels,
                                       autolabel_batch(tiles))
         assert sent == [(0, 3), (3, 6), (6, 8), (8, 10)]
 
     @pytest.mark.parametrize("kind", ["serial", "processes"])
-    def test_registration_does_not_outlive_a_failed_job(self, kind, monkeypatch):
-        monkeypatch.setattr(autolabel_job, "autolabel_batch", raise_seven)
+    def test_no_segment_outlives_a_job(self, kind, monkeypatch):
+        before = shm_segments()
+        tiles = random_tiles(5)
+        np.testing.assert_array_equal(run_mapreduce_autolabel(tiles, executor=kind, parallelism=2).labels,
+                                      autolabel_batch(tiles))
+        assert shm_segments() == before
+        # The task raises where it runs: for ``processes`` in a worker that a job before this one started.
+        monkeypatch.setattr(autolabel_job, "_label_span", raise_seven)
         with pytest.raises(Exception, match="seven"):
-            run_mapreduce_autolabel(random_tiles(5), executor=kind, parallelism=2)
-        assert not autolabel_job._STACKS
+            run_mapreduce_autolabel(tiles, executor=kind, parallelism=2)
+        assert shm_segments() == before
 
     def test_concurrent_jobs_keep_their_own_stacks(self):
+        before = shm_segments()
+
         def job(seed):
             return run_mapreduce_autolabel(random_tiles(6, seed), executor="processes", parallelism=2).labels
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             for seed, got in zip(range(8), pool.map(job, range(8))):
                 np.testing.assert_array_equal(got, autolabel_batch(random_tiles(6, seed)))
-        assert not autolabel_job._STACKS
+        assert shm_segments() == before
+
+    def test_successive_jobs_run_on_the_same_workers(self):
+        pids = []
+        for seed in range(2):
+            run_mapreduce_autolabel(random_tiles(4, seed), executor="processes", parallelism=2)
+            pids.append(session_backend("fork", 2).occupancy()["worker_pids"])
+        assert len(pids[0]) == 2 and pids[1] == pids[0]
+
+    def test_a_worker_killed_between_jobs_is_respawned(self):
+        run_mapreduce_autolabel(random_tiles(4), executor="processes", parallelism=2)
+        backend = session_backend("fork", 2)
+        respawns = backend.occupancy()["respawns"]
+        victim = backend._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(5.0)
+        tiles = random_tiles(7, seed=3)
+        np.testing.assert_array_equal(run_mapreduce_autolabel(tiles, executor="processes", parallelism=2).labels,
+                                      autolabel_batch(tiles))
+        info = backend.occupancy()
+        assert session_backend("fork", 2) is backend
+        assert info["respawns"] > respawns and victim.pid not in info["worker_pids"] and info["alive_workers"] == 2
+
+    def test_a_process_that_exits_without_closing_leaves_nothing_behind(self):
+        child = run_python(_EXIT_SCRIPT, timeout=30)
+        assert child.returncode == 0, child.stderr
+        pid, *workers = (int(token) for token in child.stdout.split())
+        assert len(workers) == 2 and all(gone(worker) for worker in workers)
+        assert not [name for name in os.listdir("/dev/shm") if name.startswith(f"{SEGMENT_PREFIX}{pid:x}_")]
 
 
 class TestJobSemantics:
@@ -153,7 +202,7 @@ class TestJobSemantics:
 
     @executors
     def test_strided_view_is_labelled_as_given(self, kind, parallelism):
-        """A non-contiguous view is registered as it is; workers slice the view they inherit."""
+        """A non-contiguous view is published as the tiles it shows; workers slice the published copy."""
         tiles = random_tiles(12)[::2, :, ::-1]
         result = run_mapreduce_autolabel(tiles, executor=kind, parallelism=parallelism)
         np.testing.assert_array_equal(result.labels, autolabel_batch(np.ascontiguousarray(tiles)))
@@ -189,7 +238,6 @@ class TestAutoLabelJob:
     def test_rejects_a_stack_that_is_not_n_h_w_3(self, shape):
         with pytest.raises(ValueError, match=r"expected \(N, H, W, 3\) tile stack"):
             run_mapreduce_autolabel(np.zeros(shape, dtype=np.uint8), executor="serial")
-        assert not autolabel_job._STACKS
 
 
 class TestClusterModel:

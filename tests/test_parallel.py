@@ -1,8 +1,8 @@
 """Tests for the single-machine auto-label path and the map it runs on.
 
 ``repro.parallel`` is gone: the workflow runs the map-reduce job on an
-execution backend, the Table I harness times :meth:`repro.backend.Backend.map`
-on a fresh one, and shared arrays are :mod:`repro.backend.store` segments.
+execution backend, the Table I harness times that job on a started backend,
+and shared arrays are :mod:`repro.backend.store` segments.
 The map and shared-memory cases below are the old module's, ported to what
 replaced it; the cross-backend property test lives in ``tests/test_backend.py``.
 """
@@ -10,6 +10,7 @@ replaced it; the cross-backend property test lives in ``tests/test_backend.py``.
 from __future__ import annotations
 
 import pickle
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -100,6 +101,18 @@ class TestSharedMemory:
         finally:
             close_segment(owner, unlink=True)
 
+    def test_attaching_does_not_register_with_the_tracker(self, monkeypatch):
+        """Only the owner registers; a worker that registered its attach would start a tracker of its own."""
+        registered = []
+        monkeypatch.setattr(resource_tracker, "register", lambda *args: registered.append(args))
+        owner = create_segment(8)
+        try:
+            registered.clear()
+            close_segment(attach_segment(owner.name))
+        finally:
+            close_segment(owner, unlink=True)
+        assert registered == []
+
     def test_context_manager_cleans_up(self):
         owner = create_segment(40)
         name = owner.name
@@ -141,7 +154,8 @@ class TestAutoLabelRunner:
     def test_scaling_table_rejects_a_bad_worker_count_before_timing(self, tiny_dataset, monkeypatch, bad):
         """A row no backend can run fails up front, naming the count, instead of after timing the rows before it."""
         built = []
-        monkeypatch.setattr("repro.mapreduce.autolabel_job.make_backend", lambda *args: built.append(args))
+        monkeypatch.setattr("repro.mapreduce.autolabel_job.session_backend", lambda *args: built.append(args))
+        monkeypatch.setattr("repro.workflow.autolabel.session_backend", lambda *args: built.append(args))
         with pytest.raises(ValueError, match=str(bad)):
             autolabel_scaling_table(tiny_dataset.images[:2], worker_counts=(1, bad))
         assert built == []

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from helpers import available_backends
+from leaks import gone
 from repro.backend import BackendError, WorkerLost, WorkerProcess
 from repro.backend.worker import Reply, serve
 from repro.obs import get_registry
@@ -176,15 +177,6 @@ time.sleep(600)
 """
 
 
-def _gone(pid: int) -> bool:
-    """Exited — reaped, or a zombie nobody will reap in this container."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except OSError:
-        return True
-
-
 def test_sigkilled_parent_leaves_no_worker_alive():
     """Every child closes the parent-side pipe ends it inherited, so when the
     parent is SIGKILLed each pipe EOFs and each worker exits — no orphan is
@@ -194,15 +186,15 @@ def test_sigkilled_parent_leaves_no_worker_alive():
                               stdout=subprocess.PIPE, text=True)
     try:
         pids = [int(token) for token in parent.stdout.readline().split()]
-        assert len(pids) == 3 and not any(_gone(pid) for pid in pids)
+        assert len(pids) == 3 and not any(gone(pid) for pid in pids)
     finally:
         parent.kill()
         parent.wait(10.0)
         parent.stdout.close()
     deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline and not all(_gone(pid) for pid in pids):
+    while time.monotonic() < deadline and not all(gone(pid) for pid in pids):
         time.sleep(0.05)
-    orphans = [pid for pid in pids if not _gone(pid)]
+    orphans = [pid for pid in pids if not gone(pid)]
     for pid in orphans:  # do not let a failure of this test leak them
         os.kill(pid, signal.SIGKILL)
     assert not orphans, f"orphaned workers: {orphans}"
