@@ -5,19 +5,16 @@ auto-labeling job reaches a 9× data-loading speedup and a 16.25× map-reduce
 speedup at 4 executors × 4 cores.  Here the same load → map → reduce job
 (``run_mapreduce_autolabel``) runs locally on the serial and multi-process
 executors, and the executor×core sweep is regenerated with the calibrated
-Dataproc cost model, printed next to the paper's rows.
+cost model's Table II parameters (``repro.metrics.scaling.TABLE2``), printed
+next to the paper's rows.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mapreduce import (
-    GCDClusterModel,
-    mapreduce_scaling_sweep,
-    paper_table2,
-    run_mapreduce_autolabel,
-)
+from repro.mapreduce import mapreduce_scaling_sweep, run_mapreduce_autolabel
+from repro.metrics.scaling import PAPER_TABLE2_ROWS, TABLE2, relative_error, table2_rows
 
 from conftest import print_paper_vs_measured, print_rows
 
@@ -64,13 +61,13 @@ def test_table2_local_process_executor_speedup(benchmark, bench_dataset):
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_cluster_sweep(benchmark, bench_dataset):
-    """Regenerate the full executor×core sweep of Table II with the calibrated cluster model."""
+    """Regenerate the full executor×core sweep of Table II with the calibrated cost model."""
 
     def sweep():
         return mapreduce_scaling_sweep(tiles=bench_dataset.images[: min(48, len(bench_dataset))])
 
     measured_rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_paper_vs_measured("Table II: map-reduce auto-labeling scalability", paper_table2(), measured_rows)
+    print_paper_vs_measured("Table II: map-reduce auto-labeling scalability", PAPER_TABLE2_ROWS, measured_rows)
 
     # Shape assertions: strong scaling in both load and reduce, with the reduce
     # phase close to linear (the paper's 16.25x at 16 slots).
@@ -79,7 +76,6 @@ def test_table2_cluster_sweep(benchmark, bench_dataset):
     assert by_shape[(4, 4)]["speedup_load"] > 1.0
     assert by_shape[(4, 4)]["speedup_reduce"] > 8.0
 
-    paper_calibrated = GCDClusterModel()
-    error = paper_calibrated.relative_error_vs_paper()
+    error = relative_error(table2_rows(*TABLE2), PAPER_TABLE2_ROWS, ("load_time_s", "reduce_time_s"))
     print(f"  paper-calibrated cost-model mean relative error vs Table II: {error:.1%}")
     assert error < 0.15

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from helpers import cache_nbytes
-from repro.distributed import DGXTrainingModel, ElasticTrainer, perfmodel
+from repro.distributed import ElasticTrainer
+from repro.metrics.scaling import ScalingModel
 from repro.nn import Adam, CategoricalCrossEntropy, Conv2D, MaxPool2D, workspace_nbytes
 from repro.nn.layers import Dropout, ReLU, UpConv2D
 from repro.nn.optimizers import BETA1, BETA2, EPS
@@ -252,8 +253,8 @@ def _measure_fold(workers: int, config: UNetConfig) -> tuple[float, int]:
 
 
 @pytest.mark.benchmark(group="training")
-def test_allreduce_cost_matches_perfmodel(monkeypatch):
-    """Calibrate the DGX model's communication term from the trainer's own 2-worker gradient fold
+def test_allreduce_cost_matches_perfmodel():
+    """Calibrate the cost model's communication term from the trainer's own 2-worker gradient fold
     (two model sizes isolate bandwidth from fixed overhead), predict the 4-worker fold, and record
     measured/predicted in BENCH_training_throughput.json without asserting it.  The fold is a chain
     over shared memory — each rank adds its slots into one accumulator in turn — not the ring the
@@ -266,15 +267,14 @@ def test_allreduce_cost_matches_perfmodel(monkeypatch):
     bandwidth = (large_bytes - small_bytes) / max(t_large - t_small, 1e-9)
     latency = max((t_small - small_bytes / bandwidth) / 2.0, 1e-6)
 
-    monkeypatch.setattr(perfmodel, "INTERCONNECT_GB_PER_S", bandwidth / 1e9)
-    monkeypatch.setattr(perfmodel, "ALLREDUCE_LATENCY_S", latency)
-    model = DGXTrainingModel(model_megabytes=large_bytes / 1e6)
-    predicted = model.allreduce_time_per_step(4)
+    one_step = ScalingModel(serial_s=0.0, parallel_s=0.0, per_node_s=0.0, items=1, batch=1, exchange_bytes=large_bytes,
+                            bandwidth_bytes_per_s=bandwidth, latency_s=latency, repeats=1)  # one exchange, nothing else
+    predicted = one_step.seconds(4, 1)
     measured, _ = _measure_fold(4, ALLREDUCE_LARGE)
     ratio = measured / predicted
 
     print_rows(
-        f"gradient fold vs perf model ({large_bytes} gradient bytes, "
+        f"gradient fold vs cost model ({large_bytes} gradient bytes, "
         f"bw {bandwidth / 1e6:.0f} MB/s, latency {latency * 1e3:.2f} ms)",
         [{"workers": 2, "measured_ms": round(t_large * 1e3, 3)},
          {"workers": 4, "measured_ms": round(measured * 1e3, 3),

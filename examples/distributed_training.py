@@ -15,7 +15,8 @@ Run with:  python examples/distributed_training.py
 from __future__ import annotations
 
 from repro.data import BatchLoader, build_dataset, train_test_split
-from repro.distributed import DGXTrainingModel, ElasticTrainer, paper_table3
+from repro.distributed import ElasticTrainer
+from repro.metrics.scaling import PAPER_TABLE3_ROWS, TABLE3, relative_error, table3_rows
 from repro.unet import UNetConfig
 
 
@@ -42,13 +43,13 @@ def main() -> None:
     # 2. The DGX A100 sweep of Table III / Figure 12.
     # ------------------------------------------------------------------ #
     print("2. DGX A100 performance-model sweep (Table III / Figure 12):")
-    model = DGXTrainingModel()
-    for row in model.sweep():
+    rows = table3_rows(TABLE3)
+    for row in rows:
         print(f"   {row}")
     print("   paper's published rows:")
-    for row in paper_table3():
+    for row in PAPER_TABLE3_ROWS:
         print(f"   {row}")
-    print(f"   mean relative error vs the paper: {model.relative_error_vs_paper():.1%}")
+    print(f"   mean relative error vs the paper: {relative_error(rows, PAPER_TABLE3_ROWS, ('total_time_s', 'speedup')):.1%}")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data import build_dataset
-from repro.mapreduce import GCDClusterModel, mapreduce_scaling_sweep, paper_table2, run_mapreduce_autolabel
 from repro.backend import available_cpu_count
+from repro.mapreduce import mapreduce_scaling_sweep, run_mapreduce_autolabel
+from repro.metrics.scaling import PAPER_TABLE2_ROWS, TABLE2, relative_error, table2_rows
 from repro.workflow import autolabel_scaling_table
 
 
@@ -52,9 +53,10 @@ def main() -> None:
         print(f"    {row}")
 
     print("\n  paper's published Table II for comparison:")
-    for row in paper_table2():
+    for row in PAPER_TABLE2_ROWS:
         print(f"    {row}")
-    print(f"\n  paper-calibrated cost-model error vs Table II: {GCDClusterModel().relative_error_vs_paper():.1%}")
+    error = relative_error(table2_rows(*TABLE2), PAPER_TABLE2_ROWS, ("load_time_s", "reduce_time_s"))
+    print(f"\n  paper-calibrated cost-model error vs Table II: {error:.1%}")
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ import atexit
 import os
 import threading
 from abc import ABC, abstractmethod
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -394,6 +394,23 @@ def session_backend(name: str, num_workers: int) -> Backend:
         if backend is None or not backend.running:
             backend = _SESSION[(name, num_workers)] = make_backend(name, num_workers).start()
     return backend
+
+
+@contextmanager
+def scoped_session_backend(name: str, num_workers: int) -> Iterator[Backend]:
+    """:func:`session_backend` for one block: a backend the block starts is closed when it ends, one that was
+    already running before it stays for the jobs that borrow it."""
+    with _SESSION_LOCK:
+        kept = _SESSION.get((name, num_workers))
+    backend = session_backend(name, num_workers)
+    try:
+        yield backend
+    finally:
+        if backend is not kept:
+            with _SESSION_LOCK:
+                if _SESSION.get((name, num_workers)) is backend:
+                    del _SESSION[(name, num_workers)]
+            backend.close()
 
 
 def close_session_backends() -> None:

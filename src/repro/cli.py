@@ -4,7 +4,8 @@ Sub-commands (``repro-seaice <command> --help`` for options):
 
 * ``autolabel``  — generate a synthetic archive and auto-label it (``--backend
   auto|serial|fork``, as in ``classify``), reporting timing and label quality.
-* ``scaling``    — print the Table I / Table II / Table III scaling tables.
+* ``scaling``    — print the Table I / Table II / Table III scaling tables (Table I
+  measured, Tables II and III from :class:`~repro.metrics.scaling.ScalingModel`).
 * ``train``      — run the U-Net-Man vs U-Net-Auto accuracy experiment
   (Tables IV/V) at a configurable scale, in-process or on ``--workers``
   forked ranks; the tables and weights digests are the same either way.
@@ -45,8 +46,7 @@ def _cmd_autolabel(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from .data import build_dataset
-    from .distributed import DGXTrainingModel, paper_table3
-    from .mapreduce import GCDClusterModel, paper_table2
+    from .metrics.scaling import PAPER_TABLE2_ROWS, PAPER_TABLE3_ROWS, TABLE2, TABLE3, table2_rows, table3_rows
     from .workflow import autolabel_scaling_table
 
     if args.table in ("1", "all"):
@@ -57,17 +57,17 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
             print(row)
     if args.table in ("2", "all"):
         print("== Table II: map-reduce auto-labeling (simulated Dataproc cluster) ==")
-        for row in GCDClusterModel().sweep():
+        for row in table2_rows(*TABLE2):
             print(row)
         print("-- paper values --")
-        for row in paper_table2():
+        for row in PAPER_TABLE2_ROWS:
             print(row)
     if args.table in ("3", "all"):
         print("== Table III: Horovod distributed U-Net training (simulated DGX A100) ==")
-        for row in DGXTrainingModel().sweep():
+        for row in table3_rows(TABLE3):
             print(row)
         print("-- paper values --")
-        for row in paper_table3():
+        for row in PAPER_TABLE3_ROWS:
             print(row)
     return 0
 
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-filter", action="store_true", help="skip the thin-cloud/shadow filter")
     p.set_defaults(func=_cmd_autolabel)
 
-    p = sub.add_parser("scaling", help="print the scaling tables (Tables I-III)")
+    p = sub.add_parser("scaling", help="print the scaling tables: Table I measured here, Tables II-III from the calibrated cost model")
     p.add_argument("--table", choices=("1", "2", "3", "all"), default="all")
     _add_archive_args(p, scenes=2, scene_size=256, tile_size=128, seed=None)
     p.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])

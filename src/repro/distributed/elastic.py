@@ -136,10 +136,6 @@ class TrainingHistory:
     def losses(self) -> list[float]:
         return [e.loss for e in self.epochs]
 
-    @property
-    def total_time(self) -> float:
-        return float(sum(e.time_s for e in self.epochs))
-
     def _timed(self) -> list[EpochStats]:
         """Epochs this process ran; a resume restores the earlier ones as losses only."""
         return [e for e in self.epochs if e.time_s > 0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from ..backend.base import session_backend
 from ..backend.store import attach_segment, close_segment, create_segment, ndarray_view
 from ..labeling.autolabel import autolabel_batch
-from .cluster import GCDClusterModel
+from ..metrics.scaling import PAPER_TABLE2_ROWS, TABLE2, TABLE2_LOAD_SERIAL_SHARE, table2_rows
 
 __all__ = ["JobTimings", "MapReduceAutoLabelResult", "run_mapreduce_autolabel", "mapreduce_scaling_sweep"]
 
@@ -119,26 +119,28 @@ def run_mapreduce_autolabel(
     return MapReduceAutoLabelResult(labels=labels, timings=timings, num_partitions=len(spans))
 
 
-def mapreduce_scaling_sweep(tiles: np.ndarray | None = None) -> list[dict]:
-    """Produce the Table II sweep.
+def mapreduce_scaling_sweep(tiles: np.ndarray) -> list[dict]:
+    """Run a single-core job over ``tiles`` and produce the Table II sweep calibrated on it.
 
-    When ``tiles`` is given, a single-core job is run first and the cluster
-    model is re-calibrated on it; otherwise the paper-calibrated defaults are
-    used.  Of the calibrated model's 1×1 row, only the reduce column is
-    measured (the job's labelling + gather time).  The load column is
-    modelled: the local load only registers an in-memory stack, unlike the
+    The load and reduce phases of :data:`~repro.metrics.scaling.TABLE2` are
+    re-calibrated on the job.  Of the calibrated 1×1 row, only the reduce
+    column is measured (the job's labelling + gather time).  The load column
+    is modelled: the local load only registers an in-memory stack, unlike the
     paper's read of the image archive from cloud storage, so it is set to the
     measured reduce time × the paper's 108 / 390 load-to-label ratio.  The map
-    column is the model's constant registration cost, and every other row is
-    predicted from the 1×1 row.
+    column is the constant registration cost, and every other row is predicted
+    from the 1×1 row (:func:`~repro.metrics.scaling.table2_rows`).
     """
-    if tiles is None:
-        return GCDClusterModel().sweep()
     stack = np.asarray(tiles)
     measured = run_mapreduce_autolabel(stack, executor="serial", parallelism=1)
     reduce_time = max(measured.timings.reduce_time, 1e-4)
-    return GCDClusterModel.calibrated_from_measurement(
-        num_images=stack.shape[0],
-        measured_load_time=reduce_time * (108.0 / 390.0),
-        measured_reduce_time=reduce_time,
-    ).sweep()
+    paper = PAPER_TABLE2_ROWS[0]
+    load, registration, reduce = TABLE2
+    # Scheduling overhead scales with the workload: for a small local measurement the
+    # paper-scale 50 ms per executor would dominate and invert the scaling trend.
+    overhead = min(load.per_node_s, 0.005 * reduce_time)
+    return table2_rows(
+        replace(load.calibrated(reduce_time * (paper["load_time_s"] / paper["reduce_time_s"]), TABLE2_LOAD_SERIAL_SHARE), per_node_s=overhead),
+        registration,
+        replace(reduce.calibrated(reduce_time, 0.0), per_node_s=overhead),
+    )

@@ -1,4 +1,4 @@
-"""Tests for repro.distributed (the gradient fold, the elastic data-parallel trainer, DGX model)."""
+"""Tests for repro.distributed (the gradient fold and the elastic data-parallel trainer)."""
 
 from __future__ import annotations
 
@@ -18,12 +18,10 @@ from hypothesis import strategies as st
 from repro.backend import ProcessBackend, WorkerProcess
 from repro.data import BatchLoader
 from repro.distributed import (
-    DGXTrainingModel,
     ElasticTrainer,
     ElasticTrainingError,
     elastic,
     latest_checkpoints,
-    paper_table3,
 )
 from repro.nn import Adam, CategoricalCrossEntropy, load_checkpoint, read_metadata, save_checkpoint
 from repro.nn.convgemm import NUMERICS
@@ -252,54 +250,6 @@ class TestDataParallelTrainer:
         extra = restored._load_latest()
         assert (extra["epoch"], extra["global_step"], extra["epoch_losses"]) == (3, 1, [0.5])
         assert restored.weights_digest() == digest
-
-
-class TestDGXModel:
-    def test_default_calibration_matches_paper(self):
-        model = DGXTrainingModel()
-        assert model.relative_error_vs_paper() < 0.05
-        row8 = model.predict_row(8)
-        assert row8["speedup"] == pytest.approx(7.21, abs=0.3)
-
-    def test_monotone_speedup_and_throughput(self):
-        model = DGXTrainingModel()
-        rows = model.sweep()
-        speedups = [r["speedup"] for r in rows]
-        throughputs = [r["images_per_s"] for r in rows]
-        assert speedups == sorted(speedups)
-        assert throughputs == sorted(throughputs)
-
-    def test_efficiency_degrades_with_gpus(self):
-        """The paper observes GPU starvation from the input pipeline at high GPU counts."""
-        model = DGXTrainingModel()
-        eff = [model.speedup(g) / g for g in (1, 2, 4, 8)]
-        assert eff[0] == pytest.approx(1.0)
-        assert eff[-1] < eff[1]
-
-    def test_paper_table3_shape(self):
-        rows = paper_table3()
-        assert len(rows) == 5
-        assert rows[-1]["speedup"] == 7.21
-
-    def test_allreduce_cost_grows_then_saturates(self):
-        model = DGXTrainingModel()
-        assert model.allreduce_time_per_step(1) == 0.0
-        assert model.allreduce_time_per_step(8) > model.allreduce_time_per_step(2)
-
-    def test_calibrated_from_measurement(self):
-        model = DGXTrainingModel.calibrated_from_measurement(
-            measured_epoch_time=10.0, images_per_epoch=100, model_parameters=10_000
-        )
-        assert model.epoch_time(1) == pytest.approx(10.0, rel=0.05)
-        assert model.speedup(4) > 2.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DGXTrainingModel(images_per_epoch=0)
-        with pytest.raises(ValueError):
-            DGXTrainingModel().epoch_time(0)
-        with pytest.raises(ValueError):
-            DGXTrainingModel.calibrated_from_measurement(0.0, 10, 10)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for repro.mapreduce (the auto-label job, its span cutter, executor kinds, cluster model)."""
+"""Tests for repro.mapreduce (the auto-label job, its span cutter, executor kinds, its Table II sweep)."""
 
 from __future__ import annotations
 
@@ -16,14 +16,7 @@ from leaks import gone, shm_segments
 from repro.backend.base import session_backend
 from repro.backend.store import SEGMENT_PREFIX
 from repro.labeling import autolabel_batch
-from repro.mapreduce import (
-    PAPER_TABLE2_ROWS,
-    ClusterShape,
-    GCDClusterModel,
-    mapreduce_scaling_sweep,
-    paper_table2,
-    run_mapreduce_autolabel,
-)
+from repro.mapreduce import mapreduce_scaling_sweep, run_mapreduce_autolabel
 from repro.mapreduce import autolabel_job
 from repro.mapreduce.autolabel_job import _cut_spans
 
@@ -240,51 +233,7 @@ class TestAutoLabelJob:
             run_mapreduce_autolabel(np.zeros(shape, dtype=np.uint8), executor="serial")
 
 
-class TestClusterModel:
-    def test_paper_table_has_nine_rows(self):
-        assert len(PAPER_TABLE2_ROWS) == 9
-        derived = paper_table2()
-        assert derived[-1]["speedup_reduce"] == pytest.approx(16.25, abs=0.01)
-        assert derived[-1]["speedup_load"] == pytest.approx(9.0, abs=0.01)
-
-    def test_model_matches_paper_shape(self):
-        model = GCDClusterModel()
-        assert model.relative_error_vs_paper() < 0.15
-
-    def test_times_decrease_with_slots(self):
-        model = GCDClusterModel()
-        t1 = model.reduce_time(ClusterShape(1, 1))
-        t4 = model.reduce_time(ClusterShape(2, 2))
-        t16 = model.reduce_time(ClusterShape(4, 4))
-        assert t1 > t4 > t16
-
-    def test_speedups_relative_to_baseline(self):
-        rows = GCDClusterModel().sweep()
-        base = rows[0]
-        assert base["speedup_load"] == 1.0 and base["speedup_reduce"] == 1.0
-        assert rows[-1]["speedup_reduce"] > 10
-
-    def test_map_time_constant_and_small(self):
-        model = GCDClusterModel()
-        times = {model.map_time(ClusterShape(e, c)) for e in (1, 2, 4) for c in (1, 2, 4)}
-        assert len(times) == 1
-        assert times.pop() < 1.0
-
-    def test_calibration_from_measurement(self):
-        model = GCDClusterModel.calibrated_from_measurement(100, measured_load_time=10.0, measured_reduce_time=50.0)
-        row = model.predict_row(ClusterShape(1, 1))
-        assert row["load_time_s"] == pytest.approx(10.0, rel=0.1)
-        assert row["reduce_time_s"] == pytest.approx(50.0, rel=0.1)
-
-    def test_calibration_rejects_bad_times(self):
-        with pytest.raises(ValueError):
-            GCDClusterModel.calibrated_from_measurement(10, measured_load_time=0.0, measured_reduce_time=1.0)
-
-    def test_cluster_shape_validation(self):
-        with pytest.raises(ValueError):
-            ClusterShape(0, 1)
-        assert ClusterShape(4, 4).slots == 16
-
+class TestTable2Sweep:
     def test_sweep_with_real_measurement(self, tiny_dataset):
         rows = mapreduce_scaling_sweep(tiles=tiny_dataset.images[:2])
         assert len(rows) == 9

@@ -9,6 +9,7 @@ replaced it; the cross-backend property test lives in ``tests/test_backend.py``.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 from multiprocessing import resource_tracker
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.backend import SerialBackend, available_cpu_count, make_backend
-from repro.backend.base import _default_chunk_size
+from repro.backend.base import _default_chunk_size, session_backend
 from repro.backend.store import (
     SharedArrayField,
     attach_segment,
@@ -150,12 +151,22 @@ class TestAutoLabelRunner:
         assert rows[0]["workers"] == 1 and rows[0]["speedup"] == 1.0
         assert all("items_per_s" in r for r in rows)
 
+    def test_a_sweep_closes_the_workers_it_started(self, tiny_dataset):
+        before = len(multiprocessing.active_children())
+        autolabel_scaling_table(tiny_dataset.images, worker_counts=(1, 2, 3))
+        assert len(multiprocessing.active_children()) == before
+
+    def test_a_sweep_keeps_a_backend_that_was_running_before_it(self, tiny_dataset):
+        backend = session_backend("fork", 2)
+        autolabel_scaling_table(tiny_dataset.images[:4], worker_counts=(1, 2))
+        assert session_backend("fork", 2) is backend and backend.running
+
     @pytest.mark.parametrize("bad", [0, -2])
     def test_scaling_table_rejects_a_bad_worker_count_before_timing(self, tiny_dataset, monkeypatch, bad):
         """A row no backend can run fails up front, naming the count, instead of after timing the rows before it."""
         built = []
         monkeypatch.setattr("repro.mapreduce.autolabel_job.session_backend", lambda *args: built.append(args))
-        monkeypatch.setattr("repro.workflow.autolabel.session_backend", lambda *args: built.append(args))
+        monkeypatch.setattr("repro.workflow.autolabel.scoped_session_backend", lambda *args: built.append(args))
         with pytest.raises(ValueError, match=str(bad)):
             autolabel_scaling_table(tiny_dataset.images[:2], worker_counts=(1, bad))
         assert built == []
